@@ -64,7 +64,14 @@ class Chart:
     def metric(self, p) -> np.ndarray:
         """Metric matrix at p, validated symmetric positive definite."""
         g = np.asarray(self.metric_fn(np.asarray(p, dtype=float)), dtype=float)
-        if not np.allclose(g, g.T, atol=1e-10 * (1.0 + np.abs(g).max())):
+        scale = np.abs(g).max()     # inf or nan unless every entry is finite
+        if not math.isfinite(scale):
+            raise MetricError(f"metric not finite at {p} on '{self.label}'")
+        # np.allclose(g, g.T, atol, rtol=1e-5) written out, which gives the
+        # same verdict on finite g without allclose's per-call overhead;
+        # an exactly symmetric g passes it and skips the arithmetic
+        if not ((g == g.T).all() or (np.abs(g - g.T) <= 1e-10 * (1.0 + scale)
+                                     + 1e-5 * np.abs(g.T)).all()):
             raise MetricError(f"metric not symmetric at {p} on '{self.label}'")
         try:
             np.linalg.cholesky(g)

@@ -132,7 +132,7 @@ def lee_form(H: HermitianStructure, p, mode: str = "auto",
     g = H.chart.metric(p)
     j_theta = H.j_form(p, theta)
     norm_sq = float(theta @ np.linalg.solve(g, theta))
-    S = s_tensor(H, p, mode=mode)
+    S = nabla_theta(H, p, mode=mode) + np.outer(theta, theta)
     return LeeData(theta=FrameTensor(theta, (1, 0), p),
                    J_theta=FrameTensor(j_theta, (1, 0), p),
                    norm_sq=norm_sq,
@@ -156,12 +156,6 @@ def nabla_theta(H: HermitianStructure, p, mode: str = "auto") -> np.ndarray:
     return covariant_derivative_full(H.chart, lee_field(H, mode), p, (1, 0),
                                      mode=mode, step=fd.STEP_NESTED,
                                      order=fd.ORDER_NESTED)
-
-
-def s_tensor(H: HermitianStructure, p, mode: str = "auto") -> np.ndarray:
-    """S = nabla theta + theta (x) theta as a (0,2) component array."""
-    theta = lee_form_components(H, p, mode=mode)
-    return nabla_theta(H, p, mode=mode) + np.outer(theta, theta)
 
 
 def lck_residual(H: HermitianStructure, p, theta: np.ndarray = None,

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import fd
 from .calculus import (codifferential, covariant_derivative_full,
-                       exterior_derivative, lie_bracket, riemann)
+                       exterior_derivative, lie_bracket, ricci_scalar, riemann)
 from .charts import form_norm, form_of_endomorphism, wedge, wedge_endo
 from .errors import (InconsistencyError, NotLcKError, PreconditionError,
                      SingularPointError)
@@ -157,7 +157,6 @@ def s_commutator_residual(H: HermitianStructure, p, mode: str = "auto") -> float
 def einstein_deviation(H: HermitianStructure, p, lam: float,
                        mode: str = "auto") -> float:
     """Term-normalized |Ric - lambda g| at p."""
-    from .calculus import ricci_scalar
     ric, _ = ricci_scalar(H.chart, p, mode=mode)
     g = H.chart.metric(p)
     diff = ric.components - lam * g
@@ -192,8 +191,19 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     theta_sharp = g_inv @ theta
     norm_sq = float(theta @ theta_sharp)
 
-    ntheta = covariant_derivative_full(chart, theta_f, p, (1, 0), mode=mode,
-                                       step=fd.STEP_NESTED, order=fd.ORDER_NESTED)
+    # nabla theta at each point, computed once: the DEEP stencils of S,
+    # JS, delta theta and f all evaluate it at the same points
+    ntheta_cache = {}
+
+    def ntheta_at(q):
+        key = q.tobytes()
+        if key not in ntheta_cache:
+            ntheta_cache[key] = covariant_derivative_full(
+                chart, theta_f, q, (1, 0), mode=mode, step=fd.STEP_NESTED,
+                order=fd.ORDER_NESTED)
+        return ntheta_cache[key]
+
+    ntheta = ntheta_at(p)
     s_cov = ntheta + np.outer(theta, theta)
     s_endo = g_inv @ s_cov
     delta_theta = -float(np.einsum("ij,ij->", g_inv, ntheta))
@@ -214,11 +224,6 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     def norm_sq_field(q):
         t = theta_f(q)
         return np.array(float(t @ np.linalg.solve(chart.metric_fn(q), t)))
-
-    def ntheta_at(q):
-        return covariant_derivative_full(chart, theta_f, q, (1, 0), mode=mode,
-                                         step=fd.STEP_NESTED,
-                                         order=fd.ORDER_NESTED)
 
     def s_field(q):
         t = theta_f(q)

@@ -37,6 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fd, holonomy as hol, identities as idn, zoo
+from .calculus import codifferential, exterior_derivative
 from .charts import wedge
 from .errors import ParameterError
 from .hermitian import lck_residual, lee_form_components
@@ -175,8 +176,7 @@ def _sample_points(entry, config: SuiteConfig, rng, chart=None):
 
 def _lee_from_domega(H, p, mode: str):
     """Least-squares Lee form from d Omega = 2 theta ^ Omega (the cross road)."""
-    from .calculus import exterior_derivative
-    d_omega = exterior_derivative(H.chart, H.omega, p, k=1 + 1).components
+    d_omega = exterior_derivative(H.chart, H.omega, p, k=2).components
     m = H.chart.dim
     omega = H.omega(p)
     cols = []
@@ -219,7 +219,6 @@ def _suite_lck_identities(entry, config: SuiteConfig, rng) -> SuiteResult:
         theta_d = _lee_from_domega(H, p, mode)
         g_inv = np.linalg.inv(H.chart.metric(p))
         j_theta_d = H.j_form(p, theta_d)
-        from .calculus import codifferential
         delta_om = codifferential(H.chart, H.omega, p, k=2, mode=mode).components
         num = delta_om - (2.0 - 2.0 * H.n) * j_theta_d
         vec = lambda t: float(np.sqrt(abs(t @ g_inv @ t)))

@@ -36,6 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fd
+from .calculus import christoffel_components, covariant_derivative_full
 from .charts import Chart, polygon_loop, segment_loop
 from .errors import BundleError, ParameterError
 from .hermitian import HermitianStructure, conformal_rescale
@@ -267,19 +268,24 @@ def _hypersphere_embedding(angles: np.ndarray) -> np.ndarray:
 
 
 def _hypersphere_jacobian(angles: np.ndarray) -> np.ndarray:
-    """d u / d a, shape (d+1, d)."""
+    """d u / d a, shape (d+1, d).
+
+    Entry (i, j) is the product of the factors of u_i with factor j
+    differentiated, multiplied left to right in plain floats; column j
+    shares the prefix sin(a_0) ... sin(a_(j-1)) and one running product.
+    """
     d = angles.size
-    sin, cos = np.sin(angles), np.cos(angles)
+    sin, cos = np.sin(angles).tolist(), np.cos(angles).tolist()
     jac = np.zeros((d + 1, d))
-    for i in range(d + 1):
-        if i < d:
-            base = [sin[k] for k in range(i)] + [cos[i]]
-        else:
-            base = [sin[k] for k in range(d)]
-        for j in range(min(i + 1, d) if i < d else d):
-            terms = list(base)
-            terms[j] = cos[j] if j < i else -sin[j]
-            jac[i, j] = float(np.prod(terms))
+    prefix = 1.0
+    for j in range(d):
+        jac[j, j] = prefix * -sin[j]
+        run = prefix * cos[j]
+        for i in range(j + 1, d):
+            jac[i, j] = run * cos[i]
+            run *= sin[i]
+        jac[d, j] = run
+        prefix *= sin[j]
     return jac
 
 
@@ -652,8 +658,6 @@ def calabi_connection_table_residuals(entry: ZooEntry, p, mode: str = "auto") ->
     The left sides come from stencil Christoffels of the 4-chart, the right
     sides from the profile derivative, the base connection, and Omega_N.
     """
-    from .calculus import christoffel_components, covariant_derivative_full
-
     p = np.asarray(p, dtype=float)
     chart = entry.charts["g_ell"]
     base = entry.base

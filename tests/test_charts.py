@@ -60,6 +60,32 @@ class TestChartInvariants:
                        metric_fn=lambda p: np.diag([1.0, -1.0]), label="bad_pd")
         with pytest.raises(MetricError):
             bad_pd.metric([0.0, 0.0])
+        # an infinite diagonal is symmetric to allclose and Cholesky returns
+        # inf without raising, so only an explicit finiteness check sees it
+        for g in (np.diag([np.inf, 1.0]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+            bad = Chart(dim=2, domain=((-1, 1), (-1, 1)),
+                        metric_fn=lambda p, g=g: g.copy(), label="not_finite")
+            with pytest.raises(MetricError):
+                bad.metric([0.0, 0.0])
+
+    def test_symmetry_verdict_matches_allclose(self, rng):
+        """The symmetry check accepts exactly what np.allclose accepts."""
+        for _ in range(3000):
+            m = int(rng.integers(1, 6))
+            a = rng.standard_normal((m, m)) * 10.0 ** rng.integers(-6, 6)
+            g = a @ a.T + np.eye(m)
+            i, j = rng.integers(0, m, 2)
+            # one entry moved to within a factor 2 of the tolerance
+            tol = 1e-10 * (1 + np.abs(g).max()) + 1e-5 * abs(g[j, i])
+            g[i, j] += tol * rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+            expected = np.allclose(g, g.T, atol=1e-10 * (1 + np.abs(g).max()))
+            chart = Chart(dim=1, domain=((-1, 1),), metric_fn=lambda p: g)
+            try:
+                chart.metric([0.0])
+                symmetric = True
+            except MetricError as exc:
+                symmetric = "not symmetric" not in str(exc)
+            assert symmetric == expected, g
 
 
 class TestFrameTensor:

@@ -1,5 +1,6 @@
 """Residual-checker tests for the lcK identity suites."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -118,6 +119,20 @@ class TestEinsteinChain:
         assert abs(delta_theta + norm_sq) < 1e-4
         res = einstein_chain_residuals(H, p, 0.0, mode="fd")
         assert res["eqf"] < 1e-3
+
+    def test_nabla_theta_evaluated_once_per_point(self, flat_inv2):
+        """The DEEP stencils of S, JS, delta theta and f share nabla theta."""
+        H = flat_inv2.main_structure
+        calls = [0]
+
+        def counted(q):
+            calls[0] += 1
+            return H.chart.metric_fn(q)
+
+        chart = dataclasses.replace(H.chart, metric_fn=counted)
+        counted_H = dataclasses.replace(H, chart=chart)
+        einstein_chain_residuals(counted_H, np.full(4, 0.5), 0.0, mode="fd")
+        assert calls[0] < 7500
 
     def test_wrong_lambda_rejected(self, flat_inv2):
         H = flat_inv2.main_structure

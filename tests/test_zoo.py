@@ -80,6 +80,28 @@ class TestHopf:
                                  zoo._hypersphere_jacobian(angles)])
             npt.assert_allclose(B.T @ B, chart.metric_fn(p), atol=1e-12)
 
+    def test_hypersphere_jacobian_matches_loop_reference(self, rng):
+        """Bit-identical to the entrywise product form it replaced."""
+        def reference(angles):
+            d = angles.size
+            sin, cos = np.sin(angles), np.cos(angles)
+            jac = np.zeros((d + 1, d))
+            for i in range(d + 1):
+                if i < d:
+                    base = [sin[k] for k in range(i)] + [cos[i]]
+                else:
+                    base = [sin[k] for k in range(d)]
+                for j in range(min(i + 1, d) if i < d else d):
+                    terms = list(base)
+                    terms[j] = cos[j] if j < i else -sin[j]
+                    jac[i, j] = float(np.prod(terms))
+            return jac
+
+        for d in range(1, 6):
+            for angles in rng.uniform(-math.pi, 2.0 * math.pi, size=(400, d)):
+                assert np.array_equal(zoo._hypersphere_jacobian(angles),
+                                      reference(angles)), angles
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             zoo.hopf(1)
