@@ -42,13 +42,15 @@ def christoffel(chart: Chart, p, mode: str = "auto",
 
 def christoffel_components(chart: Chart, p, mode: str = "auto",
                            step: float = None) -> np.ndarray:
+    """Gamma^k_{ij} at each of the points p, shape (..., m) -> (..., m, m, m)."""
     # hot path: raw metric_fn, positivity is asserted by the chart gate tests
     step = fd.STEP_DIRECT if step is None else step
     dg = chart.metric_jacobian(p, mode=mode, step=step)
-    g_inv = np.linalg.inv(np.asarray(chart.metric_fn(np.asarray(p, dtype=float))))
-    # dg[k, i, j] = d_k g_ij
-    sym = np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg
-    return 0.5 * np.einsum("kl,lij->kij", g_inv, sym)
+    g_inv = np.linalg.inv(fd.evaluate(chart.metric_fn, p))
+    # dg[..., k, i, j] = d_k g_ij
+    sym = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
+           - dg)
+    return 0.5 * np.einsum("...kl,...lij->...kij", g_inv, sym)
 
 
 def riemann(chart: Chart, p, mode: str = "auto") -> FrameTensor:

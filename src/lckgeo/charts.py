@@ -55,7 +55,20 @@ class Chart:
         return all(lo + margin <= x <= hi - margin
                    for x, (lo, hi) in zip(p, self.domain))
 
+    def inside(self, points, margin: float = 0.0) -> np.ndarray:
+        """The verdict of :meth:`contains` at each of the points, shape (..., dim)."""
+        lows, highs = np.array(self.domain, dtype=float).T
+        points = np.asarray(points, dtype=float)
+        return ((lows + margin <= points) & (points <= highs - margin)).all(axis=-1)
+
     def require_inside(self, p, margin: float = 0.0):
+        """Raise :class:`ChartDomainError` naming the first of the points
+        (shape (..., dim)) outside the box shrunk by ``margin``."""
+        if np.ndim(p) > 1:
+            outside = np.asarray(p, dtype=float)[~self.inside(p, margin)]
+            if len(outside):
+                self.require_inside(outside[0], margin)
+            return
         if not self.contains(p, margin):
             raise ChartDomainError(
                 f"point {np.asarray(p)} outside chart '{self.label}' "
@@ -85,7 +98,10 @@ class Chart:
 
     def metric_jacobian(self, p, mode: str = "auto",
                         step: float = None) -> np.ndarray:
-        """dg[k, i, j] = d_k g_ij, analytic when available unless mode='fd'."""
+        """dg[..., k, i, j] = d_k g_ij at each of the points p, shape (..., dim).
+
+        Analytic when available unless mode='fd'.
+        """
         p = np.asarray(p, dtype=float)
         step = fd.STEP_DIRECT if step is None else step
         if mode not in ("auto", "fd", "analytic"):
@@ -93,7 +109,8 @@ class Chart:
         if mode == "analytic" and self.metric_derivative_fn is None:
             raise ValueError(f"chart '{self.label}' has no analytic metric derivative")
         if mode != "fd" and self.metric_derivative_fn is not None:
-            return np.asarray(self.metric_derivative_fn(p), dtype=float)
+            return np.asarray(fd.evaluate(self.metric_derivative_fn, p),
+                              dtype=float)
         self.require_inside(p, margin=step)
         return fd.gradient(self.metric_fn, p, step, order=fd.ORDER_DIRECT)
 

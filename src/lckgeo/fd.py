@@ -55,35 +55,42 @@ class override_direct_step:
         return False
 
 
-def partial_derivative(f: Callable, p: np.ndarray, axis: int, step: float,
-                       order: int = 2) -> np.ndarray:
-    """d f / d x_axis at p by a central stencil of the given order (2 or 4)."""
-    h = step
-    e = np.zeros_like(p, dtype=float)
-    e[axis] = 1.0
-    if order == 2:
-        return (np.asarray(f(p + h * e)) - np.asarray(f(p - h * e))) / (2.0 * h)
-    if order == 4:
-        f1 = np.asarray(f(p + h * e))
-        f_1 = np.asarray(f(p - h * e))
-        f2 = np.asarray(f(p + 2.0 * h * e))
-        f_2 = np.asarray(f(p - 2.0 * h * e))
-        return (8.0 * (f1 - f_1) - (f2 - f_2)) / (12.0 * h)
-    raise ValueError(f"unsupported stencil order {order}")
+def evaluate(f: Callable, points) -> np.ndarray:
+    """f at each of the points, shape (..., m): out[...] = f(points[...]).
+
+    Fields take one point, so a stack is evaluated one point at a time, in
+    C order; a single point of shape (m,) is passed through as it is.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        return np.asarray(f(points))
+    values = np.array([f(q) for q in points.reshape(-1, points.shape[-1])])
+    return values.reshape(points.shape[:-1] + values.shape[1:])
 
 
-def gradient(f: Callable, p: np.ndarray, step: float, order: int = 2) -> np.ndarray:
-    """All partials of f at p; derivative axis first: out[k, ...] = d_k f(p)."""
+def gradient(f: Callable, p, step: float, order: int = 2) -> np.ndarray:
+    """All partials of f at each of the points p, shape (..., m).
+
+    ``out[..., k, ...] = d_k f``: the derivative axis follows the point axes,
+    so at a single point it comes first.  The central stencil of the given
+    order (2 or 4) is built for every point at once, and f is evaluated on it
+    axis by axis in the order +h, -h (, +2h, -2h).
+    """
     p = np.asarray(p, dtype=float)
-    parts = [partial_derivative(f, p, k, step, order) for k in range(p.size)]
-    return np.stack(parts, axis=0)
-
-
-def second_derivative(f: Callable, p: np.ndarray, axis1: int, axis2: int,
-                      step: float, order: int = 2) -> np.ndarray:
-    """d^2 f / dx_axis1 dx_axis2 via a nested central stencil."""
-    inner = lambda q: partial_derivative(f, q, axis2, step, order)
-    return partial_derivative(inner, p, axis1, step, order)
+    h = step
+    if order == 2:
+        scales = np.array([h, -h])
+    elif order == 4:
+        scales = np.array([h, -h, 2.0 * h, -2.0 * h])
+    else:
+        raise ValueError(f"unsupported stencil order {order}")
+    # offsets[k, s] = scales[s] * e_k; p + (-h e_k) rounds like p - h e_k
+    offsets = np.eye(p.shape[-1])[:, None, :] * scales[:, None]
+    values = evaluate(f, p[..., None, None, :] + offsets)
+    f_s = np.moveaxis(values, p.ndim, 0)
+    if order == 2:
+        return (f_s[0] - f_s[1]) / (2.0 * h)
+    return (8.0 * (f_s[0] - f_s[1]) - (f_s[2] - f_s[3])) / (12.0 * h)
 
 
 def stencil_extent(step: float, order: int = 2) -> float:

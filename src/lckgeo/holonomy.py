@@ -272,6 +272,7 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
     base = np.asarray(base, dtype=float)
     m = chart.dim
     n = n or m // 2
+    L = _orthonormal_frame(chart.metric(base))
     hats = []
     for loop in loops:
         if float(np.max(np.abs(loop.shift))) > 0.0 and not allow_shifted:
@@ -283,8 +284,6 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
             P = transport_segment(chart, q, base, np.eye(m),
                                   steps=transport_steps, mode=mode)
             H = P @ H @ np.linalg.inv(P)
-        g = chart.metric(base)
-        L = _orthonormal_frame(g)
         hat_H = _to_frame(L, H)
         dist = float(np.linalg.norm(hat_H - np.eye(m), 2))
         if dist >= 0.5:

@@ -5,6 +5,17 @@ number of steps; line integrals use composite 3-point Gauss-Legendre
 quadrature per step.  Transport around a :class:`~lckgeo.charts.Loop` with a
 deck-translation shift is well defined because the chart fields are invariant
 under the shift.
+
+Parallel transport solves the linear ODE V' = -Gamma(x(t))(x'(t), V), whose
+coefficients depend on t alone.  RK4 samples a step at t, t + h/2 (for k2
+and k3) and t + h, the next step's t, so a smooth piece of s steps needs the
+connection at only 2s + 1 node times.  Each piece builds its node table
+first: the node times by the float recurrence of the integrator, the domain
+check of every node at once, and one stacked Christoffel call (see
+:func:`~lckgeo.calculus.christoffel_components`).  The integrator then reads
+the table, so the result is bit-for-bit that of evaluating every stage, and
+a node that fails a domain check raises its error when the integrator first
+reaches it.  Geodesics depend on the state and evaluate stage by stage.
 """
 
 from __future__ import annotations
@@ -49,21 +60,7 @@ def geodesic(chart: Chart, p, v, time: float, steps: int = DEFAULT_STEPS,
     Raises :class:`DomainExitError` with the exit time if the trajectory
     leaves the chart box.
     """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    m = chart.dim
-
-    def rhs(t, y):
-        x, vel = y[:m], y[m:]
-        if not chart.contains(x):
-            raise DomainExitError(f"geodesic left chart '{chart.label}'",
-                                  exit_time=t, point=x)
-        gamma = christoffel_components(chart, x, mode=mode)
-        acc = -np.einsum("kij,i,j->k", gamma, vel, vel)
-        return np.concatenate([vel, acc])
-
-    y = _rk4(rhs, np.concatenate([p, v]), 0.0, time, steps)
-    return y[:m]
+    return geodesic_with_velocity(chart, p, v, time, steps, mode)[0]
 
 
 def geodesic_with_velocity(chart: Chart, p, v, time: float,
@@ -114,24 +111,60 @@ def transport_along(chart: Chart, point_fn: Callable, velocity_fn: Callable,
 
     y = V0.reshape(-1)
     for t0, t1 in zip(knots[:-1], knots[1:]):
-        span = t1 - t0
-        eps = 1e-9 * span
+        piece_steps = max(int(round(steps * (t1 - t0))), 1)
+        table, fail = _node_table(chart, point_fn, velocity_fn, t0, t1,
+                                  piece_steps, mode)
 
-        def rhs(t, y, lo=t0 + eps, hi=t1 - eps):
-            tc = min(max(t, lo), hi)
-            V = y.reshape(shape)
-            x = point_fn(tc)
-            if not chart.contains(x):
-                raise DomainExitError(
-                    f"transport curve left chart '{chart.label}'",
-                    exit_time=t, point=np.asarray(x))
-            gamma = christoffel_components(chart, x, mode=mode)
-            dV = -np.einsum("kij,i,j...->k...", gamma, velocity_fn(tc), V)
+        def rhs(t, y):
+            entry = table.get(t)
+            if entry is None:
+                fail()
+            gamma, vel = entry
+            dV = -np.einsum("kij,i,j...->k...", gamma, vel, y.reshape(shape))
             return dV.reshape(-1)
 
-        piece_steps = max(int(round(steps * span)), 1)
         y = _rk4(rhs, y, t0, t1, piece_steps)
     return y.reshape(shape)
+
+
+def _node_table(chart: Chart, point_fn: Callable, velocity_fn: Callable,
+                t0: float, t1: float, steps: int, mode: str):
+    """Christoffel symbols and velocities at the RK4 nodes of one piece.
+
+    Returns ``table``, mapping each node time up to the first node that fails
+    a domain check to (Gamma, velocity) there, and ``fail``, which raises
+    that node's error.  :func:`_rk4` asks for the nodes in time order, so
+    ``fail`` runs exactly where the stage-by-stage integration would raise.
+    """
+    h = (t1 - t0) / steps
+    times, t = [], t0
+    for _ in range(steps):      # the float recurrence of _rk4
+        times += (t, t + 0.5 * h)
+        t += h
+    times.append(t)
+    eps = 1e-9 * (t1 - t0)
+    # no stage samples the velocity at a corner
+    params = [min(max(t, t0 + eps), t1 - eps) for t in times]
+    xs = np.array([point_fn(tc) for tc in params], dtype=float)
+    # the fd stencil of christoffel_components needs its step inside the box
+    fd_path = mode == "fd" or chart.metric_derivative_fn is None
+    margin = fd.STEP_DIRECT if fd_path else 0.0
+    bad = np.flatnonzero(~chart.inside(xs, margin))
+    n_ok = bad[0] if len(bad) else len(times)
+
+    def fail():
+        x = xs[n_ok]
+        if not chart.contains(x):
+            raise DomainExitError(
+                f"transport curve left chart '{chart.label}'",
+                exit_time=times[n_ok], point=x)
+        chart.require_inside(x, margin)
+
+    if not n_ok:
+        return {}, fail
+    gammas = christoffel_components(chart, xs[:n_ok], mode=mode)
+    vels = [velocity_fn(tc) for tc in params[:n_ok]]
+    return dict(zip(times[:n_ok], zip(gammas, vels))), fail
 
 
 def transport_segment(chart: Chart, p_from, p_to, frame: np.ndarray,

@@ -7,8 +7,8 @@ import numpy.testing as npt
 import pytest
 import sympy as sp
 
-from lckgeo import zoo
-from lckgeo.calculus import (christoffel, codifferential,
+from lckgeo import fd, zoo
+from lckgeo.calculus import (christoffel, christoffel_components, codifferential,
                              covariant_derivative, covariant_derivative_full,
                              exterior_derivative, lowered_riemann,
                              metric_compatibility_defect, ricci_scalar,
@@ -79,6 +79,58 @@ class TestChristoffel:
         chart = flat_inv2.charts["inverted"]
         with pytest.raises(ChartDomainError):
             christoffel(chart, np.full(4, 0.34999), mode="fd")
+        # a stack fails on the point whose stencil leaves the box
+        with pytest.raises(ChartDomainError, match="0.34999"):
+            christoffel_components(chart, np.array([chart.center(),
+                                                    np.full(4, 0.34999)]),
+                                   mode="fd")
+
+    def test_stacked_matches_per_point(self, hopf2, hopf3, flat_inv2,
+                                       warped_sin, calabi_sin, euclid4, rng):
+        """Points of shape (..., m) give the per-point symbols bit for bit."""
+        for entry in (hopf2, hopf3, flat_inv2, warped_sin, calabi_sin,
+                      euclid4):
+            for chart in entry.charts.values():
+                modes = ["fd"] + ["analytic"] * (
+                    chart.metric_derivative_fn is not None)
+                pts = chart.sample_points(rng, 6).reshape(2, 3, chart.dim)
+                for mode in modes:
+                    stacked = christoffel_components(chart, pts, mode=mode)
+                    single = [[christoffel_components(chart, q, mode=mode)
+                               for q in row] for row in pts]
+                    assert np.array_equal(stacked, np.array(single)), (
+                        chart.label, mode)
+
+
+def _per_axis_partial(f, p, axis, step, order):
+    """Reference central stencil, one axis at a time."""
+    h = step
+    e = np.zeros_like(p, dtype=float)
+    e[axis] = 1.0
+    if order == 2:
+        return (np.asarray(f(p + h * e)) - np.asarray(f(p - h * e))) / (2.0 * h)
+    f1 = np.asarray(f(p + h * e))
+    f_1 = np.asarray(f(p - h * e))
+    f2 = np.asarray(f(p + 2.0 * h * e))
+    f_2 = np.asarray(f(p - 2.0 * h * e))
+    return (8.0 * (f1 - f_1) - (f2 - f_2)) / (12.0 * h)
+
+
+@pytest.mark.parametrize("order, step", [(2, 1e-5), (4, 1e-3)])
+def test_gradient_matches_per_axis_stencil(order, step, hopf2, rng):
+    """fd.gradient rounds like the per-axis formula, signed zeros included."""
+    chart = hopf2.main_structure.chart
+    W = rng.standard_normal((4, 6))
+    # arctan2 tells +0.0 from -0.0 in its first argument
+    fields = [chart.metric_fn, lambda q: np.sin(q @ W),
+              lambda q: np.arctan2(q[1], -1.0) + q[0] * q[2] ** 3]
+    pts = chart.sample_points(rng, 3)
+    pts[0, 1] = -0.0
+    for f in fields:
+        ref = np.array([np.stack([_per_axis_partial(f, q, k, step, order)
+                                  for k in range(q.size)]) for q in pts])
+        assert np.array_equal(fd.gradient(f, pts, step, order), ref)
+        assert np.array_equal(fd.gradient(f, pts[0], step, order), ref[0])
 
 
 class TestCurvature:

@@ -1,5 +1,6 @@
 """Geodesic, parallel-transport, and line-integral tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,13 @@ import numpy.testing as npt
 import pytest
 
 from lckgeo import zoo
-from lckgeo.charts import polygon_loop, segment_loop
-from lckgeo.errors import DomainExitError
+from lckgeo.calculus import christoffel_components
+from lckgeo.charts import Chart, coordinate_rectangle, polygon_loop, segment_loop
+from lckgeo.errors import ChartDomainError, DomainExitError, IntegrationError
 from lckgeo.hermitian import lee_field
-from lckgeo.transport import (geodesic, geodesic_with_velocity, loop_integral,
-                              orthogonality_defect, parallel_transport,
+from lckgeo.transport import (_rk4, geodesic, geodesic_with_velocity,
+                              loop_integral, orthogonality_defect,
+                              parallel_transport, transport_along,
                               transport_segment)
 
 
@@ -183,3 +186,130 @@ class TestLoopIntegral:
         P = transport_segment(chart, a, b, np.eye(4), steps=200, mode="analytic")
         Q = transport_segment(chart, b, a, np.eye(4), steps=200, mode="analytic")
         npt.assert_allclose(Q @ P, np.eye(4), atol=1e-8)
+
+
+def _stagewise_transport(chart, point_fn, velocity_fn, frame, steps, mode,
+                         breakpoints=()):
+    """Reference transport: the connection evaluated at every RK4 stage."""
+    V0 = np.asarray(frame, dtype=float)
+    shape = V0.shape
+    knots = [0.0] + sorted(t for t in breakpoints if 0.0 < t < 1.0) + [1.0]
+    y = V0.reshape(-1)
+    for t0, t1 in zip(knots[:-1], knots[1:]):
+        span = t1 - t0
+        eps = 1e-9 * span
+
+        def rhs(t, y, lo=t0 + eps, hi=t1 - eps):
+            tc = min(max(t, lo), hi)
+            x = point_fn(tc)
+            if not chart.contains(x):
+                raise DomainExitError(
+                    f"transport curve left chart '{chart.label}'",
+                    exit_time=t, point=np.asarray(x))
+            gamma = christoffel_components(chart, x, mode=mode)
+            dV = -np.einsum("kij,i,j...->k...", gamma, velocity_fn(tc),
+                            y.reshape(shape))
+            return dV.reshape(-1)
+
+        y = _rk4(rhs, y, t0, t1, max(int(round(steps * span)), 1))
+    return y.reshape(shape)
+
+
+def _segment(p_from, p_to):
+    p_from = np.asarray(p_from, dtype=float)
+    vel = np.asarray(p_to, dtype=float) - p_from
+    return (lambda t: p_from + t * vel), (lambda t: vel)
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:       # the error itself is compared
+        return exc
+    raise AssertionError("no error raised")
+
+
+class TestNodeTable:
+    """Transport from one table of connection values per RK4 node."""
+
+    def test_rectangle_with_corners_matches_stagewise(self, hopf2):
+        chart = hopf2.main_structure.chart
+        loop = coordinate_rectangle(chart.center(), 1, 2, 0.15, 0.1,
+                                    steps_per_edge=40)
+        M = parallel_transport(chart, loop, np.eye(4), mode="fd")
+        ref = _stagewise_transport(chart, loop.point, loop.velocity,
+                                   np.eye(4), loop.steps, "fd",
+                                   loop.breakpoints)
+        assert np.array_equal(M, ref)
+
+    @pytest.mark.parametrize("name, mode", [("calabi", "analytic"),
+                                            ("warped", "fd")])
+    def test_segment_matches_stagewise(self, name, mode, calabi_sin,
+                                       warped_sin):
+        entry = calabi_sin if name == "calabi" else warped_sin
+        chart = entry.main_structure.chart
+        a = chart.center()
+        b = a + np.array([0.2, -0.3, 0.4, 0.1])
+        P = transport_segment(chart, a, b, np.eye(4), steps=100, mode=mode)
+        ref = _stagewise_transport(chart, *_segment(a, b), np.eye(4), 100,
+                                   mode)
+        assert np.array_equal(P, ref)
+
+    @pytest.mark.parametrize("mode", ["fd", "analytic"])
+    def test_domain_exit_matches_stagewise(self, euclid4, mode):
+        chart = euclid4.charts["flat"]
+        curve = _segment(np.zeros(4), [1.5, 0.0, 0.0, 0.0])
+        err = _raised(lambda: transport_along(chart, *curve, np.eye(4),
+                                              steps=40, mode=mode))
+        ref = _raised(lambda: _stagewise_transport(chart, *curve, np.eye(4),
+                                                   40, mode))
+        assert type(err) is type(ref) is DomainExitError
+        assert err.exit_time == ref.exit_time
+        assert np.array_equal(err.point, ref.point)
+        assert str(err) == str(ref)
+
+    def test_node_within_fd_step_of_face_matches_stagewise(self, euclid4):
+        """Inside the box but too close to a face for the fd stencil."""
+        chart = euclid4.charts["flat"]
+        curve = _segment(np.zeros(4), [1.0 - 5e-6, 0.0, 0.0, 0.0])
+        err = _raised(lambda: transport_along(chart, *curve, np.eye(4),
+                                              steps=40, mode="fd"))
+        ref = _raised(lambda: _stagewise_transport(chart, *curve, np.eye(4),
+                                                   40, "fd"))
+        assert type(err) is type(ref) is ChartDomainError
+        assert str(err) == str(ref)
+
+    @pytest.mark.parametrize("end", [1.5, 1.0 - 5e-6])
+    def test_earlier_integration_error_wins(self, end):
+        """A node that fails its domain check raises only when reached.
+
+        The metric is nan from x0 = 0.5 on, so the state turns non-finite
+        well before the segment leaves the box at x0 = 1 or comes within
+        the fd step of that face.
+        """
+        chart = Chart(dim=2, domain=((-1, 1), (-1, 1)),
+                      metric_fn=lambda p: np.eye(2) * (1.0 if p[0] < 0.5
+                                                       else np.nan),
+                      label="nan_half")
+        curve = _segment(np.zeros(2), [end, 0.0])
+        err = _raised(lambda: transport_along(chart, *curve, np.eye(2),
+                                              steps=40, mode="fd"))
+        ref = _raised(lambda: _stagewise_transport(chart, *curve, np.eye(2),
+                                                   40, "fd"))
+        assert type(err) is type(ref) is IntegrationError
+        assert str(err) == str(ref)
+
+    def test_metric_evaluated_once_per_node(self, hopf2):
+        """200 steps: 401 nodes, each a centre plus an 8-point stencil."""
+        chart = hopf2.main_structure.chart
+        calls = [0]
+
+        def counted(q):
+            calls[0] += 1
+            return chart.metric_fn(q)
+
+        counted_chart = dataclasses.replace(chart, metric_fn=counted)
+        a = chart.center()
+        transport_segment(counted_chart, a, a + np.array([0.1, 0.2, -0.1, 0.3]),
+                          np.eye(4), steps=200, mode="fd")
+        assert calls[0] == 9 * 401
