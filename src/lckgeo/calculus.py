@@ -20,6 +20,7 @@ on the field itself (see :mod:`lckgeo.fd` for the tiering policy).
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -87,31 +88,49 @@ def covariant_derivative_full(chart: Chart, field: Callable, p,
                               step: float = fd.STEP_NESTED,
                               order: int = fd.ORDER_NESTED,
                               gamma: np.ndarray = None) -> np.ndarray:
-    """All covariant partials of a tensor field; derivative axis first.
+    """All covariant partials of a tensor field at each of the points p.
 
     ``field`` maps a point to a component array laid out contravariant axes
-    first.  Returns ``out[c, ...] = (nabla_{d_c} T)(...)``.
+    first.  For points of shape (..., m) returns
+    ``out[..., c, ...] = (nabla_{d_c} T)(...)``: the derivative axis follows
+    the point axes, so at a single point it comes first.
     """
     p = np.asarray(p, dtype=float)
     extent = fd.stencil_extent(step, order)
     chart.require_inside(p, margin=extent)
     dT = fd.gradient(field, p, step, order=order)
-    T = np.asarray(field(p), dtype=float)
+    T = np.asarray(fd.evaluate(field, p), dtype=float)
+    lead = p.ndim - 1
     cov, con = valence
-    if T.ndim != cov + con:
+    if T.ndim - lead != cov + con:
         raise ValueError("field rank does not match declared valence")
     if gamma is None:
         gamma = christoffel_components(chart, p, mode=mode)
     out = dT.copy()
     for axis in range(con):
-        corr = np.tensordot(gamma, T, axes=(2, axis))  # [k, c, ...]
-        corr = np.moveaxis(corr, 0, axis + 1)          # derivative axis first
-        out += corr
+        corr = _tensordot(gamma, 2, T, axis, lead)    # [..., k, c, ...]
+        out += np.moveaxis(corr, lead, lead + axis + 1)
     for axis in range(cov):
-        corr = np.tensordot(gamma, T, axes=(0, con + axis))  # [c, i, ...]
-        corr = np.moveaxis(corr, 1, con + axis + 1)
-        out -= corr
+        corr = _tensordot(gamma, 0, T, con + axis, lead)    # [..., c, i, ...]
+        out -= np.moveaxis(corr, lead + 1, lead + con + axis + 1)
     return out
+
+
+def _tensordot(a: np.ndarray, a_axis: int, b: np.ndarray, b_axis: int,
+               lead: int) -> np.ndarray:
+    """``np.tensordot(a, b, axes=(a_axis, b_axis))`` at each point of a stack.
+
+    a and b carry ``lead`` point axes in front, and the axis numbers count
+    after them.  Each point's product is the (rows, m) @ (m, cols) matrix
+    product that tensordot hands to dot, so it rounds the same.
+    """
+    a = np.moveaxis(a, lead + a_axis, -1)
+    b = np.moveaxis(b, lead + b_axis, lead)
+    points, free_a, free_b = a.shape[:lead], a.shape[lead:-1], b.shape[lead + 1:]
+    m = a.shape[-1]
+    prod = (a.reshape(points + (math.prod(free_a), m))
+            @ b.reshape(points + (m, math.prod(free_b))))
+    return prod.reshape(points + free_a + free_b)
 
 
 def covariant_derivative(chart: Chart, field: Callable, p, x,
@@ -143,16 +162,19 @@ def exterior_derivative(chart: Chart, form_field: Callable, p, k: int,
 def codifferential(chart: Chart, form_field: Callable, p, k: int,
                    mode: str = "auto", step: float = None,
                    order: int = fd.ORDER_DIRECT) -> FrameTensor:
-    """Codifferential delta alpha = -g^{ab} (nabla_a alpha)_{b...} at p."""
+    """Codifferential delta alpha = -g^{ab} (nabla_a alpha)_{b...} at each of
+    the points p, shape (..., m)."""
     p = np.asarray(p, dtype=float)
     step = fd.STEP_DIRECT if step is None else step
     nabla = covariant_derivative_full(chart, form_field, p, (k, 0),
                                       mode=mode, step=step, order=order)
     g_inv = np.linalg.inv(chart.metric(p))
-    comp = -np.tensordot(g_inv, nabla, axes=([0, 1], [0, 1]))
-    if k == 1:
-        comp = np.asarray(comp, dtype=float).reshape(())
-    return FrameTensor(np.asarray(comp, dtype=float), valence=(k - 1, 0), point=p)
+    # -np.tensordot(g_inv, nabla, axes=([0, 1], [0, 1])) at each point
+    points, m = p.shape[:-1], p.shape[-1]
+    rest = nabla.shape[p.ndim + 1:]
+    comp = -(g_inv.reshape(points + (1, m * m))
+             @ nabla.reshape(points + (m * m, math.prod(rest))))
+    return FrameTensor(comp.reshape(points + rest), valence=(k - 1, 0), point=p)
 
 
 def lie_bracket(v_field: Callable, w_field: Callable, p,

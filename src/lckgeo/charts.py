@@ -75,22 +75,19 @@ class Chart:
                 f"domain with margin {margin}")
 
     def metric(self, p) -> np.ndarray:
-        """Metric matrix at p, validated symmetric positive definite."""
-        g = np.asarray(self.metric_fn(np.asarray(p, dtype=float)), dtype=float)
-        scale = np.abs(g).max()     # inf or nan unless every entry is finite
-        if not math.isfinite(scale):
-            raise MetricError(f"metric not finite at {p} on '{self.label}'")
-        # np.allclose(g, g.T, atol, rtol=1e-5) written out, which gives the
-        # same verdict on finite g without allclose's per-call overhead;
-        # an exactly symmetric g passes it and skips the arithmetic
-        if not ((g == g.T).all() or (np.abs(g - g.T) <= 1e-10 * (1.0 + scale)
-                                     + 1e-5 * np.abs(g.T)).all()):
-            raise MetricError(f"metric not symmetric at {p} on '{self.label}'")
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise MetricError(f"metric not positive definite at {p} "
-                              f"on '{self.label}'") from None
+        """Metric matrix at each of the points p, shape (..., dim), validated
+        finite, symmetric and positive definite.
+
+        The error names the first bad point in C order and its first failed
+        check, as point-by-point calls would.
+        """
+        q = np.asarray(p, dtype=float)
+        g = np.asarray(fd.evaluate(self.metric_fn, q), dtype=float)
+        failure = _spd_failure(g)
+        if failure is not None:
+            k, check = failure
+            at = p if q.ndim == 1 else q.reshape(-1, self.dim)[k]
+            raise MetricError(f"metric not {check} at {at} on '{self.label}'")
         return g
 
     def metric_inverse(self, p) -> np.ndarray:
@@ -128,12 +125,43 @@ class Chart:
         return rng.uniform(lows, highs, size=(count, self.dim))
 
 
+def _spd_failure(g: np.ndarray):
+    """The first matrix of the stack g, shape (..., m, m), in C order that is
+    not finite, symmetric and positive definite, as (flat index, name of its
+    first failed check); None if every matrix passes."""
+    g = g.reshape((-1,) + g.shape[-2:])
+    # the common case, every entry finite and every matrix exactly symmetric
+    # and Cholesky-factorable, is seen on the whole stack at once
+    if (g.size and math.isfinite(np.abs(g).max())
+            and (g == np.swapaxes(g, 1, 2)).all()):
+        try:
+            np.linalg.cholesky(g)
+            return None
+        except np.linalg.LinAlgError:
+            pass
+    for k, gk in enumerate(g):
+        scale = np.abs(gk).max()    # inf or nan unless every entry is finite
+        if not math.isfinite(scale):
+            return k, "finite"
+        # np.allclose(gk, gk.T, atol=1e-10 * (1 + scale)) written out, which
+        # gives the same verdict on finite gk without allclose's overhead
+        if not (np.abs(gk - gk.T) <= 1e-10 * (1.0 + scale)
+                + 1e-5 * np.abs(gk.T)).all():
+            return k, "symmetric"
+        try:
+            np.linalg.cholesky(gk)
+        except np.linalg.LinAlgError:
+            return k, "positive definite"
+    return None
+
+
 @dataclass(frozen=True)
 class FrameTensor:
     """Components of a tensor at a point, in the coordinate frame.
 
     ``valence`` is (covariant rank, contravariant rank); the component array
-    stores contravariant axes first.
+    stores contravariant axes first.  A tensor field at each of a stack of
+    points (``point`` of shape (..., m)) carries the point axes in front.
     """
 
     components: np.ndarray
@@ -142,7 +170,7 @@ class FrameTensor:
 
     def __post_init__(self):
         cov, con = self.valence
-        if self.components.ndim != cov + con:
+        if self.components.ndim != cov + con + max(np.ndim(self.point) - 1, 0):
             raise ValueError(f"array rank {self.components.ndim} does not match "
                              f"valence {self.valence}")
 
@@ -300,8 +328,9 @@ def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def form_of_endomorphism(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """2-form omega(X, Y) = g(AX, Y) of a (g-skew) endomorphism A."""
-    return a.T @ g
+    """2-form omega(X, Y) = g(AX, Y) of a (g-skew) endomorphism A; a and g
+    may be stacks of matrices, shape (..., m, m)."""
+    return np.swapaxes(a, -1, -2) @ g
 
 
 def endomorphism_of_form(omega: np.ndarray, g: np.ndarray) -> np.ndarray:

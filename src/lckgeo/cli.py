@@ -8,7 +8,9 @@ Usage::
 Config files hold the same fields as flags, one ``key = value`` per line
 (``suites`` as a comma list); flags override file values.  Exit codes:
 0 all suites pass, 1 residual failure, 2 configuration error,
-3 inconclusive holonomy.  ``LCK_THREADS`` caps ``--parallel`` workers.
+3 inconclusive holonomy.  ``--parallel`` (and ``LCK_THREADS``) are accepted
+for compatibility; samples always run serially, since threads were measured
+slower than one thread on these small arrays.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", metavar="X1,X2,...",
                    help="evaluate at this single point instead of sampling")
     p.add_argument("--parallel", action="store_true",
-                   help="data-parallel sampling within each suite")
+                   help="accepted for compatibility; samples run serially")
     return parser
 
 

@@ -12,6 +12,17 @@ carries:
   inner-stencil noise (~eps/h) well below the 1e-4 identity tolerances.
 * ``STEP_DEEP``    -- twice-nested fields (S-tensor, delta-theta, the
   Einstein-chain and Hamiltonian-form stacks): 2nd-order, step 1e-2.
+
+A field is a callable from a point, shape (m,), to a component array.  A
+field declared with :func:`batched` also takes a stack of points, shape
+(..., m), and returns the stack of its values, shape (...,) + the value
+shape, in one call; it must give at each point exactly what the call at that
+point alone gives.  :func:`evaluate` calls a batched field once on a whole
+stack and any other field once per point, so fields stay per-point unless
+they say otherwise.  A batched field works stage by stage across its stack,
+so where several points fail, the error it raises may belong to a later
+point than the first; the line integrals of :mod:`transport` re-evaluate
+their nodes one by one on an error, to raise the first node's.
 """
 
 from __future__ import annotations
@@ -55,17 +66,40 @@ class override_direct_step:
         return False
 
 
+def batched(f: Callable) -> Callable:
+    """Declare that the field f takes a stack of points, shape (..., m).
+
+    The mark is a function attribute, so a ``functools.wraps`` wrapper of f
+    carries it too.
+    """
+    f.batched = True
+    return f
+
+
 def evaluate(f: Callable, points) -> np.ndarray:
     """f at each of the points, shape (..., m): out[...] = f(points[...]).
 
-    Fields take one point, so a stack is evaluated one point at a time, in
-    C order; a single point of shape (m,) is passed through as it is.
+    A single point of shape (m,) and a stack for a :func:`batched` field are
+    passed through as they are; any other field sees a stack one point at a
+    time, in C order, and its values are stacked as floats, which must all
+    have one shape.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
+    if points.ndim == 1 or getattr(f, "batched", False):
         return np.asarray(f(points))
-    values = np.array([f(q) for q in points.reshape(-1, points.shape[-1])])
-    return values.reshape(points.shape[:-1] + values.shape[1:])
+    flat = points.reshape(-1, points.shape[-1])
+    first = np.asarray(f(flat[0]), dtype=float)
+    shape = first.shape
+    values = np.empty((len(flat),) + shape)
+    values[0] = first
+    for i, q in enumerate(flat[1:], 1):
+        value = f(q)
+        # an array's own shape attribute is much cheaper than np.shape
+        if getattr(value, "shape", None) != shape and np.shape(value) != shape:
+            raise ValueError(f"field value of shape {np.shape(value)} at {q}, "
+                             f"after {shape} at {flat[0]}")
+        values[i] = value
+    return values.reshape(points.shape[:-1] + shape)
 
 
 def gradient(f: Callable, p, step: float, order: int = 2) -> np.ndarray:

@@ -36,15 +36,19 @@ class HermitianStructure:
     integrable: bool = True
 
     def J(self, p) -> np.ndarray:
-        return np.asarray(self.J_fn(np.asarray(p, dtype=float)), dtype=float)
+        """J^i_j at each of the points p, shape (..., dim)."""
+        return np.asarray(fd.evaluate(self.J_fn, p), dtype=float)
 
+    @fd.batched
     def omega(self, p) -> np.ndarray:
-        """Fundamental 2-form components Omega_ij = g(J d_i, d_j)."""
+        """Fundamental 2-form components Omega_ij = g(J d_i, d_j) at each of
+        the points p, shape (..., dim)."""
         return form_of_endomorphism(self.J(p), self.chart.metric(p))
 
     def j_form(self, p, tau: np.ndarray) -> np.ndarray:
-        """(J tau)_i = -tau(J d_i) for a 1-form tau."""
-        return -self.J(p).T @ tau
+        """(J tau)_i = -tau(J d_i) for a 1-form tau at each of the points p."""
+        return (-np.swapaxes(self.J(p), -1, -2)
+                @ np.asarray(tau)[..., None])[..., 0]
 
     def compatibility_defects(self, p):
         """(|J^2 + Id|, |J^T G J - G|) max-norms at p."""
@@ -140,15 +144,17 @@ def lee_form(H: HermitianStructure, p, mode: str = "auto",
 
 
 def lee_form_components(H: HermitianStructure, p, mode: str = "auto") -> np.ndarray:
-    """Bare Lee-form components (the cheap inner loop of everything above)."""
+    """Bare Lee-form components at each of the points p, shape (..., dim)
+    (the cheap inner loop of everything above)."""
     p = np.asarray(p, dtype=float)
     delta_omega = codifferential(H.chart, H.omega, p, k=2, mode=mode).components
     return H.j_form(p, delta_omega) / (2.0 * H.n - 2.0)
 
 
 def lee_field(H: HermitianStructure, mode: str = "auto") -> Callable:
-    """The Lee form as a field, for differentiation (once-nested noise level)."""
-    return lambda q: lee_form_components(H, q, mode=mode)
+    """The Lee form as a batched field, for differentiation and line
+    integrals (once-nested noise level)."""
+    return fd.batched(lambda q: lee_form_components(H, q, mode=mode))
 
 
 def nabla_theta(H: HermitianStructure, p, mode: str = "auto") -> np.ndarray:

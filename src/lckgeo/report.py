@@ -27,12 +27,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -64,7 +62,7 @@ class SuiteConfig:
     tol_chain: float = 1e-3
     tol_ode: float = 1e-6
     at: Optional[tuple] = None
-    parallel: bool = False
+    parallel: bool = False        # accepted and reported; samples run serially
 
     def __post_init__(self):
         object.__setattr__(self, "suites", tuple(self.suites))
@@ -159,14 +157,6 @@ class ResidualTable:
         return all(v["pass"] for v in self.summarize().values())
 
 
-def _map_samples(fn: Callable, items, parallel: bool):
-    if not parallel:
-        return [fn(item) for item in items]
-    workers = int(os.environ.get("LCK_THREADS", "0")) or min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 def _sample_points(entry, config: SuiteConfig, rng, chart=None):
     chart = chart or entry.main_structure.chart
     if config.at is not None:
@@ -227,7 +217,7 @@ def _suite_lck_identities(entry, config: SuiteConfig, rng) -> SuiteResult:
         r_rj, r_rjc = idn.curvature_j_residuals(H, p, x, y, mode=mode)
         return r_nj, r_dom, r_del, r_rj, r_rjc
 
-    rows = _map_samples(one, list(zip(pts, xs, ys)), config.parallel)
+    rows = [one(args) for args in zip(pts, xs, ys)]
     curvature_tol = _lee_derived_tol(config)
     for p, row in zip(pts, rows):
         for name, val in zip(("nablaJ", "dOmega", "deltaOmega", "RJ", "RJcontr"), row):
@@ -244,9 +234,8 @@ def _suite_einstein_chain(entry, config: SuiteConfig, rng) -> SuiteResult:
     lam = float(entry.einstein_lambda)
     pts = _sample_points(entry, config, rng)
     table = ResidualTable()
-    rows = _map_samples(
-        lambda p: idn.einstein_chain_residuals(H, p, lam, mode=config.mode),
-        list(pts), config.parallel)
+    rows = [idn.einstein_chain_residuals(H, p, lam, mode=config.mode)
+            for p in pts]
     for p, res in zip(pts, rows):
         for name, val in res.items():
             table.add(name, val, p, config.tol_chain)
@@ -285,9 +274,8 @@ def _suite_commuting_pair(entry, config: SuiteConfig, rng) -> SuiteResult:
     pts = _sample_points(entry, config, rng, chart=I.chart)
     xs = rng.standard_normal((len(pts), I.chart.dim))
     table = ResidualTable()
-    rows = _map_samples(
-        lambda a: idn.commuting_pair_residuals(I, J, a[0], a[1], mode=config.mode),
-        list(zip(pts, xs)), config.parallel)
+    rows = [idn.commuting_pair_residuals(I, J, p, x, mode=config.mode)
+            for p, x in zip(pts, xs)]
     for p, res in zip(pts, rows):
         for name, val in res.items():
             table.add(name, val, p, getattr(config, _PAIR_TOLS[name]))
@@ -302,10 +290,8 @@ def _suite_hamiltonian_form(entry, config: SuiteConfig, rng) -> SuiteResult:
     pts = _sample_points(entry, config, rng, chart=I.chart)
     xs = rng.standard_normal((len(pts), I.chart.dim))
     table = ResidualTable()
-    rows = _map_samples(
-        lambda a: idn.hamiltonian_form_residual(I, J, a[0], a[1], pot,
-                                                mode=config.mode),
-        list(zip(pts, xs)), config.parallel)
+    rows = [idn.hamiltonian_form_residual(I, J, p, x, pot, mode=config.mode)
+            for p, x in zip(pts, xs)]
     for p, val in zip(pts, rows):
         table.add("tilom", val, p, config.tol_chain)
     return SuiteResult("hamiltonian-form", table.summarize(), table.all_pass())

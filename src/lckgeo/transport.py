@@ -31,6 +31,11 @@ from .errors import DomainExitError, IntegrationError
 
 DEFAULT_STEPS = 2000
 
+# Gauss-Legendre nodes per stacked field call in loop_integral: large enough
+# to amortise the call, small enough that the stencil arrays of a block stay
+# well below a megabyte.
+LOOP_BLOCK = 128
+
 # 3-point Gauss-Legendre nodes/weights on [0, 1]
 _GL_NODES = (np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)]) + 1.0) / 2.0
 _GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
@@ -189,32 +194,60 @@ def loop_integral(chart: Chart, oneform_field: Callable, loop: Loop,
 
     Composite Gauss-Legendre; exact-form integrals over shift-free loops
     vanish to quadrature accuracy, and the integral is additive under loop
-    concatenation.
+    concatenation.  The field is evaluated through :func:`_evaluate_nodes`
+    on blocks of ``LOOP_BLOCK`` nodes in node order, up to the first node
+    outside the chart, whose :class:`ChartDomainError` is raised after them;
+    the sum runs node by node.
     """
     n = steps or loop.steps
-    total = 0.0
     h = 1.0 / n
-    for k in range(n):
-        t0 = k * h
-        for node, w in zip(_GL_NODES, _GL_WEIGHTS):
-            t = t0 + node * h
-            x = loop.point(t)
-            chart.require_inside(x)
-            alpha = np.asarray(oneform_field(x), dtype=float)
+    nodes = [(k * h + node * h, w)
+             for k in range(n) for node, w in zip(_GL_NODES, _GL_WEIGHTS)]
+    xs = np.array([loop.point(t) for t, _ in nodes])
+    bad = np.flatnonzero(~chart.inside(xs))
+    n_ok = bad[0] if len(bad) else len(nodes)
+    total = 0.0
+    for start in range(0, n_ok, LOOP_BLOCK):
+        stop = min(start + LOOP_BLOCK, n_ok)
+        alphas = _evaluate_nodes(oneform_field, xs[start:stop])
+        for (t, w), alpha in zip(nodes[start:stop], alphas):
             total += w * h * float(alpha @ loop.velocity(t))
+    if n_ok < len(nodes):
+        chart.require_inside(xs[n_ok])
     return total
+
+
+def _evaluate_nodes(oneform_field: Callable, xs) -> np.ndarray:
+    """The field at each of the nodes xs, shape (nodes, m), by one
+    :func:`fd.evaluate`.
+
+    A batched field runs stage by stage across the nodes, so the error it
+    raises may belong to a later node than the first one that fails.  On an
+    error the nodes are therefore evaluated again one by one, and the first
+    node that raises on its own raises, as a node-by-node loop would; the
+    stacked call's error is raised only if no node raises alone.
+    """
+    try:
+        return np.asarray(fd.evaluate(oneform_field, xs), dtype=float)
+    except Exception:
+        for x in np.asarray(xs, dtype=float):
+            oneform_field(x)
+        raise
 
 
 def line_integral_segment(chart: Chart, oneform_field: Callable, p_from, p_to,
                           nodes: int = 16) -> float:
-    """Integral of a 1-form along a straight segment (Gauss-Legendre)."""
+    """Integral of a 1-form along a straight segment (Gauss-Legendre).
+
+    The field is evaluated on all nodes with one :func:`_evaluate_nodes`;
+    the sum runs node by node.
+    """
     p_from = np.asarray(p_from, dtype=float)
     p_to = np.asarray(p_to, dtype=float)
     xs, ws = fd.gauss_legendre_01(nodes)
     vel = p_to - p_from
+    alphas = _evaluate_nodes(oneform_field, [p_from + x * vel for x in xs])
     total = 0.0
-    for x, w in zip(xs, ws):
-        q = p_from + x * vel
-        alpha = np.asarray(oneform_field(q), dtype=float)
+    for w, alpha in zip(ws, alphas):
         total += w * float(alpha @ vel)
     return total

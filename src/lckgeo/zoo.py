@@ -251,41 +251,47 @@ def euclidean(m: int, half_width: float = 1.0) -> ZooEntry:
 
 # -- Hopf ---------------------------------------------------------------------
 
+def _columns(x: np.ndarray) -> list:
+    """The entries x[..., k] in order: plain floats for a single point, which
+    multiply faster than numpy scalars, and arrays over a stack of points."""
+    return x.tolist() if x.ndim == 1 else list(np.moveaxis(x, -1, 0))
+
+
 def _hypersphere_embedding(angles: np.ndarray) -> np.ndarray:
-    """Unit vector in R^(d+1) from d hyperspherical angles.
+    """Unit vector in R^(d+1) from d hyperspherical angles, shape (..., d).
 
     u_i = cos(a_i) prod_{k<i} sin(a_k) for i < d;  u_d = prod_{k<d} sin(a_k).
     """
-    d = angles.size
-    sin, cos = np.sin(angles), np.cos(angles)
-    u = np.empty(d + 1)
+    d = angles.shape[-1]
+    sin, cos = _columns(np.sin(angles)), _columns(np.cos(angles))
+    u = np.empty(angles.shape[:-1] + (d + 1,))
     prod = 1.0
     for i in range(d):
-        u[i] = prod * cos[i]
-        prod *= sin[i]
-    u[d] = prod
+        u[..., i] = prod * cos[i]
+        prod = prod * sin[i]
+    u[..., d] = prod
     return u
 
 
 def _hypersphere_jacobian(angles: np.ndarray) -> np.ndarray:
-    """d u / d a, shape (d+1, d).
+    """d u / d a for angles of shape (..., d): shape (..., d+1, d).
 
     Entry (i, j) is the product of the factors of u_i with factor j
-    differentiated, multiplied left to right in plain floats; column j
-    shares the prefix sin(a_0) ... sin(a_(j-1)) and one running product.
+    differentiated, multiplied left to right; column j shares the prefix
+    sin(a_0) ... sin(a_(j-1)) and one running product.
     """
-    d = angles.size
-    sin, cos = np.sin(angles).tolist(), np.cos(angles).tolist()
-    jac = np.zeros((d + 1, d))
+    d = angles.shape[-1]
+    sin, cos = _columns(np.sin(angles)), _columns(np.cos(angles))
+    jac = np.zeros(angles.shape[:-1] + (d + 1, d))
     prefix = 1.0
     for j in range(d):
-        jac[j, j] = prefix * -sin[j]
+        jac[..., j, j] = prefix * -sin[j]
         run = prefix * cos[j]
         for i in range(j + 1, d):
-            jac[i, j] = run * cos[i]
-            run *= sin[i]
-        jac[d, j] = run
-        prefix *= sin[j]
+            jac[..., i, j] = run * cos[i]
+            run = run * sin[i]
+        jac[..., d, j] = run
+        prefix = prefix * sin[j]
     return jac
 
 
@@ -313,12 +319,20 @@ def hopf(n: int, circumference: float = 2.0 * math.pi,
         domain.append((polar_margin, math.pi - polar_margin))
     domain.append((0.0, 2.0 * math.pi))
 
+    eye = np.eye(m)
+
+    @fd.batched
     def metric_fn(p):
-        g = np.eye(m)
+        p = np.asarray(p, dtype=float)
+        g = np.empty(p.shape[:-1] + (m, m))
+        g[...] = eye
+        # float_power squares like the numpy-scalar ``**`` of a single point;
+        # an array ``** 2`` rounds differently in the last place
+        sin_sq = _columns(np.float_power(np.sin(p[..., 1:d]), 2))
         prod = 1.0
         for i in range(1, d):
-            prod *= np.sin(p[i]) ** 2
-            g[i + 1, i + 1] = prod
+            prod = prod * sin_sq[i - 1]
+            g[..., i + 1, i + 1] = prod
         return g
 
     def metric_derivative_fn(p):
@@ -329,11 +343,12 @@ def hopf(n: int, circumference: float = 2.0 * math.pi,
                 dg[k, j + 1, j + 1] = coeff * 2.0 * np.cos(p[k]) / np.sin(p[k])
         return dg
 
+    @fd.batched
     def J_fn(p):
-        angles = np.asarray(p[1:], dtype=float)
+        angles = np.asarray(p, dtype=float)[..., 1:]
         sigma = _hypersphere_embedding(angles)
         dsigma = _hypersphere_jacobian(angles)
-        B = np.column_stack([-sigma, dsigma])
+        B = np.concatenate([-sigma[..., None], dsigma], axis=-1)
         return np.linalg.solve(B, J0 @ B)
 
     chart = Chart(dim=m, domain=tuple(domain), metric_fn=metric_fn,

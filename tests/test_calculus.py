@@ -1,5 +1,6 @@
 """Connection and curvature tests against closed forms and a symbolic oracle."""
 
+import functools
 import math
 
 import numpy as np
@@ -132,6 +133,47 @@ def test_gradient_matches_per_axis_stencil(order, step, hopf2, rng):
         assert np.array_equal(fd.gradient(f, pts, step, order), ref)
         assert np.array_equal(fd.gradient(f, pts[0], step, order), ref[0])
 
+
+def test_evaluate_calls_batched_fields_once(rng):
+    """A batched field sees the whole stack, also through functools.wraps;
+    any other field sees one point at a time, in C order."""
+    pts = rng.standard_normal((2, 3, 4))
+    seen = []
+
+    def per_point(q):
+        seen.append(q.copy())
+        return np.outer(q, q[:2])
+
+    out = fd.evaluate(per_point, pts)
+    assert np.array_equal(np.array(seen), pts.reshape(6, 4))
+    assert np.array_equal(out, np.einsum("abi,abj->abij", pts, pts[..., :2]))
+    calls = []
+
+    @fd.batched
+    def stacked(q):
+        calls.append(q.shape)
+        return np.sin(q)
+
+    wrapped = functools.wraps(stacked)(lambda q: stacked(q))
+    for f in (stacked, wrapped):
+        assert np.array_equal(fd.evaluate(f, pts), np.sin(pts))
+    assert calls == [(2, 3, 4), (2, 3, 4)]
+
+
+
+def test_evaluate_stacks_per_point_values_as_floats():
+    """Per-point values are stacked as floats, whatever the dtype of the
+    first; values of differing shapes raise, even where they broadcast."""
+    pts = np.array([[0.0, 1.0], [0.5, 2.0], [1.5, 3.0]])
+    mixed = lambda q: q.astype(int) if q[0] == 0.0 else q
+    out = fd.evaluate(mixed, pts)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, [[0.0, 1.0], [0.5, 2.0], [1.5, 3.0]])
+    for ragged in (lambda q: q if q[0] == 0.0 else q[0],
+                   lambda q: q if q[0] == 0.0 else q[:1],
+                   lambda q: q if q[0] == 0.0 else np.outer(q, q)):
+        with pytest.raises(ValueError, match="field value of shape"):
+            fd.evaluate(ragged, pts)
 
 class TestCurvature:
     def test_euclidean_riemann_zero(self, euclid4):

@@ -1,10 +1,12 @@
 """Chart, FrameTensor, Loop, and exterior-algebra unit tests."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lckgeo import zoo
+from lckgeo import fd, zoo
 from lckgeo.charts import (Chart, FrameTensor, Loop, alt, coordinate_rectangle,
                            endomorphism_of_form, form_norm,
                            form_of_endomorphism, polygon_loop, segment_loop,
@@ -86,6 +88,48 @@ class TestChartInvariants:
             except MetricError as exc:
                 symmetric = "not symmetric" not in str(exc)
             assert symmetric == expected, g
+
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_stacked_metric_error_names_first_bad_point(self, batched, hopf2):
+        """A stack with a bad matrix at index k raises what the per-point
+        call at point k raises, alone and ahead of a different fault further
+        on."""
+        bad = {"finite": np.diag([np.inf, 1.0]),
+               "symmetric": np.array([[1.0, 0.5], [0.0, 1.0]]),
+               "positive definite": np.diag([1.0, -1.0])}
+        pts = np.stack([np.linspace(-0.9, 0.9, 12), np.zeros(12)], axis=-1)
+        kinds = list(bad)
+        for first, kind in enumerate(kinds):
+            for k, later in itertools.product(
+                    (0, 5, 10), (np.eye(2), bad[kinds[first - 1]])):
+                table = {pts[k, 0]: bad[kind], pts[11, 0]: later}
+
+                def metric_fn(p, table=table):
+                    return table.get(p[0], np.eye(2)).copy()
+
+                if batched:
+                    per_point = metric_fn
+
+                    @fd.batched
+                    def metric_fn(p):
+                        q = np.reshape(p, (-1, 2))
+                        return np.array([per_point(x) for x in q]).reshape(
+                            np.shape(p)[:-1] + (2, 2))
+
+                chart = Chart(dim=2, domain=((-1, 1), (-1, 1)),
+                              metric_fn=metric_fn, label="one_bad")
+                with pytest.raises(MetricError) as single:
+                    chart.metric(pts[k])
+                assert f"not {kind} " in str(single.value)
+                with pytest.raises(MetricError) as stacked:
+                    chart.metric(pts.reshape(3, 4, 2))
+                assert str(stacked.value) == str(single.value)
+        good = hopf2.main_structure.chart
+        stack = good.sample_points(np.random.default_rng(3), 6).reshape(2, 3, 4)
+        assert np.array_equal(good.metric(stack),
+                              np.array([[good.metric(q) for q in row]
+                                        for row in stack]))
 
 
 class TestFrameTensor:

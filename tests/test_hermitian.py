@@ -204,6 +204,24 @@ class TestLeeForm:
             theta_u = lee_form_components(H_u, p, mode="fd")
             npt.assert_allclose(theta_u, theta + du(p), atol=1e-3)
 
+    def test_stacked_matches_per_point(self, hopf2, hopf3, flat_inv2,
+                                       warped_sin, calabi_sin, rng):
+        """Points of shape (..., m) give the per-point Lee forms bit for bit,
+        on every structure of every zoo entry, in fd mode and in analytic
+        mode where the chart has a metric derivative."""
+        for entry in (hopf2, hopf3, flat_inv2, warped_sin, calabi_sin):
+            for H in entry.structures.values():
+                chart = H.chart
+                modes = ["fd"] + ["analytic"] * (
+                    chart.metric_derivative_fn is not None)
+                pts = chart.sample_points(rng, 6).reshape(2, 3, chart.dim)
+                for mode in modes:
+                    stacked = lee_form_components(H, pts, mode=mode)
+                    single = [[lee_form_components(H, q, mode=mode)
+                               for q in row] for row in pts]
+                    assert np.array_equal(stacked, np.array(single)), (
+                        H.label, mode)
+
     def test_rejects_complex_dimension_one(self):
         chart = zoo.round_s2_base(1.0).chart()
         H = HermitianStructure(chart, zoo.round_s2_base(1.0).J_fn, n=1)

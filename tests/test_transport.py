@@ -1,19 +1,22 @@
 """Geodesic, parallel-transport, and line-integral tests."""
 
 import dataclasses
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lckgeo import zoo
+from lckgeo import fd, zoo
 from lckgeo.calculus import christoffel_components
 from lckgeo.charts import Chart, coordinate_rectangle, polygon_loop, segment_loop
 from lckgeo.errors import ChartDomainError, DomainExitError, IntegrationError
 from lckgeo.hermitian import lee_field
-from lckgeo.transport import (_rk4, geodesic, geodesic_with_velocity,
-                              loop_integral, orthogonality_defect,
+from lckgeo.transport import (_GL_NODES, _GL_WEIGHTS, _rk4, geodesic,
+                              geodesic_with_velocity, loop_integral,
+                              orthogonality_defect,
                               parallel_transport, transport_along,
                               transport_segment)
 
@@ -313,3 +316,128 @@ class TestNodeTable:
         transport_segment(counted_chart, a, a + np.array([0.1, 0.2, -0.1, 0.3]),
                           np.eye(4), steps=200, mode="fd")
         assert calls[0] == 9 * 401
+
+
+def _nodewise_loop_integral(chart, oneform_field, loop, steps=None):
+    """Reference loop integral: domain check and field call node by node."""
+    n = steps or loop.steps
+    total = 0.0
+    h = 1.0 / n
+    for k in range(n):
+        t0 = k * h
+        for node, w in zip(_GL_NODES, _GL_WEIGHTS):
+            t = t0 + node * h
+            x = loop.point(t)
+            chart.require_inside(x)
+            alpha = np.asarray(oneform_field(x), dtype=float)
+            total += w * h * float(alpha @ loop.velocity(t))
+    return total
+
+
+class TestBlockedLoopIntegral:
+    """The Lee field is evaluated on blocks of Gauss-Legendre nodes."""
+
+    @pytest.mark.parametrize("name", ["s1_generator", "contractible"])
+    def test_matches_nodewise(self, hopf2, name):
+        H = hopf2.main_structure
+        field = lee_field(H, "fd")
+        loop = hopf2.loops[name]
+        assert loop_integral(H.chart, field, loop) == _nodewise_loop_integral(
+            H.chart, field, loop)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_domain_exit_matches_nodewise(self, hopf2, batched):
+        """The generator run on to 2L leaves the chart after several blocks."""
+        H = hopf2.main_structure
+        start = hopf2.loops["s1_generator"].point(0.0)
+        shift = np.array([2.0 * hopf2.params["circumference"], 0.0, 0.0, 0.0])
+        loop = segment_loop(start, shift, steps=200)
+        field = lambda q: np.cos(q) * q[0]
+        if batched:
+            field = fd.batched(lambda q: np.cos(q) * q[..., :1])
+        err = _raised(lambda: loop_integral(H.chart, field, loop))
+        ref = _raised(lambda: _nodewise_loop_integral(H.chart, field, loop))
+        assert type(err) is type(ref) is ChartDomainError
+        assert str(err) == str(ref)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_earlier_field_error_wins(self, hopf2, batched):
+        """A field that raises at a node before the exit raises first."""
+        H = hopf2.main_structure
+        start = hopf2.loops["s1_generator"].point(0.0)
+        shift = np.array([2.0 * hopf2.params["circumference"], 0.0, 0.0, 0.0])
+        loop = segment_loop(start, shift, steps=200)
+
+        def field(q):
+            if np.any(np.asarray(q)[..., 0] > 3.0):
+                raise ValueError("field fails beyond s = 3")
+            return np.ones(np.shape(q))
+
+        if batched:
+            field = fd.batched(field)
+        err = _raised(lambda: loop_integral(H.chart, field, loop))
+        ref = _raised(lambda: _nodewise_loop_integral(H.chart, field, loop))
+        assert type(err) is type(ref) is ValueError
+        assert str(err) == str(ref)
+
+    def test_earlier_node_error_wins_inside_a_block(self, hopf2):
+        """Within one block, a J field raising near an early node wins over
+        the fd-margin ChartDomainError of a later node, which the stacked
+        Lee-form call alone raises first."""
+        H = hopf2.main_structure
+        top = H.chart.domain[1][1]
+
+        def J_fn(q):
+            if np.any(np.asarray(q)[..., 1] > 2.0):
+                raise ValueError("J fails beyond x1 = 2")
+            return H.J_fn(q)
+
+        field = lee_field(dataclasses.replace(H, J_fn=J_fn), "fd")
+        start = hopf2.loops["s1_generator"].point(0.0)
+        steps = 20
+        t_last = (steps - 1 + _GL_NODES[-1]) / steps
+        # the last node lies inside the chart, closer to its face than the
+        # 1e-5 step of the Lee-form stencil
+        shift = np.array([0.0, (top - 5e-6 - start[1]) / t_last, 0.0, 0.0])
+        loop = segment_loop(start, shift, steps=steps)
+        xs = np.array([loop.point((k + node) / steps)
+                       for k in range(steps) for node in _GL_NODES])
+        assert H.chart.inside(xs).all() and 3 * steps <= 128
+        assert type(_raised(lambda: fd.evaluate(field, xs))) is ChartDomainError
+        err = _raised(lambda: loop_integral(H.chart, field, loop))
+        ref = _raised(lambda: _nodewise_loop_integral(H.chart, field, loop))
+        assert type(err) is type(ref) is ValueError
+        assert str(err) == str(ref)
+
+    def test_peak_memory_is_bounded(self, hopf2):
+        """2,400 nodes in blocks peak near 0.8 MB of Python allocations; all
+        nodes in one block would take about 10.7 MB."""
+        H = hopf2.main_structure
+        field = lee_field(H, "fd")
+        loop = hopf2.loops["contractible"]
+        tracemalloc.start()
+        try:
+            loop_integral(H.chart, field, loop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_points_unchanged_calls_fewer(self, hopf2):
+        """Every node still costs ten J evaluations (the 8-point stencil of
+        Omega, Omega and J at the node), in three calls per block."""
+        H = hopf2.main_structure
+        points, calls = [0], [0]
+
+        @functools.wraps(H.J_fn)
+        def counted(q):
+            calls[0] += 1
+            points[0] += np.asarray(q)[..., 0].size
+            return H.J_fn(q)
+
+        H_counted = dataclasses.replace(H, J_fn=counted)
+        loop = hopf2.loops["contractible"]
+        loop_integral(H.chart, lee_field(H_counted, "fd"), loop)
+        nodes = 3 * loop.steps
+        assert points[0] == 10 * nodes
+        assert calls[0] == 3 * math.ceil(nodes / 128)

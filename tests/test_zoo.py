@@ -102,6 +102,53 @@ class TestHopf:
                 assert np.array_equal(zoo._hypersphere_jacobian(angles),
                                       reference(angles)), angles
 
+    def test_batched_fields_match_pointwise_reference(self, hopf2, hopf3,
+                                                      rng):
+        """The batched metric and J equal the per-point forms they replaced,
+        bit for bit, on a stack and on a single point."""
+        def metric_reference(p, m):
+            g = np.eye(m)
+            prod = 1.0
+            for i in range(1, m - 1):
+                prod *= np.sin(p[i]) ** 2     # a numpy-scalar power
+                g[i + 1, i + 1] = prod
+            return g
+
+        def j_reference(p, m):
+            angles = np.asarray(p[1:], dtype=float)
+            d = angles.size
+            sin, cos = np.sin(angles).tolist(), np.cos(angles).tolist()
+            u = np.empty(d + 1)
+            jac = np.zeros((d + 1, d))
+            prod = prefix = 1.0
+            for j in range(d):
+                u[j] = prod * cos[j]
+                prod *= sin[j]
+                jac[j, j] = prefix * -sin[j]
+                run = prefix * cos[j]
+                for i in range(j + 1, d):
+                    jac[i, j] = run * cos[i]
+                    run *= sin[i]
+                jac[d, j] = run
+                prefix *= sin[j]
+            u[d] = prod
+            B = np.column_stack([-u, jac])
+            return np.linalg.solve(B, zoo._standard_j(m) @ B)
+
+        for entry in (hopf2, hopf3):
+            H = entry.main_structure
+            m = H.chart.dim
+            # an array ``** 2`` differs from the scalar one in about one
+            # square in a thousand, so the stack is large
+            pts = H.chart.sample_points(rng, 3000)
+            for fn, ref in ((H.chart.metric_fn, metric_reference),
+                            (H.J_fn, j_reference)):
+                expected = np.array([ref(q, m) for q in pts])
+                assert np.array_equal(fn(pts.reshape(3, 1000, m)),
+                                      expected.reshape(3, 1000, m, m))
+                for q, e in zip(pts[:50], expected):
+                    assert np.array_equal(fn(q), e), q
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             zoo.hopf(1)
