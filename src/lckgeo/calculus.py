@@ -30,22 +30,19 @@ from .charts import Chart, FrameTensor, alt
 
 
 def christoffel(chart: Chart, p, mode: str = "auto",
-                step: float = None) -> FrameTensor:
+                step: float = fd.STEP_DIRECT) -> FrameTensor:
     """Levi-Civita symbols Gamma^k_{ij} at p, as a valence (2,1) tensor."""
     p = np.asarray(p, dtype=float)
-    step = fd.STEP_DIRECT if step is None else step
-    chart.require_inside(p, margin=fd.stencil_extent(step) if mode == "fd"
-                         or chart.metric_derivative_fn is None else 0.0)
+    chart.require_inside(p, margin=chart.stencil_margin(mode, step))
     chart.metric(p)     # raises MetricError off the SPD cone
     comp = christoffel_components(chart, p, mode, step)
     return FrameTensor(comp, valence=(2, 1), point=p)
 
 
 def christoffel_components(chart: Chart, p, mode: str = "auto",
-                           step: float = None) -> np.ndarray:
+                           step: float = fd.STEP_DIRECT) -> np.ndarray:
     """Gamma^k_{ij} at each of the points p, shape (..., m) -> (..., m, m, m)."""
     # hot path: raw metric_fn, positivity is asserted by the chart gate tests
-    step = fd.STEP_DIRECT if step is None else step
     dg = chart.metric_jacobian(p, mode=mode, step=step)
     g_inv = np.linalg.inv(fd.evaluate(chart.metric_fn, p))
     # dg[..., k, i, j] = d_k g_ij
@@ -145,14 +142,13 @@ def covariant_derivative(chart: Chart, field: Callable, p, x,
 
 
 def exterior_derivative(chart: Chart, form_field: Callable, p, k: int,
-                        step: float = None,
+                        step: float = fd.STEP_DIRECT,
                         order: int = fd.ORDER_DIRECT) -> FrameTensor:
     """Exterior derivative of a k-form field: a (k+1)-form at p.
 
     Uses plain partial derivatives (no connection): d = (k+1) Alt(d alpha).
     """
     p = np.asarray(p, dtype=float)
-    step = fd.STEP_DIRECT if step is None else step
     chart.require_inside(p, margin=fd.stencil_extent(step, order))
     da = fd.gradient(form_field, p, step, order=order)
     comp = alt(da) * (k + 1)
@@ -160,12 +156,11 @@ def exterior_derivative(chart: Chart, form_field: Callable, p, k: int,
 
 
 def codifferential(chart: Chart, form_field: Callable, p, k: int,
-                   mode: str = "auto", step: float = None,
+                   mode: str = "auto", step: float = fd.STEP_DIRECT,
                    order: int = fd.ORDER_DIRECT) -> FrameTensor:
     """Codifferential delta alpha = -g^{ab} (nabla_a alpha)_{b...} at each of
     the points p, shape (..., m)."""
     p = np.asarray(p, dtype=float)
-    step = fd.STEP_DIRECT if step is None else step
     nabla = covariant_derivative_full(chart, form_field, p, (k, 0),
                                       mode=mode, step=step, order=order)
     g_inv = np.linalg.inv(chart.metric(p))

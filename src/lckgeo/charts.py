@@ -93,22 +93,31 @@ class Chart:
     def metric_inverse(self, p) -> np.ndarray:
         return np.linalg.inv(self.metric(p))
 
+    def stencil_margin(self, mode: str = "auto",
+                       step: float = fd.STEP_DIRECT) -> float:
+        """Distance from the faces that :meth:`metric_jacobian` needs: the
+        step of its fd stencil, or 0.0 where it is analytic (a derivative
+        function is given and mode is not 'fd')."""
+        if mode == "fd" or self.metric_derivative_fn is None:
+            return step
+        return 0.0
+
     def metric_jacobian(self, p, mode: str = "auto",
-                        step: float = None) -> np.ndarray:
+                        step: float = fd.STEP_DIRECT) -> np.ndarray:
         """dg[..., k, i, j] = d_k g_ij at each of the points p, shape (..., dim).
 
         Analytic when available unless mode='fd'.
         """
         p = np.asarray(p, dtype=float)
-        step = fd.STEP_DIRECT if step is None else step
         if mode not in ("auto", "fd", "analytic"):
             raise ValueError(f"unknown derivative mode {mode!r}")
         if mode == "analytic" and self.metric_derivative_fn is None:
             raise ValueError(f"chart '{self.label}' has no analytic metric derivative")
-        if mode != "fd" and self.metric_derivative_fn is not None:
+        margin = self.stencil_margin(mode, step)
+        if not margin:
             return np.asarray(fd.evaluate(self.metric_derivative_fn, p),
                               dtype=float)
-        self.require_inside(p, margin=step)
+        self.require_inside(p, margin=margin)
         return fd.gradient(self.metric_fn, p, step, order=fd.ORDER_DIRECT)
 
     def center(self) -> np.ndarray:

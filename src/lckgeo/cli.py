@@ -6,11 +6,10 @@ Usage::
             --samples 100 --seed 7 --mode fd --json report.json
 
 Config files hold the same fields as flags, one ``key = value`` per line
-(``suites`` as a comma list); flags override file values.  Exit codes:
+(``suites`` as a comma list); flags override file values, and a key that
+is not one of :data:`CONFIG_KEYS` is a configuration error.  Exit codes:
 0 all suites pass, 1 residual failure, 2 configuration error,
-3 inconclusive holonomy.  ``--parallel`` (and ``LCK_THREADS``) are accepted
-for compatibility; samples always run serially, since threads were measured
-slower than one thread on these small arrays.
+3 inconclusive holonomy.
 """
 
 from __future__ import annotations
@@ -20,6 +19,11 @@ import sys
 
 from .errors import LckError, ParameterError
 from .report import SUITE_NAMES, SuiteConfig, emit, exit_code, run
+
+# the destinations of the ``run`` flags, ``suites`` for the repeatable
+# --suite, less the outputs and --config itself
+CONFIG_KEYS = ("manifold", "suites", "samples", "seed", "mode", "tol_id",
+               "tol_chain", "tol_ode", "at")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=("fd", "analytic"), default=None)
-    p.add_argument("--fd-step", type=float, default=None)
     p.add_argument("--tol-id", type=float, default=None)
     p.add_argument("--tol-chain", type=float, default=None)
     p.add_argument("--tol-ode", type=float, default=None)
@@ -47,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flat key=value config file; flags override")
     p.add_argument("--at", metavar="X1,X2,...",
                    help="evaluate at this single point instead of sampling")
-    p.add_argument("--parallel", action="store_true",
-                   help="accepted for compatibility; samples run serially")
     return parser
 
 
@@ -62,7 +63,11 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ParameterError(f"malformed config line {raw.strip()!r}")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key not in CONFIG_KEYS:
+                raise ParameterError(f"unknown config key {key!r}; known: "
+                                     f"{', '.join(CONFIG_KEYS)}")
+            values[key] = val.strip()
     return values
 
 
@@ -94,11 +99,9 @@ def _assemble_config(args) -> SuiteConfig:
         samples=pick(args.samples, "samples", int, 100),
         seed=pick(args.seed, "seed", int, 7),
         mode=pick(args.mode, "mode", str, "fd"),
-        fd_step=pick(args.fd_step, "fd_step", float, 1e-5),
         tol_chain=pick(args.tol_chain, "tol_chain", float, 1e-3),
         tol_ode=pick(args.tol_ode, "tol_ode", float, 1e-6),
         at=at,
-        parallel=bool(args.parallel or file_vals.get("parallel") == "true"),
     )
     tol_id = pick(args.tol_id, "tol_id", float)
     if tol_id is not None:

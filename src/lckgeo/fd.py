@@ -48,24 +48,6 @@ ORDER_NESTED = 4
 ORDER_DEEP = 2
 
 
-class override_direct_step:
-    """Scoped override of the level-1 step (the CLI's --fd-step knob)."""
-
-    def __init__(self, step: float):
-        self.step = step
-
-    def __enter__(self):
-        global STEP_DIRECT
-        self._saved = STEP_DIRECT
-        STEP_DIRECT = self.step
-        return self
-
-    def __exit__(self, *exc):
-        global STEP_DIRECT
-        STEP_DIRECT = self._saved
-        return False
-
-
 def batched(f: Callable) -> Callable:
     """Declare that the field f takes a stack of points, shape (..., m).
 

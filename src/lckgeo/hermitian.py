@@ -86,7 +86,7 @@ def fundamental_form(H: HermitianStructure, p) -> FrameTensor:
 
 
 def nijenhuis_tensor(H: HermitianStructure, p,
-                     step: float = None) -> np.ndarray:
+                     step: float = fd.STEP_DIRECT) -> np.ndarray:
     """N^k_{ij} of the almost complex structure field at p.
 
     N(X,Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y]; for coordinate fields
@@ -94,7 +94,6 @@ def nijenhuis_tensor(H: HermitianStructure, p,
              + J^k_m d_j J^m_i - J^k_m d_i J^m_j.
     """
     p = np.asarray(p, dtype=float)
-    step = fd.STEP_DIRECT if step is None else step
     dJ = fd.gradient(H.J_fn, p, step, order=fd.ORDER_DIRECT)  # dJ[l, k, m] = d_l J^k_m
     J = H.J(p)
     t1 = np.einsum("li,lkj->kij", J, dJ)

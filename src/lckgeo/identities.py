@@ -53,8 +53,11 @@ def _normalized(diff_norm: float, term_norms) -> float:
     return diff_norm / (1.0 + max(term_norms))
 
 
-def _sharp(g: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(g, tau)
+def _pair_sigma(I: HermitianStructure, J: HermitianStructure, q) -> np.ndarray:
+    """sigma = 1/2 (Omega^I + Omega^J) at q, from the raw metric of I's chart."""
+    gq = np.asarray(I.chart.metric_fn(q), dtype=float)
+    return 0.5 * (form_of_endomorphism(I.J(q), gq)
+                  + form_of_endomorphism(J.J(q), gq))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +201,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     def ntheta_at(q):
         key = q.tobytes()
         if key not in ntheta_cache:
-            ntheta_cache[key] = covariant_derivative_full(
-                chart, theta_f, q, (1, 0), mode=mode, step=fd.STEP_NESTED,
-                order=fd.ORDER_NESTED)
+            ntheta_cache[key] = nabla_theta(H, q, mode=mode)
         return ntheta_cache[key]
 
     ntheta = ntheta_at(p)
@@ -469,13 +470,9 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
                                [form_norm(sigma, g), form_norm(rhs_s, g)])
 
     # (deromega)  nabla_X sigma = 1/2 (X ^ I theta - IX ^ theta) - <X,theta> sigma
-    def sigma_field(q):
-        gq = np.asarray(chart.metric_fn(q), dtype=float)
-        return 0.5 * (form_of_endomorphism(I.J(q), gq)
-                      + form_of_endomorphism(J.J(q), gq))
-
-    nsigma = covariant_derivative_full(chart, sigma_field, p, (2, 0), mode=mode,
-                                       step=fd.STEP_DIRECT, order=fd.ORDER_DIRECT)
+    nsigma = covariant_derivative_full(chart, lambda q: _pair_sigma(I, J, q), p,
+                                       (2, 0), mode=mode, step=fd.STEP_DIRECT,
+                                       order=fd.ORDER_DIRECT)
     lhs_d = np.tensordot(x, nsigma, axes=(0, 0))
     rhs_d = (0.5 * (wedge(g @ x, i_theta) - wedge(g @ (Im @ x), theta))
              - float(theta @ x) * sigma)
@@ -557,13 +554,8 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
     Im = I.J(p)
     phi_p = potential(p)
 
-    def sigma_at(q):
-        gq = np.asarray(chart.metric_fn(q), dtype=float)
-        return 0.5 * (form_of_endomorphism(I.J(q), gq)
-                      + form_of_endomorphism(J.J(q), gq))
-
     def sigma_tilde_local(q):
-        return np.exp(phi_p + potential.increment(p, q)) * sigma_at(q)
+        return np.exp(phi_p + potential.increment(p, q)) * _pair_sigma(I, J, q)
 
     def trace_local(q):
         gq = np.asarray(chart.metric_fn(q), dtype=float)
@@ -615,8 +607,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
     theta0_f = lee_field(avg, mode)
     theta0 = theta0_f(p)
     i_theta0 = -Im.T @ theta0
-    ntheta0 = covariant_derivative_full(chart, theta0_f, p, (1, 0), mode=mode,
-                                        step=fd.STEP_NESTED, order=fd.ORDER_NESTED)
+    ntheta0 = nabla_theta(avg, p, mode=mode)
 
     # least-squares fit of f over the 2n coordinate directions
     basis = np.einsum("c,j->cj", theta0, theta0) + np.einsum("c,j->cj", i_theta0, i_theta0)

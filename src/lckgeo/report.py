@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import fd, holonomy as hol, identities as idn, zoo
+from . import holonomy as hol, identities as idn, zoo
 from .calculus import codifferential, exterior_derivative
 from .charts import wedge
 from .errors import ParameterError
@@ -44,7 +44,7 @@ SUITE_NAMES = ("lck-identities", "einstein-chain", "parallel-field",
                "commuting-pair", "hamiltonian-form", "average-metric",
                "holonomy", "classify")
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,11 @@ class SuiteConfig:
     samples: int = 100
     seed: int = 7
     mode: str = "fd"
-    fd_step: float = 1e-5
     tol_fd: float = 1e-5
     tol_id: float = None          # default depends on mode
     tol_chain: float = 1e-3
     tol_ode: float = 1e-6
     at: Optional[tuple] = None
-    parallel: bool = False        # accepted and reported; samples run serially
 
     def __post_init__(self):
         object.__setattr__(self, "suites", tuple(self.suites))
@@ -73,7 +71,7 @@ class SuiteConfig:
             raise ParameterError("samples must be >= 1")
         if self.mode not in ("fd", "analytic"):
             raise ParameterError("mode must be 'fd' or 'analytic'")
-        for name in ("fd_step", "tol_fd", "tol_chain", "tol_ode"):
+        for name in ("tol_fd", "tol_chain", "tol_ode"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
         if self.tol_id is None:
@@ -86,11 +84,9 @@ class SuiteConfig:
         return {
             "manifold": self.manifold, "suites": list(self.suites),
             "samples": self.samples, "seed": self.seed, "mode": self.mode,
-            "fd_step": self.fd_step, "tol_fd": self.tol_fd,
-            "tol_id": self.tol_id, "tol_chain": self.tol_chain,
-            "tol_ode": self.tol_ode,
+            "tol_fd": self.tol_fd, "tol_id": self.tol_id,
+            "tol_chain": self.tol_chain, "tol_ode": self.tol_ode,
             "at": list(self.at) if self.at is not None else None,
-            "parallel": self.parallel,
         }
 
 
@@ -160,6 +156,10 @@ class ResidualTable:
 def _sample_points(entry, config: SuiteConfig, rng, chart=None):
     chart = chart or entry.main_structure.chart
     if config.at is not None:
+        if len(config.at) != chart.dim:
+            raise ParameterError(
+                f"at has {len(config.at)} coordinates, but chart "
+                f"'{chart.label}' has dimension {chart.dim}")
         return np.array([list(config.at)], dtype=float)
     return chart.sample_points(rng, config.samples)
 
@@ -489,12 +489,10 @@ def run(config: SuiteConfig) -> Report:
     t0 = time.monotonic()
     entry = resolve_manifold(config.manifold)
     suites = []
-    with fd.override_direct_step(config.fd_step):
-        for name in config.suites:
-            # crc32 is stable across processes (hash() is salted)
-            rng = np.random.default_rng(
-                (config.seed, zlib.crc32(name.encode())))
-            suites.append(SUITES[name](entry, config, rng))
+    for name in config.suites:
+        # crc32 is stable across processes (hash() is salted)
+        rng = np.random.default_rng((config.seed, zlib.crc32(name.encode())))
+        suites.append(SUITES[name](entry, config, rng))
     passed = all(s.passed for s in suites)
     inconclusive = any(s.inconclusive for s in suites)
     return Report(config=config.as_dict(), suites=suites, passed=passed,

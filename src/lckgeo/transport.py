@@ -36,10 +36,6 @@ DEFAULT_STEPS = 2000
 # well below a megabyte.
 LOOP_BLOCK = 128
 
-# 3-point Gauss-Legendre nodes/weights on [0, 1]
-_GL_NODES = (np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)]) + 1.0) / 2.0
-_GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
-
 
 def _rk4(f: Callable, y0: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
     """Fixed-step RK4 for y' = f(t, y)."""
@@ -152,8 +148,7 @@ def _node_table(chart: Chart, point_fn: Callable, velocity_fn: Callable,
     params = [min(max(t, t0 + eps), t1 - eps) for t in times]
     xs = np.array([point_fn(tc) for tc in params], dtype=float)
     # the fd stencil of christoffel_components needs its step inside the box
-    fd_path = mode == "fd" or chart.metric_derivative_fn is None
-    margin = fd.STEP_DIRECT if fd_path else 0.0
+    margin = chart.stencil_margin(mode)
     bad = np.flatnonzero(~chart.inside(xs, margin))
     n_ok = bad[0] if len(bad) else len(times)
 
@@ -201,8 +196,9 @@ def loop_integral(chart: Chart, oneform_field: Callable, loop: Loop,
     """
     n = steps or loop.steps
     h = 1.0 / n
+    gl_nodes, gl_weights = fd.gauss_legendre_01(3)
     nodes = [(k * h + node * h, w)
-             for k in range(n) for node, w in zip(_GL_NODES, _GL_WEIGHTS)]
+             for k in range(n) for node, w in zip(gl_nodes, gl_weights)]
     xs = np.array([loop.point(t) for t, _ in nodes])
     bad = np.flatnonzero(~chart.inside(xs))
     n_ok = bad[0] if len(bad) else len(nodes)

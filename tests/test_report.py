@@ -1,11 +1,14 @@
 """Suite runner, report determinism, CLI, and exit-code contract tests."""
 
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from lckgeo.cli import main as cli_main
+from lckgeo.cli import CONFIG_KEYS, build_parser, main as cli_main
 from lckgeo.errors import ParameterError
 from lckgeo.report import (Report, SuiteConfig, emit, exit_code,
                            parse_selector, resolve_manifold, run)
@@ -77,14 +80,6 @@ class TestRun:
         blob2 = emit(run(config), "json")
         assert blob1 == blob2
 
-    def test_parallel_matches_serial(self):
-        base = dict(manifold="flat_inversion{n=2}", suites=("lck-identities",),
-                    samples=6, seed=3)
-        serial = emit(run(SuiteConfig(**base)), "json")
-        parallel = emit(run(SuiteConfig(**base, parallel=True)), "json")
-        s, p = json.loads(serial), json.loads(parallel)
-        assert s["suites"][0]["residuals"] == p["suites"][0]["residuals"]
-
     def test_forced_failure_exit_code(self):
         config = SuiteConfig(manifold="flat_inversion{n=2}",
                              suites=("lck-identities",), samples=4, seed=5,
@@ -103,6 +98,12 @@ class TestRun:
         assert all(rec["count"] == 1 for rec in res.values())
         assert res["eqf"]["worst_point"] == p
 
+    def test_at_point_of_wrong_length_rejected(self):
+        config = SuiteConfig(manifold="hopf{n=2}", suites=("lck-identities",),
+                             at=(1.0, 2.0))
+        with pytest.raises(ParameterError, match="dimension 4"):
+            run(config)
+
     def test_suite_applicability_errors(self):
         with pytest.raises(ParameterError):
             run(SuiteConfig(manifold="hopf{n=2}", suites=("commuting-pair",),
@@ -115,7 +116,10 @@ class TestRun:
         config = SuiteConfig(manifold="flat_inversion{n=2}",
                              suites=("classify",), samples=4, seed=2)
         payload = json.loads(emit(run(config), "json"))
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
+        assert set(payload["config"]) == {
+            "manifold", "suites", "samples", "seed", "mode", "tol_fd",
+            "tol_id", "tol_chain", "tol_ode", "at"}
         suite = payload["suites"][0]
         assert suite["suite"] == "classify"
         for rec in suite["residuals"].values():
@@ -192,10 +196,39 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["at"] == [0.5, 0.5, 0.5, 0.5]
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LCK_THREADS", "2")
-        code = cli_main(["run", "--manifold", "flat_inversion{n=2}",
-                         "--suite", "lck-identities", "--samples", "4",
-                         "--seed", "2", "--parallel",
-                         "--json", str(tmp_path / "r.json")])
-        assert code == 0
+    def test_at_flag_of_wrong_length_exit_two(self, capsys):
+        code = cli_main(["run", "--manifold", "hopf{n=2}",
+                         "--suite", "lck-identities", "--at", "1,2"])
+        assert code == 2
+        assert "dimension 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["sampels = 3", "tol_fd = 1e-9",
+                                      "parallel = true", "fd_step = 1e-4"])
+    def test_unknown_config_key_exit_two(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("manifold = flat_inversion{n=2}\n"
+                       "suites = classify\n" + line + "\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 2
+        key = line.split("=")[0].strip()
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--parallel"], ["--fd-step", "1e-4"]])
+    def test_retired_flags_exit_two(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--manifold", "flat_inversion{n=2}",
+                      "--suite", "classify"] + flag)
+        assert exc.value.code == 2
+
+    def test_cli_surface_matches_readme_and_config_keys(self):
+        """The README flag list names exactly the run options, and a config
+        file takes exactly their destinations less the outputs."""
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        actions = [a for a in sub.choices["run"]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        options = {opt for a in actions for opt in a.option_strings}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        flags_line = re.search(r"^Flags: (.*?)\.$", readme, re.M | re.S).group(1)
+        assert set(re.findall(r"--[a-z-]+", flags_line)) == options
+        dests = {"suites" if a.dest == "suite" else a.dest for a in actions}
+        assert set(CONFIG_KEYS) == dests - {"config", "json", "text"}

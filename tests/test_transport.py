@@ -14,7 +14,7 @@ from lckgeo.calculus import christoffel_components
 from lckgeo.charts import Chart, coordinate_rectangle, polygon_loop, segment_loop
 from lckgeo.errors import ChartDomainError, DomainExitError, IntegrationError
 from lckgeo.hermitian import lee_field
-from lckgeo.transport import (_GL_NODES, _GL_WEIGHTS, _rk4, geodesic,
+from lckgeo.transport import (_rk4, geodesic,
                               geodesic_with_velocity, loop_integral,
                               orthogonality_defect,
                               parallel_transport, transport_along,
@@ -325,7 +325,7 @@ def _nodewise_loop_integral(chart, oneform_field, loop, steps=None):
     h = 1.0 / n
     for k in range(n):
         t0 = k * h
-        for node, w in zip(_GL_NODES, _GL_WEIGHTS):
+        for node, w in zip(*fd.gauss_legendre_01(3)):
             t = t0 + node * h
             x = loop.point(t)
             chart.require_inside(x)
@@ -395,13 +395,14 @@ class TestBlockedLoopIntegral:
         field = lee_field(dataclasses.replace(H, J_fn=J_fn), "fd")
         start = hopf2.loops["s1_generator"].point(0.0)
         steps = 20
-        t_last = (steps - 1 + _GL_NODES[-1]) / steps
+        gl_nodes = fd.gauss_legendre_01(3)[0]
+        t_last = (steps - 1 + gl_nodes[-1]) / steps
         # the last node lies inside the chart, closer to its face than the
         # 1e-5 step of the Lee-form stencil
         shift = np.array([0.0, (top - 5e-6 - start[1]) / t_last, 0.0, 0.0])
         loop = segment_loop(start, shift, steps=steps)
         xs = np.array([loop.point((k + node) / steps)
-                       for k in range(steps) for node in _GL_NODES])
+                       for k in range(steps) for node in gl_nodes])
         assert H.chart.inside(xs).all() and 3 * steps <= 128
         assert type(_raised(lambda: fd.evaluate(field, xs))) is ChartDomainError
         err = _raised(lambda: loop_integral(H.chart, field, loop))
