@@ -13,8 +13,8 @@ Sign conventions (asserted by the round-sphere tests):
   1-forms delta tau = -trace_g(nabla tau).  This is the sign that makes
   delta(Omega) = (2 - 2n) J theta hold on the Hopf chart.
 
-Fields passed to the derivative operators are plain callables point ->
-component array; the ``step``/``order`` arguments control the stencil used
+Fields passed to the derivative operators take stacks of points (see
+:mod:`lckgeo.fd`); the ``step``/``order`` arguments control the stencil used
 on the field itself (see :mod:`lckgeo.fd` for the tiering policy).
 """
 
@@ -44,7 +44,7 @@ def christoffel_components(chart: Chart, p, mode: str = "auto",
     """Gamma^k_{ij} at each of the points p, shape (..., m) -> (..., m, m, m)."""
     # hot path: raw metric_fn, positivity is asserted by the chart gate tests
     dg = chart.metric_jacobian(p, mode=mode, step=step)
-    g_inv = np.linalg.inv(fd.evaluate(chart.metric_fn, p))
+    g_inv = np.linalg.inv(chart.metric_fn(p))
     # dg[..., k, i, j] = d_k g_ij
     sym = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
            - dg)
@@ -74,12 +74,6 @@ def ricci_scalar(chart: Chart, p, mode: str = "auto"):
     return FrameTensor(ric, valence=(2, 0), point=np.asarray(p, dtype=float)), scal
 
 
-def curvature_operator(chart: Chart, p, x, y, mode: str = "auto") -> np.ndarray:
-    """The endomorphism R(X, Y): Z -> R(X, Y)Z as a matrix."""
-    R = riemann(chart, p, mode=mode).components
-    return np.einsum("abcd,c,d->ab", R, np.asarray(x, float), np.asarray(y, float))
-
-
 def covariant_derivative_full(chart: Chart, field: Callable, p,
                               valence: tuple, mode: str = "auto",
                               step: float = fd.STEP_NESTED,
@@ -87,7 +81,7 @@ def covariant_derivative_full(chart: Chart, field: Callable, p,
                               gamma: np.ndarray = None) -> np.ndarray:
     """All covariant partials of a tensor field at each of the points p.
 
-    ``field`` maps a point to a component array laid out contravariant axes
+    ``field`` is a field of component arrays laid out contravariant axes
     first.  For points of shape (..., m) returns
     ``out[..., c, ...] = (nabla_{d_c} T)(...)``: the derivative axis follows
     the point axes, so at a single point it comes first.
@@ -96,7 +90,7 @@ def covariant_derivative_full(chart: Chart, field: Callable, p,
     extent = fd.stencil_extent(step, order)
     chart.require_inside(p, margin=extent)
     dT = fd.gradient(field, p, step, order=order)
-    T = np.asarray(fd.evaluate(field, p), dtype=float)
+    T = np.asarray(field(p), dtype=float)
     lead = p.ndim - 1
     cov, con = valence
     if T.ndim - lead != cov + con:
@@ -144,14 +138,15 @@ def covariant_derivative(chart: Chart, field: Callable, p, x,
 def exterior_derivative(chart: Chart, form_field: Callable, p, k: int,
                         step: float = fd.STEP_DIRECT,
                         order: int = fd.ORDER_DIRECT) -> FrameTensor:
-    """Exterior derivative of a k-form field: a (k+1)-form at p.
+    """Exterior derivative of a k-form field: a (k+1)-form at each of the
+    points p, shape (..., m).
 
     Uses plain partial derivatives (no connection): d = (k+1) Alt(d alpha).
     """
     p = np.asarray(p, dtype=float)
     chart.require_inside(p, margin=fd.stencil_extent(step, order))
     da = fd.gradient(form_field, p, step, order=order)
-    comp = alt(da) * (k + 1)
+    comp = alt(da, lead=p.ndim - 1) * (k + 1)
     return FrameTensor(comp, valence=(k + 1, 0), point=p)
 
 

@@ -35,9 +35,9 @@ DEFAULT_MARGIN = 0.05
 class Chart:
     """A coordinate box with a smooth Riemannian metric field.
 
-    ``metric_fn`` maps a point (shape ``(dim,)``) to the symmetric positive
-    definite matrix g_ij.  ``metric_derivative_fn``, when given, maps a point
-    to the array ``dg[k, i, j] = d_k g_ij`` and enables analytic mode.
+    ``metric_fn`` is a field (see :mod:`lckgeo.fd`) of symmetric positive
+    definite matrices g_ij.  ``metric_derivative_fn``, when given, is the
+    field ``dg[k, i, j] = d_k g_ij`` and enables analytic mode.
     """
 
     dim: int
@@ -82,16 +82,13 @@ class Chart:
         check, as point-by-point calls would.
         """
         q = np.asarray(p, dtype=float)
-        g = np.asarray(fd.evaluate(self.metric_fn, q), dtype=float)
+        g = np.asarray(self.metric_fn(q), dtype=float)
         failure = _spd_failure(g)
         if failure is not None:
             k, check = failure
             at = p if q.ndim == 1 else q.reshape(-1, self.dim)[k]
             raise MetricError(f"metric not {check} at {at} on '{self.label}'")
         return g
-
-    def metric_inverse(self, p) -> np.ndarray:
-        return np.linalg.inv(self.metric(p))
 
     def stencil_margin(self, mode: str = "auto",
                        step: float = fd.STEP_DIRECT) -> float:
@@ -115,8 +112,7 @@ class Chart:
             raise ValueError(f"chart '{self.label}' has no analytic metric derivative")
         margin = self.stencil_margin(mode, step)
         if not margin:
-            return np.asarray(fd.evaluate(self.metric_derivative_fn, p),
-                              dtype=float)
+            return np.asarray(self.metric_derivative_fn(p), dtype=float)
         self.require_inside(p, margin=margin)
         return fd.gradient(self.metric_fn, p, step, order=fd.ORDER_DIRECT)
 
@@ -297,15 +293,17 @@ def coordinate_rectangle(p, axis1: int, axis2: int, size1: float, size2: float,
 # exterior algebra on component arrays
 # ---------------------------------------------------------------------------
 
-def alt(a: np.ndarray) -> np.ndarray:
-    """Antisymmetrize over all axes (the projection Alt, with 1/k!)."""
-    k = a.ndim
+def alt(a: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Antisymmetrize over all axes after the first ``lead`` point axes (the
+    projection Alt, with 1/k!)."""
+    k = a.ndim - lead
     if k <= 1:
         return a
     out = np.zeros_like(a)
+    points = tuple(range(lead))
     for perm in itertools.permutations(range(k)):
-        sign = _perm_sign(perm)
-        out += sign * np.transpose(a, perm)
+        axes = points + tuple(lead + i for i in perm)
+        out += _perm_sign(perm) * np.transpose(a, axes)
     return out / math.factorial(k)
 
 
@@ -325,15 +323,17 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Wedge product of antisymmetric component arrays, determinant convention.
+def wedge(a: np.ndarray, b: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Wedge product of antisymmetric component arrays, determinant convention,
+    at each point of a stack when a and b carry ``lead`` point axes in front.
 
     For 1-forms: (a ^ b)_ij = a_i b_j - a_j b_i.
     """
-    k, l = a.ndim, b.ndim
-    prod = np.tensordot(a, b, axes=0)
-    return alt(prod) * (math.factorial(k + l) /
-                        (math.factorial(k) * math.factorial(l)))
+    k, l = a.ndim - lead, b.ndim - lead
+    prod = (a.reshape(a.shape + (1,) * l)
+            * b.reshape(b.shape[:lead] + (1,) * k + b.shape[lead:]))
+    return alt(prod, lead) * (math.factorial(k + l) /
+                              (math.factorial(k) * math.factorial(l)))
 
 
 def form_of_endomorphism(a: np.ndarray, g: np.ndarray) -> np.ndarray:

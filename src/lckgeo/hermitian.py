@@ -24,6 +24,10 @@ from .calculus import (codifferential, covariant_derivative_full,
 from .charts import Chart, FrameTensor, form_norm, form_of_endomorphism, wedge
 from .errors import CompatibilityError, NotLcKError
 
+# Largest scale-normalized |dOmega - 2 theta ^ Omega| at which a structure
+# still counts as lcK (100 * the default tol_id).
+LCK_GATE = 1e-2
+
 
 @dataclass(frozen=True)
 class HermitianStructure:
@@ -33,13 +37,11 @@ class HermitianStructure:
     J_fn: Callable[[np.ndarray], np.ndarray]
     n: int          # complex dimension; chart.dim == 2n
     label: str = ""
-    integrable: bool = True
 
     def J(self, p) -> np.ndarray:
         """J^i_j at each of the points p, shape (..., dim)."""
-        return np.asarray(fd.evaluate(self.J_fn, p), dtype=float)
+        return np.asarray(self.J_fn(p), dtype=float)
 
-    @fd.batched
     def omega(self, p) -> np.ndarray:
         """Fundamental 2-form components Omega_ij = g(J d_i, d_j) at each of
         the points p, shape (..., dim)."""
@@ -94,8 +96,12 @@ def nijenhuis_tensor(H: HermitianStructure, p,
              + J^k_m d_j J^m_i - J^k_m d_i J^m_j.
     """
     p = np.asarray(p, dtype=float)
-    dJ = fd.gradient(H.J_fn, p, step, order=fd.ORDER_DIRECT)  # dJ[l, k, m] = d_l J^k_m
-    J = H.J(p)
+    dJ = fd.gradient(H.J_fn, p, step, order=fd.ORDER_DIRECT)
+    return _nijenhuis(H.J(p), dJ)
+
+
+def _nijenhuis(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
+    # dJ[l, k, m] = d_l J^k_m
     t1 = np.einsum("li,lkj->kij", J, dJ)
     t2 = np.einsum("lj,lki->kij", J, dJ)
     t3 = np.einsum("km,jmi->kij", J, dJ)
@@ -106,21 +112,20 @@ def nijenhuis_tensor(H: HermitianStructure, p,
 def nijenhuis_residual(H: HermitianStructure, p) -> float:
     """Term-normalized norm of the Nijenhuis tensor at p (~0 iff integrable)."""
     p = np.asarray(p, dtype=float)
-    N = nijenhuis_tensor(H, p)
-    g = H.chart.metric(p)
-    lowered = np.einsum("ak,kij->aij", g, N)
+    J = H.J(p)
     dJ = fd.gradient(H.J_fn, p, fd.STEP_DIRECT, order=fd.ORDER_DIRECT)
-    term_scale = float(np.max(np.abs(dJ)) * np.max(np.abs(H.J(p))))
+    g = H.chart.metric(p)
+    lowered = np.einsum("ak,kij->aij", g, _nijenhuis(J, dJ))
+    term_scale = float(np.max(np.abs(dJ)) * np.max(np.abs(J)))
     return form_norm(lowered, g) / (1.0 + term_scale)
 
 
 def lee_form(H: HermitianStructure, p, mode: str = "auto",
-             check: bool = True, gate_tol: float = 1e-2) -> LeeData:
+             check: bool = True) -> LeeData:
     """Extract the Lee form via theta = J(delta Omega) / (2n - 2).
 
     With ``check`` the cross-identity d(Omega) - 2 theta ^ Omega is verified
-    (scale-normalized) and a :class:`NotLcKError` raised above ``gate_tol``
-    (the 100 * tol_id gate).
+    (scale-normalized) and a :class:`NotLcKError` raised above ``LCK_GATE``.
     """
     if H.n < 2:
         raise NotLcKError("Lee-form extraction needs complex dimension n >= 2")
@@ -128,7 +133,7 @@ def lee_form(H: HermitianStructure, p, mode: str = "auto",
     theta = lee_form_components(H, p, mode=mode)
     if check:
         res = lck_residual(H, p, theta, mode=mode)
-        if res > gate_tol:
+        if res > LCK_GATE:
             raise NotLcKError(
                 f"structure '{H.label}' fails the lcK gate at {p}: "
                 f"|dOmega - 2 theta ^ Omega| = {res:.2e}")
@@ -151,9 +156,9 @@ def lee_form_components(H: HermitianStructure, p, mode: str = "auto") -> np.ndar
 
 
 def lee_field(H: HermitianStructure, mode: str = "auto") -> Callable:
-    """The Lee form as a batched field, for differentiation and line
-    integrals (once-nested noise level)."""
-    return fd.batched(lambda q: lee_form_components(H, q, mode=mode))
+    """The Lee form as a field, for differentiation and line integrals
+    (once-nested noise level)."""
+    return lambda q: lee_form_components(H, q, mode=mode)
 
 
 def nabla_theta(H: HermitianStructure, p, mode: str = "auto") -> np.ndarray:
@@ -181,20 +186,23 @@ def conformal_rescale(chart: Chart, log_factor: Callable,
                       label: str = "") -> Chart:
     """The chart with metric e^{2u} g for a smooth function u = log_factor.
 
+    ``log_factor`` and ``log_gradient`` are fields, of values and of 1-forms.
     Analytic derivatives are propagated when both the base chart and the
     gradient of u provide them.
     """
     def metric(p):
-        return np.exp(2.0 * log_factor(p)) * chart.metric_fn(p)
+        factor = np.exp(2.0 * log_factor(p))[..., None, None]
+        return factor * chart.metric_fn(p)
 
     dg_fn = None
     if chart.metric_derivative_fn is not None and log_gradient is not None:
         def dg_fn(p):
-            factor = np.exp(2.0 * log_factor(p))
+            factor = np.exp(2.0 * log_factor(p))[..., None, None, None]
             du = np.asarray(log_gradient(p), dtype=float)
             base = np.asarray(chart.metric_derivative_fn(p), dtype=float)
             g = np.asarray(chart.metric_fn(p), dtype=float)
-            return factor * (base + 2.0 * np.einsum("k,ij->kij", du, g))
+            outer = np.einsum("...k,...ij->...kij", du, g)
+            return factor * (base + 2.0 * outer)
 
     return Chart(dim=chart.dim, domain=chart.domain, metric_fn=metric,
                  metric_derivative_fn=dg_fn,

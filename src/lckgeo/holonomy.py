@@ -48,9 +48,6 @@ class HolonomyEstimate:
     skew_defect: float = 0.0
     method: str = ""
 
-    def max_dim(self, n: int) -> int:
-        return n * (2 * n - 1)
-
 
 def _orthonormal_frame(g: np.ndarray) -> np.ndarray:
     """Lower-triangular L with g = L L^T.

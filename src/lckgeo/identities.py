@@ -40,8 +40,8 @@ from .calculus import (codifferential, covariant_derivative_full,
 from .charts import form_norm, form_of_endomorphism, wedge, wedge_endo
 from .errors import (InconsistencyError, NotLcKError, PreconditionError,
                      SingularPointError)
-from .hermitian import (HermitianStructure, lck_residual, lee_field,
-                        lee_form_components, nabla_theta)
+from .hermitian import (LCK_GATE, HermitianStructure, lck_residual,
+                        lee_field, lee_form_components, nabla_theta)
 from .transport import line_integral_segment, loop_integral
 
 
@@ -53,8 +53,14 @@ def _normalized(diff_norm: float, term_norms) -> float:
     return diff_norm / (1.0 + max(term_norms))
 
 
+def _solve(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """g^-1 v at each point of a stack of matrices g and vectors v."""
+    return np.linalg.solve(g, v[..., None])[..., 0]
+
+
 def _pair_sigma(I: HermitianStructure, J: HermitianStructure, q) -> np.ndarray:
-    """sigma = 1/2 (Omega^I + Omega^J) at q, from the raw metric of I's chart."""
+    """sigma = 1/2 (Omega^I + Omega^J) at each of the points q, from the raw
+    metric of I's chart."""
     gq = np.asarray(I.chart.metric_fn(q), dtype=float)
     return 0.5 * (form_of_endomorphism(I.J(q), gq)
                   + form_of_endomorphism(J.J(q), gq))
@@ -168,8 +174,7 @@ def einstein_deviation(H: HermitianStructure, p, lam: float,
 
 
 def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
-                             mode: str = "auto",
-                             check_einstein: bool = True) -> dict:
+                             mode: str = "auto") -> dict:
     """The eleven named residuals of the Einstein-case derivation at p.
 
     Requires (chart, J) Einstein with constant ``lam``; the flat inversion
@@ -177,7 +182,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     """
     p = np.asarray(p, dtype=float)
     chart = H.chart
-    if check_einstein and einstein_deviation(H, p, lam, mode=mode) > 1e-3:
+    if einstein_deviation(H, p, lam, mode=mode) > 1e-3:
         raise PreconditionError(
             f"structure '{H.label}' is not Einstein with lambda={lam} at {p}")
 
@@ -194,12 +199,12 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     theta_sharp = g_inv @ theta
     norm_sq = float(theta @ theta_sharp)
 
-    # nabla theta at each point, computed once: the DEEP stencils of S,
-    # JS, delta theta and f all evaluate it at the same points
+    # nabla theta on each stack of points, computed once: the DEEP stencils
+    # of S, JS, delta theta and f all evaluate it on the same stack
     ntheta_cache = {}
 
     def ntheta_at(q):
-        key = q.tobytes()
+        key = (q.shape, q.tobytes())
         if key not in ntheta_cache:
             ntheta_cache[key] = nabla_theta(H, q, mode=mode)
         return ntheta_cache[key]
@@ -214,21 +219,21 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     # derived fields (evaluation noise one stencil deep -> NESTED steps;
     # two deep (S, delta theta, f) -> DEEP steps)
     def jtheta_field(q):
-        return -H.J(q).T @ theta_f(q)
+        return H.j_form(q, theta_f(q))
 
     def theta_sharp_field(q):
-        return np.linalg.solve(chart.metric_fn(q), theta_f(q))
+        return _solve(chart.metric_fn(q), theta_f(q))
 
     def jtheta_sharp_field(q):
-        return np.linalg.solve(chart.metric_fn(q), jtheta_field(q))
+        return _solve(chart.metric_fn(q), jtheta_field(q))
 
     def norm_sq_field(q):
         t = theta_f(q)
-        return np.array(float(t @ np.linalg.solve(chart.metric_fn(q), t)))
+        return np.vecdot(t, _solve(chart.metric_fn(q), t))
 
     def s_field(q):
         t = theta_f(q)
-        return ntheta_at(q) + np.outer(t, t)
+        return ntheta_at(q) + t[..., :, None] * t[..., None, :]
 
     def js_form_field(q):
         gq = np.asarray(chart.metric_fn(q), dtype=float)
@@ -237,17 +242,17 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
 
     def delta_theta_field(q):
         gq = np.asarray(chart.metric_fn(q), dtype=float)
-        return np.array(-float(np.einsum(
-            "ij,ij->", np.linalg.inv(gq), ntheta_at(q))))
+        return -np.einsum("...ij,...ij->...", np.linalg.inv(gq), ntheta_at(q))
 
     def f_field(q):
-        return np.array(float(delta_theta_field(q)) + float(norm_sq_field(q)))
+        return delta_theta_field(q) + norm_sq_field(q)
 
     def theta_wedge_jtheta_field(q):
-        return wedge(theta_f(q), jtheta_field(q))
+        t = theta_f(q)
+        return wedge(t, jtheta_field(q), lead=t.ndim - 1)
 
     def norm_sq_omega_field(q):
-        return float(norm_sq_field(q)) * H.omega(q)
+        return norm_sq_field(q)[..., None, None] * H.omega(q)
 
     d_norm_sq = fd.gradient(norm_sq_field, p, fd.STEP_NESTED, fd.ORDER_NESTED)
     vec = lambda tau: float(np.sqrt(abs(tau @ g_inv @ tau)))
@@ -358,7 +363,7 @@ def parallel_field_residuals(H: HermitianStructure, p, v,
     g = chart.metric(p)
     J = H.J(p)
 
-    nv = covariant_derivative_full(chart, lambda q: v, p, (0, 1), mode=mode,
+    nv = covariant_derivative_full(chart, fd.constant(v), p, (0, 1), mode=mode,
                                    step=fd.STEP_DIRECT, order=fd.ORDER_DIRECT)
     vnorm = lambda w: float(np.sqrt(abs(w @ g @ w)))
     if float(np.max(np.abs(nv))) > 1e-6 or abs(vnorm(v) - 1.0) > 1e-8:
@@ -390,7 +395,7 @@ def parallel_field_residuals(H: HermitianStructure, p, v,
     res["nablaJV"] = _normalized(
         form_norm(g @ (L - Rh).T, g), [form_norm(g @ L.T, g), form_norm(g @ Rh.T, g)])
 
-    jv_flat_field = lambda q: np.asarray(chart.metric_fn(q)) @ (H.J(q) @ v)
+    jv_flat_field = lambda q: np.matvec(chart.metric_fn(q), H.J(q) @ v)
     d_jv = exterior_derivative(chart, jv_flat_field, p, k=1,
                                step=fd.STEP_DIRECT,
                                order=fd.ORDER_DIRECT).components
@@ -522,8 +527,9 @@ class PotentialField:
         return line_integral_segment(self.H.chart, self._field,
                                      self.base_point, p, nodes=self.nodes)
 
-    def increment(self, p, q, nodes: int = 4) -> float:
-        """Integral of theta from p to q (short-segment refinement)."""
+    def increment(self, p, q, nodes: int = 4):
+        """Integral of theta from p to each of the points q, shape (..., m)
+        (short-segment refinement)."""
         return line_integral_segment(self.H.chart, self._field, p, q, nodes=nodes)
 
     def path_defect(self, p, waypoint) -> float:
@@ -555,15 +561,16 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
     phi_p = potential(p)
 
     def sigma_tilde_local(q):
-        return np.exp(phi_p + potential.increment(p, q)) * _pair_sigma(I, J, q)
+        scale = np.exp(phi_p + potential.increment(p, q))
+        return scale[..., None, None] * _pair_sigma(I, J, q)
 
     def trace_local(q):
         gq = np.asarray(chart.metric_fn(q), dtype=float)
         g_inv_q = np.linalg.inv(gq)
         om_i = form_of_endomorphism(I.J(q), gq)
         st = sigma_tilde_local(q)
-        return np.array(0.5 * float(np.einsum(
-            "ab,cd,ac,bd->", st, om_i, g_inv_q, g_inv_q)))
+        return 0.5 * np.einsum("...ab,...cd,...ac,...bd->...",
+                               st, om_i, g_inv_q, g_inv_q)
 
     lhs = np.tensordot(
         x, covariant_derivative_full(chart, sigma_tilde_local, p, (2, 0),
@@ -619,14 +626,13 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
 
     def xi_field(q):
         gq = np.asarray(chart.metric_fn(q), dtype=float)
-        t = theta0_f(q)
-        return np.linalg.solve(gq, -avg.J(q).T @ t)
+        return _solve(gq, avg.j_form(q, theta0_f(q)))
 
     xi = xi_field(p)
     xi_norm = float(np.sqrt(abs(xi @ g @ xi)))
     if xi_norm < 1e-5:
         raise SingularPointError(f"|xi| = {xi_norm:.2e} at {p}: zeta is undefined")
-    i_xi_field = lambda q: avg.J(q) @ xi_field(q)
+    i_xi_field = lambda q: np.matvec(avg.J(q), xi_field(q))
     i_xi = i_xi_field(p)
 
     vnorm = lambda w: float(np.sqrt(abs(w @ g @ w)))
@@ -651,7 +657,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
     def zeta_field(q):
         gq = np.asarray(chart.metric_fn(q), dtype=float)
         w = i_xi_field(q)
-        return w / float(np.sqrt(abs(w @ gq @ w)))
+        return w / np.sqrt(abs(np.vecdot(np.vecmat(w, gq), w)))[..., None]
 
     n_zeta = covariant_derivative_full(chart, zeta_field, p, (0, 1), mode=mode,
                                        step=fd.STEP_NESTED, order=fd.ORDER_NESTED)
@@ -661,7 +667,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
                                                    abs(f_val) * xi_norm * vnorm(x)])
 
     # (derzeta)  nabla0_zeta (I zeta) = 0
-    i_zeta_field = lambda q: avg.J(q) @ zeta_field(q)
+    i_zeta_field = lambda q: np.matvec(avg.J(q), zeta_field(q))
     n_izeta = covariant_derivative_full(chart, i_zeta_field, p, (0, 1),
                                         mode=mode, step=fd.STEP_NESTED,
                                         order=fd.ORDER_NESTED)
@@ -702,7 +708,7 @@ class StructureClass:
 
 def classify_structure(H: HermitianStructure, samples, loops=None,
                        tol_id: float = 1e-4, tol_ode: float = 1e-6,
-                       mode: str = "auto", gate_tol: float = 1e-2) -> StructureClass:
+                       mode: str = "auto") -> StructureClass:
     """Classify (g, J) from sampled Lee-form data and loop periods.
 
     Gates are scale-normalized: |theta| is measured against the local metric
@@ -725,7 +731,7 @@ def classify_structure(H: HermitianStructure, samples, loops=None,
         scale = float(np.sqrt(np.trace(g) / m))
         theta = lee_form_components(H, p, mode=mode)
         lck = lck_residual(H, p, theta, mode=mode)
-        if lck > gate_tol:
+        if lck > LCK_GATE:
             raise NotLcKError(f"'{H.label}' fails the lcK gate at {p}: {lck:.2e}")
         t_norm = float(np.sqrt(abs(theta @ g_inv @ theta))) * scale
         max_theta = max(max_theta, t_norm)

@@ -328,6 +328,9 @@ _EXPECTED_LABELS = {"SO(2n-1)": "SO(2n-1)", "U(n)": "U(n)",
 
 
 def _suite_holonomy(entry, config: SuiteConfig, rng) -> SuiteResult:
+    if config.at is not None:
+        raise ParameterError("holonomy works at the chart centre; "
+                             "at does not apply to it")
     H = entry.holonomy_structure
     chart = H.chart
     base = chart.center()

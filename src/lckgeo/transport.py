@@ -214,36 +214,38 @@ def loop_integral(chart: Chart, oneform_field: Callable, loop: Loop,
 
 
 def _evaluate_nodes(oneform_field: Callable, xs) -> np.ndarray:
-    """The field at each of the nodes xs, shape (nodes, m), by one
-    :func:`fd.evaluate`.
+    """The field at each of the nodes xs, shape (..., m), in one call.
 
-    A batched field runs stage by stage across the nodes, so the error it
-    raises may belong to a later node than the first one that fails.  On an
-    error the nodes are therefore evaluated again one by one, and the first
+    A field runs stage by stage across its stack, so the error it raises may
+    belong to a later node than the first one that fails.  On an error the
+    nodes are therefore evaluated again one by one, in C order, and the first
     node that raises on its own raises, as a node-by-node loop would; the
     stacked call's error is raised only if no node raises alone.
     """
     try:
-        return np.asarray(fd.evaluate(oneform_field, xs), dtype=float)
+        return np.asarray(oneform_field(xs), dtype=float)
     except Exception:
-        for x in np.asarray(xs, dtype=float):
+        for x in xs.reshape(-1, xs.shape[-1]):
             oneform_field(x)
         raise
 
 
 def line_integral_segment(chart: Chart, oneform_field: Callable, p_from, p_to,
-                          nodes: int = 16) -> float:
-    """Integral of a 1-form along a straight segment (Gauss-Legendre).
+                          nodes: int = 16):
+    """Integral of a 1-form along the straight segment from p_from to each of
+    the points p_to, shape (..., m) (Gauss-Legendre).
 
-    The field is evaluated on all nodes with one :func:`_evaluate_nodes`;
-    the sum runs node by node.
+    The field is evaluated on the nodes of every segment with one
+    :func:`_evaluate_nodes`, segment by segment in C order; the sum runs node
+    by node.
     """
     p_from = np.asarray(p_from, dtype=float)
     p_to = np.asarray(p_to, dtype=float)
     xs, ws = fd.gauss_legendre_01(nodes)
     vel = p_to - p_from
-    alphas = _evaluate_nodes(oneform_field, [p_from + x * vel for x in xs])
+    alphas = _evaluate_nodes(oneform_field,
+                             p_from + xs[:, None] * vel[..., None, :])
     total = 0.0
-    for w, alpha in zip(ws, alphas):
-        total += w * float(alpha @ vel)
+    for k, w in enumerate(ws):
+        total = total + w * np.vecdot(alphas[..., k, :], vel)
     return total

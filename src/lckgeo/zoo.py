@@ -50,37 +50,26 @@ SQRT_HALF = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class ProfileFn:
-    """A smooth real profile with optional analytic derivative."""
+    """A smooth real profile and its derivative, elementwise on arrays."""
 
-    value_fn: Callable[[float], float]
-    derivative_fn: Optional[Callable[[float], float]] = None
+    value_fn: Callable[[np.ndarray], np.ndarray]
+    derivative_fn: Callable[[np.ndarray], np.ndarray]
     domain: tuple = (0.0, 1.0)
     label: str = ""
 
     def __call__(self, r: float) -> float:
         return float(self.value_fn(r))
 
-    def values(self, rs: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(self.value_fn(rs), dtype=float)
-            if out.shape == np.shape(rs):
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(self.value_fn(r)) for r in np.atleast_1d(rs)])
-
     def derivative(self, r: float) -> float:
-        if self.derivative_fn is not None:
-            return float(self.derivative_fn(r))
-        h = fd.STEP_DIRECT
-        return (self(r + h) - self(r - h)) / (2.0 * h)
+        return float(self.derivative_fn(r))
 
 
 def named_profile(name: str, domain: tuple, label: str = "") -> ProfileFn:
+    zero = lambda r: np.zeros_like(r, dtype=float)
     table = {
         "sin": (np.sin, np.cos),
         "cos": (np.cos, lambda r: -np.sin(r)),
-        "zero": (lambda r: 0.0, lambda r: 0.0),
+        "zero": (zero, zero),
     }
     if name not in table:
         raise ParameterError(f"unknown profile '{name}' (known: {sorted(table)})")
@@ -110,7 +99,7 @@ class KahlerBase:
 
     def omega_fn(self, y) -> np.ndarray:
         J = np.asarray(self.J_fn(y), dtype=float)
-        return J.T @ np.asarray(self.g_fn(y), dtype=float)
+        return np.swapaxes(J, -1, -2) @ np.asarray(self.g_fn(y), dtype=float)
 
 
 def _standard_j(m: int) -> np.ndarray:
@@ -122,6 +111,16 @@ def _standard_j(m: int) -> np.ndarray:
     return J
 
 
+def _coordinate_form(m: int, k: int, coefficient: Callable) -> Callable:
+    """The 1-form field coefficient(x_k) dx_k."""
+    def fn(p):
+        p = np.asarray(p, dtype=float)
+        out = np.zeros(p.shape[:-1] + (m,))
+        out[..., k] = coefficient(p[..., k])
+        return out
+    return fn
+
+
 def _basis(m: int, k: int) -> np.ndarray:
     e = np.zeros(m)
     e[k] = 1.0
@@ -131,14 +130,11 @@ def _basis(m: int, k: int) -> np.ndarray:
 def flat_base(n: int, half_width: float = 1.0) -> KahlerBase:
     """Flat C^n on a box, standard metric and complex structure."""
     m = 2 * n
-    eye = np.eye(m)
-    zeros = np.zeros((m, m, m))
-    J0 = _standard_j(m)
     return KahlerBase(label=f"flat_C{n}", dim=m,
                       domain=tuple((-half_width, half_width) for _ in range(m)),
-                      g_fn=lambda y: eye.copy(),
-                      dg_fn=lambda y: zeros.copy(),
-                      J_fn=lambda y: J0.copy())
+                      g_fn=fd.constant(np.eye(m)),
+                      dg_fn=fd.constant(np.zeros((m, m, m))),
+                      J_fn=fd.constant(_standard_j(m)))
 
 
 def round_s2_base(radius: float, polar_margin: float = 0.35,
@@ -152,16 +148,22 @@ def round_s2_base(radius: float, polar_margin: float = 0.35,
     R2 = radius * radius
 
     def g_fn(y):
-        return np.diag([R2, R2 * np.sin(y[0]) ** 2])
+        g = np.zeros(np.shape(y)[:-1] + (2, 2))
+        g[..., 0, 0] = R2
+        g[..., 1, 1] = R2 * np.float_power(np.sin(y[..., 0]), 2)
+        return g
 
     def dg_fn(y):
-        dg = np.zeros((2, 2, 2))
-        dg[0, 1, 1] = 2.0 * R2 * np.sin(y[0]) * np.cos(y[0])
+        dg = np.zeros(np.shape(y)[:-1] + (2, 2, 2))
+        dg[..., 0, 1, 1] = 2.0 * R2 * np.sin(y[..., 0]) * np.cos(y[..., 0])
         return dg
 
     def J_fn(y):
-        s = np.sin(y[0])
-        return np.array([[0.0, s], [-1.0 / s, 0.0]])
+        s = np.sin(y[..., 0])
+        J = np.zeros(np.shape(y)[:-1] + (2, 2))
+        J[..., 0, 1] = s
+        J[..., 1, 0] = -1.0 / s
+        return J
 
     return KahlerBase(label=label or f"round_S2_R{radius:g}", dim=2,
                       domain=((polar_margin, math.pi - polar_margin),
@@ -229,23 +231,21 @@ class ZooEntry:
 
 def euclidean(m: int, half_width: float = 1.0) -> ZooEntry:
     """Flat box chart; the trivial-holonomy control."""
-    eye = np.eye(m)
-    zeros = np.zeros((m, m, m))
     chart = Chart(dim=m, domain=tuple((-half_width, half_width) for _ in range(m)),
-                  metric_fn=lambda p: eye.copy(),
-                  metric_derivative_fn=lambda p: zeros.copy(),
+                  metric_fn=fd.constant(np.eye(m)),
+                  metric_derivative_fn=fd.constant(np.zeros((m, m, m))),
                   label=f"euclidean_{m}")
     structures = {}
     main = ""
     if m % 2 == 0:
-        J0 = _standard_j(m)
         structures["flat"] = HermitianStructure(
-            chart=chart, J_fn=lambda p: J0.copy(), n=m // 2, label="flat")
+            chart=chart, J_fn=fd.constant(_standard_j(m)), n=m // 2,
+            label="flat")
         main = "flat"
     return ZooEntry(label=f"euclidean_{m}", params={"m": m},
                     charts={"flat": chart}, structures=structures, main=main,
                     expected_kind="Kahler", expected_holonomy="trivial",
-                    expected_lee_fn=lambda p: np.zeros(m),
+                    expected_lee_fn=fd.constant(np.zeros(m)),
                     einstein_lambda=0.0, n=m // 2)
 
 
@@ -321,7 +321,6 @@ def hopf(n: int, circumference: float = 2.0 * math.pi,
 
     eye = np.eye(m)
 
-    @fd.batched
     def metric_fn(p):
         p = np.asarray(p, dtype=float)
         g = np.empty(p.shape[:-1] + (m, m))
@@ -336,14 +335,18 @@ def hopf(n: int, circumference: float = 2.0 * math.pi,
         return g
 
     def metric_derivative_fn(p):
-        dg = np.zeros((m, m, m))
+        p = np.asarray(p, dtype=float)
+        dg = np.zeros(p.shape[:-1] + (m, m, m))
+        sin, cos = np.sin(p), np.cos(p)
+        sin_sq = np.float_power(sin, 2)
+        coeff = 1.0
         for j in range(1, d):
-            coeff = np.prod([np.sin(p[i]) ** 2 for i in range(1, j + 1)])
+            coeff = coeff * sin_sq[..., j]    # as np.prod of the squares
             for k in range(1, j + 1):
-                dg[k, j + 1, j + 1] = coeff * 2.0 * np.cos(p[k]) / np.sin(p[k])
+                dg[..., k, j + 1, j + 1] = (coeff * 2.0 * cos[..., k]
+                                            / sin[..., k])
         return dg
 
-    @fd.batched
     def J_fn(p):
         angles = np.asarray(p, dtype=float)[..., 1:]
         sigma = _hypersphere_embedding(angles)
@@ -373,7 +376,7 @@ def hopf(n: int, circumference: float = 2.0 * math.pi,
                     charts={"product": chart}, structures={"vaisman": H},
                     main="vaisman", loops=loops,
                     expected_kind="Vaisman", expected_holonomy="SO(2n-1)",
-                    expected_lee_fn=lambda p: _basis(m, 0),
+                    expected_lee_fn=fd.constant(_basis(m, 0)),
                     expected_periods={"s1_generator": L, "contractible": 0.0},
                     parallel_field=_basis(m, 0), n=n)
 
@@ -395,22 +398,22 @@ def flat_inversion(n: int) -> ZooEntry:
         raise ParameterError("flat_inversion needs n >= 2")
     m = 2 * n
     lo, hi = _INVERSION_BOXES.get(n, (1.1 / math.sqrt(m), 1.9 / math.sqrt(m)))
-    J0 = _standard_j(m)
     eye = np.eye(m)
 
     def metric_fn(p):
-        r2 = float(p @ p)
+        r2 = np.vecdot(p, p)[..., None, None]
         return eye / (r2 * r2)
 
     def metric_derivative_fn(p):
-        r2 = float(p @ p)
-        return np.einsum("k,ij->kij", -4.0 * np.asarray(p) / r2 ** 3, eye)
+        p = np.asarray(p, dtype=float)
+        r6 = np.float_power(np.vecdot(p, p), 3)[..., None]
+        return np.einsum("...k,ij->...kij", -4.0 * p / r6, eye)
 
     chart = Chart(dim=m, domain=tuple((lo, hi) for _ in range(m)),
                   metric_fn=metric_fn,
                   metric_derivative_fn=metric_derivative_fn,
                   label=f"flat_inversion_{n}")
-    H = HermitianStructure(chart=chart, J_fn=lambda p: J0.copy(), n=n,
+    H = HermitianStructure(chart=chart, J_fn=fd.constant(_standard_j(m)), n=n,
                            label=f"flat_inversion_{n}")
 
     c = chart.center()
@@ -428,7 +431,8 @@ def flat_inversion(n: int) -> ZooEntry:
                     charts={"inverted": chart}, structures={"gck": H},
                     main="gck", loops=loops,
                     expected_kind="gcK", expected_holonomy="trivial",
-                    expected_lee_fn=lambda p: -2.0 * np.asarray(p) / float(p @ p),
+                    expected_lee_fn=lambda p: (-2.0 * np.asarray(p)
+                                               / np.vecdot(p, p)[..., None]),
                     expected_periods={"square": 0.0, "triangle": 0.0},
                     einstein_lambda=0.0, n=n)
 
@@ -459,25 +463,34 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase,
     t_lo, t_hi = c.domain
     _require_kahler_base(base)
 
+    def warp(p):
+        """e^(2c(t)) at each point, by math.exp: np.exp rounds differently."""
+        x = 2.0 * c.value_fn(p[..., 1])
+        return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(
+            x.shape + (1, 1))
+
     def metric_fn(p):
-        g = np.zeros((m, m))
-        g[0, 0] = g[1, 1] = 1.0
-        g[2:, 2:] = math.exp(2.0 * c(p[1])) * np.asarray(base.g_fn(p[2:]))
+        p = np.asarray(p, dtype=float)
+        g = np.zeros(p.shape[:-1] + (m, m))
+        g[..., 0, 0] = g[..., 1, 1] = 1.0
+        g[..., 2:, 2:] = warp(p) * np.asarray(base.g_fn(p[..., 2:]))
         return g
 
     def metric_derivative_fn(p):
-        dg = np.zeros((m, m, m))
-        f = math.exp(2.0 * c(p[1]))
-        gN = np.asarray(base.g_fn(p[2:]))
-        dg[1, 2:, 2:] = 2.0 * c.derivative(p[1]) * f * gN
-        dg[2:, 2:, 2:] = f * np.asarray(base.dg_fn(p[2:]))
+        p = np.asarray(p, dtype=float)
+        dg = np.zeros(p.shape[:-1] + (m, m, m))
+        f = warp(p)
+        gN = np.asarray(base.g_fn(p[..., 2:]))
+        dc = c.derivative_fn(p[..., 1])[..., None, None]
+        dg[..., 1, 2:, 2:] = 2.0 * dc * f * gN
+        dg[..., 2:, 2:, 2:] = f[..., None] * np.asarray(base.dg_fn(p[..., 2:]))
         return dg
 
     def J_fn(p):
-        J = np.zeros((m, m))
-        J[1, 0] = 1.0
-        J[0, 1] = -1.0
-        J[2:, 2:] = np.asarray(base.J_fn(p[2:]))
+        J = np.zeros(np.shape(p)[:-1] + (m, m))
+        J[..., 1, 0] = 1.0
+        J[..., 0, 1] = -1.0
+        J[..., 2:, 2:] = np.asarray(base.J_fn(np.asarray(p)[..., 2:]))
         return J
 
     domain = ((-s_extent / 2.0, s_extent / 2.0), (t_lo, t_hi)) + base.domain
@@ -498,18 +511,13 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase,
              ctr + w * _basis(m, 1)], steps_per_edge=200, label="st_square"),
     }
 
-    def lee_fn(p):
-        e = np.zeros(m)
-        e[1] = c.derivative(p[1])
-        return e
-
     return ZooEntry(label=f"warped(c={c.label}, base={base.label})",
                     params={"c": c.label, "base": base.label},
                     charts={"warped": chart}, structures={"warped": H},
                     main="warped", loops=loops,
                     expected_kind="Kahler" if constant else "gcK",
                     expected_holonomy="trivial" if constant else "SO(2n-1)",
-                    expected_lee_fn=lee_fn,
+                    expected_lee_fn=_coordinate_form(m, 1, c.derivative_fn),
                     expected_periods={"st_square": 0.0},
                     parallel_field=_basis(m, 0), profile=c, base=base, n=n)
 
@@ -540,7 +548,7 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
             f"base '{base.label}' is not Hodge-normalized: Omega_N-area "
             f"{base.area} is not an integer multiple of 2 pi")
     rs = np.linspace(r_margin / 2.0, b - r_margin / 2.0, 33)
-    if any(ell(r) <= 0.0 for r in rs):
+    if np.any(ell.value_fn(rs) <= 0.0):
         raise ParameterError(f"profile '{ell.label}' is not positive on (0, {b})")
 
     # connection normalization: d(c_w (dpsi + cos dphi)) = -c_w sin dth ^ dphi
@@ -556,54 +564,60 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
             f"'{base.label}': ratios {ratios}")
 
     n = 2
+    cw2 = c_w ** 2
 
+    def unpack(p):
+        """theta, ell(r), cos and sin of theta, and the base point."""
+        p = np.asarray(p, dtype=float)
+        th = p[..., 0]
+        return (th, ell.value_fn(p[..., 3]), np.cos(th), np.sin(th),
+                np.stack([th, np.zeros_like(th)], axis=-1))
+
+    # squares by float_power, which rounds like the float ``** 2``
     def metric_fn(p):
-        th, r = p[0], p[3]
-        l2 = ell(r) ** 2
-        ct = math.cos(th)
-        gN = np.asarray(base.g_fn(np.array([th, 0.0])))
-        g = np.zeros((4, 4))
-        g[0, 0] = gN[0, 0]
-        g[1, 1] = gN[1, 1] + l2 * c_w ** 2 * ct ** 2
-        g[1, 2] = g[2, 1] = l2 * c_w ** 2 * ct
-        g[2, 2] = l2 * c_w ** 2
-        g[3, 3] = 1.0
+        th, lv, ct, _, y = unpack(p)
+        l2 = np.float_power(lv, 2)
+        gN = np.asarray(base.g_fn(y))
+        g = np.zeros(th.shape + (4, 4))
+        g[..., 0, 0] = gN[..., 0, 0]
+        g[..., 1, 1] = gN[..., 1, 1] + l2 * cw2 * np.float_power(ct, 2)
+        g[..., 1, 2] = g[..., 2, 1] = l2 * cw2 * ct
+        g[..., 2, 2] = l2 * cw2
+        g[..., 3, 3] = 1.0
         return g
 
     def metric_derivative_fn(p):
-        th, r = p[0], p[3]
-        lv = ell(r)
-        dl = ell.derivative(r)
-        s, ct = math.sin(th), math.cos(th)
-        dgN = np.asarray(base.dg_fn(np.array([th, 0.0])))
-        dg = np.zeros((4, 4, 4))
-        dg[0, 0, 0] = dgN[0, 0, 0]
-        dg[0, 1, 1] = dgN[0, 1, 1] - 2.0 * lv ** 2 * c_w ** 2 * ct * s
-        dg[0, 1, 2] = dg[0, 2, 1] = -lv ** 2 * c_w ** 2 * s
-        dg[3, 1, 1] = 2.0 * lv * dl * c_w ** 2 * ct ** 2
-        dg[3, 1, 2] = dg[3, 2, 1] = 2.0 * lv * dl * c_w ** 2 * ct
-        dg[3, 2, 2] = 2.0 * lv * dl * c_w ** 2
+        th, lv, ct, s, y = unpack(p)
+        dl = ell.derivative_fn(np.asarray(p, dtype=float)[..., 3])
+        lv2 = np.float_power(lv, 2)
+        dgN = np.asarray(base.dg_fn(y))
+        dg = np.zeros(th.shape + (4, 4, 4))
+        dg[..., 0, 0, 0] = dgN[..., 0, 0, 0]
+        dg[..., 0, 1, 1] = dgN[..., 0, 1, 1] - 2.0 * lv2 * cw2 * ct * s
+        dg[..., 0, 1, 2] = dg[..., 0, 2, 1] = -lv2 * cw2 * s
+        dg[..., 3, 1, 1] = 2.0 * lv * dl * cw2 * np.float_power(ct, 2)
+        dg[..., 3, 1, 2] = dg[..., 3, 2, 1] = 2.0 * lv * dl * cw2 * ct
+        dg[..., 3, 2, 2] = 2.0 * lv * dl * cw2
         return dg
 
     def make_J(eps: float):
         def J_fn(p):
-            th, r = p[0], p[3]
-            lv = ell(r)
-            s, ct = math.sin(th), math.cos(th)
-            J = np.zeros((4, 4))
+            th, lv, ct, s, _ = unpack(p)
+            J = np.zeros(th.shape + (4, 4))
             # columns: images of d_theta, d_phi, d_psi, d_r
-            J[1, 0] = -eps / s
-            J[2, 0] = eps * ct / s
-            J[0, 1] = eps * s
-            J[3, 1] = lv * c_w * ct
-            J[3, 2] = lv * c_w
-            J[2, 3] = -1.0 / (lv * c_w)
+            J[..., 1, 0] = -eps / s
+            J[..., 2, 0] = eps * ct / s
+            J[..., 0, 1] = eps * s
+            J[..., 3, 1] = lv * c_w * ct
+            J[..., 3, 2] = lv * c_w
+            J[..., 2, 3] = -1.0 / (lv * c_w)
             return J
         return J_fn
 
-    def phi_potential(r: float) -> float:
+    def phi_potential(r):
         xs, ws = fd.gauss_legendre_01(48)
-        return 0.5 * r * float(ws @ ell.values(xs * r))
+        r = np.asarray(r, dtype=float)
+        return 0.5 * r * np.vecdot(ell.value_fn(xs * r[..., None]), ws)
 
     domain = ((0.35, math.pi - 0.35), (-0.7, 2.0 * math.pi + 0.7),
               (-0.7, 4.0 * math.pi + 0.7), (r_margin, b - r_margin))
@@ -612,13 +626,14 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
                       label=f"calabi_ell_{ell.label}")
 
     # pair potential Phi = -2 phi: g_+ = e^Phi g_ell, g_- = e^-Phi g_ell
+    r_of = lambda p: np.asarray(p, dtype=float)[..., 3]
+    half_ell_dr = _coordinate_form(4, 3, lambda r: 0.5 * ell.value_fn(r))
     chart_plus = conformal_rescale(
-        chart_ell, lambda p: -phi_potential(p[3]),
-        lambda p: np.array([0.0, 0.0, 0.0, -0.5 * ell(p[3])]),
+        chart_ell, lambda p: -phi_potential(r_of(p)),
+        _coordinate_form(4, 3, lambda r: -0.5 * ell.value_fn(r)),
         label=f"calabi_gplus_{ell.label}")
     chart_minus = conformal_rescale(
-        chart_ell, lambda p: phi_potential(p[3]),
-        lambda p: np.array([0.0, 0.0, 0.0, 0.5 * ell(p[3])]),
+        chart_ell, lambda p: phi_potential(r_of(p)), half_ell_dr,
         label=f"calabi_gminus_{ell.label}")
 
     Jp, Jm = make_J(+1.0), make_J(-1.0)
@@ -651,7 +666,7 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
         charts={"g_ell": chart_ell, "g_plus": chart_plus, "g_minus": chart_minus},
         structures=structures, main="g_ell,J+", loops=loops,
         expected_kind="gcK", expected_holonomy="U(n)",
-        expected_lee_fn=lambda p: np.array([0.0, 0.0, 0.0, 0.5 * ell(p[3])]),
+        expected_lee_fn=half_ell_dr,
         expected_periods={"fiber": 0.0, "mixed": 0.0},
         pair=PairData(I=structures["g+,J+"], J=structures["g+,J-"]),
         average=structures["g_ell,J+"],
@@ -690,10 +705,11 @@ def calabi_connection_table_residuals(entry: ZooEntry, p, mode: str = "auto") ->
     def lift_field(k):
         # horizontal lift of the base coordinate field d_{y_k}
         def fn(q):
-            out = np.zeros(4)
-            out[k] = 1.0
+            q = np.asarray(q, dtype=float)
+            out = np.zeros(q.shape[:-1] + (4,))
+            out[..., k] = 1.0
             if k == 1:
-                out[2] = -math.cos(q[0])   # subtract omega(d_phi) xi
+                out[..., 2] = -np.cos(q[..., 0])   # subtract omega(d_phi) xi
             return out
         return fn
 
@@ -703,7 +719,7 @@ def calabi_connection_table_residuals(entry: ZooEntry, p, mode: str = "auto") ->
                                          order=fd.ORDER_DIRECT, gamma=gamma)
         return np.asarray(direction, dtype=float) @ full
 
-    const = lambda v: (lambda q: v)
+    const = fd.constant
     scale = 1.0 + lv + abs(dl)
     res = {}
     res["row1"] = max(vnorm(nabla(xi, const(e_r)) - (dl / lv) * xi),
@@ -754,6 +770,6 @@ def kaehler_bases() -> list:
             label=f"base({name})", params={"name": name},
             charts={"base": chart}, structures={"kahler": H}, main="kahler",
             expected_kind="Kahler", expected_holonomy="",
-            expected_lee_fn=lambda p, d=base.dim: np.zeros(d),
+            expected_lee_fn=fd.constant(np.zeros(base.dim)),
             n=base.dim // 2))
     return entries

@@ -1,6 +1,5 @@
 """Connection and curvature tests against closed forms and a symbolic oracle."""
 
-import functools
 import math
 
 import numpy as np
@@ -26,8 +25,12 @@ def _sphere_chart(radius=1.0, dim=2):
     R2 = radius * radius
 
     def g_fn(p):
-        return np.diag([R2, R2 * np.sin(p[0]) ** 2,
-                        R2 * np.sin(p[0]) ** 2 * np.sin(p[1]) ** 2])
+        sin_sq = np.sin(np.asarray(p)[..., :2]) ** 2
+        g = np.zeros(np.shape(p)[:-1] + (3, 3))
+        g[..., 0, 0] = R2
+        g[..., 1, 1] = R2 * sin_sq[..., 0]
+        g[..., 2, 2] = R2 * sin_sq[..., 0] * sin_sq[..., 1]
+        return g
 
     return Chart(dim=3, domain=((0.4, math.pi - 0.4), (0.4, math.pi - 0.4),
                                 (0.0, 2 * math.pi)),
@@ -123,8 +126,9 @@ def test_gradient_matches_per_axis_stencil(order, step, hopf2, rng):
     chart = hopf2.main_structure.chart
     W = rng.standard_normal((4, 6))
     # arctan2 tells +0.0 from -0.0 in its first argument
-    fields = [chart.metric_fn, lambda q: np.sin(q @ W),
-              lambda q: np.arctan2(q[1], -1.0) + q[0] * q[2] ** 3]
+    fields = [chart.metric_fn, lambda q: np.sin(np.vecmat(q, W)),
+              lambda q: (np.arctan2(q[..., 1], -1.0)
+                         + q[..., 0] * q[..., 2] ** 3)]
     pts = chart.sample_points(rng, 3)
     pts[0, 1] = -0.0
     for f in fields:
@@ -134,46 +138,25 @@ def test_gradient_matches_per_axis_stencil(order, step, hopf2, rng):
         assert np.array_equal(fd.gradient(f, pts[0], step, order), ref[0])
 
 
-def test_evaluate_calls_batched_fields_once(rng):
-    """A batched field sees the whole stack, also through functools.wraps;
-    any other field sees one point at a time, in C order."""
+def test_gradient_evaluates_the_stencil_in_one_call(rng):
+    """fd.gradient hands the field every stencil point of every base point
+    in one stack, and a per-point function lifted by np.vectorize is a
+    field."""
     pts = rng.standard_normal((2, 3, 4))
-    seen = []
+    shapes = []
 
-    def per_point(q):
-        seen.append(q.copy())
-        return np.outer(q, q[:2])
-
-    out = fd.evaluate(per_point, pts)
-    assert np.array_equal(np.array(seen), pts.reshape(6, 4))
-    assert np.array_equal(out, np.einsum("abi,abj->abij", pts, pts[..., :2]))
-    calls = []
-
-    @fd.batched
     def stacked(q):
-        calls.append(q.shape)
-        return np.sin(q)
+        shapes.append(q.shape)
+        return np.sin(q)[..., :, None] * q[..., None, :2]
 
-    wrapped = functools.wraps(stacked)(lambda q: stacked(q))
-    for f in (stacked, wrapped):
-        assert np.array_equal(fd.evaluate(f, pts), np.sin(pts))
-    assert calls == [(2, 3, 4), (2, 3, 4)]
+    lifted = np.vectorize(lambda q: np.outer(np.sin(q), q[:2]),
+                          signature="(m)->(i,j)", otypes=[float])
+    for order in (2, 4):
+        out = fd.gradient(stacked, pts, 1e-3, order)
+        assert np.array_equal(fd.gradient(lifted, pts, 1e-3, order), out)
+        assert out.shape == (2, 3, 4, 4, 2)
+    assert shapes == [(2, 3, 4, 2, 4), (2, 3, 4, 4, 4)]
 
-
-
-def test_evaluate_stacks_per_point_values_as_floats():
-    """Per-point values are stacked as floats, whatever the dtype of the
-    first; values of differing shapes raise, even where they broadcast."""
-    pts = np.array([[0.0, 1.0], [0.5, 2.0], [1.5, 3.0]])
-    mixed = lambda q: q.astype(int) if q[0] == 0.0 else q
-    out = fd.evaluate(mixed, pts)
-    assert out.dtype == np.float64
-    assert np.array_equal(out, [[0.0, 1.0], [0.5, 2.0], [1.5, 3.0]])
-    for ragged in (lambda q: q if q[0] == 0.0 else q[0],
-                   lambda q: q if q[0] == 0.0 else q[:1],
-                   lambda q: q if q[0] == 0.0 else np.outer(q, q)):
-        with pytest.raises(ValueError, match="field value of shape"):
-            fd.evaluate(ragged, pts)
 
 class TestCurvature:
     def test_euclidean_riemann_zero(self, euclid4):
@@ -269,7 +252,7 @@ class TestRicci:
 class TestCovariantDerivative:
     def test_constant_field_flat(self, euclid4):
         chart = euclid4.charts["flat"]
-        out = covariant_derivative(chart, lambda q: np.ones(4), np.zeros(4),
+        out = covariant_derivative(chart, fd.constant(np.ones(4)), np.zeros(4),
                                    x=np.ones(4), valence=(0, 1))
         npt.assert_allclose(out.components, 0.0, atol=1e-12)
 
@@ -289,7 +272,7 @@ class TestCovariantDerivative:
         xi = np.array([0.0, 0.0, 1.0 / c_w, 0.0])
         e_r = np.array([0.0, 0.0, 0.0, 1.0])
         for p in chart.sample_points(rng, 5):
-            out = covariant_derivative(chart, lambda q: xi, p, e_r,
+            out = covariant_derivative(chart, fd.constant(xi), p, e_r,
                                        valence=(0, 1), mode="fd").components
             expected = (math.cos(p[3]) / math.sin(p[3])) * xi
             npt.assert_allclose(out, expected, atol=1e-7)
@@ -297,9 +280,10 @@ class TestCovariantDerivative:
     def test_leibniz_rule(self, rng):
         """nabla(alpha (x) beta) = nabla alpha (x) beta + alpha (x) nabla beta."""
         chart = _sphere_chart()
-        alpha = lambda q: np.array([math.sin(q[0]), math.cos(q[1])])
-        beta = lambda q: np.array([q[0] ** 2, math.sin(q[1]) * q[0]])
-        tensor = lambda q: np.outer(alpha(q), beta(q))
+        alpha = lambda q: np.stack([np.sin(q[..., 0]), np.cos(q[..., 1])], -1)
+        beta = lambda q: np.stack([q[..., 0] ** 2,
+                                   np.sin(q[..., 1]) * q[..., 0]], -1)
+        tensor = lambda q: alpha(q)[..., :, None] * beta(q)[..., None, :]
         p = np.array([1.1, 2.3])
         lhs = covariant_derivative_full(chart, tensor, p, (2, 0), mode="fd")
         da = covariant_derivative_full(chart, alpha, p, (1, 0), mode="fd")
@@ -312,12 +296,14 @@ class TestCovariantDerivative:
 class TestFormCalculus:
     def test_d_of_constant_form(self, euclid4):
         chart = euclid4.charts["flat"]
-        out = exterior_derivative(chart, lambda q: np.ones(4), np.zeros(4), k=1)
+        out = exterior_derivative(chart, fd.constant(np.ones(4)), np.zeros(4),
+                                  k=1)
         npt.assert_allclose(out.components, 0.0, atol=1e-12)
 
     def test_d_squared_zero(self):
         chart = _sphere_chart()
-        field = lambda q: np.array([math.sin(q[0]) * q[1], math.cos(q[0])])
+        field = lambda q: np.stack([np.sin(q[..., 0]) * q[..., 1],
+                                    np.cos(q[..., 0])], -1)
         p = np.array([1.2, 2.0])
         d1 = lambda q: exterior_derivative(chart, field, q, k=1).components
         d2 = exterior_derivative(chart, d1, p, k=2).components
@@ -340,7 +326,10 @@ class TestFormCalculus:
         base = calabi_sin.base
 
         def omega_form(q):
-            return np.array([0.0, c_w * math.cos(q[0]), c_w, 0.0])
+            out = np.zeros(np.shape(q))
+            out[..., 1] = c_w * np.cos(q[..., 0])
+            out[..., 2] = c_w
+            return out
 
         for p in chart.sample_points(rng, 5):
             d_om = exterior_derivative(chart, omega_form, p, k=1).components
@@ -351,7 +340,7 @@ class TestFormCalculus:
 
     def test_codifferential_constant_euclidean(self, euclid4):
         chart = euclid4.charts["flat"]
-        out = codifferential(chart, lambda q: np.ones(4), np.zeros(4), k=1)
+        out = codifferential(chart, fd.constant(np.ones(4)), np.zeros(4), k=1)
         assert abs(float(out.components)) < 1e-12
 
     def test_hopf_delta_omega(self, hopf2, rng):

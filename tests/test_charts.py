@@ -90,11 +90,12 @@ class TestChartInvariants:
             assert symmetric == expected, g
 
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_stacked_metric_error_names_first_bad_point(self, batched, hopf2):
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_stacked_metric_error_names_first_bad_point(self, stacked, hopf2):
         """A stack with a bad matrix at index k raises what the per-point
         call at point k raises, alone and ahead of a different fault further
-        on."""
+        on; the metric is lifted from a per-point function by np.vectorize
+        or by hand."""
         bad = {"finite": np.diag([np.inf, 1.0]),
                "symmetric": np.array([[1.0, 0.5], [0.0, 1.0]]),
                "positive definite": np.diag([1.0, -1.0])}
@@ -108,14 +109,15 @@ class TestChartInvariants:
                 def metric_fn(p, table=table):
                     return table.get(p[0], np.eye(2)).copy()
 
-                if batched:
-                    per_point = metric_fn
-
-                    @fd.batched
+                per_point = metric_fn
+                if stacked:
                     def metric_fn(p):
                         q = np.reshape(p, (-1, 2))
                         return np.array([per_point(x) for x in q]).reshape(
                             np.shape(p)[:-1] + (2, 2))
+                else:
+                    metric_fn = np.vectorize(per_point, otypes=[float],
+                                             signature="(m)->(i,j)")
 
                 chart = Chart(dim=2, domain=((-1, 1), (-1, 1)),
                               metric_fn=metric_fn, label="one_bad")

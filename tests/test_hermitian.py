@@ -1,12 +1,13 @@
 """Hermitian-structure tests: fundamental form, Nijenhuis, Lee forms."""
 
+import dataclasses
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lckgeo import zoo
+from lckgeo import fd, zoo
 from lckgeo.charts import form_norm
 from lckgeo.errors import CompatibilityError, NotLcKError
 from lckgeo.hermitian import (HermitianStructure, conformal_rescale,
@@ -28,15 +29,16 @@ def twisted_structure(m=4, angle_scale=1.0):
     J0 = zoo._standard_j(m)
 
     def J_fn(p):
-        a = angle_scale * (p[0] + 0.7 * p[1])
-        R = np.eye(m)
-        R[0, 0] = R[2, 2] = math.cos(a)
-        R[0, 2] = -math.sin(a)
-        R[2, 0] = math.sin(a)
-        return R @ J0 @ R.T
+        a = angle_scale * (p[..., 0] + 0.7 * p[..., 1])
+        R = np.zeros(a.shape + (m, m))
+        R[...] = np.eye(m)
+        R[..., 0, 0] = R[..., 2, 2] = np.cos(a)
+        R[..., 0, 2] = -np.sin(a)
+        R[..., 2, 0] = np.sin(a)
+        return R @ J0 @ np.swapaxes(R, -1, -2)
 
     return HermitianStructure(chart=chart, J_fn=J_fn, n=m // 2,
-                              label="twisted", integrable=False)
+                              label="twisted")
 
 
 class TestFundamentalForm:
@@ -106,6 +108,25 @@ class TestNijenhuis:
             for p in H.chart.sample_points(rng, 3):
                 assert nijenhuis_residual(H, p) < 1e-4
 
+    def test_residual_differentiates_j_once(self, hopf2):
+        """One J stencil and one J at p, and the residual of the two-stencil
+        formula bit for bit."""
+        H = hopf2.main_structure
+        p = H.chart.center() + 0.1
+        points = [0]
+
+        def counted(q):
+            points[0] += np.asarray(q)[..., 0].size
+            return H.J_fn(q)
+
+        res = nijenhuis_residual(dataclasses.replace(H, J_fn=counted), p)
+        assert points[0] == 2 * H.chart.dim + 1
+        g = H.chart.metric(p)
+        lowered = np.einsum("ak,kij->aij", g, nijenhuis_tensor(H, p))
+        dJ = fd.gradient(H.J_fn, p, fd.STEP_DIRECT, order=fd.ORDER_DIRECT)
+        scale = float(np.max(np.abs(dJ)) * np.max(np.abs(H.J(p))))
+        assert res == form_norm(lowered, g) / (1.0 + scale)
+
     def test_twisted_control_not_integrable(self, rng):
         """Brute-force Nijenhuis of the position-dependent twist is large."""
         H = twisted_structure()
@@ -118,7 +139,7 @@ class TestNijenhuis:
         chart = zoo.round_s2_base(1.0).chart()   # curved chart, constant J
         J = np.array([[0.3, -1.0], [1.09, -0.3]])
         J[:] = J / math.sqrt(abs(np.linalg.det(J)))  # normalize to J^2 ~ -Id
-        H = HermitianStructure(chart=chart, J_fn=lambda p: J.copy(), n=1)
+        H = HermitianStructure(chart=chart, J_fn=fd.constant(J), n=1)
         N = nijenhuis_tensor(H, np.array([1.0, 1.0]))
         assert np.max(np.abs(N)) < 1e-9
 
@@ -191,11 +212,13 @@ class TestLeeForm:
         H = hopf2.main_structure
 
         def u(p):
-            return 0.1 * math.sin(p[1]) * math.cos(p[2])
+            return 0.1 * np.sin(p[..., 1]) * np.cos(p[..., 2])
 
         def du(p):
-            return np.array([0.0, 0.1 * math.cos(p[1]) * math.cos(p[2]),
-                             -0.1 * math.sin(p[1]) * math.sin(p[2]), 0.0])
+            out = np.zeros(np.shape(p))
+            out[..., 1] = 0.1 * np.cos(p[..., 1]) * np.cos(p[..., 2])
+            out[..., 2] = -0.1 * np.sin(p[..., 1]) * np.sin(p[..., 2])
+            return out
 
         chart_u = conformal_rescale(H.chart, u, du, label="hopf_rescaled")
         H_u = HermitianStructure(chart_u, H.J_fn, H.n, label="hopf_rescaled")

@@ -104,6 +104,12 @@ class TestRun:
         with pytest.raises(ParameterError, match="dimension 4"):
             run(config)
 
+    def test_at_point_rejected_by_holonomy(self):
+        config = SuiteConfig(manifold="hopf{n=2}", suites=("holonomy",),
+                             at=(3.0, 1.5, 1.5, 3.0))
+        with pytest.raises(ParameterError, match="at does not apply"):
+            run(config)
+
     def test_suite_applicability_errors(self):
         with pytest.raises(ParameterError):
             run(SuiteConfig(manifold="hopf{n=2}", suites=("commuting-pair",),
@@ -201,6 +207,13 @@ class TestCli:
                          "--suite", "lck-identities", "--at", "1,2"])
         assert code == 2
         assert "dimension 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("at", ["1,2", "3,1.5,1.5,3"])
+    def test_at_flag_with_holonomy_exit_two(self, capsys, at):
+        code = cli_main(["run", "--manifold", "hopf{n=2}",
+                         "--suite", "holonomy", "--at", at])
+        assert code == 2
+        assert "at does not apply" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["sampels = 3", "tol_fd = 1e-9",
                                       "parallel = true", "fd_step = 1e-4"])

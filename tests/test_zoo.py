@@ -10,13 +10,49 @@ from lckgeo import zoo
 from lckgeo.calculus import ricci_scalar, riemann
 from lckgeo.charts import form_norm
 from lckgeo.errors import BundleError, ParameterError
-from lckgeo.hermitian import (HermitianStructure, lck_residual,
+from lckgeo.hermitian import (HermitianStructure, lck_residual, lee_field,
                               lee_form_components, nijenhuis_residual)
 from lckgeo.identities import parallel_field_residuals
 
 
 def _entries(hopf2, flat_inv2, warped_sin, calabi_sin):
     return [hopf2, flat_inv2, warped_sin, calabi_sin]
+
+
+def _fields(entry, mode):
+    """Every chart and structure field of a zoo entry, by name."""
+    fields = {"expected_lee_fn": entry.expected_lee_fn}
+    for name, chart in entry.charts.items():
+        fields[f"{name}.metric_fn"] = chart.metric_fn
+        fields[f"{name}.metric_derivative_fn"] = chart.metric_derivative_fn
+    for name, H in entry.structures.items():
+        fields[f"{name}.J_fn"] = H.J_fn
+        fields[f"{name}.omega"] = H.omega
+        if H.n >= 2:
+            fields[f"{name}.lee"] = lee_field(H, mode)
+    return fields
+
+
+@pytest.mark.parametrize("mode", ["fd", "analytic"])
+@pytest.mark.parametrize("name", ["hopf2", "hopf3", "flat_inv2", "flat_inv3",
+                                  "warped_sin", "warped_flat", "calabi_sin",
+                                  "euclid4", "c1", "c2", "cp1"])
+def test_fields_take_point_stacks(name, mode, request, rng):
+    """On a (3, 5, m) stack every field gives its per-point values bit for
+    bit, and at a single point the bare value shape."""
+    if name in zoo.KAHLER_BASES:
+        entry, = (e for e in zoo.kaehler_bases() if e.params["name"] == name)
+        base = zoo.KAHLER_BASES[name]()
+        extra = {"g_fn": base.g_fn, "dg_fn": base.dg_fn, "J_fn": base.J_fn,
+                 "omega_fn": base.omega_fn}
+    else:
+        entry, extra = request.getfixturevalue(name), {}
+    chart = entry.main_structure.chart
+    pts = chart.sample_points(rng, 15).reshape(3, 5, chart.dim)
+    for label, f in {**_fields(entry, mode), **extra}.items():
+        single = np.array([[f(q) for q in row] for row in pts])
+        assert np.array_equal(f(pts), single), label
+        assert np.shape(f(pts[1, 2])) == single.shape[2:], label
 
 
 class TestZooGates:
@@ -104,7 +140,7 @@ class TestHopf:
 
     def test_batched_fields_match_pointwise_reference(self, hopf2, hopf3,
                                                       rng):
-        """The batched metric and J equal the per-point forms they replaced,
+        """The stacked metric and J equal the per-point forms they replaced,
         bit for bit, on a stack and on a single point."""
         def metric_reference(p, m):
             g = np.eye(m)
@@ -345,10 +381,6 @@ class TestProfileFn:
         for r in (0.4, 1.1, 2.3):
             fd_val = (prof(r + 1e-5) - prof(r - 1e-5)) / 2e-5
             assert abs(prof.derivative(r) - fd_val) < 1e-5
-
-    def test_fallback_derivative(self):
-        prof = zoo.ProfileFn(value_fn=lambda r: r ** 3, domain=(0.0, 2.0))
-        assert abs(prof.derivative(1.0) - 3.0) < 1e-6
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ParameterError):
