@@ -214,14 +214,17 @@ class FrameTensor:
 class Loop:
     """A piecewise-smooth closed curve in one chart.
 
-    ``curve_fn`` maps [0, 1] to chart coordinates.  For loops that generate a
+    ``curve_fn`` maps [0, 1] to chart coordinates and ``velocity_fn`` gives
+    its derivative; like fields (see :mod:`lckgeo.fd`) both take stacks,
+    mapping parameters of shape (...) to shape (..., m), and each value is
+    exactly the value at that parameter alone.  For loops that generate a
     deck translation of the chart (quotient-circle generators), ``shift`` is
     the coordinate translation with curve(1) = curve(0) + shift and all chart
     fields invariant under it; shift = 0 gives an ordinary closed loop.
     """
 
-    curve_fn: Callable[[float], np.ndarray]
-    velocity_fn: Callable[[float], np.ndarray]
+    curve_fn: Callable[[np.ndarray], np.ndarray]
+    velocity_fn: Callable[[np.ndarray], np.ndarray]
     steps: int = 2000
     shift: np.ndarray = None  # type: ignore[assignment]
     label: str = ""
@@ -236,10 +239,10 @@ class Loop:
         if defect > 1e-12 * (1.0 + np.max(np.abs(p0))):
             raise ValueError(f"loop endpoints differ by {defect} after shift")
 
-    def point(self, t: float) -> np.ndarray:
+    def point(self, t) -> np.ndarray:
         return np.asarray(self.curve_fn(t), dtype=float)
 
-    def velocity(self, t: float) -> np.ndarray:
+    def velocity(self, t) -> np.ndarray:
         return np.asarray(self.velocity_fn(t), dtype=float)
 
 
@@ -247,8 +250,8 @@ def segment_loop(p0, shift, steps: int = 2000, label: str = "") -> Loop:
     """Straight coordinate segment from p0 to p0+shift (a deck generator)."""
     p0 = np.asarray(p0, dtype=float)
     shift = np.asarray(shift, dtype=float)
-    return Loop(curve_fn=lambda t: p0 + t * shift,
-                velocity_fn=lambda t: shift.copy(),
+    return Loop(curve_fn=lambda t: p0 + np.multiply.outer(t, shift),
+                velocity_fn=lambda t: np.tile(shift, np.shape(t) + (1,)),
                 steps=steps, shift=shift, label=label)
 
 
@@ -260,17 +263,21 @@ def polygon_loop(vertices, steps_per_edge: int = 200, label: str = "") -> Loop:
     n_edge = len(verts) - 1
     if n_edge < 1:
         raise ValueError("polygon needs at least one edge")
+    verts = np.array(verts)
+    edges = (verts[1:] - verts[:-1]) * n_edge
+
+    def edge(t):
+        """Edge index and position along it at each parameter (clamped)."""
+        u = np.clip(t, 0.0, 1.0) * n_edge
+        k = np.minimum(u.astype(int), n_edge - 1)
+        return k, (u - k)[..., None]
 
     def curve(t):
-        u = min(max(t, 0.0), 1.0) * n_edge
-        k = min(int(u), n_edge - 1)
-        s = u - k
+        k, s = edge(t)
         return (1.0 - s) * verts[k] + s * verts[k + 1]
 
     def velocity(t):
-        u = min(max(t, 0.0), 1.0) * n_edge
-        k = min(int(u), n_edge - 1)
-        return (verts[k + 1] - verts[k]) * n_edge
+        return edges[edge(t)[0]]
 
     return Loop(curve_fn=curve, velocity_fn=velocity,
                 steps=n_edge * steps_per_edge, label=label,

@@ -29,7 +29,7 @@ import scipy.linalg
 from .calculus import riemann
 from .charts import Chart, Loop, coordinate_rectangle
 from .errors import LoopTooLargeError, PreconditionError
-from .transport import parallel_transport, transport_segment
+from .transport import transport_along, transport_segment
 
 RANK_CUT = 1e-6           # relative singular-value cut for the span rank
 GENERATOR_FLOOR = 1e-7    # below this scale the algebra is declared trivial
@@ -214,24 +214,49 @@ def curvature_span(chart: Chart, base, probes, n: int = None,
     if len(probes) < 3 * n * (2 * n - 1):
         raise PreconditionError(
             f"need at least {3 * n * (2 * n - 1)} probes, got {len(probes)}")
-    g = chart.metric(base)
-    L = _orthonormal_frame(g)
-
-    hats = []
-    for q, (x, y) in probes:
-        q = np.asarray(q, dtype=float)
-        R = riemann(chart, q, mode=mode).components
-        G_q = np.einsum("abcd,c,d->ab", R, np.asarray(x, float),
-                        np.asarray(y, float))
-        if np.max(np.abs(q - base)) > 1e-14:
-            P = transport_segment(chart, q, base, np.eye(m),
-                                  steps=transport_steps, mode=mode)
-            G_base = P @ G_q @ np.linalg.inv(P)
-        else:
-            G_base = G_q
-        hats.append(_to_frame(L, G_base))
+    L = _orthonormal_frame(chart.metric(base))
+    qs = [np.asarray(q, dtype=float) for q, _ in probes]
+    try:
+        Ps = _segment_transports(chart, qs, base, transport_steps, mode)
+    except Exception:
+        # one probe at a time, the first error of that order raises
+        for q, (_, (x, y)) in zip(qs, probes):
+            _probe_curvature(chart, q, x, y, mode)
+            _segment_transports(chart, [q], base, transport_steps, mode)
+        raise
+    hats = [_to_frame(L, _conjugate(P, _probe_curvature(chart, q, x, y, mode)))
+            for q, P, (_, (x, y)) in zip(qs, Ps, probes)]
     return _assemble(chart, base, hats, "curvature_span", n,
                      J_candidates, mode)
+
+
+def _probe_curvature(chart: Chart, q, x, y, mode: str) -> np.ndarray:
+    """The curvature endomorphism R(x, y) at q."""
+    R = riemann(chart, q, mode=mode).components
+    return np.einsum("abcd,c,d->ab", R, np.asarray(x, float),
+                     np.asarray(y, float))
+
+
+def _conjugate(P, G: np.ndarray) -> np.ndarray:
+    """P G P^-1, or G where P is None."""
+    return G if P is None else P @ G @ np.linalg.inv(P)
+
+
+def _segment_transports(chart: Chart, starts, base, steps: int, mode: str):
+    """Transport from each start to base along a coordinate segment: None
+    for a start at the base, the others transported as one bundle."""
+    moved = [k for k, q in enumerate(starts)
+             if np.max(np.abs(q - base)) > 1e-14]
+    Ps = [None] * len(starts)
+    if moved:
+        m = chart.dim
+        bundle = transport_segment(
+            chart, np.array([starts[k] for k in moved]), base,
+            np.broadcast_to(np.eye(m), (len(moved), m, m)), steps=steps,
+            mode=mode)
+        for k, P in zip(moved, bundle):
+            Ps[k] = P
+    return Ps
 
 
 def default_holonomy_loops(chart: Chart, base, size: float = 0.15,
@@ -270,23 +295,58 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
     m = chart.dim
     n = n or m // 2
     L = _orthonormal_frame(chart.metric(base))
-    hats = []
-    for loop in loops:
-        if float(np.max(np.abs(loop.shift))) > 0.0 and not allow_shifted:
-            raise PreconditionError(
-                f"loop '{loop.label}' is a deck generator, not contractible")
-        H = parallel_transport(chart, loop, np.eye(m), mode=mode)
-        q = loop.point(0.0)
-        if np.max(np.abs(q - base)) > 1e-14:
-            P = transport_segment(chart, q, base, np.eye(m),
-                                  steps=transport_steps, mode=mode)
-            H = P @ H @ np.linalg.inv(P)
-        hat_H = _to_frame(L, H)
-        dist = float(np.linalg.norm(hat_H - np.eye(m), 2))
-        if dist >= 0.5:
-            raise LoopTooLargeError(
-                f"transport around '{loop.label}' is {dist:.3f} from the "
-                "identity; shrink or subdivide the loop before taking logs")
-        gen = np.real(scipy.linalg.logm(hat_H))
-        hats.append(gen)
+    # the loops before the first deck generator are transported; that one
+    # raises after them
+    first_deck = next((k for k, loop in enumerate(loops)
+                       if float(np.max(np.abs(loop.shift))) > 0.0
+                       and not allow_shifted), len(loops))
+    admitted = loops[:first_deck]
+    try:
+        Hs = _loop_transports(chart, admitted, base, mode, transport_steps)
+    except Exception:
+        # one loop at a time, the first error of that order raises
+        for loop in admitted:
+            _loop_log(L, loop, _loop_transports(chart, [loop], base, mode,
+                                                transport_steps)[0])
+        raise
+    hats = [_loop_log(L, loop, H) for loop, H in zip(admitted, Hs)]
+    if first_deck < len(loops):
+        raise PreconditionError(f"loop '{loops[first_deck].label}' is a "
+                                "deck generator, not contractible")
     return _assemble(chart, base, hats, "loop_holonomy", n, J_candidates, mode)
+
+
+def _loop_transports(chart: Chart, loops, base, mode: str, steps: int):
+    """Transport around each loop, conjugated to the base along a segment
+    of the given steps where the loop starts off the base.  The loops that
+    share a schedule (steps and breakpoints) are transported as one bundle,
+    and the segments as another."""
+    m = chart.dim
+    groups = {}
+    for k, loop in enumerate(loops):
+        groups.setdefault((loop.steps, loop.breakpoints), []).append(k)
+    Hs = [None] * len(loops)
+    for (loop_steps, breakpoints), ks in groups.items():
+        bundle = [loops[k] for k in ks]
+        transported = transport_along(
+            chart, lambda t: np.stack([lp.point(t) for lp in bundle], -2),
+            lambda t: np.stack([lp.velocity(t) for lp in bundle], -2),
+            np.broadcast_to(np.eye(m), (len(ks), m, m)), steps=loop_steps,
+            mode=mode, breakpoints=breakpoints)
+        for k, H in zip(ks, transported):
+            Hs[k] = H
+    Ps = _segment_transports(chart, [loop.point(0.0) for loop in loops],
+                             base, steps, mode)
+    return [_conjugate(P, H) for P, H in zip(Ps, Hs)]
+
+
+def _loop_log(L: np.ndarray, loop: Loop, H: np.ndarray) -> np.ndarray:
+    """Principal logarithm of the transport H in the orthonormal frame L;
+    raises :class:`LoopTooLargeError` when H is 0.5 or more from Id."""
+    hat_H = _to_frame(L, H)
+    dist = float(np.linalg.norm(hat_H - np.eye(len(H)), 2))
+    if dist >= 0.5:
+        raise LoopTooLargeError(
+            f"transport around '{loop.label}' is {dist:.3f} from the "
+            "identity; shrink or subdivide the loop before taking logs")
+    return np.real(scipy.linalg.logm(hat_H))

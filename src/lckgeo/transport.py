@@ -4,18 +4,30 @@ All integrations use the classical 4-stage Runge-Kutta scheme with a fixed
 number of steps; line integrals use composite 3-point Gauss-Legendre
 quadrature per step.  Transport around a :class:`~lckgeo.charts.Loop` with a
 deck-translation shift is well defined because the chart fields are invariant
-under the shift.
+under the shift.  Curves, like fields, take stacks: parameters of shape (...)
+give points and velocities of shape (..., m).
 
 Parallel transport solves the linear ODE V' = -Gamma(x(t))(x'(t), V), whose
 coefficients depend on t alone.  RK4 samples a step at t, t + h/2 (for k2
 and k3) and t + h, the next step's t, so a smooth piece of s steps needs the
-connection at only 2s + 1 node times.  Each piece builds its node table
-first: the node times by the float recurrence of the integrator, the domain
-check of every node at once, and one stacked Christoffel call (see
-:func:`~lckgeo.calculus.christoffel_components`).  The integrator then reads
-the table, so the result is bit-for-bit that of evaluating every stage, and
-a node that fails a domain check raises its error when the integrator first
-reaches it.  Geodesics depend on the state and evaluate stage by stage.
+connection at only 2s + 1 node times.  Each piece first finds its node times
+by the float recurrence of the integrator, the curve points and velocities
+at all of them with one call each, and the domain check of every node at
+once.  The Christoffel symbols are then evaluated in blocks of nodes, about
+``NODE_BLOCK`` points per stacked call (see
+:func:`~lckgeo.calculus.christoffel_components`), as the integrator reaches
+each block, so no table the size of a piece is held.  The result is bit for
+bit that of evaluating every stage, and a node that fails a domain check
+raises its error when the integrator first reaches it.
+
+A bundle is several curves on one schedule (steps and breakpoints), their
+points stacked on an axis before the coordinate axis, with one frame per
+curve.  One integration carries every frame of the bundle; each curve's
+result is bit for bit its transport alone, and the bundle raises the first
+error in time of any of its curves.  Callers that need the error of the
+first curve in their own order, as :mod:`~lckgeo.holonomy` does, transport
+the curves one by one on an error.  Geodesics depend on the state and
+evaluate stage by stage.
 """
 
 from __future__ import annotations
@@ -31,10 +43,11 @@ from .errors import DomainExitError, IntegrationError
 
 DEFAULT_STEPS = 2000
 
-# Gauss-Legendre nodes per stacked field call in loop_integral: large enough
-# to amortise the call, small enough that the stencil arrays of a block stay
+# Evaluation points per stacked field call: Gauss-Legendre nodes in
+# loop_integral, RK4 nodes times curves in transport_along.  Large enough to
+# amortise the call, small enough that the stencil arrays of a block stay
 # well below a megabyte.
-LOOP_BLOCK = 128
+NODE_BLOCK = 128
 
 
 def _rk4(f: Callable, y0: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
@@ -102,9 +115,14 @@ def transport_along(chart: Chart, point_fn: Callable, velocity_fn: Callable,
                     mode: str = "auto", breakpoints: tuple = ()) -> np.ndarray:
     """Transport frame columns along the parametrized curve on [0, 1].
 
-    ``breakpoints`` are interior parameters where the velocity may jump
-    (polygon corners); each smooth piece is integrated separately so no RK4
-    stage samples the velocity across a corner.
+    ``point_fn`` and ``velocity_fn`` take stacks of parameters, shape (...),
+    like :class:`~lckgeo.charts.Loop`.  For one curve they give shape
+    (..., m) and ``frame`` is (m, k); for a bundle of curves on one schedule
+    they give (..., K, m), curve axes after the parameter axes, and ``frame``
+    is (K, m, k), one frame per curve.  Each curve's result is bit for bit
+    its transport alone.  ``breakpoints`` are interior parameters where the
+    velocity may jump (polygon corners); each smooth piece is integrated
+    separately so no RK4 stage samples the velocity across a corner.
     """
     V0 = np.asarray(frame, dtype=float)
     shape = V0.shape
@@ -113,29 +131,23 @@ def transport_along(chart: Chart, point_fn: Callable, velocity_fn: Callable,
     y = V0.reshape(-1)
     for t0, t1 in zip(knots[:-1], knots[1:]):
         piece_steps = max(int(round(steps * (t1 - t0))), 1)
-        table, fail = _node_table(chart, point_fn, velocity_fn, t0, t1,
-                                  piece_steps, mode)
-
-        def rhs(t, y):
-            entry = table.get(t)
-            if entry is None:
-                fail()
-            gamma, vel = entry
-            dV = -np.einsum("kij,i,j...->k...", gamma, vel, y.reshape(shape))
-            return dV.reshape(-1)
-
+        rhs = _piece_rhs(chart, point_fn, velocity_fn, t0, t1, piece_steps,
+                         mode, shape)
         y = _rk4(rhs, y, t0, t1, piece_steps)
     return y.reshape(shape)
 
 
-def _node_table(chart: Chart, point_fn: Callable, velocity_fn: Callable,
-                t0: float, t1: float, steps: int, mode: str):
-    """Christoffel symbols and velocities at the RK4 nodes of one piece.
+def _piece_rhs(chart: Chart, point_fn: Callable, velocity_fn: Callable,
+               t0: float, t1: float, steps: int, mode: str, shape: tuple):
+    """The right-hand side of the transport equation on one smooth piece.
 
-    Returns ``table``, mapping each node time up to the first node that fails
-    a domain check to (Gamma, velocity) there, and ``fail``, which raises
-    that node's error.  :func:`_rk4` asks for the nodes in time order, so
-    ``fail`` runs exactly where the stage-by-stage integration would raise.
+    The node times follow the float recurrence of :func:`_rk4`; the curve
+    points and velocities at every node come from one call each, and every
+    node is domain-checked at once.  The Christoffel symbols are evaluated
+    a block of nodes at a time, about ``NODE_BLOCK`` points, when
+    :func:`_rk4` first asks for a node of the block.  It asks for the nodes
+    in time order, so the first node that fails a domain check raises its
+    error exactly where the stage-by-stage integration would raise.
     """
     h = (t1 - t0) / steps
     times, t = [], t0
@@ -145,36 +157,59 @@ def _node_table(chart: Chart, point_fn: Callable, velocity_fn: Callable,
     times.append(t)
     eps = 1e-9 * (t1 - t0)
     # no stage samples the velocity at a corner
-    params = [min(max(t, t0 + eps), t1 - eps) for t in times]
-    xs = np.array([point_fn(tc) for tc in params], dtype=float)
+    params = np.clip(times, t0 + eps, t1 - eps)
+    xs = np.asarray(point_fn(params), dtype=float)
+    vels = np.asarray(velocity_fn(params), dtype=float)
     # the fd stencil of christoffel_components needs its step inside the box
     margin = chart.stencil_margin(mode)
-    bad = np.flatnonzero(~chart.inside(xs, margin))
+    ok = chart.inside(xs, margin).reshape(len(times), -1)
+    bad = np.flatnonzero(~ok.all(axis=1))
     n_ok = bad[0] if len(bad) else len(times)
+    node = {t: i for i, t in enumerate(times[:n_ok])}
+    per_block = max(NODE_BLOCK // ok.shape[1], 1)
+    first, gammas = None, None      # the block of nodes in hand
 
-    def fail():
-        x = xs[n_ok]
-        if not chart.contains(x):
-            raise DomainExitError(
-                f"transport curve left chart '{chart.label}'",
-                exit_time=times[n_ok], point=x)
-        chart.require_inside(x, margin)
+    def rhs(t, y):
+        nonlocal first, gammas
+        i = node.get(t)
+        if i is None:
+            _raise_domain_error(chart, xs[n_ok], times[n_ok], margin)
+        if first != i - i % per_block:
+            first = i - i % per_block
+            gammas = christoffel_components(
+                chart, xs[first:min(first + per_block, n_ok)], mode=mode)
+        dV = -np.einsum("...kij,...i,...jl->...kl", gammas[i - first],
+                        vels[i], y.reshape(shape))
+        return dV.reshape(-1)
 
-    if not n_ok:
-        return {}, fail
-    gammas = christoffel_components(chart, xs[:n_ok], mode=mode)
-    vels = [velocity_fn(tc) for tc in params[:n_ok]]
-    return dict(zip(times[:n_ok], zip(gammas, vels))), fail
+    return rhs
+
+
+def _raise_domain_error(chart: Chart, x: np.ndarray, exit_time: float,
+                        margin: float):
+    """Raise the domain error of the first of the curve points x, shape
+    (..., m), that fails the domain check with the given margin."""
+    x = x.reshape(-1, chart.dim)[~chart.inside(x, margin).reshape(-1)][0]
+    if not chart.contains(x):
+        raise DomainExitError(f"transport curve left chart '{chart.label}'",
+                              exit_time=exit_time, point=x)
+    chart.require_inside(x, margin)
 
 
 def transport_segment(chart: Chart, p_from, p_to, frame: np.ndarray,
                       steps: int = 200, mode: str = "auto") -> np.ndarray:
-    """Transport along the straight coordinate segment p_from -> p_to."""
+    """Transport along the straight coordinate segment p_from -> p_to.
+
+    With p_from or p_to a stack of points, shape (K, m), the K segments are
+    transported as one bundle and ``frame`` is (K, m, k).
+    """
     p_from = np.asarray(p_from, dtype=float)
     p_to = np.asarray(p_to, dtype=float)
     vel = p_to - p_from
-    return transport_along(chart, lambda t: p_from + t * vel,
-                           lambda t: vel, frame, steps=steps, mode=mode)
+    return transport_along(
+        chart, lambda t: p_from + np.multiply.outer(t, vel),
+        lambda t: np.broadcast_to(vel, np.shape(t) + vel.shape),
+        frame, steps=steps, mode=mode)
 
 
 def orthogonality_defect(chart: Chart, loop: Loop, transported: np.ndarray) -> float:
@@ -189,26 +224,28 @@ def loop_integral(chart: Chart, oneform_field: Callable, loop: Loop,
 
     Composite Gauss-Legendre; exact-form integrals over shift-free loops
     vanish to quadrature accuracy, and the integral is additive under loop
-    concatenation.  The field is evaluated through :func:`_evaluate_nodes`
-    on blocks of ``LOOP_BLOCK`` nodes in node order, up to the first node
-    outside the chart, whose :class:`ChartDomainError` is raised after them;
-    the sum runs node by node.
+    concatenation.  The nodes and their velocities come from one loop call
+    each.  The field is evaluated through :func:`_evaluate_nodes` on blocks
+    of ``NODE_BLOCK`` nodes in node order, up to the first node outside the
+    chart, whose :class:`ChartDomainError` is raised after them; the sum
+    runs node by node.
     """
     n = steps or loop.steps
     h = 1.0 / n
     gl_nodes, gl_weights = fd.gauss_legendre_01(3)
-    nodes = [(k * h + node * h, w)
-             for k in range(n) for node, w in zip(gl_nodes, gl_weights)]
-    xs = np.array([loop.point(t) for t, _ in nodes])
+    ts = (np.arange(n)[:, None] * h + gl_nodes * h).reshape(-1)
+    weights = np.tile(gl_weights, n)
+    xs = loop.point(ts)
+    vels = loop.velocity(ts)
     bad = np.flatnonzero(~chart.inside(xs))
-    n_ok = bad[0] if len(bad) else len(nodes)
+    n_ok = bad[0] if len(bad) else len(ts)
     total = 0.0
-    for start in range(0, n_ok, LOOP_BLOCK):
-        stop = min(start + LOOP_BLOCK, n_ok)
+    for start in range(0, n_ok, NODE_BLOCK):
+        stop = min(start + NODE_BLOCK, n_ok)
         alphas = _evaluate_nodes(oneform_field, xs[start:stop])
-        for (t, w), alpha in zip(nodes[start:stop], alphas):
-            total += w * h * float(alpha @ loop.velocity(t))
-    if n_ok < len(nodes):
+        for w, alpha, v in zip(weights[start:stop], alphas, vels[start:stop]):
+            total += w * h * float(alpha @ v)
+    if n_ok < len(ts):
         chart.require_inside(xs[n_ok])
     return total
 

@@ -179,6 +179,44 @@ class TestLoops:
         loop = coordinate_rectangle(np.zeros(2), 0, 1, 0.2, 0.2)
         assert loop.breakpoints == (0.25, 0.5, 0.75)
 
+    def test_stacked_parameters_match_per_parameter(self, rng):
+        """Points and velocities of a parameter stack equal the per-parameter
+        formulas bit for bit, at the corners and clamped outside [0, 1]."""
+        verts = [rng.standard_normal(3) * 10.0 ** k for k in (-2, 0, 1, 0)]
+        loop = polygon_loop(verts, steps_per_edge=10)
+        p0, shift = rng.standard_normal(3), rng.standard_normal(3)
+        segment = segment_loop(p0, shift, steps=10)
+        ts = np.concatenate([[-0.3, 0.0, 0.25, 0.5, 0.75, 1.0, 1.7],
+                             rng.uniform(0.0, 1.0, 20)])
+        for stack in (ts, ts.reshape(3, 9)):
+            P, V = loop.point(stack), loop.velocity(stack)
+            S, W = segment.point(stack), segment.velocity(stack)
+            shape = stack.shape + (3,)
+            assert P.shape == V.shape == S.shape == W.shape == shape
+            for idx in np.ndindex(stack.shape):
+                t = float(stack[idx])
+                assert np.array_equal(P[idx], _polygon_point(verts, t))
+                assert np.array_equal(V[idx], _polygon_velocity(verts, t))
+                assert np.array_equal(loop.point(t), P[idx])
+                assert np.array_equal(S[idx], p0 + t * shift)
+                assert np.array_equal(W[idx], shift)
+
+
+def _polygon_point(verts, t):
+    """Reference polygon curve at one parameter."""
+    verts = verts + [verts[0]]
+    u = min(max(t, 0.0), 1.0) * (len(verts) - 1)
+    k = min(int(u), len(verts) - 2)
+    s = u - k
+    return (1.0 - s) * verts[k] + s * verts[k + 1]
+
+
+def _polygon_velocity(verts, t):
+    verts = verts + [verts[0]]
+    u = min(max(t, 0.0), 1.0) * (len(verts) - 1)
+    k = min(int(u), len(verts) - 2)
+    return (verts[k + 1] - verts[k]) * (len(verts) - 1)
+
 
 class TestExteriorAlgebra:
     def test_one_form_wedge(self, rng):

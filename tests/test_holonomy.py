@@ -1,17 +1,25 @@
 """Holonomy estimation tests: trichotomy labels, agreement, error paths."""
 
+import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from lckgeo import zoo
-from lckgeo.charts import segment_loop
-from lckgeo.errors import LoopTooLargeError, PreconditionError
+from lckgeo.calculus import riemann
+from lckgeo.charts import (Chart, coordinate_rectangle, polygon_loop,
+                           segment_loop)
+from lckgeo.errors import (DomainExitError, IntegrationError,
+                           LoopTooLargeError, PreconditionError)
 from lckgeo.holonomy import (classify_algebra, common_fixed_vectors,
                              curvature_span, default_holonomy_loops,
                              default_probes, loop_holonomy)
+from lckgeo.transport import (parallel_transport, transport_along,
+                              transport_segment)
 
 
 def _span(entry, rng, key=None, mode="analytic"):
@@ -131,6 +139,120 @@ class TestLoopHolonomy:
         with pytest.raises(PreconditionError):
             loop_holonomy(H.chart, [hopf2.loops["s1_generator"]],
                           H.chart.center(), n=2)
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:       # the error itself is compared
+        return exc
+    raise AssertionError("no error raised")
+
+
+def _sorted_rows(rows):
+    rows = np.concatenate(rows)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+class TestBundles:
+    """All probes, and all loops of one schedule, transported as one bundle."""
+
+    def test_earlier_curve_error_wins(self):
+        """The bundle stops at the second loop's non-finite state, earlier in
+        time than the first loop's exit from the chart; the first loop's
+        DomainExitError is raised, as loop-by-loop transport raises it, and
+        before the deck generator's PreconditionError."""
+        chart = Chart(dim=2, domain=((-1, 1), (-1, 1)),
+                      metric_fn=lambda p: np.eye(2) * np.where(
+                          p[..., 0] < 0.5, 1.0, np.nan)[..., None, None],
+                      label="nan_half")
+        base = np.zeros(2)
+        leaves = polygon_loop([base, [0.0, 1.5], [0.2, 0.0]],
+                              steps_per_edge=40)
+        diverges = polygon_loop([base, [0.9, 0.0], [0.0, 0.2]],
+                                steps_per_edge=40)
+        deck = segment_loop(base, [0.0, 0.3], steps=120)
+        pair = (leaves, diverges)
+        bundle = _raised(lambda: transport_along(
+            chart, lambda t: np.stack([lp.point(t) for lp in pair], -2),
+            lambda t: np.stack([lp.velocity(t) for lp in pair], -2),
+            np.broadcast_to(np.eye(2), (2, 2, 2)), steps=leaves.steps,
+            mode="fd", breakpoints=leaves.breakpoints))
+        assert type(bundle) is IntegrationError
+        err = _raised(lambda: loop_holonomy(chart, [leaves, diverges, deck],
+                                            base, n=1, mode="fd"))
+        ref = _raised(lambda: parallel_transport(chart, leaves, np.eye(2),
+                                                 mode="fd"))
+        assert type(err) is type(ref) is DomainExitError
+        assert err.exit_time == ref.exit_time
+        assert np.array_equal(err.point, ref.point)
+        assert str(err) == str(ref)
+
+    def test_too_large_loop_wins_over_later_deck_generator(self):
+        """A rectangle enclosing area 0.57 of the unit sphere turns by that
+        angle, 0.57 from the identity; the latitude after it is never
+        reached."""
+        chart = zoo.round_s2_base(1.0, polar_margin=0.25).chart()
+        base = np.array([1.0, 0.1])
+        rect = coordinate_rectangle(base, 0, 1, 1.0, 0.6, steps_per_edge=100)
+        lat = segment_loop(np.array([1.5, 0.0]),
+                           np.array([0.0, 2.0 * math.pi]), steps=300)
+        with pytest.raises(LoopTooLargeError):
+            loop_holonomy(chart, [rect, lat], base, n=1, mode="analytic")
+        with pytest.raises(PreconditionError):
+            loop_holonomy(chart, [lat, rect], base, n=1, mode="analytic")
+
+    def test_curvature_span_evaluates_per_probe_points(self, hopf2, rng):
+        """The metric is evaluated at exactly the points of the per-probe
+        curvature and transport, and twice at the base point."""
+        chart = hopf2.holonomy_structure.chart
+        base = chart.center()
+        probes = default_probes(chart, base, rng, count=3)
+        seen = []
+
+        def counted(q):
+            seen.append(np.asarray(q).reshape(-1, 4))
+            return chart.metric_fn(q)
+
+        counted_chart = dataclasses.replace(chart, metric_fn=counted)
+        curvature_span(counted_chart, base, probes, n=1, mode="fd",
+                       transport_steps=50)
+        bundled, seen[:] = list(seen), [base[None], base[None]]
+        for q, _ in probes:
+            riemann(counted_chart, q, mode="fd")
+            transport_segment(counted_chart, q, base, np.eye(4), steps=50,
+                              mode="fd")
+        assert sum(len(x) for x in bundled) == sum(len(x) for x in seen)
+        assert np.array_equal(_sorted_rows(bundled), _sorted_rows(seen))
+
+    def test_loop_holonomy_leaves_no_reference_cycles(self, hopf2):
+        H = hopf2.holonomy_structure
+        base = H.chart.center()
+        loops = default_holonomy_loops(H.chart, base, steps_per_edge=20)
+        gc.collect()
+        gc.disable()
+        try:
+            loop_holonomy(H.chart, loops, base, n=2, J_candidates=[H.J_fn],
+                          mode="fd")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_loop_holonomy_peak_memory_is_bounded(self, hopf2):
+        """The 12 default loops in node blocks peak near 0.65 MB of Python
+        allocations; Christoffel symbols of a whole bundle piece would take
+        several MB."""
+        H = hopf2.holonomy_structure
+        base = H.chart.center()
+        loops = default_holonomy_loops(H.chart, base)
+        tracemalloc.start()
+        try:
+            loop_holonomy(H.chart, loops, base, n=2, J_candidates=[H.J_fn],
+                          mode="fd")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 class TestClassifyAlgebra:

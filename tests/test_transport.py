@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import math
 import tracemalloc
 
@@ -9,11 +10,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lckgeo import fd, zoo
+from lckgeo import fd, transport, zoo
 from lckgeo.calculus import christoffel_components
 from lckgeo.charts import Chart, coordinate_rectangle, polygon_loop, segment_loop
 from lckgeo.errors import ChartDomainError, DomainExitError, IntegrationError
 from lckgeo.hermitian import lee_field
+from lckgeo.holonomy import default_holonomy_loops
 from lckgeo.transport import (_rk4, geodesic,
                               geodesic_with_velocity, loop_integral,
                               orthogonality_defect,
@@ -219,9 +221,11 @@ def _stagewise_transport(chart, point_fn, velocity_fn, frame, steps, mode,
 
 
 def _segment(p_from, p_to):
+    """Curve and velocity of a segment, taking parameter stacks."""
     p_from = np.asarray(p_from, dtype=float)
     vel = np.asarray(p_to, dtype=float) - p_from
-    return (lambda t: p_from + t * vel), (lambda t: vel)
+    return (lambda t: p_from + np.multiply.outer(t, vel),
+            lambda t: np.broadcast_to(vel, np.shape(t) + vel.shape))
 
 
 def _raised(fn):
@@ -316,6 +320,76 @@ class TestNodeTable:
         transport_segment(counted_chart, a, a + np.array([0.1, 0.2, -0.1, 0.3]),
                           np.eye(4), steps=200, mode="fd")
         assert calls[0] == 9 * 401
+
+
+def _bundle(loops):
+    """Curve and velocity of a bundle of loops, curve axis before the last."""
+    return (lambda t: np.stack([loop.point(t) for loop in loops], axis=-2),
+            lambda t: np.stack([loop.velocity(t) for loop in loops], axis=-2))
+
+
+class TestBundle:
+    """Curves on one schedule transported as one bundle."""
+
+    @pytest.mark.parametrize("mode", ["fd", "analytic"])
+    @pytest.mark.parametrize("name", ["hopf2", "hopf3", "warped_sin",
+                                      "calabi_sin"])
+    def test_bundle_matches_per_curve(self, request, rng, name, mode):
+        chart = request.getfixturevalue(name).holonomy_structure.chart
+        m = chart.dim
+        base = chart.center()
+        loops = default_holonomy_loops(chart, base, steps_per_edge=10)[:3]
+        frame = np.eye(m)[:, :3]
+        bundle = transport_along(chart, *_bundle(loops),
+                                 np.broadcast_to(frame, (3, m, 3)),
+                                 steps=loops[0].steps, mode=mode,
+                                 breakpoints=loops[0].breakpoints)
+        for loop, M in zip(loops, bundle):
+            assert np.array_equal(
+                M, parallel_transport(chart, loop, frame, mode=mode))
+        starts = base + rng.uniform(-0.2, 0.2, size=(4, m))
+        P = transport_segment(chart, starts, base,
+                              np.broadcast_to(np.eye(m), (4, m, m)),
+                              steps=30, mode=mode)
+        for q, P_q in zip(starts, P):
+            assert np.array_equal(P_q, transport_segment(
+                chart, q, base, np.eye(m), steps=30, mode=mode))
+
+    def test_leaves_no_reference_cycles(self, hopf2):
+        chart = hopf2.holonomy_structure.chart
+        loops = default_holonomy_loops(chart, chart.center(),
+                                       steps_per_edge=20)
+        gc.collect()
+        gc.disable()
+        try:
+            transport_along(chart, *_bundle(loops),
+                            np.broadcast_to(np.eye(4), (len(loops), 4, 4)),
+                            steps=loops[0].steps, mode="fd",
+                            breakpoints=loops[0].breakpoints)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_christoffel_evaluated_in_blocks(self, hopf2):
+        """The symbols of a piece are evaluated a block of nodes at a time,
+        never for the whole piece at once."""
+        chart = hopf2.holonomy_structure.chart
+        loops = default_holonomy_loops(chart, chart.center(),
+                                       steps_per_edge=40)
+        sizes = []
+
+        def counted(q):
+            sizes.append(np.asarray(q)[..., 0].size)
+            return chart.metric_fn(q)
+
+        counted_chart = dataclasses.replace(chart, metric_fn=counted)
+        transport_along(counted_chart, *_bundle(loops),
+                        np.broadcast_to(np.eye(4), (len(loops), 4, 4)),
+                        steps=loops[0].steps, mode="fd",
+                        breakpoints=loops[0].breakpoints)
+        # 4 pieces of 81 nodes, each node a centre plus an 8-point stencil
+        assert sum(sizes) == 9 * 4 * 81 * len(loops)
+        assert max(sizes) <= 8 * transport.NODE_BLOCK < 8 * 81 * len(loops)
 
 
 def _nodewise_loop_integral(chart, oneform_field, loop, steps=None):
