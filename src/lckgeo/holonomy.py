@@ -17,6 +17,10 @@ Classification against the candidate algebras so(2n), u(n), so(2n-1) uses
 dimension plus structural witnesses: a u(n) label needs every generator to
 commute with a supplied J candidate, an so(2n-1) label needs a common fixed
 vector (kernel intersection) of all generators.
+
+The loop estimator's principal logarithm is ``scipy.linalg.logm``, the
+package's only scipy use.  It is imported where the first logarithm is
+taken, so importing lckgeo and running any other suite loads no scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .calculus import riemann
 from .charts import Chart, Loop, coordinate_rectangle
@@ -349,4 +352,5 @@ def _loop_log(L: np.ndarray, loop: Loop, H: np.ndarray) -> np.ndarray:
         raise LoopTooLargeError(
             f"transport around '{loop.label}' is {dist:.3f} from the "
             "identity; shrink or subdivide the loop before taking logs")
+    import scipy.linalg
     return np.real(scipy.linalg.logm(hat_H))

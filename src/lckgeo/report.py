@@ -447,8 +447,41 @@ def parse_selector(selector: str):
             if "=" not in item:
                 raise ParameterError(f"malformed selector item {item!r}")
             k, _, v = item.partition("=")
+            if k.strip() in params:
+                raise ParameterError(f"parameter {k.strip()!r} given twice "
+                                     f"in {selector!r}")
             params[k.strip()] = _parse_value(v)
     return name.strip(), params
+
+
+# The parameters each family takes, with their types.
+_FAMILIES = {
+    "hopf": {"n": int, "circumference": float},
+    "flat_inversion": {"n": int},
+    "warped": {"c": str, "base": str},
+    "calabi": {"ell": str, "b": float},
+    "euclidean": {"m": int},
+}
+
+
+def _check_params(name: str, params: dict, selector: str) -> None:
+    """Reject parameters the family does not take, integer parameters that
+    are not integers, and number parameters that are not finite numbers."""
+    takes = _FAMILIES[name]
+    for key, value in params.items():
+        kind = takes.get(key)
+        if kind is None:
+            raise ParameterError(
+                f"{name} takes no parameter {key!r} in {selector!r}; "
+                f"known: {', '.join(takes)}")
+        if kind is int and not isinstance(value, int):
+            raise ParameterError(
+                f"{name} parameter {key} must be an integer, got {value!r}")
+        if kind is float and not (isinstance(value, (int, float))
+                                  and math.isfinite(value)):
+            raise ParameterError(
+                f"{name} parameter {key} must be a finite number, "
+                f"got {value!r}")
 
 
 def resolve_manifold(selector: str) -> zoo.ZooEntry:
@@ -459,12 +492,16 @@ def resolve_manifold(selector: str) -> zoo.ZooEntry:
     euclidean{m}.
     """
     name, params = parse_selector(selector)
+    if name not in _FAMILIES:
+        raise ParameterError(
+            f"unknown manifold {name!r}; known: {', '.join(_FAMILIES)}")
+    _check_params(name, params, selector)
     try:
         if name == "hopf":
-            return zoo.hopf(int(params.get("n", 2)),
+            return zoo.hopf(params.get("n", 2),
                             float(params.get("circumference", 2.0 * math.pi)))
         if name == "flat_inversion":
-            return zoo.flat_inversion(int(params.get("n", 2)))
+            return zoo.flat_inversion(params.get("n", 2))
         if name == "warped":
             profile = zoo.named_profile(str(params.get("c", "sin")),
                                         (0.0, 2.0 * math.pi))
@@ -474,13 +511,9 @@ def resolve_manifold(selector: str) -> zoo.ZooEntry:
             b = float(params.get("b", math.pi))
             profile = zoo.named_profile(str(params.get("ell", "sin")), (0.0, b))
             return zoo.calabi_ansatz(profile, b)
-        if name == "euclidean":
-            return zoo.euclidean(int(params.get("m", 4)))
+        return zoo.euclidean(params.get("m", 4))
     except KeyError as exc:
         raise ParameterError(f"unknown parameter value in {selector!r}: {exc}")
-    raise ParameterError(
-        f"unknown manifold {name!r}; known: hopf, flat_inversion, warped, "
-        "calabi, euclidean")
 
 
 # ---------------------------------------------------------------------------

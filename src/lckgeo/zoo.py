@@ -222,15 +222,22 @@ class ZooEntry:
 
     @property
     def main_structure(self) -> HermitianStructure:
-        return self.structures[self.main]
+        return self._structure(self.main)
 
     @property
     def holonomy_structure(self) -> HermitianStructure:
-        return self.structures[self.holonomy_key or self.main]
+        return self._structure(self.holonomy_key or self.main)
+
+    def _structure(self, key: str) -> HermitianStructure:
+        if key not in self.structures:
+            raise ParameterError(f"{self.label} has no Hermitian structure")
+        return self.structures[key]
 
 
 def euclidean(m: int, half_width: float = 1.0) -> ZooEntry:
     """Flat box chart; the trivial-holonomy control."""
+    if m < 1:
+        raise ParameterError("euclidean needs dimension m >= 1")
     chart = Chart(dim=m, domain=tuple((-half_width, half_width) for _ in range(m)),
                   metric_fn=fd.constant(np.eye(m)),
                   metric_derivative_fn=fd.constant(np.zeros((m, m, m))),

@@ -42,6 +42,16 @@ class TestSelector:
         with pytest.raises(ParameterError):
             resolve_manifold("warped{c=tan}")
 
+    @pytest.mark.parametrize("selector", [
+        "hopf{nn=3}", "hopf{n=2,m=4}", "flat_inversion{circumference=6}",
+        "calabi{c=sin}", "hopf{n=2,n=3}", "hopf{n=abc}", "hopf{n=2.7}",
+        "hopf{n=pi}", "flat_inversion{n=2.0}", "euclidean{m=x}",
+        "hopf{circumference=abc}", "hopf{circumference=nan}", "calabi{b=inf}",
+        "euclidean{m=0}"])
+    def test_bad_parameter_rejected(self, selector):
+        with pytest.raises(ParameterError):
+            resolve_manifold(selector)
+
 
 class TestSuiteConfig:
     def test_unknown_suite_rejected_eagerly(self):
@@ -167,6 +177,23 @@ class TestCli:
         # applicability failures are configuration errors too
         assert cli_main(["run", "--manifold", "hopf{n=2}",
                          "--suite", "commuting-pair", "--samples", "2"]) == 2
+
+    @pytest.mark.parametrize("selector, message", [
+        ("hopf{n=abc}", "must be an integer"),
+        ("hopf{nn=3}", "takes no parameter 'nn'"),
+        ("hopf{n=2.7}", "must be an integer")])
+    def test_bad_selector_parameter_exit_two(self, capsys, selector, message):
+        assert cli_main(["run", "--manifold", selector,
+                         "--suite", "lck-identities", "--samples", "1"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["lck-identities", "classify",
+                                       "holonomy"])
+    def test_odd_euclidean_structure_suite_exit_two(self, capsys, suite):
+        assert cli_main(["run", "--manifold", "euclidean{m=3}",
+                         "--suite", suite, "--samples", "1"]) == 2
+        assert "euclidean_3 has no Hermitian structure" in (
+            capsys.readouterr().err)
 
     def test_failure_exit_one(self):
         code = cli_main(["run", "--manifold", "flat_inversion{n=2}",

@@ -1,0 +1,72 @@
+"""Start-up stays scipy-free: only the holonomy suite's matrix logarithm
+imports scipy, on first use.
+
+Each check runs in a fresh interpreter, since this process has imported
+scipy already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SELECTORS = ("hopf{n=2}", "flat_inversion{n=2}", "warped{c=sin,base=cp1}",
+             "calabi{ell=sin,b=pi}", "euclidean{m=4}")
+
+REPORT_SCIPY = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def _scipy_modules(body: str) -> list:
+    """The scipy modules loaded after running ``body`` in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", body + REPORT_SCIPY],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_non_holonomy_suites_load_no_scipy():
+    """Resolve every zoo family and run one sample of every other suite that
+    applies to it."""
+    body = f"""
+import lckgeo
+from lckgeo.errors import ParameterError
+from lckgeo.report import SUITE_NAMES, SuiteConfig, run
+
+ran = set()
+for selector in {SELECTORS!r}:
+    lckgeo.resolve_manifold(selector)
+    for suite in SUITE_NAMES:
+        if suite == "holonomy":
+            continue
+        try:
+            run(SuiteConfig(manifold=selector, suites=(suite,), samples=1,
+                            seed=1))
+        except ParameterError:
+            continue      # the suite does not apply to this entry
+        ran.add(suite)
+assert len(ran) == len(SUITE_NAMES) - 1, ran
+"""
+    assert _scipy_modules(body) == []
+
+
+def test_loop_holonomy_loads_scipy_linalg():
+    body = """
+from lckgeo import zoo
+from lckgeo.holonomy import default_holonomy_loops, loop_holonomy
+
+chart = zoo.euclidean(4).charts["flat"]
+base = chart.center()
+est = loop_holonomy(chart, default_holonomy_loops(chart, base)[:1], base,
+                    n=2, mode="analytic")
+assert est.algebra_dim == 0
+"""
+    assert "scipy.linalg" in _scipy_modules(body)
