@@ -14,8 +14,10 @@ Sign conventions (asserted by the round-sphere tests):
   delta(Omega) = (2 - 2n) J theta hold on the Hopf chart.
 
 Fields passed to the derivative operators take stacks of points (see
-:mod:`lckgeo.fd`); the ``step``/``order`` arguments control the stencil used
-on the field itself (see :mod:`lckgeo.fd` for the tiering policy).
+:mod:`lckgeo.fd`); the ``stencil`` argument is the :class:`lckgeo.fd.Stencil`
+tier used on the field itself (see :mod:`lckgeo.fd` for the tiering policy).
+The metric itself is always differentiated at order 2; :func:`christoffel`
+and :func:`christoffel_components` take only that stencil's ``step``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .charts import Chart, FrameTensor, alt
 
 
 def christoffel(chart: Chart, p, mode: str = "auto",
-                step: float = fd.STEP_DIRECT) -> FrameTensor:
+                step: float = fd.DIRECT.step) -> FrameTensor:
     """Levi-Civita symbols Gamma^k_{ij} at p, as a valence (2,1) tensor."""
     p = np.asarray(p, dtype=float)
     chart.require_inside(p, margin=chart.stencil_margin(mode, step))
@@ -40,7 +42,7 @@ def christoffel(chart: Chart, p, mode: str = "auto",
 
 
 def christoffel_components(chart: Chart, p, mode: str = "auto",
-                           step: float = fd.STEP_DIRECT) -> np.ndarray:
+                           step: float = fd.DIRECT.step) -> np.ndarray:
     """Gamma^k_{ij} at each of the points p, shape (..., m) -> (..., m, m, m)."""
     # hot path: raw metric_fn, positivity is asserted by the chart gate tests
     dg = chart.metric_jacobian(p, mode=mode, step=step)
@@ -55,9 +57,8 @@ def riemann(chart: Chart, p, mode: str = "auto") -> FrameTensor:
     """Curvature tensor R^a_{bcd} at p (valence (3,1))."""
     p = np.asarray(p, dtype=float)
     gamma_field = lambda q: christoffel_components(chart, q, mode=mode)
-    extent = fd.stencil_extent(fd.STEP_NESTED, fd.ORDER_NESTED)
-    chart.require_inside(p, margin=extent)
-    dG = fd.gradient(gamma_field, p, fd.STEP_NESTED, order=fd.ORDER_NESTED)
+    chart.require_inside(p, margin=fd.NESTED.extent)
+    dG = fd.gradient(gamma_field, p, fd.NESTED)
     G = gamma_field(p)
     # R^a_{bcd} = d_c G^a_{db} - d_d G^a_{cb} + G^a_{ce} G^e_{db} - G^a_{de} G^e_{cb}
     comp = (np.einsum("cadb->abcd", dG) - np.einsum("dacb->abcd", dG)
@@ -76,8 +77,7 @@ def ricci_scalar(chart: Chart, p, mode: str = "auto"):
 
 def covariant_derivative_full(chart: Chart, field: Callable, p,
                               valence: tuple, mode: str = "auto",
-                              step: float = fd.STEP_NESTED,
-                              order: int = fd.ORDER_NESTED,
+                              stencil: fd.Stencil = fd.NESTED,
                               gamma: np.ndarray = None) -> np.ndarray:
     """All covariant partials of a tensor field at each of the points p.
 
@@ -87,9 +87,8 @@ def covariant_derivative_full(chart: Chart, field: Callable, p,
     the point axes, so at a single point it comes first.
     """
     p = np.asarray(p, dtype=float)
-    extent = fd.stencil_extent(step, order)
-    chart.require_inside(p, margin=extent)
-    dT = fd.gradient(field, p, step, order=order)
+    chart.require_inside(p, margin=stencil.extent)
+    dT = fd.gradient(field, p, stencil)
     T = np.asarray(field(p), dtype=float)
     lead = p.ndim - 1
     cov, con = valence
@@ -125,39 +124,35 @@ def _tensordot(a: np.ndarray, a_axis: int, b: np.ndarray, b_axis: int,
 
 
 def covariant_derivative(chart: Chart, field: Callable, p, x,
-                         valence: tuple, mode: str = "auto",
-                         step: float = fd.STEP_NESTED,
-                         order: int = fd.ORDER_NESTED) -> FrameTensor:
+                         valence: tuple, mode: str = "auto") -> FrameTensor:
     """Directional covariant derivative nabla_X T at p (same valence as T)."""
-    full = covariant_derivative_full(chart, field, p, valence, mode=mode,
-                                     step=step, order=order)
+    full = covariant_derivative_full(chart, field, p, valence, mode=mode)
     comp = np.tensordot(np.asarray(x, dtype=float), full, axes=(0, 0))
     return FrameTensor(comp, valence=valence, point=np.asarray(p, dtype=float))
 
 
 def exterior_derivative(chart: Chart, form_field: Callable, p, k: int,
-                        step: float = fd.STEP_DIRECT,
-                        order: int = fd.ORDER_DIRECT) -> FrameTensor:
+                        stencil: fd.Stencil = fd.DIRECT) -> FrameTensor:
     """Exterior derivative of a k-form field: a (k+1)-form at each of the
     points p, shape (..., m).
 
     Uses plain partial derivatives (no connection): d = (k+1) Alt(d alpha).
     """
     p = np.asarray(p, dtype=float)
-    chart.require_inside(p, margin=fd.stencil_extent(step, order))
-    da = fd.gradient(form_field, p, step, order=order)
+    chart.require_inside(p, margin=stencil.extent)
+    da = fd.gradient(form_field, p, stencil)
     comp = alt(da, lead=p.ndim - 1) * (k + 1)
     return FrameTensor(comp, valence=(k + 1, 0), point=p)
 
 
 def codifferential(chart: Chart, form_field: Callable, p, k: int,
-                   mode: str = "auto", step: float = fd.STEP_DIRECT,
-                   order: int = fd.ORDER_DIRECT) -> FrameTensor:
+                   mode: str = "auto",
+                   stencil: fd.Stencil = fd.DIRECT) -> FrameTensor:
     """Codifferential delta alpha = -g^{ab} (nabla_a alpha)_{b...} at each of
     the points p, shape (..., m)."""
     p = np.asarray(p, dtype=float)
     nabla = covariant_derivative_full(chart, form_field, p, (k, 0),
-                                      mode=mode, step=step, order=order)
+                                      mode=mode, stencil=stencil)
     g_inv = np.linalg.inv(chart.metric(p))
     # -np.tensordot(g_inv, nabla, axes=([0, 1], [0, 1])) at each point
     points, m = p.shape[:-1], p.shape[-1]
@@ -167,13 +162,12 @@ def codifferential(chart: Chart, form_field: Callable, p, k: int,
     return FrameTensor(comp.reshape(points + rest), valence=(k - 1, 0), point=p)
 
 
-def lie_bracket(v_field: Callable, w_field: Callable, p,
-                step: float = fd.STEP_NESTED,
-                order: int = fd.ORDER_NESTED) -> np.ndarray:
-    """[V, W]^k = V^j d_j W^k - W^j d_j V^k at p (coordinate bracket)."""
+def lie_bracket(v_field: Callable, w_field: Callable, p) -> np.ndarray:
+    """[V, W]^k = V^j d_j W^k - W^j d_j V^k at p (coordinate bracket), by
+    NESTED stencils."""
     p = np.asarray(p, dtype=float)
-    dV = fd.gradient(v_field, p, step, order=order)  # dV[j, k] = d_j V^k
-    dW = fd.gradient(w_field, p, step, order=order)
+    dV = fd.gradient(v_field, p, fd.NESTED)  # dV[j, k] = d_j V^k
+    dW = fd.gradient(w_field, p, fd.NESTED)
     v = np.asarray(v_field(p), dtype=float)
     w = np.asarray(w_field(p), dtype=float)
     return v @ dW - w @ dV

@@ -91,7 +91,7 @@ class Chart:
         return g
 
     def stencil_margin(self, mode: str = "auto",
-                       step: float = fd.STEP_DIRECT) -> float:
+                       step: float = fd.DIRECT.step) -> float:
         """Distance from the faces that :meth:`metric_jacobian` needs: the
         step of its fd stencil, or 0.0 where it is analytic (a derivative
         function is given and mode is not 'fd')."""
@@ -100,10 +100,11 @@ class Chart:
         return 0.0
 
     def metric_jacobian(self, p, mode: str = "auto",
-                        step: float = fd.STEP_DIRECT) -> np.ndarray:
+                        step: float = fd.DIRECT.step) -> np.ndarray:
         """dg[..., k, i, j] = d_k g_ij at each of the points p, shape (..., dim).
 
-        Analytic when available unless mode='fd'.
+        Analytic when available unless mode='fd'; otherwise the 2nd-order
+        stencil of the given step.
         """
         p = np.asarray(p, dtype=float)
         if mode not in ("auto", "fd", "analytic"):
@@ -114,7 +115,7 @@ class Chart:
         if not margin:
             return np.asarray(self.metric_derivative_fn(p), dtype=float)
         self.require_inside(p, margin=margin)
-        return fd.gradient(self.metric_fn, p, step, order=fd.ORDER_DIRECT)
+        return fd.gradient(self.metric_fn, p, fd.Stencil(step, 2))
 
     def center(self) -> np.ndarray:
         return np.array([(lo + hi) / 2.0 for lo, hi in self.domain])

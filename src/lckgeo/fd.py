@@ -1,17 +1,17 @@
 """Central finite-difference stencils for chart fields.
 
-All differentiation in the package funnels through these helpers.  Step
-sizes are tiered by how much stencil noise the differentiated field already
-carries:
+All differentiation in the package funnels through :func:`gradient`.  A
+:class:`Stencil` is one (step, order) pair, and there is one per tier, tiered
+by how much stencil noise the differentiated field already carries:
 
-* ``STEP_DIRECT``  -- fields evaluated in closed form (metric, J, fundamental
+* ``DIRECT`` -- fields evaluated in closed form (metric, J, fundamental
   form): 2nd-order stencil, step 1e-5.
-* ``STEP_NESTED``  -- fields whose evaluation contains one stencil level
+* ``NESTED`` -- fields whose evaluation contains one stencil level
   (Christoffel fields, Lee forms, grad of scalar invariants): 4th-order
   stencil, step 1e-3.  The wider, higher-order stencil keeps the amplified
   inner-stencil noise (~eps/h) well below the 1e-4 identity tolerances.
-* ``STEP_DEEP``    -- twice-nested fields (S-tensor, delta-theta, the
-  Einstein-chain and Hamiltonian-form stacks): 2nd-order, step 1e-2.
+* ``DEEP`` -- twice-nested fields (S-tensor, delta-theta, the Einstein-chain
+  and Hamiltonian-form stacks): 2nd-order, step 1e-2.
 
 A field is a callable from points of shape (..., m) to the stack of its
 values, shape (...,) + the value shape; a single point of shape (m,) gives
@@ -27,7 +27,7 @@ the first node's.  A function of one point becomes a field through
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,13 +38,22 @@ def gauss_legendre_01(nodes: int):
     xs, ws = np.polynomial.legendre.leggauss(nodes)
     return (xs + 1.0) / 2.0, ws / 2.0
 
-STEP_DIRECT = 1e-5
-STEP_NESTED = 1e-3
-STEP_DEEP = 1e-2
 
-ORDER_DIRECT = 2
-ORDER_NESTED = 4
-ORDER_DEEP = 2
+class Stencil(NamedTuple):
+    """A central stencil: its step and its order (2 or 4)."""
+
+    step: float
+    order: int
+
+    @property
+    def extent(self) -> float:
+        """Largest coordinate offset the stencil reaches from the base point."""
+        return self.step * (2.0 if self.order == 4 else 1.0)
+
+
+DIRECT = Stencil(1e-5, 2)
+NESTED = Stencil(1e-3, 4)
+DEEP = Stencil(1e-2, 2)
 
 
 def constant(value) -> Callable:
@@ -54,17 +63,16 @@ def constant(value) -> Callable:
         value, np.shape(p)[:-1] + value.shape))
 
 
-def gradient(f: Callable, p, step: float, order: int = 2) -> np.ndarray:
+def gradient(f: Callable, p, stencil: Stencil) -> np.ndarray:
     """All partials of f at each of the points p, shape (..., m).
 
     ``out[..., k, ...] = d_k f``: the derivative axis follows the point axes,
-    so at a single point it comes first.  The central stencil of the given
-    order (2 or 4) is built for every point at once, and f is called once on
-    the stack of stencil points, shape (..., m, order, m): axis by axis, in
-    the order +h, -h (, +2h, -2h).
+    so at a single point it comes first.  The stencil is built for every
+    point at once, and f is called once on the stack of stencil points,
+    shape (..., m, order, m): axis by axis, in the order +h, -h (, +2h, -2h).
     """
     p = np.asarray(p, dtype=float)
-    h = step
+    h, order = stencil
     if order == 2:
         scales = np.array([h, -h])
     elif order == 4:
@@ -79,7 +87,3 @@ def gradient(f: Callable, p, step: float, order: int = 2) -> np.ndarray:
         return (f_s[0] - f_s[1]) / (2.0 * h)
     return (8.0 * (f_s[0] - f_s[1]) - (f_s[2] - f_s[3])) / (12.0 * h)
 
-
-def stencil_extent(step: float, order: int = 2) -> float:
-    """Largest coordinate offset the stencil reaches from the base point."""
-    return step * (2.0 if order == 4 else 1.0)

@@ -87,8 +87,7 @@ def fundamental_form(H: HermitianStructure, p) -> FrameTensor:
     return FrameTensor(omega, valence=(2, 0), point=p)
 
 
-def nijenhuis_tensor(H: HermitianStructure, p,
-                     step: float = fd.STEP_DIRECT) -> np.ndarray:
+def nijenhuis_tensor(H: HermitianStructure, p) -> np.ndarray:
     """N^k_{ij} of the almost complex structure field at p.
 
     N(X,Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y]; for coordinate fields
@@ -96,7 +95,7 @@ def nijenhuis_tensor(H: HermitianStructure, p,
              + J^k_m d_j J^m_i - J^k_m d_i J^m_j.
     """
     p = np.asarray(p, dtype=float)
-    dJ = fd.gradient(H.J_fn, p, step, order=fd.ORDER_DIRECT)
+    dJ = fd.gradient(H.J_fn, p, fd.DIRECT)
     return _nijenhuis(H.J(p), dJ)
 
 
@@ -113,30 +112,26 @@ def nijenhuis_residual(H: HermitianStructure, p) -> float:
     """Term-normalized norm of the Nijenhuis tensor at p (~0 iff integrable)."""
     p = np.asarray(p, dtype=float)
     J = H.J(p)
-    dJ = fd.gradient(H.J_fn, p, fd.STEP_DIRECT, order=fd.ORDER_DIRECT)
+    dJ = fd.gradient(H.J_fn, p, fd.DIRECT)
     g = H.chart.metric(p)
     lowered = np.einsum("ak,kij->aij", g, _nijenhuis(J, dJ))
     term_scale = float(np.max(np.abs(dJ)) * np.max(np.abs(J)))
     return form_norm(lowered, g) / (1.0 + term_scale)
 
 
-def lee_form(H: HermitianStructure, p, mode: str = "auto",
-             check: bool = True) -> LeeData:
+def lee_form(H: HermitianStructure, p, mode: str = "auto") -> LeeData:
     """Extract the Lee form via theta = J(delta Omega) / (2n - 2).
 
-    With ``check`` the cross-identity d(Omega) - 2 theta ^ Omega is verified
+    The cross-identity d(Omega) - 2 theta ^ Omega is verified
     (scale-normalized) and a :class:`NotLcKError` raised above ``LCK_GATE``.
     """
-    if H.n < 2:
-        raise NotLcKError("Lee-form extraction needs complex dimension n >= 2")
     p = np.asarray(p, dtype=float)
     theta = lee_form_components(H, p, mode=mode)
-    if check:
-        res = lck_residual(H, p, theta, mode=mode)
-        if res > LCK_GATE:
-            raise NotLcKError(
-                f"structure '{H.label}' fails the lcK gate at {p}: "
-                f"|dOmega - 2 theta ^ Omega| = {res:.2e}")
+    res = lck_residual(H, p, theta, mode=mode)
+    if res > LCK_GATE:
+        raise NotLcKError(
+            f"structure '{H.label}' fails the lcK gate at {p}: "
+            f"|dOmega - 2 theta ^ Omega| = {res:.2e}")
     g = H.chart.metric(p)
     j_theta = H.j_form(p, theta)
     norm_sq = float(theta @ np.linalg.solve(g, theta))
@@ -149,7 +144,13 @@ def lee_form(H: HermitianStructure, p, mode: str = "auto",
 
 def lee_form_components(H: HermitianStructure, p, mode: str = "auto") -> np.ndarray:
     """Bare Lee-form components at each of the points p, shape (..., dim)
-    (the cheap inner loop of everything above)."""
+    (the cheap inner loop of everything above).
+
+    Raises :class:`NotLcKError` for complex dimension n < 2, where the
+    formula divides by 2n - 2 = 0.
+    """
+    if H.n < 2:
+        raise NotLcKError("Lee-form extraction needs complex dimension n >= 2")
     p = np.asarray(p, dtype=float)
     delta_omega = codifferential(H.chart, H.omega, p, k=2, mode=mode).components
     return H.j_form(p, delta_omega) / (2.0 * H.n - 2.0)
@@ -164,8 +165,7 @@ def lee_field(H: HermitianStructure, mode: str = "auto") -> Callable:
 def nabla_theta(H: HermitianStructure, p, mode: str = "auto") -> np.ndarray:
     """(nabla theta)_ij = (nabla_{d_i} theta)_j by differentiating the Lee field."""
     return covariant_derivative_full(H.chart, lee_field(H, mode), p, (1, 0),
-                                     mode=mode, step=fd.STEP_NESTED,
-                                     order=fd.ORDER_NESTED)
+                                     mode=mode, stencil=fd.NESTED)
 
 
 def lck_residual(H: HermitianStructure, p, theta: np.ndarray = None,

@@ -184,8 +184,9 @@ def common_fixed_vectors(est: HolonomyEstimate, g: np.ndarray,
 
 
 def default_probes(chart: Chart, base, rng: np.random.Generator,
-                   count: int = None, spread: float = 0.2):
-    """Probe set for :func:`curvature_span`: points near base, random 2-planes."""
+                   count: int = None):
+    """Probe set for :func:`curvature_span`: points within 0.2 of base in
+    each coordinate, random 2-planes."""
     base = np.asarray(base, dtype=float)
     m = chart.dim
     if count is None:
@@ -195,7 +196,7 @@ def default_probes(chart: Chart, base, rng: np.random.Generator,
     lows = np.array([lo for lo, hi in chart.domain])
     highs = np.array([hi for lo, hi in chart.domain])
     for _ in range(count):
-        q = base + rng.uniform(-spread, spread, size=m)
+        q = base + rng.uniform(-0.2, 0.2, size=m)
         q = np.clip(q, lows + 0.06, highs - 0.06)
         x = rng.standard_normal(m)
         y = rng.standard_normal(m)

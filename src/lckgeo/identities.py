@@ -49,6 +49,12 @@ def _endo_norm(a: np.ndarray, g: np.ndarray) -> float:
     return form_norm(a.T @ g, g)
 
 
+def _norm(v: np.ndarray, metric: np.ndarray) -> float:
+    """sqrt|v . metric . v|: the length of a vector (metric g) or a 1-form
+    (metric g^-1)."""
+    return float(np.sqrt(abs(v @ metric @ v)))
+
+
 def _normalized(diff_norm: float, term_norms) -> float:
     return diff_norm / (1.0 + max(term_norms))
 
@@ -79,7 +85,7 @@ def nabla_j_residual(H: HermitianStructure, p, x, mode: str = "auto") -> float:
     theta = lee_form_components(H, p, mode=mode)
     j_theta = -J.T @ theta
     nJ = covariant_derivative_full(H.chart, H.J_fn, p, (1, 1), mode=mode,
-                                   step=fd.STEP_DIRECT, order=fd.ORDER_DIRECT)
+                                   stencil=fd.DIRECT)
     lhs = np.tensordot(x, nJ, axes=(0, 0))
     t1 = wedge_endo(x, j_theta, g)
     t2 = wedge_endo(J @ x, theta, g)
@@ -140,9 +146,8 @@ def curvature_j_residuals(H: HermitianStructure, p, x, y,
         -delta_theta * jx,
     ]
     rhs_c = sum(c_terms)
-    vec_norm = lambda v: float(np.sqrt(abs(v @ g @ v)))
-    c_norms = [vec_norm(t) for t in c_terms] + [vec_norm(lhs_c)]
-    res_contr = _normalized(vec_norm(lhs_c - rhs_c), c_norms)
+    c_norms = [_norm(t, g) for t in c_terms] + [_norm(lhs_c, g)]
+    res_contr = _normalized(_norm(lhs_c - rhs_c, g), c_norms)
     return res_full, res_contr
 
 
@@ -254,14 +259,14 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     def norm_sq_omega_field(q):
         return norm_sq_field(q)[..., None, None] * H.omega(q)
 
-    d_norm_sq = fd.gradient(norm_sq_field, p, fd.STEP_NESTED, fd.ORDER_NESTED)
-    vec = lambda tau: float(np.sqrt(abs(tau @ g_inv @ tau)))
+    d_norm_sq = fd.gradient(norm_sq_field, p, fd.NESTED)
     res = {}
 
     # (Sth)  S theta = 1/2 d|theta|^2 + |theta|^2 theta
     lhs = s_cov @ theta_sharp
     t1, t2 = 0.5 * d_norm_sq, norm_sq * theta
-    res["Sth"] = _normalized(vec(lhs - t1 - t2), [vec(lhs), vec(t1), vec(t2)])
+    res["Sth"] = _normalized(_norm(lhs - t1 - t2, g_inv),
+                             [_norm(t, g_inv) for t in (lhs, t1, t2)])
 
     # (trS)  tr S = |theta|^2 - delta theta
     tr_s = float(np.trace(s_endo))
@@ -271,8 +276,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     # (nablaJth)  nabla_X (J theta) = (J S X)^flat - J theta(X) theta
     #             - |theta|^2 (JX)^flat, checked on coordinate directions
     njtheta = covariant_derivative_full(chart, jtheta_field, p, (1, 0),
-                                        mode=mode, step=fd.STEP_NESTED,
-                                        order=fd.ORDER_NESTED)
+                                        mode=mode, stencil=fd.NESTED)
     # row c: (JS e_c)^flat - (J theta)(e_c) theta - |theta|^2 (J e_c)^flat
     rhs_njt = (g @ js_endo).T - np.outer(j_theta, theta) - norm_sq * (g @ J).T
     diff = njtheta - rhs_njt
@@ -281,8 +285,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
 
     # (diffJth)  d(J theta) = 2 JS + theta ^ J theta - 2 |theta|^2 Omega
     d_jtheta = exterior_derivative(chart, jtheta_field, p, k=1,
-                                   step=fd.STEP_NESTED,
-                                   order=fd.ORDER_NESTED).components
+                                   stencil=fd.NESTED).components
     t1 = 2.0 * js_form
     t2 = wedge(theta, j_theta)
     t3 = -2.0 * norm_sq * omega
@@ -290,58 +293,59 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
                                  [form_norm(t, g) for t in (d_jtheta, t1, t2, t3)])
 
     # (lieJth)  [theta, J theta] = -|theta|^2 J theta     (as vector fields)
-    br = lie_bracket(theta_sharp_field, jtheta_sharp_field, p,
-                     step=fd.STEP_NESTED, order=fd.ORDER_NESTED)
+    br = lie_bracket(theta_sharp_field, jtheta_sharp_field, p)
     rhs_br = -norm_sq * (g_inv @ j_theta)
-    vnorm = lambda v: float(np.sqrt(abs(v @ g @ v)))
-    res["lieJth"] = _normalized(vnorm(br - rhs_br), [vnorm(br), vnorm(rhs_br)])
+    res["lieJth"] = _normalized(_norm(br - rhs_br, g),
+                                [_norm(br, g), _norm(rhs_br, g)])
 
     # (codiffth)  delta(theta ^ J theta) = (delta theta + |theta|^2) J theta
     d_tj = codifferential(chart, theta_wedge_jtheta_field, p, k=2, mode=mode,
-                          step=fd.STEP_NESTED, order=fd.ORDER_NESTED).components
+                          stencil=fd.NESTED).components
     rhs_tj = (delta_theta + norm_sq) * j_theta
-    res["codiffth"] = _normalized(vec(d_tj - rhs_tj), [vec(d_tj), vec(rhs_tj)])
+    res["codiffth"] = _normalized(_norm(d_tj - rhs_tj, g_inv),
+                                  [_norm(d_tj, g_inv), _norm(rhs_tj, g_inv)])
 
     # (codiffom)  delta(|theta|^2 Omega) = -J(d|theta|^2) + (2-2n)|theta|^2 J theta
     d_no = codifferential(chart, norm_sq_omega_field, p, k=2, mode=mode,
-                          step=fd.STEP_NESTED, order=fd.ORDER_NESTED).components
+                          stencil=fd.NESTED).components
     t1 = J.T @ d_norm_sq                      # -J(d|theta|^2) = +J^T d|theta|^2
     t2 = (2.0 - n2) * norm_sq * j_theta
-    res["codiffom"] = _normalized(vec(d_no - t1 - t2),
-                                  [vec(d_no), vec(t1), vec(t2)])
+    res["codiffom"] = _normalized(_norm(d_no - t1 - t2, g_inv),
+                                  [_norm(t, g_inv) for t in (d_no, t1, t2)])
 
     # (eqJdel2)  delta S = (delta theta) theta - 1/2 d|theta|^2 - lambda theta
     #            + d(delta theta)
     delta_s = -np.einsum("ab,ab...->...", g_inv,
                          covariant_derivative_full(chart, s_field, p, (2, 0),
-                                                   mode=mode, step=fd.STEP_DEEP,
-                                                   order=fd.ORDER_DEEP))
-    d_delta_theta = fd.gradient(delta_theta_field, p, fd.STEP_DEEP, fd.ORDER_DEEP)
+                                                   mode=mode, stencil=fd.DEEP))
+    d_delta_theta = fd.gradient(delta_theta_field, p, fd.DEEP)
     terms = [delta_theta * theta, -0.5 * d_norm_sq, -lam * theta, d_delta_theta]
-    res["eqJdel2"] = _normalized(vec(delta_s - sum(terms)),
-                                 [vec(delta_s)] + [vec(t) for t in terms])
+    res["eqJdel2"] = _normalized(_norm(delta_s - sum(terms), g_inv),
+                                 [_norm(t, g_inv) for t in [delta_s] + terms])
 
     # (eqJdel3)  J delta(JS) + delta S = -(delta theta) theta - d|theta|^2
     #            - |theta|^2 theta
     delta_js = codifferential(chart, js_form_field, p, k=2, mode=mode,
-                              step=fd.STEP_DEEP, order=fd.ORDER_DEEP).components
+                              stencil=fd.DEEP).components
     lhs3 = -J.T @ delta_js + delta_s
     terms3 = [-delta_theta * theta, -d_norm_sq, -norm_sq * theta]
-    res["eqJdel3"] = _normalized(vec(lhs3 - sum(terms3)),
-                                 [vec(lhs3)] + [vec(t) for t in terms3])
+    res["eqJdel3"] = _normalized(_norm(lhs3 - sum(terms3), g_inv),
+                                 [_norm(t, g_inv) for t in [lhs3] + terms3])
 
     # (summ)  3 (delta theta) theta - 2 lambda theta + d delta theta
     #         + d|theta|^2 + (2n-1)|theta|^2 theta = 0
     terms4 = [3.0 * delta_theta * theta, -2.0 * lam * theta, d_delta_theta,
               d_norm_sq, (n2 - 1.0) * norm_sq * theta]
-    res["summ"] = _normalized(vec(sum(terms4)), [vec(t) for t in terms4])
+    res["summ"] = _normalized(_norm(sum(terms4), g_inv),
+                              [_norm(t, g_inv) for t in terms4])
 
     # (eqf)  d f = (2 lambda - 3 f + (4-2n)|theta|^2) theta,
     #        f = delta theta + |theta|^2
     f_val = delta_theta + norm_sq
-    df = fd.gradient(f_field, p, fd.STEP_DEEP, fd.ORDER_DEEP)
+    df = fd.gradient(f_field, p, fd.DEEP)
     rhs_f = (2.0 * lam - 3.0 * f_val + (4.0 - n2) * norm_sq) * theta
-    res["eqf"] = _normalized(vec(df - rhs_f), [vec(df), vec(rhs_f)])
+    res["eqf"] = _normalized(_norm(df - rhs_f, g_inv),
+                             [_norm(df, g_inv), _norm(rhs_f, g_inv)])
 
     return res
 
@@ -364,9 +368,8 @@ def parallel_field_residuals(H: HermitianStructure, p, v,
     J = H.J(p)
 
     nv = covariant_derivative_full(chart, fd.constant(v), p, (0, 1), mode=mode,
-                                   step=fd.STEP_DIRECT, order=fd.ORDER_DIRECT)
-    vnorm = lambda w: float(np.sqrt(abs(w @ g @ w)))
-    if float(np.max(np.abs(nv))) > 1e-6 or abs(vnorm(v) - 1.0) > 1e-8:
+                                   stencil=fd.DIRECT)
+    if float(np.max(np.abs(nv))) > 1e-6 or abs(_norm(v, g) - 1.0) > 1e-8:
         raise PreconditionError(
             f"V is not a parallel unit field on '{H.label}' at {p}")
 
@@ -378,7 +381,7 @@ def parallel_field_residuals(H: HermitianStructure, p, v,
 
     jv_field = lambda q: H.J(q) @ v
     njv = covariant_derivative_full(chart, jv_field, p, (0, 1), mode=mode,
-                                    step=fd.STEP_DIRECT, order=fd.ORDER_DIRECT)
+                                    stencil=fd.DIRECT)
     res = {}
     rows_lhs = []
     rows_rhs = []
@@ -397,8 +400,7 @@ def parallel_field_residuals(H: HermitianStructure, p, v,
 
     jv_flat_field = lambda q: np.matvec(chart.metric_fn(q), H.J(q) @ v)
     d_jv = exterior_derivative(chart, jv_flat_field, p, k=1,
-                               step=fd.STEP_DIRECT,
-                               order=fd.ORDER_DIRECT).components
+                               stencil=fd.DIRECT).components
     rhs_d = 2.0 * a * (wedge(g @ v, g @ jv) - omega)
     res["ddJV"] = _normalized(form_norm(d_jv - rhs_d, g),
                               [form_norm(d_jv, g), form_norm(rhs_d, g),
@@ -414,12 +416,12 @@ def parallel_field_residuals(H: HermitianStructure, p, v,
 # ---------------------------------------------------------------------------
 
 def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
-                             p, x=None, mode: str = "auto",
-                             rng: Optional[np.random.Generator] = None) -> dict:
+                             p, x=None, mode: str = "auto") -> dict:
     """Structural relations of a Kahler/lcK pair: (g, I) Kahler, (g, J) lcK.
 
     The reconstruction of J from I carries the coefficient 2/|theta|^2, so
     points with |theta|^2 below the gate raise :class:`SingularPointError`.
+    Without ``x`` the direction is drawn from ``np.random.default_rng(0)``.
     """
     p = np.asarray(p, dtype=float)
     if I.chart is not J.chart and I.chart.label != J.chart.label:
@@ -431,8 +433,7 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
     Jm = J.J(p)
     n = I.n
     if x is None:
-        rng = rng or np.random.default_rng(0)
-        x = rng.standard_normal(chart.dim)
+        x = np.random.default_rng(0).standard_normal(chart.dim)
     x = np.asarray(x, dtype=float)
 
     theta = lee_form_components(J, p, mode=mode)
@@ -443,7 +444,6 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
             "identities divide by |theta|^2")
     i_theta = -Im.T @ theta
     j_theta = -Jm.T @ theta
-    vec = lambda tau: float(np.sqrt(abs(tau @ g_inv @ tau)))
     res = {}
 
     comm = Im @ Jm - Jm @ Im
@@ -451,14 +451,15 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
                                  [_endo_norm(Im @ Jm, g)])
     res["traceIJ"] = _normalized(abs(float(np.trace(Im @ Jm)) - (2.0 * n - 4.0)),
                                  [abs(float(np.trace(Im @ Jm))), 2.0 * n - 4.0])
-    res["Itheta"] = _normalized(vec(i_theta - j_theta), [vec(i_theta), vec(j_theta)])
+    res["Itheta"] = _normalized(_norm(i_theta - j_theta, g_inv),
+                                [_norm(i_theta, g_inv), _norm(j_theta, g_inv)])
 
     # (J)  JX = -IX + 2/|theta|^2 (<X,theta> I theta - <X,I theta> theta)
     lhs_j = Jm @ x
     rhs_j = (-Im @ x + (2.0 / norm_sq) * (float(theta @ x) * (g_inv @ i_theta)
                                           - float(i_theta @ x) * (g_inv @ theta)))
-    vnorm = lambda w: float(np.sqrt(abs(w @ g @ w)))
-    res["eqJ"] = _normalized(vnorm(lhs_j - rhs_j), [vnorm(lhs_j), vnorm(rhs_j)])
+    res["eqJ"] = _normalized(_norm(lhs_j - rhs_j, g),
+                             [_norm(lhs_j, g), _norm(rhs_j, g)])
 
     # (to)  theta ^ Omega^J = - theta ^ Omega^I
     om_i = form_of_endomorphism(Im, g)
@@ -476,8 +477,7 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
 
     # (deromega)  nabla_X sigma = 1/2 (X ^ I theta - IX ^ theta) - <X,theta> sigma
     nsigma = covariant_derivative_full(chart, lambda q: _pair_sigma(I, J, q), p,
-                                       (2, 0), mode=mode, step=fd.STEP_DIRECT,
-                                       order=fd.ORDER_DIRECT)
+                                       (2, 0), mode=mode, stencil=fd.DIRECT)
     lhs_d = np.tensordot(x, nsigma, axes=(0, 0))
     rhs_d = (0.5 * (wedge(g @ x, i_theta) - wedge(g @ (Im @ x), theta))
              - float(theta @ x) * sigma)
@@ -486,8 +486,7 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
 
     # (nablath)  sum_i <IJ nabla_{e_i} theta, e_i> = 2(n-1)|theta|^2 + delta theta
     ntheta = covariant_derivative_full(chart, lee_field(J, mode), p, (1, 0),
-                                       mode=mode, step=fd.STEP_NESTED,
-                                       order=fd.ORDER_NESTED)
+                                       mode=mode, stencil=fd.NESTED)
     delta_theta = -float(np.einsum("ij,ij->", g_inv, ntheta))
     lhs_t = float(np.trace(Im @ Jm @ g_inv @ ntheta.T))
     rhs_t = 2.0 * (n - 1.0) * norm_sq + delta_theta
@@ -500,8 +499,9 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
     rhs_e = (0.5 * norm_sq * (g @ x)
              - 0.5 * (q + n + 1.0) * float(theta @ x) * theta
              - 0.5 * (q + n - 1.0) * float(i_theta @ x) * i_theta)
-    res["et"] = _normalized(vec(lhs_e - rhs_e),
-                            [vec(lhs_e), vec(rhs_e), 0.5 * norm_sq * vnorm(x)])
+    res["et"] = _normalized(_norm(lhs_e - rhs_e, g_inv),
+                            [_norm(lhs_e, g_inv), _norm(rhs_e, g_inv),
+                             0.5 * norm_sq * _norm(x, g)])
     return res
 
 
@@ -509,23 +509,19 @@ class PotentialField:
     """Line-integrated conformal potential phi with d phi = theta.
 
     The value at a point is the integral of the Lee form along the straight
-    segment from the chart base point; short increments between nearby points
-    reuse path independence so stencil differences stay noise-free.  Safe for
-    concurrent reads once constructed.
+    segment from the chart centre (32 Gauss-Legendre nodes); short increments
+    between nearby points reuse path independence so stencil differences stay
+    noise-free.  Safe for concurrent reads once constructed.
     """
 
-    def __init__(self, H: HermitianStructure, base_point=None, nodes: int = 32,
-                 mode: str = "auto"):
+    def __init__(self, H: HermitianStructure, mode: str = "auto"):
         self.H = H
         self.mode = mode
-        self.nodes = nodes
-        self.base_point = np.asarray(
-            H.chart.center() if base_point is None else base_point, dtype=float)
+        self.base_point = H.chart.center()
         self._field = lee_field(H, mode)
 
     def __call__(self, p) -> float:
-        return line_integral_segment(self.H.chart, self._field,
-                                     self.base_point, p, nodes=self.nodes)
+        return self.increment(self.base_point, p, nodes=32)
 
     def increment(self, p, q, nodes: int = 4):
         """Integral of theta from p to each of the points q, shape (..., m)
@@ -534,13 +530,8 @@ class PotentialField:
 
     def path_defect(self, p, waypoint) -> float:
         """Difference between the direct path and a detour via ``waypoint``."""
-        direct = self(p)
-        detour = (line_integral_segment(self.H.chart, self._field,
-                                        self.base_point, waypoint,
-                                        nodes=self.nodes)
-                  + line_integral_segment(self.H.chart, self._field,
-                                          waypoint, p, nodes=self.nodes))
-        return abs(direct - detour)
+        detour = self(waypoint) + self.increment(waypoint, p, nodes=32)
+        return abs(self(p) - detour)
 
 
 def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
@@ -574,9 +565,8 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
 
     lhs = np.tensordot(
         x, covariant_derivative_full(chart, sigma_tilde_local, p, (2, 0),
-                                     mode=mode, step=fd.STEP_DIRECT,
-                                     order=fd.ORDER_DIRECT), axes=(0, 0))
-    d_tr = fd.gradient(trace_local, p, fd.STEP_DIRECT, fd.ORDER_DIRECT)
+                                     mode=mode, stencil=fd.DIRECT), axes=(0, 0))
+    d_tr = fd.gradient(trace_local, p, fd.DIRECT)
     dc_tr = -Im.T @ d_tr
     rhs = 0.5 * (wedge(d_tr, g @ (Im @ x)) - wedge(dc_tr, g @ x))
     if not normalized:
@@ -591,15 +581,15 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
 
 def average_metric_residuals(avg: HermitianStructure, p, x=None,
                              mode: str = "auto",
-                             pair_J: Optional[HermitianStructure] = None,
-                             rng: Optional[np.random.Generator] = None) -> dict:
+                             pair_J: Optional[HermitianStructure] = None) -> dict:
     """Field equations of the average metric g0 with theta0 the Lee form of I.
 
     Fits the proportionality function f of nabla0 theta0 = f (theta0 (x)
     theta0 + I theta0 (x) I theta0) by least squares over the coordinate
     directions, then checks the xi / I xi / zeta derivative formulas, the
     Killing property of xi, and (when the conformal pair is supplied)
-    theta0 = -1/2 d Phi against the pair Lee form.
+    theta0 = -1/2 d Phi against the pair Lee form.  Without ``x`` the
+    direction is drawn from ``np.random.default_rng(0)``.
     """
     p = np.asarray(p, dtype=float)
     chart = avg.chart
@@ -607,8 +597,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
     g_inv = np.linalg.inv(g)
     Im = avg.J(p)
     if x is None:
-        rng = rng or np.random.default_rng(0)
-        x = rng.standard_normal(chart.dim)
+        x = np.random.default_rng(0).standard_normal(chart.dim)
     x = np.asarray(x, dtype=float)
 
     theta0_f = lee_field(avg, mode)
@@ -629,29 +618,30 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
         return _solve(gq, avg.j_form(q, theta0_f(q)))
 
     xi = xi_field(p)
-    xi_norm = float(np.sqrt(abs(xi @ g @ xi)))
+    xi_norm = _norm(xi, g)
     if xi_norm < 1e-5:
         raise SingularPointError(f"|xi| = {xi_norm:.2e} at {p}: zeta is undefined")
     i_xi_field = lambda q: np.matvec(avg.J(q), xi_field(q))
     i_xi = i_xi_field(p)
 
-    vnorm = lambda w: float(np.sqrt(abs(w @ g @ w)))
     gdot = lambda u, w: float(u @ g @ w)
 
     # (der0Jxi)  nabla0_X (I xi) = -f (<X, I xi> I xi + <X, xi> xi)
     n_ixi = covariant_derivative_full(chart, i_xi_field, p, (0, 1), mode=mode,
-                                      step=fd.STEP_NESTED, order=fd.ORDER_NESTED)
+                                      stencil=fd.NESTED)
     lhs = x @ n_ixi
     rhs = -f_val * (gdot(x, i_xi) * i_xi + gdot(x, xi) * xi)
-    res["der0Jxi"] = _normalized(vnorm(lhs - rhs), [vnorm(lhs), vnorm(rhs)])
+    res["der0Jxi"] = _normalized(_norm(lhs - rhs, g),
+                                 [_norm(lhs, g), _norm(rhs, g)])
 
     # (der0xi)  nabla0_X xi = (1+f)(<X,xi> I xi - <X,I xi> xi) - |xi|^2 I X
     n_xi = covariant_derivative_full(chart, xi_field, p, (0, 1), mode=mode,
-                                     step=fd.STEP_NESTED, order=fd.ORDER_NESTED)
+                                     stencil=fd.NESTED)
     lhs = x @ n_xi
     rhs = ((1.0 + f_val) * (gdot(x, xi) * i_xi - gdot(x, i_xi) * xi)
            - xi_norm ** 2 * (Im @ x))
-    res["der0xi"] = _normalized(vnorm(lhs - rhs), [vnorm(lhs), vnorm(rhs)])
+    res["der0xi"] = _normalized(_norm(lhs - rhs, g),
+                                [_norm(lhs, g), _norm(rhs, g)])
 
     # (derIxi)  nabla0_X zeta = -(f/|xi|) <X, xi> xi, zeta = I xi / |I xi|
     def zeta_field(q):
@@ -660,23 +650,23 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
         return w / np.sqrt(abs(np.vecdot(np.vecmat(w, gq), w)))[..., None]
 
     n_zeta = covariant_derivative_full(chart, zeta_field, p, (0, 1), mode=mode,
-                                       step=fd.STEP_NESTED, order=fd.ORDER_NESTED)
+                                       stencil=fd.NESTED)
     lhs = x @ n_zeta
     rhs = -(f_val / xi_norm) * gdot(x, xi) * xi
-    res["derIxi"] = _normalized(vnorm(lhs - rhs), [vnorm(lhs), vnorm(rhs),
-                                                   abs(f_val) * xi_norm * vnorm(x)])
+    res["derIxi"] = _normalized(_norm(lhs - rhs, g),
+                                [_norm(lhs, g), _norm(rhs, g),
+                                 abs(f_val) * xi_norm * _norm(x, g)])
 
     # (derzeta)  nabla0_zeta (I zeta) = 0
     i_zeta_field = lambda q: np.matvec(avg.J(q), zeta_field(q))
     n_izeta = covariant_derivative_full(chart, i_zeta_field, p, (0, 1),
-                                        mode=mode, step=fd.STEP_NESTED,
-                                        order=fd.ORDER_NESTED)
+                                        mode=mode, stencil=fd.NESTED)
     zeta = zeta_field(p)
-    res["derzeta"] = _normalized(vnorm(zeta @ n_izeta), [1.0])
+    res["derzeta"] = _normalized(_norm(zeta @ n_izeta, g), [1.0])
 
     # Killing:  (L_xi g)_ij = xi^k d_k g_ij + g_kj d_i xi^k + g_ik d_j xi^k
     dg = chart.metric_jacobian(p, mode=mode)
-    dxi = fd.gradient(xi_field, p, fd.STEP_NESTED, fd.ORDER_NESTED)
+    dxi = fd.gradient(xi_field, p, fd.NESTED)
     lie_g = (np.einsum("k,kij->ij", xi, dg)
              + np.einsum("ik,kj->ij", dxi, g)
              + np.einsum("jk,ik->ij", dxi, g))
@@ -686,9 +676,9 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
 
     if pair_J is not None:
         theta_pair = lee_form_components(pair_J, p, mode=mode)
-        vec = lambda tau: float(np.sqrt(abs(tau @ g_inv @ tau)))
-        res["theta0_vs_pair"] = _normalized(vec(theta0 + 0.5 * theta_pair),
-                                            [vec(theta0), 0.5 * vec(theta_pair)])
+        res["theta0_vs_pair"] = _normalized(
+            _norm(theta0 + 0.5 * theta_pair, g_inv),
+            [_norm(theta0, g_inv), 0.5 * _norm(theta_pair, g_inv)])
     res["f"] = f_val
     return res
 
@@ -733,13 +723,12 @@ def classify_structure(H: HermitianStructure, samples, loops=None,
         lck = lck_residual(H, p, theta, mode=mode)
         if lck > LCK_GATE:
             raise NotLcKError(f"'{H.label}' fails the lcK gate at {p}: {lck:.2e}")
-        t_norm = float(np.sqrt(abs(theta @ g_inv @ theta))) * scale
+        t_norm = _norm(theta, g_inv) * scale
         max_theta = max(max_theta, t_norm)
         ntheta = nabla_theta(H, p, mode=mode)
         max_nabla = max(max_nabla, form_norm(ntheta, g) * scale ** 2)
         dtheta = exterior_derivative(chart, lee_field(H, mode), p, k=1,
-                                     step=fd.STEP_NESTED,
-                                     order=fd.ORDER_NESTED).components
+                                     stencil=fd.NESTED).components
         max_dtheta = max(max_dtheta, form_norm(dtheta, g) * scale ** 2)
 
     periods = []

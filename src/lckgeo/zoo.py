@@ -127,11 +127,11 @@ def _basis(m: int, k: int) -> np.ndarray:
     return e
 
 
-def flat_base(n: int, half_width: float = 1.0) -> KahlerBase:
-    """Flat C^n on a box, standard metric and complex structure."""
+def flat_base(n: int) -> KahlerBase:
+    """Flat C^n on the box [-1, 1]^2n, standard metric and complex structure."""
     m = 2 * n
     return KahlerBase(label=f"flat_C{n}", dim=m,
-                      domain=tuple((-half_width, half_width) for _ in range(m)),
+                      domain=((-1.0, 1.0),) * m,
                       g_fn=fd.constant(np.eye(m)),
                       dg_fn=fd.constant(np.zeros((m, m, m))),
                       J_fn=fd.constant(_standard_j(m)))
@@ -234,11 +234,11 @@ class ZooEntry:
         return self.structures[key]
 
 
-def euclidean(m: int, half_width: float = 1.0) -> ZooEntry:
-    """Flat box chart; the trivial-holonomy control."""
+def euclidean(m: int) -> ZooEntry:
+    """Flat chart on the box [-1, 1]^m; the trivial-holonomy control."""
     if m < 1:
         raise ParameterError("euclidean needs dimension m >= 1")
-    chart = Chart(dim=m, domain=tuple((-half_width, half_width) for _ in range(m)),
+    chart = Chart(dim=m, domain=((-1.0, 1.0),) * m,
                   metric_fn=fd.constant(np.eye(m)),
                   metric_derivative_fn=fd.constant(np.zeros((m, m, m))),
                   label=f"euclidean_{m}")
@@ -456,9 +456,9 @@ def _require_kahler_base(base: KahlerBase):
         raise ParameterError(f"base '{base.label}' fails the Kahler gate")
 
 
-def warped_vaisman_gck(c: ProfileFn, base: KahlerBase,
-                       s_extent: float = 2.0 * math.pi) -> ZooEntry:
-    """ds^2 + dt^2 + e^(2c(t)) g_N with form ds ^ dt + e^(2c(t)) Omega_N.
+def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
+    """ds^2 + dt^2 + e^(2c(t)) g_N with form ds ^ dt + e^(2c(t)) Omega_N,
+    s in [-pi, pi].
 
     theta = c'(t) dt; d_s is a parallel unit field.  Kahler when c is
     constant, otherwise globally conformally Kahler with restricted
@@ -500,7 +500,7 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase,
         J[..., 2:, 2:] = np.asarray(base.J_fn(np.asarray(p)[..., 2:]))
         return J
 
-    domain = ((-s_extent / 2.0, s_extent / 2.0), (t_lo, t_hi)) + base.domain
+    domain = ((-math.pi, math.pi), (t_lo, t_hi)) + base.domain
     chart = Chart(dim=m, domain=domain, metric_fn=metric_fn,
                   metric_derivative_fn=metric_derivative_fn,
                   label=f"warped_{c.label}_{base.label}")
@@ -722,8 +722,7 @@ def calabi_connection_table_residuals(entry: ZooEntry, p, mode: str = "auto") ->
 
     def nabla(direction, field):
         full = covariant_derivative_full(chart, field, p, (0, 1), mode=mode,
-                                         step=fd.STEP_DIRECT,
-                                         order=fd.ORDER_DIRECT, gamma=gamma)
+                                         stencil=fd.DIRECT, gamma=gamma)
         return np.asarray(direction, dtype=float) @ full
 
     const = fd.constant

@@ -134,8 +134,26 @@ def test_gradient_matches_per_axis_stencil(order, step, hopf2, rng):
     for f in fields:
         ref = np.array([np.stack([_per_axis_partial(f, q, k, step, order)
                                   for k in range(q.size)]) for q in pts])
-        assert np.array_equal(fd.gradient(f, pts, step, order), ref)
-        assert np.array_equal(fd.gradient(f, pts[0], step, order), ref[0])
+        stencil = fd.Stencil(step, order)
+        assert np.array_equal(fd.gradient(f, pts, stencil), ref)
+        assert np.array_equal(fd.gradient(f, pts[0], stencil), ref[0])
+
+
+@pytest.mark.parametrize("stencil, step, order", [
+    (fd.DIRECT, 1e-5, 2), (fd.NESTED, 1e-3, 4), (fd.DEEP, 1e-2, 2)])
+def test_stencil_tiers_and_extent(stencil, step, order):
+    """Each tier holds its documented step and order, and its extent is the
+    farthest offset fd.gradient hands the field (at the origin the stencil
+    points are the offsets themselves)."""
+    assert (stencil.step, stencil.order) == (step, order)
+    reached = []
+
+    def field(q):
+        reached.append(np.max(np.abs(q)))
+        return np.sin(q)
+
+    fd.gradient(field, np.zeros(3), stencil)
+    assert reached == [stencil.extent]
 
 
 def test_gradient_evaluates_the_stencil_in_one_call(rng):
@@ -151,9 +169,9 @@ def test_gradient_evaluates_the_stencil_in_one_call(rng):
 
     lifted = np.vectorize(lambda q: np.outer(np.sin(q), q[:2]),
                           signature="(m)->(i,j)", otypes=[float])
-    for order in (2, 4):
-        out = fd.gradient(stacked, pts, 1e-3, order)
-        assert np.array_equal(fd.gradient(lifted, pts, 1e-3, order), out)
+    for stencil in (fd.Stencil(1e-3, 2), fd.Stencil(1e-3, 4)):
+        out = fd.gradient(stacked, pts, stencil)
+        assert np.array_equal(fd.gradient(lifted, pts, stencil), out)
         assert out.shape == (2, 3, 4, 4, 2)
     assert shapes == [(2, 3, 4, 2, 4), (2, 3, 4, 4, 4)]
 

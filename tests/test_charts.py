@@ -32,7 +32,7 @@ class TestChartInvariants:
 
     def test_analytic_derivative_matches_central_differences(
             self, hopf2, flat_inv2, warped_sin, calabi_sin, rng):
-        """metric_derivative_fn vs 2nd-order stencil, tol_fd = 1e-5."""
+        """metric_derivative_fn vs 2nd-order stencil, to 1e-5."""
         for entry in _all_entries(hopf2, flat_inv2, warped_sin, calabi_sin):
             for chart in entry.charts.values():
                 if chart.metric_derivative_fn is None:

@@ -123,7 +123,7 @@ class TestNijenhuis:
         assert points[0] == 2 * H.chart.dim + 1
         g = H.chart.metric(p)
         lowered = np.einsum("ak,kij->aij", g, nijenhuis_tensor(H, p))
-        dJ = fd.gradient(H.J_fn, p, fd.STEP_DIRECT, order=fd.ORDER_DIRECT)
+        dJ = fd.gradient(H.J_fn, p, fd.DIRECT)
         scale = float(np.max(np.abs(dJ)) * np.max(np.abs(H.J(p))))
         assert res == form_norm(lowered, g) / (1.0 + scale)
 
@@ -188,7 +188,7 @@ class TestLeeForm:
             H = entry.main_structure
             for p in H.chart.sample_points(rng, 3):
                 d_theta = exterior_derivative(H.chart, lee_field(H, "fd"), p,
-                                              k=1, step=1e-3, order=4).components
+                                              k=1, stencil=fd.NESTED).components
                 assert form_norm(d_theta, H.chart.metric(p)) < 1e-6
 
     def test_not_lck_gate(self, rng):
@@ -248,5 +248,9 @@ class TestLeeForm:
     def test_rejects_complex_dimension_one(self):
         chart = zoo.round_s2_base(1.0).chart()
         H = HermitianStructure(chart, zoo.round_s2_base(1.0).J_fn, n=1)
+        p = np.array([1.0, 1.0])
         with pytest.raises(NotLcKError):
-            lee_form(H, np.array([1.0, 1.0]))
+            lee_form(H, p)
+        # the bare components hold the same gate: no division by 2n - 2 = 0
+        with pytest.raises(NotLcKError, match="n >= 2"):
+            lee_form_components(H, p)

@@ -10,8 +10,8 @@ import pytest
 
 from lckgeo.cli import CONFIG_KEYS, build_parser, main as cli_main
 from lckgeo.errors import ParameterError
-from lckgeo.report import (Report, SuiteConfig, emit, exit_code,
-                           parse_selector, resolve_manifold, run)
+from lckgeo.report import (Report, ResidualTable, SuiteConfig, emit,
+                           exit_code, parse_selector, resolve_manifold, run)
 
 
 class TestSelector:
@@ -128,13 +128,28 @@ class TestRun:
             run(SuiteConfig(manifold="hopf{n=2}", suites=("einstein-chain",),
                             samples=2))
 
+    def test_nan_residual_fails(self):
+        """A NaN value becomes the maximum and stays it, so the residual
+        fails; later finite values do not move it or its worst point."""
+        table = ResidualTable()
+        table.add("r", 1e-9, [0.0], 1e-4)
+        table.add("r", math.nan, [1.0], 1e-4)
+        table.add("r", 1e-3, [2.0], 1e-4)
+        table.add("r", math.nan, [3.0], 1e-4)
+        rec = table.summarize()["r"]
+        assert math.isnan(rec["max"]) and rec["worst_point"] == [1.0]
+        assert rec["pass"] is False and not table.all_pass()
+        only_nan = ResidualTable()
+        only_nan.add("r", math.nan, [0.0], 1e-4)
+        assert not only_nan.all_pass()
+
     def test_json_schema_fields(self):
         config = SuiteConfig(manifold="flat_inversion{n=2}",
                              suites=("classify",), samples=4, seed=2)
         payload = json.loads(emit(run(config), "json"))
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert set(payload["config"]) == {
-            "manifold", "suites", "samples", "seed", "mode", "tol_fd",
+            "manifold", "suites", "samples", "seed", "mode",
             "tol_id", "tol_chain", "tol_ode", "at"}
         suite = payload["suites"][0]
         assert suite["suite"] == "classify"
@@ -194,6 +209,17 @@ class TestCli:
                          "--suite", suite, "--samples", "1"]) == 2
         assert "euclidean_3 has no Hermitian structure" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("suite, code", [
+        ("lck-identities", 2), ("einstein-chain", 2), ("classify", 2),
+        ("holonomy", 0)])
+    def test_complex_dimension_one_exit_codes(self, capsys, suite, code):
+        """euclidean{m=2} has n = 1: every Lee-form suite is a
+        configuration error, and holonomy, which takes no Lee form, runs."""
+        assert cli_main(["run", "--manifold", "euclidean{m=2}",
+                         "--suite", suite, "--samples", "1"]) == code
+        if code == 2:
+            assert "NotLcKError" in capsys.readouterr().err
 
     def test_failure_exit_one(self):
         code = cli_main(["run", "--manifold", "flat_inversion{n=2}",
