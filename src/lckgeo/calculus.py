@@ -18,6 +18,12 @@ Fields passed to the derivative operators take stacks of points (see
 tier used on the field itself (see :mod:`lckgeo.fd` for the tiering policy).
 The metric itself is always differentiated at order 2; :func:`christoffel`
 and :func:`christoffel_components` take only that stencil's ``step``.
+
+Each operator evaluates its field and then applies one algebraic step:
+:func:`levi_civita`, :func:`covariant_partials`, :func:`codifferential_of`,
+:func:`exterior_of_partials` and :func:`riemann_components`.  A caller that
+already holds the values (the one-pass Lee form of :mod:`lckgeo.hermitian`)
+applies the step itself, with the same formula and the same bits.
 """
 
 from __future__ import annotations
@@ -46,8 +52,12 @@ def christoffel_components(chart: Chart, p, mode: str = "auto",
     """Gamma^k_{ij} at each of the points p, shape (..., m) -> (..., m, m, m)."""
     # hot path: raw metric_fn, positivity is asserted by the chart gate tests
     dg = chart.metric_jacobian(p, mode=mode, step=step)
-    g_inv = np.linalg.inv(chart.metric_fn(p))
-    # dg[..., k, i, j] = d_k g_ij
+    return levi_civita(dg, np.linalg.inv(chart.metric_fn(p)))
+
+
+def levi_civita(dg: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """Gamma^k_{ij} from dg[..., k, i, j] = d_k g_ij and g^-1 at each point
+    of a stack."""
     sym = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
            - dg)
     return 0.5 * np.einsum("...kl,...lij->...kij", g_inv, sym)
@@ -59,12 +69,17 @@ def riemann(chart: Chart, p, mode: str = "auto") -> FrameTensor:
     gamma_field = lambda q: christoffel_components(chart, q, mode=mode)
     chart.require_inside(p, margin=fd.NESTED.extent)
     dG = fd.gradient(gamma_field, p, fd.NESTED)
-    G = gamma_field(p)
+    comp = riemann_components(dG, gamma_field(p))
+    return FrameTensor(comp, valence=(3, 1), point=p)
+
+
+def riemann_components(dG: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """R^a_{bcd} at one point from its Christoffel symbols G and their
+    NESTED-stencil partials dG[c, a, i, j] = d_c G^a_{ij}."""
     # R^a_{bcd} = d_c G^a_{db} - d_d G^a_{cb} + G^a_{ce} G^e_{db} - G^a_{de} G^e_{cb}
-    comp = (np.einsum("cadb->abcd", dG) - np.einsum("dacb->abcd", dG)
+    return (np.einsum("cadb->abcd", dG) - np.einsum("dacb->abcd", dG)
             + np.einsum("ace,edb->abcd", G, G)
             - np.einsum("ade,ecb->abcd", G, G))
-    return FrameTensor(comp, valence=(3, 1), point=p)
 
 
 def ricci_scalar(chart: Chart, p, mode: str = "auto"):
@@ -84,18 +99,26 @@ def covariant_derivative_full(chart: Chart, field: Callable, p,
     ``field`` is a field of component arrays laid out contravariant axes
     first.  For points of shape (..., m) returns
     ``out[..., c, ...] = (nabla_{d_c} T)(...)``: the derivative axis follows
-    the point axes, so at a single point it comes first.
+    the point axes, so at a single point it comes first.  ``gamma``, when
+    given, holds the Christoffel symbols at p.
     """
     p = np.asarray(p, dtype=float)
     chart.require_inside(p, margin=stencil.extent)
     dT = fd.gradient(field, p, stencil)
     T = np.asarray(field(p), dtype=float)
-    lead = p.ndim - 1
+    if gamma is None:
+        gamma = christoffel_components(chart, p, mode=mode)
+    return covariant_partials(dT, T, gamma, valence, p.ndim - 1)
+
+
+def covariant_partials(dT: np.ndarray, T: np.ndarray, gamma: np.ndarray,
+                       valence: tuple, lead: int = 0) -> np.ndarray:
+    """:func:`covariant_derivative_full` from a field's values T, their
+    partials dT and the Christoffel symbols at each point; ``lead`` counts
+    the point axes in front."""
     cov, con = valence
     if T.ndim - lead != cov + con:
         raise ValueError("field rank does not match declared valence")
-    if gamma is None:
-        gamma = christoffel_components(chart, p, mode=mode)
     out = dT.copy()
     for axis in range(con):
         corr = _tensordot(gamma, 2, T, axis, lead)    # [..., k, c, ...]
@@ -141,25 +164,41 @@ def exterior_derivative(chart: Chart, form_field: Callable, p, k: int,
     p = np.asarray(p, dtype=float)
     chart.require_inside(p, margin=stencil.extent)
     da = fd.gradient(form_field, p, stencil)
-    comp = alt(da, lead=p.ndim - 1) * (k + 1)
-    return FrameTensor(comp, valence=(k + 1, 0), point=p)
+    return FrameTensor(exterior_of_partials(da, k, p.ndim - 1),
+                       valence=(k + 1, 0), point=p)
+
+
+def exterior_of_partials(da: np.ndarray, k: int, lead: int = 0) -> np.ndarray:
+    """d alpha = (k+1) Alt(d alpha) from the partials da[..., c, ...] of a
+    k-form at each point."""
+    return alt(da, lead=lead) * (k + 1)
 
 
 def codifferential(chart: Chart, form_field: Callable, p, k: int,
                    mode: str = "auto",
-                   stencil: fd.Stencil = fd.DIRECT) -> FrameTensor:
+                   stencil: fd.Stencil = fd.DIRECT,
+                   gamma: np.ndarray = None) -> FrameTensor:
     """Codifferential delta alpha = -g^{ab} (nabla_a alpha)_{b...} at each of
-    the points p, shape (..., m)."""
+    the points p, shape (..., m); ``gamma`` as for
+    :func:`covariant_derivative_full`."""
     p = np.asarray(p, dtype=float)
     nabla = covariant_derivative_full(chart, form_field, p, (k, 0),
-                                      mode=mode, stencil=stencil)
-    g_inv = np.linalg.inv(chart.metric(p))
+                                      mode=mode, stencil=stencil, gamma=gamma)
+    comp = codifferential_of(nabla, np.linalg.inv(chart.metric(p)),
+                             p.ndim - 1)
+    return FrameTensor(comp, valence=(k - 1, 0), point=p)
+
+
+def codifferential_of(nabla: np.ndarray, g_inv: np.ndarray,
+                      lead: int = 0) -> np.ndarray:
+    """-g^{ab} (nabla_a alpha)_{b...} from the covariant partials of a form
+    and g^-1 at each point; ``lead`` counts the point axes in front."""
     # -np.tensordot(g_inv, nabla, axes=([0, 1], [0, 1])) at each point
-    points, m = p.shape[:-1], p.shape[-1]
-    rest = nabla.shape[p.ndim + 1:]
+    points, m = nabla.shape[:lead], nabla.shape[lead]
+    rest = nabla.shape[lead + 2:]
     comp = -(g_inv.reshape(points + (1, m * m))
              @ nabla.reshape(points + (m * m, math.prod(rest))))
-    return FrameTensor(comp.reshape(points + rest), valence=(k - 1, 0), point=p)
+    return comp.reshape(points + rest)
 
 
 def lie_bracket(v_field: Callable, w_field: Callable, p) -> np.ndarray:

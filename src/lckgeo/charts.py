@@ -100,11 +100,14 @@ class Chart:
         return 0.0
 
     def metric_jacobian(self, p, mode: str = "auto",
-                        step: float = fd.DIRECT.step) -> np.ndarray:
+                        step: float = fd.DIRECT.step,
+                        values: np.ndarray = None) -> np.ndarray:
         """dg[..., k, i, j] = d_k g_ij at each of the points p, shape (..., dim).
 
         Analytic when available unless mode='fd'; otherwise the 2nd-order
-        stencil of the given step.
+        stencil of the given step.  ``values``, when given, is the metric at
+        that stencil's :func:`lckgeo.fd.stencil_points` around p, and is
+        differenced in place of new evaluations.
         """
         p = np.asarray(p, dtype=float)
         if mode not in ("auto", "fd", "analytic"):
@@ -115,7 +118,9 @@ class Chart:
         if not margin:
             return np.asarray(self.metric_derivative_fn(p), dtype=float)
         self.require_inside(p, margin=margin)
-        return fd.gradient(self.metric_fn, p, fd.Stencil(step, 2))
+        if values is None:
+            return fd.gradient(self.metric_fn, p, fd.Stencil(step, 2))
+        return fd.difference(values, fd.Stencil(step, 2), p.ndim - 1)
 
     def center(self) -> np.ndarray:
         return np.array([(lo + hi) / 2.0 for lo, hi in self.domain])
@@ -366,11 +371,22 @@ def wedge_endo(x: np.ndarray, tau: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def form_norm(a: np.ndarray, g: np.ndarray) -> float:
     """Metric norm of a fully covariant tensor: contract every index with g^-1."""
+    return raised_norm(a, np.linalg.inv(g))
+
+
+def raised_norm(a: np.ndarray, g_inv: np.ndarray) -> float:
+    """:func:`form_norm` from g^-1, for a caller that takes several norms at
+    one point and inverts g once."""
     if a.ndim == 0:
         return float(abs(a))
-    g_inv = np.linalg.inv(g)
     raised = a
     for axis in range(a.ndim):
         raised = np.tensordot(g_inv, raised, axes=(1, axis))
         raised = np.moveaxis(raised, 0, axis)
     return float(np.sqrt(abs(np.sum(raised * a))))
+
+
+def vector_norm(v: np.ndarray, metric: np.ndarray) -> float:
+    """sqrt|v . metric . v|: the length of a vector (metric g) or of a 1-form
+    (metric g^-1)."""
+    return float(np.sqrt(abs(v @ metric @ v)))

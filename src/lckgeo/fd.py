@@ -1,8 +1,14 @@
 """Central finite-difference stencils for chart fields.
 
-All differentiation in the package funnels through :func:`gradient`.  A
-:class:`Stencil` is one (step, order) pair, and there is one per tier, tiered
-by how much stencil noise the differentiated field already carries:
+All differentiation in the package funnels through :func:`gradient`, which
+is :func:`stencil_points` followed by :func:`difference`.  A caller that
+needs several fields on one stencil (the one-pass Lee form of
+:mod:`lckgeo.hermitian` reads J and the metric there) calls the two itself
+and evaluates each field once; :func:`per_stack` keeps a field's values
+for a check that reads it on the same stacks several times.  A
+:class:`Stencil` is one (step, order)
+pair, and there is one per tier, tiered by how much stencil noise the
+differentiated field already carries:
 
 * ``DIRECT`` -- fields evaluated in closed form (metric, J, fundamental
   form): 2nd-order stencil, step 1e-5.
@@ -63,13 +69,39 @@ def constant(value) -> Callable:
         value, np.shape(p)[:-1] + value.shape))
 
 
+def per_stack(f: Callable) -> Callable:
+    """The field f, computed once on each stack of points (matched by shape
+    and bytes) for as long as the returned field lives: for the stencils of
+    one check that evaluate f on the same stacks."""
+    values = {}
+
+    def once(q):
+        q = np.asarray(q)
+        key = (q.shape, q.tobytes())
+        if key not in values:
+            values[key] = f(q)
+        return values[key]
+    return once
+
+
 def gradient(f: Callable, p, stencil: Stencil) -> np.ndarray:
     """All partials of f at each of the points p, shape (..., m).
 
     ``out[..., k, ...] = d_k f``: the derivative axis follows the point axes,
-    so at a single point it comes first.  The stencil is built for every
-    point at once, and f is called once on the stack of stencil points,
-    shape (..., m, order, m): axis by axis, in the order +h, -h (, +2h, -2h).
+    so at a single point it comes first.  f is called once, on the stack of
+    all :func:`stencil_points`, and :func:`difference` combines its values.
+    """
+    p = np.asarray(p, dtype=float)
+    return difference(np.asarray(f(stencil_points(p, stencil))), stencil,
+                      p.ndim - 1)
+
+
+def stencil_points(p, stencil: Stencil) -> np.ndarray:
+    """The stencil around each of the points p, shape (..., m) -> (..., m,
+    order, m): axis by axis, in the order +h, -h (, +2h, -2h).
+
+    A caller that needs several fields on one stencil evaluates each of them
+    once on these points and differences each with :func:`difference`.
     """
     p = np.asarray(p, dtype=float)
     h, order = stencil
@@ -81,9 +113,16 @@ def gradient(f: Callable, p, stencil: Stencil) -> np.ndarray:
         raise ValueError(f"unsupported stencil order {order}")
     # offsets[k, s] = scales[s] * e_k; p + (-h e_k) rounds like p - h e_k
     offsets = np.eye(p.shape[-1])[:, None, :] * scales[:, None]
-    values = np.asarray(f(p[..., None, None, :] + offsets))
-    f_s = np.moveaxis(values, p.ndim, 0)
-    if order == 2:
+    return p[..., None, None, :] + offsets
+
+
+def difference(values: np.ndarray, stencil: Stencil,
+               lead: int = 0) -> np.ndarray:
+    """All partials at each base point from a field's values at its
+    :func:`stencil_points`, shape (..., m, order) + the value shape ->
+    (..., m) + the value shape; ``lead`` counts the base point axes."""
+    f_s = np.moveaxis(values, lead + 1, 0)
+    h = stencil.step
+    if stencil.order == 2:
         return (f_s[0] - f_s[1]) / (2.0 * h)
     return (8.0 * (f_s[0] - f_s[1]) - (f_s[2] - f_s[3])) / (12.0 * h)
-

@@ -9,19 +9,30 @@ Omega := g(J., .), and for an lcK structure
 which makes the Lee form recoverable by a single contraction:
 theta = J(delta Omega) / (2n - 2).  On 1-forms J acts by
 (J tau)(X) := -tau(JX).
+
+:func:`lee_form_parts` computes theta in one pass: J and the validated
+metric are evaluated once on the DIRECT stencil around each point and once
+at it, and the Omega partials, the metric partials, one g^-1, the
+Christoffel symbols and delta Omega all come from those arrays.
+:func:`nested_lee` differences these parts on one NESTED stencil around each
+point for the partials of theta, nabla theta and the curvature; it is the one
+route to nabla theta.  The checks of :mod:`lckgeo.identities` read the parts
+through :func:`lee_parts_at`, which computes them once per stack of points,
+instead of evaluating them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import fd
-from .calculus import (codifferential, covariant_derivative_full,
-                       exterior_derivative)
-from .charts import Chart, FrameTensor, form_norm, form_of_endomorphism, wedge
+from .calculus import (codifferential_of, covariant_partials,
+                       exterior_of_partials, levi_civita, riemann_components)
+from .charts import (Chart, FrameTensor, form_norm, form_of_endomorphism,
+                     raised_norm, wedge)
 from .errors import CompatibilityError, NotLcKError
 
 # Largest scale-normalized |dOmega - 2 theta ^ Omega| at which a structure
@@ -49,8 +60,7 @@ class HermitianStructure:
 
     def j_form(self, p, tau: np.ndarray) -> np.ndarray:
         """(J tau)_i = -tau(J d_i) for a 1-form tau at each of the points p."""
-        return (-np.swapaxes(self.J(p), -1, -2)
-                @ np.asarray(tau)[..., None])[..., 0]
+        return j_on_forms(self.J(p), tau)
 
     def compatibility_defects(self, p):
         """(|J^2 + Id|, |J^T G J - G|) max-norms at p."""
@@ -67,6 +77,12 @@ class HermitianStructure:
             raise CompatibilityError(
                 f"J incompatible at {np.asarray(p)} on '{self.label}': "
                 f"|J^2+Id|={d_square:.2e}, |J^T G J - G|={d_metric:.2e}")
+
+
+def j_on_forms(J: np.ndarray, tau) -> np.ndarray:
+    """(J tau)_i = -tau(J d_i) from the values J of the structure at each
+    point."""
+    return (-np.swapaxes(J, -1, -2) @ np.asarray(tau)[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -123,37 +139,98 @@ def lee_form(H: HermitianStructure, p, mode: str = "auto") -> LeeData:
     """Extract the Lee form via theta = J(delta Omega) / (2n - 2).
 
     The cross-identity d(Omega) - 2 theta ^ Omega is verified
-    (scale-normalized) and a :class:`NotLcKError` raised above ``LCK_GATE``.
+    (scale-normalized) and a :class:`NotLcKError` raised above ``LCK_GATE``
+    or where it is NaN.
     """
     p = np.asarray(p, dtype=float)
-    theta = lee_form_components(H, p, mode=mode)
-    res = lck_residual(H, p, theta, mode=mode)
-    if res > LCK_GATE:
+    parts_at = lee_parts_at(H, mode)
+    res = lck_residual(H, p, mode=mode, parts_at=parts_at)
+    if not res <= LCK_GATE:
         raise NotLcKError(
             f"structure '{H.label}' fails the lcK gate at {p}: "
             f"|dOmega - 2 theta ^ Omega| = {res:.2e}")
-    g = H.chart.metric(p)
-    j_theta = H.j_form(p, theta)
-    norm_sq = float(theta @ np.linalg.solve(g, theta))
-    S = nabla_theta(H, p, mode=mode) + np.outer(theta, theta)
+    parts = parts_at(p)
+    theta = parts.theta
+    j_theta = j_on_forms(parts.J, theta)
+    norm_sq = float(theta @ np.linalg.solve(parts.g, theta))
+    S = (nabla_theta(H, p, mode=mode, parts_at=parts_at)
+         + np.outer(theta, theta))
     return LeeData(theta=FrameTensor(theta, (1, 0), p),
                    J_theta=FrameTensor(j_theta, (1, 0), p),
                    norm_sq=norm_sq,
                    S=FrameTensor(S, (2, 0), p))
 
 
-def lee_form_components(H: HermitianStructure, p, mode: str = "auto") -> np.ndarray:
-    """Bare Lee-form components at each of the points p, shape (..., dim)
-    (the cheap inner loop of everything above).
+class LeeParts(NamedTuple):
+    """The Lee form at each of the points p with what it is made of, each
+    array with the point axes in front."""
 
-    Raises :class:`NotLcKError` for complex dimension n < 2, where the
-    formula divides by 2n - 2 = 0.
+    theta: np.ndarray           # the Lee form, (J delta Omega) / (2n - 2)
+    J: np.ndarray               # J^i_j
+    g: np.ndarray               # the validated metric g_ij
+    g_inv: np.ndarray           # g^-1
+    dg: np.ndarray              # d_k g_ij (see Chart.metric_jacobian)
+    gamma: np.ndarray           # Christoffel symbols Gamma^k_{ij}
+    omega: np.ndarray           # Omega_ij
+    omega_partials: np.ndarray  # d_k Omega_ij, on the DIRECT stencil
+    delta_omega: np.ndarray     # (delta Omega)_j
+    dJ: np.ndarray              # d_k J^i_j, on the DIRECT stencil
+
+
+def lee_form_parts(H: HermitianStructure, p, mode: str = "auto") -> LeeParts:
+    """The Lee form theta = J(delta Omega) / (2n - 2) at each of the points p,
+    shape (..., dim), in one pass.
+
+    J and the validated metric are evaluated once on the DIRECT stencil
+    points and once at p.  Their stencil values give the partials of Omega,
+    of J and (in fd mode) of g, and one g^-1 serves both the Christoffel
+    symbols and the contraction of delta Omega.  Each part is bitwise what
+    the generic route gives: ``codifferential(chart, H.omega, p, k=2)``,
+    :func:`lckgeo.calculus.christoffel_components` and
+    ``fd.gradient(H.J_fn, p, fd.DIRECT)``.  Errors are those of that route:
+    :class:`ChartDomainError` for p within the stencil extent of a face,
+    :class:`MetricError` naming the first bad stencil point, and
+    :class:`NotLcKError` for complex dimension n < 2, where the formula
+    divides by 2n - 2 = 0.
     """
     if H.n < 2:
         raise NotLcKError("Lee-form extraction needs complex dimension n >= 2")
     p = np.asarray(p, dtype=float)
-    delta_omega = codifferential(H.chart, H.omega, p, k=2, mode=mode).components
-    return H.j_form(p, delta_omega) / (2.0 * H.n - 2.0)
+    chart = H.chart
+    lead = p.ndim - 1
+    chart.require_inside(p, margin=fd.DIRECT.extent)
+    around = fd.stencil_points(p, fd.DIRECT)
+    J_around = H.J(around)
+    g_around = chart.metric(around)
+    J = H.J(p)
+    g = chart.metric(p)
+    omega = form_of_endomorphism(J, g)
+    omega_partials = fd.difference(form_of_endomorphism(J_around, g_around),
+                                   fd.DIRECT, lead)
+    dg = chart.metric_jacobian(p, mode=mode, values=g_around)
+    g_inv = np.linalg.inv(g)
+    gamma = levi_civita(dg, g_inv)
+    nabla_omega = covariant_partials(omega_partials, omega, gamma, (2, 0),
+                                     lead)
+    delta_omega = codifferential_of(nabla_omega, g_inv, lead)
+    theta = j_on_forms(J, delta_omega) / (2.0 * H.n - 2.0)
+    return LeeParts(theta, J, g, g_inv, dg, gamma, omega, omega_partials,
+                    delta_omega, fd.difference(J_around, fd.DIRECT, lead))
+
+
+def lee_parts_at(H: HermitianStructure, mode: str = "auto") -> Callable:
+    """:func:`lee_form_parts` as a function of a stack of points, computed
+    once per stack (:func:`lckgeo.fd.per_stack`): the checks at one sample
+    read the parts at p and on the stencils around it through one such
+    function."""
+    return fd.per_stack(lambda q: lee_form_parts(H, q, mode=mode))
+
+
+def lee_form_components(H: HermitianStructure, p,
+                        mode: str = "auto") -> np.ndarray:
+    """Bare Lee-form components at each of the points p, shape (..., dim)
+    (the cheap inner loop of everything above); see :func:`lee_form_parts`."""
+    return lee_form_parts(H, p, mode=mode).theta
 
 
 def lee_field(H: HermitianStructure, mode: str = "auto") -> Callable:
@@ -162,23 +239,68 @@ def lee_field(H: HermitianStructure, mode: str = "auto") -> Callable:
     return lambda q: lee_form_components(H, q, mode=mode)
 
 
-def nabla_theta(H: HermitianStructure, p, mode: str = "auto") -> np.ndarray:
-    """(nabla theta)_ij = (nabla_{d_i} theta)_j by differentiating the Lee field."""
-    return covariant_derivative_full(H.chart, lee_field(H, mode), p, (1, 0),
-                                     mode=mode, stencil=fd.NESTED)
+class NestedLee(NamedTuple):
+    """The Lee-form parts differenced on the NESTED stencil around each of
+    the points p, each array with the point axes in front."""
+
+    theta_partials: np.ndarray  # d_c theta_j
+    ntheta: np.ndarray          # (nabla_{d_c} theta)_j
+    gamma: np.ndarray           # Gamma^k_{ij} at p
+    gamma_partials: np.ndarray  # d_c Gamma^k_{ij}
+
+    @property
+    def riemann(self) -> np.ndarray:
+        """R^a_{bcd} at a single point p, as :func:`lckgeo.calculus.riemann`
+        gives it."""
+        return riemann_components(self.gamma_partials, self.gamma)
 
 
-def lck_residual(H: HermitianStructure, p, theta: np.ndarray = None,
-                 mode: str = "auto") -> float:
-    """Scale-normalized |dOmega - 2 theta ^ Omega| at p."""
+def nested_lee(H: HermitianStructure, p, mode: str = "auto",
+               parts_at: Callable = None) -> NestedLee:
+    """theta's partials, nabla theta and the curvature at each of the points
+    p, shape (..., dim), from the Lee-form parts on one NESTED stencil.
+
+    The Lee form carries one stencil level of noise, so it is differenced at
+    NESTED steps; the Christoffel symbols of the same parts give R.  nabla
+    theta is bitwise ``covariant_derivative_full(chart, lee_field(H), p,
+    (1, 0), stencil=fd.NESTED)`` and R is :func:`lckgeo.calculus.riemann`.
+    ``parts_at`` (see :func:`lee_parts_at`), when given, supplies the parts
+    of a caller that reads them on the same stacks elsewhere.
+    """
+    if parts_at is None:
+        parts_at = lee_parts_at(H, mode)
     p = np.asarray(p, dtype=float)
-    if theta is None:
-        theta = lee_form_components(H, p, mode=mode)
-    d_omega = exterior_derivative(H.chart, H.omega, p, k=2).components
-    rhs = 2.0 * wedge(theta, H.omega(p))
-    g = H.chart.metric(p)
-    denom = 1.0 + max(form_norm(d_omega, g), form_norm(rhs, g))
-    return form_norm(d_omega - rhs, g) / denom
+    lead = p.ndim - 1
+    H.chart.require_inside(p, margin=fd.NESTED.extent)
+    around = parts_at(fd.stencil_points(p, fd.NESTED))
+    parts = parts_at(p)
+    d_theta = fd.difference(around.theta, fd.NESTED, lead)
+    ntheta = covariant_partials(d_theta, parts.theta, parts.gamma, (1, 0),
+                                lead)
+    return NestedLee(d_theta, ntheta, parts.gamma,
+                     fd.difference(around.gamma, fd.NESTED, lead))
+
+
+def nabla_theta(H: HermitianStructure, p, mode: str = "auto",
+                parts_at: Callable = None) -> np.ndarray:
+    """(nabla theta)_ij = (nabla_{d_i} theta)_j at each of the points p; see
+    :func:`nested_lee`."""
+    return nested_lee(H, p, mode=mode, parts_at=parts_at).ntheta
+
+
+def lck_residual(H: HermitianStructure, p, mode: str = "auto",
+                 parts_at: Callable = None) -> float:
+    """Scale-normalized |dOmega - 2 theta ^ Omega| at p; ``parts_at`` as for
+    :func:`nested_lee`."""
+    p = np.asarray(p, dtype=float)
+    if parts_at is None:
+        parts_at = lee_parts_at(H, mode)
+    parts = parts_at(p)
+    d_omega = exterior_of_partials(parts.omega_partials, 2, p.ndim - 1)
+    rhs = 2.0 * wedge(parts.theta, parts.omega)
+    g_inv = parts.g_inv
+    denom = 1.0 + max(raised_norm(d_omega, g_inv), raised_norm(rhs, g_inv))
+    return raised_norm(d_omega - rhs, g_inv) / denom
 
 
 def conformal_rescale(chart: Chart, log_factor: Callable,

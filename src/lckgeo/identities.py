@@ -29,30 +29,28 @@ wedge endomorphism is (X ^ tau)(Y) = g(X, Y) tau_sharp - tau(Y) X):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import fd
 from .calculus import (codifferential, covariant_derivative_full,
-                       exterior_derivative, lie_bracket, ricci_scalar, riemann)
-from .charts import form_norm, form_of_endomorphism, wedge, wedge_endo
+                       covariant_partials, exterior_derivative,
+                       exterior_of_partials, lie_bracket, ricci_scalar)
+from .charts import (form_of_endomorphism, raised_norm, vector_norm, wedge,
+                     wedge_endo)
 from .errors import (InconsistencyError, NotLcKError, PreconditionError,
                      SingularPointError)
-from .hermitian import (LCK_GATE, HermitianStructure, lck_residual,
-                        lee_field, lee_form_components, nabla_theta)
+from .hermitian import (LCK_GATE, HermitianStructure, j_on_forms,
+                        lck_residual, lee_field, lee_form_components,
+                        lee_form_parts, lee_parts_at, nabla_theta, nested_lee)
 from .transport import line_integral_segment, loop_integral
 
 
-def _endo_norm(a: np.ndarray, g: np.ndarray) -> float:
-    return form_norm(a.T @ g, g)
-
-
-def _norm(v: np.ndarray, metric: np.ndarray) -> float:
-    """sqrt|v . metric . v|: the length of a vector (metric g) or a 1-form
-    (metric g^-1)."""
-    return float(np.sqrt(abs(v @ metric @ v)))
+def _endo_norm(a: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> float:
+    return raised_norm(a.T @ g, g_inv)
 
 
 def _normalized(diff_norm: float, term_norms) -> float:
@@ -76,38 +74,42 @@ def _pair_sigma(I: HermitianStructure, J: HermitianStructure, q) -> np.ndarray:
 # single-identity residuals
 # ---------------------------------------------------------------------------
 
-def nabla_j_residual(H: HermitianStructure, p, x, mode: str = "auto") -> float:
-    """|nabla_X J - (X ^ J theta + JX ^ theta)| at p, term-normalized."""
+def nabla_j_residual(H: HermitianStructure, p, x, mode: str = "auto",
+                     parts_at: Callable = None) -> float:
+    """|nabla_X J - (X ^ J theta + JX ^ theta)| at p, term-normalized;
+    ``parts_at`` as for :func:`lckgeo.hermitian.nested_lee`."""
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
-    g = H.chart.metric(p)
-    J = H.J(p)
-    theta = lee_form_components(H, p, mode=mode)
+    if parts_at is None:
+        parts_at = lee_parts_at(H, mode)
+    parts = parts_at(p)
+    g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
     j_theta = -J.T @ theta
-    nJ = covariant_derivative_full(H.chart, H.J_fn, p, (1, 1), mode=mode,
-                                   stencil=fd.DIRECT)
+    nJ = covariant_partials(parts.dJ, J, parts.gamma, (1, 1))
     lhs = np.tensordot(x, nJ, axes=(0, 0))
     t1 = wedge_endo(x, j_theta, g)
     t2 = wedge_endo(J @ x, theta, g)
     rhs = t1 + t2
-    terms = [_endo_norm(t, g) for t in (lhs, t1, t2)]
-    return _normalized(_endo_norm(lhs - rhs, g), terms)
+    terms = [_endo_norm(t, g, g_inv) for t in (lhs, t1, t2)]
+    return _normalized(_endo_norm(lhs - rhs, g, g_inv), terms)
 
 
-def curvature_j_residuals(H: HermitianStructure, p, x, y,
-                          mode: str = "auto") -> tuple:
-    """Residuals of the full R.J formula and of its frame contraction."""
+def curvature_j_residuals(H: HermitianStructure, p, x, y, mode: str = "auto",
+                          parts_at: Callable = None) -> tuple:
+    """Residuals of the full R.J formula and of its frame contraction;
+    ``parts_at`` as for :func:`lckgeo.hermitian.nested_lee`."""
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    g = H.chart.metric(p)
-    g_inv = np.linalg.inv(g)
-    J = H.J(p)
-    theta = lee_form_components(H, p, mode=mode)
+    if parts_at is None:
+        parts_at = lee_parts_at(H, mode)
+    nested = nested_lee(H, p, mode=mode, parts_at=parts_at)
+    parts = parts_at(p)
+    g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
     j_theta = -J.T @ theta
-    ntheta = nabla_theta(H, p, mode=mode)           # ntheta[c, j]
+    ntheta = nested.ntheta                          # ntheta[c, j]
     norm_sq = float(theta @ g_inv @ theta)
-    R = riemann(H.chart, p, mode=mode).components   # R[a, b, c, d]
+    R = nested.riemann                              # R[a, b, c, d]
 
     # --- full formula -------------------------------------------------------
     RXY = np.einsum("abcd,c,d->ab", R, x, y)
@@ -128,8 +130,9 @@ def curvature_j_residuals(H: HermitianStructure, p, x, y,
         -wedge_endo(jx, ny_theta, g),
     ]
     rhs = sum(terms)
-    norms = [_endo_norm(t, g) for t in terms] + [_endo_norm(lhs, g)]
-    res_full = _normalized(_endo_norm(lhs - rhs, g), norms)
+    norms = ([_endo_norm(t, g, g_inv) for t in terms]
+             + [_endo_norm(lhs, g, g_inv)])
+    res_full = _normalized(_endo_norm(lhs - rhs, g, g_inv), norms)
 
     # --- contraction --------------------------------------------------------
     # sum_j (R_{X,e_j} J)(e_j) = g^{jl} [R(X, e_j)(J e_l) - J R(X, e_j) e_l]
@@ -146,22 +149,24 @@ def curvature_j_residuals(H: HermitianStructure, p, x, y,
         -delta_theta * jx,
     ]
     rhs_c = sum(c_terms)
-    c_norms = [_norm(t, g) for t in c_terms] + [_norm(lhs_c, g)]
-    res_contr = _normalized(_norm(lhs_c - rhs_c, g), c_norms)
+    c_norms = [vector_norm(t, g) for t in c_terms] + [vector_norm(lhs_c, g)]
+    res_contr = _normalized(vector_norm(lhs_c - rhs_c, g), c_norms)
     return res_full, res_contr
 
 
 def s_commutator_residual(H: HermitianStructure, p, mode: str = "auto") -> float:
     """|SJ - JS| for S = nabla theta + theta (x) theta (Einstein assumption)."""
     p = np.asarray(p, dtype=float)
-    g = H.chart.metric(p)
-    J = H.J(p)
-    theta = lee_form_components(H, p, mode=mode)
-    s_cov = nabla_theta(H, p, mode=mode) + np.outer(theta, theta)
+    parts_at = lee_parts_at(H, mode)
+    parts = parts_at(p)
+    g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
+    s_cov = (nabla_theta(H, p, mode=mode, parts_at=parts_at)
+             + np.outer(theta, theta))
     s_endo = np.linalg.solve(g, s_cov)
     comm = s_endo @ J - J @ s_endo
-    return _normalized(_endo_norm(comm, g),
-                       [_endo_norm(s_endo @ J, g), _endo_norm(J @ s_endo, g)])
+    return _normalized(_endo_norm(comm, g, g_inv),
+                       [_endo_norm(s_endo @ J, g, g_inv),
+                        _endo_norm(J @ s_endo, g, g_inv)])
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +178,15 @@ def einstein_deviation(H: HermitianStructure, p, lam: float,
     """Term-normalized |Ric - lambda g| at p."""
     ric, _ = ricci_scalar(H.chart, p, mode=mode)
     g = H.chart.metric(p)
-    diff = ric.components - lam * g
-    return _normalized(form_norm(diff, g),
-                       [form_norm(ric.components, g), abs(lam) * form_norm(g, g)])
+    return _ricci_deviation(ric.components, lam, g, np.linalg.inv(g))
+
+
+def _ricci_deviation(ric: np.ndarray, lam: float, g: np.ndarray,
+                     g_inv: np.ndarray) -> float:
+    diff = ric - lam * g
+    return _normalized(raised_norm(diff, g_inv),
+                       [raised_norm(ric, g_inv),
+                        abs(lam) * raised_norm(g, g_inv)])
 
 
 def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
@@ -187,32 +198,34 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     """
     p = np.asarray(p, dtype=float)
     chart = H.chart
-    if einstein_deviation(H, p, lam, mode=mode) > 1e-3:
+
+    # The Lee-form parts and their NESTED differences on each stack of
+    # points, computed once: the stencils below evaluate them on a few stacks
+    # (p and the NESTED and DEEP stencils around it), and Ric comes from the
+    # curvature of the NESTED pass at p.
+    parts_at = lee_parts_at(H, mode)
+    nested_at = fd.per_stack(
+        lambda q: nested_lee(H, q, mode=mode, parts_at=parts_at))
+
+    def theta_f(q):
+        return parts_at(q).theta
+
+    def ntheta_at(q):
+        return nested_at(q).ntheta
+
+    R = nested_at(p).riemann
+    parts = parts_at(p)
+    g, g_inv, J, omega = parts.g, parts.g_inv, parts.J, parts.omega
+    if _ricci_deviation(np.einsum("abad->bd", R), lam, g, g_inv) > 1e-3:
         raise PreconditionError(
             f"structure '{H.label}' is not Einstein with lambda={lam} at {p}")
 
-    g = chart.metric(p)
-    g_inv = np.linalg.inv(g)
-    J = H.J(p)
-    omega = H.omega(p)
     n = H.n
     n2 = 2 * n
-
-    theta_f = lee_field(H, mode)
-    theta = theta_f(p)
+    theta = parts.theta
     j_theta = -J.T @ theta
     theta_sharp = g_inv @ theta
     norm_sq = float(theta @ theta_sharp)
-
-    # nabla theta on each stack of points, computed once: the DEEP stencils
-    # of S, JS, delta theta and f all evaluate it on the same stack
-    ntheta_cache = {}
-
-    def ntheta_at(q):
-        key = (q.shape, q.tobytes())
-        if key not in ntheta_cache:
-            ntheta_cache[key] = nabla_theta(H, q, mode=mode)
-        return ntheta_cache[key]
 
     ntheta = ntheta_at(p)
     s_cov = ntheta + np.outer(theta, theta)
@@ -224,30 +237,31 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     # derived fields (evaluation noise one stencil deep -> NESTED steps;
     # two deep (S, delta theta, f) -> DEEP steps)
     def jtheta_field(q):
-        return H.j_form(q, theta_f(q))
+        at = parts_at(q)
+        return j_on_forms(at.J, at.theta)
 
     def theta_sharp_field(q):
-        return _solve(chart.metric_fn(q), theta_f(q))
+        at = parts_at(q)
+        return _solve(at.g, at.theta)
 
     def jtheta_sharp_field(q):
-        return _solve(chart.metric_fn(q), jtheta_field(q))
+        return _solve(parts_at(q).g, jtheta_field(q))
 
     def norm_sq_field(q):
-        t = theta_f(q)
-        return np.vecdot(t, _solve(chart.metric_fn(q), t))
+        at = parts_at(q)
+        return np.vecdot(at.theta, _solve(at.g, at.theta))
 
     def s_field(q):
         t = theta_f(q)
         return ntheta_at(q) + t[..., :, None] * t[..., None, :]
 
     def js_form_field(q):
-        gq = np.asarray(chart.metric_fn(q), dtype=float)
-        endo = H.J(q) @ np.linalg.solve(gq, s_field(q))
-        return form_of_endomorphism(endo, gq)
+        at = parts_at(q)
+        endo = at.J @ np.linalg.solve(at.g, s_field(q))
+        return form_of_endomorphism(endo, at.g)
 
     def delta_theta_field(q):
-        gq = np.asarray(chart.metric_fn(q), dtype=float)
-        return -np.einsum("...ij,...ij->...", np.linalg.inv(gq), ntheta_at(q))
+        return -np.einsum("...ij,...ij->...", parts_at(q).g_inv, ntheta_at(q))
 
     def f_field(q):
         return delta_theta_field(q) + norm_sq_field(q)
@@ -257,7 +271,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
         return wedge(t, jtheta_field(q), lead=t.ndim - 1)
 
     def norm_sq_omega_field(q):
-        return norm_sq_field(q)[..., None, None] * H.omega(q)
+        return norm_sq_field(q)[..., None, None] * parts_at(q).omega
 
     d_norm_sq = fd.gradient(norm_sq_field, p, fd.NESTED)
     res = {}
@@ -265,8 +279,8 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     # (Sth)  S theta = 1/2 d|theta|^2 + |theta|^2 theta
     lhs = s_cov @ theta_sharp
     t1, t2 = 0.5 * d_norm_sq, norm_sq * theta
-    res["Sth"] = _normalized(_norm(lhs - t1 - t2, g_inv),
-                             [_norm(t, g_inv) for t in (lhs, t1, t2)])
+    res["Sth"] = _normalized(vector_norm(lhs - t1 - t2, g_inv),
+                             [vector_norm(t, g_inv) for t in (lhs, t1, t2)])
 
     # (trS)  tr S = |theta|^2 - delta theta
     tr_s = float(np.trace(s_endo))
@@ -276,12 +290,13 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     # (nablaJth)  nabla_X (J theta) = (J S X)^flat - J theta(X) theta
     #             - |theta|^2 (JX)^flat, checked on coordinate directions
     njtheta = covariant_derivative_full(chart, jtheta_field, p, (1, 0),
-                                        mode=mode, stencil=fd.NESTED)
+                                        mode=mode, stencil=fd.NESTED,
+                                        gamma=parts.gamma)
     # row c: (JS e_c)^flat - (J theta)(e_c) theta - |theta|^2 (J e_c)^flat
     rhs_njt = (g @ js_endo).T - np.outer(j_theta, theta) - norm_sq * (g @ J).T
     diff = njtheta - rhs_njt
-    scale = [form_norm(njtheta, g), form_norm(rhs_njt, g)]
-    res["nablaJth"] = _normalized(form_norm(diff, g), scale)
+    scale = [raised_norm(njtheta, g_inv), raised_norm(rhs_njt, g_inv)]
+    res["nablaJth"] = _normalized(raised_norm(diff, g_inv), scale)
 
     # (diffJth)  d(J theta) = 2 JS + theta ^ J theta - 2 |theta|^2 Omega
     d_jtheta = exterior_derivative(chart, jtheta_field, p, k=1,
@@ -289,63 +304,70 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     t1 = 2.0 * js_form
     t2 = wedge(theta, j_theta)
     t3 = -2.0 * norm_sq * omega
-    res["diffJth"] = _normalized(form_norm(d_jtheta - t1 - t2 - t3, g),
-                                 [form_norm(t, g) for t in (d_jtheta, t1, t2, t3)])
+    res["diffJth"] = _normalized(raised_norm(d_jtheta - t1 - t2 - t3, g_inv),
+                                 [raised_norm(t, g_inv)
+                                  for t in (d_jtheta, t1, t2, t3)])
 
     # (lieJth)  [theta, J theta] = -|theta|^2 J theta     (as vector fields)
     br = lie_bracket(theta_sharp_field, jtheta_sharp_field, p)
     rhs_br = -norm_sq * (g_inv @ j_theta)
-    res["lieJth"] = _normalized(_norm(br - rhs_br, g),
-                                [_norm(br, g), _norm(rhs_br, g)])
+    res["lieJth"] = _normalized(vector_norm(br - rhs_br, g),
+                                [vector_norm(br, g), vector_norm(rhs_br, g)])
 
     # (codiffth)  delta(theta ^ J theta) = (delta theta + |theta|^2) J theta
     d_tj = codifferential(chart, theta_wedge_jtheta_field, p, k=2, mode=mode,
-                          stencil=fd.NESTED).components
+                          stencil=fd.NESTED, gamma=parts.gamma).components
     rhs_tj = (delta_theta + norm_sq) * j_theta
-    res["codiffth"] = _normalized(_norm(d_tj - rhs_tj, g_inv),
-                                  [_norm(d_tj, g_inv), _norm(rhs_tj, g_inv)])
+    res["codiffth"] = _normalized(vector_norm(d_tj - rhs_tj, g_inv),
+                                  [vector_norm(d_tj, g_inv),
+                                   vector_norm(rhs_tj, g_inv)])
 
     # (codiffom)  delta(|theta|^2 Omega) = -J(d|theta|^2) + (2-2n)|theta|^2 J theta
     d_no = codifferential(chart, norm_sq_omega_field, p, k=2, mode=mode,
-                          stencil=fd.NESTED).components
+                          stencil=fd.NESTED, gamma=parts.gamma).components
     t1 = J.T @ d_norm_sq                      # -J(d|theta|^2) = +J^T d|theta|^2
     t2 = (2.0 - n2) * norm_sq * j_theta
-    res["codiffom"] = _normalized(_norm(d_no - t1 - t2, g_inv),
-                                  [_norm(t, g_inv) for t in (d_no, t1, t2)])
+    res["codiffom"] = _normalized(vector_norm(d_no - t1 - t2, g_inv),
+                                  [vector_norm(t, g_inv)
+                                   for t in (d_no, t1, t2)])
 
     # (eqJdel2)  delta S = (delta theta) theta - 1/2 d|theta|^2 - lambda theta
     #            + d(delta theta)
     delta_s = -np.einsum("ab,ab...->...", g_inv,
                          covariant_derivative_full(chart, s_field, p, (2, 0),
-                                                   mode=mode, stencil=fd.DEEP))
+                                                   mode=mode, stencil=fd.DEEP,
+                                                   gamma=parts.gamma))
     d_delta_theta = fd.gradient(delta_theta_field, p, fd.DEEP)
     terms = [delta_theta * theta, -0.5 * d_norm_sq, -lam * theta, d_delta_theta]
-    res["eqJdel2"] = _normalized(_norm(delta_s - sum(terms), g_inv),
-                                 [_norm(t, g_inv) for t in [delta_s] + terms])
+    res["eqJdel2"] = _normalized(vector_norm(delta_s - sum(terms), g_inv),
+                                 [vector_norm(t, g_inv)
+                                  for t in [delta_s] + terms])
 
     # (eqJdel3)  J delta(JS) + delta S = -(delta theta) theta - d|theta|^2
     #            - |theta|^2 theta
     delta_js = codifferential(chart, js_form_field, p, k=2, mode=mode,
-                              stencil=fd.DEEP).components
+                              stencil=fd.DEEP, gamma=parts.gamma).components
     lhs3 = -J.T @ delta_js + delta_s
     terms3 = [-delta_theta * theta, -d_norm_sq, -norm_sq * theta]
-    res["eqJdel3"] = _normalized(_norm(lhs3 - sum(terms3), g_inv),
-                                 [_norm(t, g_inv) for t in [lhs3] + terms3])
+    res["eqJdel3"] = _normalized(vector_norm(lhs3 - sum(terms3), g_inv),
+                                 [vector_norm(t, g_inv)
+                                  for t in [lhs3] + terms3])
 
     # (summ)  3 (delta theta) theta - 2 lambda theta + d delta theta
     #         + d|theta|^2 + (2n-1)|theta|^2 theta = 0
     terms4 = [3.0 * delta_theta * theta, -2.0 * lam * theta, d_delta_theta,
               d_norm_sq, (n2 - 1.0) * norm_sq * theta]
-    res["summ"] = _normalized(_norm(sum(terms4), g_inv),
-                              [_norm(t, g_inv) for t in terms4])
+    res["summ"] = _normalized(vector_norm(sum(terms4), g_inv),
+                              [vector_norm(t, g_inv) for t in terms4])
 
     # (eqf)  d f = (2 lambda - 3 f + (4-2n)|theta|^2) theta,
     #        f = delta theta + |theta|^2
     f_val = delta_theta + norm_sq
     df = fd.gradient(f_field, p, fd.DEEP)
     rhs_f = (2.0 * lam - 3.0 * f_val + (4.0 - n2) * norm_sq) * theta
-    res["eqf"] = _normalized(_norm(df - rhs_f, g_inv),
-                             [_norm(df, g_inv), _norm(rhs_f, g_inv)])
+    res["eqf"] = _normalized(vector_norm(df - rhs_f, g_inv),
+                             [vector_norm(df, g_inv),
+                              vector_norm(rhs_f, g_inv)])
 
     return res
 
@@ -364,24 +386,24 @@ def parallel_field_residuals(H: HermitianStructure, p, v,
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     chart = H.chart
-    g = chart.metric(p)
-    J = H.J(p)
+    parts = lee_form_parts(H, p, mode=mode)
+    g, g_inv, J = parts.g, parts.g_inv, parts.J
 
     nv = covariant_derivative_full(chart, fd.constant(v), p, (0, 1), mode=mode,
-                                   stencil=fd.DIRECT)
-    if float(np.max(np.abs(nv))) > 1e-6 or abs(_norm(v, g) - 1.0) > 1e-8:
+                                   stencil=fd.DIRECT, gamma=parts.gamma)
+    if float(np.max(np.abs(nv))) > 1e-6 or abs(vector_norm(v, g) - 1.0) > 1e-8:
         raise PreconditionError(
             f"V is not a parallel unit field on '{H.label}' at {p}")
 
-    theta = lee_form_components(H, p, mode=mode)
+    theta = parts.theta
     a = float(theta @ v)
     jv = J @ v
     b = float(theta @ jv)
-    omega = H.omega(p)
+    omega = parts.omega
 
     jv_field = lambda q: H.J(q) @ v
     njv = covariant_derivative_full(chart, jv_field, p, (0, 1), mode=mode,
-                                    stencil=fd.DIRECT)
+                                    stencil=fd.DIRECT, gamma=parts.gamma)
     res = {}
     rows_lhs = []
     rows_rhs = []
@@ -396,15 +418,17 @@ def parallel_field_residuals(H: HermitianStructure, p, v,
     L = np.array(rows_lhs)
     Rh = np.array(rows_rhs)
     res["nablaJV"] = _normalized(
-        form_norm(g @ (L - Rh).T, g), [form_norm(g @ L.T, g), form_norm(g @ Rh.T, g)])
+        raised_norm(g @ (L - Rh).T, g_inv),
+        [raised_norm(g @ L.T, g_inv), raised_norm(g @ Rh.T, g_inv)])
 
     jv_flat_field = lambda q: np.matvec(chart.metric_fn(q), H.J(q) @ v)
     d_jv = exterior_derivative(chart, jv_flat_field, p, k=1,
                                stencil=fd.DIRECT).components
     rhs_d = 2.0 * a * (wedge(g @ v, g @ jv) - omega)
-    res["ddJV"] = _normalized(form_norm(d_jv - rhs_d, g),
-                              [form_norm(d_jv, g), form_norm(rhs_d, g),
-                               2.0 * abs(a) * form_norm(omega, g)])
+    res["ddJV"] = _normalized(raised_norm(d_jv - rhs_d, g_inv),
+                              [raised_norm(d_jv, g_inv),
+                               raised_norm(rhs_d, g_inv),
+                               2.0 * abs(a) * raised_norm(omega, g_inv)])
     res["a"] = a
     res["b"] = b
     res["ab"] = abs(a * b)
@@ -427,16 +451,16 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
     if I.chart is not J.chart and I.chart.label != J.chart.label:
         raise PreconditionError("I and J must share one chart metric")
     chart = I.chart
-    g = chart.metric(p)
-    g_inv = np.linalg.inv(g)
+    # J's Lee-form pass gives the metric of the chart I and J share
+    parts_at = lee_parts_at(J, mode)
+    parts = parts_at(p)
+    g, g_inv, Jm, theta = parts.g, parts.g_inv, parts.J, parts.theta
     Im = I.J(p)
-    Jm = J.J(p)
     n = I.n
     if x is None:
         x = np.random.default_rng(0).standard_normal(chart.dim)
     x = np.asarray(x, dtype=float)
 
-    theta = lee_form_components(J, p, mode=mode)
     norm_sq = float(theta @ g_inv @ theta)
     if norm_sq < 1e-10:
         raise SingularPointError(
@@ -447,46 +471,49 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
     res = {}
 
     comm = Im @ Jm - Jm @ Im
-    res["commute"] = _normalized(_endo_norm(comm, g),
-                                 [_endo_norm(Im @ Jm, g)])
+    res["commute"] = _normalized(_endo_norm(comm, g, g_inv),
+                                 [_endo_norm(Im @ Jm, g, g_inv)])
     res["traceIJ"] = _normalized(abs(float(np.trace(Im @ Jm)) - (2.0 * n - 4.0)),
                                  [abs(float(np.trace(Im @ Jm))), 2.0 * n - 4.0])
-    res["Itheta"] = _normalized(_norm(i_theta - j_theta, g_inv),
-                                [_norm(i_theta, g_inv), _norm(j_theta, g_inv)])
+    res["Itheta"] = _normalized(vector_norm(i_theta - j_theta, g_inv),
+                                [vector_norm(i_theta, g_inv),
+                                 vector_norm(j_theta, g_inv)])
 
     # (J)  JX = -IX + 2/|theta|^2 (<X,theta> I theta - <X,I theta> theta)
     lhs_j = Jm @ x
     rhs_j = (-Im @ x + (2.0 / norm_sq) * (float(theta @ x) * (g_inv @ i_theta)
                                           - float(i_theta @ x) * (g_inv @ theta)))
-    res["eqJ"] = _normalized(_norm(lhs_j - rhs_j, g),
-                             [_norm(lhs_j, g), _norm(rhs_j, g)])
+    res["eqJ"] = _normalized(vector_norm(lhs_j - rhs_j, g),
+                             [vector_norm(lhs_j, g), vector_norm(rhs_j, g)])
 
     # (to)  theta ^ Omega^J = - theta ^ Omega^I
     om_i = form_of_endomorphism(Im, g)
     om_j = form_of_endomorphism(Jm, g)
     t1 = wedge(theta, om_j)
     t2 = wedge(theta, om_i)
-    res["to"] = _normalized(form_norm(t1 + t2, g),
-                            [form_norm(t1, g), form_norm(t2, g)])
+    res["to"] = _normalized(raised_norm(t1 + t2, g_inv),
+                            [raised_norm(t1, g_inv), raised_norm(t2, g_inv)])
 
     # (sigma)  1/2 (Omega^I + Omega^J) = theta ^ I theta / |theta|^2
     sigma = 0.5 * (om_i + om_j)
     rhs_s = wedge(theta, i_theta) / norm_sq
-    res["sigma"] = _normalized(form_norm(sigma - rhs_s, g),
-                               [form_norm(sigma, g), form_norm(rhs_s, g)])
+    res["sigma"] = _normalized(raised_norm(sigma - rhs_s, g_inv),
+                               [raised_norm(sigma, g_inv),
+                                raised_norm(rhs_s, g_inv)])
 
     # (deromega)  nabla_X sigma = 1/2 (X ^ I theta - IX ^ theta) - <X,theta> sigma
     nsigma = covariant_derivative_full(chart, lambda q: _pair_sigma(I, J, q), p,
-                                       (2, 0), mode=mode, stencil=fd.DIRECT)
+                                       (2, 0), mode=mode, stencil=fd.DIRECT,
+                                       gamma=parts.gamma)
     lhs_d = np.tensordot(x, nsigma, axes=(0, 0))
     rhs_d = (0.5 * (wedge(g @ x, i_theta) - wedge(g @ (Im @ x), theta))
              - float(theta @ x) * sigma)
-    res["deromega"] = _normalized(form_norm(lhs_d - rhs_d, g),
-                                  [form_norm(lhs_d, g), form_norm(rhs_d, g)])
+    res["deromega"] = _normalized(raised_norm(lhs_d - rhs_d, g_inv),
+                                  [raised_norm(lhs_d, g_inv),
+                                   raised_norm(rhs_d, g_inv)])
 
     # (nablath)  sum_i <IJ nabla_{e_i} theta, e_i> = 2(n-1)|theta|^2 + delta theta
-    ntheta = covariant_derivative_full(chart, lee_field(J, mode), p, (1, 0),
-                                       mode=mode, stencil=fd.NESTED)
+    ntheta = nabla_theta(J, p, mode=mode, parts_at=parts_at)
     delta_theta = -float(np.einsum("ij,ij->", g_inv, ntheta))
     lhs_t = float(np.trace(Im @ Jm @ g_inv @ ntheta.T))
     rhs_t = 2.0 * (n - 1.0) * norm_sq + delta_theta
@@ -499,9 +526,10 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
     rhs_e = (0.5 * norm_sq * (g @ x)
              - 0.5 * (q + n + 1.0) * float(theta @ x) * theta
              - 0.5 * (q + n - 1.0) * float(i_theta @ x) * i_theta)
-    res["et"] = _normalized(_norm(lhs_e - rhs_e, g_inv),
-                            [_norm(lhs_e, g_inv), _norm(rhs_e, g_inv),
-                             0.5 * norm_sq * _norm(x, g)])
+    res["et"] = _normalized(vector_norm(lhs_e - rhs_e, g_inv),
+                            [vector_norm(lhs_e, g_inv),
+                             vector_norm(rhs_e, g_inv),
+                             0.5 * norm_sq * vector_norm(x, g)])
     return res
 
 
@@ -551,6 +579,9 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
     Im = I.J(p)
     phi_p = potential(p)
 
+    # computed once on each stack: the covariant derivative and the trace
+    # gradient read it on the same DIRECT stencil
+    @fd.per_stack
     def sigma_tilde_local(q):
         scale = np.exp(phi_p + potential.increment(p, q))
         return scale[..., None, None] * _pair_sigma(I, J, q)
@@ -569,10 +600,11 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
     d_tr = fd.gradient(trace_local, p, fd.DIRECT)
     dc_tr = -Im.T @ d_tr
     rhs = 0.5 * (wedge(d_tr, g @ (Im @ x)) - wedge(dc_tr, g @ x))
+    g_inv = np.linalg.inv(g)
     if not normalized:
-        return form_norm(lhs - rhs, g)
-    return _normalized(form_norm(lhs - rhs, g),
-                       [form_norm(lhs, g), form_norm(rhs, g)])
+        return raised_norm(lhs - rhs, g_inv)
+    return _normalized(raised_norm(lhs - rhs, g_inv),
+                       [raised_norm(lhs, g_inv), raised_norm(rhs, g_inv)])
 
 
 # ---------------------------------------------------------------------------
@@ -593,92 +625,96 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
     """
     p = np.asarray(p, dtype=float)
     chart = avg.chart
-    g = chart.metric(p)
-    g_inv = np.linalg.inv(g)
-    Im = avg.J(p)
+    # the Lee-form parts on each stack, computed once: the NESTED stencils of
+    # theta0, xi, I xi, zeta, I zeta and d xi all evaluate them on one stack
+    parts_at = lee_parts_at(avg, mode)
+    parts = parts_at(p)
+    g, g_inv, Im = parts.g, parts.g_inv, parts.J
     if x is None:
         x = np.random.default_rng(0).standard_normal(chart.dim)
     x = np.asarray(x, dtype=float)
 
-    theta0_f = lee_field(avg, mode)
-    theta0 = theta0_f(p)
+    theta0 = parts.theta
     i_theta0 = -Im.T @ theta0
-    ntheta0 = nabla_theta(avg, p, mode=mode)
+    ntheta0 = nabla_theta(avg, p, mode=mode, parts_at=parts_at)
 
     # least-squares fit of f over the 2n coordinate directions
     basis = np.einsum("c,j->cj", theta0, theta0) + np.einsum("c,j->cj", i_theta0, i_theta0)
     denom = float(np.sum(basis * basis))
     f_val = float(np.sum(basis * ntheta0)) / denom if denom > 0 else 0.0
-    fit_res = form_norm(ntheta0 - f_val * basis, g)
-    res = {"der0theta": _normalized(fit_res, [form_norm(ntheta0, g),
-                                              abs(f_val) * form_norm(basis, g)])}
+    fit_res = raised_norm(ntheta0 - f_val * basis, g_inv)
+    res = {"der0theta": _normalized(
+        fit_res, [raised_norm(ntheta0, g_inv),
+                  abs(f_val) * raised_norm(basis, g_inv)])}
 
     def xi_field(q):
-        gq = np.asarray(chart.metric_fn(q), dtype=float)
-        return _solve(gq, avg.j_form(q, theta0_f(q)))
+        at = parts_at(q)
+        return _solve(at.g, j_on_forms(at.J, at.theta))
 
     xi = xi_field(p)
-    xi_norm = _norm(xi, g)
+    xi_norm = vector_norm(xi, g)
     if xi_norm < 1e-5:
         raise SingularPointError(f"|xi| = {xi_norm:.2e} at {p}: zeta is undefined")
-    i_xi_field = lambda q: np.matvec(avg.J(q), xi_field(q))
+    i_xi_field = lambda q: np.matvec(parts_at(q).J, xi_field(q))
     i_xi = i_xi_field(p)
 
     gdot = lambda u, w: float(u @ g @ w)
 
     # (der0Jxi)  nabla0_X (I xi) = -f (<X, I xi> I xi + <X, xi> xi)
     n_ixi = covariant_derivative_full(chart, i_xi_field, p, (0, 1), mode=mode,
-                                      stencil=fd.NESTED)
+                                      stencil=fd.NESTED, gamma=parts.gamma)
     lhs = x @ n_ixi
     rhs = -f_val * (gdot(x, i_xi) * i_xi + gdot(x, xi) * xi)
-    res["der0Jxi"] = _normalized(_norm(lhs - rhs, g),
-                                 [_norm(lhs, g), _norm(rhs, g)])
+    res["der0Jxi"] = _normalized(vector_norm(lhs - rhs, g),
+                                 [vector_norm(lhs, g), vector_norm(rhs, g)])
 
     # (der0xi)  nabla0_X xi = (1+f)(<X,xi> I xi - <X,I xi> xi) - |xi|^2 I X
     n_xi = covariant_derivative_full(chart, xi_field, p, (0, 1), mode=mode,
-                                     stencil=fd.NESTED)
+                                     stencil=fd.NESTED, gamma=parts.gamma)
     lhs = x @ n_xi
     rhs = ((1.0 + f_val) * (gdot(x, xi) * i_xi - gdot(x, i_xi) * xi)
            - xi_norm ** 2 * (Im @ x))
-    res["der0xi"] = _normalized(_norm(lhs - rhs, g),
-                                [_norm(lhs, g), _norm(rhs, g)])
+    res["der0xi"] = _normalized(vector_norm(lhs - rhs, g),
+                                [vector_norm(lhs, g), vector_norm(rhs, g)])
 
     # (derIxi)  nabla0_X zeta = -(f/|xi|) <X, xi> xi, zeta = I xi / |I xi|
     def zeta_field(q):
-        gq = np.asarray(chart.metric_fn(q), dtype=float)
+        gq = parts_at(q).g
         w = i_xi_field(q)
         return w / np.sqrt(abs(np.vecdot(np.vecmat(w, gq), w)))[..., None]
 
     n_zeta = covariant_derivative_full(chart, zeta_field, p, (0, 1), mode=mode,
-                                       stencil=fd.NESTED)
+                                       stencil=fd.NESTED, gamma=parts.gamma)
     lhs = x @ n_zeta
     rhs = -(f_val / xi_norm) * gdot(x, xi) * xi
-    res["derIxi"] = _normalized(_norm(lhs - rhs, g),
-                                [_norm(lhs, g), _norm(rhs, g),
-                                 abs(f_val) * xi_norm * _norm(x, g)])
+    res["derIxi"] = _normalized(vector_norm(lhs - rhs, g),
+                                [vector_norm(lhs, g), vector_norm(rhs, g),
+                                 abs(f_val) * xi_norm * vector_norm(x, g)])
 
     # (derzeta)  nabla0_zeta (I zeta) = 0
-    i_zeta_field = lambda q: np.matvec(avg.J(q), zeta_field(q))
+    i_zeta_field = lambda q: np.matvec(parts_at(q).J, zeta_field(q))
     n_izeta = covariant_derivative_full(chart, i_zeta_field, p, (0, 1),
-                                        mode=mode, stencil=fd.NESTED)
+                                        mode=mode, stencil=fd.NESTED,
+                                        gamma=parts.gamma)
     zeta = zeta_field(p)
-    res["derzeta"] = _normalized(_norm(zeta @ n_izeta, g), [1.0])
+    res["derzeta"] = _normalized(vector_norm(zeta @ n_izeta, g), [1.0])
 
     # Killing:  (L_xi g)_ij = xi^k d_k g_ij + g_kj d_i xi^k + g_ik d_j xi^k
-    dg = chart.metric_jacobian(p, mode=mode)
+    dg = parts.dg
     dxi = fd.gradient(xi_field, p, fd.NESTED)
     lie_g = (np.einsum("k,kij->ij", xi, dg)
              + np.einsum("ik,kj->ij", dxi, g)
              + np.einsum("jk,ik->ij", dxi, g))
-    res["killing"] = _normalized(form_norm(lie_g, g),
-                                 [form_norm(np.einsum("k,kij->ij", xi, dg), g),
-                                  form_norm(np.einsum("ik,kj->ij", dxi, g), g), 1.0])
+    res["killing"] = _normalized(
+        raised_norm(lie_g, g_inv),
+        [raised_norm(np.einsum("k,kij->ij", xi, dg), g_inv),
+         raised_norm(np.einsum("ik,kj->ij", dxi, g), g_inv), 1.0])
 
     if pair_J is not None:
         theta_pair = lee_form_components(pair_J, p, mode=mode)
         res["theta0_vs_pair"] = _normalized(
-            _norm(theta0 + 0.5 * theta_pair, g_inv),
-            [_norm(theta0, g_inv), 0.5 * _norm(theta_pair, g_inv)])
+            vector_norm(theta0 + 0.5 * theta_pair, g_inv),
+            [vector_norm(theta0, g_inv), 0.5 * vector_norm(theta_pair, g_inv)])
     res["f"] = f_val
     return res
 
@@ -716,24 +752,31 @@ def classify_structure(H: HermitianStructure, samples, loops=None,
     max_dtheta = 0.0
     for p in samples:
         p = np.asarray(p, dtype=float)
-        g = chart.metric(p)
-        g_inv = np.linalg.inv(g)
+        parts_at = lee_parts_at(H, mode)
+        parts = parts_at(p)
+        g, g_inv, theta = parts.g, parts.g_inv, parts.theta
         scale = float(np.sqrt(np.trace(g) / m))
-        theta = lee_form_components(H, p, mode=mode)
-        lck = lck_residual(H, p, theta, mode=mode)
-        if lck > LCK_GATE:
+        lck = lck_residual(H, p, mode=mode, parts_at=parts_at)
+        if not lck <= LCK_GATE:     # a NaN residual fails the gate too
             raise NotLcKError(f"'{H.label}' fails the lcK gate at {p}: {lck:.2e}")
-        t_norm = _norm(theta, g_inv) * scale
-        max_theta = max(max_theta, t_norm)
-        ntheta = nabla_theta(H, p, mode=mode)
-        max_nabla = max(max_nabla, form_norm(ntheta, g) * scale ** 2)
-        dtheta = exterior_derivative(chart, lee_field(H, mode), p, k=1,
-                                     stencil=fd.NESTED).components
-        max_dtheta = max(max_dtheta, form_norm(dtheta, g) * scale ** 2)
+        # nabla theta and d theta come from one NESTED stencil of theta
+        nested = nested_lee(H, p, mode=mode, parts_at=parts_at)
+        dtheta = exterior_of_partials(nested.theta_partials, 1)
+        at_p = (vector_norm(theta, g_inv) * scale,
+                raised_norm(nested.ntheta, g_inv) * scale ** 2,
+                raised_norm(dtheta, g_inv) * scale ** 2)
+        if any(math.isnan(v) for v in at_p):
+            raise NotLcKError(f"'{H.label}' has NaN Lee-form evidence at {p}: "
+                              f"{at_p}")
+        max_theta = max(max_theta, at_p[0])
+        max_nabla = max(max_nabla, at_p[1])
+        max_dtheta = max(max_dtheta, at_p[2])
 
     periods = []
     for name, loop in loops.items():
         periods.append((name, loop_integral(chart, lee_field(H, mode), loop)))
+    if any(math.isnan(v) for _, v in periods):
+        raise NotLcKError(f"'{H.label}' has a NaN Lee-form period: {periods}")
     max_period = max((abs(v) for _, v in periods), default=0.0)
 
     evidence = {"max_theta": max_theta, "max_nabla_theta": max_nabla,

@@ -35,10 +35,10 @@ from typing import Optional
 import numpy as np
 
 from . import holonomy as hol, identities as idn, zoo
-from .calculus import codifferential, exterior_derivative
-from .charts import wedge
+from .calculus import exterior_of_partials
+from .charts import vector_norm, wedge
 from .errors import ParameterError
-from .hermitian import lck_residual, lee_form_components
+from .hermitian import j_on_forms, lck_residual, lee_parts_at
 
 SUITE_NAMES = ("lck-identities", "einstein-chain", "parallel-field",
                "commuting-pair", "hamiltonian-form", "average-metric",
@@ -168,11 +168,9 @@ def _sample_points(entry, config: SuiteConfig, rng, chart=None):
     return chart.sample_points(rng, config.samples)
 
 
-def _lee_from_domega(H, p, mode: str):
+def _lee_from_domega(d_omega: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Least-squares Lee form from d Omega = 2 theta ^ Omega (the cross road)."""
-    d_omega = exterior_derivative(H.chart, H.omega, p, k=2).components
-    m = H.chart.dim
-    omega = H.omega(p)
+    m = omega.shape[-1]
     cols = []
     for l in range(m):
         e = np.zeros(m)
@@ -207,18 +205,24 @@ def _suite_lck_identities(entry, config: SuiteConfig, rng) -> SuiteResult:
     table = ResidualTable()
 
     def one(args):
+        # every check at p reads the Lee-form parts at p (J, g, g^-1, the
+        # Christoffel symbols, the Omega partials and delta Omega) and on the
+        # NESTED stencil around it through one parts_at
         p, x, y = args
-        theta = lee_form_components(H, p, mode=mode)
-        r_dom = lck_residual(H, p, theta, mode=mode)
-        theta_d = _lee_from_domega(H, p, mode)
-        g_inv = np.linalg.inv(H.chart.metric(p))
-        j_theta_d = H.j_form(p, theta_d)
-        delta_om = codifferential(H.chart, H.omega, p, k=2, mode=mode).components
+        parts_at = lee_parts_at(H, mode)
+        parts = parts_at(p)
+        r_dom = lck_residual(H, p, mode=mode, parts_at=parts_at)
+        theta_d = _lee_from_domega(
+            exterior_of_partials(parts.omega_partials, 2), parts.omega)
+        g_inv = parts.g_inv
+        j_theta_d = j_on_forms(parts.J, theta_d)
+        delta_om = parts.delta_omega
         num = delta_om - (2.0 - 2.0 * H.n) * j_theta_d
-        vec = lambda t: float(np.sqrt(abs(t @ g_inv @ t)))
+        vec = lambda t: vector_norm(t, g_inv)
         r_del = vec(num) / (1.0 + max(vec(delta_om), abs(2.0 - 2.0 * H.n) * vec(j_theta_d)))
-        r_nj = idn.nabla_j_residual(H, p, x, mode=mode)
-        r_rj, r_rjc = idn.curvature_j_residuals(H, p, x, y, mode=mode)
+        r_nj = idn.nabla_j_residual(H, p, x, mode=mode, parts_at=parts_at)
+        r_rj, r_rjc = idn.curvature_j_residuals(H, p, x, y, mode=mode,
+                                                parts_at=parts_at)
         return r_nj, r_dom, r_del, r_rj, r_rjc
 
     rows = [one(args) for args in zip(pts, xs, ys)]

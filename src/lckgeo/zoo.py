@@ -37,7 +37,7 @@ import numpy as np
 
 from . import fd
 from .calculus import christoffel_components, covariant_derivative_full
-from .charts import Chart, polygon_loop, segment_loop
+from .charts import Chart, polygon_loop, segment_loop, vector_norm
 from .errors import BundleError, ParameterError
 from .hermitian import HermitianStructure, conformal_rescale
 
@@ -704,7 +704,6 @@ def calabi_connection_table_residuals(entry: ZooEntry, p, mode: str = "auto") ->
     lv, dl = ell(r), ell.derivative(r)
     g = chart.metric(p)
     gamma = christoffel_components(chart, p, mode=mode)
-    vnorm = lambda w: float(np.sqrt(abs(w @ g @ w)))
 
     xi = np.array([0.0, 0.0, 1.0 / c_w, 0.0])
     e_r = np.array([0.0, 0.0, 0.0, 1.0])
@@ -728,15 +727,16 @@ def calabi_connection_table_residuals(entry: ZooEntry, p, mode: str = "auto") ->
     const = fd.constant
     scale = 1.0 + lv + abs(dl)
     res = {}
-    res["row1"] = max(vnorm(nabla(xi, const(e_r)) - (dl / lv) * xi),
-                      vnorm(nabla(e_r, const(xi)) - (dl / lv) * xi)) / scale
-    res["row2"] = vnorm(nabla(xi, const(xi)) + lv * dl * e_r) / scale
+    res["row1"] = max(
+        vector_norm(nabla(xi, const(e_r)) - (dl / lv) * xi, g),
+        vector_norm(nabla(e_r, const(xi)) - (dl / lv) * xi, g)) / scale
+    res["row2"] = vector_norm(nabla(xi, const(xi)) + lv * dl * e_r, g) / scale
 
     lifts = [lift_field(0), lift_field(1)]
-    row3 = vnorm(nabla(e_r, const(e_r)))
+    row3 = vector_norm(nabla(e_r, const(e_r)), g)
     for lf in lifts:
-        row3 = max(row3, vnorm(nabla(lf(p), const(e_r))),
-                   vnorm(nabla(e_r, lf)))
+        row3 = max(row3, vector_norm(nabla(lf(p), const(e_r)), g),
+                   vector_norm(nabla(e_r, lf), g))
     res["row3"] = row3 / scale
 
     JN = np.asarray(base.J_fn(np.array([th, 0.0])), dtype=float)
@@ -745,8 +745,8 @@ def calabi_connection_table_residuals(entry: ZooEntry, p, mode: str = "auto") ->
         jn_x = JN[:, k]
         target = 0.5 * lv ** 2 * (jn_x[0] * lift_field(0)(p)
                                   + jn_x[1] * lift_field(1)(p))
-        row4 = max(row4, vnorm(nabla(lf(p), const(xi)) - target),
-                   vnorm(nabla(xi, lf) - target))
+        row4 = max(row4, vector_norm(nabla(lf(p), const(xi)) - target, g),
+                   vector_norm(nabla(xi, lf) - target, g))
     res["row4"] = row4 / scale
 
     base_chart = base.chart()
@@ -759,7 +759,7 @@ def calabi_connection_table_residuals(entry: ZooEntry, p, mode: str = "auto") ->
             horiz = (gamma_h[0, a, b] * lift_field(0)(p)
                      + gamma_h[1, a, b] * lift_field(1)(p))
             target = horiz - 0.5 * omega_n[a, b] * xi
-            row5 = max(row5, vnorm(nabla(lfa(p), lfb) - target))
+            row5 = max(row5, vector_norm(nabla(lfa(p), lfb) - target, g))
     res["row5"] = row5 / scale
     return res
 

@@ -1,6 +1,7 @@
 """Hermitian-structure tests: fundamental form, Nijenhuis, Lee forms."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +9,16 @@ import numpy.testing as npt
 import pytest
 
 from lckgeo import fd, zoo
+from lckgeo.calculus import (christoffel_components, codifferential,
+                              covariant_derivative_full, riemann)
 from lckgeo.charts import form_norm
-from lckgeo.errors import CompatibilityError, NotLcKError
+from lckgeo.errors import (ChartDomainError, CompatibilityError, MetricError,
+                           NotLcKError)
 from lckgeo.hermitian import (HermitianStructure, conformal_rescale,
-                              fundamental_form, lck_residual, lee_form,
-                              lee_form_components, nijenhuis_residual,
-                              nijenhuis_tensor)
+                              fundamental_form, lck_residual, lee_field,
+                              lee_form, lee_form_components, lee_form_parts,
+                              lee_parts_at, nabla_theta, nested_lee,
+                              nijenhuis_residual, nijenhuis_tensor)
 
 
 def twisted_structure(m=4, angle_scale=1.0):
@@ -254,3 +259,159 @@ class TestLeeForm:
         # the bare components hold the same gate: no division by 2n - 2 = 0
         with pytest.raises(NotLcKError, match="n >= 2"):
             lee_form_components(H, p)
+
+
+class TestOnePassLeeForm:
+    """lee_form_parts evaluates J and the metric once on the DIRECT stencil
+    and once at p; every part is bitwise what the generic route gives."""
+
+    @staticmethod
+    def generic_lee(H, p, mode):
+        delta = codifferential(H.chart, H.omega, p, k=2, mode=mode).components
+        return H.j_form(p, delta) / (2.0 * H.n - 2.0)
+
+    def test_matches_generic_route(self, hopf2, hopf3, flat_inv2, warped_sin,
+                                   calabi_sin, rng):
+        """On every structure of every zoo entry with n >= 2, for stacked and
+        single points, in fd mode and in analytic mode where the chart has a
+        metric derivative."""
+        for entry in (hopf2, hopf3, flat_inv2, warped_sin, calabi_sin):
+            for H in entry.structures.values():
+                chart = H.chart
+                modes = ["fd"] + ["analytic"] * (
+                    chart.metric_derivative_fn is not None)
+                stack = chart.sample_points(rng, 4).reshape(2, 2, chart.dim)
+                for mode, p in itertools.product(modes, (stack, stack[0, 1])):
+                    parts = lee_form_parts(H, p, mode=mode)
+                    where = (H.label, mode, p.shape)
+                    assert np.array_equal(parts.theta,
+                                          self.generic_lee(H, p, mode)), where
+                    assert np.array_equal(
+                        parts.gamma,
+                        christoffel_components(chart, p, mode=mode)), where
+                    assert np.array_equal(
+                        parts.dg, chart.metric_jacobian(p, mode=mode)), where
+                    assert np.array_equal(
+                        parts.dJ, fd.gradient(H.J_fn, p, fd.DIRECT)), where
+                    assert np.array_equal(
+                        parts.omega_partials,
+                        fd.gradient(H.omega, p, fd.DIRECT)), where
+                    assert np.array_equal(parts.g_inv,
+                                          np.linalg.inv(chart.metric(p)))
+                    assert np.array_equal(lee_form_components(H, p, mode=mode),
+                                          parts.theta)
+
+    def test_metric_error_names_the_one_bad_stencil_point(self, hopf2):
+        """A metric that fails SPD at exactly one DIRECT stencil point raises
+        MetricError naming that point, as the generic route does."""
+        H = hopf2.main_structure
+        p = H.chart.center()
+        bad = fd.stencil_points(p, fd.DIRECT)[2, 1]     # p - h e_2
+
+        def metric_fn(q):
+            g = np.array(H.chart.metric_fn(q))
+            g[(np.asarray(q) == bad).all(axis=-1)] *= -1.0
+            return g
+
+        H_bad = dataclasses.replace(
+            H, chart=dataclasses.replace(H.chart, metric_fn=metric_fn))
+        with pytest.raises(MetricError) as err:
+            lee_form_components(H_bad, p, mode="fd")
+        assert str(bad) in str(err.value)
+        assert "positive definite" in str(err.value)
+        with pytest.raises(MetricError) as ref:
+            self.generic_lee(H_bad, p, "fd")
+        assert str(err.value) == str(ref.value)
+
+    def test_base_point_near_a_face(self, hopf2):
+        """A base point inside the chart but within the DIRECT stencil extent
+        of a face raises ChartDomainError, as the generic route does."""
+        H = hopf2.main_structure
+        p = H.chart.center()
+        p[1] = H.chart.domain[1][0] + 0.5 * fd.DIRECT.extent
+        assert H.chart.contains(p)
+        with pytest.raises(ChartDomainError) as err:
+            lee_form_components(H, p, mode="fd")
+        with pytest.raises(ChartDomainError) as ref:
+            self.generic_lee(H, p, "fd")
+        assert str(err.value) == str(ref.value)
+
+    def test_nan_structure_fails_the_lck_gate(self, hopf2):
+        """A J field of NaNs gives a NaN residual, which fails the gate."""
+        H = hopf2.main_structure
+        H_nan = dataclasses.replace(
+            H, J_fn=lambda q: np.full(np.shape(q)[:-1] + (4, 4), np.nan))
+        with pytest.raises(NotLcKError, match="fails the lcK gate"):
+            lee_form(H_nan, H.chart.center(), mode="fd")
+
+
+class TestNestedLee:
+    """nested_lee is the one route to nabla theta: it differences the
+    Lee-form parts on one NESTED stencil, bitwise as the generic operators
+    differentiate the Lee field and the Christoffel symbols."""
+
+    def test_matches_generic_route(self, hopf2, flat_inv2, warped_sin,
+                                   calabi_sin, rng):
+        for entry in (hopf2, flat_inv2, warped_sin, calabi_sin):
+            H = entry.main_structure
+            chart = H.chart
+            modes = ["fd"] + ["analytic"] * (
+                chart.metric_derivative_fn is not None)
+            for mode in modes:
+                p = chart.sample_points(rng, 1)[0]
+                nested = nested_lee(H, p, mode=mode)
+                where = (H.label, mode)
+                generic = covariant_derivative_full(
+                    chart, lee_field(H, mode), p, (1, 0), mode=mode,
+                    stencil=fd.NESTED)
+                assert np.array_equal(nested.ntheta, generic), where
+                assert np.array_equal(
+                    nested.theta_partials,
+                    fd.gradient(lee_field(H, mode), p, fd.NESTED)), where
+                assert np.array_equal(
+                    nested.riemann,
+                    riemann(chart, p, mode=mode).components), where
+                assert np.array_equal(nabla_theta(H, p, mode=mode), generic)
+
+    def test_stacked_matches_per_point(self, flat_inv2, rng):
+        H = flat_inv2.main_structure
+        pts = H.chart.sample_points(rng, 4).reshape(2, 2, H.chart.dim)
+        stacked = nabla_theta(H, pts, mode="fd")
+        single = [[nabla_theta(H, q, mode="fd") for q in row] for row in pts]
+        assert np.array_equal(stacked, np.array(single))
+
+    def test_shared_parts_are_computed_once_per_stack(self, hopf2):
+        """Through one lee_parts_at, the NESTED pass reuses the parts at p
+        that the lcK residual read, and a second pass evaluates nothing."""
+        H = hopf2.main_structure
+        calls = []
+
+        def J_fn(q):
+            calls.append(np.shape(q))
+            return H.J_fn(q)
+
+        H_counted = dataclasses.replace(H, J_fn=J_fn)
+        p = H.chart.center()
+        parts_at = lee_parts_at(H_counted, "fd")
+        res = lck_residual(H_counted, p, mode="fd", parts_at=parts_at)
+        assert res == lck_residual(H, p, mode="fd")
+        assert len(calls) == 2                  # DIRECT stencil, then p
+        first = nested_lee(H_counted, p, mode="fd", parts_at=parts_at)
+        assert len(calls) == 4                  # the NESTED stack only
+        again = nested_lee(H_counted, p, mode="fd", parts_at=parts_at)
+        assert len(calls) == 4
+        assert np.array_equal(first.ntheta, again.ntheta)
+
+    def test_near_a_face(self, hopf2):
+        """A base point within the NESTED extent of a face raises
+        ChartDomainError, as the generic route does."""
+        H = hopf2.main_structure
+        p = H.chart.center()
+        p[1] = H.chart.domain[1][0] + 0.5 * fd.NESTED.extent
+        with pytest.raises(ChartDomainError) as err:
+            nabla_theta(H, p, mode="fd")
+        with pytest.raises(ChartDomainError) as ref:
+            covariant_derivative_full(H.chart, lee_field(H, "fd"), p, (1, 0),
+                                      mode="fd", stencil=fd.NESTED)
+        assert str(err.value) == str(ref.value)
+

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from lckgeo.charts import segment_loop
-from lckgeo.errors import (InconsistencyError, PreconditionError,
-                           SingularPointError)
+from lckgeo.errors import (InconsistencyError, NotLcKError,
+                           PreconditionError, SingularPointError)
 from lckgeo.hermitian import constant_rescale, HermitianStructure
 from lckgeo.identities import (PotentialField, average_metric_residuals,
                                classify_structure, commuting_pair_residuals,
@@ -314,6 +314,52 @@ class TestClassify:
         fake = segment_loop(p0, np.array([0.0, 0.0, 0.0, 0.6]), steps=100)
         out = classify_structure(H, pts, {"fake": fake}, mode="fd")
         assert out.kind == "strictly-lcK-candidate"
+
+    def test_nan_structure_fails_the_lck_gate(self, hopf2):
+        """A J field of NaNs gives a NaN lcK residual: NotLcKError, where
+        the gate used to let it through to a Kahler verdict."""
+        H = hopf2.main_structure
+        H_nan = dataclasses.replace(
+            H, J_fn=lambda q: np.full(np.shape(q)[:-1] + (4, 4), np.nan))
+        with pytest.raises(NotLcKError, match="fails the lcK gate"):
+            classify_structure(H_nan, [H.chart.center()], {}, mode="fd")
+
+    def test_nan_evidence_is_not_dropped(self, hopf2):
+        """J is NaN near the second sample but off its DIRECT stencil: the
+        lcK residual there is finite, while nabla theta and d theta, read on
+        the wider NESTED stencil, are NaN.  They fail the gate instead of
+        losing to the first sample's values in max(old, new)."""
+        H = hopf2.main_structure
+        p0 = H.chart.center()
+        p1 = p0 + np.array([0.0, 0.3, 0.0, 0.0])
+
+        def J_fn(q):
+            J = np.array(H.J_fn(q))
+            gap = np.abs(np.asarray(q) - p1).max(axis=-1)
+            J[(gap > 1e-4) & (gap < 0.1)] = np.nan
+            return J
+
+        H_nan = dataclasses.replace(H, J_fn=J_fn)
+        with pytest.raises(NotLcKError, match="NaN Lee-form evidence"):
+            classify_structure(H_nan, [p0, p1], {}, mode="fd")
+
+    def test_nan_period_is_not_dropped(self, hopf2):
+        """J is NaN away from the one sample, so the samples pass and the
+        s1_generator period is NaN: it fails the gate instead of losing to
+        the other period in max()."""
+        H = hopf2.main_structure
+        p0 = H.chart.center()
+
+        def J_fn(q):
+            J = np.array(H.J_fn(q))
+            J[np.abs(np.asarray(q) - p0).max(axis=-1) > 0.1] = np.nan
+            return J
+
+        H_nan = dataclasses.replace(H, J_fn=J_fn)
+        loops = {"none": segment_loop(p0, np.zeros(4), steps=4),
+                 "s1_generator": hopf2.loops["s1_generator"]}
+        with pytest.raises(NotLcKError, match="NaN Lee-form period"):
+            classify_structure(H_nan, [p0], loops, mode="fd")
 
     def test_ambiguous_period_band_rejected(self, calabi_sin, rng):
         """Periods between tol_ode and 10 tol_ode are refused, not guessed."""

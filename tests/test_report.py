@@ -6,8 +6,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lckgeo import report
 from lckgeo.cli import CONFIG_KEYS, build_parser, main as cli_main
 from lckgeo.errors import ParameterError
 from lckgeo.report import (Report, ResidualTable, SuiteConfig, emit,
@@ -298,3 +300,46 @@ class TestCli:
         assert set(re.findall(r"--[a-z-]+", flags_line)) == options
         dests = {"suites" if a.dest == "suite" else a.dest for a in actions}
         assert set(CONFIG_KEYS) == dests - {"config", "json", "text"}
+
+
+class TestEvaluationCounts:
+    """Field evaluations per request do not depend on the machine, so they
+    are pinned exactly: a change that adds evaluations shows here first."""
+
+    @staticmethod
+    def counted_run(monkeypatch, manifold: str, suite: str) -> dict:
+        """Points at which one request evaluates metric_fn and J_fn."""
+        counts = {"metric_fn": 0, "J_fn": 0}
+        resolve = report.resolve_manifold
+
+        def counted(kind, fn):
+            def wrapper(q):
+                counts[kind] += np.asarray(q)[..., 0].size
+                return fn(q)
+            return wrapper
+
+        def resolve_counted(selector):
+            entry = resolve(selector)
+            for H in entry.structures.values():
+                object.__setattr__(H, "J_fn", counted("J_fn", H.J_fn))
+            charts = {id(H.chart): H.chart for H in entry.structures.values()}
+            for chart in charts.values():
+                object.__setattr__(chart, "metric_fn",
+                                   counted("metric_fn", chart.metric_fn))
+            return entry
+
+        monkeypatch.setattr(report, "resolve_manifold", resolve_counted)
+        report.run(SuiteConfig(manifold=manifold, suites=(suite,), samples=2,
+                               seed=1))
+        return counts
+
+    def test_pinned_counts(self, monkeypatch):
+        """classify: the loop periods take nine J and nine metric points per
+        node.  lck-identities: each sample reads J and g at p and its DIRECT
+        stencil (9 points) and at the 16 NESTED stencil points around p and
+        theirs (144)."""
+        assert self.counted_run(monkeypatch, "hopf{n=2}", "classify") == {
+            "metric_fn": 32706, "J_fn": 32706}
+        assert self.counted_run(monkeypatch, "hopf{n=2}",
+                                "lck-identities") == {
+            "metric_fn": 2 * 153, "J_fn": 2 * 153}

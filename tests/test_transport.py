@@ -501,20 +501,26 @@ class TestBlockedLoopIntegral:
         assert peak < 2e6
 
     def test_points_unchanged_calls_fewer(self, hopf2):
-        """Every node still costs ten J evaluations (the 8-point stencil of
-        Omega, Omega and J at the node), in three calls per block."""
+        """Every node costs nine J and nine metric evaluations (the 8-point
+        DIRECT stencil and the node), in two calls of each per block."""
         H = hopf2.main_structure
-        points, calls = [0], [0]
+        counts = {"J": [0, 0], "g": [0, 0]}     # points, calls
 
-        @functools.wraps(H.J_fn)
-        def counted(q):
-            calls[0] += 1
-            points[0] += np.asarray(q)[..., 0].size
-            return H.J_fn(q)
+        def counted(name, fn):
+            @functools.wraps(fn)
+            def wrapper(q):
+                counts[name][0] += np.asarray(q)[..., 0].size
+                counts[name][1] += 1
+                return fn(q)
+            return wrapper
 
-        H_counted = dataclasses.replace(H, J_fn=counted)
+        chart = dataclasses.replace(
+            H.chart, metric_fn=counted("g", H.chart.metric_fn))
+        H_counted = dataclasses.replace(H, chart=chart,
+                                        J_fn=counted("J", H.J_fn))
         loop = hopf2.loops["contractible"]
-        loop_integral(H.chart, lee_field(H_counted, "fd"), loop)
+        loop_integral(chart, lee_field(H_counted, "fd"), loop)
         nodes = 3 * loop.steps
-        assert points[0] == 10 * nodes
-        assert calls[0] == 3 * math.ceil(nodes / 128)
+        blocks = math.ceil(nodes / 128)
+        assert counts["J"] == [9 * nodes, 2 * blocks]
+        assert counts["g"] == [9 * nodes, 2 * blocks]
