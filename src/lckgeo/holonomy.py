@@ -18,9 +18,9 @@ dimension plus structural witnesses: a u(n) label needs every generator to
 commute with a supplied J candidate, an so(2n-1) label needs a common fixed
 vector (kernel intersection) of all generators.
 
-The loop estimator's principal logarithm is ``scipy.linalg.logm``, the
-package's only scipy use.  It is imported where the first logarithm is
-taken, so importing lckgeo and running any other suite loads no scipy.
+The loop logarithm is the Gregory series log H = 2 sum_k C^(2k+1)/(2k+1),
+C = (H - I)(H + I)^-1 (Higham, *Functions of Matrices*, SIAM 2008, ch. 11).
+Logged transports have |H - I|_2 < 0.5, so |C|_2 < 0.5 / (2 - 0.5) = 1/3.
 """
 
 from __future__ import annotations
@@ -37,6 +37,12 @@ from .transport import transport_along, transport_segment
 RANK_CUT = 1e-6           # relative singular-value cut for the span rank
 GENERATOR_FLOOR = 1e-7    # below this scale the algebra is declared trivial
 MIN_RANK_GAP = 10.0
+CLOSURE_PASSES = 2        # commutator passes over the span basis
+U_N_COMMUTATOR = 1e-3     # relative [B, J] below which J commutes with B
+FIXED_VECTOR_CUT = 1e-5   # relative singular value of a common fixed vector
+LOOP_SIZE = 0.15          # default loop edge, and its corners' margin
+LOOP_SCALES = (1.0, 0.6)  # the default loop edges, in units of LOOP_SIZE
+LOG_TERMS = 16    # |C|_2 < 1/3: tail < 9^-16 / 33 * 9/8 < 2e-17 < 2^-53
 
 
 @dataclass(frozen=True)
@@ -49,7 +55,6 @@ class HolonomyEstimate:
     rank_gap: float
     base_point: np.ndarray
     skew_defect: float = 0.0
-    method: str = ""
 
 
 def _orthonormal_frame(g: np.ndarray) -> np.ndarray:
@@ -67,8 +72,7 @@ def _to_frame(L: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 def _from_frame(L: np.ndarray, G_hat: np.ndarray) -> np.ndarray:
-    L_inv = np.linalg.inv(L)
-    return L_inv.T @ G_hat @ L.T
+    return np.linalg.inv(L).T @ G_hat @ L.T
 
 
 def _span_rank(rows: np.ndarray):
@@ -93,10 +97,10 @@ def _orthonormal_span_basis(mats, m: int):
     return basis, rank, gap
 
 
-def _close_under_commutators(mats, m: int, passes: int = 2):
+def _close_under_commutators(mats, m: int):
     """Span basis closed under [.,.]; returns (basis, dim, rank_gap)."""
     basis, rank, gap = _orthonormal_span_basis(mats, m)
-    for _ in range(passes):
+    for _ in range(CLOSURE_PASSES):
         extended = list(basis)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
@@ -108,10 +112,9 @@ def _close_under_commutators(mats, m: int, passes: int = 2):
     return basis, rank, gap
 
 
-def _assemble(chart: Chart, base, hat_generators, method: str, n: int,
-              J_candidates=(), mode: str = "auto") -> HolonomyEstimate:
+def _assemble(chart: Chart, base, hat_generators, n: int,
+              J_candidates=()) -> HolonomyEstimate:
     """Common path: scale gate, closure, rank, classification, frames."""
-    base = np.asarray(base, dtype=float)
     m = chart.dim
     g = chart.metric(base)
     L = _orthonormal_frame(g)
@@ -120,8 +123,7 @@ def _assemble(chart: Chart, base, hat_generators, method: str, n: int,
     if scale < GENERATOR_FLOOR:
         return HolonomyEstimate(algebra_dim=0, generators=[],
                                 classification="reducible/other",
-                                rank_gap=np.inf, base_point=base,
-                                skew_defect=0.0, method=method)
+                                rank_gap=np.inf, base_point=base)
 
     skew_defect = max(float(np.max(np.abs(G + G.T)))
                       for G in hat_generators) / scale
@@ -132,12 +134,11 @@ def _assemble(chart: Chart, base, hat_generators, method: str, n: int,
     coord_generators = [_from_frame(L, B) for B in basis]
     return HolonomyEstimate(algebra_dim=dim, generators=coord_generators,
                             classification=label, rank_gap=float(gap),
-                            base_point=base, skew_defect=skew_defect,
-                            method=method)
+                            base_point=base, skew_defect=skew_defect)
 
 
 def classify_algebra(hat_basis, dim: int, rank_gap: float, n: int,
-                     hat_J_candidates=(), tol: float = 1e-4) -> str:
+                     hat_J_candidates=()) -> str:
     """Label a holonomy algebra given its orthonormal-frame span basis.
 
     Never guesses: an ambiguous rank gap returns "inconclusive".  The u(n)
@@ -149,27 +150,25 @@ def classify_algebra(hat_basis, dim: int, rank_gap: float, n: int,
         return "inconclusive"
     if dim == 0:
         return "reducible/other"
-    m = hat_basis[0].shape[0] if hat_basis else 2 * n
     for hat_J in hat_J_candidates:
         comm = max(float(np.max(np.abs(B @ hat_J - hat_J @ B)))
                    / max(float(np.max(np.abs(B))), 1e-300) for B in hat_basis)
-        if comm < 10.0 * tol and dim <= n * n:
+        if comm < U_N_COMMUTATOR and dim <= n * n:
             return "U(n)"
-    if dim == (2 * n - 1) * (n - 1) and _common_fixed_vector(hat_basis, m):
+    if dim == (2 * n - 1) * (n - 1) and _common_fixed_vector(hat_basis):
         return "SO(2n-1)"
     if dim == n * (2 * n - 1):
         return "SO(2n)"
     return "reducible/other"
 
 
-def _common_fixed_vector(hat_basis, m: int, tol: float = 1e-5) -> bool:
-    stacked = np.vstack([B for B in hat_basis])
+def _common_fixed_vector(hat_basis) -> bool:
+    stacked = np.vstack(hat_basis)
     sv = np.linalg.svd(stacked, compute_uv=False)
-    return bool(sv[-1] < tol * sv[0])
+    return bool(sv[-1] < FIXED_VECTOR_CUT * sv[0])
 
 
-def common_fixed_vectors(est: HolonomyEstimate, g: np.ndarray,
-                         tol: float = 1e-5) -> np.ndarray:
+def common_fixed_vectors(est: HolonomyEstimate, g: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the joint kernel of all generators."""
     if not est.generators:
         return np.eye(g.shape[0])
@@ -177,7 +176,7 @@ def common_fixed_vectors(est: HolonomyEstimate, g: np.ndarray,
     stacked = np.vstack([_to_frame(L, G) for G in est.generators])
     _, sv, vt = np.linalg.svd(stacked)
     keep = [i for i in range(vt.shape[0])
-            if i >= sv.size or sv[i] < tol * max(sv[0], 1e-300)]
+            if i >= sv.size or sv[i] < FIXED_VECTOR_CUT * max(sv[0], 1e-300)]
     hat_vs = vt[keep].T
     # frame components back to coordinates: v = E vhat = L^-T vhat
     return np.linalg.inv(L).T @ hat_vs
@@ -230,8 +229,7 @@ def curvature_span(chart: Chart, base, probes, n: int = None,
         raise
     hats = [_to_frame(L, _conjugate(P, _probe_curvature(chart, q, x, y, mode)))
             for q, P, (_, (x, y)) in zip(qs, Ps, probes)]
-    return _assemble(chart, base, hats, "curvature_span", n,
-                     J_candidates, mode)
+    return _assemble(chart, base, hats, n, J_candidates)
 
 
 def _probe_curvature(chart: Chart, q, x, y, mode: str) -> np.ndarray:
@@ -263,20 +261,19 @@ def _segment_transports(chart: Chart, starts, base, steps: int, mode: str):
     return Ps
 
 
-def default_holonomy_loops(chart: Chart, base, size: float = 0.15,
-                           sizes=(1.0, 0.6), steps_per_edge: int = 150):
+def default_holonomy_loops(chart: Chart, base, steps_per_edge: int = 150):
     """Small contractible rectangles around base in every coordinate plane."""
     base = np.asarray(base, dtype=float)
     m = chart.dim
     loops = []
     lows = np.array([lo for lo, hi in chart.domain])
     highs = np.array([hi for lo, hi in chart.domain])
-    for scale in sizes:
+    corner = np.clip(base, lows + 0.06 + LOOP_SIZE, highs - 0.06 - LOOP_SIZE)
+    for scale in LOOP_SCALES:
         for i in range(m):
             for j in range(i + 1, m):
-                corner = np.clip(base, lows + 0.06 + size, highs - 0.06 - size)
                 loops.append(coordinate_rectangle(
-                    corner, i, j, scale * size, scale * size,
+                    corner, i, j, scale * LOOP_SIZE, scale * LOOP_SIZE,
                     steps_per_edge=steps_per_edge,
                     label=f"rect_{i}{j}_{scale:g}"))
     return loops
@@ -317,7 +314,7 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
     if first_deck < len(loops):
         raise PreconditionError(f"loop '{loops[first_deck].label}' is a "
                                 "deck generator, not contractible")
-    return _assemble(chart, base, hats, "loop_holonomy", n, J_candidates, mode)
+    return _assemble(chart, base, hats, n, J_candidates)
 
 
 def _loop_transports(chart: Chart, loops, base, mode: str, steps: int):
@@ -348,10 +345,15 @@ def _loop_log(L: np.ndarray, loop: Loop, H: np.ndarray) -> np.ndarray:
     """Principal logarithm of the transport H in the orthonormal frame L;
     raises :class:`LoopTooLargeError` when H is 0.5 or more from Id."""
     hat_H = _to_frame(L, H)
-    dist = float(np.linalg.norm(hat_H - np.eye(len(H)), 2))
+    eye = np.eye(len(H))
+    dist = float(np.linalg.norm(hat_H - eye, 2))
     if dist >= 0.5:
         raise LoopTooLargeError(
             f"transport around '{loop.label}' is {dist:.3f} from the "
             "identity; shrink or subdivide the loop before taking logs")
-    import scipy.linalg
-    return np.real(scipy.linalg.logm(hat_H))
+    C = np.linalg.solve(hat_H + eye, hat_H - eye)   # the factors commute
+    C2 = C @ C
+    series = eye / (2 * LOG_TERMS - 1)              # Horner in C^2
+    for k in range(LOG_TERMS - 2, -1, -1):
+        series = eye / (2 * k + 1) + C2 @ series
+    return 2.0 * C @ series

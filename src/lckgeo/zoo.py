@@ -471,10 +471,8 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
     _require_kahler_base(base)
 
     def warp(p):
-        """e^(2c(t)) at each point, by math.exp: np.exp rounds differently."""
-        x = 2.0 * c.value_fn(p[..., 1])
-        return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(
-            x.shape + (1, 1))
+        """e^(2c(t)) at each point, shaped to scale matrices."""
+        return np.exp(2.0 * c.value_fn(p[..., 1]))[..., None, None]
 
     def metric_fn(p):
         p = np.asarray(p, dtype=float)

@@ -1,0 +1,90 @@
+"""The drift comparator of tools/drift.py on hand-made records."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "drift.py"
+_SPEC = importlib.util.spec_from_file_location("drift", _PATH)
+drift = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(drift)
+
+CELL = ("hopf{n=2}", "holonomy", "fd", 1)
+
+
+def _record(label="SO(2n-1)", gap=100.0, skew=1e-12, exit=0, sha="a"):
+    residual = {"max": skew, "mean": skew, "count": 1,
+                "worst_point": [0.5, 1.0], "tolerance": 1e-4, "pass": True}
+    suite = {"suite": "holonomy", "pass": exit == 0, "inconclusive": False,
+             "residuals": {"skew_defect_loop": residual},
+             "classification": {
+                 "curvature_span": {"dim": 3, "label": label,
+                                    "rank_gap": 1e6},
+                 "loop_holonomy": {"dim": 3, "label": label,
+                                   "rank_gap": gap},
+                 "agree": True, "expected": "SO(2n-1)"}}
+    report = {"schema_version": 3, "config": {"manifold": CELL[0]},
+              "suites": [suite], "pass": exit == 0, "inconclusive": False}
+    return {"cell": list(CELL), "exit": exit, "error": None,
+            "report": report, "sha256": sha}
+
+
+def _error(message, sha="e"):
+    return {"cell": list(CELL), "exit": 2, "error": ["ParameterError", message],
+            "report": None, "sha256": sha}
+
+
+def test_numbers_are_drift():
+    verdicts, residuals, gaps, others, same = drift.compare(
+        {CELL: _record()}, {CELL: _record(gap=110.0, skew=3e-12, sha="b")})
+    assert verdicts == []
+    assert residuals == {("holonomy", "skew_defect_loop"):
+                         pytest.approx(2e-8)}
+    assert gaps == {CELL: {"curvature_span": 0.0,
+                           "loop_holonomy": pytest.approx(0.1)}}
+    assert others == {("holonomy", "residuals.skew_defect_loop.worst_point"):
+                      0.0}
+    assert same == {CELL: (False, False)}
+    table = drift.render(residuals, gaps, others, same)
+    assert "| holonomy | skew_defect_loop | 2.00e-08 |" in table
+    assert "| hopf{n=2} | fd | 1 | 0.00e+00 | 1.00e-01 |" in table
+
+
+def test_an_infinite_gap_is_not_a_number():
+    _, _, gaps, _, _ = drift.compare({CELL: _record(gap=None)},
+                                     {CELL: _record(gap=None)})
+    assert gaps == {CELL: {"curvature_span": 0.0}}
+
+
+@pytest.mark.parametrize("change", [
+    _record(label="U(n)"),       # a label
+    _record(exit=1),             # pass and the exit code
+    _record(gap=None),           # a finite gap turned infinite
+    _error("no such suite"),     # a report turned error
+], ids=["label", "exit", "gap", "error"])
+def test_a_changed_verdict_fails(change):
+    assert drift.compare({CELL: _record()}, {CELL: change})[0]
+
+
+def test_each_difference_is_named():
+    verdicts = drift.compare({CELL: _record()},
+                             {CELL: _record(label="U(n)")})[0]
+    assert verdicts == [f"{CELL}: /suites/0/classification/{est}/label: "
+                        "'SO(2n-1)' -> 'U(n)'"
+                        for est in ("curvature_span", "loop_holonomy")]
+
+
+def test_errors_compare_type_and_message():
+    assert drift.compare({CELL: _error("a")}, {CELL: _error("a")})[0] == []
+    assert drift.compare({CELL: _error("a")}, {CELL: _error("b")})[0]
+
+
+def test_a_run_on_one_side_only_fails():
+    assert drift.compare({CELL: _record()}, {})[0]
+
+
+def test_nan_moves_infinitely():
+    assert drift._delta(float("nan"), float("nan")) == 0.0
+    assert drift._delta(1.0, float("nan")) == float("inf")
+    assert drift._relative(0.0, 1e-300) == float("inf")

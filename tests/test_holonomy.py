@@ -15,9 +15,10 @@ from lckgeo.charts import (Chart, coordinate_rectangle, polygon_loop,
                            segment_loop)
 from lckgeo.errors import (DomainExitError, IntegrationError,
                            LoopTooLargeError, PreconditionError)
-from lckgeo.holonomy import (classify_algebra, common_fixed_vectors,
-                             curvature_span, default_holonomy_loops,
-                             default_probes, loop_holonomy)
+from lckgeo.holonomy import (_loop_log, classify_algebra,
+                             common_fixed_vectors, curvature_span,
+                             default_holonomy_loops, default_probes,
+                             loop_holonomy)
 from lckgeo.transport import (parallel_transport, transport_along,
                               transport_segment)
 
@@ -139,6 +140,63 @@ class TestLoopHolonomy:
         with pytest.raises(PreconditionError):
             loop_holonomy(H.chart, [hopf2.loops["s1_generator"]],
                           H.chart.center(), n=2)
+
+
+def _block_rotation(angles):
+    """Block-diagonal rotation by the given angles and its exact logarithm."""
+    m = 2 * len(angles)
+    R, X = np.zeros((m, m)), np.zeros((m, m))
+    for k, a in enumerate(angles):
+        block = slice(2 * k, 2 * k + 2)
+        R[block, block] = [[math.cos(a), -math.sin(a)],
+                           [math.sin(a), math.cos(a)]]
+        X[block, block] = [[0.0, -a], [a, 0.0]]
+    return R, X
+
+
+# |R - I|_2 = 2 sin(angle / 2) reaches the 0.5 gate at this angle
+GATE_ANGLE = 2.0 * math.asin(0.25)
+
+
+class TestLoopLog:
+    """The Gregory-series logarithm inside the 0.5 gate, in the identity
+    frame."""
+
+    @pytest.mark.parametrize("angles", [(0.3,), (GATE_ANGLE - 1e-9, 1e-3),
+                                        (0.1, -0.4, -GATE_ANGLE + 1e-9)])
+    def test_block_rotations(self, angles):
+        R, X = _block_rotation(angles)
+        assert np.linalg.norm(R - np.eye(len(R)), 2) < 0.5
+        assert np.max(np.abs(_loop_log(np.eye(len(R)), None, R) - X)) <= 1e-15
+
+    def test_worst_case_of_the_gate(self):
+        """H = h Id with h just above 1/2 is inside the gate, and |C|_2 =
+        (1 - h) / (1 + h) tends to 1/3, the bound the term count rests on."""
+        h = 0.5 + 1e-9
+        log = _loop_log(np.eye(4), None, h * np.eye(4))
+        assert np.max(np.abs(log - math.log(h) * np.eye(4))) <= 1e-15
+
+    def test_orthogonal_gives_real_skew(self, rng):
+        """Real, and skew up to the round-off of H's own orthogonality."""
+        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        R, X = _block_rotation((0.45, -0.2, 0.05))
+        H = Q @ R @ Q.T
+        log = _loop_log(np.eye(6), None, H)
+        assert log.dtype == np.float64
+        defect = np.max(np.abs(H.T @ H - np.eye(6)))
+        assert np.max(np.abs(log + log.T)) <= 2.0 * defect + 2.3e-16
+        assert np.max(np.abs(log - Q @ X @ Q.T)) <= 1e-14
+
+    def test_matches_eigen_logarithm(self, rng):
+        """A non-normal H inside the gate: the principal logarithm from its
+        eigendecomposition."""
+        A = rng.standard_normal((4, 4))
+        H = np.eye(4) + 0.45 * A / np.linalg.norm(A, 2)
+        lam, V = np.linalg.eig(H)
+        ref = (V * np.log(lam)) @ np.linalg.inv(V)
+        assert np.max(np.abs(ref.imag)) < 1e-14
+        npt.assert_allclose(_loop_log(np.eye(4), None, H), ref.real,
+                            rtol=0, atol=1e-13)
 
 
 def _raised(fn):

@@ -1,7 +1,6 @@
-"""Start-up stays scipy-free: only the holonomy suite's matrix logarithm
-imports scipy, on first use.
+"""numpy is the only dependency: no suite loads a scipy module.
 
-Each check runs in a fresh interpreter, since this process has imported
+The check runs in a fresh interpreter, since this process may have imported
 scipy already.
 """
 
@@ -33,8 +32,8 @@ def _scipy_modules(body: str) -> list:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_non_holonomy_suites_load_no_scipy():
-    """Resolve every zoo family and run one sample of every other suite that
+def test_no_suite_loads_scipy():
+    """Resolve every zoo family and run one sample of every suite that
     applies to it."""
     body = f"""
 import lckgeo
@@ -45,28 +44,13 @@ ran = set()
 for selector in {SELECTORS!r}:
     lckgeo.resolve_manifold(selector)
     for suite in SUITE_NAMES:
-        if suite == "holonomy":
-            continue
         try:
             run(SuiteConfig(manifold=selector, suites=(suite,), samples=1,
                             seed=1))
         except ParameterError:
             continue      # the suite does not apply to this entry
         ran.add(suite)
-assert len(ran) == len(SUITE_NAMES) - 1, ran
+assert len(ran) == len(SUITE_NAMES), ran
 """
     assert _scipy_modules(body) == []
 
-
-def test_loop_holonomy_loads_scipy_linalg():
-    body = """
-from lckgeo import zoo
-from lckgeo.holonomy import default_holonomy_loops, loop_holonomy
-
-chart = zoo.euclidean(4).charts["flat"]
-base = chart.center()
-est = loop_holonomy(chart, default_holonomy_loops(chart, base)[:1], base,
-                    n=2, mode="analytic")
-assert est.algebra_dim == 0
-"""
-    assert "scipy.linalg" in _scipy_modules(body)
