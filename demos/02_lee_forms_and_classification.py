@@ -40,11 +40,15 @@ print()
 print("=" * 72)
 print("Loop periods: the fundamental-group morphism made numerical")
 print("=" * 72)
-period = loop_integral(H.chart, lee_field(H, "fd"), hopf.loops["s1_generator"])
+# from here on every metric is differenced on a stencil, as in fd mode
+hopf, inv, cal = (zoo.stencil_only(e) for e in (hopf, inv, cal))
+H, H2, H3 = (hopf.main_structure, inv.main_structure,
+             cal.structures["g_ell,J+"])
+period = loop_integral(H.chart, lee_field(H), hopf.loops["s1_generator"])
 print(f"Hopf circle generator:  integral of theta = {period:.8f} "
       f"(circumference 2 pi = {2 * math.pi:.8f})")
 for name, loop in cal.loops.items():
-    v = loop_integral(H3.chart, lee_field(H3, "fd"), loop)
+    v = loop_integral(H3.chart, lee_field(H3), loop)
     print(f"Calabi loop {name:<8}: integral of theta = {v:+.2e} (exact form)")
 
 print()
@@ -53,7 +57,7 @@ print("Classification (theta, nabla theta, d theta, periods -> kind)")
 print("=" * 72)
 for entry, H_ in ((hopf, H), (inv, H2), (cal, H3)):
     pts = H_.chart.sample_points(rng, 8)
-    out = classify_structure(H_, pts, entry.loops, mode="fd")
+    out = classify_structure(H_, pts, entry.loops)
     ev = out.evidence
     print(f"{entry.label:<24} -> {out.kind:<24} "
           f"|theta| {ev['max_theta']:.2e}  |nabla theta| "

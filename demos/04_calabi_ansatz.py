@@ -20,7 +20,9 @@ from lckgeo.identities import (PotentialField, commuting_pair_residuals,
                                hamiltonian_form_residual)
 
 rng = np.random.default_rng(3)
-entry = zoo.calabi_ansatz(zoo.named_profile("sin", (0.0, math.pi)), math.pi)
+# every metric differenced on a stencil, as in fd mode
+entry = zoo.stencil_only(
+    zoo.calabi_ansatz(zoo.named_profile("sin", (0.0, math.pi)), math.pi))
 chart = entry.charts["g_ell"]
 print(f"bundle over {entry.params['base']}, connection scale c_w = "
       f"{entry.params['c_w']}, profile l(r) = sin r on (0, pi)")
@@ -31,7 +33,7 @@ print()
 print("covariant-derivative table of the bundle metric (max residuals, 10 pts)")
 worst = {}
 for p in chart.sample_points(rng, 10):
-    for k, v in zoo.calabi_connection_table_residuals(entry, p, mode="fd").items():
+    for k, v in zoo.calabi_connection_table_residuals(entry, p).items():
         worst[k] = max(worst.get(k, 0.0), v)
 for k, v in worst.items():
     print(f"  {k}: {v:.2e}")
@@ -41,7 +43,7 @@ print("the two structures and their Lee forms (theta_eps = eps/2 l dr):")
 p = chart.sample_points(rng, 1)[0]
 for key in ("g_ell,J+", "g_ell,J-", "g+,J+", "g+,J-", "g-,J-"):
     H = entry.structures[key]
-    theta = lee_form_components(H, p, mode="fd")
+    theta = lee_form_components(H, p)
     d_om = exterior_derivative(H.chart, H.omega, p, k=2).components
     print(f"  ({key:<9}) theta_r = {theta[3]:+.6f}   |dOmega| = "
           f"{form_norm(d_om, H.chart.metric(p)):.2e}")
@@ -53,8 +55,7 @@ print("commuting-pair conclusions on (g = g_+, I = J_+, J = J_-):")
 I, J = entry.pair.I, entry.pair.J
 worst = {}
 for q in chart.sample_points(rng, 10):
-    for k, v in commuting_pair_residuals(I, J, q, rng.standard_normal(4),
-                                         mode="fd").items():
+    for k, v in commuting_pair_residuals(I, J, q, rng.standard_normal(4)).items():
         worst[k] = max(worst.get(k, 0.0), v)
 for k in ("commute", "traceIJ", "Itheta", "eqJ", "to", "sigma", "deromega",
           "nablath", "et"):
@@ -62,8 +63,7 @@ for k in ("commute", "traceIJ", "Itheta", "eqJ", "to", "sigma", "deromega",
 
 print()
 print("Hamiltonian 2-form residual for sigma~ = e^phi sigma:")
-pot = PotentialField(J, mode="fd")
-worst_t = max(hamiltonian_form_residual(I, J, q, rng.standard_normal(4), pot,
-                                        mode="fd")
+pot = PotentialField(J)
+worst_t = max(hamiltonian_form_residual(I, J, q, rng.standard_normal(4), pot)
               for q in chart.sample_points(rng, 10))
 print(f"  max over 10 samples: {worst_t:.2e}  (tolerance 1e-3)")

@@ -16,8 +16,9 @@ Sign conventions (asserted by the round-sphere tests):
 Fields passed to the derivative operators take stacks of points (see
 :mod:`lckgeo.fd`); the ``stencil`` argument is the :class:`lckgeo.fd.Stencil`
 tier used on the field itself (see :mod:`lckgeo.fd` for the tiering policy).
-The metric itself is always differentiated at order 2; :func:`christoffel`
-and :func:`christoffel_components` take only that stencil's ``step``.
+The chart decides how its metric is differentiated (see
+:meth:`lckgeo.charts.Chart.metric_jacobian`); :func:`christoffel` and
+:func:`christoffel_components` take only the step of its order-2 stencil.
 
 Each operator evaluates its field and then applies one algebraic step:
 :func:`levi_civita`, :func:`covariant_partials`, :func:`codifferential_of`,
@@ -37,21 +38,20 @@ from . import fd
 from .charts import Chart, FrameTensor, alt
 
 
-def christoffel(chart: Chart, p, mode: str = "auto",
-                step: float = fd.DIRECT.step) -> FrameTensor:
+def christoffel(chart: Chart, p, step: float = fd.DIRECT.step) -> FrameTensor:
     """Levi-Civita symbols Gamma^k_{ij} at p, as a valence (2,1) tensor."""
     p = np.asarray(p, dtype=float)
-    chart.require_inside(p, margin=chart.stencil_margin(mode, step))
+    chart.require_inside(p, margin=chart.stencil_margin(step))
     chart.metric(p)     # raises MetricError off the SPD cone
-    comp = christoffel_components(chart, p, mode, step)
+    comp = christoffel_components(chart, p, step)
     return FrameTensor(comp, valence=(2, 1), point=p)
 
 
-def christoffel_components(chart: Chart, p, mode: str = "auto",
+def christoffel_components(chart: Chart, p,
                            step: float = fd.DIRECT.step) -> np.ndarray:
     """Gamma^k_{ij} at each of the points p, shape (..., m) -> (..., m, m, m)."""
     # hot path: raw metric_fn, positivity is asserted by the chart gate tests
-    dg = chart.metric_jacobian(p, mode=mode, step=step)
+    dg = chart.metric_jacobian(p, step=step)
     return levi_civita(dg, np.linalg.inv(chart.metric_fn(p)))
 
 
@@ -63,10 +63,10 @@ def levi_civita(dg: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...kl,...lij->...kij", g_inv, sym)
 
 
-def riemann(chart: Chart, p, mode: str = "auto") -> FrameTensor:
+def riemann(chart: Chart, p) -> FrameTensor:
     """Curvature tensor R^a_{bcd} at p (valence (3,1))."""
     p = np.asarray(p, dtype=float)
-    gamma_field = lambda q: christoffel_components(chart, q, mode=mode)
+    gamma_field = lambda q: christoffel_components(chart, q)
     chart.require_inside(p, margin=fd.NESTED.extent)
     dG = fd.gradient(gamma_field, p, fd.NESTED)
     comp = riemann_components(dG, gamma_field(p))
@@ -82,17 +82,16 @@ def riemann_components(dG: np.ndarray, G: np.ndarray) -> np.ndarray:
             - np.einsum("ade,ecb->abcd", G, G))
 
 
-def ricci_scalar(chart: Chart, p, mode: str = "auto"):
+def ricci_scalar(chart: Chart, p):
     """Ricci tensor (valence (2,0)) and scalar curvature at p."""
-    R = riemann(chart, p, mode=mode)
+    R = riemann(chart, p)
     ric = np.einsum("abad->bd", R.components)
     scal = float(np.einsum("bd,bd->", np.linalg.inv(chart.metric(p)), ric))
     return FrameTensor(ric, valence=(2, 0), point=np.asarray(p, dtype=float)), scal
 
 
 def covariant_derivative_full(chart: Chart, field: Callable, p,
-                              valence: tuple, mode: str = "auto",
-                              stencil: fd.Stencil = fd.NESTED,
+                              valence: tuple, stencil: fd.Stencil = fd.NESTED,
                               gamma: np.ndarray = None) -> np.ndarray:
     """All covariant partials of a tensor field at each of the points p.
 
@@ -107,7 +106,7 @@ def covariant_derivative_full(chart: Chart, field: Callable, p,
     dT = fd.gradient(field, p, stencil)
     T = np.asarray(field(p), dtype=float)
     if gamma is None:
-        gamma = christoffel_components(chart, p, mode=mode)
+        gamma = christoffel_components(chart, p)
     return covariant_partials(dT, T, gamma, valence, p.ndim - 1)
 
 
@@ -147,9 +146,9 @@ def _tensordot(a: np.ndarray, a_axis: int, b: np.ndarray, b_axis: int,
 
 
 def covariant_derivative(chart: Chart, field: Callable, p, x,
-                         valence: tuple, mode: str = "auto") -> FrameTensor:
+                         valence: tuple) -> FrameTensor:
     """Directional covariant derivative nabla_X T at p (same valence as T)."""
-    full = covariant_derivative_full(chart, field, p, valence, mode=mode)
+    full = covariant_derivative_full(chart, field, p, valence)
     comp = np.tensordot(np.asarray(x, dtype=float), full, axes=(0, 0))
     return FrameTensor(comp, valence=valence, point=np.asarray(p, dtype=float))
 
@@ -175,7 +174,6 @@ def exterior_of_partials(da: np.ndarray, k: int, lead: int = 0) -> np.ndarray:
 
 
 def codifferential(chart: Chart, form_field: Callable, p, k: int,
-                   mode: str = "auto",
                    stencil: fd.Stencil = fd.DIRECT,
                    gamma: np.ndarray = None) -> FrameTensor:
     """Codifferential delta alpha = -g^{ab} (nabla_a alpha)_{b...} at each of
@@ -183,7 +181,7 @@ def codifferential(chart: Chart, form_field: Callable, p, k: int,
     :func:`covariant_derivative_full`."""
     p = np.asarray(p, dtype=float)
     nabla = covariant_derivative_full(chart, form_field, p, (k, 0),
-                                      mode=mode, stencil=stencil, gamma=gamma)
+                                      stencil=stencil, gamma=gamma)
     comp = codifferential_of(nabla, np.linalg.inv(chart.metric(p)),
                              p.ndim - 1)
     return FrameTensor(comp, valence=(k - 1, 0), point=p)
@@ -212,18 +210,18 @@ def lie_bracket(v_field: Callable, w_field: Callable, p) -> np.ndarray:
     return v @ dW - w @ dV
 
 
-def metric_compatibility_defect(chart: Chart, p, mode: str = "auto") -> float:
+def metric_compatibility_defect(chart: Chart, p) -> float:
     """Max |nabla_k g_ij| = |d_k g_ij - Gamma^m_{ki} g_mj - Gamma^m_{kj} g_im|."""
     p = np.asarray(p, dtype=float)
-    dg = chart.metric_jacobian(p, mode=mode)
+    dg = chart.metric_jacobian(p)
     g = chart.metric(p)
-    gamma = christoffel_components(chart, p, mode=mode)
+    gamma = christoffel_components(chart, p)
     nabla_g = (dg - np.einsum("mki,mj->kij", gamma, g)
                - np.einsum("mkj,im->kij", gamma, g))
     return float(np.max(np.abs(nabla_g)))
 
 
-def lowered_riemann(chart: Chart, p, mode: str = "auto") -> np.ndarray:
+def lowered_riemann(chart: Chart, p) -> np.ndarray:
     """Fully covariant R_abcd = g_ae R^e_{bcd}."""
-    R = riemann(chart, p, mode=mode).components
+    R = riemann(chart, p).components
     return np.einsum("ae,ebcd->abcd", chart.metric(p), R)

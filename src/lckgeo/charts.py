@@ -37,7 +37,8 @@ class Chart:
 
     ``metric_fn`` is a field (see :mod:`lckgeo.fd`) of symmetric positive
     definite matrices g_ij.  ``metric_derivative_fn``, when given, is the
-    field ``dg[k, i, j] = d_k g_ij`` and enables analytic mode.
+    field ``dg[k, i, j] = d_k g_ij``, and the chart differentiates its metric
+    with it; without one, on a stencil (see :func:`lckgeo.zoo.stencil_only`).
     """
 
     dim: int
@@ -90,34 +91,24 @@ class Chart:
             raise MetricError(f"metric not {check} at {at} on '{self.label}'")
         return g
 
-    def stencil_margin(self, mode: str = "auto",
-                       step: float = fd.DIRECT.step) -> float:
-        """Distance from the faces that :meth:`metric_jacobian` needs: the
-        step of its fd stencil, or 0.0 where it is analytic (a derivative
-        function is given and mode is not 'fd')."""
-        if mode == "fd" or self.metric_derivative_fn is None:
-            return step
-        return 0.0
+    def stencil_margin(self, step: float = fd.DIRECT.step) -> float:
+        """Distance from the faces that :meth:`metric_jacobian` needs: its
+        stencil step, or 0.0 where the chart has a derivative function."""
+        return step if self.metric_derivative_fn is None else 0.0
 
-    def metric_jacobian(self, p, mode: str = "auto",
-                        step: float = fd.DIRECT.step,
+    def metric_jacobian(self, p, step: float = fd.DIRECT.step,
                         values: np.ndarray = None) -> np.ndarray:
         """dg[..., k, i, j] = d_k g_ij at each of the points p, shape (..., dim).
 
-        Analytic when available unless mode='fd'; otherwise the 2nd-order
-        stencil of the given step.  ``values``, when given, is the metric at
-        that stencil's :func:`lckgeo.fd.stencil_points` around p, and is
-        differenced in place of new evaluations.
+        ``metric_derivative_fn`` where the chart has one; otherwise the
+        2nd-order stencil of the given step.  ``values``, when given, is the
+        metric at that stencil's :func:`lckgeo.fd.stencil_points` around p,
+        and is differenced in place of new evaluations.
         """
         p = np.asarray(p, dtype=float)
-        if mode not in ("auto", "fd", "analytic"):
-            raise ValueError(f"unknown derivative mode {mode!r}")
-        if mode == "analytic" and self.metric_derivative_fn is None:
-            raise ValueError(f"chart '{self.label}' has no analytic metric derivative")
-        margin = self.stencil_margin(mode, step)
-        if not margin:
+        if self.metric_derivative_fn is not None:
             return np.asarray(self.metric_derivative_fn(p), dtype=float)
-        self.require_inside(p, margin=margin)
+        self.require_inside(p, margin=step)
         if values is None:
             return fd.gradient(self.metric_fn, p, fd.Stencil(step, 2))
         return fd.difference(values, fd.Stencil(step, 2), p.ndim - 1)

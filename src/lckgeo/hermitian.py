@@ -135,7 +135,7 @@ def nijenhuis_residual(H: HermitianStructure, p) -> float:
     return form_norm(lowered, g) / (1.0 + term_scale)
 
 
-def lee_form(H: HermitianStructure, p, mode: str = "auto") -> LeeData:
+def lee_form(H: HermitianStructure, p) -> LeeData:
     """Extract the Lee form via theta = J(delta Omega) / (2n - 2).
 
     The cross-identity d(Omega) - 2 theta ^ Omega is verified
@@ -143,8 +143,8 @@ def lee_form(H: HermitianStructure, p, mode: str = "auto") -> LeeData:
     or where it is NaN.
     """
     p = np.asarray(p, dtype=float)
-    parts_at = lee_parts_at(H, mode)
-    res = lck_residual(H, p, mode=mode, parts_at=parts_at)
+    parts_at = lee_parts_at(H)
+    res = lck_residual(H, p, parts_at=parts_at)
     if not res <= LCK_GATE:
         raise NotLcKError(
             f"structure '{H.label}' fails the lcK gate at {p}: "
@@ -153,8 +153,7 @@ def lee_form(H: HermitianStructure, p, mode: str = "auto") -> LeeData:
     theta = parts.theta
     j_theta = j_on_forms(parts.J, theta)
     norm_sq = float(theta @ np.linalg.solve(parts.g, theta))
-    S = (nabla_theta(H, p, mode=mode, parts_at=parts_at)
-         + np.outer(theta, theta))
+    S = nabla_theta(H, p, parts_at=parts_at) + np.outer(theta, theta)
     return LeeData(theta=FrameTensor(theta, (1, 0), p),
                    J_theta=FrameTensor(j_theta, (1, 0), p),
                    norm_sq=norm_sq,
@@ -177,17 +176,17 @@ class LeeParts(NamedTuple):
     dJ: np.ndarray              # d_k J^i_j, on the DIRECT stencil
 
 
-def lee_form_parts(H: HermitianStructure, p, mode: str = "auto") -> LeeParts:
+def lee_form_parts(H: HermitianStructure, p) -> LeeParts:
     """The Lee form theta = J(delta Omega) / (2n - 2) at each of the points p,
     shape (..., dim), in one pass.
 
     J and the validated metric are evaluated once on the DIRECT stencil
     points and once at p.  Their stencil values give the partials of Omega,
-    of J and (in fd mode) of g, and one g^-1 serves both the Christoffel
-    symbols and the contraction of delta Omega.  Each part is bitwise what
-    the generic route gives: ``codifferential(chart, H.omega, p, k=2)``,
-    :func:`lckgeo.calculus.christoffel_components` and
-    ``fd.gradient(H.J_fn, p, fd.DIRECT)``.  Errors are those of that route:
+    of J and (on a chart without a derivative function) of g, and one g^-1
+    serves both the Christoffel symbols and the contraction of delta Omega.
+    Each part is bitwise what the generic route gives: ``codifferential(
+    chart, H.omega, p, k=2)``, :func:`lckgeo.calculus.christoffel_components`
+    and ``fd.gradient(H.J_fn, p, fd.DIRECT)``.  Errors are those of that route:
     :class:`ChartDomainError` for p within the stencil extent of a face,
     :class:`MetricError` naming the first bad stencil point, and
     :class:`NotLcKError` for complex dimension n < 2, where the formula
@@ -207,7 +206,7 @@ def lee_form_parts(H: HermitianStructure, p, mode: str = "auto") -> LeeParts:
     omega = form_of_endomorphism(J, g)
     omega_partials = fd.difference(form_of_endomorphism(J_around, g_around),
                                    fd.DIRECT, lead)
-    dg = chart.metric_jacobian(p, mode=mode, values=g_around)
+    dg = chart.metric_jacobian(p, values=g_around)
     g_inv = np.linalg.inv(g)
     gamma = levi_civita(dg, g_inv)
     nabla_omega = covariant_partials(omega_partials, omega, gamma, (2, 0),
@@ -218,25 +217,24 @@ def lee_form_parts(H: HermitianStructure, p, mode: str = "auto") -> LeeParts:
                     delta_omega, fd.difference(J_around, fd.DIRECT, lead))
 
 
-def lee_parts_at(H: HermitianStructure, mode: str = "auto") -> Callable:
+def lee_parts_at(H: HermitianStructure) -> Callable:
     """:func:`lee_form_parts` as a function of a stack of points, computed
     once per stack (:func:`lckgeo.fd.per_stack`): the checks at one sample
     read the parts at p and on the stencils around it through one such
     function."""
-    return fd.per_stack(lambda q: lee_form_parts(H, q, mode=mode))
+    return fd.per_stack(lambda q: lee_form_parts(H, q))
 
 
-def lee_form_components(H: HermitianStructure, p,
-                        mode: str = "auto") -> np.ndarray:
+def lee_form_components(H: HermitianStructure, p) -> np.ndarray:
     """Bare Lee-form components at each of the points p, shape (..., dim)
     (the cheap inner loop of everything above); see :func:`lee_form_parts`."""
-    return lee_form_parts(H, p, mode=mode).theta
+    return lee_form_parts(H, p).theta
 
 
-def lee_field(H: HermitianStructure, mode: str = "auto") -> Callable:
+def lee_field(H: HermitianStructure) -> Callable:
     """The Lee form as a field, for differentiation and line integrals
     (once-nested noise level)."""
-    return lambda q: lee_form_components(H, q, mode=mode)
+    return lambda q: lee_form_components(H, q)
 
 
 class NestedLee(NamedTuple):
@@ -255,7 +253,7 @@ class NestedLee(NamedTuple):
         return riemann_components(self.gamma_partials, self.gamma)
 
 
-def nested_lee(H: HermitianStructure, p, mode: str = "auto",
+def nested_lee(H: HermitianStructure, p,
                parts_at: Callable = None) -> NestedLee:
     """theta's partials, nabla theta and the curvature at each of the points
     p, shape (..., dim), from the Lee-form parts on one NESTED stencil.
@@ -268,7 +266,7 @@ def nested_lee(H: HermitianStructure, p, mode: str = "auto",
     of a caller that reads them on the same stacks elsewhere.
     """
     if parts_at is None:
-        parts_at = lee_parts_at(H, mode)
+        parts_at = lee_parts_at(H)
     p = np.asarray(p, dtype=float)
     lead = p.ndim - 1
     H.chart.require_inside(p, margin=fd.NESTED.extent)
@@ -281,20 +279,19 @@ def nested_lee(H: HermitianStructure, p, mode: str = "auto",
                      fd.difference(around.gamma, fd.NESTED, lead))
 
 
-def nabla_theta(H: HermitianStructure, p, mode: str = "auto",
+def nabla_theta(H: HermitianStructure, p,
                 parts_at: Callable = None) -> np.ndarray:
     """(nabla theta)_ij = (nabla_{d_i} theta)_j at each of the points p; see
     :func:`nested_lee`."""
-    return nested_lee(H, p, mode=mode, parts_at=parts_at).ntheta
+    return nested_lee(H, p, parts_at=parts_at).ntheta
 
 
-def lck_residual(H: HermitianStructure, p, mode: str = "auto",
-                 parts_at: Callable = None) -> float:
+def lck_residual(H: HermitianStructure, p, parts_at: Callable = None) -> float:
     """Scale-normalized |dOmega - 2 theta ^ Omega| at p; ``parts_at`` as for
     :func:`nested_lee`."""
     p = np.asarray(p, dtype=float)
     if parts_at is None:
-        parts_at = lee_parts_at(H, mode)
+        parts_at = lee_parts_at(H)
     parts = parts_at(p)
     d_omega = exterior_of_partials(parts.omega_partials, 2, p.ndim - 1)
     rhs = 2.0 * wedge(parts.theta, parts.omega)

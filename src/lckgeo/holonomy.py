@@ -204,7 +204,7 @@ def default_probes(chart: Chart, base, rng: np.random.Generator,
 
 
 def curvature_span(chart: Chart, base, probes, n: int = None,
-                   J_candidates=(), mode: str = "auto",
+                   J_candidates=(),
                    transport_steps: int = 200) -> HolonomyEstimate:
     """Holonomy-algebra estimate from transported curvature endomorphisms.
 
@@ -220,21 +220,21 @@ def curvature_span(chart: Chart, base, probes, n: int = None,
     L = _orthonormal_frame(chart.metric(base))
     qs = [np.asarray(q, dtype=float) for q, _ in probes]
     try:
-        Ps = _segment_transports(chart, qs, base, transport_steps, mode)
+        Ps = _segment_transports(chart, qs, base, transport_steps)
     except Exception:
         # one probe at a time, the first error of that order raises
         for q, (_, (x, y)) in zip(qs, probes):
-            _probe_curvature(chart, q, x, y, mode)
-            _segment_transports(chart, [q], base, transport_steps, mode)
+            _probe_curvature(chart, q, x, y)
+            _segment_transports(chart, [q], base, transport_steps)
         raise
-    hats = [_to_frame(L, _conjugate(P, _probe_curvature(chart, q, x, y, mode)))
+    hats = [_to_frame(L, _conjugate(P, _probe_curvature(chart, q, x, y)))
             for q, P, (_, (x, y)) in zip(qs, Ps, probes)]
     return _assemble(chart, base, hats, n, J_candidates)
 
 
-def _probe_curvature(chart: Chart, q, x, y, mode: str) -> np.ndarray:
+def _probe_curvature(chart: Chart, q, x, y) -> np.ndarray:
     """The curvature endomorphism R(x, y) at q."""
-    R = riemann(chart, q, mode=mode).components
+    R = riemann(chart, q).components
     return np.einsum("abcd,c,d->ab", R, np.asarray(x, float),
                      np.asarray(y, float))
 
@@ -244,7 +244,7 @@ def _conjugate(P, G: np.ndarray) -> np.ndarray:
     return G if P is None else P @ G @ np.linalg.inv(P)
 
 
-def _segment_transports(chart: Chart, starts, base, steps: int, mode: str):
+def _segment_transports(chart: Chart, starts, base, steps: int):
     """Transport from each start to base along a coordinate segment: None
     for a start at the base, the others transported as one bundle."""
     moved = [k for k, q in enumerate(starts)
@@ -254,8 +254,7 @@ def _segment_transports(chart: Chart, starts, base, steps: int, mode: str):
         m = chart.dim
         bundle = transport_segment(
             chart, np.array([starts[k] for k in moved]), base,
-            np.broadcast_to(np.eye(m), (len(moved), m, m)), steps=steps,
-            mode=mode)
+            np.broadcast_to(np.eye(m), (len(moved), m, m)), steps=steps)
         for k, P in zip(moved, bundle):
             Ps[k] = P
     return Ps
@@ -280,8 +279,7 @@ def default_holonomy_loops(chart: Chart, base, steps_per_edge: int = 150):
 
 
 def loop_holonomy(chart: Chart, loops, base, n: int = None,
-                  J_candidates=(), mode: str = "auto",
-                  transport_steps: int = 200,
+                  J_candidates=(), transport_steps: int = 200,
                   allow_shifted: bool = False) -> HolonomyEstimate:
     """Holonomy-algebra estimate from transport logarithms around loops.
 
@@ -303,11 +301,11 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
                        and not allow_shifted), len(loops))
     admitted = loops[:first_deck]
     try:
-        Hs = _loop_transports(chart, admitted, base, mode, transport_steps)
+        Hs = _loop_transports(chart, admitted, base, transport_steps)
     except Exception:
         # one loop at a time, the first error of that order raises
         for loop in admitted:
-            _loop_log(L, loop, _loop_transports(chart, [loop], base, mode,
+            _loop_log(L, loop, _loop_transports(chart, [loop], base,
                                                 transport_steps)[0])
         raise
     hats = [_loop_log(L, loop, H) for loop, H in zip(admitted, Hs)]
@@ -317,7 +315,7 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
     return _assemble(chart, base, hats, n, J_candidates)
 
 
-def _loop_transports(chart: Chart, loops, base, mode: str, steps: int):
+def _loop_transports(chart: Chart, loops, base, steps: int):
     """Transport around each loop, conjugated to the base along a segment
     of the given steps where the loop starts off the base.  The loops that
     share a schedule (steps and breakpoints) are transported as one bundle,
@@ -333,11 +331,11 @@ def _loop_transports(chart: Chart, loops, base, mode: str, steps: int):
             chart, lambda t: np.stack([lp.point(t) for lp in bundle], -2),
             lambda t: np.stack([lp.velocity(t) for lp in bundle], -2),
             np.broadcast_to(np.eye(m), (len(ks), m, m)), steps=loop_steps,
-            mode=mode, breakpoints=breakpoints)
+            breakpoints=breakpoints)
         for k, H in zip(ks, transported):
             Hs[k] = H
-    Ps = _segment_transports(chart, [loop.point(0.0) for loop in loops],
-                             base, steps, mode)
+    Ps = _segment_transports(chart, [loop.point(0.0) for loop in loops], base,
+                             steps)
     return [_conjugate(P, H) for P, H in zip(Ps, Hs)]
 
 

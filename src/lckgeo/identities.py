@@ -36,9 +36,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fd
-from .calculus import (codifferential, covariant_derivative_full,
-                       covariant_partials, exterior_derivative,
-                       exterior_of_partials, lie_bracket, ricci_scalar)
+from .calculus import (christoffel_components, codifferential,
+                       covariant_derivative_full, covariant_partials,
+                       exterior_derivative, exterior_of_partials, lie_bracket,
+                       ricci_scalar)
 from .charts import (form_of_endomorphism, raised_norm, vector_norm, wedge,
                      wedge_endo)
 from .errors import (InconsistencyError, NotLcKError, PreconditionError,
@@ -74,14 +75,14 @@ def _pair_sigma(I: HermitianStructure, J: HermitianStructure, q) -> np.ndarray:
 # single-identity residuals
 # ---------------------------------------------------------------------------
 
-def nabla_j_residual(H: HermitianStructure, p, x, mode: str = "auto",
+def nabla_j_residual(H: HermitianStructure, p, x,
                      parts_at: Callable = None) -> float:
     """|nabla_X J - (X ^ J theta + JX ^ theta)| at p, term-normalized;
     ``parts_at`` as for :func:`lckgeo.hermitian.nested_lee`."""
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
     if parts_at is None:
-        parts_at = lee_parts_at(H, mode)
+        parts_at = lee_parts_at(H)
     parts = parts_at(p)
     g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
     j_theta = -J.T @ theta
@@ -94,7 +95,7 @@ def nabla_j_residual(H: HermitianStructure, p, x, mode: str = "auto",
     return _normalized(_endo_norm(lhs - rhs, g, g_inv), terms)
 
 
-def curvature_j_residuals(H: HermitianStructure, p, x, y, mode: str = "auto",
+def curvature_j_residuals(H: HermitianStructure, p, x, y,
                           parts_at: Callable = None) -> tuple:
     """Residuals of the full R.J formula and of its frame contraction;
     ``parts_at`` as for :func:`lckgeo.hermitian.nested_lee`."""
@@ -102,8 +103,8 @@ def curvature_j_residuals(H: HermitianStructure, p, x, y, mode: str = "auto",
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if parts_at is None:
-        parts_at = lee_parts_at(H, mode)
-    nested = nested_lee(H, p, mode=mode, parts_at=parts_at)
+        parts_at = lee_parts_at(H)
+    nested = nested_lee(H, p, parts_at=parts_at)
     parts = parts_at(p)
     g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
     j_theta = -J.T @ theta
@@ -154,14 +155,13 @@ def curvature_j_residuals(H: HermitianStructure, p, x, y, mode: str = "auto",
     return res_full, res_contr
 
 
-def s_commutator_residual(H: HermitianStructure, p, mode: str = "auto") -> float:
+def s_commutator_residual(H: HermitianStructure, p) -> float:
     """|SJ - JS| for S = nabla theta + theta (x) theta (Einstein assumption)."""
     p = np.asarray(p, dtype=float)
-    parts_at = lee_parts_at(H, mode)
+    parts_at = lee_parts_at(H)
     parts = parts_at(p)
     g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
-    s_cov = (nabla_theta(H, p, mode=mode, parts_at=parts_at)
-             + np.outer(theta, theta))
+    s_cov = nabla_theta(H, p, parts_at=parts_at) + np.outer(theta, theta)
     s_endo = np.linalg.solve(g, s_cov)
     comm = s_endo @ J - J @ s_endo
     return _normalized(_endo_norm(comm, g, g_inv),
@@ -173,10 +173,9 @@ def s_commutator_residual(H: HermitianStructure, p, mode: str = "auto") -> float
 # Einstein chain
 # ---------------------------------------------------------------------------
 
-def einstein_deviation(H: HermitianStructure, p, lam: float,
-                       mode: str = "auto") -> float:
+def einstein_deviation(H: HermitianStructure, p, lam: float) -> float:
     """Term-normalized |Ric - lambda g| at p."""
-    ric, _ = ricci_scalar(H.chart, p, mode=mode)
+    ric, _ = ricci_scalar(H.chart, p)
     g = H.chart.metric(p)
     return _ricci_deviation(ric.components, lam, g, np.linalg.inv(g))
 
@@ -189,8 +188,7 @@ def _ricci_deviation(ric: np.ndarray, lam: float, g: np.ndarray,
                         abs(lam) * raised_norm(g, g_inv)])
 
 
-def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
-                             mode: str = "auto") -> dict:
+def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
     """The eleven named residuals of the Einstein-case derivation at p.
 
     Requires (chart, J) Einstein with constant ``lam``; the flat inversion
@@ -203,9 +201,8 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     # points, computed once: the stencils below evaluate them on a few stacks
     # (p and the NESTED and DEEP stencils around it), and Ric comes from the
     # curvature of the NESTED pass at p.
-    parts_at = lee_parts_at(H, mode)
-    nested_at = fd.per_stack(
-        lambda q: nested_lee(H, q, mode=mode, parts_at=parts_at))
+    parts_at = lee_parts_at(H)
+    nested_at = fd.per_stack(lambda q: nested_lee(H, q, parts_at=parts_at))
 
     def theta_f(q):
         return parts_at(q).theta
@@ -290,8 +287,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     # (nablaJth)  nabla_X (J theta) = (J S X)^flat - J theta(X) theta
     #             - |theta|^2 (JX)^flat, checked on coordinate directions
     njtheta = covariant_derivative_full(chart, jtheta_field, p, (1, 0),
-                                        mode=mode, stencil=fd.NESTED,
-                                        gamma=parts.gamma)
+                                        stencil=fd.NESTED, gamma=parts.gamma)
     # row c: (JS e_c)^flat - (J theta)(e_c) theta - |theta|^2 (J e_c)^flat
     rhs_njt = (g @ js_endo).T - np.outer(j_theta, theta) - norm_sq * (g @ J).T
     diff = njtheta - rhs_njt
@@ -315,7 +311,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
                                 [vector_norm(br, g), vector_norm(rhs_br, g)])
 
     # (codiffth)  delta(theta ^ J theta) = (delta theta + |theta|^2) J theta
-    d_tj = codifferential(chart, theta_wedge_jtheta_field, p, k=2, mode=mode,
+    d_tj = codifferential(chart, theta_wedge_jtheta_field, p, k=2,
                           stencil=fd.NESTED, gamma=parts.gamma).components
     rhs_tj = (delta_theta + norm_sq) * j_theta
     res["codiffth"] = _normalized(vector_norm(d_tj - rhs_tj, g_inv),
@@ -323,7 +319,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
                                    vector_norm(rhs_tj, g_inv)])
 
     # (codiffom)  delta(|theta|^2 Omega) = -J(d|theta|^2) + (2-2n)|theta|^2 J theta
-    d_no = codifferential(chart, norm_sq_omega_field, p, k=2, mode=mode,
+    d_no = codifferential(chart, norm_sq_omega_field, p, k=2,
                           stencil=fd.NESTED, gamma=parts.gamma).components
     t1 = J.T @ d_norm_sq                      # -J(d|theta|^2) = +J^T d|theta|^2
     t2 = (2.0 - n2) * norm_sq * j_theta
@@ -335,7 +331,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
     #            + d(delta theta)
     delta_s = -np.einsum("ab,ab...->...", g_inv,
                          covariant_derivative_full(chart, s_field, p, (2, 0),
-                                                   mode=mode, stencil=fd.DEEP,
+                                                   stencil=fd.DEEP,
                                                    gamma=parts.gamma))
     d_delta_theta = fd.gradient(delta_theta_field, p, fd.DEEP)
     terms = [delta_theta * theta, -0.5 * d_norm_sq, -lam * theta, d_delta_theta]
@@ -345,7 +341,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
 
     # (eqJdel3)  J delta(JS) + delta S = -(delta theta) theta - d|theta|^2
     #            - |theta|^2 theta
-    delta_js = codifferential(chart, js_form_field, p, k=2, mode=mode,
+    delta_js = codifferential(chart, js_form_field, p, k=2,
                               stencil=fd.DEEP, gamma=parts.gamma).components
     lhs3 = -J.T @ delta_js + delta_s
     terms3 = [-delta_theta * theta, -d_norm_sq, -norm_sq * theta]
@@ -376,8 +372,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float,
 # parallel unit field: the a/b decomposition of the Lee form
 # ---------------------------------------------------------------------------
 
-def parallel_field_residuals(H: HermitianStructure, p, v,
-                             mode: str = "auto") -> dict:
+def parallel_field_residuals(H: HermitianStructure, p, v) -> dict:
     """Residuals of the nabla(JV) and d(JV) formulas for a parallel unit V.
 
     ``v`` holds constant coordinate components of the field.  Returns the
@@ -386,10 +381,10 @@ def parallel_field_residuals(H: HermitianStructure, p, v,
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     chart = H.chart
-    parts = lee_form_parts(H, p, mode=mode)
+    parts = lee_form_parts(H, p)
     g, g_inv, J = parts.g, parts.g_inv, parts.J
 
-    nv = covariant_derivative_full(chart, fd.constant(v), p, (0, 1), mode=mode,
+    nv = covariant_derivative_full(chart, fd.constant(v), p, (0, 1),
                                    stencil=fd.DIRECT, gamma=parts.gamma)
     if float(np.max(np.abs(nv))) > 1e-6 or abs(vector_norm(v, g) - 1.0) > 1e-8:
         raise PreconditionError(
@@ -402,7 +397,7 @@ def parallel_field_residuals(H: HermitianStructure, p, v,
     omega = parts.omega
 
     jv_field = lambda q: H.J(q) @ v
-    njv = covariant_derivative_full(chart, jv_field, p, (0, 1), mode=mode,
+    njv = covariant_derivative_full(chart, jv_field, p, (0, 1),
                                     stencil=fd.DIRECT, gamma=parts.gamma)
     res = {}
     rows_lhs = []
@@ -440,7 +435,7 @@ def parallel_field_residuals(H: HermitianStructure, p, v,
 # ---------------------------------------------------------------------------
 
 def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
-                             p, x=None, mode: str = "auto") -> dict:
+                             p, x=None) -> dict:
     """Structural relations of a Kahler/lcK pair: (g, I) Kahler, (g, J) lcK.
 
     The reconstruction of J from I carries the coefficient 2/|theta|^2, so
@@ -452,7 +447,7 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
         raise PreconditionError("I and J must share one chart metric")
     chart = I.chart
     # J's Lee-form pass gives the metric of the chart I and J share
-    parts_at = lee_parts_at(J, mode)
+    parts_at = lee_parts_at(J)
     parts = parts_at(p)
     g, g_inv, Jm, theta = parts.g, parts.g_inv, parts.J, parts.theta
     Im = I.J(p)
@@ -503,7 +498,7 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
 
     # (deromega)  nabla_X sigma = 1/2 (X ^ I theta - IX ^ theta) - <X,theta> sigma
     nsigma = covariant_derivative_full(chart, lambda q: _pair_sigma(I, J, q), p,
-                                       (2, 0), mode=mode, stencil=fd.DIRECT,
+                                       (2, 0), stencil=fd.DIRECT,
                                        gamma=parts.gamma)
     lhs_d = np.tensordot(x, nsigma, axes=(0, 0))
     rhs_d = (0.5 * (wedge(g @ x, i_theta) - wedge(g @ (Im @ x), theta))
@@ -513,7 +508,7 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
                                    raised_norm(rhs_d, g_inv)])
 
     # (nablath)  sum_i <IJ nabla_{e_i} theta, e_i> = 2(n-1)|theta|^2 + delta theta
-    ntheta = nabla_theta(J, p, mode=mode, parts_at=parts_at)
+    ntheta = nabla_theta(J, p, parts_at=parts_at)
     delta_theta = -float(np.einsum("ij,ij->", g_inv, ntheta))
     lhs_t = float(np.trace(Im @ Jm @ g_inv @ ntheta.T))
     rhs_t = 2.0 * (n - 1.0) * norm_sq + delta_theta
@@ -542,11 +537,10 @@ class PotentialField:
     noise-free.  Safe for concurrent reads once constructed.
     """
 
-    def __init__(self, H: HermitianStructure, mode: str = "auto"):
+    def __init__(self, H: HermitianStructure):
         self.H = H
-        self.mode = mode
         self.base_point = H.chart.center()
-        self._field = lee_field(H, mode)
+        self._field = lee_field(H)
 
     def __call__(self, p) -> float:
         return self.increment(self.base_point, p, nodes=32)
@@ -564,7 +558,6 @@ class PotentialField:
 
 def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
                               p, x, potential: PotentialField,
-                              mode: str = "auto",
                               normalized: bool = True) -> float:
     """Residual of nabla_X sigma~ = 1/2 (d(tr sigma~) ^ IX - d^c(tr sigma~) ^ X).
 
@@ -579,7 +572,7 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
     Im = I.J(p)
     phi_p = potential(p)
 
-    # computed once on each stack: the covariant derivative and the trace
+    # computed once on each stack: the partials of sigma~ and the trace
     # gradient read it on the same DIRECT stencil
     @fd.per_stack
     def sigma_tilde_local(q):
@@ -594,9 +587,12 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
         return 0.5 * np.einsum("...ab,...cd,...ac,...bd->...",
                                st, om_i, g_inv_q, g_inv_q)
 
-    lhs = np.tensordot(
-        x, covariant_derivative_full(chart, sigma_tilde_local, p, (2, 0),
-                                     mode=mode, stencil=fd.DIRECT), axes=(0, 0))
+    # sigma~ at p is e^phi(p) sigma: theta over the segment p -> p is +0.0
+    chart.require_inside(p, margin=fd.DIRECT.extent)
+    lhs = np.tensordot(x, covariant_partials(
+        fd.gradient(sigma_tilde_local, p, fd.DIRECT),
+        np.exp(phi_p) * _pair_sigma(I, J, p), christoffel_components(chart, p),
+        (2, 0)), axes=(0, 0))
     d_tr = fd.gradient(trace_local, p, fd.DIRECT)
     dc_tr = -Im.T @ d_tr
     rhs = 0.5 * (wedge(d_tr, g @ (Im @ x)) - wedge(dc_tr, g @ x))
@@ -612,7 +608,6 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
 # ---------------------------------------------------------------------------
 
 def average_metric_residuals(avg: HermitianStructure, p, x=None,
-                             mode: str = "auto",
                              pair_J: Optional[HermitianStructure] = None) -> dict:
     """Field equations of the average metric g0 with theta0 the Lee form of I.
 
@@ -627,7 +622,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
     chart = avg.chart
     # the Lee-form parts on each stack, computed once: the NESTED stencils of
     # theta0, xi, I xi, zeta, I zeta and d xi all evaluate them on one stack
-    parts_at = lee_parts_at(avg, mode)
+    parts_at = lee_parts_at(avg)
     parts = parts_at(p)
     g, g_inv, Im = parts.g, parts.g_inv, parts.J
     if x is None:
@@ -636,7 +631,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
 
     theta0 = parts.theta
     i_theta0 = -Im.T @ theta0
-    ntheta0 = nabla_theta(avg, p, mode=mode, parts_at=parts_at)
+    ntheta0 = nabla_theta(avg, p, parts_at=parts_at)
 
     # least-squares fit of f over the 2n coordinate directions
     basis = np.einsum("c,j->cj", theta0, theta0) + np.einsum("c,j->cj", i_theta0, i_theta0)
@@ -661,7 +656,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
     gdot = lambda u, w: float(u @ g @ w)
 
     # (der0Jxi)  nabla0_X (I xi) = -f (<X, I xi> I xi + <X, xi> xi)
-    n_ixi = covariant_derivative_full(chart, i_xi_field, p, (0, 1), mode=mode,
+    n_ixi = covariant_derivative_full(chart, i_xi_field, p, (0, 1),
                                       stencil=fd.NESTED, gamma=parts.gamma)
     lhs = x @ n_ixi
     rhs = -f_val * (gdot(x, i_xi) * i_xi + gdot(x, xi) * xi)
@@ -669,7 +664,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
                                  [vector_norm(lhs, g), vector_norm(rhs, g)])
 
     # (der0xi)  nabla0_X xi = (1+f)(<X,xi> I xi - <X,I xi> xi) - |xi|^2 I X
-    n_xi = covariant_derivative_full(chart, xi_field, p, (0, 1), mode=mode,
+    n_xi = covariant_derivative_full(chart, xi_field, p, (0, 1),
                                      stencil=fd.NESTED, gamma=parts.gamma)
     lhs = x @ n_xi
     rhs = ((1.0 + f_val) * (gdot(x, xi) * i_xi - gdot(x, i_xi) * xi)
@@ -683,7 +678,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
         w = i_xi_field(q)
         return w / np.sqrt(abs(np.vecdot(np.vecmat(w, gq), w)))[..., None]
 
-    n_zeta = covariant_derivative_full(chart, zeta_field, p, (0, 1), mode=mode,
+    n_zeta = covariant_derivative_full(chart, zeta_field, p, (0, 1),
                                        stencil=fd.NESTED, gamma=parts.gamma)
     lhs = x @ n_zeta
     rhs = -(f_val / xi_norm) * gdot(x, xi) * xi
@@ -694,8 +689,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
     # (derzeta)  nabla0_zeta (I zeta) = 0
     i_zeta_field = lambda q: np.matvec(parts_at(q).J, zeta_field(q))
     n_izeta = covariant_derivative_full(chart, i_zeta_field, p, (0, 1),
-                                        mode=mode, stencil=fd.NESTED,
-                                        gamma=parts.gamma)
+                                        stencil=fd.NESTED, gamma=parts.gamma)
     zeta = zeta_field(p)
     res["derzeta"] = _normalized(vector_norm(zeta @ n_izeta, g), [1.0])
 
@@ -711,7 +705,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
          raised_norm(np.einsum("ik,kj->ij", dxi, g), g_inv), 1.0])
 
     if pair_J is not None:
-        theta_pair = lee_form_components(pair_J, p, mode=mode)
+        theta_pair = lee_form_components(pair_J, p)
         res["theta0_vs_pair"] = _normalized(
             vector_norm(theta0 + 0.5 * theta_pair, g_inv),
             [vector_norm(theta0, g_inv), 0.5 * vector_norm(theta_pair, g_inv)])
@@ -733,8 +727,8 @@ class StructureClass:
 
 
 def classify_structure(H: HermitianStructure, samples, loops=None,
-                       tol_id: float = 1e-4, tol_ode: float = 1e-6,
-                       mode: str = "auto") -> StructureClass:
+                       tol_id: float = 1e-4,
+                       tol_ode: float = 1e-6) -> StructureClass:
     """Classify (g, J) from sampled Lee-form data and loop periods.
 
     Gates are scale-normalized: |theta| is measured against the local metric
@@ -752,15 +746,15 @@ def classify_structure(H: HermitianStructure, samples, loops=None,
     max_dtheta = 0.0
     for p in samples:
         p = np.asarray(p, dtype=float)
-        parts_at = lee_parts_at(H, mode)
+        parts_at = lee_parts_at(H)
         parts = parts_at(p)
         g, g_inv, theta = parts.g, parts.g_inv, parts.theta
         scale = float(np.sqrt(np.trace(g) / m))
-        lck = lck_residual(H, p, mode=mode, parts_at=parts_at)
+        lck = lck_residual(H, p, parts_at=parts_at)
         if not lck <= LCK_GATE:     # a NaN residual fails the gate too
             raise NotLcKError(f"'{H.label}' fails the lcK gate at {p}: {lck:.2e}")
         # nabla theta and d theta come from one NESTED stencil of theta
-        nested = nested_lee(H, p, mode=mode, parts_at=parts_at)
+        nested = nested_lee(H, p, parts_at=parts_at)
         dtheta = exterior_of_partials(nested.theta_partials, 1)
         at_p = (vector_norm(theta, g_inv) * scale,
                 raised_norm(nested.ntheta, g_inv) * scale ** 2,
@@ -774,7 +768,7 @@ def classify_structure(H: HermitianStructure, samples, loops=None,
 
     periods = []
     for name, loop in loops.items():
-        periods.append((name, loop_integral(chart, lee_field(H, mode), loop)))
+        periods.append((name, loop_integral(chart, lee_field(H), loop)))
     if any(math.isnan(v) for _, v in periods):
         raise NotLcKError(f"'{H.label}' has a NaN Lee-form period: {periods}")
     max_period = max((abs(v) for _, v in periods), default=0.0)

@@ -198,7 +198,6 @@ def _lee_derived_tol(config: SuiteConfig) -> float:
 
 def _suite_lck_identities(entry, config: SuiteConfig, rng) -> SuiteResult:
     H = entry.main_structure
-    mode = config.mode
     pts = _sample_points(entry, config, rng)
     xs = rng.standard_normal((len(pts), H.chart.dim))
     ys = rng.standard_normal((len(pts), H.chart.dim))
@@ -209,9 +208,9 @@ def _suite_lck_identities(entry, config: SuiteConfig, rng) -> SuiteResult:
         # Christoffel symbols, the Omega partials and delta Omega) and on the
         # NESTED stencil around it through one parts_at
         p, x, y = args
-        parts_at = lee_parts_at(H, mode)
+        parts_at = lee_parts_at(H)
         parts = parts_at(p)
-        r_dom = lck_residual(H, p, mode=mode, parts_at=parts_at)
+        r_dom = lck_residual(H, p, parts_at=parts_at)
         theta_d = _lee_from_domega(
             exterior_of_partials(parts.omega_partials, 2), parts.omega)
         g_inv = parts.g_inv
@@ -220,9 +219,8 @@ def _suite_lck_identities(entry, config: SuiteConfig, rng) -> SuiteResult:
         num = delta_om - (2.0 - 2.0 * H.n) * j_theta_d
         vec = lambda t: vector_norm(t, g_inv)
         r_del = vec(num) / (1.0 + max(vec(delta_om), abs(2.0 - 2.0 * H.n) * vec(j_theta_d)))
-        r_nj = idn.nabla_j_residual(H, p, x, mode=mode, parts_at=parts_at)
-        r_rj, r_rjc = idn.curvature_j_residuals(H, p, x, y, mode=mode,
-                                                parts_at=parts_at)
+        r_nj = idn.nabla_j_residual(H, p, x, parts_at=parts_at)
+        r_rj, r_rjc = idn.curvature_j_residuals(H, p, x, y, parts_at=parts_at)
         return r_nj, r_dom, r_del, r_rj, r_rjc
 
     rows = [one(args) for args in zip(pts, xs, ys)]
@@ -242,8 +240,7 @@ def _suite_einstein_chain(entry, config: SuiteConfig, rng) -> SuiteResult:
     lam = float(entry.einstein_lambda)
     pts = _sample_points(entry, config, rng)
     table = ResidualTable()
-    rows = [idn.einstein_chain_residuals(H, p, lam, mode=config.mode)
-            for p in pts]
+    rows = [idn.einstein_chain_residuals(H, p, lam) for p in pts]
     for p, res in zip(pts, rows):
         for name, val in res.items():
             table.add(name, val, p, config.tol_chain)
@@ -258,8 +255,7 @@ def _suite_parallel_field(entry, config: SuiteConfig, rng) -> SuiteResult:
     table = ResidualTable()
     a_values = []
     for p in pts:
-        res = idn.parallel_field_residuals(H, p, entry.parallel_field,
-                                           mode=config.mode)
+        res = idn.parallel_field_residuals(H, p, entry.parallel_field)
         table.add("nablaJV", res["nablaJV"], p, config.tol_id)
         table.add("ddJV", res["ddJV"], p, config.tol_id)
         table.add("ab", res["ab"], p, config.tol_id)
@@ -282,8 +278,7 @@ def _suite_commuting_pair(entry, config: SuiteConfig, rng) -> SuiteResult:
     pts = _sample_points(entry, config, rng, chart=I.chart)
     xs = rng.standard_normal((len(pts), I.chart.dim))
     table = ResidualTable()
-    rows = [idn.commuting_pair_residuals(I, J, p, x, mode=config.mode)
-            for p, x in zip(pts, xs)]
+    rows = [idn.commuting_pair_residuals(I, J, p, x) for p, x in zip(pts, xs)]
     for p, res in zip(pts, rows):
         for name, val in res.items():
             tol = (TOL_FD if name == "Itheta"
@@ -296,11 +291,11 @@ def _suite_hamiltonian_form(entry, config: SuiteConfig, rng) -> SuiteResult:
     if entry.pair is None:
         raise ParameterError(f"{entry.label} has no Kahler/lcK pair")
     I, J = entry.pair.I, entry.pair.J
-    pot = idn.PotentialField(J, mode=config.mode)
+    pot = idn.PotentialField(J)
     pts = _sample_points(entry, config, rng, chart=I.chart)
     xs = rng.standard_normal((len(pts), I.chart.dim))
     table = ResidualTable()
-    rows = [idn.hamiltonian_form_residual(I, J, p, x, pot, mode=config.mode)
+    rows = [idn.hamiltonian_form_residual(I, J, p, x, pot)
             for p, x in zip(pts, xs)]
     for p, val in zip(pts, rows):
         table.add("tilom", val, p, config.tol_chain)
@@ -322,8 +317,7 @@ def _suite_average_metric(entry, config: SuiteConfig, rng) -> SuiteResult:
     xs = rng.standard_normal((len(pts), avg.chart.dim))
     table = ResidualTable()
     for p, x in zip(pts, xs):
-        res = idn.average_metric_residuals(avg, p, x, mode=config.mode,
-                                           pair_J=pair_J)
+        res = idn.average_metric_residuals(avg, p, x, pair_J=pair_J)
         for name, val in res.items():
             if name == "f":
                 continue
@@ -347,10 +341,10 @@ def _suite_holonomy(entry, config: SuiteConfig, rng) -> SuiteResult:
     J_candidates = [H.J_fn]
     probes = hol.default_probes(chart, base, rng)
     est_span = hol.curvature_span(chart, base, probes, n=entry.n,
-                                  J_candidates=J_candidates, mode=config.mode)
+                                  J_candidates=J_candidates)
     loops = hol.default_holonomy_loops(chart, base)
     est_loop = hol.loop_holonomy(chart, loops, base, n=entry.n,
-                                 J_candidates=J_candidates, mode=config.mode)
+                                 J_candidates=J_candidates)
     inconclusive = ("inconclusive" in (est_span.classification,
                                        est_loop.classification))
     agree = est_span.classification == est_loop.classification
@@ -384,7 +378,7 @@ def _suite_classify(entry, config: SuiteConfig, rng) -> SuiteResult:
     gate = config.tol_id if config.mode == "fd" else max(config.tol_id, 1e-4)
     result = idn.classify_structure(H, pts, entry.loops,
                                     tol_id=gate,
-                                    tol_ode=config.tol_ode, mode=config.mode)
+                                    tol_ode=config.tol_ode)
     table = ResidualTable()
     for name, value in result.periods:
         expected = entry.expected_periods.get(name)
@@ -534,6 +528,8 @@ def run(config: SuiteConfig) -> Report:
     """Execute every configured suite; deterministic given (config, seed)."""
     t0 = time.monotonic()
     entry = resolve_manifold(config.manifold)
+    if config.mode == "fd":
+        entry = zoo.stencil_only(entry)
     suites = []
     for name in config.suites:
         # crc32 is stable across processes (hash() is salted)

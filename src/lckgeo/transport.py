@@ -67,18 +67,18 @@ def _rk4(f: Callable, y0: np.ndarray, t0: float, t1: float, steps: int) -> np.nd
     return y
 
 
-def geodesic(chart: Chart, p, v, time: float, steps: int = DEFAULT_STEPS,
-             mode: str = "auto") -> np.ndarray:
+def geodesic(chart: Chart, p, v, time: float,
+             steps: int = DEFAULT_STEPS) -> np.ndarray:
     """Integrate the geodesic from (p, v) for the given time; returns the endpoint.
 
     Raises :class:`DomainExitError` with the exit time if the trajectory
     leaves the chart box.
     """
-    return geodesic_with_velocity(chart, p, v, time, steps, mode)[0]
+    return geodesic_with_velocity(chart, p, v, time, steps)[0]
 
 
 def geodesic_with_velocity(chart: Chart, p, v, time: float,
-                           steps: int = DEFAULT_STEPS, mode: str = "auto"):
+                           steps: int = DEFAULT_STEPS):
     """Like :func:`geodesic` but also returns the final velocity."""
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -89,7 +89,7 @@ def geodesic_with_velocity(chart: Chart, p, v, time: float,
         if not chart.contains(x):
             raise DomainExitError(f"geodesic left chart '{chart.label}'",
                                   exit_time=t, point=x)
-        gamma = christoffel_components(chart, x, mode=mode)
+        gamma = christoffel_components(chart, x)
         return np.concatenate([vel, -np.einsum("kij,i,j->k", gamma, vel, vel)])
 
     y = _rk4(rhs, np.concatenate([p, v]), 0.0, time, steps)
@@ -97,7 +97,7 @@ def geodesic_with_velocity(chart: Chart, p, v, time: float,
 
 
 def parallel_transport(chart: Chart, loop: Loop, frame: np.ndarray,
-                       mode: str = "auto", steps: int = None) -> np.ndarray:
+                       steps: int = None) -> np.ndarray:
     """Parallel-transport a frame (columns = vectors) around a loop.
 
     Returns the transported frame at the base point; for an isometrically
@@ -106,13 +106,13 @@ def parallel_transport(chart: Chart, loop: Loop, frame: np.ndarray,
     the base point.
     """
     return transport_along(chart, loop.point, loop.velocity, frame,
-                           steps=steps or loop.steps, mode=mode,
+                           steps=steps or loop.steps,
                            breakpoints=loop.breakpoints)
 
 
 def transport_along(chart: Chart, point_fn: Callable, velocity_fn: Callable,
                     frame: np.ndarray, steps: int = DEFAULT_STEPS,
-                    mode: str = "auto", breakpoints: tuple = ()) -> np.ndarray:
+                    breakpoints: tuple = ()) -> np.ndarray:
     """Transport frame columns along the parametrized curve on [0, 1].
 
     ``point_fn`` and ``velocity_fn`` take stacks of parameters, shape (...),
@@ -132,13 +132,13 @@ def transport_along(chart: Chart, point_fn: Callable, velocity_fn: Callable,
     for t0, t1 in zip(knots[:-1], knots[1:]):
         piece_steps = max(int(round(steps * (t1 - t0))), 1)
         rhs = _piece_rhs(chart, point_fn, velocity_fn, t0, t1, piece_steps,
-                         mode, shape)
+                         shape)
         y = _rk4(rhs, y, t0, t1, piece_steps)
     return y.reshape(shape)
 
 
 def _piece_rhs(chart: Chart, point_fn: Callable, velocity_fn: Callable,
-               t0: float, t1: float, steps: int, mode: str, shape: tuple):
+               t0: float, t1: float, steps: int, shape: tuple):
     """The right-hand side of the transport equation on one smooth piece.
 
     The node times follow the float recurrence of :func:`_rk4`; the curve
@@ -161,7 +161,7 @@ def _piece_rhs(chart: Chart, point_fn: Callable, velocity_fn: Callable,
     xs = np.asarray(point_fn(params), dtype=float)
     vels = np.asarray(velocity_fn(params), dtype=float)
     # the fd stencil of christoffel_components needs its step inside the box
-    margin = chart.stencil_margin(mode)
+    margin = chart.stencil_margin()
     ok = chart.inside(xs, margin).reshape(len(times), -1)
     bad = np.flatnonzero(~ok.all(axis=1))
     n_ok = bad[0] if len(bad) else len(times)
@@ -177,7 +177,7 @@ def _piece_rhs(chart: Chart, point_fn: Callable, velocity_fn: Callable,
         if first != i - i % per_block:
             first = i - i % per_block
             gammas = christoffel_components(
-                chart, xs[first:min(first + per_block, n_ok)], mode=mode)
+                chart, xs[first:min(first + per_block, n_ok)])
         dV = -np.einsum("...kij,...i,...jl->...kl", gammas[i - first],
                         vels[i], y.reshape(shape))
         return dV.reshape(-1)
@@ -197,7 +197,7 @@ def _raise_domain_error(chart: Chart, x: np.ndarray, exit_time: float,
 
 
 def transport_segment(chart: Chart, p_from, p_to, frame: np.ndarray,
-                      steps: int = 200, mode: str = "auto") -> np.ndarray:
+                      steps: int = 200) -> np.ndarray:
     """Transport along the straight coordinate segment p_from -> p_to.
 
     With p_from or p_to a stack of points, shape (K, m), the K segments are
@@ -209,7 +209,7 @@ def transport_segment(chart: Chart, p_from, p_to, frame: np.ndarray,
     return transport_along(
         chart, lambda t: p_from + np.multiply.outer(t, vel),
         lambda t: np.broadcast_to(vel, np.shape(t) + vel.shape),
-        frame, steps=steps, mode=mode)
+        frame, steps=steps)
 
 
 def orthogonality_defect(chart: Chart, loop: Loop, transported: np.ndarray) -> float:

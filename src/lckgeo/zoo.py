@@ -30,7 +30,7 @@ g_0 := e^(-Phi) g_+ = e^(Phi) g_- = g_ell, and theta_0 = -1/2 d Phi = d phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,7 +89,7 @@ class KahlerBase:
     dim: int
     domain: tuple
     g_fn: Callable
-    dg_fn: Callable
+    dg_fn: Optional[Callable]        # None: the base chart uses a stencil
     J_fn: Callable
     area: Optional[float] = None     # total integral of Omega_N, when finite
 
@@ -679,7 +679,32 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
         base=base, n=n)
 
 
-def calabi_connection_table_residuals(entry: ZooEntry, p, mode: str = "auto") -> dict:
+def stencil_only(entry: ZooEntry) -> ZooEntry:
+    """The entry without metric derivatives on its charts and its base, so
+    that every metric is differenced on a stencil: the entry of an fd run.
+    Copies are shared as the originals are; ``entry`` is left as it is."""
+    copies = {}
+
+    def copy(obj, **changes):
+        if id(obj) not in copies:
+            copies[id(obj)] = replace(obj, **changes)
+        return copies[id(obj)]
+
+    def structure(H):
+        return None if H is None else copy(
+            H, chart=copy(H.chart, metric_derivative_fn=None))
+
+    pair = entry.pair
+    return replace(
+        entry, charts={k: copy(c, metric_derivative_fn=None)
+                       for k, c in entry.charts.items()},
+        structures={k: structure(H) for k, H in entry.structures.items()},
+        pair=pair and PairData(structure(pair.I), structure(pair.J)),
+        average=structure(entry.average),
+        base=entry.base and replace(entry.base, dg_fn=None))
+
+
+def calabi_connection_table_residuals(entry: ZooEntry, p) -> dict:
     """The five covariant-derivative rows of the bundle metric, as residuals.
 
     Rows (xi the vertical field with omega(xi) = 1, X*, Y* horizontal lifts):
@@ -701,7 +726,7 @@ def calabi_connection_table_residuals(entry: ZooEntry, p, mode: str = "auto") ->
     th, r = p[0], p[3]
     lv, dl = ell(r), ell.derivative(r)
     g = chart.metric(p)
-    gamma = christoffel_components(chart, p, mode=mode)
+    gamma = christoffel_components(chart, p)
 
     xi = np.array([0.0, 0.0, 1.0 / c_w, 0.0])
     e_r = np.array([0.0, 0.0, 0.0, 1.0])
@@ -718,7 +743,7 @@ def calabi_connection_table_residuals(entry: ZooEntry, p, mode: str = "auto") ->
         return fn
 
     def nabla(direction, field):
-        full = covariant_derivative_full(chart, field, p, (0, 1), mode=mode,
+        full = covariant_derivative_full(chart, field, p, (0, 1),
                                          stencil=fd.DIRECT, gamma=gamma)
         return np.asarray(direction, dtype=float) @ full
 
@@ -749,7 +774,7 @@ def calabi_connection_table_residuals(entry: ZooEntry, p, mode: str = "auto") ->
 
     base_chart = base.chart()
     y = np.array([th, 1.0])
-    gamma_h = christoffel_components(base_chart, y, mode=mode)
+    gamma_h = christoffel_components(base_chart, y)
     omega_n = base.omega_fn(y)
     row5 = 0.0
     for a, lfa in enumerate(lifts):

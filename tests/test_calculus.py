@@ -1,5 +1,6 @@
 """Connection and curvature tests against closed forms and a symbolic oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +38,11 @@ def _sphere_chart(radius=1.0, dim=2):
                  metric_fn=g_fn, label="round_S3")
 
 
+def _stencil(chart):
+    """The chart without its metric derivative: differenced on a stencil."""
+    return dataclasses.replace(chart, metric_derivative_fn=None)
+
+
 class TestChristoffel:
     def test_euclidean_zero(self, euclid4):
         G = christoffel(euclid4.charts["flat"], np.zeros(4)).components
@@ -44,16 +50,16 @@ class TestChristoffel:
 
     def test_sphere_closed_form(self):
         """Gamma^theta_{phi phi} = -sin(t)cos(t), Gamma^phi_{t phi} = cot(t)."""
-        chart = _sphere_chart()
+        chart = _stencil(_sphere_chart())
         p = np.array([math.pi / 4, 1.0])
-        G = christoffel(chart, p, mode="fd").components
+        G = christoffel(chart, p).components
         assert abs(G[0, 1, 1] - (-0.5)) < 1e-8
         assert abs(G[1, 0, 1] - 1.0 / math.tan(p[0])) < 1e-7
         npt.assert_allclose(G, np.transpose(G, (0, 2, 1)), atol=1e-12)
 
     def test_flat_inversion_against_symbolic_oracle(self, flat_inv2, rng):
         """FD pipeline vs independent sympy differentiation of r^-4 delta."""
-        chart = flat_inv2.charts["inverted"]
+        chart = _stencil(flat_inv2.charts["inverted"])
         xs = sp.symbols("x0 x1 x2 x3", real=True)
         r2 = sum(x * x for x in xs)
         g_sym = sp.eye(4) / r2 ** 2
@@ -66,7 +72,7 @@ class TestChristoffel:
             for k in range(4)]
         gamma_fn = sp.lambdify(xs, gamma_sym, "numpy")
         for p in chart.sample_points(rng, 5):
-            G_num = christoffel(chart, p, mode="fd").components
+            G_num = christoffel(chart, p).components
             G_orc = np.asarray(gamma_fn(*p), dtype=float)
             assert np.max(np.abs(G_num - G_orc)) < 1e-5
 
@@ -74,20 +80,19 @@ class TestChristoffel:
         """2nd-order stencil: halving the step shrinks the defect ~4x."""
         chart = _sphere_chart()
         p = np.array([0.9, 2.0])
-        exact = christoffel(chart, p, mode="analytic").components
+        exact = christoffel(chart, p).components
         err = lambda h: np.max(np.abs(
-            christoffel(chart, p, mode="fd", step=h).components - exact))
+            christoffel(_stencil(chart), p, step=h).components - exact))
         assert err(5e-4) < err(1e-3) / 3.0
 
     def test_domain_error(self, flat_inv2):
-        chart = flat_inv2.charts["inverted"]
+        chart = _stencil(flat_inv2.charts["inverted"])
         with pytest.raises(ChartDomainError):
-            christoffel(chart, np.full(4, 0.34999), mode="fd")
+            christoffel(chart, np.full(4, 0.34999))
         # a stack fails on the point whose stencil leaves the box
         with pytest.raises(ChartDomainError, match="0.34999"):
             christoffel_components(chart, np.array([chart.center(),
-                                                    np.full(4, 0.34999)]),
-                                   mode="fd")
+                                                    np.full(4, 0.34999)]))
 
     def test_stacked_matches_per_point(self, hopf2, hopf3, flat_inv2,
                                        warped_sin, calabi_sin, euclid4, rng):
@@ -95,15 +100,15 @@ class TestChristoffel:
         for entry in (hopf2, hopf3, flat_inv2, warped_sin, calabi_sin,
                       euclid4):
             for chart in entry.charts.values():
-                modes = ["fd"] + ["analytic"] * (
+                variants = [_stencil(chart)] + [chart] * (
                     chart.metric_derivative_fn is not None)
                 pts = chart.sample_points(rng, 6).reshape(2, 3, chart.dim)
-                for mode in modes:
-                    stacked = christoffel_components(chart, pts, mode=mode)
-                    single = [[christoffel_components(chart, q, mode=mode)
-                               for q in row] for row in pts]
+                for c in variants:
+                    stacked = christoffel_components(c, pts)
+                    single = [[christoffel_components(c, q) for q in row]
+                              for row in pts]
                     assert np.array_equal(stacked, np.array(single)), (
-                        chart.label, mode)
+                        c.label, c.metric_derivative_fn)
 
 
 def _per_axis_partial(f, p, axis, step, order):
@@ -186,27 +191,30 @@ class TestCurvature:
         chart = _sphere_chart(1.0, dim=3)
         for p in chart.sample_points(rng, 5):
             g = chart.metric(p)
-            R = riemann(chart, p, mode="fd").components
+            R = riemann(chart, p).components
             x, y = rng.standard_normal(3), rng.standard_normal(3)
             lhs = np.einsum("abcd,b,c,d->a", R, y, x, y)
             rhs = float(y @ g @ y) * x - float(x @ g @ y) * y
             assert np.max(np.abs(lhs - rhs)) < 1e-6 * (1 + np.max(np.abs(rhs)))
 
     def test_flat_inversion_riemann_vanishes(self, flat_inv2, rng):
-        chart = flat_inv2.charts["inverted"]
+        chart = _stencil(flat_inv2.charts["inverted"])
         for p in chart.sample_points(rng, 10):
-            R = lowered_riemann(chart, p, mode="fd")
+            R = lowered_riemann(chart, p)
             assert form_norm(R, chart.metric(p)) < 1e-4
 
     @pytest.mark.parametrize("mode,tol", [("fd", 1e-4), ("analytic", 1e-8)])
     def test_riemann_symmetries_and_bianchi(self, mode, tol, hopf2, calabi_sin,
                                             warped_sin, rng):
-        """Antisymmetries and the first Bianchi identity on zoo charts."""
+        """Antisymmetries and the first Bianchi identity on zoo charts, on
+        stencils ("fd") and with the metric derivatives ("analytic")."""
         for entry in (hopf2, calabi_sin, warped_sin):
             chart = entry.main_structure.chart
+            if mode == "fd":
+                chart = _stencil(chart)
             for p in chart.sample_points(rng, 4):
                 g = chart.metric(p)
-                R = lowered_riemann(chart, p, mode=mode)
+                R = lowered_riemann(chart, p)
                 scale = 1.0 + np.max(np.abs(R))
                 assert np.max(np.abs(R + np.transpose(R, (1, 0, 2, 3)))) < tol * scale
                 assert np.max(np.abs(R + np.transpose(R, (0, 1, 3, 2)))) < tol * scale
@@ -218,8 +226,8 @@ class TestCurvature:
         for entry in (hopf2, calabi_sin):
             chart = entry.main_structure.chart
             for p in chart.sample_points(rng, 5):
-                assert metric_compatibility_defect(chart, p, mode="fd") < 1e-4
-                assert metric_compatibility_defect(chart, p, mode="analytic") < 1e-12
+                assert metric_compatibility_defect(_stencil(chart), p) < 1e-4
+                assert metric_compatibility_defect(chart, p) < 1e-12
 
 
 class TestRicci:
@@ -231,20 +239,20 @@ class TestRicci:
     @pytest.mark.parametrize("radius,dim", [(1.0, 2), (2.0, 2), (1.0, 3)])
     def test_round_sphere_scalar(self, radius, dim, rng):
         """scal(S^m(R)) = m(m-1)/R^2."""
-        chart = _sphere_chart(radius, dim)
+        chart = _stencil(_sphere_chart(radius, dim))
         p = chart.sample_points(rng, 1)[0]
-        ric, scal = ricci_scalar(chart, p, mode="fd")
+        ric, scal = ricci_scalar(chart, p)
         expected = dim * (dim - 1) / radius ** 2
         assert abs(scal - expected) < 1e-5 * (1 + expected)
         npt.assert_allclose(ric.components, ric.components.T, atol=1e-7)
 
     def test_warped_fiber_curvature_rows(self, warped_sin, rng):
         """R(X, d_t) d_t = -(f''/f) X for fiber directions X."""
-        chart = warped_sin.main_structure.chart
+        chart = _stencil(warped_sin.main_structure.chart)
         for p in chart.sample_points(rng, 4):
             t = p[1]
             ratio = -math.sin(t) + math.cos(t) ** 2   # f''/f, f = e^(sin t)
-            R = riemann(chart, p, mode="fd").components
+            R = riemann(chart, p).components
             for k in (2, 3):
                 x = np.zeros(4)
                 x[k] = 1.0
@@ -259,10 +267,10 @@ class TestRicci:
         The prefactor is the fiber dimension 2n - 2, i.e. the trace of the
         fiber curvature rows above (checked to 1e-8 numerically).
         """
-        chart = warped_sin.main_structure.chart
+        chart = _stencil(warped_sin.main_structure.chart)
         for p in chart.sample_points(rng, 5):
             t = p[1]
-            ric, _ = ricci_scalar(chart, p, mode="fd")
+            ric, _ = ricci_scalar(chart, p)
             expected = -2.0 * (-math.sin(t) + math.cos(t) ** 2)
             assert abs(ric.components[1, 1] - expected) < 1e-5 * (1 + abs(expected))
 
@@ -276,36 +284,36 @@ class TestCovariantDerivative:
 
     def test_hopf_lee_form_is_parallel(self, hopf2, rng):
         """nabla_X theta = 0 for the circle length element."""
-        H = hopf2.main_structure
+        H = zoo.stencil_only(hopf2).main_structure
         for p in H.chart.sample_points(rng, 5):
             x = rng.standard_normal(4)
-            out = covariant_derivative(H.chart, lee_field(H, "fd"), p, x,
-                                       valence=(1, 0), mode="fd")
+            out = covariant_derivative(H.chart, lee_field(H), p, x,
+                                       valence=(1, 0))
             assert out.norm() < 1e-6
 
     def test_calabi_radial_derivative_of_vertical_field(self, calabi_sin, rng):
         """nabla_{d_r} xi = (l'/l) xi on the bundle chart."""
-        chart = calabi_sin.charts["g_ell"]
+        chart = _stencil(calabi_sin.charts["g_ell"])
         c_w = calabi_sin.params["c_w"]
         xi = np.array([0.0, 0.0, 1.0 / c_w, 0.0])
         e_r = np.array([0.0, 0.0, 0.0, 1.0])
         for p in chart.sample_points(rng, 5):
             out = covariant_derivative(chart, fd.constant(xi), p, e_r,
-                                       valence=(0, 1), mode="fd").components
+                                       valence=(0, 1)).components
             expected = (math.cos(p[3]) / math.sin(p[3])) * xi
             npt.assert_allclose(out, expected, atol=1e-7)
 
     def test_leibniz_rule(self, rng):
         """nabla(alpha (x) beta) = nabla alpha (x) beta + alpha (x) nabla beta."""
-        chart = _sphere_chart()
+        chart = _stencil(_sphere_chart())
         alpha = lambda q: np.stack([np.sin(q[..., 0]), np.cos(q[..., 1])], -1)
         beta = lambda q: np.stack([q[..., 0] ** 2,
                                    np.sin(q[..., 1]) * q[..., 0]], -1)
         tensor = lambda q: alpha(q)[..., :, None] * beta(q)[..., None, :]
         p = np.array([1.1, 2.3])
-        lhs = covariant_derivative_full(chart, tensor, p, (2, 0), mode="fd")
-        da = covariant_derivative_full(chart, alpha, p, (1, 0), mode="fd")
-        db = covariant_derivative_full(chart, beta, p, (1, 0), mode="fd")
+        lhs = covariant_derivative_full(chart, tensor, p, (2, 0))
+        da = covariant_derivative_full(chart, alpha, p, (1, 0))
+        db = covariant_derivative_full(chart, beta, p, (1, 0))
         rhs = (np.einsum("ci,j->cij", da, beta(p))
                + np.einsum("i,cj->cij", alpha(p), db))
         npt.assert_allclose(lhs, rhs, atol=1e-6)
@@ -330,10 +338,10 @@ class TestFormCalculus:
     def test_hopf_domega(self, hopf2, rng):
         """d Omega = 2 theta ^ Omega on the Hopf chart."""
         from lckgeo.charts import wedge
-        H = hopf2.main_structure
+        H = zoo.stencil_only(hopf2).main_structure
         for p in H.chart.sample_points(rng, 5):
             d_om = exterior_derivative(H.chart, H.omega, p, k=2).components
-            theta = lee_form_components(H, p, mode="fd")
+            theta = lee_form_components(H, p)
             rhs = 2.0 * wedge(theta, H.omega(p))
             assert form_norm(d_om - rhs, H.chart.metric(p)) < 1e-6
 
@@ -363,23 +371,22 @@ class TestFormCalculus:
 
     def test_hopf_delta_omega(self, hopf2, rng):
         """delta Omega = (2 - 2n) J theta: the codifferential sign anchor."""
-        H = hopf2.main_structure
+        H = zoo.stencil_only(hopf2).main_structure
         for p in H.chart.sample_points(rng, 5):
-            delta_om = codifferential(H.chart, H.omega, p, k=2, mode="fd").components
-            theta = lee_form_components(H, p, mode="fd")
+            delta_om = codifferential(H.chart, H.omega, p, k=2).components
+            theta = lee_form_components(H, p)
             rhs = (2.0 - 2.0 * H.n) * H.j_form(p, theta)
             assert np.max(np.abs(delta_om - rhs)) < 1e-8
 
     def test_flat_inversion_delta_theta(self, flat_inv2):
         """At r = 1, n = 2: |theta|^2 = 4 and delta theta = (1-n)|theta|^2 = -4."""
-        H = flat_inv2.main_structure
+        H = zoo.stencil_only(flat_inv2).main_structure
         p = np.full(4, 0.5)     # r = 1
-        theta = lee_form_components(H, p, mode="fd")
+        theta = lee_form_components(H, p)
         g_inv = np.linalg.inv(H.chart.metric(p))
         norm_sq = float(theta @ g_inv @ theta)
         assert abs(norm_sq - 4.0) < 1e-8
-        delta_theta = codifferential(H.chart, lee_field(H, "fd"), p, k=1,
-                                     mode="fd").components
+        delta_theta = codifferential(H.chart, lee_field(H), p, k=1).components
         assert abs(float(delta_theta) - (-4.0)) < 1e-4
 
 

@@ -1,5 +1,6 @@
 """Chart, FrameTensor, Loop, and exterior-algebra unit tests."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -37,9 +38,10 @@ class TestChartInvariants:
             for chart in entry.charts.values():
                 if chart.metric_derivative_fn is None:
                     continue
+                stencil = dataclasses.replace(chart, metric_derivative_fn=None)
                 for p in chart.sample_points(rng, 10):
-                    dg_fd = chart.metric_jacobian(p, mode="fd")
-                    dg_an = chart.metric_jacobian(p, mode="analytic")
+                    dg_fd = stencil.metric_jacobian(p)
+                    dg_an = chart.metric_jacobian(p)
                     assert np.max(np.abs(dg_fd - dg_an)) < 1e-5 * (
                         1 + np.max(np.abs(dg_an)))
 

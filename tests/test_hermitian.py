@@ -21,6 +21,19 @@ from lckgeo.hermitian import (HermitianStructure, conformal_rescale,
                               nijenhuis_residual, nijenhuis_tensor)
 
 
+def _stencil(H):
+    """H on its chart without the metric derivative: g is differenced on a
+    stencil."""
+    return dataclasses.replace(
+        H, chart=dataclasses.replace(H.chart, metric_derivative_fn=None))
+
+
+def _variants(H):
+    """H with its metric differenced on a stencil, and as given where its
+    chart has a metric derivative."""
+    return [_stencil(H)] + [H] * (H.chart.metric_derivative_fn is not None)
+
+
 def twisted_structure(m=4, angle_scale=1.0):
     """Position-dependent rotation of J_0 on a flat chart: not integrable.
 
@@ -154,16 +167,16 @@ class TestLeeForm:
         for H in (calabi_sin.structures["g+,J+"], calabi_sin.structures["g-,J-"],
                   warped_flat.main_structure):
             for p in H.chart.sample_points(rng, 5):
-                data = lee_form(H, p, mode="fd")
+                data = lee_form(_stencil(H), p)
                 assert data.norm_sq < 1e-10
                 assert data.theta.norm() < 1e-6
 
     def test_flat_inversion_closed_form(self, flat_inv2, flat_inv3, rng):
         """theta = -2 d ln r = -2 x / r^2."""
         for entry in (flat_inv2, flat_inv3):
-            H = entry.main_structure
+            H = _stencil(entry.main_structure)
             for p in H.chart.sample_points(rng, 5):
-                data = lee_form(H, p, mode="fd")
+                data = lee_form(H, p)
                 expected = -2.0 * p / float(p @ p)
                 npt.assert_allclose(data.theta.components, expected, atol=1e-8)
                 # J theta (X) = -theta(JX)
@@ -174,47 +187,47 @@ class TestLeeForm:
     def test_calabi_lee_forms(self, calabi_sin, rng):
         """theta_eps = 1/2 eps l(r) dr on (g_ell, J_eps)."""
         for eps, key in ((1.0, "g_ell,J+"), (-1.0, "g_ell,J-")):
-            H = calabi_sin.structures[key]
+            H = _stencil(calabi_sin.structures[key])
             for p in H.chart.sample_points(rng, 5):
-                theta = lee_form_components(H, p, mode="fd")
+                theta = lee_form_components(H, p)
                 expected = np.array([0, 0, 0, 0.5 * eps * math.sin(p[3])])
                 npt.assert_allclose(theta, expected, atol=1e-9)
 
     def test_lee_data_s_tensor_symmetric(self, flat_inv2, rng):
-        H = flat_inv2.main_structure
+        H = _stencil(flat_inv2.main_structure)
         for p in H.chart.sample_points(rng, 3):
-            S = lee_form(H, p, mode="fd").S.components
+            S = lee_form(H, p).S.components
             assert np.max(np.abs(S - S.T)) < 1e-5
 
     def test_closedness(self, hopf2, calabi_sin, rng):
         from lckgeo.calculus import exterior_derivative
         from lckgeo.hermitian import lee_field
         for entry in (hopf2, calabi_sin):
-            H = entry.main_structure
+            H = _stencil(entry.main_structure)
             for p in H.chart.sample_points(rng, 3):
-                d_theta = exterior_derivative(H.chart, lee_field(H, "fd"), p,
+                d_theta = exterior_derivative(H.chart, lee_field(H), p,
                                               k=1, stencil=fd.NESTED).components
                 assert form_norm(d_theta, H.chart.metric(p)) < 1e-6
 
     def test_not_lck_gate(self, rng):
         """The 6-dim twisted control fails d Omega = 2 theta ^ Omega loudly."""
-        H = twisted_structure(m=6)
+        H = _stencil(twisted_structure(m=6))
         failed = False
         for p in H.chart.sample_points(rng, 10):
             try:
-                lee_form(H, p, mode="fd")
+                lee_form(H, p)
             except NotLcKError:
                 failed = True
                 break
         assert failed
         # the residual really is a structural failure, not stencil noise
-        worst = max(lck_residual(H, p, mode="fd")
+        worst = max(lck_residual(H, p)
                     for p in H.chart.sample_points(rng, 5))
         assert worst > 1e-2
 
     def test_conformal_covariance(self, hopf2, rng):
         """Rescaling g by e^(2u) shifts the Lee form by +du."""
-        H = hopf2.main_structure
+        H = _stencil(hopf2.main_structure)
 
         def u(p):
             return 0.1 * np.sin(p[..., 1]) * np.cos(p[..., 2])
@@ -228,27 +241,25 @@ class TestLeeForm:
         chart_u = conformal_rescale(H.chart, u, du, label="hopf_rescaled")
         H_u = HermitianStructure(chart_u, H.J_fn, H.n, label="hopf_rescaled")
         for p in H.chart.sample_points(rng, 5):
-            theta = lee_form_components(H, p, mode="fd")
-            theta_u = lee_form_components(H_u, p, mode="fd")
+            theta = lee_form_components(H, p)
+            theta_u = lee_form_components(H_u, p)
             npt.assert_allclose(theta_u, theta + du(p), atol=1e-3)
 
     def test_stacked_matches_per_point(self, hopf2, hopf3, flat_inv2,
                                        warped_sin, calabi_sin, rng):
         """Points of shape (..., m) give the per-point Lee forms bit for bit,
-        on every structure of every zoo entry, in fd mode and in analytic
-        mode where the chart has a metric derivative."""
+        on every structure of every zoo entry, with the metric differenced
+        on a stencil and with its derivative where the chart has one."""
         for entry in (hopf2, hopf3, flat_inv2, warped_sin, calabi_sin):
             for H in entry.structures.values():
                 chart = H.chart
-                modes = ["fd"] + ["analytic"] * (
-                    chart.metric_derivative_fn is not None)
                 pts = chart.sample_points(rng, 6).reshape(2, 3, chart.dim)
-                for mode in modes:
-                    stacked = lee_form_components(H, pts, mode=mode)
-                    single = [[lee_form_components(H, q, mode=mode)
-                               for q in row] for row in pts]
+                for V in _variants(H):
+                    stacked = lee_form_components(V, pts)
+                    single = [[lee_form_components(V, q) for q in row]
+                              for row in pts]
                     assert np.array_equal(stacked, np.array(single)), (
-                        H.label, mode)
+                        V.label, V.chart.metric_derivative_fn)
 
     def test_rejects_complex_dimension_one(self):
         chart = zoo.round_s2_base(1.0).chart()
@@ -266,31 +277,29 @@ class TestOnePassLeeForm:
     and once at p; every part is bitwise what the generic route gives."""
 
     @staticmethod
-    def generic_lee(H, p, mode):
-        delta = codifferential(H.chart, H.omega, p, k=2, mode=mode).components
+    def generic_lee(H, p):
+        delta = codifferential(H.chart, H.omega, p, k=2).components
         return H.j_form(p, delta) / (2.0 * H.n - 2.0)
 
     def test_matches_generic_route(self, hopf2, hopf3, flat_inv2, warped_sin,
                                    calabi_sin, rng):
         """On every structure of every zoo entry with n >= 2, for stacked and
-        single points, in fd mode and in analytic mode where the chart has a
-        metric derivative."""
+        single points, with the metric differenced on a stencil and with its
+        derivative where the chart has one."""
         for entry in (hopf2, hopf3, flat_inv2, warped_sin, calabi_sin):
             for H in entry.structures.values():
-                chart = H.chart
-                modes = ["fd"] + ["analytic"] * (
-                    chart.metric_derivative_fn is not None)
-                stack = chart.sample_points(rng, 4).reshape(2, 2, chart.dim)
-                for mode, p in itertools.product(modes, (stack, stack[0, 1])):
-                    parts = lee_form_parts(H, p, mode=mode)
-                    where = (H.label, mode, p.shape)
+                stack = H.chart.sample_points(rng, 4).reshape(2, 2, -1)
+                for V, p in itertools.product(_variants(H),
+                                              (stack, stack[0, 1])):
+                    chart = V.chart
+                    parts = lee_form_parts(V, p)
+                    where = (V.label, chart.metric_derivative_fn, p.shape)
                     assert np.array_equal(parts.theta,
-                                          self.generic_lee(H, p, mode)), where
+                                          self.generic_lee(V, p)), where
                     assert np.array_equal(
-                        parts.gamma,
-                        christoffel_components(chart, p, mode=mode)), where
+                        parts.gamma, christoffel_components(chart, p)), where
                     assert np.array_equal(
-                        parts.dg, chart.metric_jacobian(p, mode=mode)), where
+                        parts.dg, chart.metric_jacobian(p)), where
                     assert np.array_equal(
                         parts.dJ, fd.gradient(H.J_fn, p, fd.DIRECT)), where
                     assert np.array_equal(
@@ -298,7 +307,7 @@ class TestOnePassLeeForm:
                         fd.gradient(H.omega, p, fd.DIRECT)), where
                     assert np.array_equal(parts.g_inv,
                                           np.linalg.inv(chart.metric(p)))
-                    assert np.array_equal(lee_form_components(H, p, mode=mode),
+                    assert np.array_equal(lee_form_components(V, p),
                                           parts.theta)
 
     def test_metric_error_names_the_one_bad_stencil_point(self, hopf2):
@@ -314,35 +323,36 @@ class TestOnePassLeeForm:
             return g
 
         H_bad = dataclasses.replace(
-            H, chart=dataclasses.replace(H.chart, metric_fn=metric_fn))
+            H, chart=dataclasses.replace(H.chart, metric_fn=metric_fn,
+                                         metric_derivative_fn=None))
         with pytest.raises(MetricError) as err:
-            lee_form_components(H_bad, p, mode="fd")
+            lee_form_components(H_bad, p)
         assert str(bad) in str(err.value)
         assert "positive definite" in str(err.value)
         with pytest.raises(MetricError) as ref:
-            self.generic_lee(H_bad, p, "fd")
+            self.generic_lee(H_bad, p)
         assert str(err.value) == str(ref.value)
 
     def test_base_point_near_a_face(self, hopf2):
         """A base point inside the chart but within the DIRECT stencil extent
         of a face raises ChartDomainError, as the generic route does."""
-        H = hopf2.main_structure
+        H = _stencil(hopf2.main_structure)
         p = H.chart.center()
         p[1] = H.chart.domain[1][0] + 0.5 * fd.DIRECT.extent
         assert H.chart.contains(p)
         with pytest.raises(ChartDomainError) as err:
-            lee_form_components(H, p, mode="fd")
+            lee_form_components(H, p)
         with pytest.raises(ChartDomainError) as ref:
-            self.generic_lee(H, p, "fd")
+            self.generic_lee(H, p)
         assert str(err.value) == str(ref.value)
 
     def test_nan_structure_fails_the_lck_gate(self, hopf2):
         """A J field of NaNs gives a NaN residual, which fails the gate."""
-        H = hopf2.main_structure
+        H = _stencil(hopf2.main_structure)
         H_nan = dataclasses.replace(
             H, J_fn=lambda q: np.full(np.shape(q)[:-1] + (4, 4), np.nan))
         with pytest.raises(NotLcKError, match="fails the lcK gate"):
-            lee_form(H_nan, H.chart.center(), mode="fd")
+            lee_form(H_nan, H.chart.center())
 
 
 class TestNestedLee:
@@ -353,37 +363,32 @@ class TestNestedLee:
     def test_matches_generic_route(self, hopf2, flat_inv2, warped_sin,
                                    calabi_sin, rng):
         for entry in (hopf2, flat_inv2, warped_sin, calabi_sin):
-            H = entry.main_structure
-            chart = H.chart
-            modes = ["fd"] + ["analytic"] * (
-                chart.metric_derivative_fn is not None)
-            for mode in modes:
+            for H in _variants(entry.main_structure):
+                chart = H.chart
                 p = chart.sample_points(rng, 1)[0]
-                nested = nested_lee(H, p, mode=mode)
-                where = (H.label, mode)
+                nested = nested_lee(H, p)
+                where = (H.label, chart.metric_derivative_fn)
                 generic = covariant_derivative_full(
-                    chart, lee_field(H, mode), p, (1, 0), mode=mode,
-                    stencil=fd.NESTED)
+                    chart, lee_field(H), p, (1, 0), stencil=fd.NESTED)
                 assert np.array_equal(nested.ntheta, generic), where
                 assert np.array_equal(
                     nested.theta_partials,
-                    fd.gradient(lee_field(H, mode), p, fd.NESTED)), where
+                    fd.gradient(lee_field(H), p, fd.NESTED)), where
                 assert np.array_equal(
-                    nested.riemann,
-                    riemann(chart, p, mode=mode).components), where
-                assert np.array_equal(nabla_theta(H, p, mode=mode), generic)
+                    nested.riemann, riemann(chart, p).components), where
+                assert np.array_equal(nabla_theta(H, p), generic)
 
     def test_stacked_matches_per_point(self, flat_inv2, rng):
-        H = flat_inv2.main_structure
+        H = _stencil(flat_inv2.main_structure)
         pts = H.chart.sample_points(rng, 4).reshape(2, 2, H.chart.dim)
-        stacked = nabla_theta(H, pts, mode="fd")
-        single = [[nabla_theta(H, q, mode="fd") for q in row] for row in pts]
+        stacked = nabla_theta(H, pts)
+        single = [[nabla_theta(H, q) for q in row] for row in pts]
         assert np.array_equal(stacked, np.array(single))
 
     def test_shared_parts_are_computed_once_per_stack(self, hopf2):
         """Through one lee_parts_at, the NESTED pass reuses the parts at p
         that the lcK residual read, and a second pass evaluates nothing."""
-        H = hopf2.main_structure
+        H = _stencil(hopf2.main_structure)
         calls = []
 
         def J_fn(q):
@@ -392,26 +397,26 @@ class TestNestedLee:
 
         H_counted = dataclasses.replace(H, J_fn=J_fn)
         p = H.chart.center()
-        parts_at = lee_parts_at(H_counted, "fd")
-        res = lck_residual(H_counted, p, mode="fd", parts_at=parts_at)
-        assert res == lck_residual(H, p, mode="fd")
+        parts_at = lee_parts_at(H_counted)
+        res = lck_residual(H_counted, p, parts_at=parts_at)
+        assert res == lck_residual(H, p)
         assert len(calls) == 2                  # DIRECT stencil, then p
-        first = nested_lee(H_counted, p, mode="fd", parts_at=parts_at)
+        first = nested_lee(H_counted, p, parts_at=parts_at)
         assert len(calls) == 4                  # the NESTED stack only
-        again = nested_lee(H_counted, p, mode="fd", parts_at=parts_at)
+        again = nested_lee(H_counted, p, parts_at=parts_at)
         assert len(calls) == 4
         assert np.array_equal(first.ntheta, again.ntheta)
 
     def test_near_a_face(self, hopf2):
         """A base point within the NESTED extent of a face raises
         ChartDomainError, as the generic route does."""
-        H = hopf2.main_structure
+        H = _stencil(hopf2.main_structure)
         p = H.chart.center()
         p[1] = H.chart.domain[1][0] + 0.5 * fd.NESTED.extent
         with pytest.raises(ChartDomainError) as err:
-            nabla_theta(H, p, mode="fd")
+            nabla_theta(H, p)
         with pytest.raises(ChartDomainError) as ref:
-            covariant_derivative_full(H.chart, lee_field(H, "fd"), p, (1, 0),
-                                      mode="fd", stencil=fd.NESTED)
+            covariant_derivative_full(H.chart, lee_field(H), p, (1, 0),
+                                      stencil=fd.NESTED)
         assert str(err.value) == str(ref.value)
 

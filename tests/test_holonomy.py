@@ -23,13 +23,13 @@ from lckgeo.transport import (parallel_transport, transport_along,
                               transport_segment)
 
 
-def _span(entry, rng, key=None, mode="analytic"):
+def _span(entry, rng, key=None):
     H = entry.structures[key] if key else entry.holonomy_structure
     chart = H.chart
     base = chart.center()
     probes = default_probes(chart, base, rng)
     return H, curvature_span(chart, base, probes, n=entry.n,
-                             J_candidates=[H.J_fn], mode=mode)
+                             J_candidates=[H.J_fn])
 
 
 class TestCurvatureSpan:
@@ -39,7 +39,7 @@ class TestCurvatureSpan:
         assert est.classification == "reducible/other"
 
     def test_flat_inversion_trivial(self, flat_inv2, rng):
-        _, est = _span(flat_inv2, rng, mode="fd")
+        _, est = _span(zoo.stencil_only(flat_inv2), rng)
         assert est.algebra_dim == 0
 
     def test_hopf_so3_with_fixed_vector(self, hopf2, rng):
@@ -89,7 +89,7 @@ class TestLoopHolonomy:
         chart = euclid4.charts["flat"]
         base = chart.center()
         est = loop_holonomy(chart, default_holonomy_loops(chart, base), base,
-                            n=2, mode="analytic")
+                            n=2)
         assert est.algebra_dim == 0
 
     def test_sphere_latitude_so2(self):
@@ -105,8 +105,7 @@ class TestLoopHolonomy:
                               np.array([0.0, 2.0 * math.pi]),
                               steps=300, label=f"lat_{theta0}")
                  for theta0 in (1.52, 1.57, 1.62, 0.32)]
-        est = loop_holonomy(chart, loops, base, n=1, mode="analytic",
-                            allow_shifted=True)
+        est = loop_holonomy(chart, loops, base, n=1, allow_shifted=True)
         assert est.algebra_dim == 1
         assert est.rank_gap >= 10
 
@@ -117,11 +116,9 @@ class TestLoopHolonomy:
             base = chart.center()
             est_s = curvature_span(chart, base,
                                    default_probes(chart, base, rng),
-                                   n=entry.n, J_candidates=[H.J_fn],
-                                   mode="analytic")
+                                   n=entry.n, J_candidates=[H.J_fn])
             est_l = loop_holonomy(chart, default_holonomy_loops(chart, base),
-                                  base, n=entry.n, J_candidates=[H.J_fn],
-                                  mode="analytic")
+                                  base, n=entry.n, J_candidates=[H.J_fn])
             assert est_s.classification == est_l.classification, entry.label
             assert est_s.algebra_dim == est_l.algebra_dim, entry.label
 
@@ -133,7 +130,7 @@ class TestLoopHolonomy:
                            np.array([0.0, 2.0 * math.pi]), steps=300)
         with pytest.raises(LoopTooLargeError):
             loop_holonomy(chart, [lat], np.array([theta0, 0.1]), n=1,
-                          mode="analytic", allow_shifted=True)
+                          allow_shifted=True)
 
     def test_shifted_loop_rejected(self, hopf2):
         H = hopf2.main_structure
@@ -235,12 +232,11 @@ class TestBundles:
             chart, lambda t: np.stack([lp.point(t) for lp in pair], -2),
             lambda t: np.stack([lp.velocity(t) for lp in pair], -2),
             np.broadcast_to(np.eye(2), (2, 2, 2)), steps=leaves.steps,
-            mode="fd", breakpoints=leaves.breakpoints))
+            breakpoints=leaves.breakpoints))
         assert type(bundle) is IntegrationError
         err = _raised(lambda: loop_holonomy(chart, [leaves, diverges, deck],
-                                            base, n=1, mode="fd"))
-        ref = _raised(lambda: parallel_transport(chart, leaves, np.eye(2),
-                                                 mode="fd"))
+                                            base, n=1))
+        ref = _raised(lambda: parallel_transport(chart, leaves, np.eye(2)))
         assert type(err) is type(ref) is DomainExitError
         assert err.exit_time == ref.exit_time
         assert np.array_equal(err.point, ref.point)
@@ -256,14 +252,15 @@ class TestBundles:
         lat = segment_loop(np.array([1.5, 0.0]),
                            np.array([0.0, 2.0 * math.pi]), steps=300)
         with pytest.raises(LoopTooLargeError):
-            loop_holonomy(chart, [rect, lat], base, n=1, mode="analytic")
+            loop_holonomy(chart, [rect, lat], base, n=1)
         with pytest.raises(PreconditionError):
-            loop_holonomy(chart, [lat, rect], base, n=1, mode="analytic")
+            loop_holonomy(chart, [lat, rect], base, n=1)
 
     def test_curvature_span_evaluates_per_probe_points(self, hopf2, rng):
         """The metric is evaluated at exactly the points of the per-probe
         curvature and transport, and twice at the base point."""
-        chart = hopf2.holonomy_structure.chart
+        chart = dataclasses.replace(hopf2.holonomy_structure.chart,
+                                    metric_derivative_fn=None)
         base = chart.center()
         probes = default_probes(chart, base, rng, count=3)
         seen = []
@@ -273,25 +270,22 @@ class TestBundles:
             return chart.metric_fn(q)
 
         counted_chart = dataclasses.replace(chart, metric_fn=counted)
-        curvature_span(counted_chart, base, probes, n=1, mode="fd",
-                       transport_steps=50)
+        curvature_span(counted_chart, base, probes, n=1, transport_steps=50)
         bundled, seen[:] = list(seen), [base[None], base[None]]
         for q, _ in probes:
-            riemann(counted_chart, q, mode="fd")
-            transport_segment(counted_chart, q, base, np.eye(4), steps=50,
-                              mode="fd")
+            riemann(counted_chart, q)
+            transport_segment(counted_chart, q, base, np.eye(4), steps=50)
         assert sum(len(x) for x in bundled) == sum(len(x) for x in seen)
         assert np.array_equal(_sorted_rows(bundled), _sorted_rows(seen))
 
     def test_loop_holonomy_leaves_no_reference_cycles(self, hopf2):
-        H = hopf2.holonomy_structure
+        H = zoo.stencil_only(hopf2).holonomy_structure
         base = H.chart.center()
         loops = default_holonomy_loops(H.chart, base, steps_per_edge=20)
         gc.collect()
         gc.disable()
         try:
-            loop_holonomy(H.chart, loops, base, n=2, J_candidates=[H.J_fn],
-                          mode="fd")
+            loop_holonomy(H.chart, loops, base, n=2, J_candidates=[H.J_fn])
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -300,13 +294,12 @@ class TestBundles:
         """The 12 default loops in node blocks peak near 0.65 MB of Python
         allocations; Christoffel symbols of a whole bundle piece would take
         several MB."""
-        H = hopf2.holonomy_structure
+        H = zoo.stencil_only(hopf2).holonomy_structure
         base = H.chart.center()
         loops = default_holonomy_loops(H.chart, base)
         tracemalloc.start()
         try:
-            loop_holonomy(H.chart, loops, base, n=2, J_candidates=[H.J_fn],
-                          mode="fd")
+            loop_holonomy(H.chart, loops, base, n=2, J_candidates=[H.J_fn])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -360,7 +353,7 @@ class TestOrthonormalFrame:
         base = chart.center()
         base[0] = 1.0            # away from theta = pi/2: g_(phi,psi) != 0
         est = curvature_span(chart, base, default_probes(chart, base, rng),
-                             n=2, J_candidates=[H.J_fn], mode="analytic")
+                             n=2, J_candidates=[H.J_fn])
         assert est.skew_defect < 1e-6
         M = chart.metric(base)
         assert np.max(np.abs(M - np.diag(np.diag(M)))) > 1e-3  # really non-diagonal

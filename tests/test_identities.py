@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lckgeo import zoo
 from lckgeo.charts import segment_loop
 from lckgeo.errors import (InconsistencyError, NotLcKError,
                            PreconditionError, SingularPointError)
@@ -21,21 +22,54 @@ CHAIN_NAMES = ("Sth", "trS", "nablaJth", "diffJth", "lieJth", "codiffth",
                "codiffom", "eqJdel2", "eqJdel3", "summ", "eqf")
 
 
+# Every check in this module runs in fd mode: on the zoo entries without
+# their metric derivatives, so each metric is differenced on a stencil.
+
+@pytest.fixture(scope="module")
+def hopf2(hopf2):
+    return zoo.stencil_only(hopf2)
+
+
+@pytest.fixture(scope="module")
+def flat_inv2(flat_inv2):
+    return zoo.stencil_only(flat_inv2)
+
+
+@pytest.fixture(scope="module")
+def warped_sin(warped_sin):
+    return zoo.stencil_only(warped_sin)
+
+
+@pytest.fixture(scope="module")
+def warped_flat(warped_flat):
+    return zoo.stencil_only(warped_flat)
+
+
+@pytest.fixture(scope="module")
+def calabi_sin(calabi_sin):
+    return zoo.stencil_only(calabi_sin)
+
+
+@pytest.fixture(scope="module")
+def euclid4(euclid4):
+    return zoo.stencil_only(euclid4)
+
+
 class TestNablaJ:
     def test_kahler_vanishes(self, warped_flat, rng):
         H = warped_flat.main_structure
         for p in H.chart.sample_points(rng, 3):
-            assert nabla_j_residual(H, p, rng.standard_normal(4), mode="fd") < 1e-9
+            assert nabla_j_residual(H, p, rng.standard_normal(4)) < 1e-9
 
     def test_hopf_sampled(self, hopf2, rng):
         H = hopf2.main_structure
-        worst = max(nabla_j_residual(H, p, rng.standard_normal(4), mode="fd")
+        worst = max(nabla_j_residual(H, p, rng.standard_normal(4))
                     for p in H.chart.sample_points(rng, 25))
         assert worst < 1e-4
 
     def test_calabi_independent_paths(self, calabi_sin, rng):
         H = calabi_sin.structures["g_ell,J+"]
-        worst = max(nabla_j_residual(H, p, rng.standard_normal(4), mode="fd")
+        worst = max(nabla_j_residual(H, p, rng.standard_normal(4))
                     for p in H.chart.sample_points(rng, 10))
         assert worst < 1e-4
 
@@ -45,14 +79,14 @@ class TestCurvatureJ:
         H = warped_flat.main_structure
         p = H.chart.sample_points(rng, 1)[0]
         r1, r2 = curvature_j_residuals(H, p, rng.standard_normal(4),
-                                       rng.standard_normal(4), mode="fd")
+                                       rng.standard_normal(4))
         assert r1 < 1e-8 and r2 < 1e-8
 
     def test_hopf_sampled(self, hopf2, rng):
         H = hopf2.main_structure
         for p in H.chart.sample_points(rng, 8):
             r1, r2 = curvature_j_residuals(H, p, rng.standard_normal(4),
-                                           rng.standard_normal(4), mode="fd")
+                                           rng.standard_normal(4))
             assert r1 < 1e-4 and r2 < 1e-4
 
     def test_flat_inversion_contraction_closes(self, flat_inv2, rng):
@@ -64,9 +98,9 @@ class TestCurvatureJ:
         H = flat_inv2.main_structure
         for p in H.chart.sample_points(rng, 5):
             r1, r2 = curvature_j_residuals(H, p, rng.standard_normal(4),
-                                           rng.standard_normal(4), mode="fd")
+                                           rng.standard_normal(4))
             assert r1 < 1e-4 and r2 < 1e-4
-            R = riemann(H.chart, p, mode="fd").components
+            R = riemann(H.chart, p).components
             assert np.max(np.abs(R)) < 1e-4
 
 
@@ -74,18 +108,18 @@ class TestSCommutator:
     def test_flat_inversion(self, flat_inv2, rng):
         H = flat_inv2.main_structure
         for p in H.chart.sample_points(rng, 5):
-            assert s_commutator_residual(H, p, mode="fd") < 1e-4
+            assert s_commutator_residual(H, p) < 1e-4
 
     def test_kahler_trivial(self, warped_flat, rng):
         H = warped_flat.main_structure
         p = H.chart.sample_points(rng, 1)[0]
-        assert s_commutator_residual(H, p, mode="fd") < 1e-8
+        assert s_commutator_residual(H, p) < 1e-8
 
     def test_calabi_conformal_reference(self, calabi_sin, rng):
         """(g_+, J_-) is Einstein-free but conformally Kahler: S commutes."""
         H = calabi_sin.pair.J
         for p in H.chart.sample_points(rng, 5):
-            assert s_commutator_residual(H, p, mode="fd") < 1e-4
+            assert s_commutator_residual(H, p) < 1e-4
 
 
 class TestEinsteinChain:
@@ -93,7 +127,7 @@ class TestEinsteinChain:
         H = flat_inv2.main_structure
         worst = {}
         for p in H.chart.sample_points(rng, 15):
-            res = einstein_chain_residuals(H, p, 0.0, mode="fd")
+            res = einstein_chain_residuals(H, p, 0.0)
             for k, v in res.items():
                 worst[k] = max(worst.get(k, 0.0), v)
         assert set(worst) == set(CHAIN_NAMES)
@@ -102,7 +136,7 @@ class TestEinsteinChain:
 
     def test_kahler_flat_trivial(self, euclid4, rng):
         H = euclid4.structures["flat"]
-        res = einstein_chain_residuals(H, np.zeros(4), 0.0, mode="fd")
+        res = einstein_chain_residuals(H, np.zeros(4), 0.0)
         for name, value in res.items():
             assert value < 1e-8, name
 
@@ -112,12 +146,12 @@ class TestEinsteinChain:
         from lckgeo.hermitian import lee_field, lee_form_components
         H = flat_inv2.main_structure
         p = np.full(4, 0.5)
-        theta = lee_form_components(H, p, mode="fd")
+        theta = lee_form_components(H, p)
         norm_sq = float(theta @ np.linalg.solve(H.chart.metric(p), theta))
-        delta_theta = float(codifferential(H.chart, lee_field(H, "fd"), p,
-                                           k=1, mode="fd").components)
+        delta_theta = float(codifferential(H.chart, lee_field(H), p,
+                                           k=1).components)
         assert abs(delta_theta + norm_sq) < 1e-4
-        res = einstein_chain_residuals(H, p, 0.0, mode="fd")
+        res = einstein_chain_residuals(H, p, 0.0)
         assert res["eqf"] < 1e-3
 
     def test_nabla_theta_evaluated_once_per_point(self, flat_inv2):
@@ -131,18 +165,18 @@ class TestEinsteinChain:
 
         chart = dataclasses.replace(H.chart, metric_fn=counted)
         counted_H = dataclasses.replace(H, chart=chart)
-        einstein_chain_residuals(counted_H, np.full(4, 0.5), 0.0, mode="fd")
+        einstein_chain_residuals(counted_H, np.full(4, 0.5), 0.0)
         assert calls[0] < 7500
 
     def test_wrong_lambda_rejected(self, flat_inv2):
         H = flat_inv2.main_structure
         with pytest.raises(PreconditionError):
-            einstein_chain_residuals(H, np.full(4, 0.5), 1.0, mode="fd")
+            einstein_chain_residuals(H, np.full(4, 0.5), 1.0)
 
     def test_einstein_deviation_zero_on_flat(self, flat_inv2, rng):
         H = flat_inv2.main_structure
         p = H.chart.sample_points(rng, 1)[0]
-        assert einstein_deviation(H, p, 0.0, mode="fd") < 1e-5
+        assert einstein_deviation(H, p, 0.0) < 1e-5
 
 
 class TestParallelField:
@@ -150,8 +184,7 @@ class TestParallelField:
         """a = 0, b = c'(t) on the warped chart (the gcK branch)."""
         H = warped_sin.main_structure
         for p in H.chart.sample_points(rng, 5):
-            res = parallel_field_residuals(H, p, warped_sin.parallel_field,
-                                           mode="fd")
+            res = parallel_field_residuals(H, p, warped_sin.parallel_field)
             assert res["nablaJV"] < 1e-4
             assert res["ddJV"] < 1e-4
             assert abs(res["a"]) < 1e-9
@@ -162,7 +195,7 @@ class TestParallelField:
         """a = |theta| = 1, b = 0 on the Hopf chart (the Vaisman branch)."""
         H = hopf2.main_structure
         for p in H.chart.sample_points(rng, 5):
-            res = parallel_field_residuals(H, p, hopf2.parallel_field, mode="fd")
+            res = parallel_field_residuals(H, p, hopf2.parallel_field)
             assert res["nablaJV"] < 1e-4 and res["ddJV"] < 1e-4
             assert abs(res["a"] - 1.0) < 1e-8
             assert abs(res["b"]) < 1e-8
@@ -170,8 +203,7 @@ class TestParallelField:
     def test_kahler_product_trivial(self, warped_flat, rng):
         H = warped_flat.main_structure
         p = H.chart.sample_points(rng, 1)[0]
-        res = parallel_field_residuals(H, p, warped_flat.parallel_field,
-                                       mode="fd")
+        res = parallel_field_residuals(H, p, warped_flat.parallel_field)
         assert res["nablaJV"] < 1e-9 and res["ddJV"] < 1e-9
         assert abs(res["a"]) < 1e-12 and abs(res["b"]) < 1e-12
 
@@ -179,15 +211,14 @@ class TestParallelField:
         H = warped_sin.main_structure
         v = np.array([0.0, 1.0, 0.0, 0.0])   # d_t is not parallel
         with pytest.raises(PreconditionError):
-            parallel_field_residuals(H, H.chart.center(), v, mode="fd")
+            parallel_field_residuals(H, H.chart.center(), v)
 
 
 class TestCommutingPair:
     def test_calabi_all_residuals(self, calabi_sin, rng):
         I, J = calabi_sin.pair.I, calabi_sin.pair.J
         for p in I.chart.sample_points(rng, 8):
-            res = commuting_pair_residuals(I, J, p, rng.standard_normal(4),
-                                           mode="fd")
+            res = commuting_pair_residuals(I, J, p, rng.standard_normal(4))
             for name in ("commute", "traceIJ", "to", "sigma", "deromega"):
                 assert res[name] < 1e-4, name
             assert res["Itheta"] < 1e-5
@@ -200,12 +231,12 @@ class TestCommutingPair:
         minus_I = HermitianStructure(I.chart, lambda q: -I.J(q), I.n,
                                      label="minus_I")
         p = I.chart.sample_points(rng, 1)[0]
-        res = commuting_pair_residuals(minus_I, J, p, mode="fd")
+        res = commuting_pair_residuals(minus_I, J, p)
         assert res["Itheta"] > 0.1
         theta = J.J(p)  # just to keep shape handy
         g_inv = np.linalg.inv(I.chart.metric(p))
         from lckgeo.hermitian import lee_form_components
-        th = lee_form_components(J, p, mode="fd")
+        th = lee_form_components(J, p)
         i_th = -minus_I.J(p).T @ th
         j_th = -J.J(p).T @ th
         total = i_th + j_th
@@ -215,40 +246,40 @@ class TestCommutingPair:
         """theta = 0 input (a Kahler J) trips the |theta|^2 division guard."""
         I = calabi_sin.pair.I
         with pytest.raises(SingularPointError):
-            commuting_pair_residuals(I, I, I.chart.center(), mode="fd")
+            commuting_pair_residuals(I, I, I.chart.center())
 
 
 class TestHamiltonianForm:
     def test_calabi_sampled(self, calabi_sin, rng):
         I, J = calabi_sin.pair.I, calabi_sin.pair.J
-        pot = PotentialField(J, mode="fd")
+        pot = PotentialField(J)
         worst = max(hamiltonian_form_residual(I, J, p, rng.standard_normal(4),
-                                              pot, mode="fd")
+                                              pot)
                     for p in I.chart.sample_points(rng, 10))
         assert worst < 1e-3
 
     def test_zero_direction(self, calabi_sin):
         I, J = calabi_sin.pair.I, calabi_sin.pair.J
-        pot = PotentialField(J, mode="fd")
+        pot = PotentialField(J)
         res = hamiltonian_form_residual(I, J, I.chart.center(), np.zeros(4),
-                                        pot, mode="fd")
+                                        pot)
         assert res == 0.0
 
     def test_one_homogeneous_in_direction(self, calabi_sin, rng):
         """Doubling X doubles both sides (raw, unnormalized residual)."""
         I, J = calabi_sin.pair.I, calabi_sin.pair.J
-        pot = PotentialField(J, mode="fd")
+        pot = PotentialField(J)
         p = I.chart.sample_points(rng, 1)[0]
         x = rng.standard_normal(4)
-        r1 = hamiltonian_form_residual(I, J, p, x, pot, mode="fd",
+        r1 = hamiltonian_form_residual(I, J, p, x, pot,
                                        normalized=False)
-        r2 = hamiltonian_form_residual(I, J, p, 2.0 * x, pot, mode="fd",
+        r2 = hamiltonian_form_residual(I, J, p, 2.0 * x, pot,
                                        normalized=False)
         assert abs(r2 - 2.0 * r1) < 1e-9 + 0.05 * r1
 
     def test_potential_path_independence(self, calabi_sin, rng):
         J = calabi_sin.pair.J
-        pot = PotentialField(J, mode="fd")
+        pot = PotentialField(J)
         p = J.chart.sample_points(rng, 1)[0]
         waypoint = J.chart.sample_points(rng, 1)[0]
         assert pot.path_defect(p, waypoint) < 1e-6
@@ -262,7 +293,7 @@ class TestAverageMetric:
         pair_J = calabi_sin.pair.J
         for p in avg.chart.sample_points(rng, 6):
             res = average_metric_residuals(avg, p, rng.standard_normal(4),
-                                           mode="fd", pair_J=pair_J)
+                                           pair_J=pair_J)
             for name in ("der0theta", "der0Jxi", "der0xi", "derIxi", "derzeta"):
                 assert res[name] < 1e-3, name
             assert res["killing"] < 1e-4
@@ -272,14 +303,14 @@ class TestAverageMetric:
         """A Kahler structure has theta0 = 0, so xi = 0: singular point."""
         kahler = calabi_sin.pair.I
         with pytest.raises(SingularPointError):
-            average_metric_residuals(kahler, kahler.chart.center(), mode="fd")
+            average_metric_residuals(kahler, kahler.chart.center())
 
 
 class TestClassify:
     def test_hopf_vaisman_with_period(self, hopf2, rng):
         H = hopf2.main_structure
         pts = H.chart.sample_points(rng, 10)
-        out = classify_structure(H, pts, hopf2.loops, mode="fd")
+        out = classify_structure(H, pts, hopf2.loops)
         assert out.kind == "Vaisman"
         periods = dict(out.periods)
         assert abs(periods["s1_generator"] - 2.0 * math.pi) < 1e-4
@@ -287,13 +318,13 @@ class TestClassify:
     def test_calabi_gck(self, calabi_sin, rng):
         H = calabi_sin.main_structure
         pts = H.chart.sample_points(rng, 10)
-        out = classify_structure(H, pts, calabi_sin.loops, mode="fd")
+        out = classify_structure(H, pts, calabi_sin.loops)
         assert out.kind == "gcK"
 
     def test_flat_standard_kahler(self, euclid4, rng):
         H = euclid4.structures["flat"]
         pts = H.chart.sample_points(rng, 5)
-        assert classify_structure(H, pts, {}, mode="fd").kind == "Kahler"
+        assert classify_structure(H, pts, {}).kind == "Kahler"
 
     def test_scale_invariance(self, calabi_sin, rng):
         """A constant homothety leaves the classification unchanged."""
@@ -301,8 +332,8 @@ class TestClassify:
         scaled = HermitianStructure(constant_rescale(H.chart, 100.0), H.J_fn,
                                     H.n, label="scaled")
         pts = H.chart.sample_points(rng, 6)
-        k1 = classify_structure(H, pts, {}, mode="fd").kind
-        k2 = classify_structure(scaled, pts, {}, mode="fd").kind
+        k1 = classify_structure(H, pts, {}).kind
+        k2 = classify_structure(scaled, pts, {}).kind
         assert k1 == k2 == "gcK"
 
     def test_strict_candidate_branch(self, calabi_sin, rng):
@@ -312,7 +343,7 @@ class TestClassify:
         p0 = H.chart.center().copy()
         p0[3] -= 0.3
         fake = segment_loop(p0, np.array([0.0, 0.0, 0.0, 0.6]), steps=100)
-        out = classify_structure(H, pts, {"fake": fake}, mode="fd")
+        out = classify_structure(H, pts, {"fake": fake})
         assert out.kind == "strictly-lcK-candidate"
 
     def test_nan_structure_fails_the_lck_gate(self, hopf2):
@@ -322,7 +353,7 @@ class TestClassify:
         H_nan = dataclasses.replace(
             H, J_fn=lambda q: np.full(np.shape(q)[:-1] + (4, 4), np.nan))
         with pytest.raises(NotLcKError, match="fails the lcK gate"):
-            classify_structure(H_nan, [H.chart.center()], {}, mode="fd")
+            classify_structure(H_nan, [H.chart.center()], {})
 
     def test_nan_evidence_is_not_dropped(self, hopf2):
         """J is NaN near the second sample but off its DIRECT stencil: the
@@ -341,7 +372,7 @@ class TestClassify:
 
         H_nan = dataclasses.replace(H, J_fn=J_fn)
         with pytest.raises(NotLcKError, match="NaN Lee-form evidence"):
-            classify_structure(H_nan, [p0, p1], {}, mode="fd")
+            classify_structure(H_nan, [p0, p1], {})
 
     def test_nan_period_is_not_dropped(self, hopf2):
         """J is NaN away from the one sample, so the samples pass and the
@@ -359,7 +390,7 @@ class TestClassify:
         loops = {"none": segment_loop(p0, np.zeros(4), steps=4),
                  "s1_generator": hopf2.loops["s1_generator"]}
         with pytest.raises(NotLcKError, match="NaN Lee-form period"):
-            classify_structure(H_nan, [p0], loops, mode="fd")
+            classify_structure(H_nan, [p0], loops)
 
     def test_ambiguous_period_band_rejected(self, calabi_sin, rng):
         """Periods between tol_ode and 10 tol_ode are refused, not guessed."""
@@ -370,7 +401,7 @@ class TestClassify:
         dr = 3e-6 / (0.5 * math.sin(p0[3]))
         fake = segment_loop(p0, np.array([0.0, 0.0, 0.0, dr]), steps=50)
         with pytest.raises(InconsistencyError):
-            classify_structure(H, pts, {"fake": fake}, mode="fd")
+            classify_structure(H, pts, {"fake": fake})
 
 
 def test_to_antisymmetry_near_small_lee_locus(calabi_sin, rng):
@@ -381,7 +412,6 @@ def test_to_antisymmetry_near_small_lee_locus(calabi_sin, rng):
     for r in (lo + 0.01, hi - 0.01):
         p = I.chart.center().copy()
         p[3] = r
-        res = commuting_pair_residuals(I, J, p, rng.standard_normal(4),
-                                       mode="fd")
+        res = commuting_pair_residuals(I, J, p, rng.standard_normal(4))
         assert res["to"] < 1e-4
         assert res["sigma"] < 1e-4

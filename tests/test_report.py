@@ -307,9 +307,11 @@ class TestEvaluationCounts:
     are pinned exactly: a change that adds evaluations shows here first."""
 
     @staticmethod
-    def counted_run(monkeypatch, manifold: str, suite: str) -> dict:
-        """Points at which one request evaluates metric_fn and J_fn."""
-        counts = {"metric_fn": 0, "J_fn": 0}
+    def counted_run(monkeypatch, manifold: str, suite: str, mode: str = "fd",
+                    kinds=("metric_fn", "J_fn")) -> dict:
+        """Points at which one request evaluates each field of ``kinds``
+        (metric_fn, metric_derivative_fn, J_fn)."""
+        counts = dict.fromkeys(kinds, 0)
         resolve = report.resolve_manifold
 
         def counted(kind, fn):
@@ -318,19 +320,24 @@ class TestEvaluationCounts:
                 return fn(q)
             return wrapper
 
+        def wrap(obj, kind):
+            fn = getattr(obj, kind)
+            if kind in counts and fn is not None:
+                object.__setattr__(obj, kind, counted(kind, fn))
+
         def resolve_counted(selector):
             entry = resolve(selector)
             for H in entry.structures.values():
-                object.__setattr__(H, "J_fn", counted("J_fn", H.J_fn))
+                wrap(H, "J_fn")
             charts = {id(H.chart): H.chart for H in entry.structures.values()}
             for chart in charts.values():
-                object.__setattr__(chart, "metric_fn",
-                                   counted("metric_fn", chart.metric_fn))
+                wrap(chart, "metric_fn")
+                wrap(chart, "metric_derivative_fn")
             return entry
 
         monkeypatch.setattr(report, "resolve_manifold", resolve_counted)
         report.run(SuiteConfig(manifold=manifold, suites=(suite,), samples=2,
-                               seed=1))
+                               seed=1, mode=mode))
         return counts
 
     def test_pinned_counts(self, monkeypatch):
@@ -343,3 +350,30 @@ class TestEvaluationCounts:
         assert self.counted_run(monkeypatch, "hopf{n=2}",
                                 "lck-identities") == {
             "metric_fn": 2 * 153, "J_fn": 2 * 153}
+
+    def test_hamiltonian_form_takes_no_zero_length_segment(self, monkeypatch):
+        """sigma~ at the sample itself is e^phi(p) sigma, with no Lee-form
+        integral over the segment from p to p (4 nodes of 9 points each)."""
+        assert self.counted_run(monkeypatch, "calabi{ell=sin,b=pi}",
+                                "hamiltonian-form") == {
+            "metric_fn": 2412, "J_fn": 1206}
+
+    @pytest.mark.parametrize("manifold", ["hopf{n=2}", "calabi{ell=sin,b=pi}"])
+    def test_fd_mode_never_evaluates_metric_derivatives(self, monkeypatch,
+                                                        manifold):
+        """fd runs on zoo.stencil_only of the entry, so every applicable
+        suite differences the metrics; analytic runs read the derivative
+        functions."""
+        ran = []
+        for suite in report.SUITE_NAMES:
+            try:
+                fd_counts = self.counted_run(monkeypatch, manifold, suite,
+                                             "fd", ("metric_derivative_fn",))
+            except ParameterError:      # the suite does not apply
+                continue
+            ran.append(suite)
+            assert fd_counts == {"metric_derivative_fn": 0}, suite
+            analytic = self.counted_run(monkeypatch, manifold, suite,
+                                        "analytic", ("metric_derivative_fn",))
+            assert analytic["metric_derivative_fn"] > 0, suite
+        assert {"lck-identities", "holonomy", "classify"} <= set(ran)

@@ -23,6 +23,11 @@ from lckgeo.transport import (_rk4, geodesic,
                               transport_segment)
 
 
+def _stencil(chart):
+    """The chart without its metric derivative: differenced on a stencil."""
+    return dataclasses.replace(chart, metric_derivative_fn=None)
+
+
 def _s2_chart(radius=1.0):
     return zoo.round_s2_base(radius, polar_margin=0.25).chart()
 
@@ -53,15 +58,14 @@ class TestGeodesic:
         p = np.array([math.pi / 2, 1.0])
         v = np.array([0.0, 1.0])      # |v| = 1 at the equator
         T = 0.8
-        end = geodesic(chart, p, v, time=T, steps=400, mode="analytic")
+        end = geodesic(chart, p, v, time=T, steps=400)
         npt.assert_allclose(end, [math.pi / 2, 1.0 + T], atol=1e-9)
 
     def test_energy_conservation(self, calabi_sin):
         chart = calabi_sin.charts["g_ell"]
         p = chart.center()
         v = np.array([0.3, 0.2, 0.4, -0.1])
-        end, vel = geodesic_with_velocity(chart, p, v, time=0.6, steps=400,
-                                          mode="analytic")
+        end, vel = geodesic_with_velocity(chart, p, v, time=0.6, steps=400)
         e0 = float(v @ chart.metric(p) @ v)
         e1 = float(vel @ chart.metric(end) @ vel)
         assert abs(e1 - e0) < 1e-6 * (1 + e0)
@@ -72,7 +76,7 @@ class TestGeodesic:
         p = chart.center()
         v = np.array([0.0, 0.0, 0.0, 1.0])
         T = 0.5
-        end = geodesic(chart, p, v, time=T, steps=300, mode="analytic")
+        end = geodesic(chart, p, v, time=T, steps=300)
         npt.assert_allclose(end[:3], p[:3], atol=1e-9)
         assert abs(end[3] - (p[3] + T)) < 1e-9
 
@@ -113,7 +117,7 @@ class TestParallelTransport:
         results = []
         for steps in (200, 400):
             loop = _latitude_loop(theta0, steps=steps)
-            M = parallel_transport(chart, loop, np.eye(2), mode="analytic")
+            M = parallel_transport(chart, loop, np.eye(2))
             # to the orthonormal frame (e_theta, e_phi)
             E = np.diag([1.0, math.sin(theta0)])
             M_hat = E @ M @ np.linalg.inv(E)
@@ -125,11 +129,9 @@ class TestParallelTransport:
         """M^T G M = G to tol_ode; doubling steps cuts the defect >= 4x."""
         chart = _s2_chart()
         loop_c = _latitude_loop(1.1, steps=32)
-        M_c = parallel_transport(chart, loop_c, np.eye(2), mode="analytic",
-                                 steps=32)
+        M_c = parallel_transport(chart, loop_c, np.eye(2), steps=32)
         defect_c = orthogonality_defect(chart, loop_c, M_c)
-        M_f = parallel_transport(chart, loop_c, np.eye(2), mode="analytic",
-                                 steps=64)
+        M_f = parallel_transport(chart, loop_c, np.eye(2), steps=64)
         defect_f = orthogonality_defect(chart, loop_c, M_f)
         assert defect_f < 1e-6
         assert defect_c / defect_f >= 4.0
@@ -138,7 +140,7 @@ class TestParallelTransport:
         """Transport around the deck generator respects the product metric."""
         H = hopf2.main_structure
         loop = hopf2.loops["s1_generator"]
-        M = parallel_transport(H.chart, loop, np.eye(4), mode="analytic")
+        M = parallel_transport(H.chart, loop, np.eye(4))
         assert orthogonality_defect(H.chart, loop, M) < 1e-8
         # the circle factor is flat: d_s returns to itself
         npt.assert_allclose(M[:, 0], [1, 0, 0, 0], atol=1e-8)
@@ -149,7 +151,7 @@ class TestLoopIntegral:
         """d(phi) over random polygonal loops vanishes to tol_ode."""
         chart = calabi_sin.charts["g_ell"]
         H = calabi_sin.structures["g_ell,J+"]
-        field = lee_field(H, "analytic")      # = d phi, exact
+        field = lee_field(H)      # = d phi, exact
         for _ in range(20):
             pts = chart.sample_points(rng, 3, margin=0.4)
             loop = polygon_loop(list(pts), steps_per_edge=60)
@@ -158,20 +160,20 @@ class TestLoopIntegral:
     def test_hopf_generator_period(self, hopf2):
         """The circle generator period equals the circumference."""
         H = hopf2.main_structure
-        value = loop_integral(H.chart, lee_field(H, "analytic"),
+        value = loop_integral(H.chart, lee_field(H),
                               hopf2.loops["s1_generator"])
         assert abs(value - hopf2.params["circumference"]) < 1e-8
 
     def test_calabi_fiber_period_zero(self, calabi_sin):
         H = calabi_sin.structures["g_ell,J+"]
-        value = loop_integral(H.chart, lee_field(H, "analytic"),
+        value = loop_integral(H.chart, lee_field(H),
                               calabi_sin.loops["fiber"])
         assert abs(value) < 1e-9
 
     def test_additivity_under_concatenation(self, hopf2):
         """Two rectangles sharing an edge integrate like their union."""
         H = hopf2.main_structure
-        field = lee_field(H, "analytic")
+        field = lee_field(H)
         c = H.chart.center()
         e1 = np.array([0.2, 0, 0, 0])
         e2 = np.array([0, 0.2, 0, 0])
@@ -188,12 +190,12 @@ class TestLoopIntegral:
         chart = calabi_sin.charts["g_ell"]
         a = chart.center()
         b = a + np.array([0.2, -0.3, 0.4, 0.1])
-        P = transport_segment(chart, a, b, np.eye(4), steps=200, mode="analytic")
-        Q = transport_segment(chart, b, a, np.eye(4), steps=200, mode="analytic")
+        P = transport_segment(chart, a, b, np.eye(4), steps=200)
+        Q = transport_segment(chart, b, a, np.eye(4), steps=200)
         npt.assert_allclose(Q @ P, np.eye(4), atol=1e-8)
 
 
-def _stagewise_transport(chart, point_fn, velocity_fn, frame, steps, mode,
+def _stagewise_transport(chart, point_fn, velocity_fn, frame, steps,
                          breakpoints=()):
     """Reference transport: the connection evaluated at every RK4 stage."""
     V0 = np.asarray(frame, dtype=float)
@@ -211,7 +213,7 @@ def _stagewise_transport(chart, point_fn, velocity_fn, frame, steps, mode,
                 raise DomainExitError(
                     f"transport curve left chart '{chart.label}'",
                     exit_time=t, point=np.asarray(x))
-            gamma = christoffel_components(chart, x, mode=mode)
+            gamma = christoffel_components(chart, x)
             dV = -np.einsum("kij,i,j...->k...", gamma, velocity_fn(tc),
                             y.reshape(shape))
             return dV.reshape(-1)
@@ -240,13 +242,12 @@ class TestNodeTable:
     """Transport from one table of connection values per RK4 node."""
 
     def test_rectangle_with_corners_matches_stagewise(self, hopf2):
-        chart = hopf2.main_structure.chart
+        chart = _stencil(hopf2.main_structure.chart)
         loop = coordinate_rectangle(chart.center(), 1, 2, 0.15, 0.1,
                                     steps_per_edge=40)
-        M = parallel_transport(chart, loop, np.eye(4), mode="fd")
+        M = parallel_transport(chart, loop, np.eye(4))
         ref = _stagewise_transport(chart, loop.point, loop.velocity,
-                                   np.eye(4), loop.steps, "fd",
-                                   loop.breakpoints)
+                                   np.eye(4), loop.steps, loop.breakpoints)
         assert np.array_equal(M, ref)
 
     @pytest.mark.parametrize("name, mode", [("calabi", "analytic"),
@@ -255,21 +256,24 @@ class TestNodeTable:
                                        warped_sin):
         entry = calabi_sin if name == "calabi" else warped_sin
         chart = entry.main_structure.chart
+        if mode == "fd":
+            chart = _stencil(chart)
         a = chart.center()
         b = a + np.array([0.2, -0.3, 0.4, 0.1])
-        P = transport_segment(chart, a, b, np.eye(4), steps=100, mode=mode)
-        ref = _stagewise_transport(chart, *_segment(a, b), np.eye(4), 100,
-                                   mode)
+        P = transport_segment(chart, a, b, np.eye(4), steps=100)
+        ref = _stagewise_transport(chart, *_segment(a, b), np.eye(4), 100)
         assert np.array_equal(P, ref)
 
     @pytest.mark.parametrize("mode", ["fd", "analytic"])
     def test_domain_exit_matches_stagewise(self, euclid4, mode):
         chart = euclid4.charts["flat"]
+        if mode == "fd":
+            chart = _stencil(chart)
         curve = _segment(np.zeros(4), [1.5, 0.0, 0.0, 0.0])
         err = _raised(lambda: transport_along(chart, *curve, np.eye(4),
-                                              steps=40, mode=mode))
+                                              steps=40))
         ref = _raised(lambda: _stagewise_transport(chart, *curve, np.eye(4),
-                                                   40, mode))
+                                                   40))
         assert type(err) is type(ref) is DomainExitError
         assert err.exit_time == ref.exit_time
         assert np.array_equal(err.point, ref.point)
@@ -277,12 +281,12 @@ class TestNodeTable:
 
     def test_node_within_fd_step_of_face_matches_stagewise(self, euclid4):
         """Inside the box but too close to a face for the fd stencil."""
-        chart = euclid4.charts["flat"]
+        chart = _stencil(euclid4.charts["flat"])
         curve = _segment(np.zeros(4), [1.0 - 5e-6, 0.0, 0.0, 0.0])
         err = _raised(lambda: transport_along(chart, *curve, np.eye(4),
-                                              steps=40, mode="fd"))
+                                              steps=40))
         ref = _raised(lambda: _stagewise_transport(chart, *curve, np.eye(4),
-                                                   40, "fd"))
+                                                   40))
         assert type(err) is type(ref) is ChartDomainError
         assert str(err) == str(ref)
 
@@ -300,15 +304,15 @@ class TestNodeTable:
                       label="nan_half")
         curve = _segment(np.zeros(2), [end, 0.0])
         err = _raised(lambda: transport_along(chart, *curve, np.eye(2),
-                                              steps=40, mode="fd"))
+                                              steps=40))
         ref = _raised(lambda: _stagewise_transport(chart, *curve, np.eye(2),
-                                                   40, "fd"))
+                                                   40))
         assert type(err) is type(ref) is IntegrationError
         assert str(err) == str(ref)
 
     def test_metric_evaluated_once_per_node(self, hopf2):
         """200 steps: 401 nodes, each a centre plus an 8-point stencil."""
-        chart = hopf2.main_structure.chart
+        chart = _stencil(hopf2.main_structure.chart)
         calls = [0]
 
         def counted(q):
@@ -318,7 +322,7 @@ class TestNodeTable:
         counted_chart = dataclasses.replace(chart, metric_fn=counted)
         a = chart.center()
         transport_segment(counted_chart, a, a + np.array([0.1, 0.2, -0.1, 0.3]),
-                          np.eye(4), steps=200, mode="fd")
+                          np.eye(4), steps=200)
         assert calls[0] == 9 * 401
 
 
@@ -336,27 +340,28 @@ class TestBundle:
                                       "calabi_sin"])
     def test_bundle_matches_per_curve(self, request, rng, name, mode):
         chart = request.getfixturevalue(name).holonomy_structure.chart
+        if mode == "fd":
+            chart = _stencil(chart)
         m = chart.dim
         base = chart.center()
         loops = default_holonomy_loops(chart, base, steps_per_edge=10)[:3]
         frame = np.eye(m)[:, :3]
         bundle = transport_along(chart, *_bundle(loops),
                                  np.broadcast_to(frame, (3, m, 3)),
-                                 steps=loops[0].steps, mode=mode,
+                                 steps=loops[0].steps,
                                  breakpoints=loops[0].breakpoints)
         for loop, M in zip(loops, bundle):
-            assert np.array_equal(
-                M, parallel_transport(chart, loop, frame, mode=mode))
+            assert np.array_equal(M, parallel_transport(chart, loop, frame))
         starts = base + rng.uniform(-0.2, 0.2, size=(4, m))
         P = transport_segment(chart, starts, base,
                               np.broadcast_to(np.eye(m), (4, m, m)),
-                              steps=30, mode=mode)
+                              steps=30)
         for q, P_q in zip(starts, P):
             assert np.array_equal(P_q, transport_segment(
-                chart, q, base, np.eye(m), steps=30, mode=mode))
+                chart, q, base, np.eye(m), steps=30))
 
     def test_leaves_no_reference_cycles(self, hopf2):
-        chart = hopf2.holonomy_structure.chart
+        chart = _stencil(hopf2.holonomy_structure.chart)
         loops = default_holonomy_loops(chart, chart.center(),
                                        steps_per_edge=20)
         gc.collect()
@@ -364,7 +369,7 @@ class TestBundle:
         try:
             transport_along(chart, *_bundle(loops),
                             np.broadcast_to(np.eye(4), (len(loops), 4, 4)),
-                            steps=loops[0].steps, mode="fd",
+                            steps=loops[0].steps,
                             breakpoints=loops[0].breakpoints)
             assert gc.collect() == 0
         finally:
@@ -373,7 +378,7 @@ class TestBundle:
     def test_christoffel_evaluated_in_blocks(self, hopf2):
         """The symbols of a piece are evaluated a block of nodes at a time,
         never for the whole piece at once."""
-        chart = hopf2.holonomy_structure.chart
+        chart = _stencil(hopf2.holonomy_structure.chart)
         loops = default_holonomy_loops(chart, chart.center(),
                                        steps_per_edge=40)
         sizes = []
@@ -385,7 +390,7 @@ class TestBundle:
         counted_chart = dataclasses.replace(chart, metric_fn=counted)
         transport_along(counted_chart, *_bundle(loops),
                         np.broadcast_to(np.eye(4), (len(loops), 4, 4)),
-                        steps=loops[0].steps, mode="fd",
+                        steps=loops[0].steps,
                         breakpoints=loops[0].breakpoints)
         # 4 pieces of 81 nodes, each node a centre plus an 8-point stencil
         assert sum(sizes) == 9 * 4 * 81 * len(loops)
@@ -413,8 +418,8 @@ class TestBlockedLoopIntegral:
 
     @pytest.mark.parametrize("name", ["s1_generator", "contractible"])
     def test_matches_nodewise(self, hopf2, name):
-        H = hopf2.main_structure
-        field = lee_field(H, "fd")
+        H = zoo.stencil_only(hopf2).main_structure
+        field = lee_field(H)
         loop = hopf2.loops[name]
         assert loop_integral(H.chart, field, loop) == _nodewise_loop_integral(
             H.chart, field, loop)
@@ -460,7 +465,7 @@ class TestBlockedLoopIntegral:
         """Within one block, a J field raising near an early node wins over
         the fd-margin ChartDomainError of a later node, which the stacked
         Lee-form call alone raises first."""
-        H = hopf2.main_structure
+        H = zoo.stencil_only(hopf2).main_structure
         top = H.chart.domain[1][1]
 
         def J_fn(q):
@@ -468,7 +473,7 @@ class TestBlockedLoopIntegral:
                 raise ValueError("J fails beyond x1 = 2")
             return H.J_fn(q)
 
-        field = lee_field(dataclasses.replace(H, J_fn=J_fn), "fd")
+        field = lee_field(dataclasses.replace(H, J_fn=J_fn))
         start = hopf2.loops["s1_generator"].point(0.0)
         steps = 20
         gl_nodes = fd.gauss_legendre_01(3)[0]
@@ -489,8 +494,8 @@ class TestBlockedLoopIntegral:
     def test_peak_memory_is_bounded(self, hopf2):
         """2,400 nodes in blocks peak near 0.8 MB of Python allocations; all
         nodes in one block would take about 10.7 MB."""
-        H = hopf2.main_structure
-        field = lee_field(H, "fd")
+        H = zoo.stencil_only(hopf2).main_structure
+        field = lee_field(H)
         loop = hopf2.loops["contractible"]
         tracemalloc.start()
         try:
@@ -503,7 +508,7 @@ class TestBlockedLoopIntegral:
     def test_points_unchanged_calls_fewer(self, hopf2):
         """Every node costs nine J and nine metric evaluations (the 8-point
         DIRECT stencil and the node), in two calls of each per block."""
-        H = hopf2.main_structure
+        H = zoo.stencil_only(hopf2).main_structure
         counts = {"J": [0, 0], "g": [0, 0]}     # points, calls
 
         def counted(name, fn):
@@ -519,7 +524,7 @@ class TestBlockedLoopIntegral:
         H_counted = dataclasses.replace(H, chart=chart,
                                         J_fn=counted("J", H.J_fn))
         loop = hopf2.loops["contractible"]
-        loop_integral(chart, lee_field(H_counted, "fd"), loop)
+        loop_integral(chart, lee_field(H_counted), loop)
         nodes = 3 * loop.steps
         blocks = math.ceil(nodes / 128)
         assert counts["J"] == [9 * nodes, 2 * blocks]

@@ -1,5 +1,8 @@
 """Zoo constructor tests: the explicit examples and their declared data."""
 
+import dataclasses
+import importlib
+import inspect
 import math
 
 import numpy as np
@@ -16,20 +19,23 @@ from lckgeo.identities import parallel_field_residuals
 
 
 def _entries(hopf2, flat_inv2, warped_sin, calabi_sin):
-    return [hopf2, flat_inv2, warped_sin, calabi_sin]
+    """The entries with every metric differenced on a stencil (fd mode)."""
+    return [zoo.stencil_only(e)
+            for e in (hopf2, flat_inv2, warped_sin, calabi_sin)]
 
 
-def _fields(entry, mode):
+def _fields(entry):
     """Every chart and structure field of a zoo entry, by name."""
     fields = {"expected_lee_fn": entry.expected_lee_fn}
     for name, chart in entry.charts.items():
         fields[f"{name}.metric_fn"] = chart.metric_fn
-        fields[f"{name}.metric_derivative_fn"] = chart.metric_derivative_fn
+        if chart.metric_derivative_fn is not None:
+            fields[f"{name}.metric_derivative_fn"] = chart.metric_derivative_fn
     for name, H in entry.structures.items():
         fields[f"{name}.J_fn"] = H.J_fn
         fields[f"{name}.omega"] = H.omega
         if H.n >= 2:
-            fields[f"{name}.lee"] = lee_field(H, mode)
+            fields[f"{name}.lee"] = lee_field(H)
     return fields
 
 
@@ -49,10 +55,75 @@ def test_fields_take_point_stacks(name, mode, request, rng):
         entry, extra = request.getfixturevalue(name), {}
     chart = entry.main_structure.chart
     pts = chart.sample_points(rng, 15).reshape(3, 5, chart.dim)
-    for label, f in {**_fields(entry, mode), **extra}.items():
+    # the derivative functions of the entry, and the fields of the variant
+    # whose metrics are differenced on a stencil ("fd") or by them
+    variant = zoo.stencil_only(entry) if mode == "fd" else entry
+    for label, f in {**_fields(entry), **_fields(variant), **extra}.items():
         single = np.array([[f(q) for q in row] for row in pts])
         assert np.array_equal(f(pts), single), label
         assert np.shape(f(pts[1, 2])) == single.shape[2:], label
+
+
+class TestStencilOnly:
+    """zoo.stencil_only is the one place an fd run drops the metric
+    derivatives."""
+
+    @staticmethod
+    def derivative_holders(entry):
+        """Every chart of the entry, with what holds each, and the base."""
+        structures = dict(entry.structures)
+        if entry.pair is not None:
+            structures.update(pair_I=entry.pair.I, pair_J=entry.pair.J)
+        if entry.average is not None:
+            structures["average"] = entry.average
+        charts = {f"{k}.chart": H.chart for k, H in structures.items()}
+        charts.update(entry.charts)
+        return charts, entry.base
+
+    @pytest.mark.parametrize("name", ["hopf2", "flat_inv2", "warped_sin",
+                                      "calabi_sin", "euclid4"])
+    def test_drops_every_derivative(self, name, request):
+        entry = request.getfixturevalue(name)
+        stripped = zoo.stencil_only(entry)
+        charts, base = self.derivative_holders(entry)
+        assert all(c.metric_derivative_fn is not None
+                   for c in charts.values()), "the input keeps its derivatives"
+        assert base is None or base.dg_fn is not None
+        charts, base = self.derivative_holders(stripped)
+        assert all(c.metric_derivative_fn is None for c in charts.values())
+        assert base is None or base.dg_fn is None
+        for key, H in stripped.structures.items():
+            assert H.J_fn is entry.structures[key].J_fn
+            assert H.chart.metric_fn is entry.structures[key].chart.metric_fn
+        assert stripped.loops is entry.loops
+
+    def test_keeps_the_sharing(self, calabi_sin):
+        e = zoo.stencil_only(calabi_sin)
+        s = e.structures
+        assert e.pair.I is s["g+,J+"] and e.pair.J is s["g+,J-"]
+        assert e.average is s["g_ell,J+"]
+        assert s["g_ell,J+"].chart is s["g_ell,J-"].chart is e.charts["g_ell"]
+        assert s["g+,J+"].chart is s["g+,J-"].chart is e.charts["g_plus"]
+        assert s["g-,J-"].chart is e.charts["g_minus"]
+
+
+def test_no_layer_function_takes_a_mode():
+    """Charts decide how their metric is differentiated, so no function or
+    method below the report takes a derivative mode."""
+    modules = [importlib.import_module(f"lckgeo.{name}")
+               for name in ("charts", "calculus", "hermitian", "identities",
+                            "transport", "holonomy", "zoo")]
+    found = []
+    for module in modules:
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for fn in members:
+                if inspect.isfunction(fn) and (
+                        "mode" in inspect.signature(fn).parameters):
+                    found.append(fn.__qualname__)
+    assert found == []
 
 
 class TestZooGates:
@@ -66,14 +137,14 @@ class TestZooGates:
                     scale = 1 + np.max(np.abs(H.chart.metric(p)))
                     assert d2 < 1e-10 and dm < 1e-10 * scale, (entry.label, key)
                     assert nijenhuis_residual(H, p) < 1e-4, (entry.label, key)
-                    assert lck_residual(H, p, mode="fd") < 1e-6, (entry.label, key)
+                    assert lck_residual(H, p) < 1e-6, (entry.label, key)
 
     def test_declared_lee_forms_match(self, hopf2, flat_inv2, warped_sin,
                                       calabi_sin, rng):
         for entry in _entries(hopf2, flat_inv2, warped_sin, calabi_sin):
             H = entry.main_structure
             for p in H.chart.sample_points(rng, 8):
-                theta = lee_form_components(H, p, mode="fd")
+                theta = lee_form_components(H, p)
                 expected = entry.expected_lee_fn(p)
                 g_inv = np.linalg.inv(H.chart.metric(p))
                 diff = theta - expected
@@ -84,22 +155,22 @@ class TestHopf:
     def test_unit_parallel_lee_form(self, hopf2, hopf3, rng):
         from lckgeo.hermitian import nabla_theta
         for entry in (hopf2, hopf3):
-            H = entry.main_structure
+            H = zoo.stencil_only(entry).main_structure
             for p in H.chart.sample_points(rng, 5):
-                theta = lee_form_components(H, p, mode="fd")
+                theta = lee_form_components(H, p)
                 g = H.chart.metric(p)
                 norm = math.sqrt(float(theta @ np.linalg.solve(g, theta)))
                 assert abs(norm - 1.0) < 1e-8
-                assert form_norm(nabla_theta(H, p, mode="fd"), g) < 1e-6
+                assert form_norm(nabla_theta(H, p), g) < 1e-6
 
     def test_sphere_factor_curvature_identity(self, hopf2, rng):
         """R(X, Y) xi = <Y, xi> X - <X, xi> Y on the sphere factor (|theta|=1)."""
-        H = hopf2.main_structure
+        H = zoo.stencil_only(hopf2).main_structure
         for p in H.chart.sample_points(rng, 5):
             g = H.chart.metric(p)
-            theta = lee_form_components(H, p, mode="fd")
+            theta = lee_form_components(H, p)
             xi = H.J(p) @ np.linalg.solve(g, theta)
-            R = riemann(H.chart, p, mode="fd").components
+            R = riemann(H.chart, p).components
             # sphere-factor directions: no d_s component
             x = np.concatenate([[0.0], rng.standard_normal(3)])
             y = np.concatenate([[0.0], rng.standard_normal(3)])
@@ -194,23 +265,23 @@ class TestHopf:
 
 class TestFlatInversion:
     def test_flat_and_einstein(self, flat_inv2, rng):
-        chart = flat_inv2.charts["inverted"]
+        chart = zoo.stencil_only(flat_inv2).charts["inverted"]
         for p in chart.sample_points(rng, 8):
             g = chart.metric(p)
-            R = riemann(chart, p, mode="fd").components
+            R = riemann(chart, p).components
             assert form_norm(np.einsum("ae,ebcd->abcd", g, R), g) < 1e-4
-        ric, scal = ricci_scalar(chart, chart.center(), mode="fd")
+        ric, scal = ricci_scalar(chart, chart.center())
         assert abs(scal) < 1e-4
 
     def test_lee_norm_closed_form(self, flat_inv2, rng):
         """|theta|^2_g = 4 r^2 (= 4 exactly at r = 1)."""
-        H = flat_inv2.main_structure
+        H = zoo.stencil_only(flat_inv2).main_structure
         p = np.full(4, 0.5)
-        theta = lee_form_components(H, p, mode="fd")
+        theta = lee_form_components(H, p)
         assert abs(float(theta @ np.linalg.solve(H.chart.metric(p), theta))
                    - 4.0) < 1e-8
         for p in H.chart.sample_points(rng, 5):
-            theta = lee_form_components(H, p, mode="fd")
+            theta = lee_form_components(H, p)
             norm_sq = float(theta @ np.linalg.solve(H.chart.metric(p), theta))
             assert abs(norm_sq - 4.0 * float(p @ p)) < 1e-7
 
@@ -218,31 +289,30 @@ class TestFlatInversion:
         """delta theta = (1 - n)|theta|^2 = -2 |theta|^2 for n = 3."""
         from lckgeo.calculus import codifferential
         from lckgeo.hermitian import lee_field
-        H = flat_inv3.main_structure
+        H = zoo.stencil_only(flat_inv3).main_structure
         for p in H.chart.sample_points(rng, 4):
-            theta = lee_form_components(H, p, mode="fd")
+            theta = lee_form_components(H, p)
             norm_sq = float(theta @ np.linalg.solve(H.chart.metric(p), theta))
-            delta = float(codifferential(H.chart, lee_field(H, "fd"), p, k=1,
-                                         mode="fd").components)
+            delta = float(codifferential(H.chart, lee_field(H), p,
+                                         k=1).components)
             assert abs(delta - (1 - 3) * norm_sq) < 1e-4 * (1 + norm_sq)
 
 
 class TestWarped:
     def test_kahler_degenerate_case(self, warped_flat, rng):
-        H = warped_flat.main_structure
+        H = zoo.stencil_only(warped_flat).main_structure
         assert warped_flat.expected_kind == "Kahler"
         p = H.chart.sample_points(rng, 1)[0]
-        theta = lee_form_components(H, p, mode="fd")
+        theta = lee_form_components(H, p)
         assert np.max(np.abs(theta)) < 1e-9
 
     def test_lee_form_and_parallel_branch(self, warped_sin, rng):
-        H = warped_sin.main_structure
+        H = zoo.stencil_only(warped_sin).main_structure
         for p in H.chart.sample_points(rng, 4):
-            theta = lee_form_components(H, p, mode="fd")
+            theta = lee_form_components(H, p)
             expected = np.array([0.0, math.cos(p[1]), 0.0, 0.0])
             npt.assert_allclose(theta, expected, atol=1e-8)
-            res = parallel_field_residuals(H, p, warped_sin.parallel_field,
-                                           mode="fd")
+            res = parallel_field_residuals(H, p, warped_sin.parallel_field)
             assert res["nablaJV"] < 1e-4 and abs(res["a"]) < 1e-9
 
     def test_base_gate(self):
@@ -279,8 +349,9 @@ class TestCalabi:
                        - 0.5 * (1.0 - math.cos(r))) < 1e-12
 
     def test_connection_table_rows(self, calabi_sin, rng):
-        for p in calabi_sin.charts["g_ell"].sample_points(rng, 6):
-            res = zoo.calabi_connection_table_residuals(calabi_sin, p, mode="fd")
+        entry = zoo.stencil_only(calabi_sin)
+        for p in entry.charts["g_ell"].sample_points(rng, 6):
+            res = zoo.calabi_connection_table_residuals(entry, p)
             for name, value in res.items():
                 assert value < 1e-4, (name, value)
 
@@ -297,11 +368,12 @@ class TestCalabi:
         npt.assert_allclose(math.exp(Phi) * gm, gl, atol=1e-12)
         # lee_form(g_+, J_-) = +dPhi, lee_form(g_-, J_+) = -dPhi
         d_phi = np.array([0.0, 0.0, 0.0, -math.sin(p[3])])
-        th_plus = lee_form_components(e.structures["g+,J-"], p, mode="fd")
+        e = zoo.stencil_only(e)
+        th_plus = lee_form_components(e.structures["g+,J-"], p)
         npt.assert_allclose(th_plus, d_phi, atol=1e-8)
         g_minus_J_plus = HermitianStructure(
             e.charts["g_minus"], e.structures["g_ell,J+"].J_fn, 2)
-        th_minus = lee_form_components(g_minus_J_plus, p, mode="fd")
+        th_minus = lee_form_components(g_minus_J_plus, p)
         npt.assert_allclose(th_minus, -d_phi, atol=1e-8)
 
     def test_commuting_structures(self, calabi_sin, rng):
@@ -331,12 +403,12 @@ class TestCalabi:
 class TestKahlerBases:
     def test_gate_and_curvature(self, rng):
         entries = zoo.kaehler_bases()
-        by_name = {e.params["name"]: e for e in entries}
+        by_name = {e.params["name"]: zoo.stencil_only(e) for e in entries}
         flat = by_name["c1"].charts["base"]
-        _, scal = ricci_scalar(flat, np.zeros(2), mode="fd")
+        _, scal = ricci_scalar(flat, np.zeros(2))
         assert abs(scal) < 1e-8
         cp1 = by_name["cp1"].charts["base"]
-        _, scal = ricci_scalar(cp1, cp1.center(), mode="fd")
+        _, scal = ricci_scalar(cp1, cp1.center())
         assert abs(scal - 4.0) < 1e-6          # 2/R^2 with R^2 = 1/2
         for e in entries:
             H = e.structures["kahler"]
@@ -358,8 +430,8 @@ class TestKahlerBases:
         assert abs(total - 2.0 * math.pi) < 1e-8
 
     def test_round_sphere_scalar_generic_radius(self):
-        base = zoo.round_s2_base(2.0)
-        _, scal = ricci_scalar(base.chart(), np.array([1.2, 1.0]), mode="fd")
+        base = dataclasses.replace(zoo.round_s2_base(2.0), dg_fn=None)
+        _, scal = ricci_scalar(base.chart(), np.array([1.2, 1.0]))
         assert abs(scal - 0.5) < 1e-7
 
 
@@ -371,7 +443,7 @@ class TestExpectedClassifications:
         for entry in _entries(hopf2, flat_inv2, warped_sin, calabi_sin):
             H = entry.main_structure
             pts = H.chart.sample_points(rng, 6)
-            out = classify_structure(H, pts, entry.loops, mode="fd")
+            out = classify_structure(H, pts, entry.loops)
             assert out.kind == entry.expected_kind, entry.label
 
 
