@@ -39,6 +39,8 @@ class Chart:
     definite matrices g_ij.  ``metric_derivative_fn``, when given, is the
     field ``dg[k, i, j] = d_k g_ij``, and the chart differentiates its metric
     with it; without one, on a stencil (see :func:`lckgeo.zoo.stencil_only`).
+    Every zoo chart sets it to ``fd.complex_step(metric_fn)``, the exact
+    first partials of its own complex-safe metric.
     """
 
     dim: int

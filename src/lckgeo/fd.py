@@ -1,14 +1,16 @@
-"""Central finite-difference stencils for chart fields.
+"""Derivatives of chart fields: central finite-difference stencils and the
+complex step.
 
-All differentiation in the package funnels through :func:`gradient`, which
-is :func:`stencil_points` followed by :func:`difference`.  A caller that
+Stencil differentiation funnels through :func:`gradient`, which is
+:func:`stencil_points` followed by :func:`difference`.  A caller that
 needs several fields on one stencil (the one-pass Lee form of
 :mod:`lckgeo.hermitian` reads J and the metric there) calls the two itself
 and evaluates each field once; :func:`per_stack` keeps a field's values
-for a check that reads it on the same stacks several times.  A
-:class:`Stencil` is one (step, order)
-pair, and there is one per tier, tiered by how much stencil noise the
-differentiated field already carries:
+for a check that reads it on the same stacks several times.  The one exact
+first derivative is :func:`complex_step`, which a chart with a
+complex-safe metric uses for its metric partials.  A :class:`Stencil` is
+one (step, order) pair, and there is one per tier, tiered by how much
+stencil noise the differentiated field already carries:
 
 * ``DIRECT`` -- fields evaluated in closed form (metric, J, fundamental
   form): 2nd-order stencil, step 1e-5.
@@ -27,7 +29,9 @@ stage by stage across its stack, so where several points fail, the error it
 raises may belong to a later point than the first; the line integrals of
 :mod:`transport` re-evaluate their nodes one by one on an error, to raise
 the first node's.  A function of one point becomes a field through
-``np.vectorize(f, signature="(m)->(i,j)", otypes=[float])``.
+``np.vectorize(f, signature="(m)->(i,j)", otypes=[float])``; such a field
+drops the imaginary part of a complex input, so it has no
+:func:`complex_step`.
 """
 
 from __future__ import annotations
@@ -94,6 +98,25 @@ def gradient(f: Callable, p, stencil: Stencil) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     return difference(np.asarray(f(stencil_points(p, stencil))), stencil,
                       p.ndim - 1)
+
+
+COMPLEX_STEP = 1e-20
+
+
+def complex_step(f: Callable) -> Callable:
+    """The field of all first partials of f, laid out as by :func:`gradient`,
+    by the complex step: ``d_k f(p) = Im f(p + i h e_k) / h``, h = 1e-20.
+
+    No difference is taken, so there is no cancellation, and the result is
+    exact to rounding (Squire & Trapp, SIAM Rev. 40, 1998).  f must be
+    complex-safe: an analytic expression in the coordinates that carries a
+    complex input through, with no cast to float on the way.
+    """
+    def partials(p):
+        p = np.asarray(p, dtype=float)
+        steps = np.eye(p.shape[-1]) * (1j * COMPLEX_STEP)
+        return np.imag(f(p[..., None, :] + steps)) / COMPLEX_STEP
+    return partials
 
 
 def stencil_points(p, stencil: Stencil) -> np.ndarray:

@@ -24,7 +24,7 @@ instead of evaluating them again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -301,30 +301,21 @@ def lck_residual(H: HermitianStructure, p, parts_at: Callable = None) -> float:
 
 
 def conformal_rescale(chart: Chart, log_factor: Callable,
-                      log_gradient: Optional[Callable] = None,
                       label: str = "") -> Chart:
     """The chart with metric e^{2u} g for a smooth function u = log_factor.
 
-    ``log_factor`` and ``log_gradient`` are fields, of values and of 1-forms.
-    Analytic derivatives are propagated when both the base chart and the
-    gradient of u provide them.
+    ``log_factor`` is a field of values.  Where the base chart has a
+    derivative function, the new chart has the complex step of its own
+    metric (:func:`lckgeo.fd.complex_step`), so both the base metric and
+    ``log_factor`` must then be complex-safe.
     """
     def metric(p):
         factor = np.exp(2.0 * log_factor(p))[..., None, None]
         return factor * chart.metric_fn(p)
 
-    dg_fn = None
-    if chart.metric_derivative_fn is not None and log_gradient is not None:
-        def dg_fn(p):
-            factor = np.exp(2.0 * log_factor(p))[..., None, None, None]
-            du = np.asarray(log_gradient(p), dtype=float)
-            base = np.asarray(chart.metric_derivative_fn(p), dtype=float)
-            g = np.asarray(chart.metric_fn(p), dtype=float)
-            outer = np.einsum("...k,...ij->...kij", du, g)
-            return factor * (base + 2.0 * outer)
-
     return Chart(dim=chart.dim, domain=chart.domain, metric_fn=metric,
-                 metric_derivative_fn=dg_fn,
+                 metric_derivative_fn=(chart.metric_derivative_fn
+                                       and fd.complex_step(metric)),
                  label=label or f"conformal({chart.label})")
 
 
@@ -332,10 +323,11 @@ def constant_rescale(chart: Chart, factor: float, label: str = "") -> Chart:
     """Homothety c^2 g (used by the scale-invariance property tests)."""
     if factor <= 0:
         raise ValueError("scale factor must be positive")
-    dg = None
-    if chart.metric_derivative_fn is not None:
-        dg = lambda p: factor * np.asarray(chart.metric_derivative_fn(p))
-    return Chart(dim=chart.dim, domain=chart.domain,
-                 metric_fn=lambda p: factor * np.asarray(chart.metric_fn(p)),
-                 metric_derivative_fn=dg,
+
+    def metric(p):
+        return factor * np.asarray(chart.metric_fn(p))
+
+    return Chart(dim=chart.dim, domain=chart.domain, metric_fn=metric,
+                 metric_derivative_fn=(chart.metric_derivative_fn
+                                       and fd.complex_step(metric)),
                  label=label or f"scaled({chart.label})")

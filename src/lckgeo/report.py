@@ -72,16 +72,19 @@ class SuiteConfig:
             raise ParameterError(f"unknown suites {unknown}; known: {SUITE_NAMES}")
         if self.samples < 1:
             raise ParameterError("samples must be >= 1")
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
         if self.mode not in ("fd", "analytic"):
             raise ParameterError("mode must be 'fd' or 'analytic'")
-        for name in ("tol_chain", "tol_ode"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
         if self.tol_id is None:
             object.__setattr__(self, "tol_id",
                                1e-4 if self.mode == "fd" else 1e-8)
-        elif self.tol_id <= 0:
-            raise ParameterError("tol_id must be positive")
+        # NaN fails every comparison, so ``value <= 0`` would let it through
+        for name in ("tol_id", "tol_chain", "tol_ode"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ParameterError(
+                    f"{name} must be a finite positive number")
 
     def as_dict(self) -> dict:
         return {

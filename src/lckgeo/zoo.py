@@ -50,7 +50,11 @@ SQRT_HALF = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class ProfileFn:
-    """A smooth real profile and its derivative, elementwise on arrays."""
+    """A smooth real profile and its derivative, elementwise on arrays.
+
+    ``value_fn`` must be complex-safe: the warped and Calabi metrics built on
+    it are differentiated by :func:`lckgeo.fd.complex_step`.
+    """
 
     value_fn: Callable[[np.ndarray], np.ndarray]
     derivative_fn: Callable[[np.ndarray], np.ndarray]
@@ -130,10 +134,10 @@ def _basis(m: int, k: int) -> np.ndarray:
 def flat_base(n: int) -> KahlerBase:
     """Flat C^n on the box [-1, 1]^2n, standard metric and complex structure."""
     m = 2 * n
+    g_fn = fd.constant(np.eye(m))
     return KahlerBase(label=f"flat_C{n}", dim=m,
                       domain=((-1.0, 1.0),) * m,
-                      g_fn=fd.constant(np.eye(m)),
-                      dg_fn=fd.constant(np.zeros((m, m, m))),
+                      g_fn=g_fn, dg_fn=fd.complex_step(g_fn),
                       J_fn=fd.constant(_standard_j(m)))
 
 
@@ -148,15 +152,11 @@ def round_s2_base(radius: float, polar_margin: float = 0.35,
     R2 = radius * radius
 
     def g_fn(y):
-        g = np.zeros(np.shape(y)[:-1] + (2, 2))
+        sin_sq = np.float_power(np.sin(y[..., 0]), 2)
+        g = np.zeros(np.shape(y)[:-1] + (2, 2), dtype=sin_sq.dtype)
         g[..., 0, 0] = R2
-        g[..., 1, 1] = R2 * np.float_power(np.sin(y[..., 0]), 2)
+        g[..., 1, 1] = R2 * sin_sq
         return g
-
-    def dg_fn(y):
-        dg = np.zeros(np.shape(y)[:-1] + (2, 2, 2))
-        dg[..., 0, 1, 1] = 2.0 * R2 * np.sin(y[..., 0]) * np.cos(y[..., 0])
-        return dg
 
     def J_fn(y):
         s = np.sin(y[..., 0])
@@ -168,7 +168,7 @@ def round_s2_base(radius: float, polar_margin: float = 0.35,
     return KahlerBase(label=label or f"round_S2_R{radius:g}", dim=2,
                       domain=((polar_margin, math.pi - polar_margin),
                               (0.0, 2.0 * math.pi)),
-                      g_fn=g_fn, dg_fn=dg_fn, J_fn=J_fn,
+                      g_fn=g_fn, dg_fn=fd.complex_step(g_fn), J_fn=J_fn,
                       area=4.0 * math.pi * R2)
 
 
@@ -238,9 +238,9 @@ def euclidean(m: int) -> ZooEntry:
     """Flat chart on the box [-1, 1]^m; the trivial-holonomy control."""
     if m < 1:
         raise ParameterError("euclidean needs dimension m >= 1")
-    chart = Chart(dim=m, domain=((-1.0, 1.0),) * m,
-                  metric_fn=fd.constant(np.eye(m)),
-                  metric_derivative_fn=fd.constant(np.zeros((m, m, m))),
+    metric_fn = fd.constant(np.eye(m))
+    chart = Chart(dim=m, domain=((-1.0, 1.0),) * m, metric_fn=metric_fn,
+                  metric_derivative_fn=fd.complex_step(metric_fn),
                   label=f"euclidean_{m}")
     structures = {}
     main = ""
@@ -329,30 +329,18 @@ def hopf(n: int, circumference: float = 2.0 * math.pi,
     eye = np.eye(m)
 
     def metric_fn(p):
-        p = np.asarray(p, dtype=float)
-        g = np.empty(p.shape[:-1] + (m, m))
-        g[...] = eye
+        p = np.asarray(p)
         # float_power squares like the numpy-scalar ``**`` of a single point;
         # an array ``** 2`` rounds differently in the last place
-        sin_sq = _columns(np.float_power(np.sin(p[..., 1:d]), 2))
+        squares = np.float_power(np.sin(p[..., 1:d]), 2)
+        g = np.empty(p.shape[:-1] + (m, m), dtype=squares.dtype)
+        g[...] = eye
+        sin_sq = _columns(squares)
         prod = 1.0
         for i in range(1, d):
             prod = prod * sin_sq[i - 1]
             g[..., i + 1, i + 1] = prod
         return g
-
-    def metric_derivative_fn(p):
-        p = np.asarray(p, dtype=float)
-        dg = np.zeros(p.shape[:-1] + (m, m, m))
-        sin, cos = np.sin(p), np.cos(p)
-        sin_sq = np.float_power(sin, 2)
-        coeff = 1.0
-        for j in range(1, d):
-            coeff = coeff * sin_sq[..., j]    # as np.prod of the squares
-            for k in range(1, j + 1):
-                dg[..., k, j + 1, j + 1] = (coeff * 2.0 * cos[..., k]
-                                            / sin[..., k])
-        return dg
 
     def J_fn(p):
         angles = np.asarray(p, dtype=float)[..., 1:]
@@ -362,7 +350,8 @@ def hopf(n: int, circumference: float = 2.0 * math.pi,
         return np.linalg.solve(B, J0 @ B)
 
     chart = Chart(dim=m, domain=tuple(domain), metric_fn=metric_fn,
-                  metric_derivative_fn=metric_derivative_fn, label=f"hopf_{n}")
+                  metric_derivative_fn=fd.complex_step(metric_fn),
+                  label=f"hopf_{n}")
     H = HermitianStructure(chart=chart, J_fn=J_fn, n=n, label=f"hopf_{n}")
 
     center = chart.center()
@@ -408,17 +397,13 @@ def flat_inversion(n: int) -> ZooEntry:
     eye = np.eye(m)
 
     def metric_fn(p):
-        r2 = np.vecdot(p, p)[..., None, None]
+        # vecdot conjugates its first argument
+        r2 = np.vecdot(np.conj(p), p)[..., None, None]
         return eye / (r2 * r2)
-
-    def metric_derivative_fn(p):
-        p = np.asarray(p, dtype=float)
-        r6 = np.float_power(np.vecdot(p, p), 3)[..., None]
-        return np.einsum("...k,ij->...kij", -4.0 * p / r6, eye)
 
     chart = Chart(dim=m, domain=tuple((lo, hi) for _ in range(m)),
                   metric_fn=metric_fn,
-                  metric_derivative_fn=metric_derivative_fn,
+                  metric_derivative_fn=fd.complex_step(metric_fn),
                   label=f"flat_inversion_{n}")
     H = HermitianStructure(chart=chart, J_fn=fd.constant(_standard_j(m)), n=n,
                            label=f"flat_inversion_{n}")
@@ -475,21 +460,12 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
         return np.exp(2.0 * c.value_fn(p[..., 1]))[..., None, None]
 
     def metric_fn(p):
-        p = np.asarray(p, dtype=float)
-        g = np.zeros(p.shape[:-1] + (m, m))
+        p = np.asarray(p)
+        gN = warp(p) * np.asarray(base.g_fn(p[..., 2:]))
+        g = np.zeros(p.shape[:-1] + (m, m), dtype=gN.dtype)
         g[..., 0, 0] = g[..., 1, 1] = 1.0
-        g[..., 2:, 2:] = warp(p) * np.asarray(base.g_fn(p[..., 2:]))
+        g[..., 2:, 2:] = gN
         return g
-
-    def metric_derivative_fn(p):
-        p = np.asarray(p, dtype=float)
-        dg = np.zeros(p.shape[:-1] + (m, m, m))
-        f = warp(p)
-        gN = np.asarray(base.g_fn(p[..., 2:]))
-        dc = c.derivative_fn(p[..., 1])[..., None, None]
-        dg[..., 1, 2:, 2:] = 2.0 * dc * f * gN
-        dg[..., 2:, 2:, 2:] = f[..., None] * np.asarray(base.dg_fn(p[..., 2:]))
-        return dg
 
     def J_fn(p):
         J = np.zeros(np.shape(p)[:-1] + (m, m))
@@ -500,14 +476,15 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
 
     domain = ((-math.pi, math.pi), (t_lo, t_hi)) + base.domain
     chart = Chart(dim=m, domain=domain, metric_fn=metric_fn,
-                  metric_derivative_fn=metric_derivative_fn,
+                  metric_derivative_fn=fd.complex_step(metric_fn),
                   label=f"warped_{c.label}_{base.label}")
     H = HermitianStructure(chart=chart, J_fn=J_fn, n=n,
                            label=f"warped_{c.label}")
 
-    mid = 0.5 * (t_lo + t_hi)
-    constant = (abs(c.derivative(mid)) < 1e-14
-                and abs(c(t_lo + 0.3) - c(t_hi - 0.3)) < 1e-14)
+    # c' on a grid over the whole interval: a profile symmetric about the
+    # midpoint (cos on (0, 2 pi)) has c'(mid) = 0 without being constant
+    constant = bool(np.all(np.abs(c.derivative_fn(
+        np.linspace(t_lo, t_hi, 65))) < 1e-14))
     ctr = chart.center()
     w = 0.25
     loops = {
@@ -573,7 +550,7 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
 
     def unpack(p):
         """theta, ell(r), cos and sin of theta, and the base point."""
-        p = np.asarray(p, dtype=float)
+        p = np.asarray(p)
         th = p[..., 0]
         return (th, ell.value_fn(p[..., 3]), np.cos(th), np.sin(th),
                 np.stack([th, np.zeros_like(th)], axis=-1))
@@ -583,27 +560,13 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
         th, lv, ct, _, y = unpack(p)
         l2 = np.float_power(lv, 2)
         gN = np.asarray(base.g_fn(y))
-        g = np.zeros(th.shape + (4, 4))
+        g = np.zeros(th.shape + (4, 4), dtype=ct.dtype)
         g[..., 0, 0] = gN[..., 0, 0]
         g[..., 1, 1] = gN[..., 1, 1] + l2 * cw2 * np.float_power(ct, 2)
         g[..., 1, 2] = g[..., 2, 1] = l2 * cw2 * ct
         g[..., 2, 2] = l2 * cw2
         g[..., 3, 3] = 1.0
         return g
-
-    def metric_derivative_fn(p):
-        th, lv, ct, s, y = unpack(p)
-        dl = ell.derivative_fn(np.asarray(p, dtype=float)[..., 3])
-        lv2 = np.float_power(lv, 2)
-        dgN = np.asarray(base.dg_fn(y))
-        dg = np.zeros(th.shape + (4, 4, 4))
-        dg[..., 0, 0, 0] = dgN[..., 0, 0, 0]
-        dg[..., 0, 1, 1] = dgN[..., 0, 1, 1] - 2.0 * lv2 * cw2 * ct * s
-        dg[..., 0, 1, 2] = dg[..., 0, 2, 1] = -lv2 * cw2 * s
-        dg[..., 3, 1, 1] = 2.0 * lv * dl * cw2 * np.float_power(ct, 2)
-        dg[..., 3, 1, 2] = dg[..., 3, 2, 1] = 2.0 * lv * dl * cw2 * ct
-        dg[..., 3, 2, 2] = 2.0 * lv * dl * cw2
-        return dg
 
     def make_J(eps: float):
         def J_fn(p):
@@ -621,24 +584,24 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
 
     def phi_potential(r):
         xs, ws = fd.gauss_legendre_01(48)
-        r = np.asarray(r, dtype=float)
-        return 0.5 * r * np.vecdot(ell.value_fn(xs * r[..., None]), ws)
+        r = np.asarray(r)
+        # the real weights first: vecdot conjugates its first argument
+        return 0.5 * r * np.vecdot(ws, ell.value_fn(xs * r[..., None]))
 
     domain = ((0.35, math.pi - 0.35), (-0.7, 2.0 * math.pi + 0.7),
               (-0.7, 4.0 * math.pi + 0.7), (r_margin, b - r_margin))
     chart_ell = Chart(dim=4, domain=domain, metric_fn=metric_fn,
-                      metric_derivative_fn=metric_derivative_fn,
+                      metric_derivative_fn=fd.complex_step(metric_fn),
                       label=f"calabi_ell_{ell.label}")
 
     # pair potential Phi = -2 phi: g_+ = e^Phi g_ell, g_- = e^-Phi g_ell
-    r_of = lambda p: np.asarray(p, dtype=float)[..., 3]
+    r_of = lambda p: np.asarray(p)[..., 3]
     half_ell_dr = _coordinate_form(4, 3, lambda r: 0.5 * ell.value_fn(r))
     chart_plus = conformal_rescale(
         chart_ell, lambda p: -phi_potential(r_of(p)),
-        _coordinate_form(4, 3, lambda r: -0.5 * ell.value_fn(r)),
         label=f"calabi_gplus_{ell.label}")
     chart_minus = conformal_rescale(
-        chart_ell, lambda p: phi_potential(r_of(p)), half_ell_dr,
+        chart_ell, lambda p: phi_potential(r_of(p)),
         label=f"calabi_gminus_{ell.label}")
 
     Jp, Jm = make_J(+1.0), make_J(-1.0)

@@ -42,6 +42,13 @@ def warped_flat():
 
 
 @pytest.fixture(scope="session")
+def warped_cos_c2():
+    # cos is symmetric about the middle of its interval, over flat C^2: n = 3
+    return zoo.warped_vaisman_gck(
+        zoo.named_profile("cos", (0.0, 2.0 * math.pi)), zoo.flat_base(2))
+
+
+@pytest.fixture(scope="session")
 def calabi_sin():
     return zoo.calabi_ansatz(zoo.named_profile("sin", (0.0, math.pi)), math.pi)
 

@@ -144,6 +144,28 @@ def test_gradient_matches_per_axis_stencil(order, step, hopf2, rng):
         assert np.array_equal(fd.gradient(f, pts[0], stencil), ref[0])
 
 
+@pytest.mark.parametrize("name", ["flat_inv2", "hopf2"])
+def test_complex_step_against_symbolic_oracle(name, request, rng):
+    """The chart's metric partials, fd.complex_step of its own metric, vs
+    independent sympy differentiation of the metric, to 1e-13 relative."""
+    chart = request.getfixturevalue(name).main_structure.chart
+    xs = sp.symbols("x0 x1 x2 x3", real=True)
+    if name == "flat_inv2":
+        g_sym = sp.eye(4) / sum(x * x for x in xs) ** 2
+    else:   # ds^2 + the round S^3 in hyperspherical angles (a1, a2, a3)
+        s1, s2 = sp.sin(xs[1]) ** 2, sp.sin(xs[2]) ** 2
+        g_sym = sp.diag(1, 1, s1, s1 * s2)
+    dg_sym = [[[sp.diff(g_sym[i, j], x) for j in range(4)] for i in range(4)]
+              for x in xs]
+    dg_fn = sp.lambdify(xs, dg_sym, "numpy")
+    pts = chart.sample_points(rng, 10)
+    stacked = chart.metric_jacobian(pts)
+    for p, dg in zip(pts, stacked):
+        oracle = np.array(dg_fn(*p), dtype=float)
+        assert np.array_equal(dg, fd.complex_step(chart.metric_fn)(p))
+        assert np.max(np.abs(dg - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
 @pytest.mark.parametrize("stencil, step, order", [
     (fd.DIRECT, 1e-5, 2), (fd.NESTED, 1e-3, 4), (fd.DEEP, 1e-2, 2)])
 def test_stencil_tiers_and_extent(stencil, step, order):

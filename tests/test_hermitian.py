@@ -238,7 +238,7 @@ class TestLeeForm:
             out[..., 2] = -0.1 * np.sin(p[..., 1]) * np.sin(p[..., 2])
             return out
 
-        chart_u = conformal_rescale(H.chart, u, du, label="hopf_rescaled")
+        chart_u = conformal_rescale(H.chart, u, label="hopf_rescaled")
         H_u = HermitianStructure(chart_u, H.J_fn, H.n, label="hopf_rescaled")
         for p in H.chart.sample_points(rng, 5):
             theta = lee_form_components(H, p)

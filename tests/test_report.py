@@ -229,6 +229,28 @@ class TestCli:
                          "--seed", "4", "--tol-id", "1e-20"])
         assert code == 1
 
+    def test_negative_seed_exit_two(self, capsys):
+        assert cli_main(["run", "--manifold", "hopf{n=2}",
+                         "--suite", "classify", "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["tol_id", "tol_chain", "tol_ode"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-4"])
+    def test_tolerance_not_finite_positive_exit_two(self, tmp_path, capsys,
+                                                    key, value):
+        """From a flag and from a config file alike; NaN would fail every
+        residual (or pass a gate) and inf would pass every check."""
+        message = f"{key} must be a finite positive number"
+        flag = "--" + key.replace("_", "-")
+        assert cli_main(["run", "--manifold", "hopf{n=2}", "--suite",
+                         "classify", f"{flag}={value}"]) == 2
+        assert message in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("manifold = hopf{n=2}\nsuites = classify\n"
+                       f"{key} = {value}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_config_file_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

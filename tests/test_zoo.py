@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import inspect
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +17,7 @@ from lckgeo.errors import BundleError, ParameterError
 from lckgeo.hermitian import (HermitianStructure, lck_residual, lee_field,
                               lee_form_components, nijenhuis_residual)
 from lckgeo.identities import parallel_field_residuals
+from lckgeo.report import SuiteConfig, resolve_manifold, run
 
 
 def _entries(hopf2, flat_inv2, warped_sin, calabi_sin):
@@ -62,6 +64,34 @@ def test_fields_take_point_stacks(name, mode, request, rng):
         single = np.array([[f(q) for q in row] for row in pts])
         assert np.array_equal(f(pts), single), label
         assert np.shape(f(pts[1, 2])) == single.shape[2:], label
+
+
+@pytest.mark.parametrize("name", ["hopf2", "hopf3", "flat_inv2", "flat_inv3",
+                                  "warped_sin", "warped_flat", "warped_cos_c2",
+                                  "calabi_sin", "euclid4", "c1", "c2", "cp1"])
+def test_metric_fields_are_complex_safe(name, request, rng):
+    """Every zoo metric field carries a complex stack through without a
+    warning or an error: unless the field is constant, it returns a complex
+    array whose imaginary part is the directional derivative, as the central
+    stencil along the same direction gives it.  A field that drops the
+    imaginary part of its input fails here."""
+    if name in zoo.KAHLER_BASES:
+        entry, = (e for e in zoo.kaehler_bases() if e.params["name"] == name)
+    else:
+        entry = request.getfixturevalue(name)
+    for chart in entry.charts.values():
+        pts = chart.sample_points(rng, 6).reshape(2, 3, chart.dim)
+        v = rng.standard_normal(chart.dim)
+        h = 1e-5
+        along = (chart.metric_fn(pts + h * v)
+                 - chart.metric_fn(pts - h * v)) / (2.0 * h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = chart.metric_fn(pts + 1e-20j * v)
+        assert values.shape == pts.shape[:-1] + (chart.dim, chart.dim)
+        assert np.iscomplexobj(values) or not along.any(), chart.label
+        assert np.max(np.abs(values.imag / 1e-20 - along)) < 1e-8 * (
+            1 + np.max(np.abs(along))), chart.label
 
 
 class TestStencilOnly:
@@ -314,6 +344,23 @@ class TestWarped:
             npt.assert_allclose(theta, expected, atol=1e-8)
             res = parallel_field_residuals(H, p, warped_sin.parallel_field)
             assert res["nablaJV"] < 1e-4 and abs(res["a"]) < 1e-9
+
+    def test_symmetric_profile_is_not_constant(self, warped_sin,
+                                               warped_flat):
+        """cos on (0, 2 pi) has c'(pi) ~ 1e-16 and c(t) = c(2 pi - t), yet
+        is not constant: the entry declares gcK and SO(2n-1), and classify
+        and holonomy confirm it.  The sin and zero profiles keep theirs."""
+        selector = "warped{c=cos,base=cp1}"
+        entry = resolve_manifold(selector)
+        assert (entry.expected_kind, entry.expected_holonomy) == (
+            "gcK", "SO(2n-1)")
+        report = run(SuiteConfig(manifold=selector, samples=2, seed=1,
+                                 suites=("classify", "holonomy")))
+        assert report.passed and not report.inconclusive
+        assert (warped_sin.expected_kind, warped_sin.expected_holonomy) == (
+            "gcK", "SO(2n-1)")
+        assert (warped_flat.expected_kind, warped_flat.expected_holonomy) == (
+            "Kahler", "trivial")
 
     def test_base_gate(self):
         bad = zoo.KahlerBase(label="bad", dim=2, domain=((-1, 1), (-1, 1)),

@@ -33,7 +33,8 @@ import tempfile
 from pathlib import Path
 
 SELECTORS = ("hopf{n=2}", "flat_inversion{n=2}", "warped{c=sin,base=cp1}",
-             "calabi{ell=sin,b=pi}", "euclidean{m=4}")
+             "warped{c=cos,base=c2}", "calabi{ell=sin,b=pi}",
+             "euclidean{m=4}")
 HOLONOMY_ONLY = ("hopf{n=3}",)
 MODES = ("fd", "analytic")
 SEEDS = (1, 2)
