@@ -199,17 +199,6 @@ def codifferential_of(nabla: np.ndarray, g_inv: np.ndarray,
     return comp.reshape(points + rest)
 
 
-def lie_bracket(v_field: Callable, w_field: Callable, p) -> np.ndarray:
-    """[V, W]^k = V^j d_j W^k - W^j d_j V^k at p (coordinate bracket), by
-    NESTED stencils."""
-    p = np.asarray(p, dtype=float)
-    dV = fd.gradient(v_field, p, fd.NESTED)  # dV[j, k] = d_j V^k
-    dW = fd.gradient(w_field, p, fd.NESTED)
-    v = np.asarray(v_field(p), dtype=float)
-    w = np.asarray(w_field(p), dtype=float)
-    return v @ dW - w @ dV
-
-
 def metric_compatibility_defect(chart: Chart, p) -> float:
     """Max |nabla_k g_ij| = |d_k g_ij - Gamma^m_{ki} g_mj - Gamma^m_{kj} g_im|."""
     p = np.asarray(p, dtype=float)

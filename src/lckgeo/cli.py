@@ -4,6 +4,12 @@ Usage::
 
     lck run --manifold "hopf{n=2}" --suite classify --suite holonomy \
             --samples 100 --seed 7 --mode fd --json report.json
+    lck run --manifold "warped{c=sin,base=cp1}" --suite lck-identities \
+            --at=-0.415,4.479,2.328,3.852
+
+``--at=x1,x2,...`` replays one point, such as a residual's worst point; it
+takes the ``=`` form because a separate value with a leading minus sign
+would be read as a flag.
 
 Config files hold the same fields as flags, one ``key = value`` per line
 (``suites`` as a comma list); flags override file values, and a key that
@@ -49,7 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="FILE",
                    help="flat key=value config file; flags override")
     p.add_argument("--at", metavar="X1,X2,...",
-                   help="evaluate at this single point instead of sampling")
+                   help="evaluate at this single point instead of "
+                   "sampling; write --at=X1,X2,... so that a leading minus "
+                   "sign is not read as a flag")
     return parser
 
 

@@ -4,13 +4,12 @@ complex step.
 Stencil differentiation funnels through :func:`gradient`, which is
 :func:`stencil_points` followed by :func:`difference`.  A caller that
 needs several fields on one stencil (the one-pass Lee form of
-:mod:`lckgeo.hermitian` reads J and the metric there) calls the two itself
-and evaluates each field once; :func:`per_stack` keeps a field's values
-for a check that reads it on the same stacks several times.  The one exact
-first derivative is :func:`complex_step`, which a chart with a
-complex-safe metric uses for its metric partials.  A :class:`Stencil` is
-one (step, order) pair, and there is one per tier, tiered by how much
-stencil noise the differentiated field already carries:
+:mod:`lckgeo.hermitian` reads J and the metric there) calls the two itself:
+it evaluates each field once and differences what it derives from the
+values.  The one exact first derivative is :func:`complex_step`, which a
+chart with a complex-safe metric uses for its metric partials.  A
+:class:`Stencil` is one (step, order) pair, and there is one per tier,
+tiered by how much stencil noise the differentiated field already carries:
 
 * ``DIRECT`` -- fields evaluated in closed form (metric, J, fundamental
   form): 2nd-order stencil, step 1e-5.
@@ -71,21 +70,6 @@ def constant(value) -> Callable:
     value = np.asarray(value, dtype=float)
     return lambda p: np.array(np.broadcast_to(
         value, np.shape(p)[:-1] + value.shape))
-
-
-def per_stack(f: Callable) -> Callable:
-    """The field f, computed once on each stack of points (matched by shape
-    and bytes) for as long as the returned field lives: for the stencils of
-    one check that evaluate f on the same stacks."""
-    values = {}
-
-    def once(q):
-        q = np.asarray(q)
-        key = (q.shape, q.tobytes())
-        if key not in values:
-            values[key] = f(q)
-        return values[key]
-    return once
 
 
 def gradient(f: Callable, p, stencil: Stencil) -> np.ndarray:

@@ -14,11 +14,12 @@ theta = J(delta Omega) / (2n - 2).  On 1-forms J acts by
 metric are evaluated once on the DIRECT stencil around each point and once
 at it, and the Omega partials, the metric partials, one g^-1, the
 Christoffel symbols and delta Omega all come from those arrays.
-:func:`nested_lee` differences these parts on one NESTED stencil around each
-point for the partials of theta, nabla theta and the curvature; it is the one
-route to nabla theta.  The checks of :mod:`lckgeo.identities` read the parts
-through :func:`lee_parts_at`, which computes them once per stack of points,
-instead of evaluating them again.
+:func:`nested_lee` takes these parts and evaluates them again on one NESTED
+stencil around each point, whose differences give the partials of theta,
+nabla theta and the curvature; it is the one route to nabla theta.  The
+checks of :mod:`lckgeo.identities` take the evaluated parts and NESTED pass
+as arguments, so a caller evaluates each once per sample and passes it to
+every check that reads it.
 """
 
 from __future__ import annotations
@@ -143,17 +144,16 @@ def lee_form(H: HermitianStructure, p) -> LeeData:
     or where it is NaN.
     """
     p = np.asarray(p, dtype=float)
-    parts_at = lee_parts_at(H)
-    res = lck_residual(H, p, parts_at=parts_at)
+    parts = lee_form_parts(H, p)
+    res = lck_residual(parts)
     if not res <= LCK_GATE:
         raise NotLcKError(
             f"structure '{H.label}' fails the lcK gate at {p}: "
             f"|dOmega - 2 theta ^ Omega| = {res:.2e}")
-    parts = parts_at(p)
     theta = parts.theta
     j_theta = j_on_forms(parts.J, theta)
     norm_sq = float(theta @ np.linalg.solve(parts.g, theta))
-    S = nabla_theta(H, p, parts_at=parts_at) + np.outer(theta, theta)
+    S = nested_lee(H, p, parts).ntheta + np.outer(theta, theta)
     return LeeData(theta=FrameTensor(theta, (1, 0), p),
                    J_theta=FrameTensor(j_theta, (1, 0), p),
                    norm_sq=norm_sq,
@@ -217,14 +217,6 @@ def lee_form_parts(H: HermitianStructure, p) -> LeeParts:
                     delta_omega, fd.difference(J_around, fd.DIRECT, lead))
 
 
-def lee_parts_at(H: HermitianStructure) -> Callable:
-    """:func:`lee_form_parts` as a function of a stack of points, computed
-    once per stack (:func:`lckgeo.fd.per_stack`): the checks at one sample
-    read the parts at p and on the stencils around it through one such
-    function."""
-    return fd.per_stack(lambda q: lee_form_parts(H, q))
-
-
 def lee_form_components(H: HermitianStructure, p) -> np.ndarray:
     """Bare Lee-form components at each of the points p, shape (..., dim)
     (the cheap inner loop of everything above); see :func:`lee_form_parts`."""
@@ -245,6 +237,7 @@ class NestedLee(NamedTuple):
     ntheta: np.ndarray          # (nabla_{d_c} theta)_j
     gamma: np.ndarray           # Gamma^k_{ij} at p
     gamma_partials: np.ndarray  # d_c Gamma^k_{ij}
+    around: LeeParts            # the parts at the NESTED stencil points
 
     @property
     def riemann(self) -> np.ndarray:
@@ -253,47 +246,38 @@ class NestedLee(NamedTuple):
         return riemann_components(self.gamma_partials, self.gamma)
 
 
-def nested_lee(H: HermitianStructure, p,
-               parts_at: Callable = None) -> NestedLee:
+def nested_lee(H: HermitianStructure, p, parts: LeeParts) -> NestedLee:
     """theta's partials, nabla theta and the curvature at each of the points
     p, shape (..., dim), from the Lee-form parts on one NESTED stencil.
 
-    The Lee form carries one stencil level of noise, so it is differenced at
-    NESTED steps; the Christoffel symbols of the same parts give R.  nabla
-    theta is bitwise ``covariant_derivative_full(chart, lee_field(H), p,
-    (1, 0), stencil=fd.NESTED)`` and R is :func:`lckgeo.calculus.riemann`.
-    ``parts_at`` (see :func:`lee_parts_at`), when given, supplies the parts
-    of a caller that reads them on the same stacks elsewhere.
+    ``parts`` are the :func:`lee_form_parts` at p; the parts at the stencil
+    points are evaluated here and returned as ``around``.  The Lee form
+    carries one stencil level of noise, so it is differenced at NESTED
+    steps; the Christoffel symbols of the same parts give R.  nabla theta is
+    bitwise ``covariant_derivative_full(chart, lee_field(H), p, (1, 0),
+    stencil=fd.NESTED)`` and R is :func:`lckgeo.calculus.riemann`.
     """
-    if parts_at is None:
-        parts_at = lee_parts_at(H)
     p = np.asarray(p, dtype=float)
     lead = p.ndim - 1
     H.chart.require_inside(p, margin=fd.NESTED.extent)
-    around = parts_at(fd.stencil_points(p, fd.NESTED))
-    parts = parts_at(p)
+    around = lee_form_parts(H, fd.stencil_points(p, fd.NESTED))
     d_theta = fd.difference(around.theta, fd.NESTED, lead)
     ntheta = covariant_partials(d_theta, parts.theta, parts.gamma, (1, 0),
                                 lead)
     return NestedLee(d_theta, ntheta, parts.gamma,
-                     fd.difference(around.gamma, fd.NESTED, lead))
+                     fd.difference(around.gamma, fd.NESTED, lead), around)
 
 
-def nabla_theta(H: HermitianStructure, p,
-                parts_at: Callable = None) -> np.ndarray:
+def nabla_theta(H: HermitianStructure, p) -> np.ndarray:
     """(nabla theta)_ij = (nabla_{d_i} theta)_j at each of the points p; see
     :func:`nested_lee`."""
-    return nested_lee(H, p, parts_at=parts_at).ntheta
+    return nested_lee(H, p, lee_form_parts(H, p)).ntheta
 
 
-def lck_residual(H: HermitianStructure, p, parts_at: Callable = None) -> float:
-    """Scale-normalized |dOmega - 2 theta ^ Omega| at p; ``parts_at`` as for
-    :func:`nested_lee`."""
-    p = np.asarray(p, dtype=float)
-    if parts_at is None:
-        parts_at = lee_parts_at(H)
-    parts = parts_at(p)
-    d_omega = exterior_of_partials(parts.omega_partials, 2, p.ndim - 1)
+def lck_residual(parts: LeeParts) -> float:
+    """Scale-normalized |dOmega - 2 theta ^ Omega| at a point, from the
+    :func:`lee_form_parts` there."""
+    d_omega = exterior_of_partials(parts.omega_partials, 2)
     rhs = 2.0 * wedge(parts.theta, parts.omega)
     g_inv = parts.g_inv
     denom = 1.0 + max(raised_norm(d_omega, g_inv), raised_norm(rhs, g_inv))

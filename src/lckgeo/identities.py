@@ -31,22 +31,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import fd
-from .calculus import (christoffel_components, codifferential,
-                       covariant_derivative_full, covariant_partials,
-                       exterior_derivative, exterior_of_partials, lie_bracket,
-                       ricci_scalar)
+from .calculus import (codifferential_of, covariant_derivative_full,
+                       covariant_partials, exterior_derivative,
+                       exterior_of_partials, levi_civita, ricci_scalar)
 from .charts import (form_of_endomorphism, raised_norm, vector_norm, wedge,
                      wedge_endo)
 from .errors import (InconsistencyError, NotLcKError, PreconditionError,
                      SingularPointError)
-from .hermitian import (LCK_GATE, HermitianStructure, j_on_forms,
-                        lck_residual, lee_field, lee_form_components,
-                        lee_form_parts, lee_parts_at, nabla_theta, nested_lee)
+from .hermitian import (LCK_GATE, HermitianStructure, LeeParts, NestedLee,
+                        j_on_forms, lck_residual, lee_field,
+                        lee_form_components, lee_form_parts, nested_lee)
 from .transport import line_integral_segment, loop_integral
 
 
@@ -63,27 +62,31 @@ def _solve(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.solve(g, v[..., None])[..., 0]
 
 
-def _pair_sigma(I: HermitianStructure, J: HermitianStructure, q) -> np.ndarray:
-    """sigma = 1/2 (Omega^I + Omega^J) at each of the points q, from the raw
-    metric of I's chart."""
+def _pair_forms(I: HermitianStructure, J: HermitianStructure, q) -> tuple:
+    """The raw metric g of I's chart, Omega^I and sigma = 1/2 (Omega^I +
+    Omega^J) at each of the points q."""
     gq = np.asarray(I.chart.metric_fn(q), dtype=float)
-    return 0.5 * (form_of_endomorphism(I.J(q), gq)
-                  + form_of_endomorphism(J.J(q), gq))
+    om_i = form_of_endomorphism(I.J(q), gq)
+    return gq, om_i, 0.5 * (om_i + form_of_endomorphism(J.J(q), gq))
+
+
+def _covariant(values: np.ndarray, value: np.ndarray, gamma: np.ndarray,
+               valence: tuple, stencil: fd.Stencil) -> np.ndarray:
+    """All covariant partials at one point of a tensor field, from its values
+    at the stencil points around it, its value there and the Christoffel
+    symbols there: bitwise :func:`covariant_derivative_full` of the field."""
+    return covariant_partials(fd.difference(values, stencil), value, gamma,
+                              valence)
 
 
 # ---------------------------------------------------------------------------
 # single-identity residuals
 # ---------------------------------------------------------------------------
 
-def nabla_j_residual(H: HermitianStructure, p, x,
-                     parts_at: Callable = None) -> float:
-    """|nabla_X J - (X ^ J theta + JX ^ theta)| at p, term-normalized;
-    ``parts_at`` as for :func:`lckgeo.hermitian.nested_lee`."""
-    p = np.asarray(p, dtype=float)
+def nabla_j_residual(parts: LeeParts, x) -> float:
+    """|nabla_X J - (X ^ J theta + JX ^ theta)| at a point, term-normalized,
+    from the :func:`lckgeo.hermitian.lee_form_parts` there."""
     x = np.asarray(x, dtype=float)
-    if parts_at is None:
-        parts_at = lee_parts_at(H)
-    parts = parts_at(p)
     g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
     j_theta = -J.T @ theta
     nJ = covariant_partials(parts.dJ, J, parts.gamma, (1, 1))
@@ -95,17 +98,13 @@ def nabla_j_residual(H: HermitianStructure, p, x,
     return _normalized(_endo_norm(lhs - rhs, g, g_inv), terms)
 
 
-def curvature_j_residuals(H: HermitianStructure, p, x, y,
-                          parts_at: Callable = None) -> tuple:
-    """Residuals of the full R.J formula and of its frame contraction;
-    ``parts_at`` as for :func:`lckgeo.hermitian.nested_lee`."""
-    p = np.asarray(p, dtype=float)
+def curvature_j_residuals(H: HermitianStructure, parts: LeeParts,
+                          nested: NestedLee, x, y) -> tuple:
+    """Residuals of the full R.J formula and of its frame contraction at a
+    point, from the :func:`lckgeo.hermitian.lee_form_parts` there and the
+    :func:`lckgeo.hermitian.nested_lee` pass around it."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if parts_at is None:
-        parts_at = lee_parts_at(H)
-    nested = nested_lee(H, p, parts_at=parts_at)
-    parts = parts_at(p)
     g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
     j_theta = -J.T @ theta
     ntheta = nested.ntheta                          # ntheta[c, j]
@@ -158,10 +157,9 @@ def curvature_j_residuals(H: HermitianStructure, p, x, y,
 def s_commutator_residual(H: HermitianStructure, p) -> float:
     """|SJ - JS| for S = nabla theta + theta (x) theta (Einstein assumption)."""
     p = np.asarray(p, dtype=float)
-    parts_at = lee_parts_at(H)
-    parts = parts_at(p)
+    parts = lee_form_parts(H, p)
     g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
-    s_cov = nabla_theta(H, p, parts_at=parts_at) + np.outer(theta, theta)
+    s_cov = nested_lee(H, p, parts).ntheta + np.outer(theta, theta)
     s_endo = np.linalg.solve(g, s_cov)
     comm = s_endo @ J - J @ s_endo
     return _normalized(_endo_norm(comm, g, g_inv),
@@ -197,25 +195,38 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
     p = np.asarray(p, dtype=float)
     chart = H.chart
 
-    # The Lee-form parts and their NESTED differences on each stack of
-    # points, computed once: the stencils below evaluate them on a few stacks
-    # (p and the NESTED and DEEP stencils around it), and Ric comes from the
-    # curvature of the NESTED pass at p.
-    parts_at = lee_parts_at(H)
-    nested_at = fd.per_stack(lambda q: nested_lee(H, q, parts_at=parts_at))
-
-    def theta_f(q):
-        return parts_at(q).theta
-
-    def ntheta_at(q):
-        return nested_at(q).ntheta
-
-    R = nested_at(p).riemann
-    parts = parts_at(p)
+    # The Lee-form parts at p and on the NESTED stencil around it; Ric comes
+    # from the curvature of the NESTED pass at p.
+    parts = lee_form_parts(H, p)
+    nested = nested_lee(H, p, parts)
+    around = nested.around
+    R = nested.riemann
     g, g_inv, J, omega = parts.g, parts.g_inv, parts.J, parts.omega
     if _ricci_deviation(np.einsum("abad->bd", R), lam, g, g_inv) > 1e-3:
         raise PreconditionError(
             f"structure '{H.label}' is not Einstein with lambda={lam} at {p}")
+
+    # derived fields as functions of the parts (and of nabla theta for S),
+    # differenced on the stencil whose parts they read: evaluation noise one
+    # stencil deep -> NESTED steps; two deep (S, delta theta, f) -> DEEP steps
+    def jtheta_of(at):
+        return j_on_forms(at.J, at.theta)
+
+    def norm_sq_of(at):
+        return np.vecdot(at.theta, _solve(at.g, at.theta))
+
+    def s_of(at, ntheta):
+        return ntheta + at.theta[..., :, None] * at.theta[..., None, :]
+
+    def js_form_of(at, ntheta):
+        endo = at.J @ np.linalg.solve(at.g, s_of(at, ntheta))
+        return form_of_endomorphism(endo, at.g)
+
+    def wedge_jtheta_of(at):
+        return wedge(at.theta, jtheta_of(at), lead=at.theta.ndim - 1)
+
+    def norm_sq_omega_of(at):
+        return norm_sq_of(at)[..., None, None] * at.omega
 
     n = H.n
     n2 = 2 * n
@@ -224,53 +235,15 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
     theta_sharp = g_inv @ theta
     norm_sq = float(theta @ theta_sharp)
 
-    ntheta = ntheta_at(p)
-    s_cov = ntheta + np.outer(theta, theta)
+    ntheta = nested.ntheta
+    s_cov = s_of(parts, ntheta)
     s_endo = g_inv @ s_cov
     delta_theta = -float(np.einsum("ij,ij->", g_inv, ntheta))
     js_endo = J @ s_endo
     js_form = form_of_endomorphism(js_endo, g)
 
-    # derived fields (evaluation noise one stencil deep -> NESTED steps;
-    # two deep (S, delta theta, f) -> DEEP steps)
-    def jtheta_field(q):
-        at = parts_at(q)
-        return j_on_forms(at.J, at.theta)
-
-    def theta_sharp_field(q):
-        at = parts_at(q)
-        return _solve(at.g, at.theta)
-
-    def jtheta_sharp_field(q):
-        return _solve(parts_at(q).g, jtheta_field(q))
-
-    def norm_sq_field(q):
-        at = parts_at(q)
-        return np.vecdot(at.theta, _solve(at.g, at.theta))
-
-    def s_field(q):
-        t = theta_f(q)
-        return ntheta_at(q) + t[..., :, None] * t[..., None, :]
-
-    def js_form_field(q):
-        at = parts_at(q)
-        endo = at.J @ np.linalg.solve(at.g, s_field(q))
-        return form_of_endomorphism(endo, at.g)
-
-    def delta_theta_field(q):
-        return -np.einsum("...ij,...ij->...", parts_at(q).g_inv, ntheta_at(q))
-
-    def f_field(q):
-        return delta_theta_field(q) + norm_sq_field(q)
-
-    def theta_wedge_jtheta_field(q):
-        t = theta_f(q)
-        return wedge(t, jtheta_field(q), lead=t.ndim - 1)
-
-    def norm_sq_omega_field(q):
-        return norm_sq_field(q)[..., None, None] * parts_at(q).omega
-
-    d_norm_sq = fd.gradient(norm_sq_field, p, fd.NESTED)
+    d_norm_sq = fd.difference(norm_sq_of(around), fd.NESTED)
+    d_jtheta = fd.difference(jtheta_of(around), fd.NESTED)
     res = {}
 
     # (Sth)  S theta = 1/2 d|theta|^2 + |theta|^2 theta
@@ -286,8 +259,8 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
 
     # (nablaJth)  nabla_X (J theta) = (J S X)^flat - J theta(X) theta
     #             - |theta|^2 (JX)^flat, checked on coordinate directions
-    njtheta = covariant_derivative_full(chart, jtheta_field, p, (1, 0),
-                                        stencil=fd.NESTED, gamma=parts.gamma)
+    njtheta = covariant_partials(d_jtheta, jtheta_of(parts), parts.gamma,
+                                 (1, 0))
     # row c: (JS e_c)^flat - (J theta)(e_c) theta - |theta|^2 (J e_c)^flat
     rhs_njt = (g @ js_endo).T - np.outer(j_theta, theta) - norm_sq * (g @ J).T
     diff = njtheta - rhs_njt
@@ -295,32 +268,37 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
     res["nablaJth"] = _normalized(raised_norm(diff, g_inv), scale)
 
     # (diffJth)  d(J theta) = 2 JS + theta ^ J theta - 2 |theta|^2 Omega
-    d_jtheta = exterior_derivative(chart, jtheta_field, p, k=1,
-                                   stencil=fd.NESTED).components
+    dj_form = exterior_of_partials(d_jtheta, 1)
     t1 = 2.0 * js_form
     t2 = wedge(theta, j_theta)
     t3 = -2.0 * norm_sq * omega
-    res["diffJth"] = _normalized(raised_norm(d_jtheta - t1 - t2 - t3, g_inv),
+    res["diffJth"] = _normalized(raised_norm(dj_form - t1 - t2 - t3, g_inv),
                                  [raised_norm(t, g_inv)
-                                  for t in (d_jtheta, t1, t2, t3)])
+                                  for t in (dj_form, t1, t2, t3)])
 
     # (lieJth)  [theta, J theta] = -|theta|^2 J theta     (as vector fields)
-    br = lie_bracket(theta_sharp_field, jtheta_sharp_field, p)
+    #            by the coordinate bracket v^j d_j w^k - w^j d_j v^k
+    d_sharp = fd.difference(_solve(around.g, around.theta), fd.NESTED)
+    d_jsharp = fd.difference(_solve(around.g, jtheta_of(around)), fd.NESTED)
+    br = (_solve(g, theta) @ d_jsharp
+          - _solve(g, jtheta_of(parts)) @ d_sharp)
     rhs_br = -norm_sq * (g_inv @ j_theta)
     res["lieJth"] = _normalized(vector_norm(br - rhs_br, g),
                                 [vector_norm(br, g), vector_norm(rhs_br, g)])
 
     # (codiffth)  delta(theta ^ J theta) = (delta theta + |theta|^2) J theta
-    d_tj = codifferential(chart, theta_wedge_jtheta_field, p, k=2,
-                          stencil=fd.NESTED, gamma=parts.gamma).components
+    d_tj = codifferential_of(_covariant(
+        wedge_jtheta_of(around), wedge_jtheta_of(parts), parts.gamma, (2, 0),
+        fd.NESTED), g_inv)
     rhs_tj = (delta_theta + norm_sq) * j_theta
     res["codiffth"] = _normalized(vector_norm(d_tj - rhs_tj, g_inv),
                                   [vector_norm(d_tj, g_inv),
                                    vector_norm(rhs_tj, g_inv)])
 
     # (codiffom)  delta(|theta|^2 Omega) = -J(d|theta|^2) + (2-2n)|theta|^2 J theta
-    d_no = codifferential(chart, norm_sq_omega_field, p, k=2,
-                          stencil=fd.NESTED, gamma=parts.gamma).components
+    d_no = codifferential_of(_covariant(
+        norm_sq_omega_of(around), norm_sq_omega_of(parts), parts.gamma,
+        (2, 0), fd.NESTED), g_inv)
     t1 = J.T @ d_norm_sq                      # -J(d|theta|^2) = +J^T d|theta|^2
     t2 = (2.0 - n2) * norm_sq * j_theta
     res["codiffom"] = _normalized(vector_norm(d_no - t1 - t2, g_inv),
@@ -329,11 +307,15 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
 
     # (eqJdel2)  delta S = (delta theta) theta - 1/2 d|theta|^2 - lambda theta
     #            + d(delta theta)
-    delta_s = -np.einsum("ab,ab...->...", g_inv,
-                         covariant_derivative_full(chart, s_field, p, (2, 0),
-                                                   stencil=fd.DEEP,
-                                                   gamma=parts.gamma))
-    d_delta_theta = fd.gradient(delta_theta_field, p, fd.DEEP)
+    # the parts and the NESTED pass on the DEEP stencil
+    chart.require_inside(p, margin=fd.DEEP.extent)
+    deep_points = fd.stencil_points(p, fd.DEEP)
+    deep = lee_form_parts(H, deep_points)
+    deep_ntheta = nested_lee(H, deep_points, deep).ntheta
+    deep_delta_theta = -np.einsum("...ij,...ij->...", deep.g_inv, deep_ntheta)
+    delta_s = -np.einsum("ab,ab...->...", g_inv, _covariant(
+        s_of(deep, deep_ntheta), s_cov, parts.gamma, (2, 0), fd.DEEP))
+    d_delta_theta = fd.difference(deep_delta_theta, fd.DEEP)
     terms = [delta_theta * theta, -0.5 * d_norm_sq, -lam * theta, d_delta_theta]
     res["eqJdel2"] = _normalized(vector_norm(delta_s - sum(terms), g_inv),
                                  [vector_norm(t, g_inv)
@@ -341,8 +323,9 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
 
     # (eqJdel3)  J delta(JS) + delta S = -(delta theta) theta - d|theta|^2
     #            - |theta|^2 theta
-    delta_js = codifferential(chart, js_form_field, p, k=2,
-                              stencil=fd.DEEP, gamma=parts.gamma).components
+    delta_js = codifferential_of(_covariant(
+        js_form_of(deep, deep_ntheta), js_form_of(parts, ntheta), parts.gamma,
+        (2, 0), fd.DEEP), g_inv)
     lhs3 = -J.T @ delta_js + delta_s
     terms3 = [-delta_theta * theta, -d_norm_sq, -norm_sq * theta]
     res["eqJdel3"] = _normalized(vector_norm(lhs3 - sum(terms3), g_inv),
@@ -359,7 +342,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
     # (eqf)  d f = (2 lambda - 3 f + (4-2n)|theta|^2) theta,
     #        f = delta theta + |theta|^2
     f_val = delta_theta + norm_sq
-    df = fd.gradient(f_field, p, fd.DEEP)
+    df = fd.difference(deep_delta_theta + norm_sq_of(deep), fd.DEEP)
     rhs_f = (2.0 * lam - 3.0 * f_val + (4.0 - n2) * norm_sq) * theta
     res["eqf"] = _normalized(vector_norm(df - rhs_f, g_inv),
                              [vector_norm(df, g_inv),
@@ -447,8 +430,7 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
         raise PreconditionError("I and J must share one chart metric")
     chart = I.chart
     # J's Lee-form pass gives the metric of the chart I and J share
-    parts_at = lee_parts_at(J)
-    parts = parts_at(p)
+    parts = lee_form_parts(J, p)
     g, g_inv, Jm, theta = parts.g, parts.g_inv, parts.J, parts.theta
     Im = I.J(p)
     n = I.n
@@ -497,9 +479,9 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
                                 raised_norm(rhs_s, g_inv)])
 
     # (deromega)  nabla_X sigma = 1/2 (X ^ I theta - IX ^ theta) - <X,theta> sigma
-    nsigma = covariant_derivative_full(chart, lambda q: _pair_sigma(I, J, q), p,
-                                       (2, 0), stencil=fd.DIRECT,
-                                       gamma=parts.gamma)
+    nsigma = covariant_partials(
+        fd.gradient(lambda q: _pair_forms(I, J, q)[2], p, fd.DIRECT), sigma,
+        parts.gamma, (2, 0))
     lhs_d = np.tensordot(x, nsigma, axes=(0, 0))
     rhs_d = (0.5 * (wedge(g @ x, i_theta) - wedge(g @ (Im @ x), theta))
              - float(theta @ x) * sigma)
@@ -508,7 +490,7 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
                                    raised_norm(rhs_d, g_inv)])
 
     # (nablath)  sum_i <IJ nabla_{e_i} theta, e_i> = 2(n-1)|theta|^2 + delta theta
-    ntheta = nabla_theta(J, p, parts_at=parts_at)
+    ntheta = nested_lee(J, p, parts).ntheta
     delta_theta = -float(np.einsum("ij,ij->", g_inv, ntheta))
     lhs_t = float(np.trace(Im @ Jm @ g_inv @ ntheta.T))
     rhs_t = 2.0 * (n - 1.0) * norm_sq + delta_theta
@@ -572,31 +554,26 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
     Im = I.J(p)
     phi_p = potential(p)
 
-    # computed once on each stack: the partials of sigma~ and the trace
-    # gradient read it on the same DIRECT stencil
-    @fd.per_stack
-    def sigma_tilde_local(q):
-        scale = np.exp(phi_p + potential.increment(p, q))
-        return scale[..., None, None] * _pair_sigma(I, J, q)
-
-    def trace_local(q):
-        gq = np.asarray(chart.metric_fn(q), dtype=float)
-        g_inv_q = np.linalg.inv(gq)
-        om_i = form_of_endomorphism(I.J(q), gq)
-        st = sigma_tilde_local(q)
-        return 0.5 * np.einsum("...ab,...cd,...ac,...bd->...",
-                               st, om_i, g_inv_q, g_inv_q)
+    # sigma~ and the trace of sigma~ on the DIRECT stencil, whose metric
+    # values also give the Christoffel symbols
+    chart.require_inside(p, margin=fd.DIRECT.extent)
+    around = fd.stencil_points(p, fd.DIRECT)
+    scale = np.exp(phi_p + potential.increment(p, around))
+    g_around, om_i, sigma = _pair_forms(I, J, around)
+    sigma_tilde = scale[..., None, None] * sigma
+    g_inv_around = np.linalg.inv(g_around)
+    trace = 0.5 * np.einsum("...ab,...cd,...ac,...bd->...", sigma_tilde, om_i,
+                            g_inv_around, g_inv_around)
+    g_inv = np.linalg.inv(g)
+    gamma = levi_civita(chart.metric_jacobian(p, values=g_around), g_inv)
 
     # sigma~ at p is e^phi(p) sigma: theta over the segment p -> p is +0.0
-    chart.require_inside(p, margin=fd.DIRECT.extent)
-    lhs = np.tensordot(x, covariant_partials(
-        fd.gradient(sigma_tilde_local, p, fd.DIRECT),
-        np.exp(phi_p) * _pair_sigma(I, J, p), christoffel_components(chart, p),
-        (2, 0)), axes=(0, 0))
-    d_tr = fd.gradient(trace_local, p, fd.DIRECT)
+    lhs = np.tensordot(x, _covariant(
+        sigma_tilde, np.exp(phi_p) * _pair_forms(I, J, p)[2], gamma, (2, 0),
+        fd.DIRECT), axes=(0, 0))
+    d_tr = fd.difference(trace, fd.DIRECT)
     dc_tr = -Im.T @ d_tr
     rhs = 0.5 * (wedge(d_tr, g @ (Im @ x)) - wedge(dc_tr, g @ x))
-    g_inv = np.linalg.inv(g)
     if not normalized:
         return raised_norm(lhs - rhs, g_inv)
     return _normalized(raised_norm(lhs - rhs, g_inv),
@@ -620,10 +597,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
     """
     p = np.asarray(p, dtype=float)
     chart = avg.chart
-    # the Lee-form parts on each stack, computed once: the NESTED stencils of
-    # theta0, xi, I xi, zeta, I zeta and d xi all evaluate them on one stack
-    parts_at = lee_parts_at(avg)
-    parts = parts_at(p)
+    parts = lee_form_parts(avg, p)
     g, g_inv, Im = parts.g, parts.g_inv, parts.J
     if x is None:
         x = np.random.default_rng(0).standard_normal(chart.dim)
@@ -631,7 +605,10 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
 
     theta0 = parts.theta
     i_theta0 = -Im.T @ theta0
-    ntheta0 = nabla_theta(avg, p, parts_at=parts_at)
+    # the NESTED pass of theta0 gives the parts that the NESTED stencils of
+    # xi, I xi, zeta, I zeta and d xi read
+    nested = nested_lee(avg, p, parts)
+    ntheta0, around = nested.ntheta, nested.around
 
     # least-squares fit of f over the 2n coordinate directions
     basis = np.einsum("c,j->cj", theta0, theta0) + np.einsum("c,j->cj", i_theta0, i_theta0)
@@ -642,30 +619,41 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
         fit_res, [raised_norm(ntheta0, g_inv),
                   abs(f_val) * raised_norm(basis, g_inv)])}
 
-    def xi_field(q):
-        at = parts_at(q)
+    def xi_of(at):
         return _solve(at.g, j_on_forms(at.J, at.theta))
 
-    xi = xi_field(p)
+    def i_xi_of(at):
+        return np.matvec(at.J, xi_of(at))
+
+    def zeta_of(at):
+        w = i_xi_of(at)
+        return w / np.sqrt(abs(np.vecdot(np.vecmat(w, at.g), w)))[..., None]
+
+    def i_zeta_of(at):
+        return np.matvec(at.J, zeta_of(at))
+
+    def nabla0(of):
+        """nabla0 of the vector field ``of`` of the parts, at p."""
+        return _covariant(of(around), of(parts), parts.gamma, (0, 1),
+                          fd.NESTED)
+
+    xi = xi_of(parts)
     xi_norm = vector_norm(xi, g)
     if xi_norm < 1e-5:
         raise SingularPointError(f"|xi| = {xi_norm:.2e} at {p}: zeta is undefined")
-    i_xi_field = lambda q: np.matvec(parts_at(q).J, xi_field(q))
-    i_xi = i_xi_field(p)
+    i_xi = i_xi_of(parts)
 
     gdot = lambda u, w: float(u @ g @ w)
 
     # (der0Jxi)  nabla0_X (I xi) = -f (<X, I xi> I xi + <X, xi> xi)
-    n_ixi = covariant_derivative_full(chart, i_xi_field, p, (0, 1),
-                                      stencil=fd.NESTED, gamma=parts.gamma)
+    n_ixi = nabla0(i_xi_of)
     lhs = x @ n_ixi
     rhs = -f_val * (gdot(x, i_xi) * i_xi + gdot(x, xi) * xi)
     res["der0Jxi"] = _normalized(vector_norm(lhs - rhs, g),
                                  [vector_norm(lhs, g), vector_norm(rhs, g)])
 
     # (der0xi)  nabla0_X xi = (1+f)(<X,xi> I xi - <X,I xi> xi) - |xi|^2 I X
-    n_xi = covariant_derivative_full(chart, xi_field, p, (0, 1),
-                                     stencil=fd.NESTED, gamma=parts.gamma)
+    n_xi = nabla0(xi_of)
     lhs = x @ n_xi
     rhs = ((1.0 + f_val) * (gdot(x, xi) * i_xi - gdot(x, i_xi) * xi)
            - xi_norm ** 2 * (Im @ x))
@@ -673,13 +661,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
                                 [vector_norm(lhs, g), vector_norm(rhs, g)])
 
     # (derIxi)  nabla0_X zeta = -(f/|xi|) <X, xi> xi, zeta = I xi / |I xi|
-    def zeta_field(q):
-        gq = parts_at(q).g
-        w = i_xi_field(q)
-        return w / np.sqrt(abs(np.vecdot(np.vecmat(w, gq), w)))[..., None]
-
-    n_zeta = covariant_derivative_full(chart, zeta_field, p, (0, 1),
-                                       stencil=fd.NESTED, gamma=parts.gamma)
+    n_zeta = nabla0(zeta_of)
     lhs = x @ n_zeta
     rhs = -(f_val / xi_norm) * gdot(x, xi) * xi
     res["derIxi"] = _normalized(vector_norm(lhs - rhs, g),
@@ -687,15 +669,13 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
                                  abs(f_val) * xi_norm * vector_norm(x, g)])
 
     # (derzeta)  nabla0_zeta (I zeta) = 0
-    i_zeta_field = lambda q: np.matvec(parts_at(q).J, zeta_field(q))
-    n_izeta = covariant_derivative_full(chart, i_zeta_field, p, (0, 1),
-                                        stencil=fd.NESTED, gamma=parts.gamma)
-    zeta = zeta_field(p)
+    n_izeta = nabla0(i_zeta_of)
+    zeta = zeta_of(parts)
     res["derzeta"] = _normalized(vector_norm(zeta @ n_izeta, g), [1.0])
 
     # Killing:  (L_xi g)_ij = xi^k d_k g_ij + g_kj d_i xi^k + g_ik d_j xi^k
     dg = parts.dg
-    dxi = fd.gradient(xi_field, p, fd.NESTED)
+    dxi = fd.difference(xi_of(around), fd.NESTED)
     lie_g = (np.einsum("k,kij->ij", xi, dg)
              + np.einsum("ik,kj->ij", dxi, g)
              + np.einsum("jk,ik->ij", dxi, g))
@@ -746,15 +726,14 @@ def classify_structure(H: HermitianStructure, samples, loops=None,
     max_dtheta = 0.0
     for p in samples:
         p = np.asarray(p, dtype=float)
-        parts_at = lee_parts_at(H)
-        parts = parts_at(p)
+        parts = lee_form_parts(H, p)
         g, g_inv, theta = parts.g, parts.g_inv, parts.theta
         scale = float(np.sqrt(np.trace(g) / m))
-        lck = lck_residual(H, p, parts_at=parts_at)
+        lck = lck_residual(parts)
         if not lck <= LCK_GATE:     # a NaN residual fails the gate too
             raise NotLcKError(f"'{H.label}' fails the lcK gate at {p}: {lck:.2e}")
         # nabla theta and d theta come from one NESTED stencil of theta
-        nested = nested_lee(H, p, parts_at=parts_at)
+        nested = nested_lee(H, p, parts)
         dtheta = exterior_of_partials(nested.theta_partials, 1)
         at_p = (vector_norm(theta, g_inv) * scale,
                 raised_norm(nested.ntheta, g_inv) * scale ** 2,

@@ -38,7 +38,7 @@ from . import holonomy as hol, identities as idn, zoo
 from .calculus import exterior_of_partials
 from .charts import vector_norm, wedge
 from .errors import ParameterError
-from .hermitian import j_on_forms, lck_residual, lee_parts_at
+from .hermitian import j_on_forms, lck_residual, lee_form_parts, nested_lee
 
 SUITE_NAMES = ("lck-identities", "einstein-chain", "parallel-field",
                "commuting-pair", "hamiltonian-form", "average-metric",
@@ -208,12 +208,11 @@ def _suite_lck_identities(entry, config: SuiteConfig, rng) -> SuiteResult:
 
     def one(args):
         # every check at p reads the Lee-form parts at p (J, g, g^-1, the
-        # Christoffel symbols, the Omega partials and delta Omega) and on the
-        # NESTED stencil around it through one parts_at
+        # Christoffel symbols, the Omega partials and delta Omega), and the
+        # curvature checks the NESTED pass around it
         p, x, y = args
-        parts_at = lee_parts_at(H)
-        parts = parts_at(p)
-        r_dom = lck_residual(H, p, parts_at=parts_at)
+        parts = lee_form_parts(H, p)
+        r_dom = lck_residual(parts)
         theta_d = _lee_from_domega(
             exterior_of_partials(parts.omega_partials, 2), parts.omega)
         g_inv = parts.g_inv
@@ -222,8 +221,9 @@ def _suite_lck_identities(entry, config: SuiteConfig, rng) -> SuiteResult:
         num = delta_om - (2.0 - 2.0 * H.n) * j_theta_d
         vec = lambda t: vector_norm(t, g_inv)
         r_del = vec(num) / (1.0 + max(vec(delta_om), abs(2.0 - 2.0 * H.n) * vec(j_theta_d)))
-        r_nj = idn.nabla_j_residual(H, p, x, parts_at=parts_at)
-        r_rj, r_rjc = idn.curvature_j_residuals(H, p, x, y, parts_at=parts_at)
+        r_nj = idn.nabla_j_residual(parts, x)
+        r_rj, r_rjc = idn.curvature_j_residuals(
+            H, parts, nested_lee(H, p, parts), x, y)
         return r_nj, r_dom, r_del, r_rj, r_rjc
 
     rows = [one(args) for args in zip(pts, xs, ys)]

@@ -522,8 +522,10 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
     if base.dim != 2:
         raise ParameterError("the Calabi constructor needs a 2-dimensional "
                              "polar-coordinate Hodge base")
-    if b <= 0:
-        raise ParameterError("b must be positive")
+    if not b > 2.0 * r_margin:
+        raise ParameterError(
+            f"b = {b:g} leaves the chart's r-interval ({r_margin:g}, "
+            f"{b - r_margin:g}) empty: b must exceed {2.0 * r_margin:g}")
     if base.area is None or abs(base.area / (2.0 * math.pi)
                                 - round(base.area / (2.0 * math.pi))) > 1e-8:
         raise BundleError(

@@ -51,6 +51,18 @@ def test_numbers_are_drift():
     assert "| hopf{n=2} | fd | 1 | 0.00e+00 | 1.00e-01 |" in table
 
 
+def test_identity_is_counted_per_mode():
+    """One table per mode, so every fd report can be seen byte-identical
+    while an analytic one moved."""
+    analytic = CELL[:2] + ("analytic", 1)
+    table = drift.render(*drift.compare(
+        {CELL: _record(), analytic: _record()},
+        {CELL: _record(), analytic: _record(sha="b")})[1:])
+    fd_table, analytic_table = table.split("byte-identical analytic")
+    assert "| hopf{n=2} | 1/1 |" in fd_table
+    assert "| hopf{n=2} | 0/1 |" in analytic_table
+
+
 def test_an_infinite_gap_is_not_a_number():
     _, _, gaps, _, _ = drift.compare({CELL: _record(gap=None)},
                                      {CELL: _record(gap=None)})

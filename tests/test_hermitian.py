@@ -17,7 +17,7 @@ from lckgeo.errors import (ChartDomainError, CompatibilityError, MetricError,
 from lckgeo.hermitian import (HermitianStructure, conformal_rescale,
                               fundamental_form, lck_residual, lee_field,
                               lee_form, lee_form_components, lee_form_parts,
-                              lee_parts_at, nabla_theta, nested_lee,
+                              nabla_theta, nested_lee,
                               nijenhuis_residual, nijenhuis_tensor)
 
 
@@ -221,7 +221,7 @@ class TestLeeForm:
                 break
         assert failed
         # the residual really is a structural failure, not stencil noise
-        worst = max(lck_residual(H, p)
+        worst = max(lck_residual(lee_form_parts(H, p))
                     for p in H.chart.sample_points(rng, 5))
         assert worst > 1e-2
 
@@ -366,7 +366,7 @@ class TestNestedLee:
             for H in _variants(entry.main_structure):
                 chart = H.chart
                 p = chart.sample_points(rng, 1)[0]
-                nested = nested_lee(H, p)
+                nested = nested_lee(H, p, lee_form_parts(H, p))
                 where = (H.label, chart.metric_derivative_fn)
                 generic = covariant_derivative_full(
                     chart, lee_field(H), p, (1, 0), stencil=fd.NESTED)
@@ -385,9 +385,11 @@ class TestNestedLee:
         single = [[nabla_theta(H, q) for q in row] for row in pts]
         assert np.array_equal(stacked, np.array(single))
 
-    def test_shared_parts_are_computed_once_per_stack(self, hopf2):
-        """Through one lee_parts_at, the NESTED pass reuses the parts at p
-        that the lcK residual read, and a second pass evaluates nothing."""
+    def test_one_pass_evaluates_two_stacks_each(self, hopf2):
+        """lee_form_parts evaluates J on its DIRECT stencil and at p, and
+        nested_lee, given those parts, does the same on the NESTED stencil
+        points only; the parts it returns are those of lee_form_parts
+        there."""
         H = _stencil(hopf2.main_structure)
         calls = []
 
@@ -397,15 +399,14 @@ class TestNestedLee:
 
         H_counted = dataclasses.replace(H, J_fn=J_fn)
         p = H.chart.center()
-        parts_at = lee_parts_at(H_counted)
-        res = lck_residual(H_counted, p, parts_at=parts_at)
-        assert res == lck_residual(H, p)
-        assert len(calls) == 2                  # DIRECT stencil, then p
-        first = nested_lee(H_counted, p, parts_at=parts_at)
-        assert len(calls) == 4                  # the NESTED stack only
-        again = nested_lee(H_counted, p, parts_at=parts_at)
-        assert len(calls) == 4
-        assert np.array_equal(first.ntheta, again.ntheta)
+        parts = lee_form_parts(H_counted, p)
+        assert calls == [(4, 2, 4), (4,)]
+        nested = nested_lee(H_counted, p, parts)
+        assert calls[2:] == [(4, 4, 4, 2, 4), (4, 4, 4)]
+        around = lee_form_parts(H, fd.stencil_points(p, fd.NESTED))
+        for name in type(parts)._fields:
+            assert np.array_equal(getattr(nested.around, name),
+                                  getattr(around, name)), name
 
     def test_near_a_face(self, hopf2):
         """A base point within the NESTED extent of a face raises

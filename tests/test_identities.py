@@ -6,17 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from lckgeo import zoo
+from lckgeo import fd, zoo
 from lckgeo.charts import segment_loop
-from lckgeo.errors import (InconsistencyError, NotLcKError,
+from lckgeo.errors import (ChartDomainError, InconsistencyError, NotLcKError,
                            PreconditionError, SingularPointError)
-from lckgeo.hermitian import constant_rescale, HermitianStructure
+from lckgeo.hermitian import (HermitianStructure, constant_rescale,
+                              lee_form_parts, nested_lee)
 from lckgeo.identities import (PotentialField, average_metric_residuals,
                                classify_structure, commuting_pair_residuals,
                                curvature_j_residuals, einstein_chain_residuals,
                                einstein_deviation, hamiltonian_form_residual,
                                nabla_j_residual, parallel_field_residuals,
                                s_commutator_residual)
+from lckgeo.report import SuiteConfig, run
 
 CHAIN_NAMES = ("Sth", "trS", "nablaJth", "diffJth", "lieJth", "codiffth",
                "codiffom", "eqJdel2", "eqJdel3", "summ", "eqf")
@@ -55,21 +57,29 @@ def euclid4(euclid4):
     return zoo.stencil_only(euclid4)
 
 
+def _curvature_j(H, p, x, y):
+    parts = lee_form_parts(H, p)
+    return curvature_j_residuals(H, parts, nested_lee(H, p, parts), x, y)
+
+
 class TestNablaJ:
     def test_kahler_vanishes(self, warped_flat, rng):
         H = warped_flat.main_structure
         for p in H.chart.sample_points(rng, 3):
-            assert nabla_j_residual(H, p, rng.standard_normal(4)) < 1e-9
+            parts = lee_form_parts(H, p)
+            assert nabla_j_residual(parts, rng.standard_normal(4)) < 1e-9
 
     def test_hopf_sampled(self, hopf2, rng):
         H = hopf2.main_structure
-        worst = max(nabla_j_residual(H, p, rng.standard_normal(4))
+        worst = max(nabla_j_residual(lee_form_parts(H, p),
+                                     rng.standard_normal(4))
                     for p in H.chart.sample_points(rng, 25))
         assert worst < 1e-4
 
     def test_calabi_independent_paths(self, calabi_sin, rng):
         H = calabi_sin.structures["g_ell,J+"]
-        worst = max(nabla_j_residual(H, p, rng.standard_normal(4))
+        worst = max(nabla_j_residual(lee_form_parts(H, p),
+                                     rng.standard_normal(4))
                     for p in H.chart.sample_points(rng, 10))
         assert worst < 1e-4
 
@@ -78,15 +88,15 @@ class TestCurvatureJ:
     def test_kahler_both_sides_zero(self, warped_flat, rng):
         H = warped_flat.main_structure
         p = H.chart.sample_points(rng, 1)[0]
-        r1, r2 = curvature_j_residuals(H, p, rng.standard_normal(4),
-                                       rng.standard_normal(4))
+        r1, r2 = _curvature_j(H, p, rng.standard_normal(4),
+                              rng.standard_normal(4))
         assert r1 < 1e-8 and r2 < 1e-8
 
     def test_hopf_sampled(self, hopf2, rng):
         H = hopf2.main_structure
         for p in H.chart.sample_points(rng, 8):
-            r1, r2 = curvature_j_residuals(H, p, rng.standard_normal(4),
-                                           rng.standard_normal(4))
+            r1, r2 = _curvature_j(H, p, rng.standard_normal(4),
+                                  rng.standard_normal(4))
             assert r1 < 1e-4 and r2 < 1e-4
 
     def test_flat_inversion_contraction_closes(self, flat_inv2, rng):
@@ -97,8 +107,8 @@ class TestCurvatureJ:
         from lckgeo.calculus import riemann
         H = flat_inv2.main_structure
         for p in H.chart.sample_points(rng, 5):
-            r1, r2 = curvature_j_residuals(H, p, rng.standard_normal(4),
-                                           rng.standard_normal(4))
+            r1, r2 = _curvature_j(H, p, rng.standard_normal(4),
+                                  rng.standard_normal(4))
             assert r1 < 1e-4 and r2 < 1e-4
             R = riemann(H.chart, p).components
             assert np.max(np.abs(R)) < 1e-4
@@ -177,6 +187,47 @@ class TestEinsteinChain:
         H = flat_inv2.main_structure
         p = H.chart.sample_points(rng, 1)[0]
         assert einstein_deviation(H, p, 0.0) < 1e-5
+
+
+class TestNearAFace:
+    """A point inside the chart but within a stencil's extent of a face
+    raises ChartDomainError naming it with that stencil's extent."""
+
+    @staticmethod
+    def near_face(chart, stencil):
+        p = chart.center()
+        p[1] = chart.domain[1][0] + 0.5 * stencil.extent
+        assert chart.contains(p)
+        return p
+
+    @staticmethod
+    def message(chart, p, stencil):
+        return (f"point {p} outside chart '{chart.label}' domain with "
+                f"margin {stencil.extent}")
+
+    def test_einstein_chain_within_the_deep_extent(self, flat_inv2):
+        H = flat_inv2.main_structure
+        p = self.near_face(H.chart, fd.DEEP)
+        with pytest.raises(ChartDomainError) as err:
+            einstein_chain_residuals(H, p, 0.0)
+        assert str(err.value) == self.message(H.chart, p, fd.DEEP)
+
+    def test_curvature_j_within_the_nested_extent(self, hopf2):
+        """Through the lck-identities suite, whose curvature residuals read
+        the NESTED pass."""
+        chart = hopf2.main_structure.chart
+        p = self.near_face(chart, fd.NESTED)
+        with pytest.raises(ChartDomainError) as err:
+            run(SuiteConfig(manifold="hopf{n=2}", suites=("lck-identities",),
+                            at=tuple(p)))
+        assert str(err.value) == self.message(chart, p, fd.NESTED)
+
+    def test_hamiltonian_form_within_the_direct_extent(self, calabi_sin):
+        I, J = calabi_sin.pair.I, calabi_sin.pair.J
+        p = self.near_face(I.chart, fd.DIRECT)
+        with pytest.raises(ChartDomainError) as err:
+            hamiltonian_form_residual(I, J, p, np.ones(4), PotentialField(J))
+        assert str(err.value) == self.message(I.chart, p, fd.DIRECT)
 
 
 class TestParallelField:

@@ -198,7 +198,8 @@ class TestCli:
     @pytest.mark.parametrize("selector, message", [
         ("hopf{n=abc}", "must be an integer"),
         ("hopf{nn=3}", "takes no parameter 'nn'"),
-        ("hopf{n=2.7}", "must be an integer")])
+        ("hopf{n=2.7}", "must be an integer"),
+        ("calabi{ell=sin,b=0.5}", "r-interval (0.35, 0.15) empty")])
     def test_bad_selector_parameter_exit_two(self, capsys, selector, message):
         assert cli_main(["run", "--manifold", selector,
                          "--suite", "lck-identities", "--samples", "1"]) == 2
@@ -278,6 +279,24 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["at"] == [0.5, 0.5, 0.5, 0.5]
+
+    def test_at_flag_replays_a_worst_point_with_a_negative_coordinate(
+            self, capsys):
+        """As ``--at=x1,...``: a separate value with a leading minus sign
+        would be read as a flag."""
+        args = ["run", "--manifold", "warped{c=sin,base=cp1}",
+                "--suite", "lck-identities", "--json", "-"]
+
+        def d_omega(extra):
+            assert cli_main(args + extra) == 0
+            payload = json.loads(capsys.readouterr().out)
+            return payload["suites"][0]["residuals"]["dOmega"]
+
+        sampled = d_omega(["--samples", "3", "--seed", "1"])
+        worst = sampled["worst_point"]
+        assert worst[0] < 0
+        replayed = d_omega(["--at=" + ",".join(repr(x) for x in worst)])
+        assert replayed["max"] == sampled["max"]
 
     def test_at_flag_of_wrong_length_exit_two(self, capsys):
         code = cli_main(["run", "--manifold", "hopf{n=2}",
@@ -373,12 +392,30 @@ class TestEvaluationCounts:
                                 "lck-identities") == {
             "metric_fn": 2 * 153, "J_fn": 2 * 153}
 
+    @pytest.mark.parametrize("manifold, suite, metric_fn, J_fn", [
+        ("flat_inversion{n=2}", "einstein-chain", 2754, 2754),
+        ("calabi{ell=sin,b=pi}", "average-metric", 342, 324),
+        ("calabi{ell=sin,b=pi}", "commuting-pair", 644, 340),
+        ("hopf{n=2}", "parallel-field", 34, 52)])
+    def test_pinned_suite_counts(self, monkeypatch, manifold, suite,
+                                 metric_fn, J_fn):
+        """The suites that read the Lee-form parts, and parallel-field.
+        einstein-chain evaluates J and g at the same 1,377 points per sample:
+        p, its NESTED stencil and the DEEP stencil, each with its own DIRECT
+        stencil, and the NESTED stencil around each DEEP point.  On calabi
+        the pair metric is a rescaling of the counted g_ell, so each of its
+        points counts twice."""
+        assert self.counted_run(monkeypatch, manifold, suite) == {
+            "metric_fn": metric_fn, "J_fn": J_fn}
+
     def test_hamiltonian_form_takes_no_zero_length_segment(self, monkeypatch):
         """sigma~ at the sample itself is e^phi(p) sigma, with no Lee-form
-        integral over the segment from p to p (4 nodes of 9 points each)."""
+        integral over the segment from p to p (4 nodes of 9 points each).
+        The trace of sigma~ and the Christoffel symbols read the metric and
+        I on the DIRECT stencil where sigma~ does."""
         assert self.counted_run(monkeypatch, "calabi{ell=sin,b=pi}",
                                 "hamiltonian-form") == {
-            "metric_fn": 2412, "J_fn": 1206}
+            "metric_fn": 2344, "J_fn": 1190}
 
     @pytest.mark.parametrize("manifold", ["hopf{n=2}", "calabi{ell=sin,b=pi}"])
     def test_fd_mode_never_evaluates_metric_derivatives(self, monkeypatch,

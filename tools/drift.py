@@ -16,8 +16,8 @@ dim, ``agree``, ``pass``, residual names, counts and tolerances).  It exits
 them: per suite and residual the largest |change| of ``max`` or ``mean`` as
 a share of the tolerance, per holonomy estimate the relative change of
 ``rank_gap``, and per suite the largest relative change of any other number
-that moved.  Last comes a table of the reports that are byte-identical by
-sha256.
+that moved.  Last come two tables, one per mode, of the reports that are
+byte-identical by sha256.
 """
 
 from __future__ import annotations
@@ -207,20 +207,23 @@ def render(residuals, gaps, others, same) -> str:
     lines += [f"| {s} | {n} | {v:.2e} |"
               for (s, n), v in sorted(others.items()) if v]
     suites = list(dict.fromkeys(cell[1] for cell in same))
-    lines += ["", "byte-identical reports (sha256), of the mode x seed runs; "
-              "* marks a suite that does not run on the entry, whose error "
-              "is compared", "", "| selector | " + " | ".join(suites) + " |",
-              "|---|" + "---|" * len(suites)]
-    for sel in dict.fromkeys(cell[0] for cell in same):
-        row = []
-        for suite in suites:
-            runs = [v for k, v in same.items() if k[:2] == (sel, suite)]
-            if not runs:
-                row.append("")
-                continue
-            mark = "*" if all(err for _, err in runs) else ""
-            row.append(f"{sum(s for s, _ in runs)}/{len(runs)}{mark}")
-        lines.append(f"| {sel} | " + " | ".join(row) + " |")
+    for mode in MODES:
+        lines += ["", f"byte-identical {mode} reports (sha256), of the seed "
+                  "runs; * marks a suite that does not run on the entry, "
+                  "whose error is compared", "",
+                  "| selector | " + " | ".join(suites) + " |",
+                  "|---|" + "---|" * len(suites)]
+        for sel in dict.fromkeys(cell[0] for cell in same):
+            row = []
+            for suite in suites:
+                runs = [v for k, v in same.items()
+                        if k[:3] == (sel, suite, mode)]
+                if not runs:
+                    row.append("")
+                    continue
+                mark = "*" if all(err for _, err in runs) else ""
+                row.append(f"{sum(s for s, _ in runs)}/{len(runs)}{mark}")
+            lines.append(f"| {sel} | " + " | ".join(row) + " |")
     return "\n".join(lines)
 
 
