@@ -21,6 +21,7 @@ is not one of :data:`CONFIG_KEYS` is a configuration error.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import LckError, ParameterError
@@ -28,8 +29,7 @@ from .report import SUITE_NAMES, SuiteConfig, emit, exit_code, run
 
 # the destinations of the ``run`` flags, ``suites`` for the repeatable
 # --suite, less the outputs and --config itself
-CONFIG_KEYS = ("manifold", "suites", "samples", "seed", "mode", "tol_id",
-               "tol_chain", "tol_ode", "at")
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(SuiteConfig))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,12 +82,12 @@ def _read_config_file(path: str) -> dict:
 def _assemble_config(args) -> SuiteConfig:
     file_vals = _read_config_file(args.config) if args.config else {}
 
-    def pick(flag, key, cast, default=None):
+    def pick(flag, key, cast):
         if flag is not None:
             return flag
         if key in file_vals:
             return cast(file_vals[key])
-        return default
+        return None
 
     manifold = pick(args.manifold, "manifold", str)
     if not manifold:
@@ -102,18 +102,14 @@ def _assemble_config(args) -> SuiteConfig:
     if at_text:
         at = tuple(float(x) for x in at_text.split(","))
 
-    kwargs = dict(
-        manifold=manifold, suites=tuple(suites),
-        samples=pick(args.samples, "samples", int, 100),
-        seed=pick(args.seed, "seed", int, 7),
-        mode=pick(args.mode, "mode", str, "fd"),
-        tol_chain=pick(args.tol_chain, "tol_chain", float, 1e-3),
-        tol_ode=pick(args.tol_ode, "tol_ode", float, 1e-6),
-        at=at,
-    )
-    tol_id = pick(args.tol_id, "tol_id", float)
-    if tol_id is not None:
-        kwargs["tol_id"] = tol_id
+    # only the values a flag or the file gives: SuiteConfig holds the defaults
+    kwargs = dict(manifold=manifold, suites=tuple(suites), at=at)
+    for key, cast in (("samples", int), ("seed", int), ("mode", str),
+                      ("tol_chain", float), ("tol_ode", float),
+                      ("tol_id", float)):
+        value = pick(getattr(args, key), key, cast)
+        if value is not None:
+            kwargs[key] = value
     return SuiteConfig(**kwargs)
 
 

@@ -13,6 +13,9 @@ wedge endomorphism is (X ^ tau)(Y) = g(X, Y) tau_sharp - tau(Y) X):
 * its frame contraction
   sum_j (R_{X,e_j} J)(e_j) = (2n-3)(theta(X) J theta - |theta|^2 JX
     + J nabla_X theta) - theta(JX) theta - nabla_{JX} theta - (delta theta) JX
+* :func:`lck_identity_residuals`, the five lcK identities at a sample: the
+  three above, d Omega = 2 theta ^ Omega, and delta Omega = (2-2n) J theta
+  with theta read from d Omega by least squares (the cross road)
 * the Einstein-case chain (S = nabla theta + theta (x) theta, f = delta theta
   + |theta|^2):  S theta, tr S, nabla(J theta), d(J theta), [theta, J theta],
   delta(theta ^ J theta), delta(|theta|^2 Omega), delta S, J delta(JS) + delta S,
@@ -152,6 +155,37 @@ def curvature_j_residuals(H: HermitianStructure, parts: LeeParts,
     c_norms = [vector_norm(t, g) for t in c_terms] + [vector_norm(lhs_c, g)]
     res_contr = _normalized(vector_norm(lhs_c - rhs_c, g), c_norms)
     return res_full, res_contr
+
+
+def lck_identity_residuals(H: HermitianStructure, p, x, y) -> dict:
+    """The lcK identities at p in the directions x, y: nablaJ, dOmega,
+    deltaOmega, RJ and RJcontr.
+
+    Every check reads the Lee-form parts at p, and the curvature checks the
+    NESTED pass around it.  deltaOmega takes theta from d Omega = 2 theta ^
+    Omega by least squares, so it crosses the d Omega road with the delta
+    Omega road that gives parts.theta.
+    """
+    p = np.asarray(p, dtype=float)
+    parts = lee_form_parts(H, p)
+    omega, g_inv = parts.omega, parts.g_inv
+    cols = [2.0 * wedge(e, omega).reshape(-1)
+            for e in np.eye(omega.shape[-1])]
+    d_omega = exterior_of_partials(parts.omega_partials, 2)
+    theta_d, *_ = np.linalg.lstsq(np.array(cols).T, d_omega.reshape(-1),
+                                  rcond=None)
+    j_theta_d = j_on_forms(parts.J, theta_d)
+    delta_om = parts.delta_omega
+    coef = 2.0 - 2.0 * H.n
+    r_rj, r_rjc = curvature_j_residuals(H, parts, nested_lee(H, p, parts),
+                                        x, y)
+    return {"nablaJ": nabla_j_residual(parts, x),
+            "dOmega": lck_residual(parts),
+            "deltaOmega": _normalized(
+                vector_norm(delta_om - coef * j_theta_d, g_inv),
+                [vector_norm(delta_om, g_inv),
+                 abs(coef) * vector_norm(j_theta_d, g_inv)]),
+            "RJ": r_rj, "RJcontr": r_rjc}
 
 
 def s_commutator_residual(H: HermitianStructure, p) -> float:
@@ -380,8 +414,8 @@ def parallel_field_residuals(H: HermitianStructure, p, v) -> dict:
     omega = parts.omega
 
     jv_field = lambda q: H.J(q) @ v
-    njv = covariant_derivative_full(chart, jv_field, p, (0, 1),
-                                    stencil=fd.DIRECT, gamma=parts.gamma)
+    njv = covariant_partials(fd.gradient(jv_field, p, fd.DIRECT), jv,
+                             parts.gamma, (0, 1))
     res = {}
     rows_lhs = []
     rows_rhs = []
@@ -568,9 +602,11 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
     gamma = levi_civita(chart.metric_jacobian(p, values=g_around), g_inv)
 
     # sigma~ at p is e^phi(p) sigma: theta over the segment p -> p is +0.0
+    sigma_p = 0.5 * (form_of_endomorphism(Im, g)
+                     + form_of_endomorphism(J.J(p), g))
     lhs = np.tensordot(x, _covariant(
-        sigma_tilde, np.exp(phi_p) * _pair_forms(I, J, p)[2], gamma, (2, 0),
-        fd.DIRECT), axes=(0, 0))
+        sigma_tilde, np.exp(phi_p) * sigma_p, gamma, (2, 0), fd.DIRECT),
+        axes=(0, 0))
     d_tr = fd.difference(trace, fd.DIRECT)
     dc_tr = -Im.T @ d_tr
     rhs = 0.5 * (wedge(d_tr, g @ (Im @ x)) - wedge(dc_tr, g @ x))

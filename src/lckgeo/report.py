@@ -19,6 +19,11 @@ holonomy               curvature-span and loop estimators + agreement
 classify               Kahler / gcK / strictly-lcK / Vaisman + periods
 =====================  =====================================================
 
+Each of the first six suites is its applicability check plus one call of
+``_sampled``, which draws the points and direction stacks and tabulates the
+:mod:`lckgeo.identities` check at each sample.  Every residual's tolerance
+tier is set in one table, ``_TOLERANCES``; a name with no tier raises.
+
 Exit-code contract (used by the CLI): 0 all pass, 1 residual failure,
 2 configuration error, 3 inconclusive holonomy.
 """
@@ -29,16 +34,13 @@ import json
 import math
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import holonomy as hol, identities as idn, zoo
-from .calculus import exterior_of_partials
-from .charts import vector_norm, wedge
 from .errors import ParameterError
-from .hermitian import j_on_forms, lck_residual, lee_form_parts, nested_lee
 
 SUITE_NAMES = ("lck-identities", "einstein-chain", "parallel-field",
                "commuting-pair", "hamiltonian-form", "average-metric",
@@ -87,13 +89,10 @@ class SuiteConfig:
                     f"{name} must be a finite positive number")
 
     def as_dict(self) -> dict:
-        return {
-            "manifold": self.manifold, "suites": list(self.suites),
-            "samples": self.samples, "seed": self.seed, "mode": self.mode,
-            "tol_id": self.tol_id,
-            "tol_chain": self.tol_chain, "tol_ode": self.tol_ode,
-            "at": list(self.at) if self.at is not None else None,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["suites"] = list(self.suites)
+        out["at"] = list(self.at) if self.at is not None else None
+        return out
 
 
 @dataclass
@@ -160,8 +159,7 @@ class ResidualTable:
         return all(v["pass"] for v in self.summarize().values())
 
 
-def _sample_points(entry, config: SuiteConfig, rng, chart=None):
-    chart = chart or entry.main_structure.chart
+def _sample_points(config: SuiteConfig, rng, chart):
     if config.at is not None:
         if len(config.at) != chart.dim:
             raise ParameterError(
@@ -171,67 +169,70 @@ def _sample_points(entry, config: SuiteConfig, rng, chart=None):
     return chart.sample_points(rng, config.samples)
 
 
-def _lee_from_domega(d_omega: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Least-squares Lee form from d Omega = 2 theta ^ Omega (the cross road)."""
-    m = omega.shape[-1]
-    cols = []
-    for l in range(m):
-        e = np.zeros(m)
-        e[l] = 1.0
-        cols.append(2.0 * wedge(e, omega).reshape(-1))
-    A = np.array(cols).T
-    theta, *_ = np.linalg.lstsq(A, d_omega.reshape(-1), rcond=None)
-    return theta
+# The tolerance tier of every residual a suite reports: a SuiteConfig field,
+# TOL_FD, or "lee_derived" for residuals containing Lee-form derivatives.
+# J carries no analytic derivatives, so those are stencil-floored near 1e-7
+# even in analytic mode, where their tier is max(tol_id, 1e-6).  The classify
+# periods are the one exception: a nonzero expected period is held to tol_id
+# and a zero one to TOL_FD.
+_TOLERANCES = {
+    **dict.fromkeys(("nablaJ", "dOmega", "deltaOmega", "nablaJV", "ddJV", "ab",
+                     "a_const", "commute", "traceIJ", "to", "sigma",
+                     "deromega", "theta0_vs_pair", "skew_defect_span",
+                     "skew_defect_loop"), "tol_id"),
+    **dict.fromkeys(("Sth", "trS", "nablaJth", "diffJth", "lieJth",
+                     "codiffth", "codiffom", "eqJdel2", "eqJdel3", "summ",
+                     "eqf", "eqJ", "nablath", "et", "tilom", "der0theta",
+                     "der0Jxi", "der0xi", "derIxi", "derzeta"), "tol_chain"),
+    **dict.fromkeys(("RJ", "RJcontr", "killing"), "lee_derived"),
+    "Itheta": "TOL_FD",
+}
+
+# values a check returns beside its residuals, which are not tabulated
+_NOT_RESIDUALS = ("a", "b", "f")
+
+
+def _tolerance(name: str, config: SuiteConfig) -> float:
+    tier = _TOLERANCES.get(name)
+    if tier is None:
+        raise KeyError(f"residual {name!r} has no tolerance tier")
+    if tier == "TOL_FD":
+        return TOL_FD
+    if tier == "lee_derived":
+        return (max(config.tol_id, 1e-6) if config.mode == "analytic"
+                else config.tol_id)
+    return getattr(config, tier)
 
 
 # ---------------------------------------------------------------------------
 # suite implementations
 # ---------------------------------------------------------------------------
 
-def _lee_derived_tol(config: SuiteConfig) -> float:
-    """Tolerance for residuals containing Lee-form *derivatives*.
-
-    J carries no analytic derivatives, so these terms are stencil-floored
-    near 1e-7 even in analytic mode; 1e-6 is the tight-but-safe bound there.
-    """
-    if config.mode == "analytic":
-        return max(config.tol_id, 1e-6)
-    return config.tol_id
+def _sampled(config: SuiteConfig, rng, chart, check,
+             directions: int = 0) -> tuple:
+    """Draw the sample points on ``chart``, then ``directions`` stacks of
+    one direction per sample, and tabulate ``check(p, *directions at p)``
+    at each sample in order.  Returns the table and the (p, values) of
+    every sample."""
+    pts = _sample_points(config, rng, chart)
+    dirs = [rng.standard_normal((len(pts), chart.dim))
+            for _ in range(directions)]
+    table = ResidualTable()
+    rows = []
+    for p, *xs in zip(pts, *dirs):
+        res = check(p, *xs)
+        for name, val in res.items():
+            if name not in _NOT_RESIDUALS:
+                table.add(name, abs(val), p, _tolerance(name, config))
+        rows.append((p, res))
+    return table, rows
 
 
 def _suite_lck_identities(entry, config: SuiteConfig, rng) -> SuiteResult:
     H = entry.main_structure
-    pts = _sample_points(entry, config, rng)
-    xs = rng.standard_normal((len(pts), H.chart.dim))
-    ys = rng.standard_normal((len(pts), H.chart.dim))
-    table = ResidualTable()
-
-    def one(args):
-        # every check at p reads the Lee-form parts at p (J, g, g^-1, the
-        # Christoffel symbols, the Omega partials and delta Omega), and the
-        # curvature checks the NESTED pass around it
-        p, x, y = args
-        parts = lee_form_parts(H, p)
-        r_dom = lck_residual(parts)
-        theta_d = _lee_from_domega(
-            exterior_of_partials(parts.omega_partials, 2), parts.omega)
-        g_inv = parts.g_inv
-        j_theta_d = j_on_forms(parts.J, theta_d)
-        delta_om = parts.delta_omega
-        num = delta_om - (2.0 - 2.0 * H.n) * j_theta_d
-        vec = lambda t: vector_norm(t, g_inv)
-        r_del = vec(num) / (1.0 + max(vec(delta_om), abs(2.0 - 2.0 * H.n) * vec(j_theta_d)))
-        r_nj = idn.nabla_j_residual(parts, x)
-        r_rj, r_rjc = idn.curvature_j_residuals(
-            H, parts, nested_lee(H, p, parts), x, y)
-        return r_nj, r_dom, r_del, r_rj, r_rjc
-
-    rows = [one(args) for args in zip(pts, xs, ys)]
-    curvature_tol = _lee_derived_tol(config)
-    for p, row in zip(pts, rows):
-        for name, val in zip(("nablaJ", "dOmega", "deltaOmega", "RJ", "RJcontr"), row):
-            tol = curvature_tol if name in ("RJ", "RJcontr") else config.tol_id
-            table.add(name, val, p, tol)
+    table, _ = _sampled(config, rng, H.chart,
+                        lambda p, x, y: idn.lck_identity_residuals(H, p, x, y),
+                        directions=2)
     return SuiteResult("lck-identities", table.summarize(), table.all_pass())
 
 
@@ -241,12 +242,8 @@ def _suite_einstein_chain(entry, config: SuiteConfig, rng) -> SuiteResult:
                              "einstein-chain does not apply")
     H = entry.main_structure
     lam = float(entry.einstein_lambda)
-    pts = _sample_points(entry, config, rng)
-    table = ResidualTable()
-    rows = [idn.einstein_chain_residuals(H, p, lam) for p in pts]
-    for p, res in zip(pts, rows):
-        for name, val in res.items():
-            table.add(name, val, p, config.tol_chain)
+    table, _ = _sampled(config, rng, H.chart,
+                        lambda p: idn.einstein_chain_residuals(H, p, lam))
     return SuiteResult("einstein-chain", table.summarize(), table.all_pass())
 
 
@@ -254,39 +251,23 @@ def _suite_parallel_field(entry, config: SuiteConfig, rng) -> SuiteResult:
     if entry.parallel_field is None:
         raise ParameterError(f"{entry.label} declares no parallel field")
     H = entry.main_structure
-    pts = _sample_points(entry, config, rng)
-    table = ResidualTable()
-    a_values = []
-    for p in pts:
-        res = idn.parallel_field_residuals(H, p, entry.parallel_field)
-        table.add("nablaJV", res["nablaJV"], p, config.tol_id)
-        table.add("ddJV", res["ddJV"], p, config.tol_id)
-        table.add("ab", res["ab"], p, config.tol_id)
-        a_values.append((res["a"], p))
-    mean_a = float(np.mean([a for a, _ in a_values]))
-    for a, p in a_values:
-        table.add("a_const", abs(a - mean_a), p, config.tol_id)
+    table, rows = _sampled(
+        config, rng, H.chart,
+        lambda p: idn.parallel_field_residuals(H, p, entry.parallel_field))
+    mean_a = float(np.mean([res["a"] for _, res in rows]))
+    for p, res in rows:
+        table.add("a_const", abs(res["a"] - mean_a), p,
+                  _tolerance("a_const", config))
     return SuiteResult("parallel-field", table.summarize(), table.all_pass())
-
-
-_PAIR_TOLS = {"commute": "tol_id", "traceIJ": "tol_id", "eqJ": "tol_chain",
-              "to": "tol_id", "sigma": "tol_id", "deromega": "tol_id",
-              "nablath": "tol_chain", "et": "tol_chain"}
 
 
 def _suite_commuting_pair(entry, config: SuiteConfig, rng) -> SuiteResult:
     if entry.pair is None:
         raise ParameterError(f"{entry.label} has no Kahler/lcK pair")
     I, J = entry.pair.I, entry.pair.J
-    pts = _sample_points(entry, config, rng, chart=I.chart)
-    xs = rng.standard_normal((len(pts), I.chart.dim))
-    table = ResidualTable()
-    rows = [idn.commuting_pair_residuals(I, J, p, x) for p, x in zip(pts, xs)]
-    for p, res in zip(pts, rows):
-        for name, val in res.items():
-            tol = (TOL_FD if name == "Itheta"
-                   else getattr(config, _PAIR_TOLS[name]))
-            table.add(name, val, p, tol)
+    table, _ = _sampled(config, rng, I.chart,
+                        lambda p, x: idn.commuting_pair_residuals(I, J, p, x),
+                        directions=1)
     return SuiteResult("commuting-pair", table.summarize(), table.all_pass())
 
 
@@ -295,20 +276,11 @@ def _suite_hamiltonian_form(entry, config: SuiteConfig, rng) -> SuiteResult:
         raise ParameterError(f"{entry.label} has no Kahler/lcK pair")
     I, J = entry.pair.I, entry.pair.J
     pot = idn.PotentialField(J)
-    pts = _sample_points(entry, config, rng, chart=I.chart)
-    xs = rng.standard_normal((len(pts), I.chart.dim))
-    table = ResidualTable()
-    rows = [idn.hamiltonian_form_residual(I, J, p, x, pot)
-            for p, x in zip(pts, xs)]
-    for p, val in zip(pts, rows):
-        table.add("tilom", val, p, config.tol_chain)
+    table, _ = _sampled(
+        config, rng, I.chart,
+        lambda p, x: {"tilom": idn.hamiltonian_form_residual(I, J, p, x, pot)},
+        directions=1)
     return SuiteResult("hamiltonian-form", table.summarize(), table.all_pass())
-
-
-_AVG_TOLS = {"der0theta": "tol_chain", "der0Jxi": "tol_chain",
-             "der0xi": "tol_chain", "derIxi": "tol_chain",
-             "derzeta": "tol_chain", "killing": "tol_id",
-             "theta0_vs_pair": "tol_id"}
 
 
 def _suite_average_metric(entry, config: SuiteConfig, rng) -> SuiteResult:
@@ -316,17 +288,10 @@ def _suite_average_metric(entry, config: SuiteConfig, rng) -> SuiteResult:
         raise ParameterError(f"{entry.label} has no average-metric data")
     avg = entry.average
     pair_J = entry.pair.J if entry.pair is not None else None
-    pts = _sample_points(entry, config, rng, chart=avg.chart)
-    xs = rng.standard_normal((len(pts), avg.chart.dim))
-    table = ResidualTable()
-    for p, x in zip(pts, xs):
-        res = idn.average_metric_residuals(avg, p, x, pair_J=pair_J)
-        for name, val in res.items():
-            if name == "f":
-                continue
-            tol = (_lee_derived_tol(config) if name == "killing"
-                   else getattr(config, _AVG_TOLS[name]))
-            table.add(name, abs(val), p, tol)
+    table, _ = _sampled(
+        config, rng, avg.chart,
+        lambda p, x: idn.average_metric_residuals(avg, p, x, pair_J=pair_J),
+        directions=1)
     return SuiteResult("average-metric", table.summarize(), table.all_pass())
 
 
@@ -355,8 +320,9 @@ def _suite_holonomy(entry, config: SuiteConfig, rng) -> SuiteResult:
     matches = expected is None or (est_span.classification == expected)
 
     table = ResidualTable()
-    table.add("skew_defect_span", est_span.skew_defect, base, config.tol_id)
-    table.add("skew_defect_loop", est_loop.skew_defect, base, config.tol_id)
+    for name, est in (("skew_defect_span", est_span),
+                      ("skew_defect_loop", est_loop)):
+        table.add(name, est.skew_defect, base, _tolerance(name, config))
     classification = {
         "curvature_span": {"dim": est_span.algebra_dim,
                            "label": est_span.classification,
@@ -375,7 +341,7 @@ def _suite_holonomy(entry, config: SuiteConfig, rng) -> SuiteResult:
 
 def _suite_classify(entry, config: SuiteConfig, rng) -> SuiteResult:
     H = entry.main_structure
-    pts = _sample_points(entry, config, rng)
+    pts = _sample_points(config, rng, H.chart)
     # Lee-form gates are limited by the J-field stencil (~1e-7) even in
     # analytic mode, so classification never gates below the fd tolerance.
     gate = config.tol_id if config.mode == "fd" else max(config.tol_id, 1e-4)
@@ -461,26 +427,33 @@ def parse_selector(selector: str):
     return name.strip(), params
 
 
-# The parameters each family takes, with their types.
+# Each family's parameters, with their types and defaults, and the
+# constructor that takes them in that order.
 _FAMILIES = {
-    "hopf": {"n": int, "circumference": float},
-    "flat_inversion": {"n": int},
-    "warped": {"c": str, "base": str},
-    "calabi": {"ell": str, "b": float},
-    "euclidean": {"m": int},
+    "hopf": ({"n": (int, 2), "circumference": (float, 2.0 * math.pi)},
+             zoo.hopf),
+    "flat_inversion": ({"n": (int, 2)}, zoo.flat_inversion),
+    "warped": ({"c": (str, "sin"), "base": (str, "cp1")},
+               lambda c, base: zoo.warped_vaisman_gck(
+                   zoo.named_profile(c, (0.0, 2.0 * math.pi)),
+                   zoo.KAHLER_BASES[base]())),
+    "calabi": ({"ell": (str, "sin"), "b": (float, math.pi)},
+               lambda ell, b: zoo.calabi_ansatz(
+                   zoo.named_profile(ell, (0.0, b)), b)),
+    "euclidean": ({"m": (int, 4)}, zoo.euclidean),
 }
 
 
 def _check_params(name: str, params: dict, selector: str) -> None:
     """Reject parameters the family does not take, integer parameters that
     are not integers, and number parameters that are not finite numbers."""
-    takes = _FAMILIES[name]
+    takes = _FAMILIES[name][0]
     for key, value in params.items():
-        kind = takes.get(key)
-        if kind is None:
+        if key not in takes:
             raise ParameterError(
                 f"{name} takes no parameter {key!r} in {selector!r}; "
                 f"known: {', '.join(takes)}")
+        kind = takes[key][0]
         if kind is int and not isinstance(value, int):
             raise ParameterError(
                 f"{name} parameter {key} must be an integer, got {value!r}")
@@ -503,22 +476,10 @@ def resolve_manifold(selector: str) -> zoo.ZooEntry:
         raise ParameterError(
             f"unknown manifold {name!r}; known: {', '.join(_FAMILIES)}")
     _check_params(name, params, selector)
+    takes, build = _FAMILIES[name]
     try:
-        if name == "hopf":
-            return zoo.hopf(params.get("n", 2),
-                            float(params.get("circumference", 2.0 * math.pi)))
-        if name == "flat_inversion":
-            return zoo.flat_inversion(params.get("n", 2))
-        if name == "warped":
-            profile = zoo.named_profile(str(params.get("c", "sin")),
-                                        (0.0, 2.0 * math.pi))
-            base = zoo.KAHLER_BASES[str(params.get("base", "cp1"))]()
-            return zoo.warped_vaisman_gck(profile, base)
-        if name == "calabi":
-            b = float(params.get("b", math.pi))
-            profile = zoo.named_profile(str(params.get("ell", "sin")), (0.0, b))
-            return zoo.calabi_ansatz(profile, b)
-        return zoo.euclidean(params.get("m", 4))
+        return build(*(kind(params.get(key, default))
+                       for key, (kind, default) in takes.items()))
     except KeyError as exc:
         raise ParameterError(f"unknown parameter value in {selector!r}: {exc}")
 

@@ -100,3 +100,19 @@ def test_nan_moves_infinitely():
     assert drift._delta(float("nan"), float("nan")) == 0.0
     assert drift._delta(1.0, float("nan")) == float("inf")
     assert drift._relative(0.0, 1e-300) == float("inf")
+
+
+def test_lines_are_counted_per_changed_module(tmp_path):
+    """The total, and a row for each module whose bytes differ, one added
+    on one side included; an unchanged module gets no row."""
+    for tree, files in (("base", {"a.py": "x\n", "b.py": "1\n2\n"}),
+                        ("change", {"a.py": "x\n", "b.py": "1\n",
+                                    "c.py": "c\nc\nc\n"})):
+        package = tmp_path / tree / "src" / "lckgeo"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+    table = drift.line_counts(tmp_path / "base", tmp_path / "change")
+    assert table.splitlines()[-3:] == ["| b.py | 2 | 1 |", "| c.py | 0 | 3 |",
+                                       "| total | 3 | 5 |"]
+    assert "a.py" not in table

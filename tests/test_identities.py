@@ -1,13 +1,16 @@
 """Residual-checker tests for the lcK identity suites."""
 
 import dataclasses
+import json
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from lckgeo import fd, zoo
 from lckgeo.charts import segment_loop
+from lckgeo.cli import main as cli_main
 from lckgeo.errors import (ChartDomainError, InconsistencyError, NotLcKError,
                            PreconditionError, SingularPointError)
 from lckgeo.hermitian import (HermitianStructure, constant_rescale,
@@ -16,9 +19,10 @@ from lckgeo.identities import (PotentialField, average_metric_residuals,
                                classify_structure, commuting_pair_residuals,
                                curvature_j_residuals, einstein_chain_residuals,
                                einstein_deviation, hamiltonian_form_residual,
-                               nabla_j_residual, parallel_field_residuals,
+                               lck_identity_residuals, nabla_j_residual,
+                               parallel_field_residuals,
                                s_commutator_residual)
-from lckgeo.report import SuiteConfig, run
+from lckgeo.report import SuiteConfig, resolve_manifold, run
 
 CHAIN_NAMES = ("Sth", "trS", "nablaJth", "diffJth", "lieJth", "codiffth",
                "codiffom", "eqJdel2", "eqJdel3", "summ", "eqf")
@@ -466,3 +470,21 @@ def test_to_antisymmetry_near_small_lee_locus(calabi_sin, rng):
         res = commuting_pair_residuals(I, J, p, rng.standard_normal(4))
         assert res["to"] < 1e-4
         assert res["sigma"] < 1e-4
+
+
+@pytest.mark.parametrize("selector", ["hopf{n=2}", "warped{c=sin,base=cp1}"])
+def test_lck_identity_residuals_are_the_suite_at_one_point(selector, capsys):
+    """At one point the lck-identities suite reports, as each residual's
+    max, exactly what the check returns there; with ``--at`` its two
+    directions are the first two draws of the suite's generator."""
+    H = zoo.stencil_only(resolve_manifold(selector)).main_structure
+    p = H.chart.sample_points(np.random.default_rng(0), 1)[0]
+    rng = np.random.default_rng((7, zlib.crc32(b"lck-identities")))
+    x, y = (rng.standard_normal((1, H.chart.dim))[0] for _ in range(2))
+    res = lck_identity_residuals(H, p, x, y)
+    assert list(res) == ["nablaJ", "dOmega", "deltaOmega", "RJ", "RJcontr"]
+    assert cli_main(["run", "--manifold", selector, "--suite",
+                     "lck-identities", "--json", "-",
+                     "--at=" + ",".join(repr(float(c)) for c in p)]) == 0
+    reported = json.loads(capsys.readouterr().out)["suites"][0]["residuals"]
+    assert {name: rec["max"] for name, rec in reported.items()} == res

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lckgeo import report
+from lckgeo import identities as idn, report
 from lckgeo.cli import CONFIG_KEYS, build_parser, main as cli_main
 from lckgeo.errors import ParameterError
 from lckgeo.report import (Report, ResidualTable, SuiteConfig, emit,
@@ -144,6 +144,16 @@ class TestRun:
         only_nan = ResidualTable()
         only_nan.add("r", math.nan, [0.0], 1e-4)
         assert not only_nan.all_pass()
+
+    def test_an_unknown_residual_raises(self, monkeypatch):
+        """Every residual a check returns has a tolerance tier; a name with
+        none raises, and is not tabulated at the suite's usual tier."""
+        chain = idn.einstein_chain_residuals
+        monkeypatch.setattr(idn, "einstein_chain_residuals",
+                            lambda H, p, lam: {**chain(H, p, lam), "extra": 0.0})
+        with pytest.raises(KeyError, match="extra"):
+            run(SuiteConfig(manifold="flat_inversion{n=2}",
+                            suites=("einstein-chain",), samples=1))
 
     def test_json_schema_fields(self):
         config = SuiteConfig(manifold="flat_inversion{n=2}",
@@ -396,7 +406,7 @@ class TestEvaluationCounts:
         ("flat_inversion{n=2}", "einstein-chain", 2754, 2754),
         ("calabi{ell=sin,b=pi}", "average-metric", 342, 324),
         ("calabi{ell=sin,b=pi}", "commuting-pair", 644, 340),
-        ("hopf{n=2}", "parallel-field", 34, 52)])
+        ("hopf{n=2}", "parallel-field", 34, 50)])
     def test_pinned_suite_counts(self, monkeypatch, manifold, suite,
                                  metric_fn, J_fn):
         """The suites that read the Lee-form parts, and parallel-field.
@@ -412,10 +422,11 @@ class TestEvaluationCounts:
         """sigma~ at the sample itself is e^phi(p) sigma, with no Lee-form
         integral over the segment from p to p (4 nodes of 9 points each).
         The trace of sigma~ and the Christoffel symbols read the metric and
-        I on the DIRECT stencil where sigma~ does."""
+        I on the DIRECT stencil where sigma~ does, and sigma at p is built
+        from the metric and I held there."""
         assert self.counted_run(monkeypatch, "calabi{ell=sin,b=pi}",
                                 "hamiltonian-form") == {
-            "metric_fn": 2344, "J_fn": 1190}
+            "metric_fn": 2340, "J_fn": 1188}
 
     @pytest.mark.parametrize("manifold", ["hopf{n=2}", "calabi{ell=sin,b=pi}"])
     def test_fd_mode_never_evaluates_metric_derivatives(self, monkeypatch,

@@ -16,8 +16,10 @@ dim, ``agree``, ``pass``, residual names, counts and tolerances).  It exits
 them: per suite and residual the largest |change| of ``max`` or ``mean`` as
 a share of the tolerance, per holonomy estimate the relative change of
 ``rank_gap``, and per suite the largest relative change of any other number
-that moved.  Last come two tables, one per mode, of the reports that are
-byte-identical by sha256.
+that moved.  Then come two tables, one per mode, of the reports that are
+byte-identical by sha256, and last the ``wc -l`` line count of
+``src/lckgeo/*.py`` in each tree, in total and for each module whose bytes
+differ (a module missing from a tree counts 0 lines there).
 """
 
 from __future__ import annotations
@@ -227,6 +229,25 @@ def render(residuals, gaps, others, same) -> str:
     return "\n".join(lines)
 
 
+def line_counts(base: Path, change: Path) -> str:
+    """The ``wc -l`` table of ``src/lckgeo/*.py`` in the two trees."""
+    trees = [{f.name: f.read_bytes()
+              for f in (tree / "src" / "lckgeo").glob("*.py")}
+             for tree in (base, change)]
+    names = sorted(set(trees[0]) | set(trees[1]))
+
+    def count(files, which):
+        return sum(files[n].count(b"\n") for n in which if n in files)
+
+    lines = ["", "lines of src/lckgeo/*.py (wc -l)", "",
+             "| module | base | change |", "|---|---|---|"]
+    lines += [f"| {n} | {count(trees[0], [n])} | {count(trees[1], [n])} |"
+              for n in names if trees[0].get(n) != trees[1].get(n)]
+    lines.append(f"| total | {count(trees[0], names)} | "
+                 f"{count(trees[1], names)} |")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path)
@@ -246,6 +267,7 @@ def main(argv=None) -> int:
     verdicts, *drift = compare(_collect("base", procs["base"]),
                                _collect("change", procs["change"]))
     print(render(*drift))
+    print(line_counts(args.base, args.change))
     if verdicts:
         print("\nverdicts that differ:")
         print("\n".join(verdicts))
