@@ -97,10 +97,11 @@ def _assemble_config(args) -> SuiteConfig:
         suites = [s.strip() for s in file_vals["suites"].split(",") if s.strip()]
     if suites is None:
         suites = []            # an empty run is legal: config echo, pass=true
-    at = None
-    at_text = pick(args.at, "at", str)
-    if at_text:
-        at = tuple(float(x) for x in at_text.split(","))
+    at = pick(args.at, "at", str)
+    if at == "":
+        raise ParameterError("at is empty; give a point as X1,X2,...")
+    if at is not None:
+        at = tuple(float(x) for x in at.split(","))
 
     # only the values a flag or the file gives: SuiteConfig holds the defaults
     kwargs = dict(manifold=manifold, suites=tuple(suites), at=at)

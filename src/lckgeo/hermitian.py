@@ -13,7 +13,8 @@ theta = J(delta Omega) / (2n - 2).  On 1-forms J acts by
 :func:`lee_form_parts` computes theta in one pass: J and the validated
 metric are evaluated once on the DIRECT stencil around each point and once
 at it, and the Omega partials, the metric partials, one g^-1, the
-Christoffel symbols and delta Omega all come from those arrays.
+Christoffel symbols and delta Omega all come from those arrays; the parts
+keep them, for the checks that difference other fields of J and g.
 :func:`nested_lee` takes these parts and evaluates them again on one NESTED
 stencil around each point, whose differences give the partials of theta,
 nabla theta and the curvature; it is the one route to nabla theta.  The
@@ -161,8 +162,8 @@ def lee_form(H: HermitianStructure, p) -> LeeData:
 
 
 class LeeParts(NamedTuple):
-    """The Lee form at each of the points p with what it is made of, each
-    array with the point axes in front."""
+    """The Lee form at each of the points p with what it is made of, its
+    DIRECT stencil values included, each array with the point axes in front."""
 
     theta: np.ndarray           # the Lee form, (J delta Omega) / (2n - 2)
     J: np.ndarray               # J^i_j
@@ -173,7 +174,8 @@ class LeeParts(NamedTuple):
     omega: np.ndarray           # Omega_ij
     omega_partials: np.ndarray  # d_k Omega_ij, on the DIRECT stencil
     delta_omega: np.ndarray     # (delta Omega)_j
-    dJ: np.ndarray              # d_k J^i_j, on the DIRECT stencil
+    J_around: np.ndarray        # J^i_j at fd.stencil_points(p, fd.DIRECT)
+    g_around: np.ndarray        # the validated g_ij there
 
 
 def lee_form_parts(H: HermitianStructure, p) -> LeeParts:
@@ -181,16 +183,17 @@ def lee_form_parts(H: HermitianStructure, p) -> LeeParts:
     shape (..., dim), in one pass.
 
     J and the validated metric are evaluated once on the DIRECT stencil
-    points and once at p.  Their stencil values give the partials of Omega,
-    of J and (on a chart without a derivative function) of g, and one g^-1
-    serves both the Christoffel symbols and the contraction of delta Omega.
-    Each part is bitwise what the generic route gives: ``codifferential(
-    chart, H.omega, p, k=2)``, :func:`lckgeo.calculus.christoffel_components`
-    and ``fd.gradient(H.J_fn, p, fd.DIRECT)``.  Errors are those of that route:
-    :class:`ChartDomainError` for p within the stencil extent of a face,
-    :class:`MetricError` naming the first bad stencil point, and
-    :class:`NotLcKError` for complex dimension n < 2, where the formula
-    divides by 2n - 2 = 0.
+    points and once at p.  Their stencil values give the partials of Omega
+    and (on a chart without a derivative function) of g, and one g^-1 serves
+    both the Christoffel symbols and the contraction of delta Omega; the
+    values are kept as ``J_around`` and ``g_around``.  Each part is bitwise
+    what the generic route gives: ``codifferential(chart, H.omega, p, k=2)``
+    and :func:`lckgeo.calculus.christoffel_components`, and ``fd.difference(
+    J_around, fd.DIRECT)`` is ``fd.gradient(H.J_fn, p, fd.DIRECT)``.  Errors
+    are those of that route: :class:`ChartDomainError` for p within the
+    stencil extent of a face, :class:`MetricError` naming the first bad
+    stencil point, and :class:`NotLcKError` for complex dimension n < 2,
+    where the formula divides by 2n - 2 = 0.
     """
     if H.n < 2:
         raise NotLcKError("Lee-form extraction needs complex dimension n >= 2")
@@ -214,7 +217,7 @@ def lee_form_parts(H: HermitianStructure, p) -> LeeParts:
     delta_omega = codifferential_of(nabla_omega, g_inv, lead)
     theta = j_on_forms(J, delta_omega) / (2.0 * H.n - 2.0)
     return LeeParts(theta, J, g, g_inv, dg, gamma, omega, omega_partials,
-                    delta_omega, fd.difference(J_around, fd.DIRECT, lead))
+                    delta_omega, J_around, g_around)
 
 
 def lee_form_components(H: HermitianStructure, p) -> np.ndarray:

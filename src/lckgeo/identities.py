@@ -39,8 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import fd
-from .calculus import (codifferential_of, covariant_derivative_full,
-                       covariant_partials, exterior_derivative,
+from .calculus import (codifferential_of, covariant_partials,
                        exterior_of_partials, levi_civita, ricci_scalar)
 from .charts import (form_of_endomorphism, raised_norm, vector_norm, wedge,
                      wedge_endo)
@@ -65,19 +64,11 @@ def _solve(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.solve(g, v[..., None])[..., 0]
 
 
-def _pair_forms(I: HermitianStructure, J: HermitianStructure, q) -> tuple:
-    """The raw metric g of I's chart, Omega^I and sigma = 1/2 (Omega^I +
-    Omega^J) at each of the points q."""
-    gq = np.asarray(I.chart.metric_fn(q), dtype=float)
-    om_i = form_of_endomorphism(I.J(q), gq)
-    return gq, om_i, 0.5 * (om_i + form_of_endomorphism(J.J(q), gq))
-
-
 def _covariant(values: np.ndarray, value: np.ndarray, gamma: np.ndarray,
                valence: tuple, stencil: fd.Stencil) -> np.ndarray:
     """All covariant partials at one point of a tensor field, from its values
     at the stencil points around it, its value there and the Christoffel
-    symbols there: bitwise :func:`covariant_derivative_full` of the field."""
+    symbols there: bitwise what the generic route gives from the field."""
     return covariant_partials(fd.difference(values, stencil), value, gamma,
                               valence)
 
@@ -92,7 +83,7 @@ def nabla_j_residual(parts: LeeParts, x) -> float:
     x = np.asarray(x, dtype=float)
     g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
     j_theta = -J.T @ theta
-    nJ = covariant_partials(parts.dJ, J, parts.gamma, (1, 1))
+    nJ = _covariant(parts.J_around, J, parts.gamma, (1, 1), fd.DIRECT)
     lhs = np.tensordot(x, nJ, axes=(0, 0))
     t1 = wedge_endo(x, j_theta, g)
     t2 = wedge_endo(J @ x, theta, g)
@@ -397,12 +388,12 @@ def parallel_field_residuals(H: HermitianStructure, p, v) -> dict:
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    chart = H.chart
+    m = H.chart.dim
     parts = lee_form_parts(H, p)
     g, g_inv, J = parts.g, parts.g_inv, parts.J
 
-    nv = covariant_derivative_full(chart, fd.constant(v), p, (0, 1),
-                                   stencil=fd.DIRECT, gamma=parts.gamma)
+    # V has constant components; JV is differenced from parts.J_around
+    nv = covariant_partials(np.zeros((m, m)), v, parts.gamma, (0, 1))
     if float(np.max(np.abs(nv))) > 1e-6 or abs(vector_norm(v, g) - 1.0) > 1e-8:
         raise PreconditionError(
             f"V is not a parallel unit field on '{H.label}' at {p}")
@@ -413,13 +404,11 @@ def parallel_field_residuals(H: HermitianStructure, p, v) -> dict:
     b = float(theta @ jv)
     omega = parts.omega
 
-    jv_field = lambda q: H.J(q) @ v
-    njv = covariant_partials(fd.gradient(jv_field, p, fd.DIRECT), jv,
-                             parts.gamma, (0, 1))
+    jv_around = parts.J_around @ v
+    njv = _covariant(jv_around, jv, parts.gamma, (0, 1), fd.DIRECT)
     res = {}
     rows_lhs = []
     rows_rhs = []
-    m = chart.dim
     for c in range(m):
         x = np.zeros(m)
         x[c] = 1.0
@@ -433,9 +422,8 @@ def parallel_field_residuals(H: HermitianStructure, p, v) -> dict:
         raised_norm(g @ (L - Rh).T, g_inv),
         [raised_norm(g @ L.T, g_inv), raised_norm(g @ Rh.T, g_inv)])
 
-    jv_flat_field = lambda q: np.matvec(chart.metric_fn(q), H.J(q) @ v)
-    d_jv = exterior_derivative(chart, jv_flat_field, p, k=1,
-                               stencil=fd.DIRECT).components
+    d_jv = exterior_of_partials(fd.difference(
+        np.matvec(parts.g_around, jv_around), fd.DIRECT), 1)
     rhs_d = 2.0 * a * (wedge(g @ v, g @ jv) - omega)
     res["ddJV"] = _normalized(raised_norm(d_jv - rhs_d, g_inv),
                               [raised_norm(d_jv, g_inv),
@@ -458,18 +446,19 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
     The reconstruction of J from I carries the coefficient 2/|theta|^2, so
     points with |theta|^2 below the gate raise :class:`SingularPointError`.
     Without ``x`` the direction is drawn from ``np.random.default_rng(0)``.
+    I and J must share one ``metric_fn``, or :class:`PreconditionError` is
+    raised, here and in :func:`hamiltonian_form_residual`.
     """
     p = np.asarray(p, dtype=float)
-    if I.chart is not J.chart and I.chart.label != J.chart.label:
+    # J's Lee-form pass gives the values of the one metric I and J share
+    if I.chart.metric_fn is not J.chart.metric_fn:
         raise PreconditionError("I and J must share one chart metric")
-    chart = I.chart
-    # J's Lee-form pass gives the metric of the chart I and J share
     parts = lee_form_parts(J, p)
     g, g_inv, Jm, theta = parts.g, parts.g_inv, parts.J, parts.theta
     Im = I.J(p)
     n = I.n
     if x is None:
-        x = np.random.default_rng(0).standard_normal(chart.dim)
+        x = np.random.default_rng(0).standard_normal(I.chart.dim)
     x = np.asarray(x, dtype=float)
 
     norm_sq = float(theta @ g_inv @ theta)
@@ -513,9 +502,11 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
                                 raised_norm(rhs_s, g_inv)])
 
     # (deromega)  nabla_X sigma = 1/2 (X ^ I theta - IX ^ theta) - <X,theta> sigma
-    nsigma = covariant_partials(
-        fd.gradient(lambda q: _pair_forms(I, J, q)[2], p, fd.DIRECT), sigma,
-        parts.gamma, (2, 0))
+    g_around = parts.g_around
+    sigma_around = 0.5 * (
+        form_of_endomorphism(I.J(fd.stencil_points(p, fd.DIRECT)), g_around)
+        + form_of_endomorphism(parts.J_around, g_around))
+    nsigma = _covariant(sigma_around, sigma, parts.gamma, (2, 0), fd.DIRECT)
     lhs_d = np.tensordot(x, nsigma, axes=(0, 0))
     rhs_d = (0.5 * (wedge(g @ x, i_theta) - wedge(g @ (Im @ x), theta))
              - float(theta @ x) * sigma)
@@ -583,6 +574,8 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
     """
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
+    if I.chart.metric_fn is not J.chart.metric_fn:
+        raise PreconditionError("I and J must share one chart metric")
     chart = I.chart
     g = chart.metric(p)
     Im = I.J(p)
@@ -593,7 +586,9 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
     chart.require_inside(p, margin=fd.DIRECT.extent)
     around = fd.stencil_points(p, fd.DIRECT)
     scale = np.exp(phi_p + potential.increment(p, around))
-    g_around, om_i, sigma = _pair_forms(I, J, around)
+    g_around = np.asarray(chart.metric_fn(around), dtype=float)
+    om_i = form_of_endomorphism(I.J(around), g_around)
+    sigma = 0.5 * (om_i + form_of_endomorphism(J.J(around), g_around))
     sigma_tilde = scale[..., None, None] * sigma
     g_inv_around = np.linalg.inv(g_around)
     trace = 0.5 * np.einsum("...ab,...cd,...ac,...bd->...", sigma_tilde, om_i,

@@ -116,3 +116,17 @@ def test_lines_are_counted_per_changed_module(tmp_path):
     assert table.splitlines()[-3:] == ["| b.py | 2 | 1 |", "| c.py | 0 | 3 |",
                                        "| total | 3 | 5 |"]
     assert "a.py" not in table
+
+
+def test_changed_evaluation_counts_are_listed():
+    """A cell whose metric_fn or J_fn count moved gets a row, base ->
+    change; equal counts print one line.  Neither is a verdict."""
+    def counted(metric_fn, J_fn):
+        return dict(_record(), counts={"metric_fn": metric_fn, "J_fn": J_fn})
+
+    base, change = {CELL: counted(34, 50)}, {CELL: counted(18, 18)}
+    assert drift.compare(base, change)[0] == []
+    assert drift.count_changes(base, change).splitlines()[-1] == (
+        "| hopf{n=2} | holonomy | fd | 1 | 34 -> 18 | 50 -> 18 |")
+    assert drift.count_changes(base, base) == (
+        "\nno evaluation count differs")

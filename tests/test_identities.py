@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from lckgeo import fd, zoo
-from lckgeo.charts import segment_loop
+from lckgeo.calculus import covariant_partials, exterior_derivative
+from lckgeo.charts import (form_of_endomorphism, raised_norm, segment_loop,
+                           wedge)
 from lckgeo.cli import main as cli_main
 from lckgeo.errors import (ChartDomainError, InconsistencyError, NotLcKError,
                            PreconditionError, SingularPointError)
@@ -297,11 +299,103 @@ class TestCommutingPair:
         total = i_th + j_th
         assert math.sqrt(abs(total @ g_inv @ total)) < 1e-8
 
+    def test_a_second_metric_is_rejected(self, calabi_sin):
+        """I on a chart of the same label but the metric 4 g: both pair
+        checks read one metric for I and J, so they refuse the two."""
+        I, J = calabi_sin.pair.I, calabi_sin.pair.J
+        scaled = dataclasses.replace(I, chart=constant_rescale(
+            I.chart, 4.0, label=I.chart.label))
+        p = I.chart.center()
+        with pytest.raises(PreconditionError, match="share one chart metric"):
+            commuting_pair_residuals(scaled, J, p)
+        with pytest.raises(PreconditionError, match="share one chart metric"):
+            hamiltonian_form_residual(scaled, J, p, np.ones(4),
+                                      PotentialField(J))
+
     def test_singular_point_guard(self, calabi_sin, rng):
         """theta = 0 input (a Kahler J) trips the |theta|^2 division guard."""
         I = calabi_sin.pair.I
         with pytest.raises(SingularPointError):
             commuting_pair_residuals(I, I, I.chart.center())
+
+
+class TestLeePassStencilValues:
+    """parallel-field and commuting-pair difference the J and g values that
+    the Lee-form pass holds.  Their residuals are bitwise those of the
+    generic route kept here, which evaluates each differenced field on the
+    DIRECT stencil again, in both modes."""
+
+    @staticmethod
+    def generic_parallel(H, p, v):
+        """nablaJV and ddJV from the fields JV and its lowering."""
+        parts = lee_form_parts(H, p)
+        g, g_inv, J, theta, omega = (parts.g, parts.g_inv, parts.J,
+                                     parts.theta, parts.omega)
+        a, jv = float(theta @ v), J @ v
+        b = float(theta @ jv)
+        njv = covariant_partials(
+            fd.gradient(lambda q: H.J(q) @ v, p, fd.DIRECT), jv, parts.gamma,
+            (0, 1))
+        rows = []
+        for c, x in enumerate(np.eye(len(p))):
+            rows.append(float(g[c] @ v) * (-b * v + a * jv) + b * x
+                        - float(g[c] @ jv) * (a * v + b * jv) - a * (J @ x))
+        L, Rh = njv, np.array(rows)
+        norms = [raised_norm(g @ L.T, g_inv), raised_norm(g @ Rh.T, g_inv)]
+        nabla_jv = raised_norm(g @ (L - Rh).T, g_inv) / (1.0 + max(norms))
+        d_jv = exterior_derivative(
+            H.chart, lambda q: np.matvec(H.chart.metric_fn(q), H.J(q) @ v), p,
+            k=1, stencil=fd.DIRECT).components
+        rhs = 2.0 * a * (wedge(g @ v, g @ jv) - omega)
+        norms = [raised_norm(d_jv, g_inv), raised_norm(rhs, g_inv),
+                 2.0 * abs(a) * raised_norm(omega, g_inv)]
+        return nabla_jv, raised_norm(d_jv - rhs, g_inv) / (1.0 + max(norms))
+
+    @staticmethod
+    def generic_deromega(I, J, p, x):
+        """deromega from the field sigma = 1/2 (Omega^I + Omega^J)."""
+        parts = lee_form_parts(J, p)
+        g, g_inv, theta = parts.g, parts.g_inv, parts.theta
+        Im = I.J(p)
+        i_theta = -Im.T @ theta
+
+        def sigma_of(q):
+            gq = np.asarray(I.chart.metric_fn(q), dtype=float)
+            return 0.5 * (form_of_endomorphism(I.J(q), gq)
+                          + form_of_endomorphism(J.J(q), gq))
+
+        sigma = 0.5 * (form_of_endomorphism(Im, g)
+                       + form_of_endomorphism(parts.J, g))
+        nsigma = covariant_partials(fd.gradient(sigma_of, p, fd.DIRECT),
+                                    sigma, parts.gamma, (2, 0))
+        lhs = np.tensordot(x, nsigma, axes=(0, 0))
+        rhs = (0.5 * (wedge(g @ x, i_theta) - wedge(g @ (Im @ x), theta))
+               - float(theta @ x) * sigma)
+        norms = [raised_norm(lhs, g_inv), raised_norm(rhs, g_inv)]
+        return raised_norm(lhs - rhs, g_inv) / (1.0 + max(norms))
+
+    @pytest.mark.parametrize("selector", ["hopf{n=2}", "warped{c=cos,base=c2}"])
+    @pytest.mark.parametrize("mode", ["fd", "analytic"])
+    def test_parallel_field(self, selector, mode, rng):
+        entry = resolve_manifold(selector)
+        if mode == "fd":
+            entry = zoo.stencil_only(entry)
+        H, v = entry.main_structure, entry.parallel_field
+        for p in H.chart.sample_points(rng, 3):
+            res = parallel_field_residuals(H, p, v)
+            assert (res["nablaJV"], res["ddJV"]) == self.generic_parallel(
+                H, p, v)
+
+    @pytest.mark.parametrize("mode", ["fd", "analytic"])
+    def test_commuting_pair(self, mode, rng):
+        entry = resolve_manifold("calabi{ell=sin,b=pi}")
+        if mode == "fd":
+            entry = zoo.stencil_only(entry)
+        I, J = entry.pair.I, entry.pair.J
+        for p in I.chart.sample_points(rng, 3):
+            x = rng.standard_normal(4)
+            assert (commuting_pair_residuals(I, J, p, x)["deromega"]
+                    == self.generic_deromega(I, J, p, x))
 
 
 class TestHamiltonianForm:

@@ -331,6 +331,21 @@ class TestCli:
         key = line.split("=")[0].strip()
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_empty_at_exit_two(self, tmp_path, capsys, where):
+        """An empty point is a configuration error, as every other empty
+        value is, and not a request to sample."""
+        args = ["run", "--manifold", "hopf{n=2}", "--suite", "lck-identities",
+                "--samples", "3"]
+        if where == "flag":
+            args.append("--at=")
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("at =\n")
+            args += ["--config", str(cfg)]
+        assert cli_main(args) == 2
+        assert "at is empty" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [["--parallel"], ["--fd-step", "1e-4"]])
     def test_retired_flags_exit_two(self, flag):
         with pytest.raises(SystemExit) as exc:
@@ -355,26 +370,47 @@ class TestCli:
 
 class TestEvaluationCounts:
     """Field evaluations per request do not depend on the machine, so they
-    are pinned exactly: a change that adds evaluations shows here first."""
+    are pinned exactly: a change that adds evaluations shows here first.
+    The suites of :meth:`test_each_point_is_evaluated_once` also evaluate
+    each field once per point: they evaluate as many points as are
+    distinct.  hamiltonian-form is pinned with its repeats."""
 
     @staticmethod
-    def counted_run(monkeypatch, manifold: str, suite: str, mode: str = "fd",
-                    kinds=("metric_fn", "J_fn")) -> dict:
+    def counting_run(monkeypatch, manifold: str, suite: str, mode: str = "fd",
+                     kinds=("metric_fn", "J_fn")) -> tuple:
         """Points at which one request evaluates each field of ``kinds``
-        (metric_fn, metric_derivative_fn, J_fn)."""
+        (metric_fn, metric_derivative_fn, J_fn), and per wrapped field
+        function, named ``<label>.<kind>``, its evaluated and its distinct
+        points.  The second counts leave out the calls made inside another
+        field's call (the calabi pair metric rescales g_ell), which the
+        first count includes."""
         counts = dict.fromkeys(kinds, 0)
+        fields = {}
+        depth = [0]
         resolve = report.resolve_manifold
 
-        def counted(kind, fn):
+        def counted(kind, fn, name):
+            seen = fields.setdefault(name, [0, set()])
+
             def wrapper(q):
-                counts[kind] += np.asarray(q)[..., 0].size
-                return fn(q)
+                points = np.asarray(q)
+                counts[kind] += points[..., 0].size
+                if not depth[0]:
+                    rows = points.reshape(-1, points.shape[-1])
+                    seen[0] += len(rows)
+                    seen[1].update(row.tobytes() for row in rows)
+                depth[0] += 1
+                try:
+                    return fn(q)
+                finally:
+                    depth[0] -= 1
             return wrapper
 
         def wrap(obj, kind):
             fn = getattr(obj, kind)
             if kind in counts and fn is not None:
-                object.__setattr__(obj, kind, counted(kind, fn))
+                object.__setattr__(obj, kind,
+                                   counted(kind, fn, f"{obj.label}.{kind}"))
 
         def resolve_counted(selector):
             entry = resolve(selector)
@@ -389,7 +425,15 @@ class TestEvaluationCounts:
         monkeypatch.setattr(report, "resolve_manifold", resolve_counted)
         report.run(SuiteConfig(manifold=manifold, suites=(suite,), samples=2,
                                seed=1, mode=mode))
-        return counts
+        return counts, {name: (evaluated, len(distinct))
+                        for name, (evaluated, distinct) in fields.items()
+                        if evaluated}
+
+    @classmethod
+    def counted_run(cls, monkeypatch, manifold: str, suite: str,
+                    *args) -> dict:
+        """The first counts of :meth:`counting_run`."""
+        return cls.counting_run(monkeypatch, manifold, suite, *args)[0]
 
     def test_pinned_counts(self, monkeypatch):
         """classify: the loop periods take nine J and nine metric points per
@@ -405,18 +449,50 @@ class TestEvaluationCounts:
     @pytest.mark.parametrize("manifold, suite, metric_fn, J_fn", [
         ("flat_inversion{n=2}", "einstein-chain", 2754, 2754),
         ("calabi{ell=sin,b=pi}", "average-metric", 342, 324),
-        ("calabi{ell=sin,b=pi}", "commuting-pair", 644, 340),
-        ("hopf{n=2}", "parallel-field", 34, 50)])
+        ("calabi{ell=sin,b=pi}", "commuting-pair", 612, 324),
+        ("hopf{n=2}", "parallel-field", 18, 18)])
     def test_pinned_suite_counts(self, monkeypatch, manifold, suite,
                                  metric_fn, J_fn):
-        """The suites that read the Lee-form parts, and parallel-field.
+        """The suites that read the Lee-form parts.
         einstein-chain evaluates J and g at the same 1,377 points per sample:
         p, its NESTED stencil and the DEEP stencil, each with its own DIRECT
-        stencil, and the NESTED stencil around each DEEP point.  On calabi
-        the pair metric is a rescaling of the counted g_ell, so each of its
-        points counts twice."""
+        stencil, and the NESTED stencil around each DEEP point.
+        parallel-field differences the J and g values of the Lee-form pass,
+        so it evaluates them at p and its DIRECT stencil only (9 points), and
+        commuting-pair evaluates I there once besides.  On calabi the pair
+        metric is a rescaling of the counted g_ell, so each of its points
+        counts twice."""
         assert self.counted_run(monkeypatch, manifold, suite) == {
             "metric_fn": metric_fn, "J_fn": J_fn}
+
+    @pytest.mark.parametrize("manifold, suite", [
+        ("hopf{n=2}", "lck-identities"),
+        ("flat_inversion{n=2}", "einstein-chain"),
+        ("hopf{n=2}", "parallel-field"),
+        ("calabi{ell=sin,b=pi}", "commuting-pair"),
+        ("calabi{ell=sin,b=pi}", "average-metric"),
+        ("hopf{n=2}", "classify")])
+    def test_each_point_is_evaluated_once(self, monkeypatch, manifold, suite):
+        """Every field function is evaluated at as many points as it has
+        distinct ones: no check evaluates a field again where it, or the
+        Lee-form pass it reads, has its values."""
+        fields = self.counting_run(monkeypatch, manifold, suite)[1]
+        assert fields
+        for name, (evaluated, distinct) in fields.items():
+            assert evaluated == distinct, (name, evaluated, distinct)
+
+    def test_hamiltonian_form_evaluates_the_shared_nodes_twice(
+            self, monkeypatch):
+        """The one exception.  The potential increments integrate the Lee
+        form over the segments from p to its DIRECT stencil points, and the
+        Gauss-Legendre nodes are symmetric: on each axis the DIRECT stencil
+        of a node of the +h segment holds a node of the -h segment, bitwise,
+        and the other way round.  So the metric and J are evaluated twice at
+        those 32 points per sample."""
+        assert self.counting_run(monkeypatch, "calabi{ell=sin,b=pi}",
+                                 "hamiltonian-form")[1] == {
+            "calabi_gplus_sin.metric_fn": (1170, 1106),
+            "g+,J-.J_fn": (1170, 1106), "g+,J+.J_fn": (18, 18)}
 
     def test_hamiltonian_form_takes_no_zero_length_segment(self, monkeypatch):
         """sigma~ at the sample itself is e^phi(p) sigma, with no Lee-form

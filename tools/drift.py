@@ -17,9 +17,11 @@ them: per suite and residual the largest |change| of ``max`` or ``mean`` as
 a share of the tolerance, per holonomy estimate the relative change of
 ``rank_gap``, and per suite the largest relative change of any other number
 that moved.  Then come two tables, one per mode, of the reports that are
-byte-identical by sha256, and last the ``wc -l`` line count of
-``src/lckgeo/*.py`` in each tree, in total and for each module whose bytes
-differ (a module missing from a tree counts 0 lines there).
+byte-identical by sha256, the ``wc -l`` line count of ``src/lckgeo/*.py``
+in each tree, in total and for each module whose bytes differ (a module
+missing from a tree counts 0 lines there), and last the runs whose numbers
+of ``metric_fn`` and ``J_fn`` points differ.  Those counts do not depend on
+the machine; a change in them is not a verdict.
 """
 
 from __future__ import annotations
@@ -53,13 +55,47 @@ def _grid(suite_names):
                     yield selector, suite, mode, seed
 
 
+COUNTED = ("metric_fn", "J_fn")
+
+
+def _count_points(report_module, counts: dict) -> None:
+    """Make each run add to ``counts`` the points at which it evaluates the
+    ``metric_fn`` of each chart and the ``J_fn`` of each structure, by
+    wrapping the fields of the entries ``resolve_manifold`` builds."""
+    import numpy as np
+
+    resolve = report_module.resolve_manifold
+
+    def counted(kind, fn):
+        def wrapper(q):
+            counts[kind] += np.asarray(q)[..., 0].size
+            return fn(q)
+        return wrapper
+
+    def resolve_counted(selector):
+        entry = resolve(selector)
+        structures = entry.structures.values()
+        for H in structures:
+            object.__setattr__(H, "J_fn", counted("J_fn", H.J_fn))
+        for chart in {id(H.chart): H.chart for H in structures}.values():
+            object.__setattr__(chart, "metric_fn",
+                               counted("metric_fn", chart.metric_fn))
+        return entry
+
+    report_module.resolve_manifold = resolve_counted
+
+
 def work() -> None:
     """Run the grid with the lckgeo found on sys.path; one JSON line per
     run on stdout."""
+    from lckgeo import report as report_module
     from lckgeo.errors import LckError
     from lckgeo.report import SUITE_NAMES, SuiteConfig, emit, exit_code, run
 
+    counts = dict.fromkeys(COUNTED, 0)
+    _count_points(report_module, counts)
     for selector, suite, mode, seed in _grid(SUITE_NAMES):
+        counts.update(dict.fromkeys(COUNTED, 0))
         record = {"cell": [selector, suite, mode, seed], "error": None,
                   "report": None}
         try:
@@ -74,6 +110,7 @@ def work() -> None:
             payload = emit(report, "json")
             record["report"] = json.loads(payload)
         record["sha256"] = hashlib.sha256(payload).hexdigest()
+        record["counts"] = dict(counts)
         print(json.dumps(record), flush=True)
 
 
@@ -248,6 +285,23 @@ def line_counts(base: Path, change: Path) -> str:
     return "\n".join(lines)
 
 
+def count_changes(base: dict, change: dict) -> str:
+    """The table of the runs whose field-evaluation counts differ."""
+    rows = []
+    for cell in sorted(set(base) & set(change), key=str):
+        b, c = base[cell]["counts"], change[cell]["counts"]
+        if b != c:
+            rows.append("| " + " | ".join(
+                [str(v) for v in cell] + [f"{b[k]} -> {c[k]}" for k in COUNTED])
+                + " |")
+    if not rows:
+        return "\nno evaluation count differs"
+    return "\n".join(["", "field-evaluation points that differ, base -> change",
+                      "", "| selector | suite | mode | seed | "
+                      + " | ".join(COUNTED) + " |",
+                      "|---|---|---|---|" + "---|" * len(COUNTED)] + rows)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path)
@@ -264,10 +318,12 @@ def main(argv=None) -> int:
              (("base", args.base), ("change", args.change))}
     for proc, _, _ in procs.values():
         proc.wait()             # both, before either failure exits
-    verdicts, *drift = compare(_collect("base", procs["base"]),
-                               _collect("change", procs["change"]))
+    base = _collect("base", procs["base"])
+    change = _collect("change", procs["change"])
+    verdicts, *drift = compare(base, change)
     print(render(*drift))
     print(line_counts(args.base, args.change))
+    print(count_changes(base, change))
     if verdicts:
         print("\nverdicts that differ:")
         print("\n".join(verdicts))
