@@ -220,6 +220,8 @@ class Loop:
     deck translation of the chart (quotient-circle generators), ``shift`` is
     the coordinate translation with curve(1) = curve(0) + shift and all chart
     fields invariant under it; shift = 0 gives an ordinary closed loop.
+    ``steps`` is the number of RK4 steps of parallel transport around the
+    loop; line integrals choose their own nodes and ignore it.
     """
 
     curve_fn: Callable[[np.ndarray], np.ndarray]

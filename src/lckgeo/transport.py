@@ -1,11 +1,12 @@
 """Geodesics, parallel transport, and line integrals along curves.
 
 All integrations use the classical 4-stage Runge-Kutta scheme with a fixed
-number of steps; line integrals use composite 3-point Gauss-Legendre
-quadrature per step.  Transport around a :class:`~lckgeo.charts.Loop` with a
-deck-translation shift is well defined because the chart fields are invariant
-under the shift.  Curves, like fields, take stacks: parameters of shape (...)
-give points and velocities of shape (..., m).
+number of steps; line integrals use Gauss-Legendre quadrature, and a loop
+integral compares a 16- and a 32-node rule on each smooth piece, halving the
+piece until they agree.  Transport around a :class:`~lckgeo.charts.Loop`
+with a deck-translation shift is well defined because the chart fields are
+invariant under the shift.  Curves, like fields, take stacks: parameters of
+shape (...) give points and velocities of shape (..., m).
 
 Parallel transport solves the linear ODE V' = -Gamma(x(t))(x'(t), V), whose
 coefficients depend on t alone.  RK4 samples a step at t, t + h/2 (for k2
@@ -32,6 +33,7 @@ evaluate stage by stage.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -43,11 +45,17 @@ from .errors import DomainExitError, IntegrationError
 
 DEFAULT_STEPS = 2000
 
-# Evaluation points per stacked field call: Gauss-Legendre nodes in
-# loop_integral, RK4 nodes times curves in transport_along.  Large enough to
-# amortise the call, small enough that the stencil arrays of a block stay
-# well below a megabyte.
+# Evaluation points per stacked field call: the Gauss-Legendre nodes of a
+# piece in loop_integral, RK4 nodes times curves in transport_along.  Large
+# enough to amortise the call, small enough that the stencil arrays of a
+# block stay well below a megabyte.
 NODE_BLOCK = 128
+
+# The two Gauss-Legendre rules loop_integral compares on each smooth piece,
+# and how many times a piece may be halved before their disagreement is an
+# error (a piece of the unit parameter interval then spans about 1e-6).
+GUARD_NODES = (16, 32)
+MAX_BISECTIONS = 20
 
 
 def _rk4(f: Callable, y0: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
@@ -126,7 +134,7 @@ def transport_along(chart: Chart, point_fn: Callable, velocity_fn: Callable,
     """
     V0 = np.asarray(frame, dtype=float)
     shape = V0.shape
-    knots = [0.0] + sorted(t for t in breakpoints if 0.0 < t < 1.0) + [1.0]
+    knots = _knots(breakpoints)
 
     y = V0.reshape(-1)
     for t0, t1 in zip(knots[:-1], knots[1:]):
@@ -135,6 +143,12 @@ def transport_along(chart: Chart, point_fn: Callable, velocity_fn: Callable,
                          shape)
         y = _rk4(rhs, y, t0, t1, piece_steps)
     return y.reshape(shape)
+
+
+def _knots(breakpoints: tuple) -> list:
+    """0, the interior breakpoints in order, and 1: the ends of the smooth
+    pieces of a curve on [0, 1]."""
+    return [0.0] + sorted(t for t in breakpoints if 0.0 < t < 1.0) + [1.0]
 
 
 def _piece_rhs(chart: Chart, point_fn: Callable, velocity_fn: Callable,
@@ -218,36 +232,84 @@ def orthogonality_defect(chart: Chart, loop: Loop, transported: np.ndarray) -> f
     return float(np.max(np.abs(transported.T @ G @ transported - G)))
 
 
-def loop_integral(chart: Chart, oneform_field: Callable, loop: Loop,
-                  steps: int = None) -> float:
+def loop_integral(chart: Chart, oneform_field: Callable, loop: Loop) -> float:
     """Line integral of a 1-form field around the loop.
 
-    Composite Gauss-Legendre; exact-form integrals over shift-free loops
-    vanish to quadrature accuracy, and the integral is additive under loop
-    concatenation.  The nodes and their velocities come from one loop call
-    each.  The field is evaluated through :func:`_evaluate_nodes` on blocks
-    of ``NODE_BLOCK`` nodes in node order, up to the first node outside the
-    chart, whose :class:`ChartDomainError` is raised after them; the sum
-    runs node by node.
+    The loop is split at its breakpoints, and each smooth piece is
+    integrated by :func:`_piece_integral`, the pieces in parameter order.
+    Exact-form integrals over shift-free loops vanish to quadrature
+    accuracy, and the integral is additive under loop concatenation.  The
+    first node in parameter order that fails, the domain check or the field
+    call, raises first.
     """
-    n = steps or loop.steps
-    h = 1.0 / n
-    gl_nodes, gl_weights = fd.gauss_legendre_01(3)
-    ts = (np.arange(n)[:, None] * h + gl_nodes * h).reshape(-1)
-    weights = np.tile(gl_weights, n)
-    xs = loop.point(ts)
-    vels = loop.velocity(ts)
+    knots = _knots(loop.breakpoints)
+    total = 0.0
+    for t0, t1 in zip(knots[:-1], knots[1:]):
+        total += _piece_integral(chart, oneform_field, loop, t0, t1)
+    return total
+
+
+def _piece_integral(chart: Chart, oneform_field: Callable, loop: Loop,
+                    t0: float, t1: float, depth: int = 0) -> float:
+    """The integral over [t0, t1] of a smooth piece by guarded Gauss-Legendre.
+
+    The 16- and the 32-node rule are computed together; the 32-node value is
+    kept when the two agree to ``1e-12 (1 + sum |w_i alpha . v|)`` over the
+    32 nodes, and otherwise each half of [t0, t1] is refined the same way,
+    the first half first.  A value that is not finite is returned as it is,
+    for the caller to judge, and a piece still split ``MAX_BISECTIONS`` deep
+    raises :class:`IntegrationError`.
+    """
+    coarse, fine, scale = _rule_pair(chart, oneform_field, loop, t0, t1)
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        return coarse if math.isfinite(fine) else fine
+    if abs(fine - coarse) <= 1e-12 * (1.0 + scale):
+        return fine
+    if depth == MAX_BISECTIONS:
+        raise IntegrationError(
+            f"loop integral does not converge on [{t0!r}, {t1!r}]: its two "
+            f"rules differ by {abs(fine - coarse):.2e}")
+    mid = 0.5 * (t0 + t1)
+    return (_piece_integral(chart, oneform_field, loop, t0, mid, depth + 1)
+            + _piece_integral(chart, oneform_field, loop, mid, t1, depth + 1))
+
+
+def _rule_pair(chart: Chart, oneform_field: Callable, loop: Loop,
+               t0: float, t1: float):
+    """The 16- and 32-node Gauss-Legendre values over [t0, t1], and the sum
+    of |w_i alpha . v| over the 32 nodes.
+
+    The nodes of both rules, sorted by parameter, take their points and
+    velocities from one loop call each, and the field is evaluated through
+    :func:`_evaluate_nodes` on blocks of ``NODE_BLOCK`` nodes, up to the
+    first node outside the chart, whose :class:`ChartDomainError` is raised
+    after them.  Each rule's sum runs node by node.
+    """
+    h = t1 - t0
+    (coarse_nodes, coarse_weights), (fine_nodes, fine_weights) = (
+        fd.gauss_legendre_01(n) for n in GUARD_NODES)
+    ts = np.concatenate([t0 + coarse_nodes * h, t0 + fine_nodes * h])
+    order = np.argsort(ts, kind="stable")
+    xs = loop.point(ts[order])
+    vels = loop.velocity(ts[order])
     bad = np.flatnonzero(~chart.inside(xs))
     n_ok = bad[0] if len(bad) else len(ts)
-    total = 0.0
+    terms = np.empty(len(ts))
     for start in range(0, n_ok, NODE_BLOCK):
         stop = min(start + NODE_BLOCK, n_ok)
         alphas = _evaluate_nodes(oneform_field, xs[start:stop])
-        for w, alpha, v in zip(weights[start:stop], alphas, vels[start:stop]):
-            total += w * h * float(alpha @ v)
+        terms[order[start:stop]] = [float(alpha @ v) for alpha, v
+                                    in zip(alphas, vels[start:stop])]
     if n_ok < len(ts):
         chart.require_inside(xs[n_ok])
-    return total
+    coarse_terms, fine_terms = np.split(terms, [len(coarse_nodes)])
+    coarse = fine = 0.0
+    for w, term in zip(coarse_weights, coarse_terms):
+        coarse += w * h * float(term)
+    for w, term in zip(fine_weights, fine_terms):
+        fine += w * h * float(term)
+    scale = float(np.sum(np.abs(fine_weights * h * fine_terms)))
+    return coarse, fine, scale
 
 
 def _evaluate_nodes(oneform_field: Callable, xs) -> np.ndarray:

@@ -437,11 +437,12 @@ class TestEvaluationCounts:
 
     def test_pinned_counts(self, monkeypatch):
         """classify: the loop periods take nine J and nine metric points per
-        node.  lck-identities: each sample reads J and g at p and its DIRECT
-        stencil (9 points) and at the 16 NESTED stencil points around p and
-        theirs (144)."""
+        node, 48 nodes on each of the 5 smooth pieces of the two loops, and
+        each sample the 153 points of lck-identities.  lck-identities: each
+        sample reads J and g at p and its DIRECT stencil (9 points) and at
+        the 16 NESTED stencil points around p and theirs (144)."""
         assert self.counted_run(monkeypatch, "hopf{n=2}", "classify") == {
-            "metric_fn": 32706, "J_fn": 32706}
+            "metric_fn": 240 * 9 + 2 * 153, "J_fn": 240 * 9 + 2 * 153}
         assert self.counted_run(monkeypatch, "hopf{n=2}",
                                 "lck-identities") == {
             "metric_fn": 2 * 153, "J_fn": 2 * 153}

@@ -12,7 +12,8 @@ import pytest
 
 from lckgeo import fd, transport, zoo
 from lckgeo.calculus import christoffel_components
-from lckgeo.charts import Chart, coordinate_rectangle, polygon_loop, segment_loop
+from lckgeo.charts import (Chart, Loop, coordinate_rectangle, polygon_loop,
+                           segment_loop)
 from lckgeo.errors import ChartDomainError, DomainExitError, IntegrationError
 from lckgeo.hermitian import lee_field
 from lckgeo.holonomy import default_holonomy_loops
@@ -397,20 +398,156 @@ class TestBundle:
         assert max(sizes) <= 8 * transport.NODE_BLOCK < 8 * 81 * len(loops)
 
 
-def _nodewise_loop_integral(chart, oneform_field, loop, steps=None):
-    """Reference loop integral: domain check and field call node by node."""
-    n = steps or loop.steps
-    total = 0.0
-    h = 1.0 / n
-    for k in range(n):
-        t0 = k * h
-        for node, w in zip(*fd.gauss_legendre_01(3)):
-            t = t0 + node * h
-            x = loop.point(t)
-            chart.require_inside(x)
-            alpha = np.asarray(oneform_field(x), dtype=float)
-            total += w * h * float(alpha @ loop.velocity(t))
-    return total
+def _nodewise_loop_integral(chart, oneform_field, loop):
+    """Reference loop integral: on each smooth piece the 16- and the 32-node
+    rule, halved until they agree, with the domain check and the field call
+    node by node in parameter order."""
+    knots = [0.0] + sorted(loop.breakpoints) + [1.0]
+    return sum(_nodewise_piece(chart, oneform_field, loop, t0, t1)
+               for t0, t1 in zip(knots[:-1], knots[1:]))
+
+
+def _nodewise_piece(chart, oneform_field, loop, t0, t1, depth=0):
+    h = t1 - t0
+    rules = [fd.gauss_legendre_01(n) for n in (16, 32)]
+    terms = {}
+    for t in sorted(np.concatenate([t0 + x * h for x, _ in rules])):
+        x = loop.point(t)
+        chart.require_inside(x)
+        alpha = np.asarray(oneform_field(x), dtype=float)
+        terms[t] = float(alpha @ loop.velocity(t))
+    (coarse_nodes, coarse_weights), (fine_nodes, fine_weights) = rules
+    coarse = fine = scale = 0.0
+    for t, w in zip(t0 + coarse_nodes * h, coarse_weights):
+        coarse += w * h * terms[t]
+    for t, w in zip(t0 + fine_nodes * h, fine_weights):
+        fine += w * h * terms[t]
+        scale += abs(w * h * terms[t])
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        return coarse if math.isfinite(fine) else fine
+    if abs(fine - coarse) <= 1e-12 * (1.0 + scale):
+        return fine
+    assert depth < transport.MAX_BISECTIONS
+    mid = 0.5 * (t0 + t1)
+    return (_nodewise_piece(chart, oneform_field, loop, t0, mid, depth + 1)
+            + _nodewise_piece(chart, oneform_field, loop, mid, t1, depth + 1))
+
+
+def _composite_loop_integral(chart, oneform_field, loop):
+    """Independent reference: the composite 3-node Gauss-Legendre rule on
+    ``loop.steps`` sub-intervals, every node in one field call."""
+    h = 1.0 / loop.steps
+    nodes, weights = fd.gauss_legendre_01(3)
+    ts = (np.arange(loop.steps)[:, None] * h + nodes * h).reshape(-1)
+    alphas = np.asarray(oneform_field(loop.point(ts)), dtype=float)
+    terms = np.vecdot(alphas, loop.velocity(ts))
+    return float(np.sum(np.tile(weights, loop.steps) * h * terms))
+
+
+def _counted(field, counts):
+    """The field, adding the number of points of each call to counts[0]."""
+    def wrapper(q):
+        counts[0] += np.asarray(q)[..., 0].size
+        return field(q)
+    return wrapper
+
+
+def _circle(radius):
+    """The circle of the given radius in the (x0, x1) plane, once round."""
+    tau = 2.0 * math.pi
+
+    def curve(t):
+        t = np.asarray(t, dtype=float)
+        zero = np.zeros_like(t)
+        return radius * np.stack([np.cos(tau * t), np.sin(tau * t), zero,
+                                  zero], axis=-1)
+
+    def velocity(t):
+        t = np.asarray(t, dtype=float)
+        zero = np.zeros_like(t)
+        return radius * tau * np.stack([-np.sin(tau * t), np.cos(tau * t),
+                                        zero, zero], axis=-1)
+
+    return Loop(curve_fn=curve, velocity_fn=velocity, label="circle")
+
+
+class TestGuardedLoopIntegral:
+    """Each smooth piece takes the 32-node value where the 16-node rule
+    agrees with it, and is halved where they do not."""
+
+    @pytest.mark.parametrize("mode", ["fd", "analytic"])
+    @pytest.mark.parametrize("name, loop", [
+        ("hopf2", "s1_generator"), ("hopf2", "contractible"),
+        ("hopf3", "s1_generator"), ("hopf3", "contractible"),
+        ("calabi_sin", "fiber"), ("calabi_sin", "mixed"),
+        ("warped_sin", "st_square"),
+        ("flat_inv2", "square"), ("flat_inv2", "triangle")])
+    def test_zoo_periods_match_composite_rule(self, request, name, loop,
+                                              mode):
+        entry = request.getfixturevalue(name)
+        if mode == "fd":
+            entry = zoo.stencil_only(entry)
+        H = entry.main_structure
+        field = lee_field(H)
+        value = loop_integral(H.chart, field, entry.loops[loop])
+        ref = _composite_loop_integral(H.chart, field, entry.loops[loop])
+        assert abs(value - ref) < 1e-12
+
+    def test_nan_field_returns_after_one_piece(self, hopf2):
+        """A NaN estimate is returned, not halved: J is NaN away from the
+        chart centre, and the s1_generator period comes back NaN after the
+        48 nodes of its one piece."""
+        H = hopf2.main_structure
+        p0 = H.chart.center()
+
+        def J_fn(q):
+            J = np.array(H.J_fn(q))
+            J[np.abs(np.asarray(q) - p0).max(axis=-1) > 0.1] = np.nan
+            return J
+
+        counts = [0]
+        field = _counted(lee_field(dataclasses.replace(H, J_fn=J_fn)), counts)
+        value = loop_integral(H.chart, field, hopf2.loops["s1_generator"])
+        assert math.isnan(value)
+        assert counts[0] <= 48
+
+    def test_peaked_form_on_a_circle_is_refined(self, euclid4):
+        """On the circle of radius 1/2, alpha = (-x1, x0) / (b/4 + x0/2)
+        gives alpha . v = 2 pi / (b + cos 2 pi t), with period
+        2 pi / sqrt(b^2 - 1); for b = 1.01 it peaks sharply at t = 1/2,
+        where the two rules disagree, and the piece is halved."""
+        b = 1.01
+
+        def form(q):
+            q = np.asarray(q, dtype=float)
+            zero = np.zeros_like(q[..., 0])
+            scale = 0.25 * (b + 2.0 * q[..., 0])
+            return np.stack([-q[..., 1], q[..., 0], zero, zero],
+                            axis=-1) / scale[..., None]
+
+        counts = [0]
+        chart = euclid4.charts["flat"]
+        value = loop_integral(chart, _counted(form, counts), _circle(0.5))
+        exact = 2.0 * math.pi / math.sqrt(b * b - 1.0)
+        assert counts[0] > 48
+        assert abs(value - exact) <= 1e-12 * (1.0 + exact)
+        assert value == _nodewise_loop_integral(chart, form, _circle(0.5))
+
+    def test_jump_raises_at_the_depth_cap(self, euclid4):
+        """A form with a jump at t = 1/3 never lets the rules agree on the
+        piece holding it; halving stops at the cap with the error naming
+        that piece's interval, after about two pieces per level."""
+        p0 = np.full(4, -0.5)
+        loop = segment_loop(p0, np.array([1.0, 0.0, 0.0, 0.0]))
+        counts = [0]
+
+        def step(q):
+            q = np.asarray(q, dtype=float)
+            return np.where(q[..., :1] > -0.5 + 1.0 / 3.0, 1.0, 0.0) + 0.0 * q
+
+        with pytest.raises(IntegrationError, match=r"does not converge on \["):
+            loop_integral(euclid4.charts["flat"], _counted(step, counts), loop)
+        assert counts[0] <= 2 * 48 * (transport.MAX_BISECTIONS + 1)
 
 
 class TestBlockedLoopIntegral:
@@ -426,12 +563,13 @@ class TestBlockedLoopIntegral:
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_domain_exit_matches_nodewise(self, hopf2, stacked):
-        """The generator run on to 2L leaves the chart after several blocks;
-        the field is written for stacks, or per point and lifted."""
+        """The generator run on to 2L leaves the chart part way along its
+        one piece; the field is written for stacks, or per point and
+        lifted."""
         H = hopf2.main_structure
         start = hopf2.loops["s1_generator"].point(0.0)
         shift = np.array([2.0 * hopf2.params["circumference"], 0.0, 0.0, 0.0])
-        loop = segment_loop(start, shift, steps=200)
+        loop = segment_loop(start, shift)
         field = np.vectorize(lambda q: np.cos(q) * q[0], signature="(m)->(m)")
         if stacked:
             field = lambda q: np.cos(q) * q[..., :1]
@@ -447,7 +585,7 @@ class TestBlockedLoopIntegral:
         H = hopf2.main_structure
         start = hopf2.loops["s1_generator"].point(0.0)
         shift = np.array([2.0 * hopf2.params["circumference"], 0.0, 0.0, 0.0])
-        loop = segment_loop(start, shift, steps=200)
+        loop = segment_loop(start, shift)
 
         def field(q):
             if np.any(np.asarray(q)[..., 0] > 3.0):
@@ -475,16 +613,15 @@ class TestBlockedLoopIntegral:
 
         field = lee_field(dataclasses.replace(H, J_fn=J_fn))
         start = hopf2.loops["s1_generator"].point(0.0)
-        steps = 20
-        gl_nodes = fd.gauss_legendre_01(3)[0]
-        t_last = (steps - 1 + gl_nodes[-1]) / steps
+        nodes = np.sort(np.concatenate([fd.gauss_legendre_01(n)[0]
+                                        for n in transport.GUARD_NODES]))
         # the last node lies inside the chart, closer to its face than the
         # 1e-5 step of the Lee-form stencil
-        shift = np.array([0.0, (top - 5e-6 - start[1]) / t_last, 0.0, 0.0])
-        loop = segment_loop(start, shift, steps=steps)
-        xs = np.array([loop.point((k + node) / steps)
-                       for k in range(steps) for node in gl_nodes])
-        assert H.chart.inside(xs).all() and 3 * steps <= 128
+        shift = np.array([0.0, (top - 5e-6 - start[1]) / nodes[-1], 0.0, 0.0])
+        loop = segment_loop(start, shift)
+        xs = loop.point(nodes)
+        assert top - xs[-1, 1] < 5e-6 + 1e-12
+        assert H.chart.inside(xs).all() and len(nodes) <= transport.NODE_BLOCK
         assert type(_raised(lambda: field(xs))) is ChartDomainError
         err = _raised(lambda: loop_integral(H.chart, field, loop))
         ref = _raised(lambda: _nodewise_loop_integral(H.chart, field, loop))
@@ -492,8 +629,9 @@ class TestBlockedLoopIntegral:
         assert str(err) == str(ref)
 
     def test_peak_memory_is_bounded(self, hopf2):
-        """2,400 nodes in blocks peak near 0.8 MB of Python allocations; all
-        nodes in one block would take about 10.7 MB."""
+        """The 4 pieces of 48 nodes, evaluated a piece at a time, peak near
+        0.3 MB of Python allocations; all 192 nodes in one call would take
+        about 1.1 MB."""
         H = zoo.stencil_only(hopf2).main_structure
         field = lee_field(H)
         loop = hopf2.loops["contractible"]
@@ -525,7 +663,8 @@ class TestBlockedLoopIntegral:
                                         J_fn=counted("J", H.J_fn))
         loop = hopf2.loops["contractible"]
         loop_integral(chart, lee_field(H_counted), loop)
-        nodes = 3 * loop.steps
-        blocks = math.ceil(nodes / 128)
+        pieces = len(loop.breakpoints) + 1
+        nodes = 48 * pieces
+        blocks = pieces * math.ceil(48 / transport.NODE_BLOCK)
         assert counts["J"] == [9 * nodes, 2 * blocks]
         assert counts["g"] == [9 * nodes, 2 * blocks]
