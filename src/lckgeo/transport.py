@@ -1,25 +1,27 @@
 """Geodesics, parallel transport, and line integrals along curves.
 
-All integrations use the classical 4-stage Runge-Kutta scheme with a fixed
-number of steps; line integrals use Gauss-Legendre quadrature, and a loop
-integral compares a 16- and a 32-node rule on each smooth piece, halving the
-piece until they agree.  Transport around a :class:`~lckgeo.charts.Loop`
-with a deck-translation shift is well defined because the chart fields are
-invariant under the shift.  Curves, like fields, take stacks: parameters of
-shape (...) give points and velocities of shape (..., m).
+Geodesics and transport use the classical 4-stage Runge-Kutta scheme with a
+fixed number of steps; line integrals use Gauss-Legendre quadrature, and a
+loop integral compares a 16- and a 32-node rule on each smooth piece,
+halving the piece until they agree.  Transport around a
+:class:`~lckgeo.charts.Loop` with a deck-translation shift is well defined
+because the chart fields are invariant under the shift.  Curves, like
+fields, take stacks: parameters of shape (...) give points and velocities
+of shape (..., m).
 
-Parallel transport solves the linear ODE V' = -Gamma(x(t))(x'(t), V), whose
-coefficients depend on t alone.  RK4 samples a step at t, t + h/2 (for k2
-and k3) and t + h, the next step's t, so a smooth piece of s steps needs the
-connection at only 2s + 1 node times.  Each piece first finds its node times
-by the float recurrence of the integrator, the curve points and velocities
-at all of them with one call each, and the domain check of every node at
-once.  The Christoffel symbols are then evaluated in blocks of nodes, about
-``NODE_BLOCK`` points per stacked call (see
-:func:`~lckgeo.calculus.christoffel_components`), as the integrator reaches
-each block, so no table the size of a piece is held.  The result is bit for
-bit that of evaluating every stage, and a node that fails a domain check
-raises its error when the integrator first reaches it.
+Parallel transport solves the linear ODE V' = B(t) V with
+B = -Gamma(x(t))(x'(t), .).  RK4 samples B at t, t + h/2 and t + h, the next
+step's t, so a smooth piece of s steps needs it at 2s + 1 node times, all
+known before integration starts, and each step is a matrix, V -> V + D V.
+Each piece finds its node times by the float recurrence of the integrator,
+the curve points and velocities at all of them with one call each, and the
+domain check of every node at once.  B is evaluated in blocks of about
+``NODE_BLOCK`` points (see :func:`~lckgeo.calculus.christoffel_components`),
+so no table the size of a piece is held, and each block's increments D
+come from batched matmuls and are applied one step at a time.  The result
+agrees with stage-by-stage RK4 to rounding, and the errors are its errors: a
+state that turns non-finite raises with the end time of its step, and a
+node that fails a domain check raises after the steps before it.
 
 A bundle is several curves on one schedule (steps and breakpoints), their
 points stacked on an axis before the coordinate axis, with one frame per
@@ -132,17 +134,13 @@ def transport_along(chart: Chart, point_fn: Callable, velocity_fn: Callable,
     velocity may jump (polygon corners); each smooth piece is integrated
     separately so no RK4 stage samples the velocity across a corner.
     """
-    V0 = np.asarray(frame, dtype=float)
-    shape = V0.shape
+    y = np.asarray(frame, dtype=float)
     knots = _knots(breakpoints)
-
-    y = V0.reshape(-1)
     for t0, t1 in zip(knots[:-1], knots[1:]):
         piece_steps = max(int(round(steps * (t1 - t0))), 1)
-        rhs = _piece_rhs(chart, point_fn, velocity_fn, t0, t1, piece_steps,
-                         shape)
-        y = _rk4(rhs, y, t0, t1, piece_steps)
-    return y.reshape(shape)
+        y = _transport_piece(chart, point_fn, velocity_fn, y, t0, t1,
+                             piece_steps)
+    return y
 
 
 def _knots(breakpoints: tuple) -> list:
@@ -151,18 +149,13 @@ def _knots(breakpoints: tuple) -> list:
     return [0.0] + sorted(t for t in breakpoints if 0.0 < t < 1.0) + [1.0]
 
 
-def _piece_rhs(chart: Chart, point_fn: Callable, velocity_fn: Callable,
-               t0: float, t1: float, steps: int, shape: tuple):
-    """The right-hand side of the transport equation on one smooth piece.
-
-    The node times follow the float recurrence of :func:`_rk4`; the curve
-    points and velocities at every node come from one call each, and every
-    node is domain-checked at once.  The Christoffel symbols are evaluated
-    a block of nodes at a time, about ``NODE_BLOCK`` points, when
-    :func:`_rk4` first asks for a node of the block.  It asks for the nodes
-    in time order, so the first node that fails a domain check raises its
-    error exactly where the stage-by-stage integration would raise.
-    """
+def _transport_piece(chart: Chart, point_fn: Callable, velocity_fn: Callable,
+                     y: np.ndarray, t0: float, t1: float,
+                     steps: int) -> np.ndarray:
+    """The frames y carried over one smooth piece by RK4 step propagators,
+    applied one step at a time as in :func:`_rk4`: a state that turns
+    non-finite raises with the end time of its step, and the first node
+    that fails a domain check raises after the steps before it."""
     h = (t1 - t0) / steps
     times, t = [], t0
     for _ in range(steps):      # the float recurrence of _rk4
@@ -179,24 +172,40 @@ def _piece_rhs(chart: Chart, point_fn: Callable, velocity_fn: Callable,
     ok = chart.inside(xs, margin).reshape(len(times), -1)
     bad = np.flatnonzero(~ok.all(axis=1))
     n_ok = bad[0] if len(bad) else len(times)
-    node = {t: i for i, t in enumerate(times[:n_ok])}
-    per_block = max(NODE_BLOCK // ok.shape[1], 1)
-    first, gammas = None, None      # the block of nodes in hand
+    step = 0
+    for D in _step_blocks(chart, xs[:n_ok], vels[:n_ok], h,
+                          max(NODE_BLOCK // ok.shape[1], 1)):
+        for D_j in D:
+            y = y + D_j @ y
+            step += 1
+            if not np.all(np.isfinite(y)):
+                raise IntegrationError(
+                    f"non-finite state at t={times[2 * step]}")
+    if n_ok < len(times):
+        _raise_domain_error(chart, xs[n_ok], times[n_ok], margin)
+    return y
 
-    def rhs(t, y):
-        nonlocal first, gammas
-        i = node.get(t)
-        if i is None:
-            _raise_domain_error(chart, xs[n_ok], times[n_ok], margin)
-        if first != i - i % per_block:
-            first = i - i % per_block
-            gammas = christoffel_components(
-                chart, xs[first:min(first + per_block, n_ok)])
-        dV = -np.einsum("...kij,...i,...jl->...kl", gammas[i - first],
-                        vels[i], y.reshape(shape))
-        return dV.reshape(-1)
 
-    return rhs
+def _step_blocks(chart: Chart, xs: np.ndarray, vels: np.ndarray, h: float,
+                 per_block: int):
+    """The increments of the RK4 steps over the nodes xs, ``per_block``
+    nodes of B = -Gamma(x)(v, .) at a time; the nodes of an unfinished step
+    carry over to the next block."""
+    carry = np.empty((0,) + xs.shape[1:] + xs.shape[-1:])
+    for start in range(0, len(xs), per_block):
+        gamma = christoffel_components(chart, xs[start:start + per_block])
+        v = vels[start:start + per_block]
+        B = np.concatenate([carry, -sum(gamma[..., i, :] * v[..., i, None, None]
+                                        for i in range(chart.dim))])
+        s = (len(B) - 1) // 2
+        carry = B[2 * s:]
+        # the stages k_i = K_i y of a step from B0, B1/2, B1 at t, t + h/2,
+        # t + h; the step is y + D y
+        B0, B_half, B1 = B[0:2 * s:2], B[1:2 * s:2], B[2:2 * s + 1:2]
+        K2 = B_half + (0.5 * h) * (B_half @ B0)
+        K3 = B_half + (0.5 * h) * (B_half @ K2)
+        K4 = B1 + h * (B1 @ K3)
+        yield (h / 6.0) * (B0 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
 def _raise_domain_error(chart: Chart, x: np.ndarray, exit_time: float,

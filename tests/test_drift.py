@@ -41,14 +41,28 @@ def test_numbers_are_drift():
     assert verdicts == []
     assert residuals == {("holonomy", "skew_defect_loop"):
                          pytest.approx(2e-8)}
-    assert gaps == {CELL: {"curvature_span": 0.0,
-                           "loop_holonomy": pytest.approx(0.1)}}
+    assert gaps == {CELL: {"curvature_span": 1.0,
+                           "loop_holonomy": pytest.approx(1.1)}}
     assert others == {("holonomy", "residuals.skew_defect_loop.worst_point"):
                       0.0}
     assert same == {CELL: (False, False)}
     table = drift.render(residuals, gaps, others, same)
     assert "| holonomy | skew_defect_loop | 2.00e-08 |" in table
-    assert "| hopf{n=2} | fd | 1 | 0.00e+00 | 1.00e-01 |" in table
+    assert "| hopf{n=2} | fd | 1 | ×1 | ×1.1 |" in table
+
+
+@pytest.mark.parametrize("gap, shown",
+                         [(99.92, "×0.9992"), (1360.0, "×13.6")],
+                         ids=["fell", "rose"])
+def test_rank_gap_change_is_signed(gap, shown):
+    """A gap that fell reads below 1 and one that rose above it: a falling
+    gap erodes the MIN_RANK_GAP margin, and |change| / base hides which."""
+    drift_ = drift.compare({CELL: _record()}, {CELL: _record(gap=gap)})[1:]
+    assert drift_[1] == {CELL: {"curvature_span": 1.0,
+                                "loop_holonomy": pytest.approx(gap / 100.0)}}
+    assert f"| hopf{{n=2}} | fd | 1 | ×1 | {shown} |" in drift.render(*drift_)
+    assert drift._ratio(0.0, 1.0) == float("inf")
+    assert drift._ratio(float("nan"), float("nan")) == 1.0
 
 
 def test_identity_is_counted_per_mode():
@@ -66,7 +80,7 @@ def test_identity_is_counted_per_mode():
 def test_an_infinite_gap_is_not_a_number():
     _, _, gaps, _, _ = drift.compare({CELL: _record(gap=None)},
                                      {CELL: _record(gap=None)})
-    assert gaps == {CELL: {"curvature_span": 0.0}}
+    assert gaps == {CELL: {"curvature_span": 1.0}}
 
 
 @pytest.mark.parametrize("change", [

@@ -14,14 +14,15 @@ anything in a report but its floating-point numbers (kind, label, algebra
 dim, ``agree``, ``pass``, residual names, counts and tolerances).  It exits
 2 when a tree's grid cannot run.  The numbers are drift, and it prints
 them: per suite and residual the largest |change| of ``max`` or ``mean`` as
-a share of the tolerance, per holonomy estimate the relative change of
-``rank_gap``, and per suite the largest relative change of any other number
-that moved.  Then come two tables, one per mode, of the reports that are
-byte-identical by sha256, the ``wc -l`` line count of ``src/lckgeo/*.py``
-in each tree, in total and for each module whose bytes differ (a module
-missing from a tree counts 0 lines there), and last the runs whose numbers
-of ``metric_fn`` and ``J_fn`` points differ.  Those counts do not depend on
-the machine; a change in them is not a verdict.
+a share of the tolerance, per holonomy estimate the ratio change/base of
+``rank_gap`` (below 1 where the gap fell), and per suite the largest
+relative change of any other number that moved.  Then come two tables, one
+per mode, of the reports that are byte-identical by sha256, the ``wc -l``
+line count of ``src/lckgeo/*.py`` in each tree, in total and for each
+module whose bytes differ (a module missing from a tree counts 0 lines
+there), and last the runs whose numbers of ``metric_fn`` and ``J_fn``
+points differ.  Those counts do not depend on the machine; a change in
+them is not a verdict.
 """
 
 from __future__ import annotations
@@ -188,6 +189,13 @@ def _relative(a: float, b: float) -> float:
     return d if d == 0.0 else (math.inf if a == 0.0 else d / abs(a))
 
 
+def _ratio(a: float, b: float) -> float:
+    """b / a: 1 for equal values, NaNs included; inf from a base of 0."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 1.0
+    return math.inf if a == 0.0 else b / a
+
+
 def compare(base: dict, change: dict):
     """Verdict differences, residual drift, rank-gap drift, other drift and
     sha256 identity of two grids of records keyed by cell."""
@@ -219,7 +227,7 @@ def compare(base: dict, change: dict):
                     residuals[key] = max(residuals.get(key, 0.0),
                                          _delta(x, y) / tol)
                 elif path[-1] == "rank_gap":
-                    gaps[cell][path[1]] = _relative(x, y)
+                    gaps[cell][path[1]] = _ratio(x, y)
                 else:
                     key = (suite, ".".join(str(k) for k in path
                                            if not isinstance(k, int)))
@@ -234,11 +242,12 @@ def render(residuals, gaps, others, same) -> str:
              "unchanged)", "", "| suite | residual | share of tol |",
              "|---|---|---|"]
     lines += [f"| {s} | {r} | {v:.2e} |" for (s, r), v in moved]
-    lines += ["", "relative change of the holonomy rank gaps", "",
+    lines += ["", "ratio change/base of the holonomy rank gaps (below 1: "
+              "the gap fell)", "",
               "| selector | mode | seed | curvature_span | loop_holonomy |",
               "|---|---|---|---|---|"]
     for (sel, _, mode, seed), g in sorted(gaps.items(), key=str):
-        cols = [f"{g[e]:.2e}" if e in g else "inf gap"
+        cols = [f"×{g[e]:.4g}" if e in g else "inf gap"
                 for e in ("curvature_span", "loop_holonomy")]
         lines.append(f"| {sel} | {mode} | {seed} | " + " | ".join(cols) + " |")
     lines += ["", "largest relative change of the other numbers that moved",
