@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import fd
-from .charts import Chart, FrameTensor, alt
+from .charts import Chart, FrameTensor, _move_axis, alt
 
 
 def christoffel(chart: Chart, p, step: float = fd.DIRECT.step) -> FrameTensor:
@@ -121,10 +121,10 @@ def covariant_partials(dT: np.ndarray, T: np.ndarray, gamma: np.ndarray,
     out = dT.copy()
     for axis in range(con):
         corr = _tensordot(gamma, 2, T, axis, lead)    # [..., k, c, ...]
-        out += np.moveaxis(corr, lead, lead + axis + 1)
+        out += _move_axis(corr, lead, lead + axis + 1)
     for axis in range(cov):
         corr = _tensordot(gamma, 0, T, con + axis, lead)    # [..., c, i, ...]
-        out -= np.moveaxis(corr, lead + 1, lead + con + axis + 1)
+        out -= _move_axis(corr, lead + 1, lead + con + axis + 1)
     return out
 
 
@@ -136,8 +136,8 @@ def _tensordot(a: np.ndarray, a_axis: int, b: np.ndarray, b_axis: int,
     after them.  Each point's product is the (rows, m) @ (m, cols) matrix
     product that tensordot hands to dot, so it rounds the same.
     """
-    a = np.moveaxis(a, lead + a_axis, -1)
-    b = np.moveaxis(b, lead + b_axis, lead)
+    a = _move_axis(a, lead + a_axis, -1)
+    b = _move_axis(b, lead + b_axis, lead)
     points, free_a, free_b = a.shape[:lead], a.shape[lead:-1], b.shape[lead + 1:]
     m = a.shape[-1]
     prod = (a.reshape(points + (math.prod(free_a), m))

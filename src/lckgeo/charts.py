@@ -18,6 +18,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -190,10 +191,9 @@ class FrameTensor:
         cov, con = self.valence
         if axis >= con:
             raise ValueError("axis is not contravariant")
-        comp = np.tensordot(g, self.components, axes=(1, axis))
-        comp = np.moveaxis(comp, 0, axis)
+        comp = _contract(g, self.components, axis)
         # lowered axis moves to the front of the covariant block
-        comp = np.moveaxis(comp, axis, con - 1)
+        comp = _move_axis(comp, axis, con - 1)
         return FrameTensor(comp, (cov + 1, con - 1), self.point)
 
     def raise_index(self, g: np.ndarray, axis: int = 0) -> "FrameTensor":
@@ -201,11 +201,9 @@ class FrameTensor:
         cov, con = self.valence
         if axis >= cov:
             raise ValueError("axis is not covariant")
-        g_inv = np.linalg.inv(g)
         full_axis = con + axis
-        comp = np.tensordot(g_inv, self.components, axes=(1, full_axis))
-        comp = np.moveaxis(comp, 0, full_axis)
-        comp = np.moveaxis(comp, full_axis, con)
+        comp = _contract(np.linalg.inv(g), self.components, full_axis)
+        comp = _move_axis(comp, full_axis, con)
         return FrameTensor(comp, (cov - 1, con + 1), self.point)
 
 
@@ -309,10 +307,17 @@ def alt(a: np.ndarray, lead: int = 0) -> np.ndarray:
         return a
     out = np.zeros_like(a)
     points = tuple(range(lead))
-    for perm in itertools.permutations(range(k)):
-        axes = points + tuple(lead + i for i in perm)
-        out += _perm_sign(perm) * np.transpose(a, axes)
+    for sign, perm in _signed_permutations(k):
+        out += sign * a.transpose(points + tuple(lead + i for i in perm))
     return out / math.factorial(k)
+
+
+@functools.cache
+def _signed_permutations(k: int) -> tuple:
+    """(sign, permutation) of every permutation of range(k), in the order
+    of :func:`itertools.permutations`."""
+    return tuple((_perm_sign(perm), perm)
+                 for perm in itertools.permutations(range(k)))
 
 
 def _perm_sign(perm) -> int:
@@ -376,9 +381,38 @@ def raised_norm(a: np.ndarray, g_inv: np.ndarray) -> float:
         return float(abs(a))
     raised = a
     for axis in range(a.ndim):
-        raised = np.tensordot(g_inv, raised, axes=(1, axis))
-        raised = np.moveaxis(raised, 0, axis)
+        raised = _contract(g_inv, raised, axis)
     return float(np.sqrt(abs(np.sum(raised * a))))
+
+
+def _contract(g: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
+    """g_ij t^...j... on the given axis of t, the result's index i in its
+    place: ``np.moveaxis(np.tensordot(g, t, axes=(1, axis)), 0, axis)``.
+
+    It makes tensordot's transpose and its one ``np.dot`` call, so it rounds
+    the same, without tensordot's and moveaxis's axis normalisation.
+    """
+    forward, back = _contraction_orders(t.ndim)[axis]
+    moved = t.transpose(forward)
+    prod = np.dot(g, moved.reshape(t.shape[axis], -1))
+    return prod.reshape((g.shape[0],) + moved.shape[1:]).transpose(back)
+
+
+@functools.cache
+def _contraction_orders(rank: int) -> tuple:
+    """Per axis of a rank-``rank`` array: the transpose that brings it to
+    the front, the others in order, and the one that moves it back."""
+    return tuple(((axis, *range(axis), *range(axis + 1, rank)),
+                  (*range(1, axis + 1), 0, *range(axis + 1, rank)))
+                 for axis in range(rank))
+
+
+def _move_axis(a: np.ndarray, source: int, dest: int) -> np.ndarray:
+    """``np.moveaxis(a, source, dest)`` for one axis: the same transpose,
+    without moveaxis's axis normalisation."""
+    order = list(range(a.ndim))
+    order.insert(dest % a.ndim, order.pop(source))
+    return a.transpose(order)
 
 
 def vector_norm(v: np.ndarray, metric: np.ndarray) -> float:

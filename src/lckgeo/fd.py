@@ -128,7 +128,8 @@ def difference(values: np.ndarray, stencil: Stencil,
     """All partials at each base point from a field's values at its
     :func:`stencil_points`, shape (..., m, order) + the value shape ->
     (..., m) + the value shape; ``lead`` counts the base point axes."""
-    f_s = np.moveaxis(values, lead + 1, 0)
+    at = (slice(None),) * (lead + 1)
+    f_s = [values[at + (s,)] for s in range(stencil.order)]
     h = stencil.step
     if stencil.order == 2:
         return (f_s[0] - f_s[1]) / (2.0 * h)

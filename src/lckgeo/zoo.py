@@ -261,7 +261,9 @@ def euclidean(m: int) -> ZooEntry:
 def _columns(x: np.ndarray) -> list:
     """The entries x[..., k] in order: plain floats for a single point, which
     multiply faster than numpy scalars, and arrays over a stack of points."""
-    return x.tolist() if x.ndim == 1 else list(np.moveaxis(x, -1, 0))
+    if x.ndim == 1:
+        return x.tolist()
+    return [x[..., k] for k in range(x.shape[-1])]
 
 
 def _hypersphere_embedding(angles: np.ndarray) -> np.ndarray:

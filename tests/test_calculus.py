@@ -144,6 +144,22 @@ def test_gradient_matches_per_axis_stencil(order, step, hopf2, rng):
         assert np.array_equal(fd.gradient(f, pts[0], stencil), ref[0])
 
 
+@pytest.mark.parametrize("lead", [0, 1])
+@pytest.mark.parametrize("order", [2, 4])
+def test_difference_matches_moveaxis_route(order, lead, rng):
+    """fd.difference reads each stencil offset in place and rounds as
+    taking them from the stencil axis moved to the front did."""
+    stencil = fd.Stencil(1e-3, order)
+    values = rng.standard_normal((3,) * lead + (4, order, 2, 3))
+    f_s = np.moveaxis(values, lead + 1, 0)
+    h = stencil.step
+    if order == 2:
+        ref = (f_s[0] - f_s[1]) / (2.0 * h)
+    else:
+        ref = (8.0 * (f_s[0] - f_s[1]) - (f_s[2] - f_s[3])) / (12.0 * h)
+    assert np.array_equal(fd.difference(values, stencil, lead), ref)
+
+
 @pytest.mark.parametrize("name", ["flat_inv2", "hopf2"])
 def test_complex_step_against_symbolic_oracle(name, request, rng):
     """The chart's metric partials, fd.complex_step of its own metric, vs

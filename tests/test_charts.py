@@ -2,16 +2,17 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from lckgeo import fd, zoo
-from lckgeo.charts import (Chart, FrameTensor, Loop, alt, coordinate_rectangle,
-                           endomorphism_of_form, form_norm,
-                           form_of_endomorphism, polygon_loop, segment_loop,
-                           wedge, wedge_endo)
+from lckgeo.charts import (Chart, FrameTensor, Loop, _move_axis, alt,
+                           coordinate_rectangle, endomorphism_of_form,
+                           form_norm, form_of_endomorphism, polygon_loop,
+                           raised_norm, segment_loop, wedge, wedge_endo)
 from lckgeo.errors import ChartDomainError, MetricError
 
 
@@ -264,3 +265,69 @@ class TestExteriorAlgebra:
         M = wedge_endo(x, tau, g)
         expected = float(x @ g @ y) * np.linalg.solve(g, tau) - float(tau @ y) * x
         npt.assert_allclose(M @ y, expected, atol=1e-13)
+
+
+def _random_spd(rng, m):
+    a = rng.standard_normal((m, m))
+    return a @ a.T + m * np.eye(m)
+
+
+class TestContractionPaths:
+    """The tensor algebra takes numpy's axis wrappers off its per-sample
+    path and rounds as they do: each is compared bit for bit with the
+    tensordot / moveaxis / itertools route it replaces."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
+    def test_raised_norm_matches_tensordot_chain(self, seed, rank):
+        rng = np.random.default_rng(seed)
+        m = 4
+        g_inv = np.linalg.inv(_random_spd(rng, m))
+        a = rng.standard_normal((m,) * rank)
+        raised = a
+        for axis in range(rank):
+            raised = np.moveaxis(np.tensordot(g_inv, raised, axes=(1, axis)),
+                                 0, axis)
+        ref = float(np.sqrt(abs(np.sum(raised * a))))
+        assert raised_norm(a, g_inv) == ref
+
+    @pytest.mark.parametrize("valence", [(1, 2), (2, 1)])
+    def test_index_moves_match_tensordot_chain(self, valence, rng):
+        g = _random_spd(rng, 3)
+        cov, con = valence
+        t = FrameTensor(rng.standard_normal((3, 3, 3)), valence=valence,
+                        point=np.zeros(3))
+        for axis in range(con):
+            comp = np.tensordot(g, t.components, axes=(1, axis))
+            ref = np.moveaxis(np.moveaxis(comp, 0, axis), axis, con - 1)
+            assert np.array_equal(t.lower_index(g, axis).components, ref)
+        for axis in range(cov):
+            comp = np.tensordot(np.linalg.inv(g), t.components,
+                                axes=(1, con + axis))
+            ref = np.moveaxis(np.moveaxis(comp, 0, con + axis), con + axis, con)
+            assert np.array_equal(t.raise_index(g, axis).components, ref)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_move_axis_matches_moveaxis(self, rank):
+        a = np.arange(math.prod(range(2, rank + 2)), dtype=float).reshape(
+            range(2, rank + 2))
+        for source, dest in itertools.product(range(-rank, rank), repeat=2):
+            moved = _move_axis(a, source, dest)
+            ref = np.moveaxis(a, source, dest)
+            assert moved.shape == ref.shape and moved.strides == ref.strides
+            assert np.array_equal(moved, ref)
+
+    @pytest.mark.parametrize("lead", [0, 1])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_alt_matches_itertools_reference(self, rank, lead, rng):
+        a = rng.standard_normal((3,) * lead + (4,) * rank)
+        ref = a
+        if rank > 1:
+            ref = np.zeros_like(a)
+            for perm in itertools.permutations(range(rank)):
+                inversions = sum(perm[i] > perm[j] for i, j in
+                                 itertools.combinations(range(rank), 2))
+                axes = tuple(range(lead)) + tuple(lead + i for i in perm)
+                ref += (-1) ** inversions * np.transpose(a, axes)
+            ref = ref / math.factorial(rank)
+        assert np.array_equal(alt(a, lead), ref)

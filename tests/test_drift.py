@@ -41,26 +41,29 @@ def test_numbers_are_drift():
     assert verdicts == []
     assert residuals == {("holonomy", "skew_defect_loop"):
                          pytest.approx(2e-8)}
-    assert gaps == {CELL: {"curvature_span": 1.0,
-                           "loop_holonomy": pytest.approx(1.1)}}
+    assert gaps == {CELL: {"curvature_span": (1.0, 1e6),
+                           "loop_holonomy": (pytest.approx(1.1), 100.0)}}
     assert others == {("holonomy", "residuals.skew_defect_loop.worst_point"):
                       0.0}
     assert same == {CELL: (False, False)}
     table = drift.render(residuals, gaps, others, same)
     assert "| holonomy | skew_defect_loop | 2.00e-08 |" in table
-    assert "| hopf{n=2} | fd | 1 | ×1 | ×1.1 |" in table
+    assert "| hopf{n=2} | fd | 1 | ×1 (min 1e+06) | ×1.1 (min 100) |" in table
 
 
 @pytest.mark.parametrize("gap, shown",
-                         [(99.92, "×0.9992"), (1360.0, "×13.6")],
+                         [(99.92, "×0.9992 (min 99.9)"),
+                          (1360.0, "×13.6 (min 100)")],
                          ids=["fell", "rose"])
 def test_rank_gap_change_is_signed(gap, shown):
     """A gap that fell reads below 1 and one that rose above it: a falling
     gap erodes the MIN_RANK_GAP margin, and |change| / base hides which."""
     drift_ = drift.compare({CELL: _record()}, {CELL: _record(gap=gap)})[1:]
-    assert drift_[1] == {CELL: {"curvature_span": 1.0,
-                                "loop_holonomy": pytest.approx(gap / 100.0)}}
-    assert f"| hopf{{n=2}} | fd | 1 | ×1 | {shown} |" in drift.render(*drift_)
+    assert drift_[1] == {CELL: {
+        "curvature_span": (1.0, 1e6),
+        "loop_holonomy": (pytest.approx(gap / 100.0), min(gap, 100.0))}}
+    assert (f"| hopf{{n=2}} | fd | 1 | ×1 (min 1e+06) | {shown} |"
+            in drift.render(*drift_))
     assert drift._ratio(0.0, 1.0) == float("inf")
     assert drift._ratio(float("nan"), float("nan")) == 1.0
 
@@ -77,10 +80,24 @@ def test_identity_is_counted_per_mode():
     assert "| hopf{n=2} | 0/1 |" in analytic_table
 
 
+def test_the_smaller_gap_shows_its_margin():
+    """A falling gap shows how near it comes to MIN_RANK_GAP = 10 in the
+    table itself: the smaller of the two gaps is printed beside the ratio,
+    whichever side holds it."""
+    for base, change in ((1.12e12, 1.025e12), (12.5, 40.0)):
+        gaps = drift.compare({CELL: _record(gap=base)},
+                             {CELL: _record(gap=change)})[2]
+        assert gaps[CELL]["loop_holonomy"] == (change / base,
+                                               min(base, change))
+    table = drift.render({}, {CELL: {"loop_holonomy": (0.9152, 1.025e12)}},
+                         {}, {})
+    assert "| hopf{n=2} | fd | 1 | inf gap | ×0.9152 (min 1.02e+12) |" in table
+
+
 def test_an_infinite_gap_is_not_a_number():
     _, _, gaps, _, _ = drift.compare({CELL: _record(gap=None)},
                                      {CELL: _record(gap=None)})
-    assert gaps == {CELL: {"curvature_span": 1.0}}
+    assert gaps == {CELL: {"curvature_span": (1.0, 1e6)}}
 
 
 @pytest.mark.parametrize("change", [

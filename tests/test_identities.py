@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 import zlib
 
 import numpy as np
@@ -582,3 +583,25 @@ def test_lck_identity_residuals_are_the_suite_at_one_point(selector, capsys):
                      "--at=" + ",".join(repr(float(c)) for c in p)]) == 0
     reported = json.loads(capsys.readouterr().out)["suites"][0]["residuals"]
     assert {name: rec["max"] for name, rec in reported.items()} == res
+
+
+@pytest.mark.parametrize("manifold, suite", [
+    ("hopf{n=2}", "lck-identities"),
+    ("calabi{ell=sin,b=pi}", "commuting-pair")])
+def test_per_sample_path_avoids_numpy_axis_wrappers(monkeypatch, manifold,
+                                                    suite):
+    """np.tensordot and np.moveaxis normalise their axes in Python, which
+    cost more than the small products they wrap.  Counted over the calls
+    lckgeo itself makes (numpy's own calls, such as leggauss's, are left
+    out), a 2-sample run keeps only the one np.tensordot(x, .) per sample of
+    nabla_j_residual or commuting_pair_residuals."""
+    calls = {"tensordot": 0, "moveaxis": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(np, name), _name=name, **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__", "")
+            if caller.startswith("lckgeo"):
+                calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    run(SuiteConfig(manifold=manifold, suites=(suite,), samples=2, seed=1))
+    assert calls == {"tensordot": 2, "moveaxis": 0}

@@ -603,6 +603,27 @@ class TestGuardedLoopIntegral:
         assert counts[0] <= 2 * 48 * (transport.MAX_BISECTIONS + 1)
 
 
+    def test_jump_must_be_declared_as_a_breakpoint(self, euclid4):
+        """Both rules are symmetric about a piece's centre, so a jump near
+        the centre of a piece passes the guard: on the flat segment x0 from
+        -0.5 to 0.5 with alpha = [x0 > 0.1234567] dx0, the jump sits near the
+        centre of the piece [0.5, 0.75] and the period comes back 0.375.
+        Declared as a breakpoint, the jump splits the loop into two smooth
+        pieces, and the period is the exact 0.3765433."""
+        jump = 0.1234567
+
+        def step(q):
+            q = np.asarray(q, dtype=float)
+            return np.where(q[..., :1] > jump, 1.0, 0.0) + 0.0 * q
+
+        chart = euclid4.charts["flat"]
+        loop = segment_loop(np.array([-0.5, 0.0, 0.0, 0.0]),
+                            np.array([1.0, 0.0, 0.0, 0.0]))
+        assert abs(loop_integral(chart, step, loop) - 0.375) <= 1e-15
+        declared = dataclasses.replace(loop, breakpoints=(0.5 + jump,))
+        assert abs(loop_integral(chart, step, declared)
+                   - (0.5 - jump)) <= 1e-15
+
 class TestBlockedLoopIntegral:
     """The Lee field is evaluated on blocks of Gauss-Legendre nodes."""
 

@@ -15,12 +15,13 @@ dim, ``agree``, ``pass``, residual names, counts and tolerances).  It exits
 2 when a tree's grid cannot run.  The numbers are drift, and it prints
 them: per suite and residual the largest |change| of ``max`` or ``mean`` as
 a share of the tolerance, per holonomy estimate the ratio change/base of
-``rank_gap`` (below 1 where the gap fell), and per suite the largest
-relative change of any other number that moved.  Then come two tables, one
-per mode, of the reports that are byte-identical by sha256, the ``wc -l``
-line count of ``src/lckgeo/*.py`` in each tree, in total and for each
-module whose bytes differ (a module missing from a tree counts 0 lines
-there), and last the runs whose numbers of ``metric_fn`` and ``J_fn``
+``rank_gap`` (below 1 where the gap fell) beside the smaller of the two
+gaps, the margin left above ``holonomy.MIN_RANK_GAP`` = 10, and per suite
+the largest relative change of any other number that moved.  Then come
+two tables, one per mode, of the reports that are byte-identical by sha256,
+the ``wc -l`` line count of ``src/lckgeo/*.py`` in each tree, in total and
+for each module whose bytes differ (a module missing from a tree counts 0
+lines there), and last the runs whose numbers of ``metric_fn`` and ``J_fn``
 points differ.  Those counts do not depend on the machine; a change in
 them is not a verdict.
 """
@@ -227,7 +228,7 @@ def compare(base: dict, change: dict):
                     residuals[key] = max(residuals.get(key, 0.0),
                                          _delta(x, y) / tol)
                 elif path[-1] == "rank_gap":
-                    gaps[cell][path[1]] = _ratio(x, y)
+                    gaps[cell][path[1]] = (_ratio(x, y), min(x, y))
                 else:
                     key = (suite, ".".join(str(k) for k in path
                                            if not isinstance(k, int)))
@@ -243,12 +244,13 @@ def render(residuals, gaps, others, same) -> str:
              "|---|---|---|"]
     lines += [f"| {s} | {r} | {v:.2e} |" for (s, r), v in moved]
     lines += ["", "ratio change/base of the holonomy rank gaps (below 1: "
-              "the gap fell)", "",
+              "the gap fell), and the smaller of the two gaps (a verdict "
+              "needs 10, holonomy.MIN_RANK_GAP)", "",
               "| selector | mode | seed | curvature_span | loop_holonomy |",
               "|---|---|---|---|---|"]
     for (sel, _, mode, seed), g in sorted(gaps.items(), key=str):
-        cols = [f"×{g[e]:.4g}" if e in g else "inf gap"
-                for e in ("curvature_span", "loop_holonomy")]
+        cols = [f"×{g[e][0]:.4g} (min {g[e][1]:.3g})" if e in g
+                else "inf gap" for e in ("curvature_span", "loop_holonomy")]
         lines.append(f"| {sel} | {mode} | {seed} | " + " | ".join(cols) + " |")
     lines += ["", "largest relative change of the other numbers that moved",
               "", "| suite | number | relative change |", "|---|---|---|"]
