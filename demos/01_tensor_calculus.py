@@ -16,7 +16,7 @@ from lckgeo.transport import geodesic, orthogonality_defect, parallel_transport
 print("=" * 72)
 print("1. Christoffel symbols on the round 2-sphere (polar chart)")
 print("=" * 72)
-s2 = zoo.round_s2_base(1.0, polar_margin=0.25).chart()
+s2 = zoo.round_s2_base(1.0, polar_margin=0.25).structure.chart
 # a chart differences its metric on a stencil when it has no derivative
 s2_stencil = dataclasses.replace(s2, metric_derivative_fn=None)
 p = np.array([math.pi / 4, 1.0])
@@ -31,7 +31,7 @@ print("=" * 72)
 print("2. Curvature: scalar of round spheres and flatness of the inversion")
 print("=" * 72)
 for radius in (1.0, 2.0):
-    chart = dataclasses.replace(zoo.round_s2_base(radius).chart(),
+    chart = dataclasses.replace(zoo.round_s2_base(radius).structure.chart,
                                 metric_derivative_fn=None)
     _, scal = ricci_scalar(chart, chart.center())
     print(f"S^2 radius {radius}: scalar curvature {scal:.8f} "

@@ -12,13 +12,14 @@ chart with a complex-safe metric uses for its metric partials.  A
 tiered by how much stencil noise the differentiated field already carries:
 
 * ``DIRECT`` -- fields evaluated in closed form (metric, J, fundamental
-  form): 2nd-order stencil, step 1e-5.
+  form), and sigma~ and its trace in the Hamiltonian-form check:
+  2nd-order stencil, step 1e-5.
 * ``NESTED`` -- fields whose evaluation contains one stencil level
   (Christoffel fields, Lee forms, grad of scalar invariants): 4th-order
   stencil, step 1e-3.  The wider, higher-order stencil keeps the amplified
   inner-stencil noise (~eps/h) well below the 1e-4 identity tolerances.
 * ``DEEP`` -- twice-nested fields (S-tensor, delta-theta, the Einstein-chain
-  and Hamiltonian-form stacks): 2nd-order, step 1e-2.
+  stack): 2nd-order, step 1e-2.
 
 A field is a callable from points of shape (..., m) to the stack of its
 values, shape (...,) + the value shape; a single point of shape (m,) gives

@@ -66,19 +66,24 @@ class HermitianStructure:
 
     def compatibility_defects(self, p):
         """(|J^2 + Id|, |J^T G J - G|) max-norms at p."""
-        J = self.J(p)
-        G = self.chart.metric(p)
-        d_square = float(np.max(np.abs(J @ J + np.eye(self.chart.dim))))
-        d_metric = float(np.max(np.abs(J.T @ G @ J - G)))
-        return d_square, d_metric
+        return _compatibility_defects(self.J(p), self.chart.metric(p))
 
     def require_compatible(self, p, tol: float = 1e-8):
-        d_square, d_metric = self.compatibility_defects(p)
-        scale = 1.0 + float(np.max(np.abs(self.chart.metric(p))))
-        if d_square > tol or d_metric > tol * scale:
+        """J and the validated metric at p, each evaluated once, or
+        :class:`CompatibilityError` where |J^2 + Id| exceeds ``tol`` or
+        |J^T G J - G| exceeds ``tol (1 + max |G|)``."""
+        J, G = self.J(p), self.chart.metric(p)
+        d_square, d_metric = _compatibility_defects(J, G)
+        if d_square > tol or d_metric > tol * (1.0 + float(np.max(np.abs(G)))):
             raise CompatibilityError(
                 f"J incompatible at {np.asarray(p)} on '{self.label}': "
                 f"|J^2+Id|={d_square:.2e}, |J^T G J - G|={d_metric:.2e}")
+        return J, G
+
+
+def _compatibility_defects(J: np.ndarray, G: np.ndarray):
+    return (float(np.max(np.abs(J @ J + np.eye(len(G))))),
+            float(np.max(np.abs(J.T @ G @ J - G))))
 
 
 def j_on_forms(J: np.ndarray, tau) -> np.ndarray:
@@ -100,9 +105,8 @@ class LeeData:
 def fundamental_form(H: HermitianStructure, p) -> FrameTensor:
     """Omega = g(J., .) at p, checked antisymmetric and J-compatible."""
     p = np.asarray(p, dtype=float)
-    H.require_compatible(p)
-    omega = H.omega(p)
-    return FrameTensor(omega, valence=(2, 0), point=p)
+    return FrameTensor(form_of_endomorphism(*H.require_compatible(p)),
+                       valence=(2, 0), point=p)
 
 
 def nijenhuis_tensor(H: HermitianStructure, p) -> np.ndarray:

@@ -15,7 +15,7 @@ ambiguous ranks yield "inconclusive", never a wrong label.
 
 Classification against the candidate algebras so(2n), u(n), so(2n-1) uses
 dimension plus structural witnesses: a u(n) label needs every generator to
-commute with a supplied J candidate, an so(2n-1) label needs a common fixed
+commute with a supplied J, an so(2n-1) label needs a common fixed
 vector (kernel intersection) of all generators.
 
 The loop logarithm is the Gregory series log H = 2 sum_k C^(2k+1)/(2k+1),
@@ -113,7 +113,7 @@ def _close_under_commutators(mats, m: int):
 
 
 def _assemble(chart: Chart, base, hat_generators, n: int,
-              J_candidates=()) -> HolonomyEstimate:
+              J_fn=None) -> HolonomyEstimate:
     """Common path: scale gate, closure, rank, classification, frames."""
     m = chart.dim
     g = chart.metric(base)
@@ -129,7 +129,7 @@ def _assemble(chart: Chart, base, hat_generators, n: int,
                       for G in hat_generators) / scale
     basis, dim, gap = _close_under_commutators(
         [G / scale for G in hat_generators], m)
-    hat_J = [_to_frame(L, np.asarray(J_fn(base))) for J_fn in J_candidates]
+    hat_J = None if J_fn is None else _to_frame(L, np.asarray(J_fn(base)))
     label = classify_algebra(basis, dim, gap, n, hat_J)
     coord_generators = [_from_frame(L, B) for B in basis]
     return HolonomyEstimate(algebra_dim=dim, generators=coord_generators,
@@ -138,19 +138,19 @@ def _assemble(chart: Chart, base, hat_generators, n: int,
 
 
 def classify_algebra(hat_basis, dim: int, rank_gap: float, n: int,
-                     hat_J_candidates=()) -> str:
+                     hat_J=None) -> str:
     """Label a holonomy algebra given its orthonormal-frame span basis.
 
     Never guesses: an ambiguous rank gap returns "inconclusive".  The u(n)
-    label requires every generator to commute with a candidate J (dim may be
-    below n^2: the algebra is then still unitary); so(2n-1) requires the
-    matching dimension plus a common fixed vector.
+    label requires every generator to commute with ``hat_J``, a J in the
+    same frame (dim may be below n^2: the algebra is then still unitary);
+    so(2n-1) requires the matching dimension plus a common fixed vector.
     """
     if rank_gap < MIN_RANK_GAP:
         return "inconclusive"
     if dim == 0:
         return "reducible/other"
-    for hat_J in hat_J_candidates:
+    if hat_J is not None:
         comm = max(float(np.max(np.abs(B @ hat_J - hat_J @ B)))
                    / max(float(np.max(np.abs(B))), 1e-300) for B in hat_basis)
         if comm < U_N_COMMUTATOR and dim <= n * n:
@@ -203,8 +203,7 @@ def default_probes(chart: Chart, base, rng: np.random.Generator,
     return probes
 
 
-def curvature_span(chart: Chart, base, probes, n: int = None,
-                   J_candidates=(),
+def curvature_span(chart: Chart, base, probes, n: int = None, J_fn=None,
                    transport_steps: int = 200) -> HolonomyEstimate:
     """Holonomy-algebra estimate from transported curvature endomorphisms.
 
@@ -229,7 +228,7 @@ def curvature_span(chart: Chart, base, probes, n: int = None,
         raise
     hats = [_to_frame(L, _conjugate(P, _probe_curvature(chart, q, x, y)))
             for q, P, (_, (x, y)) in zip(qs, Ps, probes)]
-    return _assemble(chart, base, hats, n, J_candidates)
+    return _assemble(chart, base, hats, n, J_fn)
 
 
 def _probe_curvature(chart: Chart, q, x, y) -> np.ndarray:
@@ -279,7 +278,7 @@ def default_holonomy_loops(chart: Chart, base, steps_per_edge: int = 150):
 
 
 def loop_holonomy(chart: Chart, loops, base, n: int = None,
-                  J_candidates=(), transport_steps: int = 200,
+                  J_fn=None, transport_steps: int = 200,
                   allow_shifted: bool = False) -> HolonomyEstimate:
     """Holonomy-algebra estimate from transport logarithms around loops.
 
@@ -312,7 +311,7 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
     if first_deck < len(loops):
         raise PreconditionError(f"loop '{loops[first_deck].label}' is a "
                                 "deck generator, not contractible")
-    return _assemble(chart, base, hats, n, J_candidates)
+    return _assemble(chart, base, hats, n, J_fn)
 
 
 def _loop_transports(chart: Chart, loops, base, steps: int):

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import fd
 from .calculus import (codifferential_of, covariant_partials,
-                       exterior_of_partials, levi_civita, ricci_scalar)
+                       exterior_of_partials, ricci_scalar)
 from .charts import (form_of_endomorphism, raised_norm, vector_norm, wedge,
                      wedge_endo)
 from .errors import (InconsistencyError, NotLcKError, PreconditionError,
@@ -439,6 +439,24 @@ def parallel_field_residuals(H: HermitianStructure, p, v) -> dict:
 # commuting Kahler/lcK pair and the Hamiltonian 2-form
 # ---------------------------------------------------------------------------
 
+def _pair_parts(I: HermitianStructure, J: HermitianStructure, p) -> tuple:
+    """The one pass of both pair checks: J's Lee-form parts at p, I at p,
+    Omega^I on the DIRECT stencil around p, and sigma = 1/2 (Omega^I +
+    Omega^J) at p and on that stencil.  J's Lee-form pass gives the
+    validated values of the metric I and J must share, and I is evaluated at
+    the same points."""
+    if I.chart.metric_fn is not J.chart.metric_fn:
+        raise PreconditionError("I and J must share one chart metric")
+    parts = lee_form_parts(J, p)
+    Im = I.J(p)
+    omega_i_around = form_of_endomorphism(
+        I.J(fd.stencil_points(p, fd.DIRECT)), parts.g_around)
+    sigma = 0.5 * (form_of_endomorphism(Im, parts.g) + parts.omega)
+    sigma_around = 0.5 * (omega_i_around + form_of_endomorphism(
+        parts.J_around, parts.g_around))
+    return parts, Im, omega_i_around, sigma, sigma_around
+
+
 def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
                              p, x=None) -> dict:
     """Structural relations of a Kahler/lcK pair: (g, I) Kahler, (g, J) lcK.
@@ -450,12 +468,8 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
     raised, here and in :func:`hamiltonian_form_residual`.
     """
     p = np.asarray(p, dtype=float)
-    # J's Lee-form pass gives the values of the one metric I and J share
-    if I.chart.metric_fn is not J.chart.metric_fn:
-        raise PreconditionError("I and J must share one chart metric")
-    parts = lee_form_parts(J, p)
+    parts, Im, _, sigma, sigma_around = _pair_parts(I, J, p)
     g, g_inv, Jm, theta = parts.g, parts.g_inv, parts.J, parts.theta
-    Im = I.J(p)
     n = I.n
     if x is None:
         x = np.random.default_rng(0).standard_normal(I.chart.dim)
@@ -487,25 +501,18 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
                              [vector_norm(lhs_j, g), vector_norm(rhs_j, g)])
 
     # (to)  theta ^ Omega^J = - theta ^ Omega^I
-    om_i = form_of_endomorphism(Im, g)
-    om_j = form_of_endomorphism(Jm, g)
-    t1 = wedge(theta, om_j)
-    t2 = wedge(theta, om_i)
+    t1 = wedge(theta, parts.omega)
+    t2 = wedge(theta, form_of_endomorphism(Im, g))
     res["to"] = _normalized(raised_norm(t1 + t2, g_inv),
                             [raised_norm(t1, g_inv), raised_norm(t2, g_inv)])
 
     # (sigma)  1/2 (Omega^I + Omega^J) = theta ^ I theta / |theta|^2
-    sigma = 0.5 * (om_i + om_j)
     rhs_s = wedge(theta, i_theta) / norm_sq
     res["sigma"] = _normalized(raised_norm(sigma - rhs_s, g_inv),
                                [raised_norm(sigma, g_inv),
                                 raised_norm(rhs_s, g_inv)])
 
     # (deromega)  nabla_X sigma = 1/2 (X ^ I theta - IX ^ theta) - <X,theta> sigma
-    g_around = parts.g_around
-    sigma_around = 0.5 * (
-        form_of_endomorphism(I.J(fd.stencil_points(p, fd.DIRECT)), g_around)
-        + form_of_endomorphism(parts.J_around, g_around))
     nsigma = _covariant(sigma_around, sigma, parts.gamma, (2, 0), fd.DIRECT)
     lhs_d = np.tensordot(x, nsigma, axes=(0, 0))
     rhs_d = (0.5 * (wedge(g @ x, i_theta) - wedge(g @ (Im @ x), theta))
@@ -541,7 +548,7 @@ class PotentialField:
     The value at a point is the integral of the Lee form along the straight
     segment from the chart centre (32 Gauss-Legendre nodes); short increments
     between nearby points reuse path independence so stencil differences stay
-    noise-free.  Safe for concurrent reads once constructed.
+    noise-free.
     """
 
     def __init__(self, H: HermitianStructure):
@@ -574,33 +581,20 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
     """
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
-    if I.chart.metric_fn is not J.chart.metric_fn:
-        raise PreconditionError("I and J must share one chart metric")
-    chart = I.chart
-    g = chart.metric(p)
-    Im = I.J(p)
+    parts, Im, omega_i_around, sigma, sigma_around = _pair_parts(I, J, p)
+    g, g_inv = parts.g, parts.g_inv
     phi_p = potential(p)
 
-    # sigma~ and the trace of sigma~ on the DIRECT stencil, whose metric
-    # values also give the Christoffel symbols
-    chart.require_inside(p, margin=fd.DIRECT.extent)
-    around = fd.stencil_points(p, fd.DIRECT)
-    scale = np.exp(phi_p + potential.increment(p, around))
-    g_around = np.asarray(chart.metric_fn(around), dtype=float)
-    om_i = form_of_endomorphism(I.J(around), g_around)
-    sigma = 0.5 * (om_i + form_of_endomorphism(J.J(around), g_around))
-    sigma_tilde = scale[..., None, None] * sigma
-    g_inv_around = np.linalg.inv(g_around)
-    trace = 0.5 * np.einsum("...ab,...cd,...ac,...bd->...", sigma_tilde, om_i,
-                            g_inv_around, g_inv_around)
-    g_inv = np.linalg.inv(g)
-    gamma = levi_civita(chart.metric_jacobian(p, values=g_around), g_inv)
-
-    # sigma~ at p is e^phi(p) sigma: theta over the segment p -> p is +0.0
-    sigma_p = 0.5 * (form_of_endomorphism(Im, g)
-                     + form_of_endomorphism(J.J(p), g))
+    # sigma~ and the trace of sigma~ on the DIRECT stencil; sigma~ at p is
+    # e^phi(p) sigma: theta over the segment p -> p is +0.0
+    scale = np.exp(phi_p + potential.increment(
+        p, fd.stencil_points(p, fd.DIRECT)))
+    sigma_tilde = scale[..., None, None] * sigma_around
+    g_inv_around = np.linalg.inv(parts.g_around)
+    trace = 0.5 * np.einsum("...ab,...cd,...ac,...bd->...", sigma_tilde,
+                            omega_i_around, g_inv_around, g_inv_around)
     lhs = np.tensordot(x, _covariant(
-        sigma_tilde, np.exp(phi_p) * sigma_p, gamma, (2, 0), fd.DIRECT),
+        sigma_tilde, np.exp(phi_p) * sigma, parts.gamma, (2, 0), fd.DIRECT),
         axes=(0, 0))
     d_tr = fd.difference(trace, fd.DIRECT)
     dc_tr = -Im.T @ d_tr

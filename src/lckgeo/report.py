@@ -306,13 +306,11 @@ def _suite_holonomy(entry, config: SuiteConfig, rng) -> SuiteResult:
     H = entry.holonomy_structure
     chart = H.chart
     base = chart.center()
-    J_candidates = [H.J_fn]
     probes = hol.default_probes(chart, base, rng)
     est_span = hol.curvature_span(chart, base, probes, n=entry.n,
-                                  J_candidates=J_candidates)
+                                  J_fn=H.J_fn)
     loops = hol.default_holonomy_loops(chart, base)
-    est_loop = hol.loop_holonomy(chart, loops, base, n=entry.n,
-                                 J_candidates=J_candidates)
+    est_loop = hol.loop_holonomy(chart, loops, base, n=entry.n, J_fn=H.J_fn)
     inconclusive = ("inconclusive" in (est_span.classification,
                                        est_loop.classification))
     agree = est_span.classification == est_loop.classification

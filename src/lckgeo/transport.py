@@ -47,10 +47,9 @@ from .errors import DomainExitError, IntegrationError
 
 DEFAULT_STEPS = 2000
 
-# Evaluation points per stacked field call: the Gauss-Legendre nodes of a
-# piece in loop_integral, RK4 nodes times curves in transport_along.  Large
-# enough to amortise the call, small enough that the stencil arrays of a
-# block stay well below a megabyte.
+# Evaluation points per stacked Christoffel call in transport_along: RK4
+# nodes times curves.  Large enough to amortise the call, small enough that
+# the stencil arrays of a block stay well below a megabyte.
 NODE_BLOCK = 128
 
 # The two Gauss-Legendre rules loop_integral compares on each smooth piece,
@@ -295,10 +294,10 @@ def _rule_pair(chart: Chart, oneform_field: Callable, loop: Loop,
     of |w_i alpha . v| over the 32 nodes.
 
     The nodes of both rules, sorted by parameter, take their points and
-    velocities from one loop call each, and the field is evaluated through
-    :func:`_evaluate_nodes` on blocks of ``NODE_BLOCK`` nodes, up to the
-    first node outside the chart, whose :class:`ChartDomainError` is raised
-    after them.  Each rule's sum runs node by node.
+    velocities from one loop call each, and the field is evaluated by one
+    :func:`_evaluate_nodes` call on the nodes before the first one outside
+    the chart, whose :class:`ChartDomainError` is raised after them.  Each
+    rule's sum runs node by node.
     """
     h = t1 - t0
     (coarse_nodes, coarse_weights), (fine_nodes, fine_weights) = (
@@ -310,11 +309,10 @@ def _rule_pair(chart: Chart, oneform_field: Callable, loop: Loop,
     bad = np.flatnonzero(~chart.inside(xs))
     n_ok = bad[0] if len(bad) else len(ts)
     terms = np.empty(len(ts))
-    for start in range(0, n_ok, NODE_BLOCK):
-        stop = min(start + NODE_BLOCK, n_ok)
-        alphas = _evaluate_nodes(oneform_field, xs[start:stop])
-        terms[order[start:stop]] = [float(alpha @ v) for alpha, v
-                                    in zip(alphas, vels[start:stop])]
+    if n_ok:
+        alphas = _evaluate_nodes(oneform_field, xs[:n_ok])
+        terms[order[:n_ok]] = [float(alpha @ v)
+                               for alpha, v in zip(alphas, vels[:n_ok])]
     if n_ok < len(ts):
         chart.require_inside(xs[n_ok])
     coarse_terms, fine_terms = np.split(terms, [len(coarse_nodes)])

@@ -38,7 +38,7 @@ import numpy as np
 from . import fd
 from .calculus import christoffel_components, covariant_derivative_full
 from .charts import Chart, polygon_loop, segment_loop, vector_norm
-from .errors import BundleError, ParameterError
+from .errors import BundleError, CompatibilityError, ParameterError
 from .hermitian import HermitianStructure, conformal_rescale
 
 SQRT_HALF = math.sqrt(0.5)
@@ -87,23 +87,12 @@ def named_profile(name: str, domain: tuple, label: str = "") -> ProfileFn:
 
 @dataclass(frozen=True)
 class KahlerBase:
-    """A low-dimensional Kahler factor (N, h, J_N, Omega_N) in coordinates."""
+    """A low-dimensional Kahler factor (N, h, J_N, Omega_N) in coordinates:
+    the Hermitian structure (h, J_N), whose label names the base, and the
+    total integral of Omega_N, when finite."""
 
-    label: str
-    dim: int
-    domain: tuple
-    g_fn: Callable
-    dg_fn: Optional[Callable]        # None: the base chart uses a stencil
-    J_fn: Callable
-    area: Optional[float] = None     # total integral of Omega_N, when finite
-
-    def chart(self) -> Chart:
-        return Chart(dim=self.dim, domain=self.domain, metric_fn=self.g_fn,
-                     metric_derivative_fn=self.dg_fn, label=self.label)
-
-    def omega_fn(self, y) -> np.ndarray:
-        J = np.asarray(self.J_fn(y), dtype=float)
-        return np.swapaxes(J, -1, -2) @ np.asarray(self.g_fn(y), dtype=float)
+    structure: HermitianStructure
+    area: Optional[float] = None
 
 
 def _standard_j(m: int) -> np.ndarray:
@@ -134,11 +123,12 @@ def _basis(m: int, k: int) -> np.ndarray:
 def flat_base(n: int) -> KahlerBase:
     """Flat C^n on the box [-1, 1]^2n, standard metric and complex structure."""
     m = 2 * n
-    g_fn = fd.constant(np.eye(m))
-    return KahlerBase(label=f"flat_C{n}", dim=m,
-                      domain=((-1.0, 1.0),) * m,
-                      g_fn=g_fn, dg_fn=fd.complex_step(g_fn),
-                      J_fn=fd.constant(_standard_j(m)))
+    metric_fn = fd.constant(np.eye(m))
+    chart = Chart(dim=m, domain=((-1.0, 1.0),) * m, metric_fn=metric_fn,
+                  metric_derivative_fn=fd.complex_step(metric_fn),
+                  label=f"flat_C{n}")
+    return KahlerBase(HermitianStructure(
+        chart, fd.constant(_standard_j(m)), n, label=f"flat_C{n}"))
 
 
 def round_s2_base(radius: float, polar_margin: float = 0.35,
@@ -151,7 +141,7 @@ def round_s2_base(radius: float, polar_margin: float = 0.35,
     """
     R2 = radius * radius
 
-    def g_fn(y):
+    def metric_fn(y):
         sin_sq = np.float_power(np.sin(y[..., 0]), 2)
         g = np.zeros(np.shape(y)[:-1] + (2, 2), dtype=sin_sq.dtype)
         g[..., 0, 0] = R2
@@ -165,10 +155,12 @@ def round_s2_base(radius: float, polar_margin: float = 0.35,
         J[..., 1, 0] = -1.0 / s
         return J
 
-    return KahlerBase(label=label or f"round_S2_R{radius:g}", dim=2,
-                      domain=((polar_margin, math.pi - polar_margin),
-                              (0.0, 2.0 * math.pi)),
-                      g_fn=g_fn, dg_fn=fd.complex_step(g_fn), J_fn=J_fn,
+    label = label or f"round_S2_R{radius:g}"
+    chart = Chart(dim=2, domain=((polar_margin, math.pi - polar_margin),
+                                 (0.0, 2.0 * math.pi)),
+                  metric_fn=metric_fn,
+                  metric_derivative_fn=fd.complex_step(metric_fn), label=label)
+    return KahlerBase(HermitianStructure(chart, J_fn, 1, label=label),
                       area=4.0 * math.pi * R2)
 
 
@@ -434,13 +426,14 @@ def flat_inversion(n: int) -> ZooEntry:
 # -- warped product -----------------------------------------------------------
 
 def _require_kahler_base(base: KahlerBase):
-    """Cheap Kahler gate on a base factor: J_N^2 = -Id and compatibility."""
-    y = np.array([0.5 * (lo + hi) for lo, hi in base.domain])
-    J = np.asarray(base.J_fn(y), dtype=float)
-    g = np.asarray(base.g_fn(y), dtype=float)
-    if (np.max(np.abs(J @ J + np.eye(base.dim))) > 1e-8
-            or np.max(np.abs(J.T @ g @ J - g)) > 1e-8 * (1 + np.max(np.abs(g)))):
-        raise ParameterError(f"base '{base.label}' fails the Kahler gate")
+    """Cheap Kahler gate on a base factor: J_N^2 = -Id and compatibility at
+    the centre of its chart."""
+    H = base.structure
+    try:
+        H.require_compatible(H.chart.center())
+    except CompatibilityError as err:
+        raise ParameterError(
+            f"base '{H.label}' fails the Kahler gate: {err}") from err
 
 
 def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
@@ -451,11 +444,11 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
     constant, otherwise globally conformally Kahler with restricted
     holonomy SO(2n-1) (fixed vector d_s) for a generic base.
     """
-    mb = base.dim
-    m = mb + 2
+    _require_kahler_base(base)
+    N = base.structure
+    m = N.chart.dim + 2
     n = m // 2
     t_lo, t_hi = c.domain
-    _require_kahler_base(base)
 
     def warp(p):
         """e^(2c(t)) at each point, shaped to scale matrices."""
@@ -463,7 +456,7 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
 
     def metric_fn(p):
         p = np.asarray(p)
-        gN = warp(p) * np.asarray(base.g_fn(p[..., 2:]))
+        gN = warp(p) * np.asarray(N.chart.metric_fn(p[..., 2:]))
         g = np.zeros(p.shape[:-1] + (m, m), dtype=gN.dtype)
         g[..., 0, 0] = g[..., 1, 1] = 1.0
         g[..., 2:, 2:] = gN
@@ -473,13 +466,13 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
         J = np.zeros(np.shape(p)[:-1] + (m, m))
         J[..., 1, 0] = 1.0
         J[..., 0, 1] = -1.0
-        J[..., 2:, 2:] = np.asarray(base.J_fn(np.asarray(p)[..., 2:]))
+        J[..., 2:, 2:] = np.asarray(N.J_fn(np.asarray(p)[..., 2:]))
         return J
 
-    domain = ((-math.pi, math.pi), (t_lo, t_hi)) + base.domain
+    domain = ((-math.pi, math.pi), (t_lo, t_hi)) + N.chart.domain
     chart = Chart(dim=m, domain=domain, metric_fn=metric_fn,
                   metric_derivative_fn=fd.complex_step(metric_fn),
-                  label=f"warped_{c.label}_{base.label}")
+                  label=f"warped_{c.label}_{N.label}")
     H = HermitianStructure(chart=chart, J_fn=J_fn, n=n,
                            label=f"warped_{c.label}")
 
@@ -495,8 +488,8 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
              ctr + w * _basis(m, 1)], steps_per_edge=200, label="st_square"),
     }
 
-    return ZooEntry(label=f"warped(c={c.label}, base={base.label})",
-                    params={"c": c.label, "base": base.label},
+    return ZooEntry(label=f"warped(c={c.label}, base={N.label})",
+                    params={"c": c.label, "base": N.label},
                     charts={"warped": chart}, structures={"warped": H},
                     main="warped", loops=loops,
                     expected_kind="Kahler" if constant else "gcK",
@@ -521,7 +514,8 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
     """
     if base is None:
         base = cp1_base()
-    if base.dim != 2:
+    N = base.structure
+    if N.chart.dim != 2:
         raise ParameterError("the Calabi constructor needs a 2-dimensional "
                              "polar-coordinate Hodge base")
     if not b > 2.0 * r_margin:
@@ -531,7 +525,7 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
     if base.area is None or abs(base.area / (2.0 * math.pi)
                                 - round(base.area / (2.0 * math.pi))) > 1e-8:
         raise BundleError(
-            f"base '{base.label}' is not Hodge-normalized: Omega_N-area "
+            f"base '{N.label}' is not Hodge-normalized: Omega_N-area "
             f"{base.area} is not an integer multiple of 2 pi")
     rs = np.linspace(r_margin / 2.0, b - r_margin / 2.0, 33)
     if np.any(ell.value_fn(rs) <= 0.0):
@@ -539,15 +533,14 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
 
     # connection normalization: d(c_w (dpsi + cos dphi)) = -c_w sin dth ^ dphi
     # must equal pi* Omega_N, so c_w = Omega_N(d_th, d_phi) / (-sin th).
-    ratios = []
-    for th in (0.7, 1.1, 1.9):
-        omega_n = base.omega_fn(np.array([th, 1.0]))[0, 1]
-        ratios.append(omega_n / (-math.sin(th)))
+    thetas = (0.7, 1.1, 1.9)
+    omega_n = N.omega(np.array([[th, 1.0] for th in thetas]))[:, 0, 1]
+    ratios = [w / (-math.sin(th)) for w, th in zip(omega_n, thetas)]
     c_w = float(np.mean(ratios))
     if np.max(np.abs(np.asarray(ratios) - c_w)) > 1e-10 * (1.0 + abs(c_w)):
         raise BundleError(
             f"no constant scaling of the contact form matches Omega_N on "
-            f"'{base.label}': ratios {ratios}")
+            f"'{N.label}': ratios {ratios}")
 
     n = 2
     cw2 = c_w ** 2
@@ -563,7 +556,7 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
     def metric_fn(p):
         th, lv, ct, _, y = unpack(p)
         l2 = np.float_power(lv, 2)
-        gN = np.asarray(base.g_fn(y))
+        gN = np.asarray(N.chart.metric_fn(y))
         g = np.zeros(th.shape + (4, 4), dtype=ct.dtype)
         g[..., 0, 0] = gN[..., 0, 0]
         g[..., 1, 1] = gN[..., 1, 1] + l2 * cw2 * np.float_power(ct, 2)
@@ -634,7 +627,7 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
 
     return ZooEntry(
         label=f"calabi(ell={ell.label}, b={b:g})",
-        params={"ell": ell.label, "b": b, "base": base.label, "c_w": c_w},
+        params={"ell": ell.label, "b": b, "base": N.label, "c_w": c_w},
         charts={"g_ell": chart_ell, "g_plus": chart_plus, "g_minus": chart_minus},
         structures=structures, main="g_ell,J+", loops=loops,
         expected_kind="gcK", expected_holonomy="U(n)",
@@ -668,7 +661,8 @@ def stencil_only(entry: ZooEntry) -> ZooEntry:
         structures={k: structure(H) for k, H in entry.structures.items()},
         pair=pair and PairData(structure(pair.I), structure(pair.J)),
         average=structure(entry.average),
-        base=entry.base and replace(entry.base, dg_fn=None))
+        base=entry.base and replace(entry.base,
+                                    structure=structure(entry.base.structure)))
 
 
 def calabi_connection_table_residuals(entry: ZooEntry, p) -> dict:
@@ -687,7 +681,7 @@ def calabi_connection_table_residuals(entry: ZooEntry, p) -> dict:
     """
     p = np.asarray(p, dtype=float)
     chart = entry.charts["g_ell"]
-    base = entry.base
+    N = entry.base.structure
     ell = entry.profile
     c_w = float(entry.params["c_w"])
     th, r = p[0], p[3]
@@ -729,7 +723,7 @@ def calabi_connection_table_residuals(entry: ZooEntry, p) -> dict:
                    vector_norm(nabla(e_r, lf), g))
     res["row3"] = row3 / scale
 
-    JN = np.asarray(base.J_fn(np.array([th, 0.0])), dtype=float)
+    JN = N.J(np.array([th, 0.0]))
     row4 = 0.0
     for k, lf in enumerate(lifts):
         jn_x = JN[:, k]
@@ -739,10 +733,9 @@ def calabi_connection_table_residuals(entry: ZooEntry, p) -> dict:
                    vector_norm(nabla(xi, lf) - target, g))
     res["row4"] = row4 / scale
 
-    base_chart = base.chart()
     y = np.array([th, 1.0])
-    gamma_h = christoffel_components(base_chart, y)
-    omega_n = base.omega_fn(y)
+    gamma_h = christoffel_components(N.chart, y)
+    omega_n = N.omega(y)
     row5 = 0.0
     for a, lfa in enumerate(lifts):
         for b, lfb in enumerate(lifts):
@@ -758,14 +751,10 @@ def kaehler_bases() -> list:
     """Zoo entries for the Kahler base factors (flat C, flat C^2, CP^1)."""
     entries = []
     for name in ("c1", "c2", "cp1"):
-        base = KAHLER_BASES[name]()
-        chart = base.chart()
-        H = HermitianStructure(chart, base.J_fn, n=max(base.dim // 2, 1),
-                               label=name)
+        H = KAHLER_BASES[name]().structure
         entries.append(ZooEntry(
             label=f"base({name})", params={"name": name},
-            charts={"base": chart}, structures={"kahler": H}, main="kahler",
+            charts={"base": H.chart}, structures={"kahler": H}, main="kahler",
             expected_kind="Kahler", expected_holonomy="",
-            expected_lee_fn=fd.constant(np.zeros(base.dim)),
-            n=base.dim // 2))
+            expected_lee_fn=fd.constant(np.zeros(H.chart.dim)), n=H.n))
     return entries

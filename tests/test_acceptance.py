@@ -226,9 +226,9 @@ def test_criterion_08_holonomy_trichotomy(entries, euclid4):
         chart = H.chart
         base = chart.center()
         est_s = curvature_span(chart, base, default_probes(chart, base, rng),
-                               n=entry.n, J_candidates=[H.J_fn])
+                               n=entry.n, J_fn=H.J_fn)
         est_l = loop_holonomy(chart, default_holonomy_loops(chart, base),
-                              base, n=entry.n, J_candidates=[H.J_fn])
+                              base, n=entry.n, J_fn=H.J_fn)
         good = (est_s.classification == est_l.classification == expected
                 and est_s.rank_gap >= 10 and est_l.rank_gap >= 10)
         if name == "hopf2":
@@ -279,7 +279,7 @@ def test_criterion_09_period_discrimination(entries):
 
 def test_criterion_10_convergence_witnesses():
     """Doubling ODE steps: defect / >= 4; halving fd step: Christoffel / >= 3."""
-    chart = zoo.round_s2_base(1.0, polar_margin=0.25).chart()
+    chart = zoo.round_s2_base(1.0, polar_margin=0.25).structure.chart
     loop = segment_loop(np.array([1.1, 0.0]), np.array([0.0, 2 * math.pi]),
                         steps=32, label="latitude")
     M_c = parallel_transport(chart, loop, np.eye(2), steps=32)

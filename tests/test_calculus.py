@@ -21,7 +21,7 @@ from lckgeo.hermitian import lee_field, lee_form_components
 
 def _sphere_chart(radius=1.0, dim=2):
     if dim == 2:
-        return zoo.round_s2_base(radius).chart()
+        return zoo.round_s2_base(radius).structure.chart
     # round S^3 in hyperspherical angles
     R2 = radius * radius
 
@@ -397,7 +397,7 @@ class TestFormCalculus:
 
         for p in chart.sample_points(rng, 5):
             d_om = exterior_derivative(chart, omega_form, p, k=1).components
-            omega_n = base.omega_fn(np.array([p[0], 0.0]))
+            omega_n = base.structure.omega(np.array([p[0], 0.0]))
             pullback = np.zeros((4, 4))
             pullback[:2, :2] = omega_n
             assert np.max(np.abs(d_om - pullback)) < 1e-9

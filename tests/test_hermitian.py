@@ -97,11 +97,32 @@ class TestFundamentalForm:
             om = fundamental_form(H, p).components
             assert abs(om[0, 1] - 1.0) < 1e-12
             f = math.exp(2.0 * math.sin(p[1]))
-            omega_n = warped_sin.base.omega_fn(p[2:])
+            omega_n = warped_sin.base.structure.omega(p[2:])
             npt.assert_allclose(om[2:, 2:], f * omega_n, atol=1e-12)
 
+    def test_fields_evaluated_once(self, hopf2):
+        """The compatibility check and Omega read one value of J and of the
+        metric at p, and give the form H.omega gives."""
+        H = hopf2.main_structure
+        points = {"J": 0, "g": 0}
+
+        def counted(name, fn):
+            def wrapper(q):
+                points[name] += np.asarray(q)[..., 0].size
+                return fn(q)
+            return wrapper
+
+        chart = dataclasses.replace(
+            H.chart, metric_fn=counted("g", H.chart.metric_fn))
+        H_counted = dataclasses.replace(H, chart=chart,
+                                        J_fn=counted("J", H.J_fn))
+        p = H.chart.center()
+        om = fundamental_form(H_counted, p).components
+        assert points == {"J": 1, "g": 1}
+        assert np.array_equal(om, H.omega(p))
+
     def test_incompatible_structure_errors(self):
-        chart = zoo.round_s2_base(1.0).chart()
+        chart = zoo.round_s2_base(1.0).structure.chart
         bad = HermitianStructure(chart=chart,
                                  J_fn=lambda p: np.array([[0.0, -1.0], [1.0, 0.0]]),
                                  n=1, label="bad")
@@ -154,7 +175,7 @@ class TestNijenhuis:
 
     def test_constant_j_has_zero_nijenhuis(self, rng):
         """Any coordinate-constant J is flat-integrable: N depends on dJ only."""
-        chart = zoo.round_s2_base(1.0).chart()   # curved chart, constant J
+        chart = zoo.round_s2_base(1.0).structure.chart   # curved chart, constant J
         J = np.array([[0.3, -1.0], [1.09, -0.3]])
         J[:] = J / math.sqrt(abs(np.linalg.det(J)))  # normalize to J^2 ~ -Id
         H = HermitianStructure(chart=chart, J_fn=fd.constant(J), n=1)
@@ -262,8 +283,8 @@ class TestLeeForm:
                         V.label, V.chart.metric_derivative_fn)
 
     def test_rejects_complex_dimension_one(self):
-        chart = zoo.round_s2_base(1.0).chart()
-        H = HermitianStructure(chart, zoo.round_s2_base(1.0).J_fn, n=1)
+        H = zoo.round_s2_base(1.0).structure
+        assert H.n == 1
         p = np.array([1.0, 1.0])
         with pytest.raises(NotLcKError):
             lee_form(H, p)

@@ -29,7 +29,7 @@ def _span(entry, rng, key=None):
     base = chart.center()
     probes = default_probes(chart, base, rng)
     return H, curvature_span(chart, base, probes, n=entry.n,
-                             J_candidates=[H.J_fn])
+                             J_fn=H.J_fn)
 
 
 class TestCurvatureSpan:
@@ -99,7 +99,7 @@ class TestLoopHolonomy:
         the periodic phi-wrap.  Colatitudes are chosen so the wrapped cone
         angle 2 pi cos(theta0) stays inside the logarithm safety window.
         """
-        chart = zoo.round_s2_base(1.0, polar_margin=0.25).chart()
+        chart = zoo.round_s2_base(1.0, polar_margin=0.25).structure.chart
         base = np.array([math.pi / 2, math.pi])
         loops = [segment_loop(np.array([theta0, 0.0]),
                               np.array([0.0, 2.0 * math.pi]),
@@ -116,15 +116,15 @@ class TestLoopHolonomy:
             base = chart.center()
             est_s = curvature_span(chart, base,
                                    default_probes(chart, base, rng),
-                                   n=entry.n, J_candidates=[H.J_fn])
+                                   n=entry.n, J_fn=H.J_fn)
             est_l = loop_holonomy(chart, default_holonomy_loops(chart, base),
-                                  base, n=entry.n, J_candidates=[H.J_fn])
+                                  base, n=entry.n, J_fn=H.J_fn)
             assert est_s.classification == est_l.classification, entry.label
             assert est_s.algebra_dim == est_l.algebra_dim, entry.label
 
     def test_large_loop_rejected(self):
         """A latitude whose wrapped rotation exceeds 0.5 must not be logged."""
-        chart = zoo.round_s2_base(1.0, polar_margin=0.25).chart()
+        chart = zoo.round_s2_base(1.0, polar_margin=0.25).structure.chart
         theta0 = 1.0          # cone angle 2 pi cos(1) ~ 3.39: far from Id
         lat = segment_loop(np.array([theta0, 0.0]),
                            np.array([0.0, 2.0 * math.pi]), steps=300)
@@ -278,7 +278,7 @@ class TestBundles:
         """A rectangle enclosing area 0.57 of the unit sphere turns by that
         angle, 0.57 from the identity; the latitude after it is never
         reached."""
-        chart = zoo.round_s2_base(1.0, polar_margin=0.25).chart()
+        chart = zoo.round_s2_base(1.0, polar_margin=0.25).structure.chart
         base = np.array([1.0, 0.1])
         rect = coordinate_rectangle(base, 0, 1, 1.0, 0.6, steps_per_edge=100)
         lat = segment_loop(np.array([1.5, 0.0]),
@@ -317,7 +317,7 @@ class TestBundles:
         gc.collect()
         gc.disable()
         try:
-            loop_holonomy(H.chart, loops, base, n=2, J_candidates=[H.J_fn])
+            loop_holonomy(H.chart, loops, base, n=2, J_fn=H.J_fn)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -331,7 +331,7 @@ class TestBundles:
         loops = default_holonomy_loops(H.chart, base)
         tracemalloc.start()
         try:
-            loop_holonomy(H.chart, loops, base, n=2, J_candidates=[H.J_fn])
+            loop_holonomy(H.chart, loops, base, n=2, J_fn=H.J_fn)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -366,7 +366,7 @@ class TestClassifyAlgebra:
             if np.max(np.abs(C)) > 1e-12:
                 basis.append(C / np.max(np.abs(C)))
         assert classify_algebra(basis, 4, np.inf, n=2,
-                                hat_J_candidates=[J]) == "U(n)"
+                                hat_J=J) == "U(n)"
 
     def test_ambiguous_rank_is_inconclusive(self):
         basis = self._so4_basis()
@@ -385,7 +385,7 @@ class TestOrthonormalFrame:
         base = chart.center()
         base[0] = 1.0            # away from theta = pi/2: g_(phi,psi) != 0
         est = curvature_span(chart, base, default_probes(chart, base, rng),
-                             n=2, J_candidates=[H.J_fn])
+                             n=2, J_fn=H.J_fn)
         assert est.skew_defect < 1e-6
         M = chart.metric(base)
         assert np.max(np.abs(M - np.diag(np.diag(M)))) > 1e-3  # really non-diagonal

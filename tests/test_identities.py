@@ -14,8 +14,8 @@ from lckgeo.calculus import covariant_partials, exterior_derivative
 from lckgeo.charts import (form_of_endomorphism, raised_norm, segment_loop,
                            wedge)
 from lckgeo.cli import main as cli_main
-from lckgeo.errors import (ChartDomainError, InconsistencyError, NotLcKError,
-                           PreconditionError, SingularPointError)
+from lckgeo.errors import (ChartDomainError, InconsistencyError, MetricError,
+                           NotLcKError, PreconditionError, SingularPointError)
 from lckgeo.hermitian import (HermitianStructure, constant_rescale,
                               lee_form_parts, nested_lee)
 from lckgeo.identities import (PotentialField, average_metric_residuals,
@@ -312,6 +312,33 @@ class TestCommutingPair:
         with pytest.raises(PreconditionError, match="share one chart metric"):
             hamiltonian_form_residual(scaled, J, p, np.ones(4),
                                       PotentialField(J))
+
+    @pytest.mark.parametrize("check", ["commuting-pair", "hamiltonian-form"])
+    def test_stencil_metric_is_validated(self, calabi_sin, check, rng):
+        """Both pair checks read the metric on the DIRECT stencil of p through
+        the validation gate: a metric that is NaN at one stencil point, bit
+        for bit, raises MetricError naming that point.  (p is off the chart
+        centre, where the potential's segment starts.)"""
+        I, J = calabi_sin.pair.I, calabi_sin.pair.J
+        p = I.chart.sample_points(rng, 1)[0]
+        bad = fd.stencil_points(p, fd.DIRECT)[2, 1]     # p - h e_2
+        metric_fn = I.chart.metric_fn
+
+        def broken(q):
+            g = np.array(metric_fn(q), dtype=float)
+            g[(np.asarray(q) == bad).all(axis=-1)] = np.nan
+            return g
+
+        chart = dataclasses.replace(I.chart, metric_fn=broken)
+        I, J = (dataclasses.replace(H, chart=chart) for H in (I, J))
+        with pytest.raises(MetricError) as err:
+            if check == "commuting-pair":
+                commuting_pair_residuals(I, J, p, np.ones(4))
+            else:
+                hamiltonian_form_residual(I, J, p, np.ones(4),
+                                          PotentialField(J))
+        assert str(err.value) == (
+            f"metric not finite at {bad} on '{chart.label}'")
 
     def test_singular_point_guard(self, calabi_sin, rng):
         """theta = 0 input (a Kahler J) trips the |theta|^2 division guard."""

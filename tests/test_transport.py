@@ -30,7 +30,7 @@ def _stencil(chart):
 
 
 def _s2_chart(radius=1.0):
-    return zoo.round_s2_base(radius, polar_margin=0.25).chart()
+    return zoo.round_s2_base(radius, polar_margin=0.25).structure.chart
 
 
 def _latitude_loop(theta0, steps=400):
@@ -674,9 +674,9 @@ class TestBlockedLoopIntegral:
         assert str(err) == str(ref)
 
     def test_earlier_node_error_wins_inside_a_block(self, hopf2):
-        """Within one block, a J field raising near an early node wins over
-        the fd-margin ChartDomainError of a later node, which the stacked
-        Lee-form call alone raises first."""
+        """Within the one stacked call of a piece, a J field raising near an
+        early node wins over the fd-margin ChartDomainError of a later node,
+        which the stacked Lee-form call alone raises first."""
         H = zoo.stencil_only(hopf2).main_structure
         top = H.chart.domain[1][1]
 
@@ -695,7 +695,7 @@ class TestBlockedLoopIntegral:
         loop = segment_loop(start, shift)
         xs = loop.point(nodes)
         assert top - xs[-1, 1] < 5e-6 + 1e-12
-        assert H.chart.inside(xs).all() and len(nodes) <= transport.NODE_BLOCK
+        assert H.chart.inside(xs).all()
         assert type(_raised(lambda: field(xs))) is ChartDomainError
         err = _raised(lambda: loop_integral(H.chart, field, loop))
         ref = _raised(lambda: _nodewise_loop_integral(H.chart, field, loop))
@@ -719,7 +719,7 @@ class TestBlockedLoopIntegral:
 
     def test_points_unchanged_calls_fewer(self, hopf2):
         """Every node costs nine J and nine metric evaluations (the 8-point
-        DIRECT stencil and the node), in two calls of each per block."""
+        DIRECT stencil and the node), in two calls of each per piece."""
         H = zoo.stencil_only(hopf2).main_structure
         counts = {"J": [0, 0], "g": [0, 0]}     # points, calls
 
@@ -739,6 +739,5 @@ class TestBlockedLoopIntegral:
         loop_integral(chart, lee_field(H_counted), loop)
         pieces = len(loop.breakpoints) + 1
         nodes = 48 * pieces
-        blocks = pieces * math.ceil(48 / transport.NODE_BLOCK)
-        assert counts["J"] == [9 * nodes, 2 * blocks]
-        assert counts["g"] == [9 * nodes, 2 * blocks]
+        assert counts["J"] == [9 * nodes, 2 * pieces]
+        assert counts["g"] == [9 * nodes, 2 * pieces]

@@ -12,7 +12,7 @@ import pytest
 
 from lckgeo import zoo
 from lckgeo.calculus import ricci_scalar, riemann
-from lckgeo.charts import form_norm
+from lckgeo.charts import Chart, form_norm
 from lckgeo.errors import BundleError, ParameterError
 from lckgeo.hermitian import (HermitianStructure, lck_residual, lee_field,
                               lee_form_components, lee_form_parts,
@@ -51,9 +51,10 @@ def test_fields_take_point_stacks(name, mode, request, rng):
     bit, and at a single point the bare value shape."""
     if name in zoo.KAHLER_BASES:
         entry, = (e for e in zoo.kaehler_bases() if e.params["name"] == name)
-        base = zoo.KAHLER_BASES[name]()
-        extra = {"g_fn": base.g_fn, "dg_fn": base.dg_fn, "J_fn": base.J_fn,
-                 "omega_fn": base.omega_fn}
+        base = zoo.KAHLER_BASES[name]().structure
+        extra = {"base.metric_fn": base.chart.metric_fn,
+                 "base.metric_derivative_fn": base.chart.metric_derivative_fn,
+                 "base.J_fn": base.J_fn, "base.omega": base.omega}
     else:
         entry, extra = request.getfixturevalue(name), {}
     chart = entry.main_structure.chart
@@ -101,28 +102,29 @@ class TestStencilOnly:
 
     @staticmethod
     def derivative_holders(entry):
-        """Every chart of the entry, with what holds each, and the base."""
+        """Every chart of the entry, with what holds each, the base's
+        structure included."""
         structures = dict(entry.structures)
         if entry.pair is not None:
             structures.update(pair_I=entry.pair.I, pair_J=entry.pair.J)
         if entry.average is not None:
             structures["average"] = entry.average
+        if entry.base is not None:
+            structures["base"] = entry.base.structure
         charts = {f"{k}.chart": H.chart for k, H in structures.items()}
         charts.update(entry.charts)
-        return charts, entry.base
+        return charts
 
     @pytest.mark.parametrize("name", ["hopf2", "flat_inv2", "warped_sin",
                                       "calabi_sin", "euclid4"])
     def test_drops_every_derivative(self, name, request):
         entry = request.getfixturevalue(name)
         stripped = zoo.stencil_only(entry)
-        charts, base = self.derivative_holders(entry)
+        charts = self.derivative_holders(entry)
         assert all(c.metric_derivative_fn is not None
                    for c in charts.values()), "the input keeps its derivatives"
-        assert base is None or base.dg_fn is not None
-        charts, base = self.derivative_holders(stripped)
+        charts = self.derivative_holders(stripped)
         assert all(c.metric_derivative_fn is None for c in charts.values())
-        assert base is None or base.dg_fn is None
         for key, H in stripped.structures.items():
             assert H.J_fn is entry.structures[key].J_fn
             assert H.chart.metric_fn is entry.structures[key].chart.metric_fn
@@ -365,10 +367,12 @@ class TestWarped:
             "Kahler", "trivial")
 
     def test_base_gate(self):
-        bad = zoo.KahlerBase(label="bad", dim=2, domain=((-1, 1), (-1, 1)),
-                             g_fn=lambda y: np.eye(2),
-                             dg_fn=lambda y: np.zeros((2, 2, 2)),
-                             J_fn=lambda y: np.eye(2))   # J^2 = +Id
+        chart = Chart(dim=2, domain=((-1, 1), (-1, 1)),
+                      metric_fn=lambda y: np.eye(2),
+                      metric_derivative_fn=lambda y: np.zeros((2, 2, 2)),
+                      label="bad")
+        bad = zoo.KahlerBase(HermitianStructure(
+            chart, lambda y: np.eye(2), 1, label="bad"))   # J^2 = +Id
         with pytest.raises(ParameterError):
             zoo.warped_vaisman_gck(
                 zoo.named_profile("sin", (0, 2 * math.pi)), bad)
@@ -474,13 +478,14 @@ class TestKahlerBases:
         wt = wt / 2.0 * math.pi
         total = 0.0
         for th, w in zip(thetas, wt):
-            omega_n = base.omega_fn(np.array([th, 0.0]))
+            omega_n = base.structure.omega(np.array([th, 0.0]))
             total += w * abs(omega_n[0, 1]) * 2.0 * math.pi
         assert abs(total - 2.0 * math.pi) < 1e-8
 
     def test_round_sphere_scalar_generic_radius(self):
-        base = dataclasses.replace(zoo.round_s2_base(2.0), dg_fn=None)
-        _, scal = ricci_scalar(base.chart(), np.array([1.2, 1.0]))
+        chart = dataclasses.replace(zoo.round_s2_base(2.0).structure.chart,
+                                    metric_derivative_fn=None)
+        _, scal = ricci_scalar(chart, np.array([1.2, 1.0]))
         assert abs(scal - 0.5) < 1e-7
 
 
