@@ -35,9 +35,9 @@ for name, entry in cases:
     chart = H.chart
     base = chart.center()
     est_s = curvature_span(chart, base, default_probes(chart, base, rng),
-                           n=entry.n, J_fn=H.J_fn)
+                           J_fn=H.J_fn)
     est_l = loop_holonomy(chart, default_holonomy_loops(chart, base), base,
-                          n=entry.n, J_fn=H.J_fn)
+                          J_fn=H.J_fn)
     witness = ""
     if est_s.classification == "SO(2n-1)":
         fixed = common_fixed_vectors(est_s, chart.metric(base))

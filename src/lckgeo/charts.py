@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,23 +36,24 @@ DEFAULT_MARGIN = 0.05
 class Chart:
     """A coordinate box with a smooth Riemannian metric field.
 
-    ``metric_fn`` is a field (see :mod:`lckgeo.fd`) of symmetric positive
-    definite matrices g_ij.  ``metric_derivative_fn``, when given, is the
-    field ``dg[k, i, j] = d_k g_ij``, and the chart differentiates its metric
-    with it; without one, on a stencil (see :func:`lckgeo.zoo.stencil_only`).
-    Every zoo chart sets it to ``fd.complex_step(metric_fn)``, the exact
-    first partials of its own complex-safe metric.
+    ``domain`` holds one (low, high) interval per coordinate, ``dim`` of
+    them.  ``metric_fn`` is a field (see :mod:`lckgeo.fd`) of symmetric
+    positive definite matrices g_ij.  ``metric_derivative_fn``, when given,
+    is the field ``dg[k, i, j] = d_k g_ij``, and the chart differentiates its
+    metric with it; without one, on a stencil (see
+    :func:`lckgeo.zoo.stencil_only`).  Every zoo chart sets it to
+    ``fd.complex_step(metric_fn)``, the exact first partials of its own
+    complex-safe metric.
     """
 
-    dim: int
     domain: tuple
     metric_fn: Callable[[np.ndarray], np.ndarray]
     metric_derivative_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     label: str = ""
 
-    def __post_init__(self):
-        if len(self.domain) != self.dim:
-            raise ValueError("domain must supply one interval per coordinate")
+    @property
+    def dim(self) -> int:
+        return len(self.domain)
 
     def contains(self, p, margin: float = 0.0) -> bool:
         p = np.asarray(p, dtype=float)

@@ -25,7 +25,7 @@ every check that reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,12 +44,16 @@ LCK_GATE = 1e-2
 
 @dataclass(frozen=True)
 class HermitianStructure:
-    """A chart metric paired with an almost complex structure field."""
+    """A chart metric paired with an almost complex structure field; the
+    complex dimension n is half the chart's dimension."""
 
     chart: Chart
     J_fn: Callable[[np.ndarray], np.ndarray]
-    n: int          # complex dimension; chart.dim == 2n
-    label: str = ""
+    label: str = field(default="", kw_only=True)
+
+    @property
+    def n(self) -> int:
+        return self.chart.dim // 2
 
     def J(self, p) -> np.ndarray:
         """J^i_j at each of the points p, shape (..., dim)."""
@@ -304,7 +308,7 @@ def conformal_rescale(chart: Chart, log_factor: Callable,
         factor = np.exp(2.0 * log_factor(p))[..., None, None]
         return factor * chart.metric_fn(p)
 
-    return Chart(dim=chart.dim, domain=chart.domain, metric_fn=metric,
+    return Chart(domain=chart.domain, metric_fn=metric,
                  metric_derivative_fn=(chart.metric_derivative_fn
                                        and fd.complex_step(metric)),
                  label=label or f"conformal({chart.label})")
@@ -318,7 +322,7 @@ def constant_rescale(chart: Chart, factor: float, label: str = "") -> Chart:
     def metric(p):
         return factor * np.asarray(chart.metric_fn(p))
 
-    return Chart(dim=chart.dim, domain=chart.domain, metric_fn=metric,
+    return Chart(domain=chart.domain, metric_fn=metric,
                  metric_derivative_fn=(chart.metric_derivative_fn
                                        and fd.complex_step(metric)),
                  label=label or f"scaled({chart.label})")

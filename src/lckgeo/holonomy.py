@@ -82,7 +82,7 @@ def _span_rank(rows: np.ndarray):
         return 0, np.inf, sv
     rel = sv / sv[0]
     rank = int(np.sum(rel > RANK_CUT))
-    if rank == rows.shape[0] or rank == 0 or sv[rank] == 0.0:
+    if rank == sv.size or rank == 0 or sv[rank] == 0.0:
         gap = np.inf
     else:
         gap = sv[rank - 1] / sv[rank]
@@ -112,13 +112,9 @@ def _close_under_commutators(mats, m: int):
     return basis, rank, gap
 
 
-def _assemble(chart: Chart, base, hat_generators, n: int,
+def _assemble(L: np.ndarray, base, hat_generators, n: int,
               J_fn=None) -> HolonomyEstimate:
-    """Common path: scale gate, closure, rank, classification, frames."""
-    m = chart.dim
-    g = chart.metric(base)
-    L = _orthonormal_frame(g)
-
+    """Common path in the base frame L: scale gate, closure, rank, labels."""
     scale = max((float(np.max(np.abs(G))) for G in hat_generators), default=0.0)
     if scale < GENERATOR_FLOOR:
         return HolonomyEstimate(algebra_dim=0, generators=[],
@@ -128,7 +124,7 @@ def _assemble(chart: Chart, base, hat_generators, n: int,
     skew_defect = max(float(np.max(np.abs(G + G.T)))
                       for G in hat_generators) / scale
     basis, dim, gap = _close_under_commutators(
-        [G / scale for G in hat_generators], m)
+        [G / scale for G in hat_generators], len(L))
     hat_J = None if J_fn is None else _to_frame(L, np.asarray(J_fn(base)))
     label = classify_algebra(basis, dim, gap, n, hat_J)
     coord_generators = [_from_frame(L, B) for B in basis]
@@ -145,8 +141,10 @@ def classify_algebra(hat_basis, dim: int, rank_gap: float, n: int,
     label requires every generator to commute with ``hat_J``, a J in the
     same frame (dim may be below n^2: the algebra is then still unitary);
     so(2n-1) requires the matching dimension plus a common fixed vector.
+    A span above n(2n-1) = dim so(2n) fits in no holonomy algebra, and is
+    "inconclusive" too.
     """
-    if rank_gap < MIN_RANK_GAP:
+    if rank_gap < MIN_RANK_GAP or dim > n * (2 * n - 1):
         return "inconclusive"
     if dim == 0:
         return "reducible/other"
@@ -211,8 +209,7 @@ def curvature_span(chart: Chart, base, probes, n: int = None, J_fn=None,
     base point along the straight coordinate segment.
     """
     base = np.asarray(base, dtype=float)
-    m = chart.dim
-    n = n or m // 2
+    n = n or chart.dim // 2
     if len(probes) < 3 * n * (2 * n - 1):
         raise PreconditionError(
             f"need at least {3 * n * (2 * n - 1)} probes, got {len(probes)}")
@@ -228,7 +225,7 @@ def curvature_span(chart: Chart, base, probes, n: int = None, J_fn=None,
         raise
     hats = [_to_frame(L, _conjugate(P, _probe_curvature(chart, q, x, y)))
             for q, P, (_, (x, y)) in zip(qs, Ps, probes)]
-    return _assemble(chart, base, hats, n, J_fn)
+    return _assemble(L, base, hats, n, J_fn)
 
 
 def _probe_curvature(chart: Chart, q, x, y) -> np.ndarray:
@@ -290,8 +287,7 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
     :class:`LoopTooLargeError` (subdivide or shrink the loop).
     """
     base = np.asarray(base, dtype=float)
-    m = chart.dim
-    n = n or m // 2
+    n = n or chart.dim // 2
     L = _orthonormal_frame(chart.metric(base))
     # the loops before the first deck generator are transported; that one
     # raises after them
@@ -311,7 +307,7 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
     if first_deck < len(loops):
         raise PreconditionError(f"loop '{loops[first_deck].label}' is a "
                                 "deck generator, not contractible")
-    return _assemble(chart, base, hats, n, J_fn)
+    return _assemble(L, base, hats, n, J_fn)
 
 
 def _loop_transports(chart: Chart, loops, base, steps: int):

@@ -562,7 +562,7 @@ class PotentialField:
     def increment(self, p, q, nodes: int = 4):
         """Integral of theta from p to each of the points q, shape (..., m)
         (short-segment refinement)."""
-        return line_integral_segment(self.H.chart, self._field, p, q, nodes=nodes)
+        return line_integral_segment(self._field, p, q, nodes=nodes)
 
     def path_defect(self, p, waypoint) -> float:
         """Difference between the direct path and a detour via ``waypoint``."""

@@ -42,10 +42,6 @@ import numpy as np
 from . import holonomy as hol, identities as idn, zoo
 from .errors import ParameterError
 
-SUITE_NAMES = ("lck-identities", "einstein-chain", "parallel-field",
-               "commuting-pair", "hamiltonian-form", "average-metric",
-               "holonomy", "classify")
-
 SCHEMA_VERSION = 3
 
 # Tolerance of the residuals that sit at the direct-stencil floor: the
@@ -307,10 +303,9 @@ def _suite_holonomy(entry, config: SuiteConfig, rng) -> SuiteResult:
     chart = H.chart
     base = chart.center()
     probes = hol.default_probes(chart, base, rng)
-    est_span = hol.curvature_span(chart, base, probes, n=entry.n,
-                                  J_fn=H.J_fn)
+    est_span = hol.curvature_span(chart, base, probes, J_fn=H.J_fn)
     loops = hol.default_holonomy_loops(chart, base)
-    est_loop = hol.loop_holonomy(chart, loops, base, n=entry.n, J_fn=H.J_fn)
+    est_loop = hol.loop_holonomy(chart, loops, base, J_fn=H.J_fn)
     inconclusive = ("inconclusive" in (est_span.classification,
                                        est_loop.classification))
     agree = est_span.classification == est_loop.classification
@@ -380,6 +375,7 @@ SUITES = {
     "holonomy": _suite_holonomy,
     "classify": _suite_classify,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 # ---------------------------------------------------------------------------

@@ -342,7 +342,7 @@ def _evaluate_nodes(oneform_field: Callable, xs) -> np.ndarray:
         raise
 
 
-def line_integral_segment(chart: Chart, oneform_field: Callable, p_from, p_to,
+def line_integral_segment(oneform_field: Callable, p_from, p_to,
                           nodes: int = 16):
     """Integral of a 1-form along the straight segment from p_from to each of
     the points p_to, shape (..., m) (Gauss-Legendre).

@@ -16,6 +16,9 @@ Entries
 * ``kaehler_bases()`` -- flat C, flat C^2, and the normalized round
   S^2 = CP^1 (area 2 pi), used as bases for the warped and Calabi entries.
 
+Nothing is declared twice: a chart's dimension is the length of its domain,
+n is half of it, and a profile's derivative is the complex step of its values.
+
 Potential conventions on the Calabi entry: with phi(r) = 1/2 int_0^r ell
 (so theta_eps = eps d phi on (g_ell, J_eps)) the conformally Kahler pair is
 
@@ -50,35 +53,34 @@ SQRT_HALF = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class ProfileFn:
-    """A smooth real profile and its derivative, elementwise on arrays.
+    """A smooth real profile, elementwise on arrays, and its derivative.
 
-    ``value_fn`` must be complex-safe: the warped and Calabi metrics built on
-    it are differentiated by :func:`lckgeo.fd.complex_step`.
+    ``value_fn`` must be complex-safe: :func:`lckgeo.fd.complex_step`
+    differentiates it and the warped and Calabi metrics built on it.
     """
 
     value_fn: Callable[[np.ndarray], np.ndarray]
-    derivative_fn: Callable[[np.ndarray], np.ndarray]
     domain: tuple = (0.0, 1.0)
     label: str = ""
 
     def __call__(self, r: float) -> float:
         return float(self.value_fn(r))
 
+    def derivative_fn(self, r) -> np.ndarray:
+        """The derivative at each r, the complex step of ``value_fn``."""
+        partials = fd.complex_step(lambda x: self.value_fn(x[..., 0]))
+        return partials(np.asarray(r, dtype=float)[..., None])[..., 0]
+
     def derivative(self, r: float) -> float:
         return float(self.derivative_fn(r))
 
 
 def named_profile(name: str, domain: tuple, label: str = "") -> ProfileFn:
-    zero = lambda r: np.zeros_like(r, dtype=float)
-    table = {
-        "sin": (np.sin, np.cos),
-        "cos": (np.cos, lambda r: -np.sin(r)),
-        "zero": (zero, zero),
-    }
+    table = {"sin": np.sin, "cos": np.cos,
+             "zero": lambda r: np.zeros_like(r, dtype=float)}
     if name not in table:
         raise ParameterError(f"unknown profile '{name}' (known: {sorted(table)})")
-    value, deriv = table[name]
-    return ProfileFn(value, deriv, domain, label or name)
+    return ProfileFn(table[name], domain, label or name)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +126,11 @@ def flat_base(n: int) -> KahlerBase:
     """Flat C^n on the box [-1, 1]^2n, standard metric and complex structure."""
     m = 2 * n
     metric_fn = fd.constant(np.eye(m))
-    chart = Chart(dim=m, domain=((-1.0, 1.0),) * m, metric_fn=metric_fn,
+    chart = Chart(domain=((-1.0, 1.0),) * m, metric_fn=metric_fn,
                   metric_derivative_fn=fd.complex_step(metric_fn),
                   label=f"flat_C{n}")
     return KahlerBase(HermitianStructure(
-        chart, fd.constant(_standard_j(m)), n, label=f"flat_C{n}"))
+        chart, fd.constant(_standard_j(m)), label=f"flat_C{n}"))
 
 
 def round_s2_base(radius: float, polar_margin: float = 0.35,
@@ -156,11 +158,11 @@ def round_s2_base(radius: float, polar_margin: float = 0.35,
         return J
 
     label = label or f"round_S2_R{radius:g}"
-    chart = Chart(dim=2, domain=((polar_margin, math.pi - polar_margin),
-                                 (0.0, 2.0 * math.pi)),
+    chart = Chart(domain=((polar_margin, math.pi - polar_margin),
+                          (0.0, 2.0 * math.pi)),
                   metric_fn=metric_fn,
                   metric_derivative_fn=fd.complex_step(metric_fn), label=label)
-    return KahlerBase(HermitianStructure(chart, J_fn, 1, label=label),
+    return KahlerBase(HermitianStructure(chart, J_fn, label=label),
                       area=4.0 * math.pi * R2)
 
 
@@ -190,7 +192,8 @@ class PairData:
 
 @dataclass(frozen=True)
 class ZooEntry:
-    """Charts, structures, loops and declared expectations of one example."""
+    """Charts, structures, loops and declared expectations of one example;
+    n is half the dimension of its charts."""
 
     label: str
     params: dict
@@ -210,7 +213,10 @@ class ZooEntry:
     potential: Optional[Callable] = None     # phi(r) = 1/2 int_0^r ell (Calabi)
     profile: Optional[ProfileFn] = None
     base: Optional[KahlerBase] = None
-    n: int = 0
+
+    @property
+    def n(self) -> int:
+        return next(iter(self.charts.values())).dim // 2
 
     @property
     def main_structure(self) -> HermitianStructure:
@@ -231,21 +237,20 @@ def euclidean(m: int) -> ZooEntry:
     if m < 1:
         raise ParameterError("euclidean needs dimension m >= 1")
     metric_fn = fd.constant(np.eye(m))
-    chart = Chart(dim=m, domain=((-1.0, 1.0),) * m, metric_fn=metric_fn,
+    chart = Chart(domain=((-1.0, 1.0),) * m, metric_fn=metric_fn,
                   metric_derivative_fn=fd.complex_step(metric_fn),
                   label=f"euclidean_{m}")
     structures = {}
     main = ""
     if m % 2 == 0:
         structures["flat"] = HermitianStructure(
-            chart=chart, J_fn=fd.constant(_standard_j(m)), n=m // 2,
-            label="flat")
+            chart=chart, J_fn=fd.constant(_standard_j(m)), label="flat")
         main = "flat"
     return ZooEntry(label=f"euclidean_{m}", params={"m": m},
                     charts={"flat": chart}, structures=structures, main=main,
                     expected_kind="Kahler", expected_holonomy="trivial",
                     expected_lee_fn=fd.constant(np.zeros(m)),
-                    einstein_lambda=0.0, n=m // 2)
+                    einstein_lambda=0.0)
 
 
 # -- Hopf ---------------------------------------------------------------------
@@ -343,10 +348,10 @@ def hopf(n: int, circumference: float = 2.0 * math.pi,
         B = np.concatenate([-sigma[..., None], dsigma], axis=-1)
         return np.linalg.solve(B, J0 @ B)
 
-    chart = Chart(dim=m, domain=tuple(domain), metric_fn=metric_fn,
+    chart = Chart(domain=tuple(domain), metric_fn=metric_fn,
                   metric_derivative_fn=fd.complex_step(metric_fn),
                   label=f"hopf_{n}")
-    H = HermitianStructure(chart=chart, J_fn=J_fn, n=n, label=f"hopf_{n}")
+    H = HermitianStructure(chart=chart, J_fn=J_fn, label=f"hopf_{n}")
 
     center = chart.center()
     gen_start = center.copy()
@@ -368,7 +373,7 @@ def hopf(n: int, circumference: float = 2.0 * math.pi,
                     expected_kind="Vaisman", expected_holonomy="SO(2n-1)",
                     expected_lee_fn=fd.constant(_basis(m, 0)),
                     expected_periods={"s1_generator": L, "contractible": 0.0},
-                    parallel_field=_basis(m, 0), n=n)
+                    parallel_field=_basis(m, 0))
 
 
 # -- flat inversion -----------------------------------------------------------
@@ -395,11 +400,11 @@ def flat_inversion(n: int) -> ZooEntry:
         r2 = np.vecdot(np.conj(p), p)[..., None, None]
         return eye / (r2 * r2)
 
-    chart = Chart(dim=m, domain=tuple((lo, hi) for _ in range(m)),
+    chart = Chart(domain=tuple((lo, hi) for _ in range(m)),
                   metric_fn=metric_fn,
                   metric_derivative_fn=fd.complex_step(metric_fn),
                   label=f"flat_inversion_{n}")
-    H = HermitianStructure(chart=chart, J_fn=fd.constant(_standard_j(m)), n=n,
+    H = HermitianStructure(chart=chart, J_fn=fd.constant(_standard_j(m)),
                            label=f"flat_inversion_{n}")
 
     c = chart.center()
@@ -420,7 +425,7 @@ def flat_inversion(n: int) -> ZooEntry:
                     expected_lee_fn=lambda p: (-2.0 * np.asarray(p)
                                                / np.vecdot(p, p)[..., None]),
                     expected_periods={"square": 0.0, "triangle": 0.0},
-                    einstein_lambda=0.0, n=n)
+                    einstein_lambda=0.0)
 
 
 # -- warped product -----------------------------------------------------------
@@ -447,7 +452,6 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
     _require_kahler_base(base)
     N = base.structure
     m = N.chart.dim + 2
-    n = m // 2
     t_lo, t_hi = c.domain
 
     def warp(p):
@@ -470,11 +474,10 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
         return J
 
     domain = ((-math.pi, math.pi), (t_lo, t_hi)) + N.chart.domain
-    chart = Chart(dim=m, domain=domain, metric_fn=metric_fn,
+    chart = Chart(domain=domain, metric_fn=metric_fn,
                   metric_derivative_fn=fd.complex_step(metric_fn),
                   label=f"warped_{c.label}_{N.label}")
-    H = HermitianStructure(chart=chart, J_fn=J_fn, n=n,
-                           label=f"warped_{c.label}")
+    H = HermitianStructure(chart=chart, J_fn=J_fn, label=f"warped_{c.label}")
 
     # c' on a grid over the whole interval: a profile symmetric about the
     # midpoint (cos on (0, 2 pi)) has c'(mid) = 0 without being constant
@@ -496,7 +499,7 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
                     expected_holonomy="trivial" if constant else "SO(2n-1)",
                     expected_lee_fn=_coordinate_form(m, 1, c.derivative_fn),
                     expected_periods={"st_square": 0.0},
-                    parallel_field=_basis(m, 0), profile=c, base=base, n=n)
+                    parallel_field=_basis(m, 0), profile=c, base=base)
 
 
 # -- Calabi Ansatz ------------------------------------------------------------
@@ -542,7 +545,6 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
             f"no constant scaling of the contact form matches Omega_N on "
             f"'{N.label}': ratios {ratios}")
 
-    n = 2
     cw2 = c_w ** 2
 
     def unpack(p):
@@ -587,7 +589,7 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
 
     domain = ((0.35, math.pi - 0.35), (-0.7, 2.0 * math.pi + 0.7),
               (-0.7, 4.0 * math.pi + 0.7), (r_margin, b - r_margin))
-    chart_ell = Chart(dim=4, domain=domain, metric_fn=metric_fn,
+    chart_ell = Chart(domain=domain, metric_fn=metric_fn,
                       metric_derivative_fn=fd.complex_step(metric_fn),
                       label=f"calabi_ell_{ell.label}")
 
@@ -603,11 +605,11 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
 
     Jp, Jm = make_J(+1.0), make_J(-1.0)
     structures = {
-        "g_ell,J+": HermitianStructure(chart_ell, Jp, n, label="g_ell,J+"),
-        "g_ell,J-": HermitianStructure(chart_ell, Jm, n, label="g_ell,J-"),
-        "g+,J+": HermitianStructure(chart_plus, Jp, n, label="g+,J+"),
-        "g+,J-": HermitianStructure(chart_plus, Jm, n, label="g+,J-"),
-        "g-,J-": HermitianStructure(chart_minus, Jm, n, label="g-,J-"),
+        "g_ell,J+": HermitianStructure(chart_ell, Jp, label="g_ell,J+"),
+        "g_ell,J-": HermitianStructure(chart_ell, Jm, label="g_ell,J-"),
+        "g+,J+": HermitianStructure(chart_plus, Jp, label="g+,J+"),
+        "g+,J-": HermitianStructure(chart_plus, Jm, label="g+,J-"),
+        "g-,J-": HermitianStructure(chart_minus, Jm, label="g-,J-"),
     }
 
     ctr = chart_ell.center()
@@ -636,7 +638,7 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
         pair=PairData(I=structures["g+,J+"], J=structures["g+,J-"]),
         average=structures["g_ell,J+"],
         holonomy_key="g+,J+", potential=phi_potential, profile=ell,
-        base=base, n=n)
+        base=base)
 
 
 def stencil_only(entry: ZooEntry) -> ZooEntry:
@@ -748,13 +750,13 @@ def calabi_connection_table_residuals(entry: ZooEntry, p) -> dict:
 
 
 def kaehler_bases() -> list:
-    """Zoo entries for the Kahler base factors (flat C, flat C^2, CP^1)."""
+    """Zoo entries for the Kahler base factors of ``KAHLER_BASES``."""
     entries = []
-    for name in ("c1", "c2", "cp1"):
-        H = KAHLER_BASES[name]().structure
+    for name, build in KAHLER_BASES.items():
+        H = build().structure
         entries.append(ZooEntry(
             label=f"base({name})", params={"name": name},
             charts={"base": H.chart}, structures={"kahler": H}, main="kahler",
             expected_kind="Kahler", expected_holonomy="",
-            expected_lee_fn=fd.constant(np.zeros(H.chart.dim)), n=H.n))
+            expected_lee_fn=fd.constant(np.zeros(H.chart.dim))))
     return entries

@@ -33,8 +33,8 @@ def _sphere_chart(radius=1.0, dim=2):
         g[..., 2, 2] = R2 * sin_sq[..., 0] * sin_sq[..., 1]
         return g
 
-    return Chart(dim=3, domain=((0.4, math.pi - 0.4), (0.4, math.pi - 0.4),
-                                (0.0, 2 * math.pi)),
+    return Chart(domain=((0.4, math.pi - 0.4), (0.4, math.pi - 0.4),
+                         (0.0, 2 * math.pi)),
                  metric_fn=g_fn, label="round_S3")
 
 
@@ -430,7 +430,7 @@ class TestFormCalculus:
 
 def test_christoffel_metric_error():
     from lckgeo.errors import MetricError
-    bad = Chart(dim=2, domain=((-1, 1), (-1, 1)),
+    bad = Chart(domain=((-1, 1), (-1, 1)),
                 metric_fn=lambda p: np.diag([1.0, -1.0]), label="bad")
     with pytest.raises(MetricError):
         christoffel(bad, np.zeros(2))

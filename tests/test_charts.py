@@ -59,19 +59,19 @@ class TestChartInvariants:
             chart.sample_points(np.random.default_rng(0), 5, margin=10.0)
 
     def test_metric_validation_errors(self):
-        bad_sym = Chart(dim=2, domain=((-1, 1), (-1, 1)),
+        bad_sym = Chart(domain=((-1, 1), (-1, 1)),
                         metric_fn=lambda p: np.array([[1.0, 0.5], [0.0, 1.0]]),
                         label="bad_sym")
         with pytest.raises(MetricError):
             bad_sym.metric([0.0, 0.0])
-        bad_pd = Chart(dim=2, domain=((-1, 1), (-1, 1)),
+        bad_pd = Chart(domain=((-1, 1), (-1, 1)),
                        metric_fn=lambda p: np.diag([1.0, -1.0]), label="bad_pd")
         with pytest.raises(MetricError):
             bad_pd.metric([0.0, 0.0])
         # an infinite diagonal is symmetric to allclose and Cholesky returns
         # inf without raising, so only an explicit finiteness check sees it
         for g in (np.diag([np.inf, 1.0]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
-            bad = Chart(dim=2, domain=((-1, 1), (-1, 1)),
+            bad = Chart(domain=((-1, 1), (-1, 1)),
                         metric_fn=lambda p, g=g: g.copy(), label="not_finite")
             with pytest.raises(MetricError):
                 bad.metric([0.0, 0.0])
@@ -87,7 +87,7 @@ class TestChartInvariants:
             tol = 1e-10 * (1 + np.abs(g).max()) + 1e-5 * abs(g[j, i])
             g[i, j] += tol * rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
             expected = np.allclose(g, g.T, atol=1e-10 * (1 + np.abs(g).max()))
-            chart = Chart(dim=1, domain=((-1, 1),), metric_fn=lambda p: g)
+            chart = Chart(domain=((-1, 1),), metric_fn=lambda p: g)
             try:
                 chart.metric([0.0])
                 symmetric = True
@@ -125,7 +125,7 @@ class TestChartInvariants:
                     metric_fn = np.vectorize(per_point, otypes=[float],
                                              signature="(m)->(i,j)")
 
-                chart = Chart(dim=2, domain=((-1, 1), (-1, 1)),
+                chart = Chart(domain=((-1, 1), (-1, 1)),
                               metric_fn=metric_fn, label="one_bad")
                 with pytest.raises(MetricError) as single:
                     chart.metric(pts[k])

@@ -55,8 +55,7 @@ def twisted_structure(m=4, angle_scale=1.0):
         R[..., 2, 0] = np.sin(a)
         return R @ J0 @ np.swapaxes(R, -1, -2)
 
-    return HermitianStructure(chart=chart, J_fn=J_fn, n=m // 2,
-                              label="twisted")
+    return HermitianStructure(chart=chart, J_fn=J_fn, label="twisted")
 
 
 class TestFundamentalForm:
@@ -121,11 +120,19 @@ class TestFundamentalForm:
         assert points == {"J": 1, "g": 1}
         assert np.array_equal(om, H.omega(p))
 
+    def test_label_is_keyword_only(self, hopf2):
+        """n is derived from the chart, so a positional third argument is an
+        error, not a label."""
+        H = hopf2.main_structure
+        assert H.n == H.chart.dim // 2 == 2
+        with pytest.raises(TypeError):
+            HermitianStructure(H.chart, H.J_fn, 3)
+
     def test_incompatible_structure_errors(self):
         chart = zoo.round_s2_base(1.0).structure.chart
         bad = HermitianStructure(chart=chart,
                                  J_fn=lambda p: np.array([[0.0, -1.0], [1.0, 0.0]]),
-                                 n=1, label="bad")
+                                 label="bad")
         with pytest.raises(CompatibilityError):
             fundamental_form(bad, np.array([0.9, 1.0]))
 
@@ -178,7 +185,7 @@ class TestNijenhuis:
         chart = zoo.round_s2_base(1.0).structure.chart   # curved chart, constant J
         J = np.array([[0.3, -1.0], [1.09, -0.3]])
         J[:] = J / math.sqrt(abs(np.linalg.det(J)))  # normalize to J^2 ~ -Id
-        H = HermitianStructure(chart=chart, J_fn=fd.constant(J), n=1)
+        H = HermitianStructure(chart=chart, J_fn=fd.constant(J))
         N = nijenhuis_tensor(H, np.array([1.0, 1.0]))
         assert np.max(np.abs(N)) < 1e-9
 
@@ -260,7 +267,7 @@ class TestLeeForm:
             return out
 
         chart_u = conformal_rescale(H.chart, u, label="hopf_rescaled")
-        H_u = HermitianStructure(chart_u, H.J_fn, H.n, label="hopf_rescaled")
+        H_u = HermitianStructure(chart_u, H.J_fn, label="hopf_rescaled")
         for p in H.chart.sample_points(rng, 5):
             theta = lee_form_components(H, p)
             theta_u = lee_form_components(H_u, p)

@@ -15,7 +15,8 @@ from lckgeo.charts import (Chart, coordinate_rectangle, polygon_loop,
                            segment_loop)
 from lckgeo.errors import (DomainExitError, IntegrationError,
                            LoopTooLargeError, PreconditionError)
-from lckgeo.holonomy import (_loop_log, classify_algebra,
+from lckgeo.holonomy import (_close_under_commutators, _loop_log,
+                             _span_rank, classify_algebra,
                              common_fixed_vectors, curvature_span,
                              default_holonomy_loops, default_probes,
                              loop_holonomy)
@@ -217,7 +218,7 @@ class TestBundles:
         time than the first loop's exit from the chart; the first loop's
         DomainExitError is raised, as loop-by-loop transport raises it, and
         before the deck generator's PreconditionError."""
-        chart = Chart(dim=2, domain=((-1, 1), (-1, 1)),
+        chart = Chart(domain=((-1, 1), (-1, 1)),
                       metric_fn=lambda p: np.eye(2) * np.where(
                           p[..., 0] < 0.5, 1.0, np.nan)[..., None, None],
                       label="nan_half")
@@ -255,7 +256,7 @@ class TestBundles:
             f = 2.0 + np.sin(x0 + 2.0 * x1) + 0.5 * x2 * x3
             return np.eye(4) * np.where(nan, np.nan, f)[..., None, None]
 
-        chart = Chart(dim=4, domain=((-1, 1),) * 4, metric_fn=metric_fn,
+        chart = Chart(domain=((-1, 1),) * 4, metric_fn=metric_fn,
                       label="nan_corners")
         base = chart.center()
         loops = default_holonomy_loops(chart, base)
@@ -290,7 +291,7 @@ class TestBundles:
 
     def test_curvature_span_evaluates_per_probe_points(self, hopf2, rng):
         """The metric is evaluated at exactly the points of the per-probe
-        curvature and transport, and twice at the base point."""
+        curvature and transport, and once at the base point."""
         chart = dataclasses.replace(hopf2.holonomy_structure.chart,
                                     metric_derivative_fn=None)
         base = chart.center()
@@ -303,7 +304,7 @@ class TestBundles:
 
         counted_chart = dataclasses.replace(chart, metric_fn=counted)
         curvature_span(counted_chart, base, probes, n=1, transport_steps=50)
-        bundled, seen[:] = list(seen), [base[None], base[None]]
+        bundled, seen[:] = list(seen), [base[None]]
         for q, _ in probes:
             riemann(counted_chart, q)
             transport_segment(counted_chart, q, base, np.eye(4), steps=50)
@@ -374,6 +375,24 @@ class TestClassifyAlgebra:
 
     def test_dim_zero(self):
         assert classify_algebra([], 0, np.inf, n=2) == "reducible/other"
+
+    def test_span_above_so2n_is_inconclusive(self):
+        basis = self._so4_basis() + [np.eye(4) / 2.0]
+        assert classify_algebra(basis, 7, np.inf, n=2) == "inconclusive"
+
+
+class TestSpanRank:
+    def test_full_rank_with_more_rows_than_entries(self, rng):
+        """21 generic 4x4 matrices span all 16 dimensions: the rank stops
+        at the 16 singular values there are, with no gap below it."""
+        rank, gap, sv = _span_rank(rng.standard_normal((21, 16)))
+        assert (rank, gap, sv.size) == (16, np.inf, 16)
+
+    def test_closure_of_a_full_span_is_inconclusive(self, rng):
+        basis, dim, gap = _close_under_commutators(
+            list(rng.standard_normal((21, 4, 4))), 4)
+        assert (len(basis), dim, gap) == (16, 16, np.inf)
+        assert classify_algebra(basis, dim, gap, n=2) == "inconclusive"
 
 
 class TestOrthonormalFrame:

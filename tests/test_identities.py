@@ -286,7 +286,7 @@ class TestCommutingPair:
     def test_sign_flip_detected(self, calabi_sin, rng):
         """Replacing I by -I flips I theta: |I theta - J theta| goes large."""
         I, J = calabi_sin.pair.I, calabi_sin.pair.J
-        minus_I = HermitianStructure(I.chart, lambda q: -I.J(q), I.n,
+        minus_I = HermitianStructure(I.chart, lambda q: -I.J(q),
                                      label="minus_I")
         p = I.chart.sample_points(rng, 1)[0]
         res = commuting_pair_residuals(minus_I, J, p)
@@ -507,7 +507,7 @@ class TestClassify:
         """A constant homothety leaves the classification unchanged."""
         H = calabi_sin.main_structure
         scaled = HermitianStructure(constant_rescale(H.chart, 100.0), H.J_fn,
-                                    H.n, label="scaled")
+                                    label="scaled")
         pts = H.chart.sample_points(rng, 6)
         k1 = classify_structure(H, pts, {}).kind
         k2 = classify_structure(scaled, pts, {}).kind

@@ -1,6 +1,7 @@
 """Suite runner, report determinism, CLI, and exit-code contract tests."""
 
 import argparse
+import importlib.util
 import json
 import math
 import re
@@ -366,6 +367,22 @@ class TestCli:
         assert set(re.findall(r"--[a-z-]+", flags_line)) == options
         dests = {"suites" if a.dest == "suite" else a.dest for a in actions}
         assert set(CONFIG_KEYS) == dests - {"config", "json", "text"}
+
+    def test_every_family_is_documented_and_exercised(self):
+        """The README zoo table, the startup test's selectors and the drift
+        tool's selectors each name every family of the selector table."""
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text()
+        table = readme.split("## The manifold zoo", 1)[1].split("\n\n")[1]
+        documented = set(re.findall(r"^\| `(\w+)[{`]", table, re.M))
+        for where in ("tests/test_startup.py", "tools/drift.py"):
+            spec = importlib.util.spec_from_file_location(
+                Path(where).stem, root / where)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            named = {parse_selector(sel)[0] for sel in module.SELECTORS}
+            assert named >= set(report._FAMILIES), where
+        assert documented == set(report._FAMILIES)
 
 
 class TestEvaluationCounts:

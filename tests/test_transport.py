@@ -304,7 +304,7 @@ class TestNodeTable:
         well before the segment leaves the box at x0 = 1 or comes within
         the fd step of that face.
         """
-        chart = Chart(dim=2, domain=((-1, 1), (-1, 1)),
+        chart = Chart(domain=((-1, 1), (-1, 1)),
                       metric_fn=lambda p: np.eye(2) * np.where(
                           p[..., 0] < 0.5, 1.0, np.nan)[..., None, None],
                       label="nan_half")
@@ -324,7 +324,7 @@ class TestNodeTable:
             f = (2.0 + np.sin(3.0 * p[..., 0]) + 0.5 * p[..., 1]
                  + np.where(p[..., 0] < cut, 0.0, np.nan))
             return np.eye(2) * f[..., None, None]
-        return Chart(dim=2, domain=((-1, 1), (-1, 1)), metric_fn=metric_fn,
+        return Chart(domain=((-1, 1), (-1, 1)), metric_fn=metric_fn,
                      label="nan_beyond")
 
     @pytest.mark.parametrize("step", [64, 65, 100])

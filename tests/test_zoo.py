@@ -27,6 +27,19 @@ def _entries(hopf2, flat_inv2, warped_sin, calabi_sin):
             for e in (hopf2, flat_inv2, warped_sin, calabi_sin)]
 
 
+def _reached_structures(entry):
+    """Every structure an entry reaches, by name: its own, the pair's, the
+    average and the base's."""
+    structures = dict(entry.structures)
+    if entry.pair is not None:
+        structures.update(pair_I=entry.pair.I, pair_J=entry.pair.J)
+    if entry.average is not None:
+        structures["average"] = entry.average
+    if entry.base is not None:
+        structures["base"] = entry.base.structure
+    return structures
+
+
 def _fields(entry):
     """Every chart and structure field of a zoo entry, by name."""
     fields = {"expected_lee_fn": entry.expected_lee_fn}
@@ -68,6 +81,33 @@ def test_fields_take_point_stacks(name, mode, request, rng):
         assert np.shape(f(pts[1, 2])) == single.shape[2:], label
 
 
+@pytest.mark.parametrize("mode", ["fd", "analytic"])
+@pytest.mark.parametrize("name", ["hopf2", "hopf3", "flat_inv2", "flat_inv3",
+                                  "warped_sin", "warped_flat", "warped_cos_c2",
+                                  "calabi_sin", "euclid4", "c1", "c2", "cp1"])
+def test_complex_dimension_is_half_the_chart_dimension(name, mode, request):
+    """Every structure an entry reaches (its own, the pair, the average and
+    the base's) and the entry itself have n = dim / 2 of their charts."""
+    if name in zoo.KAHLER_BASES:
+        entry, = (e for e in zoo.kaehler_bases() if e.params["name"] == name)
+    else:
+        entry = request.getfixturevalue(name)
+    if mode == "fd":
+        entry = zoo.stencil_only(entry)
+    for key, H in _reached_structures(entry).items():
+        assert 2 * H.n == H.chart.dim, key
+    for chart in entry.charts.values():
+        assert 2 * entry.n == chart.dim, chart.label
+
+
+def test_derived_values_are_not_fields():
+    """A chart's dimension, a structure's and an entry's n and a profile's
+    derivative are derived from the fields they would duplicate."""
+    for cls, derived in ((Chart, "dim"), (HermitianStructure, "n"),
+                         (zoo.ZooEntry, "n"), (zoo.ProfileFn, "derivative_fn")):
+        assert derived not in {f.name for f in dataclasses.fields(cls)}
+
+
 @pytest.mark.parametrize("name", ["hopf2", "hopf3", "flat_inv2", "flat_inv3",
                                   "warped_sin", "warped_flat", "warped_cos_c2",
                                   "calabi_sin", "euclid4", "c1", "c2", "cp1"])
@@ -104,14 +144,8 @@ class TestStencilOnly:
     def derivative_holders(entry):
         """Every chart of the entry, with what holds each, the base's
         structure included."""
-        structures = dict(entry.structures)
-        if entry.pair is not None:
-            structures.update(pair_I=entry.pair.I, pair_J=entry.pair.J)
-        if entry.average is not None:
-            structures["average"] = entry.average
-        if entry.base is not None:
-            structures["base"] = entry.base.structure
-        charts = {f"{k}.chart": H.chart for k, H in structures.items()}
+        charts = {f"{k}.chart": H.chart
+                  for k, H in _reached_structures(entry).items()}
         charts.update(entry.charts)
         return charts
 
@@ -367,12 +401,12 @@ class TestWarped:
             "Kahler", "trivial")
 
     def test_base_gate(self):
-        chart = Chart(dim=2, domain=((-1, 1), (-1, 1)),
+        chart = Chart(domain=((-1, 1), (-1, 1)),
                       metric_fn=lambda y: np.eye(2),
                       metric_derivative_fn=lambda y: np.zeros((2, 2, 2)),
                       label="bad")
         bad = zoo.KahlerBase(HermitianStructure(
-            chart, lambda y: np.eye(2), 1, label="bad"))   # J^2 = +Id
+            chart, lambda y: np.eye(2), label="bad"))   # J^2 = +Id
         with pytest.raises(ParameterError):
             zoo.warped_vaisman_gck(
                 zoo.named_profile("sin", (0, 2 * math.pi)), bad)
@@ -425,7 +459,7 @@ class TestCalabi:
         th_plus = lee_form_components(e.structures["g+,J-"], p)
         npt.assert_allclose(th_plus, d_phi, atol=1e-8)
         g_minus_J_plus = HermitianStructure(
-            e.charts["g_minus"], e.structures["g_ell,J+"].J_fn, 2)
+            e.charts["g_minus"], e.structures["g_ell,J+"].J_fn)
         th_minus = lee_form_components(g_minus_J_plus, p)
         npt.assert_allclose(th_minus, -d_phi, atol=1e-8)
 
@@ -503,10 +537,23 @@ class TestExpectedClassifications:
 
 class TestProfileFn:
     def test_analytic_derivative_matches_stencil(self):
+        """The complex-step derivative agrees with a central stencil."""
         prof = zoo.named_profile("sin", (0.0, math.pi))
         for r in (0.4, 1.1, 2.3):
             fd_val = (prof(r + 1e-5) - prof(r - 1e-5)) / 2e-5
             assert abs(prof.derivative(r) - fd_val) < 1e-5
+
+    @pytest.mark.parametrize("name, derivative", [
+        ("sin", np.cos), ("cos", lambda r: -np.sin(r)),
+        ("zero", np.zeros_like)], ids=["sin", "cos", "zero"])
+    def test_complex_step_matches_closed_form(self, name, derivative):
+        """The complex step of the values is the closed-form derivative to
+        rounding, elementwise on arrays and at a scalar."""
+        prof = zoo.named_profile(name, (0.0, 2.0 * math.pi))
+        r = np.linspace(0.0, 2.0 * math.pi, 201).reshape(3, 67)
+        assert prof.derivative_fn(r).shape == r.shape
+        assert np.max(np.abs(prof.derivative_fn(r) - derivative(r))) <= 1.2e-16
+        assert abs(prof.derivative(1.1) - derivative(1.1)) <= 1.2e-16
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ParameterError):
