@@ -31,7 +31,7 @@ import numpy as np
 
 from .calculus import riemann
 from .charts import Chart, Loop, coordinate_rectangle
-from .errors import LoopTooLargeError, PreconditionError
+from .errors import LoopTooLargeError, ParameterError, PreconditionError
 from .transport import transport_along, transport_segment
 
 RANK_CUT = 1e-6           # relative singular-value cut for the span rank
@@ -65,6 +65,15 @@ def _orthonormal_frame(g: np.ndarray) -> np.ndarray:
     skew Ghat, g-orthogonal H <-> orthogonal Hhat).
     """
     return np.linalg.cholesky(g)
+
+
+def _complex_dimension(chart: Chart, n) -> int:
+    """Half the chart's dimension; an ``n`` given beside it must equal it."""
+    if n is not None and n != chart.dim // 2:
+        raise ParameterError(
+            f"n = {n} does not match chart '{chart.label}' of dimension "
+            f"{chart.dim}, whose n is {chart.dim // 2}")
+    return chart.dim // 2
 
 
 def _to_frame(L: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -206,10 +215,11 @@ def curvature_span(chart: Chart, base, probes, n: int = None, J_fn=None,
     """Holonomy-algebra estimate from transported curvature endomorphisms.
 
     Each probe contributes R(X, Y) at its point, parallel-transported to the
-    base point along the straight coordinate segment.
+    base point along the straight coordinate segment.  ``n`` is half the
+    chart's dimension; a different one raises :class:`ParameterError`.
     """
     base = np.asarray(base, dtype=float)
-    n = n or chart.dim // 2
+    n = _complex_dimension(chart, n)
     if len(probes) < 3 * n * (2 * n - 1):
         raise PreconditionError(
             f"need at least {3 * n * (2 * n - 1)} probes, got {len(probes)}")
@@ -284,10 +294,12 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
     shift is a periodic-coordinate wrap of a contractible curve (latitude
     circles in polar charts).  Transports farther than 0.5 from the
     identity in the orthonormal operator norm raise
-    :class:`LoopTooLargeError` (subdivide or shrink the loop).
+    :class:`LoopTooLargeError` (subdivide or shrink the loop).  ``n`` is
+    half the chart's dimension; a different one raises
+    :class:`ParameterError`.
     """
     base = np.asarray(base, dtype=float)
-    n = n or chart.dim // 2
+    n = _complex_dimension(chart, n)
     L = _orthonormal_frame(chart.metric(base))
     # the loops before the first deck generator are transported; that one
     # raises after them

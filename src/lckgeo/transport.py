@@ -27,7 +27,12 @@ A bundle is several curves on one schedule (steps and breakpoints), their
 points stacked on an axis before the coordinate axis, with one frame per
 curve.  One integration carries every frame of the bundle; each curve's
 result is bit for bit its transport alone, and the bundle raises the first
-error in time of any of its curves.  Callers that need the error of the
+error in time of any of its curves.  Curves whose node points and
+velocities on a smooth piece are bitwise equal, as rectangles from one
+corner are on a common edge, share that piece's Christoffel blocks and
+step increments: B is evaluated once per distinct curve, in blocks of
+about ``NODE_BLOCK`` distinct points, and each curve's frame takes the
+increments of its curve's class.  Callers that need the error of the
 first curve in their own order, as :mod:`~lckgeo.holonomy` does, transport
 the curves one by one on an error.  Geodesics depend on the state and
 evaluate stage by stage.
@@ -154,7 +159,8 @@ def _transport_piece(chart: Chart, point_fn: Callable, velocity_fn: Callable,
     """The frames y carried over one smooth piece by RK4 step propagators,
     applied one step at a time as in :func:`_rk4`: a state that turns
     non-finite raises with the end time of its step, and the first node
-    that fails a domain check raises after the steps before it."""
+    that fails a domain check raises after the steps before it.  Curves of
+    a bundle that coincide on the piece share their increments D."""
     h = (t1 - t0) / steps
     times, t = [], t0
     for _ in range(steps):      # the float recurrence of _rk4
@@ -164,17 +170,22 @@ def _transport_piece(chart: Chart, point_fn: Callable, velocity_fn: Callable,
     eps = 1e-9 * (t1 - t0)
     # no stage samples the velocity at a corner
     params = np.clip(times, t0 + eps, t1 - eps)
-    xs = np.asarray(point_fn(params), dtype=float)
-    vels = np.asarray(velocity_fn(params), dtype=float)
+    # nodes x curves x coordinates; one curve is a bundle of one
+    xs = np.asarray(point_fn(params), dtype=float).reshape(
+        len(times), -1, chart.dim)
+    vels = np.asarray(velocity_fn(params), dtype=float).reshape(xs.shape)
     # the fd stencil of christoffel_components needs its step inside the box
     margin = chart.stencil_margin()
-    ok = chart.inside(xs, margin).reshape(len(times), -1)
+    ok = chart.inside(xs, margin)
     bad = np.flatnonzero(~ok.all(axis=1))
     n_ok = bad[0] if len(bad) else len(times)
+    curve_of, distinct = _coinciding_curves(xs, vels)
+    shape = y.shape
+    y = y.reshape((len(curve_of),) + shape[-2:])
     step = 0
-    for D in _step_blocks(chart, xs[:n_ok], vels[:n_ok], h,
-                          max(NODE_BLOCK // ok.shape[1], 1)):
-        for D_j in D:
+    for D in _step_blocks(chart, xs[:n_ok], vels[:n_ok], distinct, h,
+                          max(NODE_BLOCK // len(distinct), 1)):
+        for D_j in D[:, curve_of]:
             y = y + D_j @ y
             step += 1
             if not np.all(np.isfinite(y)):
@@ -182,18 +193,44 @@ def _transport_piece(chart: Chart, point_fn: Callable, velocity_fn: Callable,
                     f"non-finite state at t={times[2 * step]}")
     if n_ok < len(times):
         _raise_domain_error(chart, xs[n_ok], times[n_ok], margin)
-    return y
+    return y.reshape(shape)
 
 
-def _step_blocks(chart: Chart, xs: np.ndarray, vels: np.ndarray, h: float,
-                 per_block: int):
-    """The increments of the RK4 steps over the nodes xs, ``per_block``
-    nodes of B = -Gamma(x)(v, .) at a time; the nodes of an unfinished step
-    carry over to the next block."""
-    carry = np.empty((0,) + xs.shape[1:] + xs.shape[-1:])
+def _coinciding_curves(xs: np.ndarray, vels: np.ndarray):
+    """For the curves of a bundle piece, nodes xs and velocities vels of
+    shape (nodes, curves, m): each curve's class, numbered in order of
+    first appearance, and the first curve of each class.  Curves are equal
+    when their bits are, so -0.0 and 0.0 stay apart and a NaN matches only
+    its own bit pattern.  Curves are filed by the bits of their end nodes,
+    and only a curve filed with others is compared with them node by node."""
+    bits = (xs.view(np.int64), vels.view(np.int64))
+    by_ends = {}
+    curve_of, distinct = [], []
+    for k in range(xs.shape[1]):
+        ends = b"".join(b[[0, -1], k].tobytes() for b in bits)
+        classes = by_ends.setdefault(ends, [])
+        for c in classes:
+            if all(np.array_equal(b[:, k], b[:, distinct[c]]) for b in bits):
+                break
+        else:
+            c = len(distinct)
+            distinct.append(k)
+            classes.append(c)
+        curve_of.append(c)
+    return np.array(curve_of), np.array(distinct)
+
+
+def _step_blocks(chart: Chart, xs: np.ndarray, vels: np.ndarray,
+                 curves: np.ndarray, h: float, per_block: int):
+    """The increments of the RK4 steps of the given curves over the nodes
+    xs, shape (nodes, curves, m), ``per_block`` nodes of
+    B = -Gamma(x)(v, .) at a time; the nodes of an unfinished step carry
+    over to the next block."""
+    carry = np.empty((0, len(curves)) + xs.shape[-1:] * 2)
     for start in range(0, len(xs), per_block):
-        gamma = christoffel_components(chart, xs[start:start + per_block])
-        v = vels[start:start + per_block]
+        gamma = christoffel_components(chart,
+                                       xs[start:start + per_block, curves])
+        v = vels[start:start + per_block, curves]
         B = np.concatenate([carry, -sum(gamma[..., i, :] * v[..., i, None, None]
                                         for i in range(chart.dim))])
         s = (len(B) - 1) // 2

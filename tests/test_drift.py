@@ -2,7 +2,9 @@
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "drift.py"
@@ -161,3 +163,35 @@ def test_changed_evaluation_counts_are_listed():
         "| hopf{n=2} | holonomy | fd | 1 | 34 -> 18 | 50 -> 18 |")
     assert drift.count_changes(base, base) == (
         "\nno evaluation count differs")
+
+
+def test_a_nested_field_call_counts_once():
+    """A field evaluated inside another counted field's call, as the calabi
+    g+ metric rescales the g_ell one, is part of the outer evaluation: each
+    point counts once, for the outer field.  A call that raises leaves the
+    next call counted."""
+    g_ell = SimpleNamespace(metric_fn=lambda q: np.ones(np.shape(q)[:-1]))
+    g_plus = SimpleNamespace(metric_fn=lambda q: 2.0 * g_ell.metric_fn(q))
+
+    def failing(q):
+        g_ell.metric_fn(q)
+        raise ValueError("outside")
+
+    structures = {
+        "ell": SimpleNamespace(chart=g_ell, J_fn=failing),
+        "plus": SimpleNamespace(chart=g_plus,
+                                J_fn=lambda q: g_plus.metric_fn(q))}
+    module = SimpleNamespace(
+        resolve_manifold=lambda selector: SimpleNamespace(
+            structures=structures))
+    counts = dict.fromkeys(drift.COUNTED, 0)
+    drift._count_points(module, counts)
+    module.resolve_manifold("calabi{ell=sin,b=pi}")
+    points = np.zeros((5, 4))
+    g_plus.metric_fn(points)
+    structures["plus"].J_fn(points)
+    assert counts == {"metric_fn": 5, "J_fn": 5}
+    with pytest.raises(ValueError):
+        structures["ell"].J_fn(points[:2])
+    g_ell.metric_fn(points[0])
+    assert counts == {"metric_fn": 6, "J_fn": 7}

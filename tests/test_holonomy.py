@@ -14,7 +14,8 @@ from lckgeo.calculus import riemann
 from lckgeo.charts import (Chart, coordinate_rectangle, polygon_loop,
                            segment_loop)
 from lckgeo.errors import (DomainExitError, IntegrationError,
-                           LoopTooLargeError, PreconditionError)
+                           LoopTooLargeError, ParameterError,
+                           PreconditionError)
 from lckgeo.holonomy import (_close_under_commutators, _loop_log,
                              _span_rank, classify_algebra,
                              common_fixed_vectors, curvature_span,
@@ -83,6 +84,24 @@ class TestCurvatureSpan:
         probes = default_probes(H.chart, base, rng, count=5)
         with pytest.raises(PreconditionError):
             curvature_span(H.chart, base, probes, n=2)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_mismatched_n_rejected(self, hopf2, rng, n):
+        """n is half the chart's dimension.  Both estimators reject another
+        n before they evaluate a field."""
+        def unreachable(q):
+            raise AssertionError("a field was evaluated")
+
+        chart = dataclasses.replace(hopf2.main_structure.chart,
+                                    metric_fn=unreachable)
+        base = chart.center()
+        message = (f"n = {n} does not match chart .* of dimension 4, "
+                   "whose n is 2")
+        with pytest.raises(ParameterError, match=message):
+            curvature_span(chart, base, default_probes(chart, base, rng), n=n)
+        with pytest.raises(ParameterError, match=message):
+            loop_holonomy(chart, default_holonomy_loops(chart, base), base,
+                          n=n)
 
 
 class TestLoopHolonomy:
@@ -295,7 +314,7 @@ class TestBundles:
         chart = dataclasses.replace(hopf2.holonomy_structure.chart,
                                     metric_derivative_fn=None)
         base = chart.center()
-        probes = default_probes(chart, base, rng, count=3)
+        probes = default_probes(chart, base, rng)
         seen = []
 
         def counted(q):
@@ -303,7 +322,7 @@ class TestBundles:
             return chart.metric_fn(q)
 
         counted_chart = dataclasses.replace(chart, metric_fn=counted)
-        curvature_span(counted_chart, base, probes, n=1, transport_steps=50)
+        curvature_span(counted_chart, base, probes, n=2, transport_steps=50)
         bundled, seen[:] = list(seen), [base[None]]
         for q, _ in probes:
             riemann(counted_chart, q)

@@ -483,6 +483,16 @@ class TestEvaluationCounts:
         assert self.counted_run(monkeypatch, manifold, suite) == {
             "metric_fn": metric_fn, "J_fn": J_fn}
 
+    def test_holonomy_transports_each_shared_edge_once(self, monkeypatch):
+        """The default rectangles share edges (per loop size 18 distinct of
+        the 24 loop edges), and a loop bundle evaluates the symbols of each
+        distinct edge once.  Of the 856 repeated metric points, 855 are
+        points that transport evaluates a second time and one is the base
+        point, which each estimator reads; J is read at the base only."""
+        assert self.counting_run(monkeypatch, "hopf{n=2}", "holonomy") == (
+            {"metric_fn": 165242, "J_fn": 2},
+            {"hopf_2.metric_fn": (165242, 164386), "hopf_2.J_fn": (2, 1)})
+
     @pytest.mark.parametrize("manifold, suite", [
         ("hopf{n=2}", "lck-identities"),
         ("flat_inversion{n=2}", "einstein-chain"),

@@ -414,6 +414,58 @@ class TestBundle:
             assert np.array_equal(P_q, transport_segment(
                 chart, q, base, np.eye(m), steps=30))
 
+    @pytest.mark.parametrize("mode", ["fd", "analytic"])
+    def test_coinciding_curves_share_their_increments(self, hopf2, rng, mode):
+        """In the bundle [A, B, A] the symbols of A are evaluated once, and
+        each curve's result, and the error of a curve that leaves the chart,
+        is its transport alone."""
+        chart = hopf2.holonomy_structure.chart
+        if mode == "fd":
+            chart = _stencil(chart)
+        loops = default_holonomy_loops(chart, chart.center(),
+                                       steps_per_edge=20)
+        A, B = loops[0], loops[5]   # rect_01_1, rect_23_1: no common edge
+        frames = rng.standard_normal((3, 4, 4))
+        counts = [0]
+        counted_chart = dataclasses.replace(
+            chart, metric_fn=_counted(chart.metric_fn, counts))
+        bundle = transport_along(counted_chart, *_bundle([A, B, A]), frames,
+                                 steps=A.steps, breakpoints=A.breakpoints)
+        shared, counts[0] = counts[0], 0
+        for loop, frame, M in zip([A, B, A], frames, bundle):
+            assert np.array_equal(M, parallel_transport(chart, loop, frame))
+        for loop in (A, B):
+            parallel_transport(counted_chart, loop, frames[0])
+        # A and B once each: 4 pieces of 41 nodes, 9 stencil points a node
+        # in fd
+        assert shared == counts[0] == 2 * 9 ** (mode == "fd") * 4 * 41
+
+        # rect_12 of edge 1.5 leaves the chart (x1 < 2.79) on its first edge
+        out = coordinate_rectangle(chart.center(), 1, 2, 1.5, 0.1,
+                                   steps_per_edge=20)
+        err = _raised(lambda: transport_along(
+            chart, *_bundle([out, B, out]), frames, steps=out.steps,
+            breakpoints=out.breakpoints))
+        ref = _raised(lambda: parallel_transport(chart, out, frames[0]))
+        assert type(err) is type(ref) is DomainExitError
+        assert err.exit_time == ref.exit_time
+        assert np.array_equal(err.point, ref.point)
+        assert str(err) == str(ref)
+
+    def test_curves_are_equal_when_their_bits_are(self):
+        """A curve with another's end nodes but not its interior, or with a
+        -0.0 for its 0.0, is distinct; a curve matches its bitwise copy,
+        NaN nodes included.  Classes are numbered in order of first
+        appearance, each with its first curve."""
+        xs = np.zeros((5, 6, 2))
+        vels = np.ones((5, 6, 2))
+        xs[2, [1, 3], 0] = 0.5
+        xs[2, 2, 0] = -0.0
+        xs[:, 4:] = np.nan
+        curve_of, distinct = transport._coinciding_curves(xs, vels)
+        assert curve_of.tolist() == [0, 1, 2, 1, 3, 3]
+        assert distinct.tolist() == [0, 1, 2, 4]
+
     def test_leaves_no_reference_cycles(self, hopf2):
         chart = _stencil(hopf2.holonomy_structure.chart)
         loops = default_holonomy_loops(chart, chart.center(),
@@ -446,8 +498,13 @@ class TestBundle:
                         np.broadcast_to(np.eye(4), (len(loops), 4, 4)),
                         steps=loops[0].steps,
                         breakpoints=loops[0].breakpoints)
-        # 4 pieces of 81 nodes, each node a centre plus an 8-point stencil
-        assert sum(sizes) == 9 * 4 * 81 * len(loops)
+        # each distinct (loop, edge) piece once: 81 nodes, each a centre plus
+        # an 8-point stencil.  Per loop size, the rectangles rect_ij start
+        # along e_i from one corner (3 distinct first edges: i = 0, 1, 2),
+        # and end along -e_j into it (3 distinct last edges: j = 1, 2, 3);
+        # their 6 second and 6 third edges are distinct: 2 x (3 + 6 + 6 + 3)
+        assert len(loops) == 12
+        assert sum(sizes) == 9 * 81 * 36
         assert max(sizes) <= 8 * transport.NODE_BLOCK < 8 * 81 * len(loops)
 
 

@@ -63,15 +63,23 @@ COUNTED = ("metric_fn", "J_fn")
 def _count_points(report_module, counts: dict) -> None:
     """Make each run add to ``counts`` the points at which it evaluates the
     ``metric_fn`` of each chart and the ``J_fn`` of each structure, by
-    wrapping the fields of the entries ``resolve_manifold`` builds."""
+    wrapping the fields of the entries ``resolve_manifold`` builds.  A call
+    made inside another counted call (the calabi g+ and g- metrics rescale
+    the g_ell one) is part of the outer evaluation and is not counted."""
     import numpy as np
 
     resolve = report_module.resolve_manifold
+    depth = [0]
 
     def counted(kind, fn):
         def wrapper(q):
-            counts[kind] += np.asarray(q)[..., 0].size
-            return fn(q)
+            if not depth[0]:
+                counts[kind] += np.asarray(q)[..., 0].size
+            depth[0] += 1
+            try:
+                return fn(q)
+            finally:
+                depth[0] -= 1
         return wrapper
 
     def resolve_counted(selector):
