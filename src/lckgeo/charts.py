@@ -41,15 +41,29 @@ class Chart:
     positive definite matrices g_ij.  ``metric_derivative_fn``, when given,
     is the field ``dg[k, i, j] = d_k g_ij``, and the chart differentiates its
     metric with it; without one, on a stencil (see
-    :func:`lckgeo.zoo.stencil_only`).  Every zoo chart sets it to
-    ``fd.complex_step(metric_fn)``, the exact first partials of its own
-    complex-safe metric.
+    :func:`lckgeo.zoo.stencil_only`).  :meth:`exact` and :meth:`with_metric`
+    are the one place that sets it to ``fd.complex_step(metric_fn)``, the
+    exact first partials of a complex-safe metric; every zoo chart is built
+    by one of them.
     """
 
     domain: tuple
     metric_fn: Callable[[np.ndarray], np.ndarray]
     metric_derivative_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     label: str = ""
+
+    @classmethod
+    def exact(cls, domain: tuple, metric_fn: Callable, label: str) -> "Chart":
+        """The box with a complex-safe metric field, differentiated by the
+        complex step."""
+        return cls(domain, metric_fn, fd.complex_step(metric_fn), label)
+
+    def with_metric(self, metric_fn: Callable, label: str) -> "Chart":
+        """The box with another metric field, differentiated as this one's:
+        by the complex step (of a complex-safe field) or on a stencil."""
+        return Chart(self.domain, metric_fn,
+                     self.metric_derivative_fn and fd.complex_step(metric_fn),
+                     label)
 
     @property
     def dim(self) -> int:

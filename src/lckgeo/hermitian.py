@@ -299,19 +299,16 @@ def conformal_rescale(chart: Chart, log_factor: Callable,
                       label: str = "") -> Chart:
     """The chart with metric e^{2u} g for a smooth function u = log_factor.
 
-    ``log_factor`` is a field of values.  Where the base chart has a
-    derivative function, the new chart has the complex step of its own
-    metric (:func:`lckgeo.fd.complex_step`), so both the base metric and
+    ``log_factor`` is a field of values.  The new metric is differentiated
+    as the base chart's is (:meth:`Chart.with_metric`): where that has a
+    derivative function, by the complex step, so both the base metric and
     ``log_factor`` must then be complex-safe.
     """
     def metric(p):
         factor = np.exp(2.0 * log_factor(p))[..., None, None]
         return factor * chart.metric_fn(p)
 
-    return Chart(domain=chart.domain, metric_fn=metric,
-                 metric_derivative_fn=(chart.metric_derivative_fn
-                                       and fd.complex_step(metric)),
-                 label=label or f"conformal({chart.label})")
+    return chart.with_metric(metric, label or f"conformal({chart.label})")
 
 
 def constant_rescale(chart: Chart, factor: float, label: str = "") -> Chart:
@@ -319,10 +316,5 @@ def constant_rescale(chart: Chart, factor: float, label: str = "") -> Chart:
     if factor <= 0:
         raise ValueError("scale factor must be positive")
 
-    def metric(p):
-        return factor * np.asarray(chart.metric_fn(p))
-
-    return Chart(domain=chart.domain, metric_fn=metric,
-                 metric_derivative_fn=(chart.metric_derivative_fn
-                                       and fd.complex_step(metric)),
-                 label=label or f"scaled({chart.label})")
+    return chart.with_metric(lambda p: factor * np.asarray(chart.metric_fn(p)),
+                             label or f"scaled({chart.label})")

@@ -43,6 +43,7 @@ FIXED_VECTOR_CUT = 1e-5   # relative singular value of a common fixed vector
 LOOP_SIZE = 0.15          # default loop edge, and its corners' margin
 LOOP_SCALES = (1.0, 0.6)  # the default loop edges, in units of LOOP_SIZE
 LOG_TERMS = 16    # |C|_2 < 1/3: tail < 9^-16 / 33 * 9/8 < 2e-17 < 2^-53
+TRANSPORT_STEPS = 200     # RK4 steps of each segment back to the base
 
 
 @dataclass(frozen=True)
@@ -189,29 +190,27 @@ def common_fixed_vectors(est: HolonomyEstimate, g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(L).T @ hat_vs
 
 
-def default_probes(chart: Chart, base, rng: np.random.Generator,
-                   count: int = None):
-    """Probe set for :func:`curvature_span`: points within 0.2 of base in
-    each coordinate, random 2-planes."""
+def _probe_minimum(n: int) -> int:
+    """Probes :func:`curvature_span` needs: three per dimension of so(2n)."""
+    return 3 * n * (2 * n - 1)
+
+
+def default_probes(chart: Chart, base, rng: np.random.Generator):
+    """Probe set for :func:`curvature_span`, as few as it takes: points
+    within 0.2 of base in each coordinate, random 2-planes."""
     base = np.asarray(base, dtype=float)
     m = chart.dim
-    if count is None:
-        n = m // 2
-        count = 3 * n * (2 * n - 1)
     probes = []
-    lows = np.array([lo for lo, hi in chart.domain])
-    highs = np.array([hi for lo, hi in chart.domain])
-    for _ in range(count):
+    lows, highs = np.array(chart.domain, dtype=float).T
+    for _ in range(_probe_minimum(m // 2)):
         q = base + rng.uniform(-0.2, 0.2, size=m)
         q = np.clip(q, lows + 0.06, highs - 0.06)
-        x = rng.standard_normal(m)
-        y = rng.standard_normal(m)
-        probes.append((q, (x, y)))
+        probes.append((q, (rng.standard_normal(m), rng.standard_normal(m))))
     return probes
 
 
-def curvature_span(chart: Chart, base, probes, n: int = None, J_fn=None,
-                   transport_steps: int = 200) -> HolonomyEstimate:
+def curvature_span(chart: Chart, base, probes, n: int = None,
+                   J_fn=None) -> HolonomyEstimate:
     """Holonomy-algebra estimate from transported curvature endomorphisms.
 
     Each probe contributes R(X, Y) at its point, parallel-transported to the
@@ -220,18 +219,18 @@ def curvature_span(chart: Chart, base, probes, n: int = None, J_fn=None,
     """
     base = np.asarray(base, dtype=float)
     n = _complex_dimension(chart, n)
-    if len(probes) < 3 * n * (2 * n - 1):
+    if len(probes) < _probe_minimum(n):
         raise PreconditionError(
-            f"need at least {3 * n * (2 * n - 1)} probes, got {len(probes)}")
+            f"need at least {_probe_minimum(n)} probes, got {len(probes)}")
     L = _orthonormal_frame(chart.metric(base))
     qs = [np.asarray(q, dtype=float) for q, _ in probes]
     try:
-        Ps = _segment_transports(chart, qs, base, transport_steps)
+        Ps = _segment_transports(chart, qs, base)
     except Exception:
         # one probe at a time, the first error of that order raises
         for q, (_, (x, y)) in zip(qs, probes):
             _probe_curvature(chart, q, x, y)
-            _segment_transports(chart, [q], base, transport_steps)
+            _segment_transports(chart, [q], base)
         raise
     hats = [_to_frame(L, _conjugate(P, _probe_curvature(chart, q, x, y)))
             for q, P, (_, (x, y)) in zip(qs, Ps, probes)]
@@ -250,9 +249,10 @@ def _conjugate(P, G: np.ndarray) -> np.ndarray:
     return G if P is None else P @ G @ np.linalg.inv(P)
 
 
-def _segment_transports(chart: Chart, starts, base, steps: int):
-    """Transport from each start to base along a coordinate segment: None
-    for a start at the base, the others transported as one bundle."""
+def _segment_transports(chart: Chart, starts, base):
+    """Transport from each start to base along a coordinate segment of
+    ``TRANSPORT_STEPS`` steps: None for a start at the base, the others
+    transported as one bundle."""
     moved = [k for k, q in enumerate(starts)
              if np.max(np.abs(q - base)) > 1e-14]
     Ps = [None] * len(starts)
@@ -260,7 +260,7 @@ def _segment_transports(chart: Chart, starts, base, steps: int):
         m = chart.dim
         bundle = transport_segment(
             chart, np.array([starts[k] for k in moved]), base,
-            np.broadcast_to(np.eye(m), (len(moved), m, m)), steps=steps)
+            np.broadcast_to(np.eye(m), (len(moved), m, m)), TRANSPORT_STEPS)
         for k, P in zip(moved, bundle):
             Ps[k] = P
     return Ps
@@ -271,8 +271,7 @@ def default_holonomy_loops(chart: Chart, base, steps_per_edge: int = 150):
     base = np.asarray(base, dtype=float)
     m = chart.dim
     loops = []
-    lows = np.array([lo for lo, hi in chart.domain])
-    highs = np.array([hi for lo, hi in chart.domain])
+    lows, highs = np.array(chart.domain, dtype=float).T
     corner = np.clip(base, lows + 0.06 + LOOP_SIZE, highs - 0.06 - LOOP_SIZE)
     for scale in LOOP_SCALES:
         for i in range(m):
@@ -285,8 +284,7 @@ def default_holonomy_loops(chart: Chart, base, steps_per_edge: int = 150):
 
 
 def loop_holonomy(chart: Chart, loops, base, n: int = None,
-                  J_fn=None, transport_steps: int = 200,
-                  allow_shifted: bool = False) -> HolonomyEstimate:
+                  J_fn=None, allow_shifted: bool = False) -> HolonomyEstimate:
     """Holonomy-algebra estimate from transport logarithms around loops.
 
     Loops must be contractible; a coordinate shift normally marks a deck
@@ -308,12 +306,11 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
                        and not allow_shifted), len(loops))
     admitted = loops[:first_deck]
     try:
-        Hs = _loop_transports(chart, admitted, base, transport_steps)
+        Hs = _loop_transports(chart, admitted, base)
     except Exception:
         # one loop at a time, the first error of that order raises
         for loop in admitted:
-            _loop_log(L, loop, _loop_transports(chart, [loop], base,
-                                                transport_steps)[0])
+            _loop_log(L, loop, _loop_transports(chart, [loop], base)[0])
         raise
     hats = [_loop_log(L, loop, H) for loop, H in zip(admitted, Hs)]
     if first_deck < len(loops):
@@ -322,11 +319,11 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
     return _assemble(L, base, hats, n, J_fn)
 
 
-def _loop_transports(chart: Chart, loops, base, steps: int):
+def _loop_transports(chart: Chart, loops, base):
     """Transport around each loop, conjugated to the base along a segment
-    of the given steps where the loop starts off the base.  The loops that
-    share a schedule (steps and breakpoints) are transported as one bundle,
-    and the segments as another."""
+    where the loop starts off the base.  The loops that share a schedule
+    (steps and breakpoints) are transported as one bundle, and the segments
+    as another."""
     m = chart.dim
     groups = {}
     for k, loop in enumerate(loops):
@@ -341,8 +338,7 @@ def _loop_transports(chart: Chart, loops, base, steps: int):
             breakpoints=breakpoints)
         for k, H in zip(ks, transported):
             Hs[k] = H
-    Ps = _segment_transports(chart, [loop.point(0.0) for loop in loops], base,
-                             steps)
+    Ps = _segment_transports(chart, [loop.point(0.0) for loop in loops], base)
     return [_conjugate(P, H) for P, H in zip(Ps, Hs)]
 
 

@@ -546,9 +546,9 @@ class PotentialField:
     """Line-integrated conformal potential phi with d phi = theta.
 
     The value at a point is the integral of the Lee form along the straight
-    segment from the chart centre (32 Gauss-Legendre nodes); short increments
-    between nearby points reuse path independence so stencil differences stay
-    noise-free.
+    segment from the chart centre (32 Gauss-Legendre nodes), and 0.0 at the
+    centre itself; short increments between nearby points reuse path
+    independence so stencil differences stay noise-free.
     """
 
     def __init__(self, H: HermitianStructure):
@@ -557,6 +557,8 @@ class PotentialField:
         self._field = lee_field(H)
 
     def __call__(self, p) -> float:
+        if np.array_equal(p, self.base_point):
+            return 0.0      # the segment has length 0: no field is evaluated
         return self.increment(self.base_point, p, nodes=32)
 
     def increment(self, p, q, nodes: int = 4):

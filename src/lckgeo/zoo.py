@@ -18,6 +18,9 @@ Entries
 
 Nothing is declared twice: a chart's dimension is the length of its domain,
 n is half of it, and a profile's derivative is the complex step of its values.
+Every chart comes from :meth:`Chart.exact` or :meth:`Chart.with_metric`,
+and an entry holds each structure once.  A new family is its constructor
+here and one row of ``report._FAMILIES``.
 
 Potential conventions on the Calabi entry: with phi(r) = 1/2 int_0^r ell
 (so theta_eps = eps d phi on (g_ell, J_eps)) the conformally Kahler pair is
@@ -126,9 +129,7 @@ def flat_base(n: int) -> KahlerBase:
     """Flat C^n on the box [-1, 1]^2n, standard metric and complex structure."""
     m = 2 * n
     metric_fn = fd.constant(np.eye(m))
-    chart = Chart(domain=((-1.0, 1.0),) * m, metric_fn=metric_fn,
-                  metric_derivative_fn=fd.complex_step(metric_fn),
-                  label=f"flat_C{n}")
+    chart = Chart.exact(((-1.0, 1.0),) * m, metric_fn, f"flat_C{n}")
     return KahlerBase(HermitianStructure(
         chart, fd.constant(_standard_j(m)), label=f"flat_C{n}"))
 
@@ -158,10 +159,8 @@ def round_s2_base(radius: float, polar_margin: float = 0.35,
         return J
 
     label = label or f"round_S2_R{radius:g}"
-    chart = Chart(domain=((polar_margin, math.pi - polar_margin),
-                          (0.0, 2.0 * math.pi)),
-                  metric_fn=metric_fn,
-                  metric_derivative_fn=fd.complex_step(metric_fn), label=label)
+    chart = Chart.exact(((polar_margin, math.pi - polar_margin),
+                         (0.0, 2.0 * math.pi)), metric_fn, label)
     return KahlerBase(HermitianStructure(chart, J_fn, label=label),
                       area=4.0 * math.pi * R2)
 
@@ -193,7 +192,10 @@ class PairData:
 @dataclass(frozen=True)
 class ZooEntry:
     """Charts, structures, loops and declared expectations of one example;
-    n is half the dimension of its charts."""
+    n is half the dimension of its charts.  Each structure is held once, in
+    ``structures``: the pair and the average are read there by their keys,
+    and the holonomy structure is the pair's Kahler member ``pair.I``, or
+    the main structure where there is no pair."""
 
     label: str
     params: dict
@@ -207,9 +209,8 @@ class ZooEntry:
     expected_periods: dict = field(default_factory=dict)
     einstein_lambda: Optional[float] = None
     parallel_field: Optional[np.ndarray] = None
-    pair: Optional[PairData] = None
-    average: Optional[HermitianStructure] = None
-    holonomy_key: Optional[str] = None
+    pair_keys: Optional[tuple] = None       # (key of I, key of J)
+    average_key: Optional[str] = None
     potential: Optional[Callable] = None     # phi(r) = 1/2 int_0^r ell (Calabi)
     profile: Optional[ProfileFn] = None
     base: Optional[KahlerBase] = None
@@ -220,16 +221,26 @@ class ZooEntry:
 
     @property
     def main_structure(self) -> HermitianStructure:
-        return self._structure(self.main)
+        if self.main not in self.structures:
+            raise ParameterError(f"{self.label} has no Hermitian structure")
+        return self.structures[self.main]
+
+    @property
+    def pair(self) -> Optional[PairData]:
+        if self.pair_keys is None:
+            return None
+        return PairData(*(self.structures[k] for k in self.pair_keys))
+
+    @property
+    def average(self) -> Optional[HermitianStructure]:
+        if self.average_key is None:
+            return None
+        return self.structures[self.average_key]
 
     @property
     def holonomy_structure(self) -> HermitianStructure:
-        return self._structure(self.holonomy_key or self.main)
-
-    def _structure(self, key: str) -> HermitianStructure:
-        if key not in self.structures:
-            raise ParameterError(f"{self.label} has no Hermitian structure")
-        return self.structures[key]
+        pair = self.pair
+        return self.main_structure if pair is None else pair.I
 
 
 def euclidean(m: int) -> ZooEntry:
@@ -237,9 +248,7 @@ def euclidean(m: int) -> ZooEntry:
     if m < 1:
         raise ParameterError("euclidean needs dimension m >= 1")
     metric_fn = fd.constant(np.eye(m))
-    chart = Chart(domain=((-1.0, 1.0),) * m, metric_fn=metric_fn,
-                  metric_derivative_fn=fd.complex_step(metric_fn),
-                  label=f"euclidean_{m}")
+    chart = Chart.exact(((-1.0, 1.0),) * m, metric_fn, f"euclidean_{m}")
     structures = {}
     main = ""
     if m % 2 == 0:
@@ -348,9 +357,7 @@ def hopf(n: int, circumference: float = 2.0 * math.pi,
         B = np.concatenate([-sigma[..., None], dsigma], axis=-1)
         return np.linalg.solve(B, J0 @ B)
 
-    chart = Chart(domain=tuple(domain), metric_fn=metric_fn,
-                  metric_derivative_fn=fd.complex_step(metric_fn),
-                  label=f"hopf_{n}")
+    chart = Chart.exact(tuple(domain), metric_fn, f"hopf_{n}")
     H = HermitianStructure(chart=chart, J_fn=J_fn, label=f"hopf_{n}")
 
     center = chart.center()
@@ -400,10 +407,8 @@ def flat_inversion(n: int) -> ZooEntry:
         r2 = np.vecdot(np.conj(p), p)[..., None, None]
         return eye / (r2 * r2)
 
-    chart = Chart(domain=tuple((lo, hi) for _ in range(m)),
-                  metric_fn=metric_fn,
-                  metric_derivative_fn=fd.complex_step(metric_fn),
-                  label=f"flat_inversion_{n}")
+    chart = Chart.exact(tuple((lo, hi) for _ in range(m)), metric_fn,
+                        f"flat_inversion_{n}")
     H = HermitianStructure(chart=chart, J_fn=fd.constant(_standard_j(m)),
                            label=f"flat_inversion_{n}")
 
@@ -474,9 +479,7 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
         return J
 
     domain = ((-math.pi, math.pi), (t_lo, t_hi)) + N.chart.domain
-    chart = Chart(domain=domain, metric_fn=metric_fn,
-                  metric_derivative_fn=fd.complex_step(metric_fn),
-                  label=f"warped_{c.label}_{N.label}")
+    chart = Chart.exact(domain, metric_fn, f"warped_{c.label}_{N.label}")
     H = HermitianStructure(chart=chart, J_fn=J_fn, label=f"warped_{c.label}")
 
     # c' on a grid over the whole interval: a profile symmetric about the
@@ -589,9 +592,7 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
 
     domain = ((0.35, math.pi - 0.35), (-0.7, 2.0 * math.pi + 0.7),
               (-0.7, 4.0 * math.pi + 0.7), (r_margin, b - r_margin))
-    chart_ell = Chart(domain=domain, metric_fn=metric_fn,
-                      metric_derivative_fn=fd.complex_step(metric_fn),
-                      label=f"calabi_ell_{ell.label}")
+    chart_ell = Chart.exact(domain, metric_fn, f"calabi_ell_{ell.label}")
 
     # pair potential Phi = -2 phi: g_+ = e^Phi g_ell, g_- = e^-Phi g_ell
     r_of = lambda p: np.asarray(p)[..., 3]
@@ -635,10 +636,8 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
         expected_kind="gcK", expected_holonomy="U(n)",
         expected_lee_fn=half_ell_dr,
         expected_periods={"fiber": 0.0, "mixed": 0.0},
-        pair=PairData(I=structures["g+,J+"], J=structures["g+,J-"]),
-        average=structures["g_ell,J+"],
-        holonomy_key="g+,J+", potential=phi_potential, profile=ell,
-        base=base)
+        pair_keys=("g+,J+", "g+,J-"), average_key="g_ell,J+",
+        potential=phi_potential, profile=ell, base=base)
 
 
 def stencil_only(entry: ZooEntry) -> ZooEntry:
@@ -653,16 +652,12 @@ def stencil_only(entry: ZooEntry) -> ZooEntry:
         return copies[id(obj)]
 
     def structure(H):
-        return None if H is None else copy(
-            H, chart=copy(H.chart, metric_derivative_fn=None))
+        return copy(H, chart=copy(H.chart, metric_derivative_fn=None))
 
-    pair = entry.pair
     return replace(
         entry, charts={k: copy(c, metric_derivative_fn=None)
                        for k, c in entry.charts.items()},
         structures={k: structure(H) for k, H in entry.structures.items()},
-        pair=pair and PairData(structure(pair.I), structure(pair.J)),
-        average=structure(entry.average),
         base=entry.base and replace(entry.base,
                                     structure=structure(entry.base.structure)))
 

@@ -61,7 +61,3 @@ def euclid4():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
-
-
-def all_zoo_entries(hopf2, flat_inv2, warped_sin, calabi_sin):
-    return [hopf2, flat_inv2, warped_sin, calabi_sin]

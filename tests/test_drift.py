@@ -195,3 +195,37 @@ def test_a_nested_field_call_counts_once():
         structures["ell"].J_fn(points[:2])
     g_ell.metric_fn(points[0])
     assert counts == {"metric_fn": 6, "J_fn": 7}
+
+
+def test_settable_values_in_one_tree_are_listed(tmp_path):
+    """Dataclass fields and the defaulted parameters of public functions
+    and methods, positional or keyword-only, are settable values; a private
+    function's are not, and a value both trees have gets no row."""
+    sources = {
+        "base": ("from dataclasses import dataclass\n"
+                 "@dataclass(frozen=True)\n"
+                 "class Entry:\n    label: str\n    pair: tuple = None\n"
+                 "def estimate(chart, n=None, *, steps=200):\n    pass\n"
+                 "def _helper(count=3):\n    pass\n"),
+        "change": ("import dataclasses\n"
+                   "@dataclasses.dataclass\n"
+                   "class Entry:\n    label: str\n    keys: tuple = None\n"
+                   "def estimate(chart, n=None):\n    pass\n"
+                   "class Field:\n    def __call__(self, p, nodes=32):\n"
+                   "        pass\n    def _private(self, k=1):\n        pass\n")}
+    for tree, text in sources.items():
+        package = tmp_path / tree / "src" / "lckgeo"
+        package.mkdir(parents=True)
+        (package / "zoo.py").write_text(text)
+    assert drift.settable_values(tmp_path / "change") == {
+        "zoo.Entry.label", "zoo.Entry.keys", "zoo.estimate(n=)",
+        "zoo.Field.__call__(nodes=)"}
+    table = drift.settable_changes(tmp_path / "base", tmp_path / "change")
+    assert table.splitlines()[1] == (
+        "settable values in one tree only (4 in base, 4 in change)")
+    assert table.splitlines()[-4:] == [
+        "| zoo.Entry.keys | change |", "| zoo.Entry.pair | base |",
+        "| zoo.Field.__call__(nodes=) | change |",
+        "| zoo.estimate(steps=) | base |"]
+    assert drift.settable_changes(tmp_path / "base", tmp_path / "base") == (
+        "\nno settable value differs")

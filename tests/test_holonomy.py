@@ -16,8 +16,8 @@ from lckgeo.charts import (Chart, coordinate_rectangle, polygon_loop,
 from lckgeo.errors import (DomainExitError, IntegrationError,
                            LoopTooLargeError, ParameterError,
                            PreconditionError)
-from lckgeo.holonomy import (_close_under_commutators, _loop_log,
-                             _span_rank, classify_algebra,
+from lckgeo.holonomy import (TRANSPORT_STEPS, _close_under_commutators,
+                             _loop_log, _span_rank, classify_algebra,
                              common_fixed_vectors, curvature_span,
                              default_holonomy_loops, default_probes,
                              loop_holonomy)
@@ -81,7 +81,7 @@ class TestCurvatureSpan:
     def test_too_few_probes_rejected(self, hopf2, rng):
         H = hopf2.main_structure
         base = H.chart.center()
-        probes = default_probes(H.chart, base, rng, count=5)
+        probes = default_probes(H.chart, base, rng)[:5]
         with pytest.raises(PreconditionError):
             curvature_span(H.chart, base, probes, n=2)
 
@@ -322,11 +322,12 @@ class TestBundles:
             return chart.metric_fn(q)
 
         counted_chart = dataclasses.replace(chart, metric_fn=counted)
-        curvature_span(counted_chart, base, probes, n=2, transport_steps=50)
+        curvature_span(counted_chart, base, probes, n=2)
         bundled, seen[:] = list(seen), [base[None]]
         for q, _ in probes:
             riemann(counted_chart, q)
-            transport_segment(counted_chart, q, base, np.eye(4), steps=50)
+            transport_segment(counted_chart, q, base, np.eye(4),
+                              steps=TRANSPORT_STEPS)
         assert sum(len(x) for x in bundled) == sum(len(x) for x in seen)
         assert np.array_equal(_sorted_rows(bundled), _sorted_rows(seen))
 

@@ -369,19 +369,19 @@ class TestCli:
         assert set(CONFIG_KEYS) == dests - {"config", "json", "text"}
 
     def test_every_family_is_documented_and_exercised(self):
-        """The README zoo table, the startup test's selectors and the drift
-        tool's selectors each name every family of the selector table."""
+        """The README zoo table and the drift tool's selectors each name
+        every family of the selector table (the startup test runs each
+        family at its defaults)."""
         root = Path(__file__).resolve().parents[1]
         readme = (root / "README.md").read_text()
         table = readme.split("## The manifold zoo", 1)[1].split("\n\n")[1]
         documented = set(re.findall(r"^\| `(\w+)[{`]", table, re.M))
-        for where in ("tests/test_startup.py", "tools/drift.py"):
-            spec = importlib.util.spec_from_file_location(
-                Path(where).stem, root / where)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            named = {parse_selector(sel)[0] for sel in module.SELECTORS}
-            assert named >= set(report._FAMILIES), where
+        spec = importlib.util.spec_from_file_location(
+            "drift", root / "tools" / "drift.py")
+        drift = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(drift)
+        named = {parse_selector(sel)[0] for sel in drift.SELECTORS}
+        assert named >= set(report._FAMILIES)
         assert documented == set(report._FAMILIES)
 
 
@@ -394,8 +394,9 @@ class TestEvaluationCounts:
 
     @staticmethod
     def counting_run(monkeypatch, manifold: str, suite: str, mode: str = "fd",
-                     kinds=("metric_fn", "J_fn")) -> tuple:
-        """Points at which one request evaluates each field of ``kinds``
+                     kinds=("metric_fn", "J_fn"), at=None) -> tuple:
+        """Points at which one request (two samples, or the one point
+        ``at``) evaluates each field of ``kinds``
         (metric_fn, metric_derivative_fn, J_fn), and per wrapped field
         function, named ``<label>.<kind>``, its evaluated and its distinct
         points.  The second counts leave out the calls made inside another
@@ -441,7 +442,7 @@ class TestEvaluationCounts:
 
         monkeypatch.setattr(report, "resolve_manifold", resolve_counted)
         report.run(SuiteConfig(manifold=manifold, suites=(suite,), samples=2,
-                               seed=1, mode=mode))
+                               seed=1, mode=mode, at=at))
         return counts, {name: (evaluated, len(distinct))
                         for name, (evaluated, distinct) in fields.items()
                         if evaluated}
@@ -531,6 +532,22 @@ class TestEvaluationCounts:
         assert self.counted_run(monkeypatch, "calabi{ell=sin,b=pi}",
                                 "hamiltonian-form") == {
             "metric_fn": 2340, "J_fn": 1188}
+
+    @pytest.mark.parametrize("mode", ["fd", "analytic"])
+    def test_potential_is_zero_at_its_base_point(self, monkeypatch, mode):
+        """At the chart centre, the potential's base point, phi is 0.0
+        without a Lee-form integral over the segment from the centre to
+        itself, which took 32 nodes of 9 points each (585 g+ metric and J-
+        points).  What is left is p and its DIRECT stencil and the 4-node
+        increments to the 8 stencil points, whose 32 shared nodes repeat
+        (see above)."""
+        calabi = "calabi{ell=sin,b=pi}"
+        centre = tuple(report.resolve_manifold(calabi).pair.J.chart.center())
+        fields = self.counting_run(monkeypatch, calabi, "hamiltonian-form",
+                                   mode, at=centre)[1]
+        assert fields["calabi_gplus_sin.metric_fn"] == (9 + 8 * 4 * 9, 265)
+        assert fields["g+,J-.J_fn"] == (297, 265)
+        assert fields["g+,J+.J_fn"] == (9, 9)
 
     @pytest.mark.parametrize("manifold", ["hopf{n=2}", "calabi{ell=sin,b=pi}"])
     def test_fd_mode_never_evaluates_metric_derivatives(self, monkeypatch,

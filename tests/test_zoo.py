@@ -27,14 +27,23 @@ def _entries(hopf2, flat_inv2, warped_sin, calabi_sin):
             for e in (hopf2, flat_inv2, warped_sin, calabi_sin)]
 
 
+# Every entry a fixture builds, and the Kahler base entries by name.
+WITNESSES = ["hopf2", "hopf3", "flat_inv2", "flat_inv3", "warped_sin",
+             "warped_flat", "warped_cos_c2", "calabi_sin", "euclid4",
+             "c1", "c2", "cp1"]
+
+
+def _witness(name, request):
+    """The zoo entry ``name`` of WITNESSES."""
+    if name in zoo.KAHLER_BASES:
+        entry, = (e for e in zoo.kaehler_bases() if e.params["name"] == name)
+        return entry
+    return request.getfixturevalue(name)
+
+
 def _reached_structures(entry):
-    """Every structure an entry reaches, by name: its own, the pair's, the
-    average and the base's."""
+    """Every structure an entry reaches, by name: its own and the base's."""
     structures = dict(entry.structures)
-    if entry.pair is not None:
-        structures.update(pair_I=entry.pair.I, pair_J=entry.pair.J)
-    if entry.average is not None:
-        structures["average"] = entry.average
     if entry.base is not None:
         structures["base"] = entry.base.structure
     return structures
@@ -56,42 +65,28 @@ def _fields(entry):
 
 
 @pytest.mark.parametrize("mode", ["fd", "analytic"])
-@pytest.mark.parametrize("name", ["hopf2", "hopf3", "flat_inv2", "flat_inv3",
-                                  "warped_sin", "warped_flat", "calabi_sin",
-                                  "euclid4", "c1", "c2", "cp1"])
+@pytest.mark.parametrize("name", WITNESSES)
 def test_fields_take_point_stacks(name, mode, request, rng):
     """On a (3, 5, m) stack every field gives its per-point values bit for
     bit, and at a single point the bare value shape."""
-    if name in zoo.KAHLER_BASES:
-        entry, = (e for e in zoo.kaehler_bases() if e.params["name"] == name)
-        base = zoo.KAHLER_BASES[name]().structure
-        extra = {"base.metric_fn": base.chart.metric_fn,
-                 "base.metric_derivative_fn": base.chart.metric_derivative_fn,
-                 "base.J_fn": base.J_fn, "base.omega": base.omega}
-    else:
-        entry, extra = request.getfixturevalue(name), {}
+    entry = _witness(name, request)
     chart = entry.main_structure.chart
     pts = chart.sample_points(rng, 15).reshape(3, 5, chart.dim)
     # the derivative functions of the entry, and the fields of the variant
     # whose metrics are differenced on a stencil ("fd") or by them
     variant = zoo.stencil_only(entry) if mode == "fd" else entry
-    for label, f in {**_fields(entry), **_fields(variant), **extra}.items():
+    for label, f in {**_fields(entry), **_fields(variant)}.items():
         single = np.array([[f(q) for q in row] for row in pts])
         assert np.array_equal(f(pts), single), label
         assert np.shape(f(pts[1, 2])) == single.shape[2:], label
 
 
 @pytest.mark.parametrize("mode", ["fd", "analytic"])
-@pytest.mark.parametrize("name", ["hopf2", "hopf3", "flat_inv2", "flat_inv3",
-                                  "warped_sin", "warped_flat", "warped_cos_c2",
-                                  "calabi_sin", "euclid4", "c1", "c2", "cp1"])
+@pytest.mark.parametrize("name", WITNESSES)
 def test_complex_dimension_is_half_the_chart_dimension(name, mode, request):
-    """Every structure an entry reaches (its own, the pair, the average and
-    the base's) and the entry itself have n = dim / 2 of their charts."""
-    if name in zoo.KAHLER_BASES:
-        entry, = (e for e in zoo.kaehler_bases() if e.params["name"] == name)
-    else:
-        entry = request.getfixturevalue(name)
+    """Every structure an entry reaches (its own and the base's) and the
+    entry itself have n = dim / 2 of their charts."""
+    entry = _witness(name, request)
     if mode == "fd":
         entry = zoo.stencil_only(entry)
     for key, H in _reached_structures(entry).items():
@@ -101,26 +96,24 @@ def test_complex_dimension_is_half_the_chart_dimension(name, mode, request):
 
 
 def test_derived_values_are_not_fields():
-    """A chart's dimension, a structure's and an entry's n and a profile's
-    derivative are derived from the fields they would duplicate."""
+    """A chart's dimension, a structure's and an entry's n, a profile's
+    derivative, and an entry's pair, average and holonomy structure are
+    derived from the fields they would duplicate."""
     for cls, derived in ((Chart, "dim"), (HermitianStructure, "n"),
-                         (zoo.ZooEntry, "n"), (zoo.ProfileFn, "derivative_fn")):
+                         (zoo.ZooEntry, "n"), (zoo.ProfileFn, "derivative_fn"),
+                         (zoo.ZooEntry, "pair"), (zoo.ZooEntry, "average"),
+                         (zoo.ZooEntry, "holonomy_key")):
         assert derived not in {f.name for f in dataclasses.fields(cls)}
 
 
-@pytest.mark.parametrize("name", ["hopf2", "hopf3", "flat_inv2", "flat_inv3",
-                                  "warped_sin", "warped_flat", "warped_cos_c2",
-                                  "calabi_sin", "euclid4", "c1", "c2", "cp1"])
+@pytest.mark.parametrize("name", WITNESSES)
 def test_metric_fields_are_complex_safe(name, request, rng):
     """Every zoo metric field carries a complex stack through without a
     warning or an error: unless the field is constant, it returns a complex
     array whose imaginary part is the directional derivative, as the central
     stencil along the same direction gives it.  A field that drops the
     imaginary part of its input fails here."""
-    if name in zoo.KAHLER_BASES:
-        entry, = (e for e in zoo.kaehler_bases() if e.params["name"] == name)
-    else:
-        entry = request.getfixturevalue(name)
+    entry = _witness(name, request)
     for chart in entry.charts.values():
         pts = chart.sample_points(rng, 6).reshape(2, 3, chart.dim)
         v = rng.standard_normal(chart.dim)
@@ -149,10 +142,9 @@ class TestStencilOnly:
         charts.update(entry.charts)
         return charts
 
-    @pytest.mark.parametrize("name", ["hopf2", "flat_inv2", "warped_sin",
-                                      "calabi_sin", "euclid4"])
+    @pytest.mark.parametrize("name", WITNESSES)
     def test_drops_every_derivative(self, name, request):
-        entry = request.getfixturevalue(name)
+        entry = _witness(name, request)
         stripped = zoo.stencil_only(entry)
         charts = self.derivative_holders(entry)
         assert all(c.metric_derivative_fn is not None
@@ -165,13 +157,27 @@ class TestStencilOnly:
         assert stripped.loops is entry.loops
 
     def test_keeps_the_sharing(self, calabi_sin):
-        e = zoo.stencil_only(calabi_sin)
-        s = e.structures
-        assert e.pair.I is s["g+,J+"] and e.pair.J is s["g+,J-"]
-        assert e.average is s["g_ell,J+"]
-        assert s["g_ell,J+"].chart is s["g_ell,J-"].chart is e.charts["g_ell"]
-        assert s["g+,J+"].chart is s["g+,J-"].chart is e.charts["g_plus"]
-        assert s["g-,J-"].chart is e.charts["g_minus"]
+        """The pair, the average and the holonomy structure are structures
+        the entry holds, and its structures share their charts, before and
+        after stencil_only."""
+        for e in (calabi_sin, zoo.stencil_only(calabi_sin)):
+            s = e.structures
+            assert e.pair.I is s["g+,J+"] is e.holonomy_structure
+            assert e.pair.J is s["g+,J-"] and e.average is s["g_ell,J+"]
+            assert (s["g_ell,J+"].chart is s["g_ell,J-"].chart
+                    is e.charts["g_ell"])
+            assert s["g+,J+"].chart is s["g+,J-"].chart is e.charts["g_plus"]
+            assert s["g-,J-"].chart is e.charts["g_minus"]
+
+
+def test_a_replaced_structure_is_read_everywhere(calabi_sin):
+    """An entry with one structure replaced reads the new one as the pair's
+    Kahler member and as its holonomy structure."""
+    s = calabi_sin.structures
+    H2 = dataclasses.replace(s["g+,J+"], label="g+,J+ replaced")
+    entry = dataclasses.replace(calabi_sin, structures={**s, "g+,J+": H2})
+    assert entry.pair.I is H2 and entry.holonomy_structure is H2
+    assert entry.pair.J is s["g+,J-"] and entry.average is s["g_ell,J+"]
 
 
 def test_no_layer_function_takes_a_mode():

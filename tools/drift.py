@@ -21,14 +21,17 @@ the largest relative change of any other number that moved.  Then come
 two tables, one per mode, of the reports that are byte-identical by sha256,
 the ``wc -l`` line count of ``src/lckgeo/*.py`` in each tree, in total and
 for each module whose bytes differ (a module missing from a tree counts 0
-lines there), and last the runs whose numbers of ``metric_fn`` and ``J_fn``
-points differ.  Those counts do not depend on the machine; a change in
-them is not a verdict.
+lines there), the settable values that one tree has and the other lacks
+(dataclass fields, and defaulted parameters of public functions and
+methods, under ``src/lckgeo``, read by ``ast``), and last the runs whose
+numbers of ``metric_fn`` and ``J_fn`` points differ.  Those counts do not
+depend on the machine; a change in them is not a verdict.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -304,6 +307,64 @@ def line_counts(base: Path, change: Path) -> str:
     return "\n".join(lines)
 
 
+def settable_values(tree: Path) -> set:
+    """The settable values of ``<tree>/src/lckgeo``: each field of a
+    dataclass, as ``module.Class.field``, and each defaulted parameter of a
+    public function or method, as ``module.function(parameter=)``."""
+    found = set()
+    for path in (tree / "src" / "lckgeo").glob("*.py"):
+        for node in ast.parse(path.read_bytes()).body:
+            prefix = f"{path.stem}.{getattr(node, 'name', '')}"
+            if isinstance(node, ast.FunctionDef) and _public(node.name):
+                found.update(f"{prefix}({arg}=)" for arg in _defaulted(node))
+            if not (isinstance(node, ast.ClassDef) and _public(node.name)):
+                continue
+            if any(_names_dataclass(d) for d in node.decorator_list):
+                found.update(f"{prefix}.{item.target.id}" for item in node.body
+                             if isinstance(item, ast.AnnAssign)
+                             and isinstance(item.target, ast.Name))
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and _public(item.name):
+                    found.update(f"{prefix}.{item.name}({arg}=)"
+                                 for arg in _defaulted(item))
+    return found
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_") or (name.startswith("__")
+                                        and name.endswith("__"))
+
+
+def _names_dataclass(decorator) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return "dataclass" in (getattr(decorator, "id", None),
+                           getattr(decorator, "attr", None))
+
+
+def _defaulted(fn) -> list:
+    """The parameters of a function definition that have a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    return names + [a.arg for a, default in zip(args.kwonlyargs,
+                                                 args.kw_defaults)
+                    if default is not None]
+
+
+def settable_changes(base: Path, change: Path) -> str:
+    """The table of the settable values that one tree has and the other
+    lacks."""
+    before, after = settable_values(base), settable_values(change)
+    rows = [f"| {name} | {'base' if name in before else 'change'} |"
+            for name in sorted(before ^ after)]
+    if not rows:
+        return "\nno settable value differs"
+    return "\n".join(["", "settable values in one tree only "
+                      f"({len(before)} in base, {len(after)} in change)", "",
+                      "| settable value | only in |", "|---|---|"] + rows)
+
+
 def count_changes(base: dict, change: dict) -> str:
     """The table of the runs whose field-evaluation counts differ."""
     rows = []
@@ -342,6 +403,7 @@ def main(argv=None) -> int:
     verdicts, *drift = compare(base, change)
     print(render(*drift))
     print(line_counts(args.base, args.change))
+    print(settable_changes(args.base, args.change))
     print(count_changes(base, change))
     if verdicts:
         print("\nverdicts that differ:")
