@@ -72,13 +72,13 @@ class HermitianStructure:
         """(|J^2 + Id|, |J^T G J - G|) max-norms at p."""
         return _compatibility_defects(self.J(p), self.chart.metric(p))
 
-    def require_compatible(self, p, tol: float = 1e-8):
+    def require_compatible(self, p):
         """J and the validated metric at p, each evaluated once, or
-        :class:`CompatibilityError` where |J^2 + Id| exceeds ``tol`` or
-        |J^T G J - G| exceeds ``tol (1 + max |G|)``."""
+        :class:`CompatibilityError` where |J^2 + Id| exceeds 1e-8 or
+        |J^T G J - G| exceeds 1e-8 (1 + max |G|)."""
         J, G = self.J(p), self.chart.metric(p)
         d_square, d_metric = _compatibility_defects(J, G)
-        if d_square > tol or d_metric > tol * (1.0 + float(np.max(np.abs(G)))):
+        if d_square > 1e-8 or d_metric > 1e-8 * (1.0 + float(np.max(np.abs(G)))):
             raise CompatibilityError(
                 f"J incompatible at {np.asarray(p)} on '{self.label}': "
                 f"|J^2+Id|={d_square:.2e}, |J^T G J - G|={d_metric:.2e}")
@@ -154,11 +154,7 @@ def lee_form(H: HermitianStructure, p) -> LeeData:
     """
     p = np.asarray(p, dtype=float)
     parts = lee_form_parts(H, p)
-    res = lck_residual(parts)
-    if not res <= LCK_GATE:
-        raise NotLcKError(
-            f"structure '{H.label}' fails the lcK gate at {p}: "
-            f"|dOmega - 2 theta ^ Omega| = {res:.2e}")
+    require_lck(H, p, parts)
     theta = parts.theta
     j_theta = j_on_forms(parts.J, theta)
     norm_sq = float(theta @ np.linalg.solve(parts.g, theta))
@@ -293,6 +289,16 @@ def lck_residual(parts: LeeParts) -> float:
     g_inv = parts.g_inv
     denom = 1.0 + max(raised_norm(d_omega, g_inv), raised_norm(rhs, g_inv))
     return raised_norm(d_omega - rhs, g_inv) / denom
+
+
+def require_lck(H: HermitianStructure, p, parts: LeeParts) -> None:
+    """The lcK gate: :class:`NotLcKError` where the :func:`lck_residual` of
+    the parts of H at p exceeds ``LCK_GATE`` or is NaN."""
+    res = lck_residual(parts)
+    if not res <= LCK_GATE:     # a NaN residual fails the gate too
+        raise NotLcKError(
+            f"structure '{H.label}' fails the lcK gate at {p}: "
+            f"|dOmega - 2 theta ^ Omega| = {res:.2e}")
 
 
 def conformal_rescale(chart: Chart, log_factor: Callable,

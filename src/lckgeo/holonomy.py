@@ -40,6 +40,7 @@ MIN_RANK_GAP = 10.0
 CLOSURE_PASSES = 2        # commutator passes over the span basis
 U_N_COMMUTATOR = 1e-3     # relative [B, J] below which J commutes with B
 FIXED_VECTOR_CUT = 1e-5   # relative singular value of a common fixed vector
+FACE_MARGIN = 0.06        # least distance of a probe or loop from a chart face
 LOOP_SIZE = 0.15          # default loop edge, and its corners' margin
 LOOP_SCALES = (1.0, 0.6)  # the default loop edges, in units of LOOP_SIZE
 LOG_TERMS = 16    # |C|_2 < 1/3: tail < 9^-16 / 33 * 9/8 < 2e-17 < 2^-53
@@ -204,7 +205,7 @@ def default_probes(chart: Chart, base, rng: np.random.Generator):
     lows, highs = np.array(chart.domain, dtype=float).T
     for _ in range(_probe_minimum(m // 2)):
         q = base + rng.uniform(-0.2, 0.2, size=m)
-        q = np.clip(q, lows + 0.06, highs - 0.06)
+        q = np.clip(q, lows + FACE_MARGIN, highs - FACE_MARGIN)
         probes.append((q, (rng.standard_normal(m), rng.standard_normal(m))))
     return probes
 
@@ -272,7 +273,8 @@ def default_holonomy_loops(chart: Chart, base, steps_per_edge: int = 150):
     m = chart.dim
     loops = []
     lows, highs = np.array(chart.domain, dtype=float).T
-    corner = np.clip(base, lows + 0.06 + LOOP_SIZE, highs - 0.06 - LOOP_SIZE)
+    corner = np.clip(base, lows + FACE_MARGIN + LOOP_SIZE,
+                     highs - FACE_MARGIN - LOOP_SIZE)
     for scale in LOOP_SCALES:
         for i in range(m):
             for j in range(i + 1, m):

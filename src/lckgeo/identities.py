@@ -45,9 +45,9 @@ from .charts import (form_of_endomorphism, raised_norm, vector_norm, wedge,
                      wedge_endo)
 from .errors import (InconsistencyError, NotLcKError, PreconditionError,
                      SingularPointError)
-from .hermitian import (LCK_GATE, HermitianStructure, LeeParts, NestedLee,
-                        j_on_forms, lck_residual, lee_field,
-                        lee_form_components, lee_form_parts, nested_lee)
+from .hermitian import (HermitianStructure, LeeParts, NestedLee, j_on_forms,
+                        lck_residual, lee_field, lee_form_components,
+                        lee_form_parts, nested_lee, require_lck)
 from .transport import line_integral_segment, loop_integral
 
 
@@ -756,9 +756,7 @@ def classify_structure(H: HermitianStructure, samples, loops=None,
         parts = lee_form_parts(H, p)
         g, g_inv, theta = parts.g, parts.g_inv, parts.theta
         scale = float(np.sqrt(np.trace(g) / m))
-        lck = lck_residual(parts)
-        if not lck <= LCK_GATE:     # a NaN residual fails the gate too
-            raise NotLcKError(f"'{H.label}' fails the lcK gate at {p}: {lck:.2e}")
+        require_lck(H, p, parts)
         # nabla theta and d theta come from one NESTED stencil of theta
         nested = nested_lee(H, p, parts)
         dtheta = exterior_of_partials(nested.theta_partials, 1)

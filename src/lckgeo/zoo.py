@@ -48,6 +48,7 @@ from .errors import BundleError, CompatibilityError, ParameterError
 from .hermitian import HermitianStructure, conformal_rescale
 
 SQRT_HALF = math.sqrt(0.5)
+POLAR_MARGIN = 0.35    # a polar angle's chart interval keeps this far from 0, pi
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +79,12 @@ class ProfileFn:
         return float(self.derivative_fn(r))
 
 
-def named_profile(name: str, domain: tuple, label: str = "") -> ProfileFn:
+def named_profile(name: str, domain: tuple) -> ProfileFn:
     table = {"sin": np.sin, "cos": np.cos,
              "zero": lambda r: np.zeros_like(r, dtype=float)}
     if name not in table:
         raise ParameterError(f"unknown profile '{name}' (known: {sorted(table)})")
-    return ProfileFn(table[name], domain, label or name)
+    return ProfileFn(table[name], domain, name)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,7 @@ def flat_base(n: int) -> KahlerBase:
         chart, fd.constant(_standard_j(m)), label=f"flat_C{n}"))
 
 
-def round_s2_base(radius: float, polar_margin: float = 0.35,
+def round_s2_base(radius: float, polar_margin: float = POLAR_MARGIN,
                   label: str = "") -> KahlerBase:
     """Round S^2 of the given radius on a polar chart (theta, phi).
 
@@ -272,53 +273,40 @@ def _columns(x: np.ndarray) -> list:
     return [x[..., k] for k in range(x.shape[-1])]
 
 
-def _hypersphere_embedding(angles: np.ndarray) -> np.ndarray:
-    """Unit vector in R^(d+1) from d hyperspherical angles, shape (..., d).
-
-    u_i = cos(a_i) prod_{k<i} sin(a_k) for i < d;  u_d = prod_{k<d} sin(a_k).
-    """
+def _hypersphere_frame(angles: np.ndarray) -> np.ndarray:
+    """B = [-sigma, d sigma / d a] for d angles a, shape (..., d+1, d+1) with
+    the dtype of sin(a): sigma_i = cos(a_i) prod_{k<i} sin(a_k) for i < d and
+    sigma_d = prod_{k<d} sin(a_k).  Entries multiply their factors left to
+    right; column j + 1 shares the prefix sin(a_0) ... sin(a_(j-1)) and one
+    running product, whose first value is sigma_j."""
     d = angles.shape[-1]
-    sin, cos = _columns(np.sin(angles)), _columns(np.cos(angles))
-    u = np.empty(angles.shape[:-1] + (d + 1,))
-    prod = 1.0
-    for i in range(d):
-        u[..., i] = prod * cos[i]
-        prod = prod * sin[i]
-    u[..., d] = prod
-    return u
-
-
-def _hypersphere_jacobian(angles: np.ndarray) -> np.ndarray:
-    """d u / d a for angles of shape (..., d): shape (..., d+1, d).
-
-    Entry (i, j) is the product of the factors of u_i with factor j
-    differentiated, multiplied left to right; column j shares the prefix
-    sin(a_0) ... sin(a_(j-1)) and one running product.
-    """
-    d = angles.shape[-1]
-    sin, cos = _columns(np.sin(angles)), _columns(np.cos(angles))
-    jac = np.zeros(angles.shape[:-1] + (d + 1, d))
+    sines = np.sin(angles)
+    sin, cos = _columns(sines), _columns(np.cos(angles))
+    B = np.zeros(angles.shape[:-1] + (d + 1, d + 1), dtype=sines.dtype)
     prefix = 1.0
     for j in range(d):
-        jac[..., j, j] = prefix * -sin[j]
         run = prefix * cos[j]
+        B[..., j, 0] = -run
+        B[..., j, j + 1] = prefix * -sin[j]
         for i in range(j + 1, d):
-            jac[..., i, j] = run * cos[i]
+            B[..., i, j + 1] = run * cos[i]
             run = run * sin[i]
-        jac[..., d, j] = run
+        B[..., d, j + 1] = run
         prefix = prefix * sin[j]
-    return jac
+    B[..., d, 0] = -prefix
+    return B
 
 
-def hopf(n: int, circumference: float = 2.0 * math.pi,
-         polar_margin: float = 0.35) -> ZooEntry:
+def hopf(n: int, circumference: float = 2.0 * math.pi) -> ZooEntry:
     """S^1 x S^(2n-1) with the product metric and the inversion-induced J.
 
     Chart coordinates (s, a_1, ..., a_(2n-1)); the metric is ds^2 plus the
     round hyperspherical metric, J is the pullback of the standard J_0 on
     C^n \\ 0 through (s, a) -> e^(-s) sigma(a), and theta = ds: the unit,
     parallel length element of the circle factor.  The circle generator is
-    the deck translation s -> s + circumference.
+    the deck translation s -> s + circumference.  J = B^-1 J_0 B in the
+    frame B of :func:`_hypersphere_frame`, whose columns are orthogonal:
+    B^-1 = B^T / diag(B^T B), and no system is solved.
     """
     if n < 2:
         raise ParameterError("hopf needs complex dimension n >= 2")
@@ -331,7 +319,7 @@ def hopf(n: int, circumference: float = 2.0 * math.pi,
 
     domain = [(-0.7, L + 0.7)]
     for _ in range(d - 1):
-        domain.append((polar_margin, math.pi - polar_margin))
+        domain.append((POLAR_MARGIN, math.pi - POLAR_MARGIN))
     domain.append((0.0, 2.0 * math.pi))
 
     eye = np.eye(m)
@@ -351,11 +339,9 @@ def hopf(n: int, circumference: float = 2.0 * math.pi,
         return g
 
     def J_fn(p):
-        angles = np.asarray(p, dtype=float)[..., 1:]
-        sigma = _hypersphere_embedding(angles)
-        dsigma = _hypersphere_jacobian(angles)
-        B = np.concatenate([-sigma[..., None], dsigma], axis=-1)
-        return np.linalg.solve(B, J0 @ B)
+        B = _hypersphere_frame(np.asarray(p)[..., 1:])
+        return (np.swapaxes(B, -1, -2) @ J0 @ B
+                / np.sum(B * B, axis=-2)[..., :, None])
 
     chart = Chart.exact(tuple(domain), metric_fn, f"hopf_{n}")
     H = HermitianStructure(chart=chart, J_fn=J_fn, label=f"hopf_{n}")
@@ -507,16 +493,17 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
 
 # -- Calabi Ansatz ------------------------------------------------------------
 
-def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
-                  r_margin: float = 0.35) -> ZooEntry:
+def calabi_ansatz(ell: ProfileFn, b: float,
+                  base: KahlerBase = None) -> ZooEntry:
     """The circle-bundle Ansatz over a Hodge surface (default CP^1, area 2 pi).
 
     Chart coordinates are Euler angles plus the profile parameter,
     (theta, phi, psi, r) with psi of fiber period 4 pi.  The connection form
     is omega = c_w (d psi + cos(theta) d phi) with c_w computed (not
     assumed) from d omega = pi* Omega_N; the vertical field with
-    omega(xi) = 1 is xi = (1/c_w) d_psi.  See the module docstring for the
-    two potential normalizations (phi vs Phi = -2 phi).
+    omega(xi) = 1 is xi = (1/c_w) d_psi.  The chart takes theta's interval
+    from the base chart and keeps r 0.35 away from 0 and b.  See the module
+    docstring for the two potential normalizations (phi vs Phi = -2 phi).
     """
     if base is None:
         base = cp1_base()
@@ -524,6 +511,7 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
     if N.chart.dim != 2:
         raise ParameterError("the Calabi constructor needs a 2-dimensional "
                              "polar-coordinate Hodge base")
+    r_margin = 0.35
     if not b > 2.0 * r_margin:
         raise ParameterError(
             f"b = {b:g} leaves the chart's r-interval ({r_margin:g}, "
@@ -590,7 +578,7 @@ def calabi_ansatz(ell: ProfileFn, b: float, base: KahlerBase = None,
         # the real weights first: vecdot conjugates its first argument
         return 0.5 * r * np.vecdot(ws, ell.value_fn(xs * r[..., None]))
 
-    domain = ((0.35, math.pi - 0.35), (-0.7, 2.0 * math.pi + 0.7),
+    domain = (N.chart.domain[0], (-0.7, 2.0 * math.pi + 0.7),
               (-0.7, 4.0 * math.pi + 0.7), (r_margin, b - r_margin))
     chart_ell = Chart.exact(domain, metric_fn, f"calabi_ell_{ell.label}")
 

@@ -10,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lckgeo import zoo
+from lckgeo import fd, zoo
 from lckgeo.calculus import ricci_scalar, riemann
 from lckgeo.charts import Chart, form_norm
 from lckgeo.errors import BundleError, ParameterError
@@ -256,32 +256,35 @@ class TestHopf:
         """The closed-form metric equals the embedding pullback of r^-2 g_0."""
         chart = hopf2.main_structure.chart
         for p in chart.sample_points(rng, 5):
-            angles = p[1:]
-            B = np.column_stack([-zoo._hypersphere_embedding(angles),
-                                 zoo._hypersphere_jacobian(angles)])
+            B = zoo._hypersphere_frame(p[1:])
             npt.assert_allclose(B.T @ B, chart.metric_fn(p), atol=1e-12)
 
     def test_hypersphere_jacobian_matches_loop_reference(self, rng):
-        """Bit-identical to the entrywise product form it replaced."""
+        """The frame's sigma and d sigma blocks are bit-identical to the
+        entrywise product forms, multiplied left to right."""
         def reference(angles):
             d = angles.size
             sin, cos = np.sin(angles), np.cos(angles)
+            sigma = np.zeros(d + 1)
             jac = np.zeros((d + 1, d))
             for i in range(d + 1):
                 if i < d:
                     base = [sin[k] for k in range(i)] + [cos[i]]
                 else:
                     base = [sin[k] for k in range(d)]
+                sigma[i] = float(np.prod(base))
                 for j in range(min(i + 1, d) if i < d else d):
                     terms = list(base)
                     terms[j] = cos[j] if j < i else -sin[j]
                     jac[i, j] = float(np.prod(terms))
-            return jac
+            return sigma, jac
 
         for d in range(1, 6):
             for angles in rng.uniform(-math.pi, 2.0 * math.pi, size=(400, d)):
-                assert np.array_equal(zoo._hypersphere_jacobian(angles),
-                                      reference(angles)), angles
+                B = zoo._hypersphere_frame(angles)
+                sigma, jac = reference(angles)
+                assert np.array_equal(-B[:, 0], sigma), angles
+                assert np.array_equal(B[:, 1:], jac), angles
 
     def test_batched_fields_match_pointwise_reference(self, hopf2, hopf3,
                                                       rng):
@@ -314,7 +317,8 @@ class TestHopf:
                 prefix *= sin[j]
             u[d] = prod
             B = np.column_stack([-u, jac])
-            return np.linalg.solve(B, zoo._standard_j(m) @ B)
+            # B^-1 = B^T / |columns|^2: the columns are orthogonal
+            return B.T @ zoo._standard_j(m) @ B / np.sum(B * B, axis=0)[:, None]
 
         for entry in (hopf2, hopf3):
             H = entry.main_structure
@@ -329,6 +333,43 @@ class TestHopf:
                                       expected.reshape(3, 1000, m, m))
                 for q, e in zip(pts[:50], expected):
                     assert np.array_equal(fn(q), e), q
+
+    def test_j_matches_solved_pullback(self, hopf2, hopf3, rng):
+        """J = B^-1 J_0 B as a linear solve gives it, and J is a
+        g-orthogonal complex structure."""
+        for entry in (hopf2, hopf3):
+            H = entry.main_structure
+            m = H.chart.dim
+            pts = H.chart.sample_points(rng, 500)
+            J, g = H.J_fn(pts), H.chart.metric_fn(pts)
+            B = zoo._hypersphere_frame(pts[:, 1:])
+            solved = np.linalg.solve(B, zoo._standard_j(m) @ B)
+            assert np.max(np.abs(J - solved)) < 1e-14
+            assert np.max(np.abs(J @ J + np.eye(m))) < 1e-14
+            Jt = np.swapaxes(J, -1, -2)
+            assert np.max(np.abs(Jt @ g @ J - g)) < 1e-14
+
+    def test_j_is_complex_safe_without_a_solve(self, hopf2, hopf3, rng,
+                                               monkeypatch):
+        """J_fn solves no linear system and carries a complex stack through
+        without a warning; its complex step matches the DIRECT stencil."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        for entry in (hopf2, hopf3):
+            H = entry.main_structure
+            m = H.chart.dim
+            pts = H.chart.sample_points(rng, 6).reshape(2, 3, m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                real = H.J_fn(pts)
+                values = H.J_fn(pts + 1e-20j * rng.standard_normal(m))
+                exact = fd.complex_step(H.J_fn)(pts)
+            assert real.dtype == float and np.iscomplexobj(values)
+            npt.assert_allclose(values.real, real, rtol=0, atol=1e-15)
+            stencil = fd.gradient(H.J_fn, pts, fd.DIRECT)
+            assert np.max(np.abs(exact - stencil)) < 1e-7
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
