@@ -74,12 +74,13 @@ def riemann(chart: Chart, p) -> FrameTensor:
 
 
 def riemann_components(dG: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """R^a_{bcd} at one point from its Christoffel symbols G and their
-    NESTED-stencil partials dG[c, a, i, j] = d_c G^a_{ij}."""
+    """R^a_{bcd} at each point of a stack from its Christoffel symbols G and
+    their NESTED-stencil partials dG[..., c, a, i, j] = d_c G^a_{ij}."""
     # R^a_{bcd} = d_c G^a_{db} - d_d G^a_{cb} + G^a_{ce} G^e_{db} - G^a_{de} G^e_{cb}
-    return (np.einsum("cadb->abcd", dG) - np.einsum("dacb->abcd", dG)
-            + np.einsum("ace,edb->abcd", G, G)
-            - np.einsum("ade,ecb->abcd", G, G))
+    return (np.einsum("...cadb->...abcd", dG)
+            - np.einsum("...dacb->...abcd", dG)
+            + np.einsum("...ace,...edb->...abcd", G, G)
+            - np.einsum("...ade,...ecb->...abcd", G, G))
 
 
 def ricci_scalar(chart: Chart, p):

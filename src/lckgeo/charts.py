@@ -145,6 +145,12 @@ class Chart:
         return rng.uniform(lows, highs, size=(count, self.dim))
 
 
+def first_flagged(flags) -> tuple:
+    """The index of the first True of a verdict at each point, in C order:
+    () for the verdict at a single point, (k,) for the k-th of a stack."""
+    return np.unravel_index(np.argmax(flags), np.shape(flags))
+
+
 def _spd_failure(g: np.ndarray):
     """The first matrix of the stack g, shape (..., m, m), in C order that is
     not finite, symmetric and positive definite, as (flat index, name of its
@@ -378,10 +384,13 @@ def endomorphism_of_form(omega: np.ndarray, g: np.ndarray) -> np.ndarray:
 def wedge_endo(x: np.ndarray, tau: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Endomorphism (X ^ tau)(Y) = g(X, Y) tau_sharp - tau(Y) X.
 
-    ``x`` is a vector, ``tau`` a 1-form; returns the matrix acting on vectors.
+    ``x`` is a vector, ``tau`` a 1-form; returns the matrix acting on vectors,
+    at each point of a stack when x, tau and g carry the point axes in front.
     """
-    tau_sharp = np.linalg.solve(g, tau)
-    return np.outer(tau_sharp, g @ x) - np.outer(x, tau)
+    tau_sharp = np.linalg.solve(g, tau[..., None])[..., 0]
+    gx = (g @ x[..., None])[..., 0]
+    return (tau_sharp[..., :, None] * gx[..., None, :]
+            - x[..., :, None] * tau[..., None, :])
 
 
 def form_norm(a: np.ndarray, g: np.ndarray) -> float:
@@ -389,37 +398,48 @@ def form_norm(a: np.ndarray, g: np.ndarray) -> float:
     return raised_norm(a, np.linalg.inv(g))
 
 
-def raised_norm(a: np.ndarray, g_inv: np.ndarray) -> float:
+def raised_norm(a: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     """:func:`form_norm` from g^-1, for a caller that takes several norms at
-    one point and inverts g once."""
-    if a.ndim == 0:
-        return float(abs(a))
+    one point and inverts g once; at each point of a stack when g_inv, shape
+    (..., m, m), and a carry the point axes in front."""
+    lead = g_inv.ndim - 2
+    if a.ndim == lead:
+        return abs(a)
     raised = a
-    for axis in range(a.ndim):
-        raised = _contract(g_inv, raised, axis)
-    return float(np.sqrt(abs(np.sum(raised * a))))
+    for axis in range(lead, a.ndim):
+        raised = _contract(g_inv, raised, axis, lead)
+    return np.sqrt(abs(np.sum(raised * a, axis=tuple(range(lead, a.ndim)))))
 
 
-def _contract(g: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
+def _contract(g: np.ndarray, t: np.ndarray, axis: int,
+              lead: int = 0) -> np.ndarray:
     """g_ij t^...j... on the given axis of t, the result's index i in its
-    place: ``np.moveaxis(np.tensordot(g, t, axes=(1, axis)), 0, axis)``.
+    place: ``np.moveaxis(np.tensordot(g, t, axes=(1, axis)), 0, axis)`` at
+    each point of a stack when g and t carry ``lead`` point axes in front.
 
-    It makes tensordot's transpose and its one ``np.dot`` call, so it rounds
-    the same, without tensordot's and moveaxis's axis normalisation.
+    It makes tensordot's transpose and its one matrix product per point, so
+    it rounds the same, without tensordot's and moveaxis's axis
+    normalisation.
     """
-    forward, back = _contraction_orders(t.ndim)[axis]
+    forward, back = _contraction_orders(t.ndim, lead)[axis - lead]
     moved = t.transpose(forward)
-    prod = np.dot(g, moved.reshape(t.shape[axis], -1))
-    return prod.reshape((g.shape[0],) + moved.shape[1:]).transpose(back)
+    points = t.shape[:lead]
+    prod = g @ moved.reshape(points + (t.shape[axis],
+                                       math.prod(moved.shape[lead + 1:])))
+    return prod.reshape(points + g.shape[-2:-1]
+                        + moved.shape[lead + 1:]).transpose(back)
 
 
 @functools.cache
-def _contraction_orders(rank: int) -> tuple:
-    """Per axis of a rank-``rank`` array: the transpose that brings it to
-    the front, the others in order, and the one that moves it back."""
-    return tuple(((axis, *range(axis), *range(axis + 1, rank)),
-                  (*range(1, axis + 1), 0, *range(axis + 1, rank)))
-                 for axis in range(rank))
+def _contraction_orders(rank: int, lead: int) -> tuple:
+    """Per axis after the ``lead`` point axes of a rank-``rank`` array: the
+    transpose that brings it to the front of them, the others in order, and
+    the one that moves it back."""
+    points = tuple(range(lead))
+    return tuple(((*points, axis, *range(lead, axis), *range(axis + 1, rank)),
+                  (*points, *range(lead + 1, axis + 1), lead,
+                   *range(axis + 1, rank)))
+                 for axis in range(lead, rank))
 
 
 def _move_axis(a: np.ndarray, source: int, dest: int) -> np.ndarray:
@@ -430,7 +450,9 @@ def _move_axis(a: np.ndarray, source: int, dest: int) -> np.ndarray:
     return a.transpose(order)
 
 
-def vector_norm(v: np.ndarray, metric: np.ndarray) -> float:
+def vector_norm(v: np.ndarray, metric: np.ndarray) -> np.ndarray:
     """sqrt|v . metric . v|: the length of a vector (metric g) or of a 1-form
-    (metric g^-1)."""
-    return float(np.sqrt(abs(v @ metric @ v)))
+    (metric g^-1), at each point of a stack when v and metric carry the point
+    axes in front."""
+    square = (v[..., None, :] @ metric @ v[..., :, None])[..., 0, 0]
+    return np.sqrt(abs(square))

@@ -17,10 +17,11 @@ Christoffel symbols and delta Omega all come from those arrays; the parts
 keep them, for the checks that difference other fields of J and g.
 :func:`nested_lee` takes these parts and evaluates them again on one NESTED
 stencil around each point, whose differences give the partials of theta,
-nabla theta and the curvature; it is the one route to nabla theta.  The
-checks of :mod:`lckgeo.identities` take the evaluated parts and NESTED pass
-as arguments, so a caller evaluates each once per sample and passes it to
-every check that reads it.
+nabla theta and the curvature; it is the one route to nabla theta.  Both
+take a stack of points, shape (..., m), and every part keeps the point axes
+in front.  The checks of :mod:`lckgeo.identities` take the evaluated parts
+and NESTED pass as arguments, so a caller evaluates each once for its whole
+stack of samples and passes it to every check that reads it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 from . import fd
 from .calculus import (codifferential_of, covariant_partials,
                        exterior_of_partials, levi_civita, riemann_components)
-from .charts import (Chart, FrameTensor, form_norm, form_of_endomorphism,
-                     raised_norm, wedge)
+from .charts import (Chart, FrameTensor, first_flagged, form_norm,
+                     form_of_endomorphism, raised_norm, wedge)
 from .errors import CompatibilityError, NotLcKError
 
 # Largest scale-normalized |dOmega - 2 theta ^ Omega| at which a structure
@@ -248,8 +249,8 @@ class NestedLee(NamedTuple):
 
     @property
     def riemann(self) -> np.ndarray:
-        """R^a_{bcd} at a single point p, as :func:`lckgeo.calculus.riemann`
-        gives it."""
+        """R^a_{bcd} at each of the points p, as
+        :func:`lckgeo.calculus.riemann` gives it."""
         return riemann_components(self.gamma_partials, self.gamma)
 
 
@@ -281,24 +282,30 @@ def nabla_theta(H: HermitianStructure, p) -> np.ndarray:
     return nested_lee(H, p, lee_form_parts(H, p)).ntheta
 
 
-def lck_residual(parts: LeeParts) -> float:
-    """Scale-normalized |dOmega - 2 theta ^ Omega| at a point, from the
-    :func:`lee_form_parts` there."""
-    d_omega = exterior_of_partials(parts.omega_partials, 2)
-    rhs = 2.0 * wedge(parts.theta, parts.omega)
+def lck_residual(parts: LeeParts) -> np.ndarray:
+    """Scale-normalized |dOmega - 2 theta ^ Omega| at each of the points of
+    the :func:`lee_form_parts`, shape (...,)."""
+    lead = parts.theta.ndim - 1
+    d_omega = exterior_of_partials(parts.omega_partials, 2, lead)
+    rhs = 2.0 * wedge(parts.theta, parts.omega, lead)
     g_inv = parts.g_inv
-    denom = 1.0 + max(raised_norm(d_omega, g_inv), raised_norm(rhs, g_inv))
+    d_norm, rhs_norm = raised_norm(d_omega, g_inv), raised_norm(rhs, g_inv)
+    # max(d_norm, rhs_norm) at each point, NaN where d_norm is NaN
+    denom = 1.0 + np.where(rhs_norm > d_norm, rhs_norm, d_norm)
     return raised_norm(d_omega - rhs, g_inv) / denom
 
 
 def require_lck(H: HermitianStructure, p, parts: LeeParts) -> None:
     """The lcK gate: :class:`NotLcKError` where the :func:`lck_residual` of
-    the parts of H at p exceeds ``LCK_GATE`` or is NaN."""
+    the parts of H at the points p exceeds ``LCK_GATE`` or is NaN, naming
+    the first such point."""
     res = lck_residual(parts)
-    if not res <= LCK_GATE:     # a NaN residual fails the gate too
+    failed = ~(res <= LCK_GATE)     # a NaN residual fails the gate too
+    if failed.any():
+        k = first_flagged(failed)
         raise NotLcKError(
-            f"structure '{H.label}' fails the lcK gate at {p}: "
-            f"|dOmega - 2 theta ^ Omega| = {res:.2e}")
+            f"structure '{H.label}' fails the lcK gate at {p[k]}: "
+            f"|dOmega - 2 theta ^ Omega| = {res[k]:.2e}")
 
 
 def conformal_rescale(chart: Chart, log_factor: Callable,

@@ -32,6 +32,7 @@ wedge endomorphism is (X ^ tau)(Y) = g(X, Y) tau_sharp - tau(Y) X):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,8 +42,8 @@ import numpy as np
 from . import fd
 from .calculus import (codifferential_of, covariant_partials,
                        exterior_of_partials, ricci_scalar)
-from .charts import (form_of_endomorphism, raised_norm, vector_norm, wedge,
-                     wedge_endo)
+from .charts import (first_flagged, form_of_endomorphism, raised_norm,
+                     vector_norm, wedge, wedge_endo)
 from .errors import (InconsistencyError, NotLcKError, PreconditionError,
                      SingularPointError)
 from .hermitian import (HermitianStructure, LeeParts, NestedLee, j_on_forms,
@@ -51,12 +52,15 @@ from .hermitian import (HermitianStructure, LeeParts, NestedLee, j_on_forms,
 from .transport import line_integral_segment, loop_integral
 
 
-def _endo_norm(a: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> float:
-    return raised_norm(a.T @ g, g_inv)
+def _endo_norm(a: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    return raised_norm(np.swapaxes(a, -1, -2) @ g, g_inv)
 
 
-def _normalized(diff_norm: float, term_norms) -> float:
-    return diff_norm / (1.0 + max(term_norms))
+def _normalized(diff_norm, term_norms) -> np.ndarray:
+    """diff_norm / (1 + the largest term norm) at each point; the largest is
+    the first one no later norm exceeds, as ``max`` picks it."""
+    largest = functools.reduce(lambda a, b: np.where(b > a, b, a), term_norms)
+    return diff_norm / (1.0 + largest)
 
 
 def _solve(g: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -64,29 +68,68 @@ def _solve(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.solve(g, v[..., None])[..., 0]
 
 
+# The products of vectors and matrices at each point of a stack, each one
+# matrix product per point, shaped as the single-point ``@`` shapes it.  Two
+# vectors are contracted by ``np.vecdot``, the one dot product of ``u @ v``.
+
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The matrix a times the vector v."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _along(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The direction x contracted with the first axis of the tensor t after
+    the point axes: ``np.tensordot(x, t, axes=(0, 0))`` at one point, and
+    ``x @ t`` for a matrix t."""
+    points = t.shape[:x.ndim - 1]
+    flat = t.reshape(points + t.shape[x.ndim - 1:x.ndim] + (-1,))
+    return (x[..., None, :] @ flat).reshape(points + t.shape[x.ndim:])
+
+
+def _scaled(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The tensor t times the number s at each point."""
+    return s[(...,) + (None,) * (t.ndim - s.ndim)] * t
+
+
+def _squared(s) -> np.ndarray:
+    """s ** 2 at each point, squared as Python squares a float: by the C
+    library's pow, which does not always round as s * s does."""
+    return np.reshape([v ** 2 for v in np.ravel(s).tolist()], np.shape(s))
+
+
 def _covariant(values: np.ndarray, value: np.ndarray, gamma: np.ndarray,
                valence: tuple, stencil: fd.Stencil) -> np.ndarray:
-    """All covariant partials at one point of a tensor field, from its values
-    at the stencil points around it, its value there and the Christoffel
-    symbols there: bitwise what the generic route gives from the field."""
-    return covariant_partials(fd.difference(values, stencil), value, gamma,
-                              valence)
+    """All covariant partials at each point of a tensor field, from its
+    values at the stencil points around it, its value there and the
+    Christoffel symbols there: bitwise what the generic route gives from the
+    field."""
+    lead = gamma.ndim - 3
+    return covariant_partials(fd.difference(values, stencil, lead), value,
+                              gamma, valence, lead)
+
+
+def _directions(x, p: np.ndarray) -> np.ndarray:
+    """The direction at each of the points p: x, or without it one draw of
+    ``np.random.default_rng(0)`` at every point."""
+    if x is None:
+        x = np.random.default_rng(0).standard_normal(p.shape[-1])
+    return np.broadcast_to(np.asarray(x, dtype=float), p.shape)
 
 
 # ---------------------------------------------------------------------------
 # single-identity residuals
 # ---------------------------------------------------------------------------
 
-def nabla_j_residual(parts: LeeParts, x) -> float:
-    """|nabla_X J - (X ^ J theta + JX ^ theta)| at a point, term-normalized,
-    from the :func:`lckgeo.hermitian.lee_form_parts` there."""
+def nabla_j_residual(parts: LeeParts, x) -> np.ndarray:
+    """|nabla_X J - (X ^ J theta + JX ^ theta)| at each point, term-
+    normalized, from the :func:`lckgeo.hermitian.lee_form_parts` there."""
     x = np.asarray(x, dtype=float)
     g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
-    j_theta = -J.T @ theta
+    j_theta = j_on_forms(J, theta)
     nJ = _covariant(parts.J_around, J, parts.gamma, (1, 1), fd.DIRECT)
-    lhs = np.tensordot(x, nJ, axes=(0, 0))
+    lhs = _along(x, nJ)
     t1 = wedge_endo(x, j_theta, g)
-    t2 = wedge_endo(J @ x, theta, g)
+    t2 = wedge_endo(_mv(J, x), theta, g)
     rhs = t1 + t2
     terms = [_endo_norm(t, g, g_inv) for t in (lhs, t1, t2)]
     return _normalized(_endo_norm(lhs - rhs, g, g_inv), terms)
@@ -94,33 +137,34 @@ def nabla_j_residual(parts: LeeParts, x) -> float:
 
 def curvature_j_residuals(H: HermitianStructure, parts: LeeParts,
                           nested: NestedLee, x, y) -> tuple:
-    """Residuals of the full R.J formula and of its frame contraction at a
-    point, from the :func:`lckgeo.hermitian.lee_form_parts` there and the
-    :func:`lckgeo.hermitian.nested_lee` pass around it."""
+    """Residuals of the full R.J formula and of its frame contraction at
+    each point, from the :func:`lckgeo.hermitian.lee_form_parts` there and
+    the :func:`lckgeo.hermitian.nested_lee` pass around it."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
-    j_theta = -J.T @ theta
+    j_theta = j_on_forms(J, theta)
     ntheta = nested.ntheta                          # ntheta[c, j]
-    norm_sq = float(theta @ g_inv @ theta)
+    norm_sq = np.vecdot(_along(theta, g_inv), theta)
     R = nested.riemann                              # R[a, b, c, d]
 
     # --- full formula -------------------------------------------------------
-    RXY = np.einsum("abcd,c,d->ab", R, x, y)
+    RXY = np.einsum("...abcd,...c,...d->...ab", R, x, y)
     lhs = RXY @ J - J @ RXY
-    nx_theta = x @ ntheta                            # (nabla_X theta)_j
-    ny_theta = y @ ntheta
-    jx, jy = J @ x, J @ y
+    nx_theta = _along(x, ntheta)                     # (nabla_X theta)_j
+    ny_theta = _along(y, ntheta)
+    jx, jy = _mv(J, x), _mv(J, y)
+    theta_x, theta_y = np.vecdot(theta, x), np.vecdot(theta, y)
     terms = [
-        float(theta @ x) * wedge_endo(y, j_theta, g),
-        -float(theta @ y) * wedge_endo(x, j_theta, g),
-        -float(theta @ y) * wedge_endo(jx, theta, g),
-        float(theta @ x) * wedge_endo(jy, theta, g),
-        -norm_sq * wedge_endo(y, g @ jx, g),
-        norm_sq * wedge_endo(x, g @ jy, g),
-        wedge_endo(y, -J.T @ nx_theta, g),
+        _scaled(theta_x, wedge_endo(y, j_theta, g)),
+        _scaled(-theta_y, wedge_endo(x, j_theta, g)),
+        _scaled(-theta_y, wedge_endo(jx, theta, g)),
+        _scaled(theta_x, wedge_endo(jy, theta, g)),
+        _scaled(-norm_sq, wedge_endo(y, _mv(g, jx), g)),
+        _scaled(norm_sq, wedge_endo(x, _mv(g, jy), g)),
+        wedge_endo(y, j_on_forms(J, nx_theta), g),
         wedge_endo(jy, nx_theta, g),
-        -wedge_endo(x, -J.T @ ny_theta, g),
+        -wedge_endo(x, j_on_forms(J, ny_theta), g),
         -wedge_endo(jx, ny_theta, g),
     ]
     rhs = sum(terms)
@@ -130,17 +174,17 @@ def curvature_j_residuals(H: HermitianStructure, parts: LeeParts,
 
     # --- contraction --------------------------------------------------------
     # sum_j (R_{X,e_j} J)(e_j) = g^{jl} [R(X, e_j)(J e_l) - J R(X, e_j) e_l]
-    lhs_c = (np.einsum("abcj,c,bl,jl->a", R, x, J, g_inv)
-             - np.einsum("ae,elcj,c,jl->a", J, R, x, g_inv))
-    delta_theta = -float(np.einsum("ij,ij->", g_inv, ntheta))
-    sharp = lambda tau: g_inv @ tau
+    lhs_c = (np.einsum("...abcj,...c,...bl,...jl->...a", R, x, J, g_inv)
+             - np.einsum("...ae,...elcj,...c,...jl->...a", J, R, x, g_inv))
+    delta_theta = -np.einsum("...ij,...ij->...", g_inv, ntheta)
+    sharp = lambda tau: _mv(g_inv, tau)
     c_terms = [
-        (2.0 * H.n - 3.0) * float(theta @ x) * sharp(j_theta),
-        -(2.0 * H.n - 3.0) * norm_sq * jx,
-        (2.0 * H.n - 3.0) * (J @ sharp(nx_theta)),
-        -float(theta @ jx) * sharp(theta),
-        -sharp(jx @ ntheta),
-        -delta_theta * jx,
+        _scaled((2.0 * H.n - 3.0) * theta_x, sharp(j_theta)),
+        _scaled(-(2.0 * H.n - 3.0) * norm_sq, jx),
+        (2.0 * H.n - 3.0) * _mv(J, sharp(nx_theta)),
+        _scaled(-np.vecdot(theta, jx), sharp(theta)),
+        -sharp(_along(jx, ntheta)),
+        _scaled(-delta_theta, jx),
     ]
     rhs_c = sum(c_terms)
     c_norms = [vector_norm(t, g) for t in c_terms] + [vector_norm(lhs_c, g)]
@@ -149,22 +193,28 @@ def curvature_j_residuals(H: HermitianStructure, parts: LeeParts,
 
 
 def lck_identity_residuals(H: HermitianStructure, p, x, y) -> dict:
-    """The lcK identities at p in the directions x, y: nablaJ, dOmega,
-    deltaOmega, RJ and RJcontr.
+    """The lcK identities at each of the points p, shape (..., m), in the
+    directions x, y there: nablaJ, dOmega, deltaOmega, RJ and RJcontr, each
+    of shape (...,).
 
     Every check reads the Lee-form parts at p, and the curvature checks the
     NESTED pass around it.  deltaOmega takes theta from d Omega = 2 theta ^
-    Omega by least squares, so it crosses the d Omega road with the delta
-    Omega road that gives parts.theta.
+    Omega by least squares, one point at a time, so it crosses the d Omega
+    road with the delta Omega road that gives parts.theta.
     """
     p = np.asarray(p, dtype=float)
+    lead = p.ndim - 1
     parts = lee_form_parts(H, p)
     omega, g_inv = parts.omega, parts.g_inv
-    cols = [2.0 * wedge(e, omega).reshape(-1)
-            for e in np.eye(omega.shape[-1])]
-    d_omega = exterior_of_partials(parts.omega_partials, 2)
-    theta_d, *_ = np.linalg.lstsq(np.array(cols).T, d_omega.reshape(-1),
-                                  rcond=None)
+    points, m = p.shape[:lead], p.shape[-1]
+    cols = np.stack([2.0 * wedge(np.broadcast_to(e, p.shape), omega,
+                                 lead).reshape(points + (-1,))
+                     for e in np.eye(m)], axis=-1)
+    d_omega = exterior_of_partials(parts.omega_partials, 2, lead)
+    theta_d = np.reshape([
+        np.linalg.lstsq(a, b, rcond=None)[0]
+        for a, b in zip(cols.reshape((-1,) + cols.shape[lead:]),
+                        d_omega.reshape(-1, m ** 3))], p.shape)
     j_theta_d = j_on_forms(parts.J, theta_d)
     delta_om = parts.delta_omega
     coef = 2.0 - 2.0 * H.n
@@ -212,12 +262,14 @@ def _ricci_deviation(ric: np.ndarray, lam: float, g: np.ndarray,
 
 
 def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
-    """The eleven named residuals of the Einstein-case derivation at p.
+    """The eleven named residuals of the Einstein-case derivation at each of
+    the points p, shape (..., m), each of shape (...,).
 
     Requires (chart, J) Einstein with constant ``lam``; the flat inversion
     chart realizes lam = 0.
     """
     p = np.asarray(p, dtype=float)
+    lead = p.ndim - 1
     chart = H.chart
 
     # The Lee-form parts at p and on the NESTED stencil around it; Ric comes
@@ -227,9 +279,11 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
     around = nested.around
     R = nested.riemann
     g, g_inv, J, omega = parts.g, parts.g_inv, parts.J, parts.omega
-    if _ricci_deviation(np.einsum("abad->bd", R), lam, g, g_inv) > 1e-3:
+    deviation = _ricci_deviation(np.einsum("...abad->...bd", R), lam, g, g_inv)
+    if (deviation > 1e-3).any():
         raise PreconditionError(
-            f"structure '{H.label}' is not Einstein with lambda={lam} at {p}")
+            f"structure '{H.label}' is not Einstein with lambda={lam} at "
+            f"{p[first_flagged(deviation > 1e-3)]}")
 
     # derived fields as functions of the parts (and of nabla theta for S),
     # differenced on the stencil whose parts they read: evaluation noise one
@@ -256,66 +310,69 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
     n = H.n
     n2 = 2 * n
     theta = parts.theta
-    j_theta = -J.T @ theta
-    theta_sharp = g_inv @ theta
-    norm_sq = float(theta @ theta_sharp)
+    j_theta = j_on_forms(J, theta)
+    theta_sharp = _mv(g_inv, theta)
+    norm_sq = np.vecdot(theta, theta_sharp)
 
     ntheta = nested.ntheta
     s_cov = s_of(parts, ntheta)
     s_endo = g_inv @ s_cov
-    delta_theta = -float(np.einsum("ij,ij->", g_inv, ntheta))
+    delta_theta = -np.einsum("...ij,...ij->...", g_inv, ntheta)
     js_endo = J @ s_endo
     js_form = form_of_endomorphism(js_endo, g)
 
-    d_norm_sq = fd.difference(norm_sq_of(around), fd.NESTED)
-    d_jtheta = fd.difference(jtheta_of(around), fd.NESTED)
+    d_norm_sq = fd.difference(norm_sq_of(around), fd.NESTED, lead)
+    d_jtheta = fd.difference(jtheta_of(around), fd.NESTED, lead)
     res = {}
 
     # (Sth)  S theta = 1/2 d|theta|^2 + |theta|^2 theta
-    lhs = s_cov @ theta_sharp
-    t1, t2 = 0.5 * d_norm_sq, norm_sq * theta
+    lhs = _mv(s_cov, theta_sharp)
+    t1, t2 = 0.5 * d_norm_sq, _scaled(norm_sq, theta)
     res["Sth"] = _normalized(vector_norm(lhs - t1 - t2, g_inv),
                              [vector_norm(t, g_inv) for t in (lhs, t1, t2)])
 
     # (trS)  tr S = |theta|^2 - delta theta
-    tr_s = float(np.trace(s_endo))
+    tr_s = np.trace(s_endo, axis1=-2, axis2=-1)
     res["trS"] = _normalized(abs(tr_s - (norm_sq - delta_theta)),
                              [abs(tr_s), abs(norm_sq), abs(delta_theta)])
 
     # (nablaJth)  nabla_X (J theta) = (J S X)^flat - J theta(X) theta
     #             - |theta|^2 (JX)^flat, checked on coordinate directions
     njtheta = covariant_partials(d_jtheta, jtheta_of(parts), parts.gamma,
-                                 (1, 0))
+                                 (1, 0), lead)
     # row c: (JS e_c)^flat - (J theta)(e_c) theta - |theta|^2 (J e_c)^flat
-    rhs_njt = (g @ js_endo).T - np.outer(j_theta, theta) - norm_sq * (g @ J).T
+    rhs_njt = (np.swapaxes(g @ js_endo, -1, -2)
+               - j_theta[..., :, None] * theta[..., None, :]
+               - _scaled(norm_sq, np.swapaxes(g @ J, -1, -2)))
     diff = njtheta - rhs_njt
     scale = [raised_norm(njtheta, g_inv), raised_norm(rhs_njt, g_inv)]
     res["nablaJth"] = _normalized(raised_norm(diff, g_inv), scale)
 
     # (diffJth)  d(J theta) = 2 JS + theta ^ J theta - 2 |theta|^2 Omega
-    dj_form = exterior_of_partials(d_jtheta, 1)
+    dj_form = exterior_of_partials(d_jtheta, 1, lead)
     t1 = 2.0 * js_form
-    t2 = wedge(theta, j_theta)
-    t3 = -2.0 * norm_sq * omega
+    t2 = wedge(theta, j_theta, lead)
+    t3 = _scaled(-2.0 * norm_sq, omega)
     res["diffJth"] = _normalized(raised_norm(dj_form - t1 - t2 - t3, g_inv),
                                  [raised_norm(t, g_inv)
                                   for t in (dj_form, t1, t2, t3)])
 
     # (lieJth)  [theta, J theta] = -|theta|^2 J theta     (as vector fields)
     #            by the coordinate bracket v^j d_j w^k - w^j d_j v^k
-    d_sharp = fd.difference(_solve(around.g, around.theta), fd.NESTED)
-    d_jsharp = fd.difference(_solve(around.g, jtheta_of(around)), fd.NESTED)
-    br = (_solve(g, theta) @ d_jsharp
-          - _solve(g, jtheta_of(parts)) @ d_sharp)
-    rhs_br = -norm_sq * (g_inv @ j_theta)
+    d_sharp = fd.difference(_solve(around.g, around.theta), fd.NESTED, lead)
+    d_jsharp = fd.difference(_solve(around.g, jtheta_of(around)), fd.NESTED,
+                             lead)
+    br = (_along(_solve(g, theta), d_jsharp)
+          - _along(_solve(g, jtheta_of(parts)), d_sharp))
+    rhs_br = _scaled(-norm_sq, _mv(g_inv, j_theta))
     res["lieJth"] = _normalized(vector_norm(br - rhs_br, g),
                                 [vector_norm(br, g), vector_norm(rhs_br, g)])
 
     # (codiffth)  delta(theta ^ J theta) = (delta theta + |theta|^2) J theta
     d_tj = codifferential_of(_covariant(
         wedge_jtheta_of(around), wedge_jtheta_of(parts), parts.gamma, (2, 0),
-        fd.NESTED), g_inv)
-    rhs_tj = (delta_theta + norm_sq) * j_theta
+        fd.NESTED), g_inv, lead)
+    rhs_tj = _scaled(delta_theta + norm_sq, j_theta)
     res["codiffth"] = _normalized(vector_norm(d_tj - rhs_tj, g_inv),
                                   [vector_norm(d_tj, g_inv),
                                    vector_norm(rhs_tj, g_inv)])
@@ -323,9 +380,10 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
     # (codiffom)  delta(|theta|^2 Omega) = -J(d|theta|^2) + (2-2n)|theta|^2 J theta
     d_no = codifferential_of(_covariant(
         norm_sq_omega_of(around), norm_sq_omega_of(parts), parts.gamma,
-        (2, 0), fd.NESTED), g_inv)
-    t1 = J.T @ d_norm_sq                      # -J(d|theta|^2) = +J^T d|theta|^2
-    t2 = (2.0 - n2) * norm_sq * j_theta
+        (2, 0), fd.NESTED), g_inv, lead)
+    # -J(d|theta|^2) = +J^T d|theta|^2
+    t1 = _mv(np.swapaxes(J, -1, -2), d_norm_sq)
+    t2 = _scaled((2.0 - n2) * norm_sq, j_theta)
     res["codiffom"] = _normalized(vector_norm(d_no - t1 - t2, g_inv),
                                   [vector_norm(t, g_inv)
                                    for t in (d_no, t1, t2)])
@@ -338,10 +396,11 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
     deep = lee_form_parts(H, deep_points)
     deep_ntheta = nested_lee(H, deep_points, deep).ntheta
     deep_delta_theta = -np.einsum("...ij,...ij->...", deep.g_inv, deep_ntheta)
-    delta_s = -np.einsum("ab,ab...->...", g_inv, _covariant(
+    delta_s = -np.einsum("...ab,...abj->...j", g_inv, _covariant(
         s_of(deep, deep_ntheta), s_cov, parts.gamma, (2, 0), fd.DEEP))
-    d_delta_theta = fd.difference(deep_delta_theta, fd.DEEP)
-    terms = [delta_theta * theta, -0.5 * d_norm_sq, -lam * theta, d_delta_theta]
+    d_delta_theta = fd.difference(deep_delta_theta, fd.DEEP, lead)
+    terms = [_scaled(delta_theta, theta), -0.5 * d_norm_sq, -lam * theta,
+             d_delta_theta]
     res["eqJdel2"] = _normalized(vector_norm(delta_s - sum(terms), g_inv),
                                  [vector_norm(t, g_inv)
                                   for t in [delta_s] + terms])
@@ -350,25 +409,26 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
     #            - |theta|^2 theta
     delta_js = codifferential_of(_covariant(
         js_form_of(deep, deep_ntheta), js_form_of(parts, ntheta), parts.gamma,
-        (2, 0), fd.DEEP), g_inv)
-    lhs3 = -J.T @ delta_js + delta_s
-    terms3 = [-delta_theta * theta, -d_norm_sq, -norm_sq * theta]
+        (2, 0), fd.DEEP), g_inv, lead)
+    lhs3 = j_on_forms(J, delta_js) + delta_s
+    terms3 = [_scaled(-delta_theta, theta), -d_norm_sq,
+              _scaled(-norm_sq, theta)]
     res["eqJdel3"] = _normalized(vector_norm(lhs3 - sum(terms3), g_inv),
                                  [vector_norm(t, g_inv)
                                   for t in [lhs3] + terms3])
 
     # (summ)  3 (delta theta) theta - 2 lambda theta + d delta theta
     #         + d|theta|^2 + (2n-1)|theta|^2 theta = 0
-    terms4 = [3.0 * delta_theta * theta, -2.0 * lam * theta, d_delta_theta,
-              d_norm_sq, (n2 - 1.0) * norm_sq * theta]
+    terms4 = [_scaled(3.0 * delta_theta, theta), -2.0 * lam * theta,
+              d_delta_theta, d_norm_sq, _scaled((n2 - 1.0) * norm_sq, theta)]
     res["summ"] = _normalized(vector_norm(sum(terms4), g_inv),
                               [vector_norm(t, g_inv) for t in terms4])
 
     # (eqf)  d f = (2 lambda - 3 f + (4-2n)|theta|^2) theta,
     #        f = delta theta + |theta|^2
     f_val = delta_theta + norm_sq
-    df = fd.difference(deep_delta_theta + norm_sq_of(deep), fd.DEEP)
-    rhs_f = (2.0 * lam - 3.0 * f_val + (4.0 - n2) * norm_sq) * theta
+    df = fd.difference(deep_delta_theta + norm_sq_of(deep), fd.DEEP, lead)
+    rhs_f = _scaled(2.0 * lam - 3.0 * f_val + (4.0 - n2) * norm_sq, theta)
     res["eqf"] = _normalized(vector_norm(df - rhs_f, g_inv),
                              [vector_norm(df, g_inv),
                               vector_norm(rhs_f, g_inv)])
@@ -381,50 +441,57 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
 # ---------------------------------------------------------------------------
 
 def parallel_field_residuals(H: HermitianStructure, p, v) -> dict:
-    """Residuals of the nabla(JV) and d(JV) formulas for a parallel unit V.
+    """Residuals of the nabla(JV) and d(JV) formulas for a parallel unit V
+    at each of the points p, shape (..., m).
 
     ``v`` holds constant coordinate components of the field.  Returns the
-    residuals together with the sampled values a = <theta, V>, b = <theta, JV>.
+    residuals together with the sampled values a = <theta, V>, b = <theta, JV>,
+    each of shape (...,).
     """
     p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
+    lead = p.ndim - 1
+    v = np.broadcast_to(np.asarray(v, dtype=float), p.shape)
     m = H.chart.dim
     parts = lee_form_parts(H, p)
     g, g_inv, J = parts.g, parts.g_inv, parts.J
 
     # V has constant components; JV is differenced from parts.J_around
-    nv = covariant_partials(np.zeros((m, m)), v, parts.gamma, (0, 1))
-    if float(np.max(np.abs(nv))) > 1e-6 or abs(vector_norm(v, g) - 1.0) > 1e-8:
+    nv = covariant_partials(np.zeros(p.shape + (m,)), v, parts.gamma, (0, 1),
+                            lead)
+    failed = ((np.max(np.abs(nv), axis=(-2, -1)) > 1e-6)
+              | (abs(vector_norm(v, g) - 1.0) > 1e-8))
+    if failed.any():
         raise PreconditionError(
-            f"V is not a parallel unit field on '{H.label}' at {p}")
+            f"V is not a parallel unit field on '{H.label}' at "
+            f"{p[first_flagged(failed)]}")
 
     theta = parts.theta
-    a = float(theta @ v)
-    jv = J @ v
-    b = float(theta @ jv)
+    a = np.vecdot(theta, v)
+    jv = _mv(J, v)
+    b = np.vecdot(theta, jv)
     omega = parts.omega
 
-    jv_around = parts.J_around @ v
+    jv_around = _mv(parts.J_around, v[..., None, None, :])
     njv = _covariant(jv_around, jv, parts.gamma, (0, 1), fd.DIRECT)
     res = {}
-    rows_lhs = []
-    rows_rhs = []
+    rows = []       # row c: the formula for nabla_{e_c} (JV)
     for c in range(m):
-        x = np.zeros(m)
-        x[c] = 1.0
-        rhs = (float(g[c] @ v) * (-b * v + a * jv) + b * x
-               - float(g[c] @ jv) * (a * v + b * jv) - a * (J @ x))
-        rows_lhs.append(njv[c])
-        rows_rhs.append(rhs)
-    L = np.array(rows_lhs)
-    Rh = np.array(rows_rhs)
+        x = np.broadcast_to(np.eye(m)[c], p.shape)
+        rows.append(_scaled(np.vecdot(g[..., c, :], v),
+                            _scaled(-b, v) + _scaled(a, jv))
+                    + _scaled(b, x)
+                    - _scaled(np.vecdot(g[..., c, :], jv),
+                              _scaled(a, v) + _scaled(b, jv))
+                    - _scaled(a, _mv(J, x)))
+    rhs = np.stack(rows, axis=-2)
     res["nablaJV"] = _normalized(
-        raised_norm(g @ (L - Rh).T, g_inv),
-        [raised_norm(g @ L.T, g_inv), raised_norm(g @ Rh.T, g_inv)])
+        raised_norm(g @ np.swapaxes(njv - rhs, -1, -2), g_inv),
+        [raised_norm(g @ np.swapaxes(njv, -1, -2), g_inv),
+         raised_norm(g @ np.swapaxes(rhs, -1, -2), g_inv)])
 
     d_jv = exterior_of_partials(fd.difference(
-        np.matvec(parts.g_around, jv_around), fd.DIRECT), 1)
-    rhs_d = 2.0 * a * (wedge(g @ v, g @ jv) - omega)
+        np.matvec(parts.g_around, jv_around), fd.DIRECT, lead), 1, lead)
+    rhs_d = _scaled(2.0 * a, wedge(_mv(g, v), _mv(g, jv), lead) - omega)
     res["ddJV"] = _normalized(raised_norm(d_jv - rhs_d, g_inv),
                               [raised_norm(d_jv, g_inv),
                                raised_norm(rhs_d, g_inv),
@@ -440,11 +507,11 @@ def parallel_field_residuals(H: HermitianStructure, p, v) -> dict:
 # ---------------------------------------------------------------------------
 
 def _pair_parts(I: HermitianStructure, J: HermitianStructure, p) -> tuple:
-    """The one pass of both pair checks: J's Lee-form parts at p, I at p,
-    Omega^I on the DIRECT stencil around p, and sigma = 1/2 (Omega^I +
-    Omega^J) at p and on that stencil.  J's Lee-form pass gives the
-    validated values of the metric I and J must share, and I is evaluated at
-    the same points."""
+    """The one pass of both pair checks at each of the points p: J's
+    Lee-form parts, I, Omega^I on the DIRECT stencil around p, and sigma =
+    1/2 (Omega^I + Omega^J) at p and on that stencil.  J's Lee-form pass
+    gives the validated values of the metric I and J must share, and I is
+    evaluated at the same points."""
     if I.chart.metric_fn is not J.chart.metric_fn:
         raise PreconditionError("I and J must share one chart metric")
     parts = lee_form_parts(J, p)
@@ -459,7 +526,8 @@ def _pair_parts(I: HermitianStructure, J: HermitianStructure, p) -> tuple:
 
 def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
                              p, x=None) -> dict:
-    """Structural relations of a Kahler/lcK pair: (g, I) Kahler, (g, J) lcK.
+    """Structural relations of a Kahler/lcK pair, (g, I) Kahler and (g, J)
+    lcK, at each of the points p, shape (..., m), in the direction x there.
 
     The reconstruction of J from I carries the coefficient 2/|theta|^2, so
     points with |theta|^2 below the gate raise :class:`SingularPointError`.
@@ -468,73 +536,79 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
     raised, here and in :func:`hamiltonian_form_residual`.
     """
     p = np.asarray(p, dtype=float)
+    lead = p.ndim - 1
     parts, Im, _, sigma, sigma_around = _pair_parts(I, J, p)
     g, g_inv, Jm, theta = parts.g, parts.g_inv, parts.J, parts.theta
     n = I.n
-    if x is None:
-        x = np.random.default_rng(0).standard_normal(I.chart.dim)
-    x = np.asarray(x, dtype=float)
+    x = _directions(x, p)
 
-    norm_sq = float(theta @ g_inv @ theta)
-    if norm_sq < 1e-10:
+    norm_sq = np.vecdot(_along(theta, g_inv), theta)
+    if (norm_sq < 1e-10).any():
+        k = first_flagged(norm_sq < 1e-10)
         raise SingularPointError(
-            f"|theta|^2 = {norm_sq:.2e} at {p}: the sigma- and J-reconstruction "
-            "identities divide by |theta|^2")
-    i_theta = -Im.T @ theta
-    j_theta = -Jm.T @ theta
+            f"|theta|^2 = {norm_sq[k]:.2e} at {p[k]}: the sigma- and "
+            "J-reconstruction identities divide by |theta|^2")
+    i_theta = j_on_forms(Im, theta)
+    j_theta = j_on_forms(Jm, theta)
+    theta_x, i_theta_x = np.vecdot(theta, x), np.vecdot(i_theta, x)
     res = {}
 
     comm = Im @ Jm - Jm @ Im
     res["commute"] = _normalized(_endo_norm(comm, g, g_inv),
                                  [_endo_norm(Im @ Jm, g, g_inv)])
-    res["traceIJ"] = _normalized(abs(float(np.trace(Im @ Jm)) - (2.0 * n - 4.0)),
-                                 [abs(float(np.trace(Im @ Jm))), 2.0 * n - 4.0])
+    trace_ij = np.trace(Im @ Jm, axis1=-2, axis2=-1)
+    res["traceIJ"] = _normalized(abs(trace_ij - (2.0 * n - 4.0)),
+                                 [abs(trace_ij), 2.0 * n - 4.0])
     res["Itheta"] = _normalized(vector_norm(i_theta - j_theta, g_inv),
                                 [vector_norm(i_theta, g_inv),
                                  vector_norm(j_theta, g_inv)])
 
     # (J)  JX = -IX + 2/|theta|^2 (<X,theta> I theta - <X,I theta> theta)
-    lhs_j = Jm @ x
-    rhs_j = (-Im @ x + (2.0 / norm_sq) * (float(theta @ x) * (g_inv @ i_theta)
-                                          - float(i_theta @ x) * (g_inv @ theta)))
+    lhs_j = _mv(Jm, x)
+    rhs_j = (_mv(-Im, x)
+             + _scaled(2.0 / norm_sq,
+                       _scaled(theta_x, _mv(g_inv, i_theta))
+                       - _scaled(i_theta_x, _mv(g_inv, theta))))
     res["eqJ"] = _normalized(vector_norm(lhs_j - rhs_j, g),
                              [vector_norm(lhs_j, g), vector_norm(rhs_j, g)])
 
     # (to)  theta ^ Omega^J = - theta ^ Omega^I
-    t1 = wedge(theta, parts.omega)
-    t2 = wedge(theta, form_of_endomorphism(Im, g))
+    t1 = wedge(theta, parts.omega, lead)
+    t2 = wedge(theta, form_of_endomorphism(Im, g), lead)
     res["to"] = _normalized(raised_norm(t1 + t2, g_inv),
                             [raised_norm(t1, g_inv), raised_norm(t2, g_inv)])
 
     # (sigma)  1/2 (Omega^I + Omega^J) = theta ^ I theta / |theta|^2
-    rhs_s = wedge(theta, i_theta) / norm_sq
+    rhs_s = wedge(theta, i_theta, lead) / norm_sq[..., None, None]
     res["sigma"] = _normalized(raised_norm(sigma - rhs_s, g_inv),
                                [raised_norm(sigma, g_inv),
                                 raised_norm(rhs_s, g_inv)])
 
     # (deromega)  nabla_X sigma = 1/2 (X ^ I theta - IX ^ theta) - <X,theta> sigma
     nsigma = _covariant(sigma_around, sigma, parts.gamma, (2, 0), fd.DIRECT)
-    lhs_d = np.tensordot(x, nsigma, axes=(0, 0))
-    rhs_d = (0.5 * (wedge(g @ x, i_theta) - wedge(g @ (Im @ x), theta))
-             - float(theta @ x) * sigma)
+    lhs_d = _along(x, nsigma)
+    rhs_d = (0.5 * (wedge(_mv(g, x), i_theta, lead)
+                    - wedge(_mv(g, _mv(Im, x)), theta, lead))
+             - _scaled(theta_x, sigma))
     res["deromega"] = _normalized(raised_norm(lhs_d - rhs_d, g_inv),
                                   [raised_norm(lhs_d, g_inv),
                                    raised_norm(rhs_d, g_inv)])
 
     # (nablath)  sum_i <IJ nabla_{e_i} theta, e_i> = 2(n-1)|theta|^2 + delta theta
     ntheta = nested_lee(J, p, parts).ntheta
-    delta_theta = -float(np.einsum("ij,ij->", g_inv, ntheta))
-    lhs_t = float(np.trace(Im @ Jm @ g_inv @ ntheta.T))
+    delta_theta = -np.einsum("...ij,...ij->...", g_inv, ntheta)
+    lhs_t = np.trace(Im @ Jm @ g_inv @ np.swapaxes(ntheta, -1, -2),
+                     axis1=-2, axis2=-1)
     rhs_t = 2.0 * (n - 1.0) * norm_sq + delta_theta
     res["nablath"] = _normalized(abs(lhs_t - rhs_t), [abs(lhs_t), abs(rhs_t)])
 
     # (et)  nabla_X theta = 1/2 |theta|^2 X - 1/2 (delta theta/|theta|^2 + n+1)
     #       <X,theta> theta - 1/2 (delta theta/|theta|^2 + n-1) <X,I theta> I theta
-    lhs_e = x @ ntheta
+    lhs_e = _along(x, ntheta)
     q = delta_theta / norm_sq
-    rhs_e = (0.5 * norm_sq * (g @ x)
-             - 0.5 * (q + n + 1.0) * float(theta @ x) * theta
-             - 0.5 * (q + n - 1.0) * float(i_theta @ x) * i_theta)
+    rhs_e = (_scaled(0.5 * norm_sq, _mv(g, x))
+             - _scaled(0.5 * (q + n + 1.0) * theta_x, theta)
+             - _scaled(0.5 * (q + n - 1.0) * i_theta_x, i_theta))
     res["et"] = _normalized(vector_norm(lhs_e - rhs_e, g_inv),
                             [vector_norm(lhs_e, g_inv),
                              vector_norm(rhs_e, g_inv),
@@ -545,10 +619,11 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
 class PotentialField:
     """Line-integrated conformal potential phi with d phi = theta.
 
-    The value at a point is the integral of the Lee form along the straight
-    segment from the chart centre (32 Gauss-Legendre nodes), and 0.0 at the
-    centre itself; short increments between nearby points reuse path
-    independence so stencil differences stay noise-free.
+    The value at each of the points p, shape (..., m), is the integral of
+    the Lee form along the straight segment from the chart centre (32
+    Gauss-Legendre nodes), and 0.0 at the centre itself; short increments
+    between nearby points reuse path independence so stencil differences
+    stay noise-free.
     """
 
     def __init__(self, H: HermitianStructure):
@@ -556,14 +631,18 @@ class PotentialField:
         self.base_point = H.chart.center()
         self._field = lee_field(H)
 
-    def __call__(self, p) -> float:
-        if np.array_equal(p, self.base_point):
-            return 0.0      # the segment has length 0: no field is evaluated
-        return self.increment(self.base_point, p, nodes=32)
+    def __call__(self, p):
+        p = np.asarray(p, dtype=float)
+        # a segment of length 0 evaluates no field
+        away = (p != self.base_point).any(axis=-1)
+        phi = np.zeros(p.shape[:-1])
+        if away.any():
+            phi[away] = self.increment(self.base_point, p[away], nodes=32)
+        return phi[()]
 
     def increment(self, p, q, nodes: int = 4):
         """Integral of theta from p to each of the points q, shape (..., m)
-        (short-segment refinement)."""
+        (short-segment refinement); p is one point or one per segment."""
         return line_integral_segment(self._field, p, q, nodes=nodes)
 
     def path_defect(self, p, waypoint) -> float:
@@ -574,8 +653,9 @@ class PotentialField:
 
 def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
                               p, x, potential: PotentialField,
-                              normalized: bool = True) -> float:
-    """Residual of nabla_X sigma~ = 1/2 (d(tr sigma~) ^ IX - d^c(tr sigma~) ^ X).
+                              normalized: bool = True) -> np.ndarray:
+    """Residual of nabla_X sigma~ = 1/2 (d(tr sigma~) ^ IX - d^c(tr sigma~) ^ X),
+    at each of the points p, shape (..., m), in the direction x there.
 
     sigma~ = e^phi sigma with phi line-integrated from theta = d phi;
     tr sigma~ is the trace against the Kahler form of (g, I).  With
@@ -583,24 +663,26 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
     """
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
+    lead = p.ndim - 1
     parts, Im, omega_i_around, sigma, sigma_around = _pair_parts(I, J, p)
     g, g_inv = parts.g, parts.g_inv
     phi_p = potential(p)
 
     # sigma~ and the trace of sigma~ on the DIRECT stencil; sigma~ at p is
     # e^phi(p) sigma: theta over the segment p -> p is +0.0
-    scale = np.exp(phi_p + potential.increment(
-        p, fd.stencil_points(p, fd.DIRECT)))
+    around = fd.stencil_points(p, fd.DIRECT)
+    scale = np.exp(np.asarray(phi_p)[..., None, None] + potential.increment(
+        p[..., None, None, :], around))
     sigma_tilde = scale[..., None, None] * sigma_around
     g_inv_around = np.linalg.inv(parts.g_around)
     trace = 0.5 * np.einsum("...ab,...cd,...ac,...bd->...", sigma_tilde,
                             omega_i_around, g_inv_around, g_inv_around)
-    lhs = np.tensordot(x, _covariant(
-        sigma_tilde, np.exp(phi_p) * sigma, parts.gamma, (2, 0), fd.DIRECT),
-        axes=(0, 0))
-    d_tr = fd.difference(trace, fd.DIRECT)
-    dc_tr = -Im.T @ d_tr
-    rhs = 0.5 * (wedge(d_tr, g @ (Im @ x)) - wedge(dc_tr, g @ x))
+    lhs = _along(x, _covariant(sigma_tilde, _scaled(np.exp(phi_p), sigma),
+                               parts.gamma, (2, 0), fd.DIRECT))
+    d_tr = fd.difference(trace, fd.DIRECT, lead)
+    dc_tr = j_on_forms(Im, d_tr)
+    rhs = 0.5 * (wedge(d_tr, _mv(g, _mv(Im, x)), lead)
+                 - wedge(dc_tr, _mv(g, x), lead))
     if not normalized:
         return raised_norm(lhs - rhs, g_inv)
     return _normalized(raised_norm(lhs - rhs, g_inv),
@@ -613,7 +695,8 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
 
 def average_metric_residuals(avg: HermitianStructure, p, x=None,
                              pair_J: Optional[HermitianStructure] = None) -> dict:
-    """Field equations of the average metric g0 with theta0 the Lee form of I.
+    """Field equations of the average metric g0 with theta0 the Lee form of
+    I, at each of the points p, shape (..., m), in the direction x there.
 
     Fits the proportionality function f of nabla0 theta0 = f (theta0 (x)
     theta0 + I theta0 (x) I theta0) by least squares over the coordinate
@@ -623,25 +706,25 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
     direction is drawn from ``np.random.default_rng(0)``.
     """
     p = np.asarray(p, dtype=float)
-    chart = avg.chart
+    lead = p.ndim - 1
     parts = lee_form_parts(avg, p)
     g, g_inv, Im = parts.g, parts.g_inv, parts.J
-    if x is None:
-        x = np.random.default_rng(0).standard_normal(chart.dim)
-    x = np.asarray(x, dtype=float)
+    x = _directions(x, p)
 
     theta0 = parts.theta
-    i_theta0 = -Im.T @ theta0
+    i_theta0 = j_on_forms(Im, theta0)
     # the NESTED pass of theta0 gives the parts that the NESTED stencils of
     # xi, I xi, zeta, I zeta and d xi read
     nested = nested_lee(avg, p, parts)
     ntheta0, around = nested.ntheta, nested.around
 
     # least-squares fit of f over the 2n coordinate directions
-    basis = np.einsum("c,j->cj", theta0, theta0) + np.einsum("c,j->cj", i_theta0, i_theta0)
-    denom = float(np.sum(basis * basis))
-    f_val = float(np.sum(basis * ntheta0)) / denom if denom > 0 else 0.0
-    fit_res = raised_norm(ntheta0 - f_val * basis, g_inv)
+    basis = (np.einsum("...c,...j->...cj", theta0, theta0)
+             + np.einsum("...c,...j->...cj", i_theta0, i_theta0))
+    denom = np.sum(basis * basis, axis=(-2, -1))
+    f_val = np.divide(np.sum(basis * ntheta0, axis=(-2, -1)), denom,
+                      out=np.zeros_like(denom), where=denom > 0)[()]
+    fit_res = raised_norm(ntheta0 - _scaled(f_val, basis), g_inv)
     res = {"der0theta": _normalized(
         fit_res, [raised_norm(ntheta0, g_inv),
                   abs(f_val) * raised_norm(basis, g_inv)])}
@@ -666,31 +749,35 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
 
     xi = xi_of(parts)
     xi_norm = vector_norm(xi, g)
-    if xi_norm < 1e-5:
-        raise SingularPointError(f"|xi| = {xi_norm:.2e} at {p}: zeta is undefined")
+    if (xi_norm < 1e-5).any():
+        k = first_flagged(xi_norm < 1e-5)
+        raise SingularPointError(
+            f"|xi| = {xi_norm[k]:.2e} at {p[k]}: zeta is undefined")
     i_xi = i_xi_of(parts)
 
-    gdot = lambda u, w: float(u @ g @ w)
+    gdot = lambda u, w: np.vecdot(_along(u, g), w)
 
     # (der0Jxi)  nabla0_X (I xi) = -f (<X, I xi> I xi + <X, xi> xi)
     n_ixi = nabla0(i_xi_of)
-    lhs = x @ n_ixi
-    rhs = -f_val * (gdot(x, i_xi) * i_xi + gdot(x, xi) * xi)
+    lhs = _along(x, n_ixi)
+    rhs = _scaled(-f_val, _scaled(gdot(x, i_xi), i_xi)
+                  + _scaled(gdot(x, xi), xi))
     res["der0Jxi"] = _normalized(vector_norm(lhs - rhs, g),
                                  [vector_norm(lhs, g), vector_norm(rhs, g)])
 
     # (der0xi)  nabla0_X xi = (1+f)(<X,xi> I xi - <X,I xi> xi) - |xi|^2 I X
     n_xi = nabla0(xi_of)
-    lhs = x @ n_xi
-    rhs = ((1.0 + f_val) * (gdot(x, xi) * i_xi - gdot(x, i_xi) * xi)
-           - xi_norm ** 2 * (Im @ x))
+    lhs = _along(x, n_xi)
+    rhs = (_scaled(1.0 + f_val, _scaled(gdot(x, xi), i_xi)
+                   - _scaled(gdot(x, i_xi), xi))
+           - _scaled(_squared(xi_norm), _mv(Im, x)))
     res["der0xi"] = _normalized(vector_norm(lhs - rhs, g),
                                 [vector_norm(lhs, g), vector_norm(rhs, g)])
 
     # (derIxi)  nabla0_X zeta = -(f/|xi|) <X, xi> xi, zeta = I xi / |I xi|
     n_zeta = nabla0(zeta_of)
-    lhs = x @ n_zeta
-    rhs = -(f_val / xi_norm) * gdot(x, xi) * xi
+    lhs = _along(x, n_zeta)
+    rhs = _scaled(-(f_val / xi_norm) * gdot(x, xi), xi)
     res["derIxi"] = _normalized(vector_norm(lhs - rhs, g),
                                 [vector_norm(lhs, g), vector_norm(rhs, g),
                                  abs(f_val) * xi_norm * vector_norm(x, g)])
@@ -698,18 +785,18 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
     # (derzeta)  nabla0_zeta (I zeta) = 0
     n_izeta = nabla0(i_zeta_of)
     zeta = zeta_of(parts)
-    res["derzeta"] = _normalized(vector_norm(zeta @ n_izeta, g), [1.0])
+    res["derzeta"] = _normalized(vector_norm(_along(zeta, n_izeta), g), [1.0])
 
     # Killing:  (L_xi g)_ij = xi^k d_k g_ij + g_kj d_i xi^k + g_ik d_j xi^k
     dg = parts.dg
-    dxi = fd.difference(xi_of(around), fd.NESTED)
-    lie_g = (np.einsum("k,kij->ij", xi, dg)
-             + np.einsum("ik,kj->ij", dxi, g)
-             + np.einsum("jk,ik->ij", dxi, g))
+    dxi = fd.difference(xi_of(around), fd.NESTED, lead)
+    lie_g = (np.einsum("...k,...kij->...ij", xi, dg)
+             + np.einsum("...ik,...kj->...ij", dxi, g)
+             + np.einsum("...jk,...ik->...ij", dxi, g))
     res["killing"] = _normalized(
         raised_norm(lie_g, g_inv),
-        [raised_norm(np.einsum("k,kij->ij", xi, dg), g_inv),
-         raised_norm(np.einsum("ik,kj->ij", dxi, g), g_inv), 1.0])
+        [raised_norm(np.einsum("...k,...kij->...ij", xi, dg), g_inv),
+         raised_norm(np.einsum("...ik,...kj->...ij", dxi, g), g_inv), 1.0])
 
     if pair_J is not None:
         theta_pair = lee_form_components(pair_J, p)
@@ -733,6 +820,31 @@ class StructureClass:
     periods: list = field(default_factory=list)
 
 
+def _lee_evidence(H: HermitianStructure, p) -> tuple:
+    """|theta|, |nabla theta| and |d theta| at each of the points p, shape
+    (..., m), scale-normalized; :class:`NotLcKError` naming the first point
+    where the lcK gate fails, or else where the evidence is NaN."""
+    p = np.asarray(p, dtype=float)
+    lead = p.ndim - 1
+    parts = lee_form_parts(H, p)
+    g, g_inv, theta = parts.g, parts.g_inv, parts.theta
+    scale = np.sqrt(np.trace(g, axis1=-2, axis2=-1) / H.chart.dim)
+    require_lck(H, p, parts)
+    # nabla theta and d theta come from one NESTED stencil of theta
+    nested = nested_lee(H, p, parts)
+    dtheta = exterior_of_partials(nested.theta_partials, 1, lead)
+    scale_sq = _squared(scale)
+    at_p = (vector_norm(theta, g_inv) * scale,
+            raised_norm(nested.ntheta, g_inv) * scale_sq,
+            raised_norm(dtheta, g_inv) * scale_sq)
+    nan = np.isnan(at_p[0]) | np.isnan(at_p[1]) | np.isnan(at_p[2])
+    if nan.any():
+        k = first_flagged(nan)
+        raise NotLcKError(f"'{H.label}' has NaN Lee-form evidence at {p[k]}: "
+                          f"{tuple(float(v[k]) for v in at_p)}")
+    return at_p
+
+
 def classify_structure(H: HermitianStructure, samples, loops=None,
                        tol_id: float = 1e-4,
                        tol_ode: float = 1e-6) -> StructureClass:
@@ -743,32 +855,22 @@ def classify_structure(H: HermitianStructure, samples, loops=None,
     unchanged.  Kinds: Kahler (theta = 0), Vaisman (nabla theta = 0,
     theta != 0), gcK (theta closed, all supplied periods ~ 0), or
     strictly-lcK-candidate (some period clearly nonzero; "candidate" because
-    only the supplied loops are tested).
+    only the supplied loops are tested).  The Lee-form evidence of all the
+    samples is one stacked pass; where it raises, the samples are evaluated
+    again one by one, and the first that raises on its own raises.
     """
     loops = loops or {}
     chart = H.chart
-    m = chart.dim
-    max_theta = 0.0
-    max_nabla = 0.0
-    max_dtheta = 0.0
-    for p in samples:
-        p = np.asarray(p, dtype=float)
-        parts = lee_form_parts(H, p)
-        g, g_inv, theta = parts.g, parts.g_inv, parts.theta
-        scale = float(np.sqrt(np.trace(g) / m))
-        require_lck(H, p, parts)
-        # nabla theta and d theta come from one NESTED stencil of theta
-        nested = nested_lee(H, p, parts)
-        dtheta = exterior_of_partials(nested.theta_partials, 1)
-        at_p = (vector_norm(theta, g_inv) * scale,
-                raised_norm(nested.ntheta, g_inv) * scale ** 2,
-                raised_norm(dtheta, g_inv) * scale ** 2)
-        if any(math.isnan(v) for v in at_p):
-            raise NotLcKError(f"'{H.label}' has NaN Lee-form evidence at {p}: "
-                              f"{at_p}")
-        max_theta = max(max_theta, at_p[0])
-        max_nabla = max(max_nabla, at_p[1])
-        max_dtheta = max(max_dtheta, at_p[2])
+    pts = np.asarray(samples, dtype=float).reshape(-1, chart.dim)
+    try:
+        evidence = _lee_evidence(H, pts)
+    except Exception:
+        for p in pts:
+            _lee_evidence(H, p)
+        raise
+    # each maximum taken in sample order
+    max_theta, max_nabla, max_dtheta = (max([0.0, *map(float, values)])
+                                        for values in evidence)
 
     periods = []
     for name, loop in loops.items():

@@ -20,8 +20,10 @@ classify               Kahler / gcK / strictly-lcK / Vaisman + periods
 =====================  =====================================================
 
 Each of the first six suites is its applicability check plus one call of
-``_sampled``, which draws the points and direction stacks and tabulates the
-:mod:`lckgeo.identities` check at each sample.  Every residual's tolerance
+``_sampled``, which draws the points and direction stacks, calls the
+:mod:`lckgeo.identities` check on them, once per ``SAMPLE_BLOCK`` samples,
+and tabulates its residuals in sample order; classify evaluates its
+samples' Lee-form evidence as one stack too.  Every residual's tolerance
 tier is set in one table, ``_TOLERANCES``; a name with no tier raises.
 
 Exit-code contract (used by the CLI): 0 all pass, 1 residual failure,
@@ -138,6 +140,11 @@ class ResidualTable:
             rec["max"] = value
             rec["worst_point"] = [float(x) for x in np.atleast_1d(point)]
 
+    def add_each(self, name: str, values, points, tolerance: float):
+        """:meth:`add` each of the values at its point, in order."""
+        for value, point in zip(values, points):
+            self.add(name, value, point, tolerance)
+
     def summarize(self) -> dict:
         out = {}
         for name, rec in sorted(self._data.items()):
@@ -204,31 +211,55 @@ def _tolerance(name: str, config: SuiteConfig) -> float:
 # suite implementations
 # ---------------------------------------------------------------------------
 
+# Samples per stacked check call.  A call holds the stencil values of all
+# its samples at once (einstein-chain about 0.9 MB a sample), so a longer
+# run is checked in blocks of this many samples, in order.
+SAMPLE_BLOCK = 100
+
+
 def _sampled(config: SuiteConfig, rng, chart, check,
              directions: int = 0) -> tuple:
     """Draw the sample points on ``chart``, then ``directions`` stacks of
-    one direction per sample, and tabulate ``check(p, *directions at p)``
-    at each sample in order.  Returns the table and the (p, values) of
-    every sample."""
+    one direction per sample, and evaluate ``check(points, *directions)``
+    on the stacks, one call per ``SAMPLE_BLOCK`` samples.  Each residual's
+    values are tabulated in sample order.  Returns the table, the points and
+    the check's values."""
     pts = _sample_points(config, rng, chart)
     dirs = [rng.standard_normal((len(pts), chart.dim))
             for _ in range(directions)]
+    blocks = [_checked_block(check, pts[k:k + SAMPLE_BLOCK],
+                             [d[k:k + SAMPLE_BLOCK] for d in dirs])
+              for k in range(0, len(pts), SAMPLE_BLOCK)]
     table = ResidualTable()
-    rows = []
-    for p, *xs in zip(pts, *dirs):
-        res = check(p, *xs)
-        for name, val in res.items():
-            if name not in _NOT_RESIDUALS:
-                table.add(name, abs(val), p, _tolerance(name, config))
-        rows.append((p, res))
-    return table, rows
+    res = {}
+    for name in blocks[0]:
+        tolerance = (None if name in _NOT_RESIDUALS
+                     else _tolerance(name, config))
+        res[name] = np.concatenate([block[name] for block in blocks])
+        if tolerance is not None:
+            table.add_each(name, abs(res[name]), pts, tolerance)
+    return table, pts, res
+
+
+def _checked_block(check, pts, dirs) -> dict:
+    """``check`` on a block of samples in one call.  Where that raises, the
+    samples are checked again one by one, and the first that raises on its
+    own raises, as a loop over the samples would; the stacked error is
+    raised only if none does."""
+    try:
+        return check(pts, *dirs)
+    except Exception:
+        for sample in zip(pts, *dirs):
+            check(*sample)
+        raise
 
 
 def _suite_lck_identities(entry, config: SuiteConfig, rng) -> SuiteResult:
     H = entry.main_structure
-    table, _ = _sampled(config, rng, H.chart,
-                        lambda p, x, y: idn.lck_identity_residuals(H, p, x, y),
-                        directions=2)
+    table, *_ = _sampled(
+        config, rng, H.chart,
+        lambda p, x, y: idn.lck_identity_residuals(H, p, x, y),
+        directions=2)
     return SuiteResult("lck-identities", table.summarize(), table.all_pass())
 
 
@@ -238,8 +269,8 @@ def _suite_einstein_chain(entry, config: SuiteConfig, rng) -> SuiteResult:
                              "einstein-chain does not apply")
     H = entry.main_structure
     lam = float(entry.einstein_lambda)
-    table, _ = _sampled(config, rng, H.chart,
-                        lambda p: idn.einstein_chain_residuals(H, p, lam))
+    table, *_ = _sampled(config, rng, H.chart,
+                         lambda p: idn.einstein_chain_residuals(H, p, lam))
     return SuiteResult("einstein-chain", table.summarize(), table.all_pass())
 
 
@@ -247,13 +278,12 @@ def _suite_parallel_field(entry, config: SuiteConfig, rng) -> SuiteResult:
     if entry.parallel_field is None:
         raise ParameterError(f"{entry.label} declares no parallel field")
     H = entry.main_structure
-    table, rows = _sampled(
+    table, pts, res = _sampled(
         config, rng, H.chart,
         lambda p: idn.parallel_field_residuals(H, p, entry.parallel_field))
-    mean_a = float(np.mean([res["a"] for _, res in rows]))
-    for p, res in rows:
-        table.add("a_const", abs(res["a"] - mean_a), p,
-                  _tolerance("a_const", config))
+    a = res["a"]
+    table.add_each("a_const", abs(a - float(np.mean(a))), pts,
+                   _tolerance("a_const", config))
     return SuiteResult("parallel-field", table.summarize(), table.all_pass())
 
 
@@ -261,9 +291,9 @@ def _suite_commuting_pair(entry, config: SuiteConfig, rng) -> SuiteResult:
     if entry.pair is None:
         raise ParameterError(f"{entry.label} has no Kahler/lcK pair")
     I, J = entry.pair.I, entry.pair.J
-    table, _ = _sampled(config, rng, I.chart,
-                        lambda p, x: idn.commuting_pair_residuals(I, J, p, x),
-                        directions=1)
+    table, *_ = _sampled(config, rng, I.chart,
+                         lambda p, x: idn.commuting_pair_residuals(I, J, p, x),
+                         directions=1)
     return SuiteResult("commuting-pair", table.summarize(), table.all_pass())
 
 
@@ -272,7 +302,7 @@ def _suite_hamiltonian_form(entry, config: SuiteConfig, rng) -> SuiteResult:
         raise ParameterError(f"{entry.label} has no Kahler/lcK pair")
     I, J = entry.pair.I, entry.pair.J
     pot = idn.PotentialField(J)
-    table, _ = _sampled(
+    table, *_ = _sampled(
         config, rng, I.chart,
         lambda p, x: {"tilom": idn.hamiltonian_form_residual(I, J, p, x, pot)},
         directions=1)
@@ -284,7 +314,7 @@ def _suite_average_metric(entry, config: SuiteConfig, rng) -> SuiteResult:
         raise ParameterError(f"{entry.label} has no average-metric data")
     avg = entry.average
     pair_J = entry.pair.J if entry.pair is not None else None
-    table, _ = _sampled(
+    table, *_ = _sampled(
         config, rng, avg.chart,
         lambda p, x: idn.average_metric_residuals(avg, p, x, pair_J=pair_J),
         directions=1)

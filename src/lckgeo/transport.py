@@ -382,7 +382,8 @@ def _evaluate_nodes(oneform_field: Callable, xs) -> np.ndarray:
 def line_integral_segment(oneform_field: Callable, p_from, p_to,
                           nodes: int = 16):
     """Integral of a 1-form along the straight segment from p_from to each of
-    the points p_to, shape (..., m) (Gauss-Legendre).
+    the points p_to, shape (..., m) (Gauss-Legendre); p_from is one point or
+    one per segment, with the point axes of p_to.
 
     The field is evaluated on the nodes of every segment with one
     :func:`_evaluate_nodes`, segment by segment in C order; the sum runs node
@@ -392,8 +393,8 @@ def line_integral_segment(oneform_field: Callable, p_from, p_to,
     p_to = np.asarray(p_to, dtype=float)
     xs, ws = fd.gauss_legendre_01(nodes)
     vel = p_to - p_from
-    alphas = _evaluate_nodes(oneform_field,
-                             p_from + xs[:, None] * vel[..., None, :])
+    alphas = _evaluate_nodes(oneform_field, p_from[..., None, :]
+                             + xs[:, None] * vel[..., None, :])
     total = 0.0
     for k, w in enumerate(ws):
         total = total + w * np.vecdot(alphas[..., k, :], vel)

@@ -503,6 +503,14 @@ class TestClassify:
         pts = H.chart.sample_points(rng, 5)
         assert classify_structure(H, pts, {}).kind == "Kahler"
 
+    def test_no_samples_give_no_evidence(self, hopf2):
+        """An empty stack of samples evaluates to no evidence: every
+        maximum stays 0, as over an empty loop of samples."""
+        out = classify_structure(hopf2.main_structure, [], {})
+        assert out.kind == "Kahler"
+        assert out.evidence == {"max_theta": 0.0, "max_nabla_theta": 0.0,
+                                "max_dtheta": 0.0, "max_period": 0.0}
+
     def test_scale_invariance(self, calabi_sin, rng):
         """A constant homothety leaves the classification unchanged."""
         H = calabi_sin.main_structure
@@ -551,6 +559,32 @@ class TestClassify:
         with pytest.raises(NotLcKError, match="NaN Lee-form evidence"):
             classify_structure(H_nan, [p0, p1], {})
 
+    def test_the_first_samples_error_is_raised(self, hopf2):
+        """The Lee-form evidence of the samples is one stacked pass.  J is
+        NaN on the DIRECT stencil of the second sample, which fails the lcK
+        gate there, and near the first sample off its DIRECT stencil, which
+        passes the gate and gives NaN evidence, a later stage.  The stacked
+        pass meets the second sample's gate first; the samples checked one
+        by one raise the first sample's error, as a loop over them does."""
+        H = hopf2.main_structure
+        p0 = H.chart.center()
+        p1 = p0 + np.array([0.0, 0.6, 0.0, 0.0])
+
+        def J_fn(q):
+            J = np.array(H.J_fn(q))
+            gap0 = np.abs(np.asarray(q) - p0).max(axis=-1)
+            gap1 = np.abs(np.asarray(q) - p1).max(axis=-1)
+            J[((gap0 > 1e-4) & (gap0 < 0.1)) | (gap1 < 1e-4)] = np.nan
+            return J
+
+        H_nan = dataclasses.replace(H, J_fn=J_fn)
+        with pytest.raises(NotLcKError, match="fails the lcK gate"):
+            classify_structure(H_nan, [p1], {})
+        with pytest.raises(NotLcKError) as err:
+            classify_structure(H_nan, [p0, p1], {})
+        assert str(err.value).startswith(
+            f"'{H.label}' has NaN Lee-form evidence at {p0}: ")
+
     def test_nan_period_is_not_dropped(self, hopf2):
         """J is NaN away from the one sample, so the samples pass and the
         s1_generator period is NaN: it fails the gate instead of losing to
@@ -594,6 +628,55 @@ def test_to_antisymmetry_near_small_lee_locus(calabi_sin, rng):
         assert res["sigma"] < 1e-4
 
 
+def _sampled_checks(entry):
+    """Each sampled check of the entry as a function of the points and one
+    direction at each, with the entry's fixed arguments bound."""
+    H = entry.main_structure
+    checks = {"lck-identities": lambda p, x: lck_identity_residuals(
+        H, p, x, x[..., ::-1])}
+    if entry.einstein_lambda is not None:
+        checks["einstein-chain"] = lambda p, x: einstein_chain_residuals(
+            H, p, entry.einstein_lambda)
+    if entry.parallel_field is not None:
+        checks["parallel-field"] = lambda p, x: parallel_field_residuals(
+            H, p, entry.parallel_field)
+    if entry.pair is not None:
+        I, J = entry.pair.I, entry.pair.J
+        pot = PotentialField(J)
+        checks["commuting-pair"] = lambda p, x: commuting_pair_residuals(
+            I, J, p, x)
+        checks["hamiltonian-form"] = lambda p, x: {
+            "tilom": hamiltonian_form_residual(I, J, p, x, pot)}
+        checks["average-metric"] = lambda p, x: average_metric_residuals(
+            entry.average, p, x, pair_J=J)
+    return checks
+
+
+@pytest.mark.parametrize("mode", ["fd", "analytic"])
+@pytest.mark.parametrize("selector", [
+    "hopf{n=3}", "flat_inversion{n=2}", "warped{c=cos,base=c2}",
+    "calabi{ell=sin,b=pi}"])
+def test_stacked_checks_are_the_per_sample_loop(selector, mode):
+    """Every sampled check on a stack of points gives, bit for bit, what it
+    gives at each point alone, the chart centre (the potential's base point)
+    among them."""
+    entry = resolve_manifold(selector)
+    if mode == "fd":
+        entry = zoo.stencil_only(entry)
+    chart = entry.main_structure.chart
+    rng = np.random.default_rng(4)
+    points = np.vstack([chart.sample_points(rng, 3), [chart.center()]])
+    directions = rng.standard_normal(points.shape)
+    for name, check in _sampled_checks(entry).items():
+        stacked = check(points, directions)
+        for k, (p, x) in enumerate(zip(points, directions)):
+            alone = check(p, x)
+            assert list(alone) == list(stacked), name
+            for key, value in alone.items():
+                assert np.array_equal(value, stacked[key][k],
+                                      equal_nan=True), (name, key, k)
+
+
 @pytest.mark.parametrize("selector", ["hopf{n=2}", "warped{c=sin,base=cp1}"])
 def test_lck_identity_residuals_are_the_suite_at_one_point(selector, capsys):
     """At one point the lck-identities suite reports, as each residual's
@@ -620,8 +703,9 @@ def test_per_sample_path_avoids_numpy_axis_wrappers(monkeypatch, manifold,
     """np.tensordot and np.moveaxis normalise their axes in Python, which
     cost more than the small products they wrap.  Counted over the calls
     lckgeo itself makes (numpy's own calls, such as leggauss's, are left
-    out), a 2-sample run keeps only the one np.tensordot(x, .) per sample of
-    nabla_j_residual or commuting_pair_residuals."""
+    out), a 2-sample run makes none: the direction contractions of
+    nabla_j_residual and commuting_pair_residuals are one matmul on the
+    stack of samples."""
     calls = {"tensordot": 0, "moveaxis": 0}
     for name in calls:
         def counted(*args, _fn=getattr(np, name), _name=name, **kwargs):
@@ -631,4 +715,4 @@ def test_per_sample_path_avoids_numpy_axis_wrappers(monkeypatch, manifold,
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np, name, counted)
     run(SuiteConfig(manifold=manifold, suites=(suite,), samples=2, seed=1))
-    assert calls == {"tensordot": 2, "moveaxis": 0}
+    assert calls == {"tensordot": 0, "moveaxis": 0}

@@ -1,18 +1,20 @@
 """Suite runner, report determinism, CLI, and exit-code contract tests."""
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import math
 import re
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lckgeo import identities as idn, report
+from lckgeo import fd, identities as idn, report, zoo
 from lckgeo.cli import CONFIG_KEYS, build_parser, main as cli_main
-from lckgeo.errors import ParameterError
+from lckgeo.errors import MetricError, ParameterError, PreconditionError
 from lckgeo.report import (Report, ResidualTable, SuiteConfig, emit,
                            exit_code, parse_selector, resolve_manifold, run)
 
@@ -568,3 +570,146 @@ class TestEvaluationCounts:
                                         "analytic", ("metric_derivative_fn",))
             assert analytic["metric_derivative_fn"] > 0, suite
         assert {"lck-identities", "holonomy", "classify"} <= set(ran)
+
+
+class TestSampleStacks:
+    """Each sampled suite evaluates all its samples as one stack: one check
+    call per suite, whose residuals are tabulated in sample order, and on an
+    error the first sample's error, as a loop over the samples gives."""
+
+    SAMPLED = [("hopf{n=2}", "lck-identities"),
+               ("flat_inversion{n=2}", "einstein-chain"),
+               ("hopf{n=2}", "parallel-field"),
+               ("calabi{ell=sin,b=pi}", "commuting-pair"),
+               ("calabi{ell=sin,b=pi}", "hamiltonian-form"),
+               ("calabi{ell=sin,b=pi}", "average-metric"),
+               ("hopf{n=2}", "classify")]
+
+    @staticmethod
+    def field_calls(monkeypatch, manifold: str, suite: str, samples: int,
+                    mode: str) -> dict:
+        """Calls of the metric_fn and J_fn of the entry in one request."""
+        calls = {"metric_fn": 0, "J_fn": 0}
+        resolve = report.resolve_manifold
+
+        def counted(kind, fn):
+            def wrapper(q):
+                calls[kind] += 1
+                return fn(q)
+            return wrapper
+
+        def resolve_counted(selector):
+            entry = resolve(selector)
+            for H in entry.structures.values():
+                object.__setattr__(H, "J_fn", counted("J_fn", H.J_fn))
+            charts = {id(H.chart): H.chart for H in entry.structures.values()}
+            for chart in charts.values():
+                object.__setattr__(chart, "metric_fn",
+                                   counted("metric_fn", chart.metric_fn))
+            return entry
+
+        with monkeypatch.context() as patch:
+            patch.setattr(report, "resolve_manifold", resolve_counted)
+            report.run(SuiteConfig(manifold=manifold, suites=(suite,),
+                                   samples=samples, seed=1, mode=mode))
+        return calls
+
+    @pytest.mark.parametrize("mode", ["fd", "analytic"])
+    @pytest.mark.parametrize("manifold, suite", SAMPLED)
+    def test_field_calls_do_not_grow_with_the_samples(self, monkeypatch,
+                                                      manifold, suite, mode):
+        """A request makes as many field calls at 5 samples as at 1: each
+        call takes the stack of every sample's points."""
+        calls = [self.field_calls(monkeypatch, manifold, suite, n, mode)
+                 for n in (1, 2, 5)]
+        assert calls[0]["metric_fn"] > 0 and calls[0]["J_fn"] > 0
+        assert calls[0] == calls[1] == calls[2]
+
+    @pytest.mark.parametrize("manifold, suite", [
+        ("hopf{n=2}", "lck-identities"), ("hopf{n=2}", "parallel-field")])
+    def test_blocks_of_samples_report_as_one_stack(self, monkeypatch,
+                                                   manifold, suite):
+        """A run longer than SAMPLE_BLOCK is checked block by block; its
+        report is byte-identical to that of one stack, the constancy of a
+        over every sample included."""
+        config = SuiteConfig(manifold=manifold, suites=(suite,), samples=5,
+                             seed=1)
+        whole = emit(run(config), "json")
+        monkeypatch.setattr(report, "SAMPLE_BLOCK", 2)
+        assert emit(run(config), "json") == whole
+
+    def test_the_first_samples_error_is_raised(self, monkeypatch):
+        """Sample 2's metric is off the SPD cone at one point of its DIRECT
+        stencil, so the stacked call fails in the Lee-form pass, with sample
+        2's MetricError.  Sample 1 passes that pass and fails later, at the
+        Einstein gate: the entry declares lambda = 1 where Ric = 0.  A loop
+        over the samples raises sample 1's error, and so does the run."""
+        selector, suite = "flat_inversion{n=2}", "einstein-chain"
+        entry = report.resolve_manifold(selector)
+        H = entry.main_structure
+        rng = np.random.default_rng((1, zlib.crc32(suite.encode())))
+        p1, p2 = H.chart.sample_points(rng, 2)
+        bad = fd.stencil_points(p2, fd.DIRECT)[1, 0]        # p2 + h e_1
+        metric_fn = H.chart.metric_fn
+
+        def off_the_cone(q):
+            g = np.array(metric_fn(q), dtype=float)
+            g[(np.asarray(q) == bad).all(axis=-1)] *= -1.0
+            return g
+
+        chart = dataclasses.replace(H.chart, metric_fn=off_the_cone)
+        defective = dataclasses.replace(
+            entry, einstein_lambda=1.0,
+            charts={key: chart for key in entry.charts},
+            structures={entry.main: dataclasses.replace(H, chart=chart)})
+        checked = zoo.stencil_only(defective).main_structure
+        with pytest.raises(MetricError, match="positive definite"):
+            idn.einstein_chain_residuals(checked, np.array([p1, p2]), 1.0)
+        with pytest.raises(MetricError, match="positive definite"):
+            idn.einstein_chain_residuals(checked, p2, 1.0)
+        with pytest.raises(PreconditionError) as first:
+            idn.einstein_chain_residuals(checked, p1, 1.0)
+
+        monkeypatch.setattr(report, "resolve_manifold",
+                            lambda selector: defective)
+        with pytest.raises(PreconditionError) as err:
+            run(SuiteConfig(manifold=selector, suites=(suite,), samples=2,
+                            seed=1))
+        assert str(err.value) == str(first.value)
+        assert str(err.value).endswith(f"at {p1}")
+
+    @pytest.mark.parametrize("case", ["pairwise", "ties", "nan"])
+    def test_stacked_values_tabulate_as_single_values(self, case):
+        """A residual's values added from a stacked array give the summary
+        that per-value adds of floats give, bit for bit: the mean is the
+        sequential sum (which differs from numpy's pairwise sum on these 100
+        values), ties keep the first worst point, and the first NaN becomes
+        the max and keeps its point."""
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.0, 1e-4, 100)
+        points = rng.uniform(-1.0, 1.0, (100, 4))
+        if case == "ties":
+            values[[20, 60]] = 2e-4
+        if case == "nan":
+            values[[30, 80]] = np.nan
+            values[50] = 1.0
+        stacked, single = ResidualTable(), ResidualTable()
+        stacked.add_each("r", values, points, 1e-4)
+        total = 0.0
+        for value, point in zip(values.tolist(), points.tolist()):
+            single.add("r", value, point, 1e-4)
+            total += value
+        summary = stacked.summarize()
+        assert json.dumps(summary) == json.dumps(single.summarize())
+        rec = summary["r"]
+        assert rec["count"] == 100
+        if case == "pairwise":
+            assert float(np.sum(values)) != total
+            assert rec["mean"] == total / 100
+            assert rec["worst_point"] == points[np.argmax(values)].tolist()
+        if case == "ties":
+            assert rec["max"] == 2e-4
+            assert rec["worst_point"] == points[20].tolist()
+        if case == "nan":
+            assert math.isnan(rec["max"])
+            assert rec["worst_point"] == points[30].tolist()

@@ -2,11 +2,13 @@
 """Drift comparator: the reports of two lckgeo source trees, side by side.
 
     python3 tools/drift.py --base PARENT_CHECKOUT --change CHANGED_CHECKOUT
+    python3 tools/drift.py --base ... --change ... --samples 100
 
 Each tree runs the same grid in its own subprocess, with ``<tree>/src`` on
 PYTHONPATH: every suite on every selector of ``SELECTORS`` (plus the
 holonomy suite on ``HOLONOMY_ONLY``), in fd and analytic mode, at seeds 1
-and 2, with ``SAMPLES`` samples.  A run that raises is recorded with the
+and 2, with ``--samples`` samples (``SAMPLES`` = 3 by default; 100 is the
+``lck run`` default).  A run that raises is recorded with the
 exit code ``lck run`` gives it and its error type and message.
 
 The comparator exits 1 when a verdict differs: an exit code, an error, or
@@ -98,9 +100,9 @@ def _count_points(report_module, counts: dict) -> None:
     report_module.resolve_manifold = resolve_counted
 
 
-def work() -> None:
-    """Run the grid with the lckgeo found on sys.path; one JSON line per
-    run on stdout."""
+def work(samples: int) -> None:
+    """Run the grid with the lckgeo found on sys.path, each run with
+    ``samples`` samples; one JSON line per run on stdout."""
     from lckgeo import report as report_module
     from lckgeo.errors import LckError
     from lckgeo.report import SUITE_NAMES, SuiteConfig, emit, exit_code, run
@@ -113,7 +115,7 @@ def work() -> None:
                   "report": None}
         try:
             report = run(SuiteConfig(manifold=selector, suites=(suite,),
-                                     samples=SAMPLES, seed=seed, mode=mode))
+                                     samples=samples, seed=seed, mode=mode))
         except Exception as exc:          # the error itself is compared
             record["exit"] = 2 if isinstance(exc, LckError) else 1
             record["error"] = [type(exc).__name__, str(exc)]
@@ -127,12 +129,13 @@ def work() -> None:
         print(json.dumps(record), flush=True)
 
 
-def _start(tree: Path):
+def _start(tree: Path, samples: int):
     """Start the grid on one tree; its output goes to temporary files, so
     the two trees run side by side."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     out, err = tempfile.TemporaryFile("w+"), tempfile.TemporaryFile("w+")
-    proc = subprocess.Popen([sys.executable, __file__, "--worker"], env=env,
+    proc = subprocess.Popen([sys.executable, __file__, "--worker",
+                             "--samples", str(samples)], env=env,
                             stdout=out, stderr=err, text=True)
     return proc, out, err
 
@@ -386,15 +389,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path)
     parser.add_argument("--change", type=Path)
+    parser.add_argument("--samples", type=int, default=SAMPLES,
+                        help=f"samples per run (default {SAMPLES})")
     parser.add_argument("--worker", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.samples < 1:
+        parser.error("--samples must be >= 1")
     if args.worker:
-        work()
+        work(args.samples)
         return 0
     if args.base is None or args.change is None:
         parser.error("--base and --change are required")
-    procs = {name: _start(tree.resolve()) for name, tree in
+    procs = {name: _start(tree.resolve(), args.samples) for name, tree in
              (("base", args.base), ("change", args.change))}
     for proc, _, _ in procs.values():
         proc.wait()             # both, before either failure exits
