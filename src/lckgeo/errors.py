@@ -1,4 +1,5 @@
-"""Exception hierarchy for chart evaluation and verification suites."""
+"""Exception hierarchy for chart evaluation and verification suites, and
+:func:`in_item_order`, the one rule for which error a stacked call raises."""
 
 
 class LckError(Exception):
@@ -56,3 +57,18 @@ class BundleError(LckError):
 
 class LoopTooLargeError(LckError):
     """Transport around a loop is too far from the identity for a safe logarithm."""
+
+
+def in_item_order(stacked, each, items):
+    """``stacked()``, the evaluation of all the items at once.  Where it
+    raises, ``each(item)`` is called on the items in order and the first
+    item that raises on its own raises, as a loop over the items would; the
+    stacked error is raised only if none does.  A stacked evaluation works
+    stage by stage across its stack, so its own error may belong to a later
+    item than the first one that fails."""
+    try:
+        return stacked()
+    except Exception:
+        for item in items:
+            each(item)
+        raise

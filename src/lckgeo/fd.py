@@ -24,11 +24,10 @@ tiered by how much stencil noise the differentiated field already carries:
 A field is a callable from points of shape (..., m) to the stack of its
 values, shape (...,) + the value shape; a single point of shape (m,) gives
 the bare value.  Every field takes stacks, and it must give at each point of
-a stack exactly what the call at that point alone gives.  A field works
-stage by stage across its stack, so where several points fail, the error it
-raises may belong to a later point than the first; the line integrals of
-:mod:`transport` re-evaluate their nodes one by one on an error, to raise
-the first node's.  A function of one point becomes a field through
+a stack exactly what the call at that point alone gives.  Where several
+points fail, the error it raises may be a later point's; callers choose
+the error by :func:`~lckgeo.errors.in_item_order`.  A function of one point
+becomes a field through
 ``np.vectorize(f, signature="(m)->(i,j)", otypes=[float])``; such a field
 drops the imaginary part of a complex input, so it has no
 :func:`complex_step`.

@@ -31,7 +31,8 @@ import numpy as np
 
 from .calculus import riemann
 from .charts import Chart, Loop, coordinate_rectangle
-from .errors import LoopTooLargeError, ParameterError, PreconditionError
+from .errors import (LoopTooLargeError, ParameterError, PreconditionError,
+                     in_item_order)
 from .transport import transport_along, transport_segment
 
 RANK_CUT = 1e-6           # relative singular-value cut for the span rank
@@ -216,7 +217,9 @@ def curvature_span(chart: Chart, base, probes, n: int = None,
 
     Each probe contributes R(X, Y) at its point, parallel-transported to the
     base point along the straight coordinate segment.  ``n`` is half the
-    chart's dimension; a different one raises :class:`ParameterError`.
+    chart's dimension; a different one raises :class:`ParameterError`.  The
+    probes are transported as one bundle, and the error raised is the first
+    probe's, by :func:`~lckgeo.errors.in_item_order`.
     """
     base = np.asarray(base, dtype=float)
     n = _complex_dimension(chart, n)
@@ -225,14 +228,14 @@ def curvature_span(chart: Chart, base, probes, n: int = None,
             f"need at least {_probe_minimum(n)} probes, got {len(probes)}")
     L = _orthonormal_frame(chart.metric(base))
     qs = [np.asarray(q, dtype=float) for q, _ in probes]
-    try:
-        Ps = _segment_transports(chart, qs, base)
-    except Exception:
-        # one probe at a time, the first error of that order raises
-        for q, (_, (x, y)) in zip(qs, probes):
-            _probe_curvature(chart, q, x, y)
-            _segment_transports(chart, [q], base)
-        raise
+
+    def one_probe(probe):
+        q, (_, (x, y)) = probe
+        _probe_curvature(chart, q, x, y)
+        _segment_transports(chart, [q], base)
+
+    Ps = in_item_order(lambda: _segment_transports(chart, qs, base),
+                       one_probe, zip(qs, probes))
     hats = [_to_frame(L, _conjugate(P, _probe_curvature(chart, q, x, y)))
             for q, P, (_, (x, y)) in zip(qs, Ps, probes)]
     return _assemble(L, base, hats, n, J_fn)
@@ -296,28 +299,22 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
     identity in the orthonormal operator norm raise
     :class:`LoopTooLargeError` (subdivide or shrink the loop).  ``n`` is
     half the chart's dimension; a different one raises
-    :class:`ParameterError`.
+    :class:`ParameterError`.  The error raised is the first loop's, by
+    :func:`~lckgeo.errors.in_item_order`.
     """
     base = np.asarray(base, dtype=float)
     n = _complex_dimension(chart, n)
     L = _orthonormal_frame(chart.metric(base))
-    # the loops before the first deck generator are transported; that one
-    # raises after them
-    first_deck = next((k for k, loop in enumerate(loops)
-                       if float(np.max(np.abs(loop.shift))) > 0.0
-                       and not allow_shifted), len(loops))
-    admitted = loops[:first_deck]
-    try:
-        Hs = _loop_transports(chart, admitted, base)
-    except Exception:
-        # one loop at a time, the first error of that order raises
-        for loop in admitted:
-            _loop_log(L, loop, _loop_transports(chart, [loop], base)[0])
-        raise
-    hats = [_loop_log(L, loop, H) for loop, H in zip(admitted, Hs)]
-    if first_deck < len(loops):
-        raise PreconditionError(f"loop '{loops[first_deck].label}' is a "
-                                "deck generator, not contractible")
+
+    def logs(batch):
+        for loop in batch:
+            if float(np.max(np.abs(loop.shift))) > 0.0 and not allow_shifted:
+                raise PreconditionError(f"loop '{loop.label}' is a deck "
+                                        "generator, not contractible")
+        return [_loop_log(L, loop, H)
+                for loop, H in zip(batch, _loop_transports(chart, batch, base))]
+
+    hats = in_item_order(lambda: logs(loops), lambda loop: logs([loop]), loops)
     return _assemble(L, base, hats, n, J_fn)
 
 

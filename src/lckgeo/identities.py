@@ -45,7 +45,7 @@ from .calculus import (codifferential_of, covariant_partials,
 from .charts import (first_flagged, form_of_endomorphism, raised_norm,
                      vector_norm, wedge, wedge_endo)
 from .errors import (InconsistencyError, NotLcKError, PreconditionError,
-                     SingularPointError)
+                     SingularPointError, in_item_order)
 from .hermitian import (HermitianStructure, LeeParts, NestedLee, j_on_forms,
                         lck_residual, lee_field, lee_form_components,
                         lee_form_parts, nested_lee, require_lck)
@@ -856,18 +856,14 @@ def classify_structure(H: HermitianStructure, samples, loops=None,
     theta != 0), gcK (theta closed, all supplied periods ~ 0), or
     strictly-lcK-candidate (some period clearly nonzero; "candidate" because
     only the supplied loops are tested).  The Lee-form evidence of all the
-    samples is one stacked pass; where it raises, the samples are evaluated
-    again one by one, and the first that raises on its own raises.
+    samples is one stacked pass, whose error is chosen by
+    :func:`~lckgeo.errors.in_item_order`.
     """
     loops = loops or {}
     chart = H.chart
     pts = np.asarray(samples, dtype=float).reshape(-1, chart.dim)
-    try:
-        evidence = _lee_evidence(H, pts)
-    except Exception:
-        for p in pts:
-            _lee_evidence(H, p)
-        raise
+    evidence = in_item_order(lambda: _lee_evidence(H, pts),
+                             lambda p: _lee_evidence(H, p), pts)
     # each maximum taken in sample order
     max_theta, max_nabla, max_dtheta = (max([0.0, *map(float, values)])
                                         for values in evidence)

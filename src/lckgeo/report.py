@@ -23,8 +23,10 @@ Each of the first six suites is its applicability check plus one call of
 ``_sampled``, which draws the points and direction stacks, calls the
 :mod:`lckgeo.identities` check on them, once per ``SAMPLE_BLOCK`` samples,
 and tabulates its residuals in sample order; classify evaluates its
-samples' Lee-form evidence as one stack too.  Every residual's tolerance
-tier is set in one table, ``_TOLERANCES``; a name with no tier raises.
+samples' Lee-form evidence as one stack too.  Either raises the first
+sample's error, by :func:`~lckgeo.errors.in_item_order`.  Every residual's
+tolerance tier is set in one table, ``_TOLERANCES``; a name with no tier
+raises.
 
 Exit-code contract (used by the CLI): 0 all pass, 1 residual failure,
 2 configuration error, 3 inconclusive holonomy.
@@ -42,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from . import holonomy as hol, identities as idn, zoo
-from .errors import ParameterError
+from .errors import ParameterError, in_item_order
 
 SCHEMA_VERSION = 3
 
@@ -227,9 +229,11 @@ def _sampled(config: SuiteConfig, rng, chart, check,
     pts = _sample_points(config, rng, chart)
     dirs = [rng.standard_normal((len(pts), chart.dim))
             for _ in range(directions)]
-    blocks = [_checked_block(check, pts[k:k + SAMPLE_BLOCK],
-                             [d[k:k + SAMPLE_BLOCK] for d in dirs])
+    stacks = [[a[k:k + SAMPLE_BLOCK] for a in (pts, *dirs)]
               for k in range(0, len(pts), SAMPLE_BLOCK)]
+    blocks = [in_item_order(lambda: check(*stack),
+                            lambda sample: check(*sample), zip(*stack))
+              for stack in stacks]
     table = ResidualTable()
     res = {}
     for name in blocks[0]:
@@ -239,19 +243,6 @@ def _sampled(config: SuiteConfig, rng, chart, check,
         if tolerance is not None:
             table.add_each(name, abs(res[name]), pts, tolerance)
     return table, pts, res
-
-
-def _checked_block(check, pts, dirs) -> dict:
-    """``check`` on a block of samples in one call.  Where that raises, the
-    samples are checked again one by one, and the first that raises on its
-    own raises, as a loop over the samples would; the stacked error is
-    raised only if none does."""
-    try:
-        return check(pts, *dirs)
-    except Exception:
-        for sample in zip(pts, *dirs):
-            check(*sample)
-        raise
 
 
 def _suite_lck_identities(entry, config: SuiteConfig, rng) -> SuiteResult:

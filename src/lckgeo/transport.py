@@ -33,9 +33,9 @@ corner are on a common edge, share that piece's Christoffel blocks and
 step increments: B is evaluated once per distinct curve, in blocks of
 about ``NODE_BLOCK`` distinct points, and each curve's frame takes the
 increments of its curve's class.  Callers that need the error of the
-first curve in their own order, as :mod:`~lckgeo.holonomy` does, transport
-the curves one by one on an error.  Geodesics depend on the state and
-evaluate stage by stage.
+first curve in their own order, as :mod:`~lckgeo.holonomy` does, go
+through :func:`~lckgeo.errors.in_item_order`.  Geodesics depend on the
+state and evaluate stage by stage.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 from . import fd
 from .calculus import christoffel_components
 from .charts import Chart, Loop
-from .errors import DomainExitError, IntegrationError
+from .errors import DomainExitError, IntegrationError, in_item_order
 
 DEFAULT_STEPS = 2000
 
@@ -331,10 +331,10 @@ def _rule_pair(chart: Chart, oneform_field: Callable, loop: Loop,
     of |w_i alpha . v| over the 32 nodes.
 
     The nodes of both rules, sorted by parameter, take their points and
-    velocities from one loop call each, and the field is evaluated by one
-    :func:`_evaluate_nodes` call on the nodes before the first one outside
-    the chart, whose :class:`ChartDomainError` is raised after them.  Each
-    rule's sum runs node by node.
+    velocities from one loop call each; the domain check and the field are
+    one call each on all the nodes, and the error raised is the first
+    node's, by :func:`~lckgeo.errors.in_item_order`.  Each rule's sum runs
+    node by node.
     """
     h = t1 - t0
     (coarse_nodes, coarse_weights), (fine_nodes, fine_weights) = (
@@ -343,15 +343,15 @@ def _rule_pair(chart: Chart, oneform_field: Callable, loop: Loop,
     order = np.argsort(ts, kind="stable")
     xs = loop.point(ts[order])
     vels = loop.velocity(ts[order])
-    bad = np.flatnonzero(~chart.inside(xs))
-    n_ok = bad[0] if len(bad) else len(ts)
+
+    def field_inside(x):
+        chart.require_inside(x)
+        return oneform_field(x)
+
+    alphas = np.asarray(in_item_order(lambda: field_inside(xs), field_inside,
+                                      xs), dtype=float)
     terms = np.empty(len(ts))
-    if n_ok:
-        alphas = _evaluate_nodes(oneform_field, xs[:n_ok])
-        terms[order[:n_ok]] = [float(alpha @ v)
-                               for alpha, v in zip(alphas, vels[:n_ok])]
-    if n_ok < len(ts):
-        chart.require_inside(xs[n_ok])
+    terms[order] = [float(alpha @ v) for alpha, v in zip(alphas, vels)]
     coarse_terms, fine_terms = np.split(terms, [len(coarse_nodes)])
     coarse = fine = 0.0
     for w, term in zip(coarse_weights, coarse_terms):
@@ -362,39 +362,24 @@ def _rule_pair(chart: Chart, oneform_field: Callable, loop: Loop,
     return coarse, fine, scale
 
 
-def _evaluate_nodes(oneform_field: Callable, xs) -> np.ndarray:
-    """The field at each of the nodes xs, shape (..., m), in one call.
-
-    A field runs stage by stage across its stack, so the error it raises may
-    belong to a later node than the first one that fails.  On an error the
-    nodes are therefore evaluated again one by one, in C order, and the first
-    node that raises on its own raises, as a node-by-node loop would; the
-    stacked call's error is raised only if no node raises alone.
-    """
-    try:
-        return np.asarray(oneform_field(xs), dtype=float)
-    except Exception:
-        for x in xs.reshape(-1, xs.shape[-1]):
-            oneform_field(x)
-        raise
-
-
 def line_integral_segment(oneform_field: Callable, p_from, p_to,
                           nodes: int = 16):
     """Integral of a 1-form along the straight segment from p_from to each of
     the points p_to, shape (..., m) (Gauss-Legendre); p_from is one point or
     one per segment, with the point axes of p_to.
 
-    The field is evaluated on the nodes of every segment with one
-    :func:`_evaluate_nodes`, segment by segment in C order; the sum runs node
-    by node.
+    The field is evaluated on the nodes of every segment in one call, and
+    the error raised is the first node's in C order, segment by segment, by
+    :func:`~lckgeo.errors.in_item_order`; the sum runs node by node.
     """
     p_from = np.asarray(p_from, dtype=float)
     p_to = np.asarray(p_to, dtype=float)
-    xs, ws = fd.gauss_legendre_01(nodes)
+    ts, ws = fd.gauss_legendre_01(nodes)
     vel = p_to - p_from
-    alphas = _evaluate_nodes(oneform_field, p_from[..., None, :]
-                             + xs[:, None] * vel[..., None, :])
+    xs = p_from[..., None, :] + ts[:, None] * vel[..., None, :]
+    alphas = np.asarray(in_item_order(lambda: oneform_field(xs), oneform_field,
+                                      xs.reshape(-1, xs.shape[-1])),
+                        dtype=float)
     total = 0.0
     for k, w in enumerate(ws):
         total = total + w * np.vecdot(alphas[..., k, :], vel)

@@ -8,10 +8,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lckgeo import fd, zoo
+from lckgeo import fd, report, zoo
 from lckgeo.calculus import (christoffel_components, codifferential,
-                              covariant_derivative_full, riemann)
-from lckgeo.charts import form_norm
+                              covariant_derivative_full,
+                              exterior_of_partials, riemann)
+from lckgeo.charts import coordinate_rectangle, form_norm
 from lckgeo.errors import (ChartDomainError, CompatibilityError, MetricError,
                            NotLcKError)
 from lckgeo.hermitian import (HermitianStructure, conformal_rescale,
@@ -19,6 +20,7 @@ from lckgeo.hermitian import (HermitianStructure, conformal_rescale,
                               lee_form, lee_form_components, lee_form_parts,
                               nabla_theta, nested_lee,
                               nijenhuis_residual, nijenhuis_tensor)
+from lckgeo.transport import loop_integral
 
 
 def _stencil(H):
@@ -451,3 +453,85 @@ class TestNestedLee:
                                       stencil=fd.NESTED)
         assert str(err.value) == str(ref.value)
 
+
+
+# The side of the coordinate squares of the Stokes route, and the bound on
+# |Stokes - stencil| per component of d theta: the worst value measured at
+# seed 1 over the cases below is 1.14e-8 (hopf{n=3}, analytic), and the
+# bound leaves a margin of 2.6 above it.
+STOKES_SIDE = 0.02
+STOKES_BOUND = 3e-8
+
+
+def _dtheta_two_ways(H, p):
+    """d theta at p from the NESTED stencil of theta, and by Stokes: the
+    period of theta around the coordinate square of side STOKES_SIDE
+    centred at p in each plane (i, j), over the square's area."""
+    nested = nested_lee(H, p, lee_form_parts(H, p))
+    stencil = exterior_of_partials(nested.theta_partials, 1)
+    m = H.chart.dim
+    stokes = np.zeros((m, m))
+    for i, j in itertools.combinations(range(m), 2):
+        corner = p.copy()
+        corner[[i, j]] -= STOKES_SIDE / 2
+        square = coordinate_rectangle(corner, i, j, STOKES_SIDE, STOKES_SIDE,
+                                      steps_per_edge=20)
+        stokes[i, j] = (loop_integral(H.chart, lee_field(H), square)
+                        / STOKES_SIDE ** 2)
+        stokes[j, i] = -stokes[i, j]
+    return stencil, stokes
+
+
+def _hermitian_defect(H, delta):
+    """H on hopf{n=2} with g_delta = g + delta sin(2 a2) (alpha (x) alpha +
+    (alpha o J) (x) (alpha o J)), alpha = da1: J-invariant, so (g_delta, J)
+    is Hermitian, and not conformal to g, so d theta ~ delta."""
+    chart = H.chart
+
+    def metric_fn(p):
+        p = np.asarray(p)
+        alpha_j = H.J_fn(p)[..., 1, :]
+        h = (np.eye(chart.dim)[1][:, None] * np.eye(chart.dim)[1]
+             + alpha_j[..., :, None] * alpha_j[..., None, :])
+        bump = delta * np.sin(2.0 * p[..., 2])
+        return chart.metric_fn(p) + bump[..., None, None] * h
+
+    return dataclasses.replace(
+        H, chart=chart.with_metric(metric_fn, f"{chart.label}_g{delta:g}"))
+
+
+class TestLeeDifferentialByStokes:
+    """The stencil d theta, as classify computes it, against the Lee-form
+    period around small coordinate squares, at one sample point."""
+
+    @staticmethod
+    def structure(selector, mode):
+        entry = report.resolve_manifold(selector)
+        if mode == "fd":
+            entry = zoo.stencil_only(entry)
+        return entry.main_structure
+
+    @staticmethod
+    def sample(H):
+        return H.chart.sample_points(np.random.default_rng(1), 1,
+                                     margin=0.1)[0]
+
+    @pytest.mark.parametrize("mode", ["fd", "analytic"])
+    @pytest.mark.parametrize("selector", [
+        "hopf{n=2}", "flat_inversion{n=2}", "warped{c=sin,base=cp1}",
+        "warped{c=cos,base=c2}", "calabi{ell=sin,b=pi}", "euclidean{m=4}",
+        "hopf{n=3}", "flat_inversion{n=3}"])
+    def test_zoo_entries_agree(self, selector, mode):
+        H = self.structure(selector, mode)
+        stencil, stokes = _dtheta_two_ways(H, self.sample(H))
+        assert np.max(np.abs(stokes - stencil)) < STOKES_BOUND
+
+    @pytest.mark.parametrize("mode", ["fd", "analytic"])
+    def test_both_routes_see_a_non_conformal_defect(self, mode):
+        """At delta = 1e-5 max |d theta_ij| reads 7.5e-6, 250 times the
+        bound, and the routes agree to 7.7e-9."""
+        H = _hermitian_defect(self.structure("hopf{n=2}", mode), 1e-5)
+        stencil, stokes = _dtheta_two_ways(H, self.sample(H))
+        assert np.max(np.abs(stokes - stencil)) < STOKES_BOUND
+        assert np.max(np.abs(stencil)) >= 100 * STOKES_BOUND
+        assert np.max(np.abs(stokes)) >= 100 * STOKES_BOUND

@@ -294,6 +294,51 @@ class TestBundles:
         for loop in loops[:2]:
             parallel_transport(chart, loop, np.eye(4))
 
+    def test_fourth_of_eighteen_probes_fails_as_one_by_one(self, rng):
+        """The metric is nan in two small balls: one that the fourth probe's
+        segment to the base crosses near t = 0.1, and one that the first
+        probe's crosses near t = 0.75, later in time.  The other probes have
+        x0 <= -0.1 and |q| < 0.45, so their segments miss both.  The bundle
+        stops at the fourth; curvature_span raises the first's error, as
+        curvature and transport probe by probe do."""
+        first = np.array([0.4, 0.0, 0.0, 0.4])
+        fourth = np.array([0.0, 0.4, -0.4, 0.0])
+        holes = (0.2 * first, 0.85 * fourth)
+
+        def metric_fn(p):
+            nan = np.any([np.linalg.norm(p - c, axis=-1) < 0.03
+                          for c in holes], axis=0)
+            x0, x1, x2, x3 = np.moveaxis(p, -1, 0)
+            f = 2.0 + np.sin(x0 + 2.0 * x1) + 0.5 * x2 * x3
+            return np.eye(4) * np.where(nan, np.nan, f)[..., None, None]
+
+        chart = Chart(domain=((-1, 1),) * 4, metric_fn=metric_fn,
+                      label="two_holes")
+        base = chart.center()
+        others = rng.uniform((-0.2, -0.2, -0.2, -0.2), (-0.1, 0.2, 0.2, 0.2),
+                             size=(16, 4))
+        qs = [first, *others[:2], fourth, *others[2:]]
+        probes = [(q, (rng.standard_normal(4), rng.standard_normal(4)))
+                  for q in qs]
+        bundle = _raised(lambda: transport_segment(
+            chart, np.array(qs), base, np.broadcast_to(np.eye(4), (18, 4, 4)),
+            TRANSPORT_STEPS))
+        refs = [_raised(lambda: transport_segment(chart, q, base, np.eye(4),
+                                                  steps=TRANSPORT_STEPS))
+                for q in (first, fourth)]
+
+        def probe_by_probe():
+            for q, _ in probes:
+                riemann(chart, q)
+                transport_segment(chart, q, base, np.eye(4),
+                                  steps=TRANSPORT_STEPS)
+
+        err = _raised(lambda: curvature_span(chart, base, probes, n=2))
+        ref = _raised(probe_by_probe)
+        assert type(bundle) is type(err) is type(ref) is IntegrationError
+        assert str(bundle) == str(refs[1]) != str(refs[0]) == str(ref)
+        assert str(err) == str(ref)
+
     def test_too_large_loop_wins_over_later_deck_generator(self):
         """A rectangle enclosing area 0.57 of the unit sphere turns by that
         angle, 0.57 from the identity; the latitude after it is never

@@ -18,8 +18,8 @@ from lckgeo.errors import ChartDomainError, DomainExitError, IntegrationError
 from lckgeo.hermitian import lee_field
 from lckgeo.holonomy import default_holonomy_loops
 from lckgeo.transport import (_rk4, geodesic,
-                              geodesic_with_velocity, loop_integral,
-                              orthogonality_defect,
+                              geodesic_with_velocity, line_integral_segment,
+                              loop_integral, orthogonality_defect,
                               parallel_transport, transport_along,
                               transport_segment)
 
@@ -798,3 +798,52 @@ class TestBlockedLoopIntegral:
         nodes = 48 * pieces
         assert counts["J"] == [9 * nodes, 2 * pieces]
         assert counts["g"] == [9 * nodes, 2 * pieces]
+
+
+class TestSegmentIntegral:
+    """line_integral_segment on a stack of segments, as the potential of
+    hamiltonian-form takes its increments."""
+
+    @pytest.mark.parametrize("per_segment_start", [False, True])
+    def test_each_segment_is_its_call_alone(self, calabi_sin, rng,
+                                            per_segment_start):
+        H = zoo.stencil_only(calabi_sin).pair.J
+        field = lee_field(H)
+        centre = H.chart.center()
+        p_to = centre + rng.uniform(-0.05, 0.05, size=(3, 4, 4))
+        p_from = (centre + rng.uniform(-0.05, 0.05, size=(3, 1, 4))
+                  if per_segment_start else centre)
+        stacked = line_integral_segment(field, p_from, p_to, nodes=4)
+        assert stacked.shape == (3, 4)
+        for k in np.ndindex(3, 4):
+            start = p_from[k[0], 0] if per_segment_start else p_from
+            alone = line_integral_segment(field, start, p_to[k], nodes=4)
+            assert stacked[k] == alone, k
+
+    def test_first_bad_node_in_c_order_raises(self):
+        """The field raises for the last bad node of its stack.  Of the six
+        segments the second and the fourth reach x0 > 0.3, the second at
+        several nodes; the error is that of the second's first bad node, as
+        a loop over the segments raises it."""
+        def field(x):
+            bad = x[..., 0] > 0.3
+            if bad.any():
+                raise ValueError(f"bad node {x[bad][-1]}")
+            return np.cos(x)
+
+        p_from = np.zeros(2)
+        p_to = np.array([[[0.2, 0.1], [0.5, -0.2], [0.1, 0.3]],
+                         [[0.4, 0.4], [-0.3, 0.2], [0.25, 0.0]]])
+
+        def segment_by_segment():
+            for q in p_to.reshape(-1, 2):
+                line_integral_segment(field, p_from, q)
+
+        err = _raised(lambda: line_integral_segment(field, p_from, p_to))
+        ref = _raised(segment_by_segment)
+        ts = fd.gauss_legendre_01(16)[0]
+        nodes = np.multiply.outer(ts, p_to[0, 1])
+        first_bad = nodes[nodes[:, 0] > 0.3][0]
+        assert type(err) is type(ref) is ValueError
+        assert str(err) == str(ref) == f"bad node {first_bad}"
+        assert str(_raised(lambda: field(nodes))) != str(err)
