@@ -70,12 +70,12 @@ class Chart:
         return len(self.domain)
 
     def contains(self, p, margin: float = 0.0) -> bool:
-        p = np.asarray(p, dtype=float)
-        return all(lo + margin <= x <= hi - margin
-                   for x, (lo, hi) in zip(p, self.domain))
+        """Whether the point p lies in the box shrunk by ``margin``."""
+        return bool(self.inside(p, margin))
 
     def inside(self, points, margin: float = 0.0) -> np.ndarray:
-        """The verdict of :meth:`contains` at each of the points, shape (..., dim)."""
+        """Whether each of the points, shape (..., dim), lies in the box
+        shrunk by ``margin``."""
         lows, highs = np.array(self.domain, dtype=float).T
         points = np.asarray(points, dtype=float)
         return ((lows + margin <= points) & (points <= highs - margin)).all(axis=-1)
@@ -83,15 +83,11 @@ class Chart:
     def require_inside(self, p, margin: float = 0.0):
         """Raise :class:`ChartDomainError` naming the first of the points
         (shape (..., dim)) outside the box shrunk by ``margin``."""
-        if np.ndim(p) > 1:
-            outside = np.asarray(p, dtype=float)[~self.inside(p, margin)]
-            if len(outside):
-                self.require_inside(outside[0], margin)
-            return
-        if not self.contains(p, margin):
+        outside = ~self.inside(p, margin)
+        if outside.any():
             raise ChartDomainError(
-                f"point {np.asarray(p)} outside chart '{self.label}' "
-                f"domain with margin {margin}")
+                f"point {np.asarray(p, dtype=float)[first_flagged(outside)]} "
+                f"outside chart '{self.label}' domain with margin {margin}")
 
     def metric(self, p) -> np.ndarray:
         """Metric matrix at each of the points p, shape (..., dim), validated
@@ -205,7 +201,8 @@ class FrameTensor:
         return sum(self.valence)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.components ** 2)))
+        c = self.components
+        return float(np.sqrt(np.sum(c * c)))
 
     def lower_index(self, g: np.ndarray, axis: int = 0) -> "FrameTensor":
         """Lower the contravariant index living on `axis` with the metric g."""

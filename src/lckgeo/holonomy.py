@@ -218,8 +218,9 @@ def curvature_span(chart: Chart, base, probes, n: int = None,
     Each probe contributes R(X, Y) at its point, parallel-transported to the
     base point along the straight coordinate segment.  ``n`` is half the
     chart's dimension; a different one raises :class:`ParameterError`.  The
-    probes are transported as one bundle, and the error raised is the first
-    probe's, by :func:`~lckgeo.errors.in_item_order`.
+    curvature at all the probes is one stacked evaluation and their
+    transports one bundle; the error raised is the first probe's, its
+    curvature before its transport, by :func:`~lckgeo.errors.in_item_order`.
     """
     base = np.asarray(base, dtype=float)
     n = _complex_dimension(chart, n)
@@ -227,25 +228,27 @@ def curvature_span(chart: Chart, base, probes, n: int = None,
         raise PreconditionError(
             f"need at least {_probe_minimum(n)} probes, got {len(probes)}")
     L = _orthonormal_frame(chart.metric(base))
-    qs = [np.asarray(q, dtype=float) for q, _ in probes]
+    qs = np.array([q for q, _ in probes], dtype=float)
+    xs = np.array([x for _, (x, _) in probes], dtype=float)
+    ys = np.array([y for _, (_, y) in probes], dtype=float)
 
     def one_probe(probe):
-        q, (_, (x, y)) = probe
-        _probe_curvature(chart, q, x, y)
+        q, x, y = probe
+        _curvature(chart, q, x, y)
         _segment_transports(chart, [q], base)
 
-    Ps = in_item_order(lambda: _segment_transports(chart, qs, base),
-                       one_probe, zip(qs, probes))
-    hats = [_to_frame(L, _conjugate(P, _probe_curvature(chart, q, x, y)))
-            for q, P, (_, (x, y)) in zip(qs, Ps, probes)]
+    Rs, Ps = in_item_order(lambda: (_curvature(chart, qs, xs, ys),
+                                    _segment_transports(chart, qs, base)),
+                           one_probe, zip(qs, xs, ys))
+    hats = [_to_frame(L, _conjugate(P, R)) for P, R in zip(Ps, Rs)]
     return _assemble(L, base, hats, n, J_fn)
 
 
-def _probe_curvature(chart: Chart, q, x, y) -> np.ndarray:
-    """The curvature endomorphism R(x, y) at q."""
-    R = riemann(chart, q).components
-    return np.einsum("abcd,c,d->ab", R, np.asarray(x, float),
-                     np.asarray(y, float))
+def _curvature(chart: Chart, q: np.ndarray, x: np.ndarray,
+               y: np.ndarray) -> np.ndarray:
+    """The curvature endomorphism R(x, y) at each of the points q."""
+    return np.einsum("...abcd,...c,...d->...ab", riemann(chart, q).components,
+                     x, y)
 
 
 def _conjugate(P, G: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ wedge endomorphism is (X ^ tau)(Y) = g(X, Y) tau_sharp - tau(Y) X):
     + J nabla_X theta) - theta(JX) theta - nabla_{JX} theta - (delta theta) JX
 * :func:`lck_identity_residuals`, the five lcK identities at a sample: the
   three above, d Omega = 2 theta ^ Omega, and delta Omega = (2-2n) J theta
-  with theta read from d Omega by least squares (the cross road)
+  with theta read from d Omega by the contraction theta_i = (d Omega)_ijk
+  Omega^jk / (4n - 4) (the cross road)
 * the Einstein-case chain (S = nabla theta + theta (x) theta, f = delta theta
   + |theta|^2):  S theta, tr S, nabla(J theta), d(J theta), [theta, J theta],
   delta(theta ^ J theta), delta(|theta|^2 Omega), delta S, J delta(JS) + delta S,
@@ -89,12 +90,6 @@ def _along(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _scaled(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The tensor t times the number s at each point."""
     return s[(...,) + (None,) * (t.ndim - s.ndim)] * t
-
-
-def _squared(s) -> np.ndarray:
-    """s ** 2 at each point, squared as Python squares a float: by the C
-    library's pow, which does not always round as s * s does."""
-    return np.reshape([v ** 2 for v in np.ravel(s).tolist()], np.shape(s))
 
 
 def _covariant(values: np.ndarray, value: np.ndarray, gamma: np.ndarray,
@@ -192,30 +187,30 @@ def curvature_j_residuals(H: HermitianStructure, parts: LeeParts,
     return res_full, res_contr
 
 
+def _lee_form_of_d_omega(parts: LeeParts, n: int) -> np.ndarray:
+    """theta from d Omega = 2 theta ^ Omega at each point, by the contraction
+    theta_i = (d Omega)_ijk Omega^jk / (4n - 4), Omega^jk = (g^-1 Omega
+    g^-1)^jk: Omega_ik Omega^jk = delta_i^j and Omega_jk Omega^jk = 2n."""
+    d_omega = exterior_of_partials(parts.omega_partials, 2,
+                                   parts.theta.ndim - 1)
+    return np.einsum("...ijk,...jk->...i", d_omega,
+                     parts.g_inv @ parts.omega @ parts.g_inv) / (4.0 * n - 4.0)
+
+
 def lck_identity_residuals(H: HermitianStructure, p, x, y) -> dict:
     """The lcK identities at each of the points p, shape (..., m), in the
     directions x, y there: nablaJ, dOmega, deltaOmega, RJ and RJcontr, each
     of shape (...,).
 
     Every check reads the Lee-form parts at p, and the curvature checks the
-    NESTED pass around it.  deltaOmega takes theta from d Omega = 2 theta ^
-    Omega by least squares, one point at a time, so it crosses the d Omega
-    road with the delta Omega road that gives parts.theta.
+    NESTED pass around it.  deltaOmega takes theta from d Omega by
+    :func:`_lee_form_of_d_omega`, so it crosses the d Omega road with the
+    delta Omega road that gives parts.theta.
     """
     p = np.asarray(p, dtype=float)
-    lead = p.ndim - 1
     parts = lee_form_parts(H, p)
-    omega, g_inv = parts.omega, parts.g_inv
-    points, m = p.shape[:lead], p.shape[-1]
-    cols = np.stack([2.0 * wedge(np.broadcast_to(e, p.shape), omega,
-                                 lead).reshape(points + (-1,))
-                     for e in np.eye(m)], axis=-1)
-    d_omega = exterior_of_partials(parts.omega_partials, 2, lead)
-    theta_d = np.reshape([
-        np.linalg.lstsq(a, b, rcond=None)[0]
-        for a, b in zip(cols.reshape((-1,) + cols.shape[lead:]),
-                        d_omega.reshape(-1, m ** 3))], p.shape)
-    j_theta_d = j_on_forms(parts.J, theta_d)
+    g_inv = parts.g_inv
+    j_theta_d = j_on_forms(parts.J, _lee_form_of_d_omega(parts, H.n))
     delta_om = parts.delta_omega
     coef = 2.0 - 2.0 * H.n
     r_rj, r_rjc = curvature_j_residuals(H, parts, nested_lee(H, p, parts),
@@ -770,7 +765,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
     lhs = _along(x, n_xi)
     rhs = (_scaled(1.0 + f_val, _scaled(gdot(x, xi), i_xi)
                    - _scaled(gdot(x, i_xi), xi))
-           - _scaled(_squared(xi_norm), _mv(Im, x)))
+           - _scaled(xi_norm * xi_norm, _mv(Im, x)))
     res["der0xi"] = _normalized(vector_norm(lhs - rhs, g),
                                 [vector_norm(lhs, g), vector_norm(rhs, g)])
 
@@ -833,7 +828,7 @@ def _lee_evidence(H: HermitianStructure, p) -> tuple:
     # nabla theta and d theta come from one NESTED stencil of theta
     nested = nested_lee(H, p, parts)
     dtheta = exterior_of_partials(nested.theta_partials, 1, lead)
-    scale_sq = _squared(scale)
+    scale_sq = scale * scale
     at_p = (vector_norm(theta, g_inv) * scale,
             raised_norm(nested.ntheta, g_inv) * scale_sq,
             raised_norm(dtheta, g_inv) * scale_sq)

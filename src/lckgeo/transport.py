@@ -333,8 +333,7 @@ def _rule_pair(chart: Chart, oneform_field: Callable, loop: Loop,
     The nodes of both rules, sorted by parameter, take their points and
     velocities from one loop call each; the domain check and the field are
     one call each on all the nodes, and the error raised is the first
-    node's, by :func:`~lckgeo.errors.in_item_order`.  Each rule's sum runs
-    node by node.
+    node's, by :func:`~lckgeo.errors.in_item_order`.
     """
     h = t1 - t0
     (coarse_nodes, coarse_weights), (fine_nodes, fine_weights) = (
@@ -351,15 +350,11 @@ def _rule_pair(chart: Chart, oneform_field: Callable, loop: Loop,
     alphas = np.asarray(in_item_order(lambda: field_inside(xs), field_inside,
                                       xs), dtype=float)
     terms = np.empty(len(ts))
-    terms[order] = [float(alpha @ v) for alpha, v in zip(alphas, vels)]
+    terms[order] = np.vecdot(alphas, vels)
     coarse_terms, fine_terms = np.split(terms, [len(coarse_nodes)])
-    coarse = fine = 0.0
-    for w, term in zip(coarse_weights, coarse_terms):
-        coarse += w * h * float(term)
-    for w, term in zip(fine_weights, fine_terms):
-        fine += w * h * float(term)
-    scale = float(np.sum(np.abs(fine_weights * h * fine_terms)))
-    return coarse, fine, scale
+    fine_parts = fine_weights * h * fine_terms
+    return (float(np.sum(coarse_weights * h * coarse_terms)),
+            float(np.sum(fine_parts)), float(np.sum(np.abs(fine_parts))))
 
 
 def line_integral_segment(oneform_field: Callable, p_from, p_to,
@@ -370,7 +365,7 @@ def line_integral_segment(oneform_field: Callable, p_from, p_to,
 
     The field is evaluated on the nodes of every segment in one call, and
     the error raised is the first node's in C order, segment by segment, by
-    :func:`~lckgeo.errors.in_item_order`; the sum runs node by node.
+    :func:`~lckgeo.errors.in_item_order`.
     """
     p_from = np.asarray(p_from, dtype=float)
     p_to = np.asarray(p_to, dtype=float)
@@ -380,7 +375,4 @@ def line_integral_segment(oneform_field: Callable, p_from, p_to,
     alphas = np.asarray(in_item_order(lambda: oneform_field(xs), oneform_field,
                                       xs.reshape(-1, xs.shape[-1])),
                         dtype=float)
-    total = 0.0
-    for k, w in enumerate(ws):
-        total = total + w * np.vecdot(alphas[..., k, :], vel)
-    return total
+    return np.vecdot(np.vecdot(alphas, vel[..., None, :]), ws)

@@ -146,7 +146,8 @@ def round_s2_base(radius: float, polar_margin: float = POLAR_MARGIN,
     R2 = radius * radius
 
     def metric_fn(y):
-        sin_sq = np.float_power(np.sin(y[..., 0]), 2)
+        s = np.sin(y[..., 0])
+        sin_sq = s * s
         g = np.zeros(np.shape(y)[:-1] + (2, 2), dtype=sin_sq.dtype)
         g[..., 0, 0] = R2
         g[..., 1, 1] = R2 * sin_sq
@@ -265,14 +266,6 @@ def euclidean(m: int) -> ZooEntry:
 
 # -- Hopf ---------------------------------------------------------------------
 
-def _columns(x: np.ndarray) -> list:
-    """The entries x[..., k] in order: plain floats for a single point, which
-    multiply faster than numpy scalars, and arrays over a stack of points."""
-    if x.ndim == 1:
-        return x.tolist()
-    return [x[..., k] for k in range(x.shape[-1])]
-
-
 def _hypersphere_frame(angles: np.ndarray) -> np.ndarray:
     """B = [-sigma, d sigma / d a] for d angles a, shape (..., d+1, d+1) with
     the dtype of sin(a): sigma_i = cos(a_i) prod_{k<i} sin(a_k) for i < d and
@@ -280,19 +273,18 @@ def _hypersphere_frame(angles: np.ndarray) -> np.ndarray:
     right; column j + 1 shares the prefix sin(a_0) ... sin(a_(j-1)) and one
     running product, whose first value is sigma_j."""
     d = angles.shape[-1]
-    sines = np.sin(angles)
-    sin, cos = _columns(sines), _columns(np.cos(angles))
-    B = np.zeros(angles.shape[:-1] + (d + 1, d + 1), dtype=sines.dtype)
+    sin, cos = np.sin(angles), np.cos(angles)
+    B = np.zeros(angles.shape[:-1] + (d + 1, d + 1), dtype=sin.dtype)
     prefix = 1.0
     for j in range(d):
-        run = prefix * cos[j]
+        run = prefix * cos[..., j]
         B[..., j, 0] = -run
-        B[..., j, j + 1] = prefix * -sin[j]
+        B[..., j, j + 1] = prefix * -sin[..., j]
         for i in range(j + 1, d):
-            B[..., i, j + 1] = run * cos[i]
-            run = run * sin[i]
+            B[..., i, j + 1] = run * cos[..., i]
+            run = run * sin[..., i]
         B[..., d, j + 1] = run
-        prefix = prefix * sin[j]
+        prefix = prefix * sin[..., j]
     B[..., d, 0] = -prefix
     return B
 
@@ -326,15 +318,13 @@ def hopf(n: int, circumference: float = 2.0 * math.pi) -> ZooEntry:
 
     def metric_fn(p):
         p = np.asarray(p)
-        # float_power squares like the numpy-scalar ``**`` of a single point;
-        # an array ``** 2`` rounds differently in the last place
-        squares = np.float_power(np.sin(p[..., 1:d]), 2)
+        sines = np.sin(p[..., 1:d])
+        squares = sines * sines
         g = np.empty(p.shape[:-1] + (m, m), dtype=squares.dtype)
         g[...] = eye
-        sin_sq = _columns(squares)
         prod = 1.0
         for i in range(1, d):
-            prod = prod * sin_sq[i - 1]
+            prod = prod * squares[..., i - 1]
             g[..., i + 1, i + 1] = prod
         return g
 
@@ -536,7 +526,7 @@ def calabi_ansatz(ell: ProfileFn, b: float,
             f"no constant scaling of the contact form matches Omega_N on "
             f"'{N.label}': ratios {ratios}")
 
-    cw2 = c_w ** 2
+    cw2 = c_w * c_w
 
     def unpack(p):
         """theta, ell(r), cos and sin of theta, and the base point."""
@@ -545,14 +535,13 @@ def calabi_ansatz(ell: ProfileFn, b: float,
         return (th, ell.value_fn(p[..., 3]), np.cos(th), np.sin(th),
                 np.stack([th, np.zeros_like(th)], axis=-1))
 
-    # squares by float_power, which rounds like the float ``** 2``
     def metric_fn(p):
         th, lv, ct, _, y = unpack(p)
-        l2 = np.float_power(lv, 2)
+        l2 = lv * lv
         gN = np.asarray(N.chart.metric_fn(y))
         g = np.zeros(th.shape + (4, 4), dtype=ct.dtype)
         g[..., 0, 0] = gN[..., 0, 0]
-        g[..., 1, 1] = gN[..., 1, 1] + l2 * cw2 * np.float_power(ct, 2)
+        g[..., 1, 1] = gN[..., 1, 1] + l2 * cw2 * (ct * ct)
         g[..., 1, 2] = g[..., 2, 1] = l2 * cw2 * ct
         g[..., 2, 2] = l2 * cw2
         g[..., 3, 3] = 1.0
@@ -712,8 +701,8 @@ def calabi_connection_table_residuals(entry: ZooEntry, p) -> dict:
     row4 = 0.0
     for k, lf in enumerate(lifts):
         jn_x = JN[:, k]
-        target = 0.5 * lv ** 2 * (jn_x[0] * lift_field(0)(p)
-                                  + jn_x[1] * lift_field(1)(p))
+        target = 0.5 * (lv * lv) * (jn_x[0] * lift_field(0)(p)
+                                    + jn_x[1] * lift_field(1)(p))
         row4 = max(row4, vector_norm(nabla(lf(p), const(xi)) - target, g),
                    vector_norm(nabla(xi, lf) - target, g))
     res["row4"] = row4 / scale

@@ -17,10 +17,10 @@ from lckgeo.errors import (DomainExitError, IntegrationError,
                            LoopTooLargeError, ParameterError,
                            PreconditionError)
 from lckgeo.holonomy import (TRANSPORT_STEPS, _close_under_commutators,
-                             _loop_log, _span_rank, classify_algebra,
-                             common_fixed_vectors, curvature_span,
-                             default_holonomy_loops, default_probes,
-                             loop_holonomy)
+                             _curvature, _loop_log, _span_rank,
+                             classify_algebra, common_fixed_vectors,
+                             curvature_span, default_holonomy_loops,
+                             default_probes, loop_holonomy)
 from lckgeo.transport import (parallel_transport, transport_along,
                               transport_segment)
 
@@ -352,6 +352,25 @@ class TestBundles:
             loop_holonomy(chart, [rect, lat], base, n=1)
         with pytest.raises(PreconditionError):
             loop_holonomy(chart, [lat, rect], base, n=1)
+
+    @pytest.mark.parametrize("mode", ["fd", "analytic"])
+    @pytest.mark.parametrize("name", ["hopf2", "hopf3", "warped_sin",
+                                      "calabi_sin", "flat_inv2"])
+    def test_stacked_curvature_is_the_per_probe_one(self, request, name,
+                                                    mode, rng):
+        """R(x, y) at all the probes in one stacked evaluation is, bit for
+        bit, R(x, y) probe by probe."""
+        entry = request.getfixturevalue(name)
+        if mode == "fd":
+            entry = zoo.stencil_only(entry)
+        chart = entry.holonomy_structure.chart
+        probes = default_probes(chart, chart.center(), rng)
+        qs = np.array([q for q, _ in probes])
+        xs = np.array([x for _, (x, _) in probes])
+        ys = np.array([y for _, (_, y) in probes])
+        for R, q, x, y in zip(_curvature(chart, qs, xs, ys), qs, xs, ys):
+            assert np.array_equal(R, np.einsum(
+                "abcd,c,d->ab", riemann(chart, q).components, x, y))
 
     def test_curvature_span_evaluates_per_probe_points(self, hopf2, rng):
         """The metric is evaluated at exactly the points of the per-probe

@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 
 from lckgeo import fd, zoo
-from lckgeo.calculus import covariant_partials, exterior_derivative
+from lckgeo.calculus import (covariant_partials, exterior_derivative,
+                             exterior_of_partials)
 from lckgeo.charts import (form_of_endomorphism, raised_norm, segment_loop,
-                           wedge)
+                           vector_norm, wedge)
 from lckgeo.cli import main as cli_main
 from lckgeo.errors import (ChartDomainError, InconsistencyError, MetricError,
                            NotLcKError, PreconditionError, SingularPointError)
 from lckgeo.hermitian import (HermitianStructure, constant_rescale,
                               lee_form_parts, nested_lee)
-from lckgeo.identities import (PotentialField, average_metric_residuals,
+from lckgeo.identities import (PotentialField, _lee_form_of_d_omega,
+                               average_metric_residuals,
                                classify_structure, commuting_pair_residuals,
                                curvature_j_residuals, einstein_chain_residuals,
                                einstein_deviation, hamiltonian_form_residual,
@@ -693,6 +695,43 @@ def test_lck_identity_residuals_are_the_suite_at_one_point(selector, capsys):
                      "--at=" + ",".join(repr(float(c)) for c in p)]) == 0
     reported = json.loads(capsys.readouterr().out)["suites"][0]["residuals"]
     assert {name: rec["max"] for name, rec in reported.items()} == res
+
+
+def _least_squares_lee_form(parts):
+    """theta from d Omega = 2 theta ^ Omega by least squares over the m^3
+    components of d Omega, one point at a time."""
+    m = parts.g.shape[-1]
+    d_omega = exterior_of_partials(parts.omega_partials, 2, 1)
+    return np.array([
+        np.linalg.lstsq(np.stack([2.0 * wedge(e, omega).reshape(-1)
+                                  for e in np.eye(m)], axis=-1),
+                        d.reshape(-1), rcond=None)[0]
+        for omega, d in zip(parts.omega, d_omega)])
+
+
+@pytest.mark.parametrize("mode", ["fd", "analytic"])
+@pytest.mark.parametrize("selector", [
+    "hopf{n=2}", "hopf{n=3}", "flat_inversion{n=2}", "flat_inversion{n=3}",
+    "warped{c=sin,base=cp1}", "warped{c=cos,base=c2}",
+    "calabi{ell=sin,b=pi}", "euclidean{m=4}"])
+def test_lee_form_of_d_omega_is_the_least_squares_solution(selector, mode):
+    """deltaOmega's theta, the contraction of d Omega with Omega, is the
+    least-squares solution of d Omega = 2 theta ^ Omega, to |difference|_g
+    / (1 + |theta|_g) within 1e-10 on hopf{n=3} and 2e-15 elsewhere, over
+    100 samples at seed 1.  Measured: 4.45e-11 on hopf{n=3}, whose stencil
+    d Omega is furthest from the form 2 theta ^ Omega, and at most 5.0e-16
+    on the others, in both modes; the margins are x2.2 and x4."""
+    entry = resolve_manifold(selector)
+    if mode == "fd":
+        entry = zoo.stencil_only(entry)
+    H = entry.main_structure
+    parts = lee_form_parts(
+        H, H.chart.sample_points(np.random.default_rng(1), 100))
+    reference = _least_squares_lee_form(parts)
+    diff = _lee_form_of_d_omega(parts, H.n) - reference
+    bound = 1e-10 if selector == "hopf{n=3}" else 2e-15
+    assert np.max(vector_norm(diff, parts.g_inv)
+                  / (1.0 + vector_norm(reference, parts.g_inv))) < bound
 
 
 @pytest.mark.parametrize("manifold, suite", [

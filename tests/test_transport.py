@@ -511,7 +511,7 @@ class TestBundle:
 def _nodewise_loop_integral(chart, oneform_field, loop):
     """Reference loop integral: on each smooth piece the 16- and the 32-node
     rule, halved until they agree, with the domain check and the field call
-    node by node in parameter order."""
+    node by node in parameter order, and one sum per rule."""
     knots = [0.0] + sorted(loop.breakpoints) + [1.0]
     return sum(_nodewise_piece(chart, oneform_field, loop, t0, t1)
                for t0, t1 in zip(knots[:-1], knots[1:]))
@@ -526,13 +526,12 @@ def _nodewise_piece(chart, oneform_field, loop, t0, t1, depth=0):
         chart.require_inside(x)
         alpha = np.asarray(oneform_field(x), dtype=float)
         terms[t] = float(alpha @ loop.velocity(t))
-    (coarse_nodes, coarse_weights), (fine_nodes, fine_weights) = rules
-    coarse = fine = scale = 0.0
-    for t, w in zip(t0 + coarse_nodes * h, coarse_weights):
-        coarse += w * h * terms[t]
-    for t, w in zip(t0 + fine_nodes * h, fine_weights):
-        fine += w * h * terms[t]
-        scale += abs(w * h * terms[t])
+    coarse, fine = (np.sum([w * h * terms[t]
+                            for t, w in zip(t0 + nodes * h, weights)])
+                    for nodes, weights in rules)
+    fine_nodes, fine_weights = rules[1]
+    scale = np.sum([abs(w * h * terms[t])
+                    for t, w in zip(t0 + fine_nodes * h, fine_weights)])
     if not (math.isfinite(coarse) and math.isfinite(fine)):
         return coarse if math.isfinite(fine) else fine
     if abs(fine - coarse) <= 1e-12 * (1.0 + scale):
@@ -819,6 +818,24 @@ class TestSegmentIntegral:
             start = p_from[k[0], 0] if per_segment_start else p_from
             alone = line_integral_segment(field, start, p_to[k], nodes=4)
             assert stacked[k] == alone, k
+
+    def test_matches_the_node_by_node_sum(self, calabi_sin, rng):
+        """The weighted sum over the nodes is the node-by-node sum up to the
+        rounding of another summation order: within 16 eps of the sum of
+        the |terms|."""
+        H = zoo.stencil_only(calabi_sin).pair.J
+        field = lee_field(H)
+        centre = H.chart.center()
+        ts, ws = fd.gauss_legendre_01(16)
+        for q in centre + rng.uniform(-0.05, 0.05, size=(5, 4)):
+            vel = q - centre
+            terms = [w * float(np.asarray(field(centre + t * vel)) @ vel)
+                     for t, w in zip(ts, ws)]
+            total = 0.0
+            for term in terms:
+                total += term
+            assert (abs(line_integral_segment(field, centre, q) - total)
+                    <= 16 * np.finfo(float).eps * sum(map(abs, terms)))
 
     def test_first_bad_node_in_c_order_raises(self):
         """The field raises for the last bad node of its stack.  Of the six

@@ -294,7 +294,8 @@ class TestHopf:
             g = np.eye(m)
             prod = 1.0
             for i in range(1, m - 1):
-                prod *= np.sin(p[i]) ** 2     # a numpy-scalar power
+                s = np.sin(p[i])
+                prod *= s * s
                 g[i + 1, i + 1] = prod
             return g
 
@@ -323,8 +324,8 @@ class TestHopf:
         for entry in (hopf2, hopf3):
             H = entry.main_structure
             m = H.chart.dim
-            # an array ``** 2`` differs from the scalar one in about one
-            # square in a thousand, so the stack is large
+            # a square by ``pow`` differs from ``s * s`` in about one in a
+            # thousand, so the stack is large enough to show one
             pts = H.chart.sample_points(rng, 3000)
             for fn, ref in ((H.chart.metric_fn, metric_reference),
                             (H.J_fn, j_reference)):

@@ -5,11 +5,11 @@
     python3 tools/drift.py --base ... --change ... --samples 100
 
 Each tree runs the same grid in its own subprocess, with ``<tree>/src`` on
-PYTHONPATH: every suite on every selector of ``SELECTORS`` (plus the
-holonomy suite on ``HOLONOMY_ONLY``), in fd and analytic mode, at seeds 1
-and 2, with ``--samples`` samples (``SAMPLES`` = 3 by default; 100 is the
-``lck run`` default).  A run that raises is recorded with the
-exit code ``lck run`` gives it and its error type and message.
+PYTHONPATH: every suite on every selector of ``SELECTORS``, in fd and
+analytic mode, at seeds 1 and 2, with ``--samples`` samples (``SAMPLES`` =
+3 by default; 100 is the ``lck run`` default).  A run that raises is
+recorded with the exit code ``lck run`` gives it and its error type and
+message.
 
 The comparator exits 1 when a verdict differs: an exit code, an error, or
 anything in a report but its floating-point numbers (kind, label, algebra
@@ -45,18 +45,15 @@ from pathlib import Path
 
 SELECTORS = ("hopf{n=2}", "flat_inversion{n=2}", "warped{c=sin,base=cp1}",
              "warped{c=cos,base=c2}", "calabi{ell=sin,b=pi}",
-             "euclidean{m=4}")
-HOLONOMY_ONLY = ("hopf{n=3}",)
+             "euclidean{m=4}", "hopf{n=3}")
 MODES = ("fd", "analytic")
 SEEDS = (1, 2)
 SAMPLES = 3
 
 
 def _grid(suite_names):
-    for selector in SELECTORS + HOLONOMY_ONLY:
+    for selector in SELECTORS:
         for suite in suite_names:
-            if selector in HOLONOMY_ONLY and suite != "holonomy":
-                continue
             for mode in MODES:
                 for seed in SEEDS:
                     yield selector, suite, mode, seed
