@@ -8,10 +8,11 @@ base point:
 * ``loop_holonomy`` -- principal logarithms of parallel transport around
   small contractible loops, conjugated to the base.
 
-Both work in a metric-orthonormal frame at the base point, close the span
-under commutators (two passes), and measure the numerical rank with a fixed
-relative singular-value cut plus a mandatory rank-gap confidence check:
-ambiguous ranks yield "inconclusive", never a wrong label.
+Both work in a metric-orthonormal frame at the base point, project the
+generators onto skew matrices, close their span under commutators (two
+passes), and measure the numerical rank with a fixed relative
+singular-value cut plus a mandatory rank-gap confidence check: ambiguous
+ranks yield "inconclusive", never a wrong label.
 
 Classification against the candidate algebras so(2n), u(n), so(2n-1) uses
 dimension plus structural witnesses: a u(n) label needs every generator to
@@ -45,7 +46,7 @@ FACE_MARGIN = 0.06        # least distance of a probe or loop from a chart face
 LOOP_SIZE = 0.15          # default loop edge, and its corners' margin
 LOOP_SCALES = (1.0, 0.6)  # the default loop edges, in units of LOOP_SIZE
 LOG_TERMS = 16    # |C|_2 < 1/3: tail < 9^-16 / 33 * 9/8 < 2e-17 < 2^-53
-TRANSPORT_STEPS = 200     # RK4 steps of each segment back to the base
+TRANSPORT_STEPS = 50      # RK4 steps of each segment back to the base
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,11 @@ def _close_under_commutators(mats, m: int):
 
 def _assemble(L: np.ndarray, base, hat_generators, n: int,
               J_fn=None) -> HolonomyEstimate:
-    """Common path in the base frame L: scale gate, closure, rank, labels."""
+    """Common path in the base frame L: scale gate, closure, rank, labels.
+
+    The skew defect is the raw generators'; the span is closed over their
+    skew parts, so that non-skew noise, lifted to unit length by the span
+    basis, does not spread under commutators."""
     scale = max((float(np.max(np.abs(G))) for G in hat_generators), default=0.0)
     if scale < GENERATOR_FLOOR:
         return HolonomyEstimate(algebra_dim=0, generators=[],
@@ -136,7 +141,7 @@ def _assemble(L: np.ndarray, base, hat_generators, n: int,
     skew_defect = max(float(np.max(np.abs(G + G.T)))
                       for G in hat_generators) / scale
     basis, dim, gap = _close_under_commutators(
-        [G / scale for G in hat_generators], len(L))
+        [0.5 * (G - G.T) / scale for G in hat_generators], len(L))
     hat_J = None if J_fn is None else _to_frame(L, np.asarray(J_fn(base)))
     label = classify_algebra(basis, dim, gap, n, hat_J)
     coord_generators = [_from_frame(L, B) for B in basis]
@@ -259,7 +264,10 @@ def _conjugate(P, G: np.ndarray) -> np.ndarray:
 def _segment_transports(chart: Chart, starts, base):
     """Transport from each start to base along a coordinate segment of
     ``TRANSPORT_STEPS`` steps: None for a start at the base, the others
-    transported as one bundle."""
+    transported as one bundle.  At 50 steps the probe transports of the
+    holonomy suite differ from those at 200 by at most 8.4e-13 on hopf{n=2},
+    warped and calabi, fd and analytic; 25 steps differ from 100 by
+    1.3e-11."""
     moved = [k for k, q in enumerate(starts)
              if np.max(np.abs(q - base)) > 1e-14]
     Ps = [None] * len(starts)
@@ -273,8 +281,15 @@ def _segment_transports(chart: Chart, starts, base):
     return Ps
 
 
-def default_holonomy_loops(chart: Chart, base, steps_per_edge: int = 150):
-    """Small contractible rectangles around base in every coordinate plane."""
+def default_holonomy_loops(chart: Chart, base, steps_per_edge: int = 40):
+    """Small contractible rectangles around base in every coordinate plane.
+
+    At the default 40 RK4 steps per edge the loop logarithms differ from
+    those at 160 by at most 1.1e-11 of the largest one on hopf{n=2}, warped
+    and calabi, fd and analytic, against ~1e-8 noise in fd Christoffel
+    symbols; 20 steps differ from 80 by 4.5e-11.  Over the drift grid and the
+    eps-conformal Hopf, 40 steps and 50 per segment give every label and
+    dimension of 150 and 200."""
     base = np.asarray(base, dtype=float)
     m = chart.dim
     loops = []

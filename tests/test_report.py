@@ -489,12 +489,18 @@ class TestEvaluationCounts:
     def test_holonomy_transports_each_shared_edge_once(self, monkeypatch):
         """The default rectangles share edges (per loop size 18 distinct of
         the 24 loop edges), and a loop bundle evaluates the symbols of each
-        distinct edge once.  Of the 856 repeated metric points, 855 are
-        points that transport evaluates a second time and one is the base
-        point, which each estimator reads; J is read at the base only."""
+        distinct edge once.  Of the 1,342 repeated metric points, one is the
+        base point, which each estimator reads.  The other 1,341 are the
+        9-point stencils (the node and its DIRECT stencil) of 149 RK4 nodes
+        that two loop edges through the corner, here the base point, reach
+        with the same bits although the bundle keeps the edges apart: 94
+        where one rectangle returns along an axis on which another leaves
+        (opposite velocities), 33 where the 0.09 and the 0.15 edge leave or
+        return along one axis (different lengths), and 22 where both
+        happen.  J is read at the base only."""
         assert self.counting_run(monkeypatch, "hopf{n=2}", "holonomy") == (
-            {"metric_fn": 165242, "J_fn": 2},
-            {"hopf_2.metric_fn": (165242, 164386), "hopf_2.J_fn": (2, 1)})
+            {"metric_fn": 45362, "J_fn": 2},
+            {"hopf_2.metric_fn": (45362, 44020), "hopf_2.J_fn": (2, 1)})
 
     @pytest.mark.parametrize("manifold, suite", [
         ("hopf{n=2}", "lck-identities"),
