@@ -21,10 +21,12 @@ The chart decides how its metric is differentiated (see
 :func:`christoffel_components` take only the step of its order-2 stencil.
 
 Each operator evaluates its field and then applies one algebraic step:
-:func:`levi_civita`, :func:`covariant_partials`, :func:`codifferential_of`,
-:func:`exterior_of_partials` and :func:`riemann_components`.  A caller that
-already holds the values (the one-pass Lee form of :mod:`lckgeo.hermitian`)
-applies the step itself, with the same formula and the same bits.
+:func:`levi_civita`, :func:`connection_matrix`, :func:`covariant_partials`,
+:func:`codifferential_of`, :func:`exterior_of_partials` and
+:func:`riemann_components`.  A caller that already holds the values (the
+one-pass Lee form of :mod:`lckgeo.hermitian`, the RK4 nodes of
+:mod:`lckgeo.transport`) applies the step itself, with the same formula and
+the same bits.
 """
 
 from __future__ import annotations
@@ -50,9 +52,16 @@ def christoffel(chart: Chart, p, step: float = fd.DIRECT.step) -> FrameTensor:
 def christoffel_components(chart: Chart, p,
                            step: float = fd.DIRECT.step) -> np.ndarray:
     """Gamma^k_{ij} at each of the points p, shape (..., m) -> (..., m, m, m)."""
+    return levi_civita(*metric_partials(chart, p, step))
+
+
+def metric_partials(chart: Chart, p, step: float) -> tuple:
+    """dg[..., k, i, j] = d_k g_ij, by a stencil of the given step where the
+    chart has no derivative function, and g^-1 at each of the points p: the
+    reads that :func:`levi_civita` and :func:`connection_matrix` take."""
     # hot path: raw metric_fn, positivity is asserted by the chart gate tests
     dg = chart.metric_jacobian(p, step=step)
-    return levi_civita(dg, np.linalg.inv(chart.metric_fn(p)))
+    return dg, np.linalg.inv(chart.metric_fn(p))
 
 
 def levi_civita(dg: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
@@ -61,6 +70,23 @@ def levi_civita(dg: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     sym = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
            - dg)
     return 0.5 * np.einsum("...kl,...lij->...kij", g_inv, sym)
+
+
+def connection_matrix(dg: np.ndarray, g_inv: np.ndarray,
+                      v: np.ndarray) -> np.ndarray:
+    """B = -Gamma(v, .), B[..., k, j] = -Gamma^k_{ij} v^i, at each point of a
+    stack from dg[..., k, i, j] = d_k g_ij, g^-1 and the vectors v.
+
+    It contracts :func:`levi_civita` with v before raising the index, in
+    m^2 work per point: B = -1/2 g^-1 S with S = d_v g + C^T - C and
+    C_jl = v^i d_j g_il.
+    """
+    lead, m = v.shape[:-1], v.shape[-1]
+    d_v_g = (v[..., None, :] @ dg.reshape(lead + (m, m * m))).reshape(
+        lead + (m, m))
+    C = (np.swapaxes(dg, -1, -2).reshape(lead + (m * m, m))
+         @ v[..., None]).reshape(lead + (m, m))
+    return -0.5 * (g_inv @ (d_v_g + np.swapaxes(C, -1, -2) - C))
 
 
 def riemann(chart: Chart, p) -> FrameTensor:

@@ -69,6 +69,14 @@ class Chart:
     def dim(self) -> int:
         return len(self.domain)
 
+    @functools.cached_property
+    def bounds(self) -> tuple:
+        """The low and the high face of each coordinate, as two read-only
+        arrays, derived from ``domain`` once per chart."""
+        lows, highs = np.array(self.domain, dtype=float).T
+        lows.flags.writeable = highs.flags.writeable = False
+        return lows, highs
+
     def contains(self, p, margin: float = 0.0) -> bool:
         """Whether the point p lies in the box shrunk by ``margin``."""
         return bool(self.inside(p, margin))
@@ -76,9 +84,11 @@ class Chart:
     def inside(self, points, margin: float = 0.0) -> np.ndarray:
         """Whether each of the points, shape (..., dim), lies in the box
         shrunk by ``margin``."""
-        lows, highs = np.array(self.domain, dtype=float).T
+        lows, highs = self.bounds
+        if margin:      # x + 0.0 and x - 0.0 compare as x does
+            lows, highs = lows + margin, highs - margin
         points = np.asarray(points, dtype=float)
-        return ((lows + margin <= points) & (points <= highs - margin)).all(axis=-1)
+        return ((lows <= points) & (points <= highs)).all(axis=-1)
 
     def require_inside(self, p, margin: float = 0.0):
         """Raise :class:`ChartDomainError` naming the first of the points
@@ -128,13 +138,14 @@ class Chart:
         return fd.difference(values, fd.Stencil(step, 2), p.ndim - 1)
 
     def center(self) -> np.ndarray:
-        return np.array([(lo + hi) / 2.0 for lo, hi in self.domain])
+        lows, highs = self.bounds
+        return (lows + highs) / 2.0
 
     def sample_points(self, rng: np.random.Generator, count: int,
                       margin: float = DEFAULT_MARGIN) -> np.ndarray:
         """Uniform interior samples, keeping `margin` away from every face."""
-        lows = np.array([lo + margin for lo, hi in self.domain])
-        highs = np.array([hi - margin for lo, hi in self.domain])
+        lows, highs = self.bounds
+        lows, highs = lows + margin, highs - margin
         if np.any(highs <= lows):
             raise ChartDomainError(
                 f"margin {margin} empties the domain of chart '{self.label}'")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import riemann
-from .charts import Chart, Loop, coordinate_rectangle
+from .charts import Chart, coordinate_rectangle
 from .errors import (LoopTooLargeError, ParameterError, PreconditionError,
                      in_item_order)
 from .transport import transport_along, transport_segment
@@ -81,10 +81,14 @@ def _complex_dimension(chart: Chart, n) -> int:
 
 
 def _to_frame(L: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Ghat = L^T G L^-T of each endomorphism of a stack G, (..., m, m):
+    one inverse of L for the whole stack, and each matrix's product rounds
+    as it would alone."""
     return L.T @ G @ np.linalg.inv(L).T
 
 
 def _from_frame(L: np.ndarray, G_hat: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_to_frame`, on a stack as it is."""
     return np.linalg.inv(L).T @ G_hat @ L.T
 
 
@@ -144,7 +148,8 @@ def _assemble(L: np.ndarray, base, hat_generators, n: int,
         [0.5 * (G - G.T) / scale for G in hat_generators], len(L))
     hat_J = None if J_fn is None else _to_frame(L, np.asarray(J_fn(base)))
     label = classify_algebra(basis, dim, gap, n, hat_J)
-    coord_generators = [_from_frame(L, B) for B in basis]
+    coord_generators = list(_from_frame(L, np.reshape(basis,
+                                                      (-1,) + L.shape)))
     return HolonomyEstimate(algebra_dim=dim, generators=coord_generators,
                             classification=label, rank_gap=float(gap),
                             base_point=base, skew_defect=skew_defect)
@@ -208,7 +213,7 @@ def default_probes(chart: Chart, base, rng: np.random.Generator):
     base = np.asarray(base, dtype=float)
     m = chart.dim
     probes = []
-    lows, highs = np.array(chart.domain, dtype=float).T
+    lows, highs = chart.bounds
     for _ in range(_probe_minimum(m // 2)):
         q = base + rng.uniform(-0.2, 0.2, size=m)
         q = np.clip(q, lows + FACE_MARGIN, highs - FACE_MARGIN)
@@ -245,7 +250,8 @@ def curvature_span(chart: Chart, base, probes, n: int = None,
     Rs, Ps = in_item_order(lambda: (_curvature(chart, qs, xs, ys),
                                     _segment_transports(chart, qs, base)),
                            one_probe, zip(qs, xs, ys))
-    hats = [_to_frame(L, _conjugate(P, R)) for P, R in zip(Ps, Rs)]
+    hats = _to_frame(L, np.array([_conjugate(P, R)
+                                  for P, R in zip(Ps, Rs)]))
     return _assemble(L, base, hats, n, J_fn)
 
 
@@ -293,7 +299,7 @@ def default_holonomy_loops(chart: Chart, base, steps_per_edge: int = 40):
     base = np.asarray(base, dtype=float)
     m = chart.dim
     loops = []
-    lows, highs = np.array(chart.domain, dtype=float).T
+    lows, highs = chart.bounds
     corner = np.clip(base, lows + FACE_MARGIN + LOOP_SIZE,
                      highs - FACE_MARGIN - LOOP_SIZE)
     for scale in LOOP_SCALES:
@@ -317,7 +323,8 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
     identity in the orthonormal operator norm raise
     :class:`LoopTooLargeError` (subdivide or shrink the loop).  ``n`` is
     half the chart's dimension; a different one raises
-    :class:`ParameterError`.  The error raised is the first loop's, by
+    :class:`ParameterError`.  The logarithms of all the loops are one
+    stack, in one frame change; the error raised is the first loop's, by
     :func:`~lckgeo.errors.in_item_order`.
     """
     base = np.asarray(base, dtype=float)
@@ -329,8 +336,8 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
             if float(np.max(np.abs(loop.shift))) > 0.0 and not allow_shifted:
                 raise PreconditionError(f"loop '{loop.label}' is a deck "
                                         "generator, not contractible")
-        return [_loop_log(L, loop, H)
-                for loop, H in zip(batch, _loop_transports(chart, batch, base))]
+        return _loop_log(L, batch,
+                         np.array(_loop_transports(chart, batch, base)))
 
     hats = in_item_order(lambda: logs(loops), lambda loop: logs([loop]), loops)
     return _assemble(L, base, hats, n, J_fn)
@@ -359,16 +366,24 @@ def _loop_transports(chart: Chart, loops, base):
     return [_conjugate(P, H) for P, H in zip(Ps, Hs)]
 
 
-def _loop_log(L: np.ndarray, loop: Loop, H: np.ndarray) -> np.ndarray:
-    """Principal logarithm of the transport H in the orthonormal frame L;
-    raises :class:`LoopTooLargeError` when H is 0.5 or more from Id."""
+def _loop_log(L: np.ndarray, loops, H: np.ndarray) -> np.ndarray:
+    """Principal logarithm of the transport H in the orthonormal frame L.
+
+    H is a stack (K, m, m) and ``loops`` one loop per matrix, as
+    :func:`loop_holonomy` passes them; a stack is one call of each step,
+    and each logarithm is bit for bit the matrix's alone.  The 2-D form, one
+    matrix and its loop, only serves single-matrix callers such as the
+    tests.  Raises :class:`LoopTooLargeError` for the first H that is 0.5 or
+    more from Id."""
+    if H.ndim == 2:
+        return _loop_log(L, [loops], H[None])[0]
     hat_H = _to_frame(L, H)
-    eye = np.eye(len(H))
-    dist = float(np.linalg.norm(hat_H - eye, 2))
-    if dist >= 0.5:
-        raise LoopTooLargeError(
-            f"transport around '{loop.label}' is {dist:.3f} from the "
-            "identity; shrink or subdivide the loop before taking logs")
+    eye = np.eye(H.shape[-1])
+    for loop, dist in zip(loops, np.linalg.norm(hat_H - eye, 2, axis=(1, 2))):
+        if dist >= 0.5:
+            raise LoopTooLargeError(
+                f"transport around '{loop.label}' is {dist:.3f} from the "
+                "identity; shrink or subdivide the loop before taking logs")
     C = np.linalg.solve(hat_H + eye, hat_H - eye)   # the factors commute
     C2 = C @ C
     series = eye / (2 * LOG_TERMS - 1)              # Horner in C^2

@@ -16,12 +16,16 @@ known before integration starts, and each step is a matrix, V -> V + D V.
 Each piece finds its node times by the float recurrence of the integrator,
 the curve points and velocities at all of them with one call each, and the
 domain check of every node at once.  B is evaluated in blocks of about
-``NODE_BLOCK`` points (see :func:`~lckgeo.calculus.christoffel_components`),
-so no table the size of a piece is held, and each block's increments D
-come from batched matmuls and are applied one step at a time.  The result
-agrees with stage-by-stage RK4 to rounding, and the errors are its errors: a
-state that turns non-finite raises with the end time of its step, and a
-node that fails a domain check raises after the steps before it.
+``NODE_BLOCK`` points, straight from the metric partials and inverse of
+:func:`~lckgeo.calculus.metric_partials`, the reads of
+:func:`~lckgeo.calculus.christoffel_components`, by
+:func:`~lckgeo.calculus.connection_matrix`: m^2 work per node, where Gamma
+takes m^3.  No table the size of a piece is held, and each block's
+increments D come from batched matmuls and are applied one step at a time.
+The result agrees with stage-by-stage RK4 to rounding, and the errors are
+its errors: a state that turns non-finite raises with the end time of its
+step, and a node that fails a domain check raises after the steps before
+it.
 
 A bundle is several curves on one schedule (steps and breakpoints), their
 points stacked on an axis before the coordinate axis, with one frame per
@@ -29,8 +33,8 @@ curve.  One integration carries every frame of the bundle; each curve's
 result is bit for bit its transport alone, and the bundle raises the first
 error in time of any of its curves.  Curves whose node points and
 velocities on a smooth piece are bitwise equal, as rectangles from one
-corner are on a common edge, share that piece's Christoffel blocks and
-step increments: B is evaluated once per distinct curve, in blocks of
+corner are on a common edge, share that piece's blocks of B and step
+increments: B is evaluated once per distinct curve, in blocks of
 about ``NODE_BLOCK`` distinct points, and each curve's frame takes the
 increments of its curve's class.  Callers that need the error of the
 first curve in their own order, as :mod:`~lckgeo.holonomy` does, go
@@ -46,16 +50,18 @@ from typing import Callable
 import numpy as np
 
 from . import fd
-from .calculus import christoffel_components
+from .calculus import (christoffel_components, connection_matrix,
+                       metric_partials)
 from .charts import Chart, Loop
 from .errors import DomainExitError, IntegrationError, in_item_order
 
 DEFAULT_STEPS = 2000
 
-# Evaluation points per stacked Christoffel call in transport_along: RK4
-# nodes times curves.  Large enough to amortise the call, small enough that
-# the stencil arrays of a block stay well below a megabyte.
-NODE_BLOCK = 128
+# Evaluation points per stacked metric call in transport_along: RK4 nodes
+# times curves.  Large enough to amortise the calls of a block, small enough
+# that its fd stencil values stay near a megabyte: 0.5 MB at m = 4 and 1.8 MB
+# at m = 6.  A loop-holonomy estimate on hopf{n=2} peaks at 1.3 MB.
+NODE_BLOCK = 512
 
 # The two Gauss-Legendre rules loop_integral compares on each smooth piece,
 # and how many times a piece may be halved before their disagreement is an
@@ -174,7 +180,7 @@ def _transport_piece(chart: Chart, point_fn: Callable, velocity_fn: Callable,
     xs = np.asarray(point_fn(params), dtype=float).reshape(
         len(times), -1, chart.dim)
     vels = np.asarray(velocity_fn(params), dtype=float).reshape(xs.shape)
-    # the fd stencil of christoffel_components needs its step inside the box
+    # the fd stencil of metric_jacobian needs its step inside the box
     margin = chart.stencil_margin()
     ok = chart.inside(xs, margin)
     bad = np.flatnonzero(~ok.all(axis=1))
@@ -224,15 +230,14 @@ def _step_blocks(chart: Chart, xs: np.ndarray, vels: np.ndarray,
                  curves: np.ndarray, h: float, per_block: int):
     """The increments of the RK4 steps of the given curves over the nodes
     xs, shape (nodes, curves, m), ``per_block`` nodes of
-    B = -Gamma(x)(v, .) at a time; the nodes of an unfinished step carry
-    over to the next block."""
+    B = -Gamma(x)(v, .), by :func:`~lckgeo.calculus.connection_matrix`, at a
+    time; the nodes of an unfinished step carry over to the next block."""
     carry = np.empty((0, len(curves)) + xs.shape[-1:] * 2)
     for start in range(0, len(xs), per_block):
-        gamma = christoffel_components(chart,
-                                       xs[start:start + per_block, curves])
-        v = vels[start:start + per_block, curves]
-        B = np.concatenate([carry, -sum(gamma[..., i, :] * v[..., i, None, None]
-                                        for i in range(chart.dim))])
+        B = np.concatenate([carry, connection_matrix(
+            *metric_partials(chart, xs[start:start + per_block, curves],
+                             fd.DIRECT.step),
+            vels[start:start + per_block, curves])])
         s = (len(B) - 1) // 2
         carry = B[2 * s:]
         # the stages k_i = K_i y of a step from B0, B1/2, B1 at t, t + h/2,

@@ -58,6 +58,38 @@ class TestChartInvariants:
         with pytest.raises(ChartDomainError):
             chart.sample_points(np.random.default_rng(0), 5, margin=10.0)
 
+    def test_domain_verdicts_match_the_domain_read_per_call(self):
+        """The bounds a chart holds give the verdicts of rebuilding
+        np.array(domain) on every call: on the faces and one ulp either
+        side, at +-0.0 against faces at 0.0 and -0.0, and at NaN and inf,
+        for margins +-0.0, +-1e-5 and NaN, point by point and stacked."""
+        chart = Chart(domain=((0.0, 1.0), (-1.0, -0.0)),
+                      metric_fn=fd.constant(np.eye(2)), label="faces")
+
+        def rebuilt(points, margin):
+            lows, highs = np.array(chart.domain, dtype=float).T
+            return ((lows + margin <= points)
+                    & (points <= highs - margin)).all(axis=-1)
+
+        assert chart.bounds is chart.bounds
+        assert not any(b.flags.writeable for b in chart.bounds)
+        margins = (0.0, -0.0, 1e-5, -1e-5, math.nan)
+        values = {0.0, -0.0, math.nan, math.inf, -math.inf}
+        for face in (0.0, 1.0, -1.0):
+            for shift in margins[2:4]:
+                for x in (face, face + shift):
+                    values |= {x, np.nextafter(x, -math.inf),
+                               np.nextafter(x, math.inf)}
+        values = sorted(values, key=lambda x: (math.isnan(x), x))
+        points = np.array(list(itertools.product(values, repeat=2)))
+        for margin in margins:
+            expected = rebuilt(points, margin)
+            assert expected.any() != math.isnan(margin)
+            assert not expected.all()
+            assert np.array_equal(chart.inside(points, margin), expected)
+            assert [chart.contains(p, margin) for p in points] == \
+                expected.tolist()
+
     def test_metric_validation_errors(self):
         bad_sym = Chart(domain=((-1, 1), (-1, 1)),
                         metric_fn=lambda p: np.array([[1.0, 0.5], [0.0, 1.0]]),

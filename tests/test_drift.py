@@ -229,3 +229,39 @@ def test_settable_values_in_one_tree_are_listed(tmp_path):
         "| zoo.estimate(steps=) | base |"]
     assert drift.settable_changes(tmp_path / "base", tmp_path / "base") == (
         "\nno settable value differs")
+
+
+def test_change_env_reaches_the_change_tree_only(tmp_path, monkeypatch,
+                                                 capsys):
+    """Each --change-env NAME=VALUE is set in the change tree's worker
+    environment, the value kept whole after its first '=', and the base
+    tree's worker gets the caller's environment; a value without a name
+    is refused."""
+    started = {}
+
+    class Worker:
+        returncode = 0
+
+        def __init__(self, args, env, **kwargs):
+            started[Path(env["PYTHONPATH"]).parent.name] = env
+
+        def wait(self):
+            return 0
+
+    monkeypatch.setattr(drift.subprocess, "Popen", Worker)
+    monkeypatch.setenv("DRIFT_SHARED", "caller")
+    monkeypatch.delenv("DRIFT_ONLY", raising=False)
+    for tree in ("base", "change"):
+        (tmp_path / tree).mkdir()
+    args = ["--base", str(tmp_path / "base"), "--change",
+            str(tmp_path / "change")]
+    assert drift.main(args + ["--change-env", "DRIFT_ONLY=X86_V4 AVX=1",
+                              "--change-env", "DRIFT_SHARED=change"]) == 0
+    assert started["change"]["DRIFT_ONLY"] == "X86_V4 AVX=1"
+    assert started["change"]["DRIFT_SHARED"] == "change"
+    assert "DRIFT_ONLY" not in started["base"]
+    assert started["base"]["DRIFT_SHARED"] == "caller"
+    assert "no verdict differs" in capsys.readouterr().out
+    for bad in ("DRIFT_ONLY", "=1"):
+        with pytest.raises(SystemExit):
+            drift.main(args + ["--change-env", bad])

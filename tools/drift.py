@@ -3,13 +3,17 @@
 
     python3 tools/drift.py --base PARENT_CHECKOUT --change CHANGED_CHECKOUT
     python3 tools/drift.py --base ... --change ... --samples 100
+    python3 tools/drift.py --base ... --change ... \
+        --change-env NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
 
 Each tree runs the same grid in its own subprocess, with ``<tree>/src`` on
 PYTHONPATH: every suite on every selector of ``SELECTORS``, in fd and
 analytic mode, at seeds 1 and 2, with ``--samples`` samples (``SAMPLES`` =
 3 by default; 100 is the ``lck run`` default).  A run that raises is
 recorded with the exit code ``lck run`` gives it and its error type and
-message.
+message.  Each ``--change-env NAME=VALUE`` is set in the environment of the
+change tree's subprocess only, so that tree can run under another numpy CPU
+dispatch, or any other setting, than the base tree.
 
 The comparator exits 1 when a verdict differs: an exit code, an error, or
 anything in a report but its floating-point numbers (kind, label, algebra
@@ -126,10 +130,11 @@ def work(samples: int) -> None:
         print(json.dumps(record), flush=True)
 
 
-def _start(tree: Path, samples: int):
-    """Start the grid on one tree; its output goes to temporary files, so
-    the two trees run side by side."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+def _start(tree: Path, samples: int, extra_env: dict):
+    """Start the grid on one tree, with ``extra_env`` added to its
+    environment; its output goes to temporary files, so the two trees run
+    side by side."""
+    env = {**os.environ, **extra_env, "PYTHONPATH": str(tree / "src")}
     out, err = tempfile.TemporaryFile("w+"), tempfile.TemporaryFile("w+")
     proc = subprocess.Popen([sys.executable, __file__, "--worker",
                              "--samples", str(samples)], env=env,
@@ -388,18 +393,26 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path)
     parser.add_argument("--samples", type=int, default=SAMPLES,
                         help=f"samples per run (default {SAMPLES})")
+    parser.add_argument("--change-env", action="append", default=[],
+                        metavar="NAME=VALUE",
+                        help="set NAME to VALUE in the change tree's "
+                        "subprocess only (repeatable)")
     parser.add_argument("--worker", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.samples < 1:
         parser.error("--samples must be >= 1")
+    if any(item.find("=") < 1 for item in args.change_env):
+        parser.error("--change-env takes NAME=VALUE")
+    change_env = dict(item.split("=", 1) for item in args.change_env)
     if args.worker:
         work(args.samples)
         return 0
     if args.base is None or args.change is None:
         parser.error("--base and --change are required")
-    procs = {name: _start(tree.resolve(), args.samples) for name, tree in
-             (("base", args.base), ("change", args.change))}
+    procs = {name: _start(tree.resolve(), args.samples, env)
+             for name, tree, env in (("base", args.base, {}),
+                                     ("change", args.change, change_env))}
     for proc, _, _ in procs.values():
         proc.wait()             # both, before either failure exits
     base = _collect("base", procs["base"])
