@@ -52,16 +52,16 @@ def christoffel(chart: Chart, p, step: float = fd.DIRECT.step) -> FrameTensor:
 def christoffel_components(chart: Chart, p,
                            step: float = fd.DIRECT.step) -> np.ndarray:
     """Gamma^k_{ij} at each of the points p, shape (..., m) -> (..., m, m, m)."""
-    return levi_civita(*metric_partials(chart, p, step))
+    dg, g = metric_partials(chart, p, step)
+    return levi_civita(dg, np.linalg.inv(g))
 
 
 def metric_partials(chart: Chart, p, step: float) -> tuple:
     """dg[..., k, i, j] = d_k g_ij, by a stencil of the given step where the
-    chart has no derivative function, and g^-1 at each of the points p: the
-    reads that :func:`levi_civita` and :func:`connection_matrix` take."""
+    chart has no derivative function, and g at each of the points p: the
+    reads of :func:`christoffel_components` and :func:`connection_matrix`."""
     # hot path: raw metric_fn, positivity is asserted by the chart gate tests
-    dg = chart.metric_jacobian(p, step=step)
-    return dg, np.linalg.inv(chart.metric_fn(p))
+    return chart.metric_jacobian(p, step=step), chart.metric_fn(p)
 
 
 def levi_civita(dg: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
@@ -72,21 +72,52 @@ def levi_civita(dg: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...kl,...lij->...kij", g_inv, sym)
 
 
-def connection_matrix(dg: np.ndarray, g_inv: np.ndarray,
+def connection_matrix(dg: np.ndarray, g: np.ndarray,
                       v: np.ndarray) -> np.ndarray:
     """B = -Gamma(v, .), B[..., k, j] = -Gamma^k_{ij} v^i, at each point of a
-    stack from dg[..., k, i, j] = d_k g_ij, g^-1 and the vectors v.
+    stack from dg[..., k, i, j] = d_k g_ij, g and the vectors v.
 
     It contracts :func:`levi_civita` with v before raising the index, in
     m^2 work per point: B = -1/2 g^-1 S with S = d_v g + C^T - C and
-    C_jl = v^i d_j g_il.
+    C_jl = v^i d_j g_il, and g^-1 S by :func:`spd_solve`.
     """
     lead, m = v.shape[:-1], v.shape[-1]
     d_v_g = (v[..., None, :] @ dg.reshape(lead + (m, m * m))).reshape(
         lead + (m, m))
     C = (np.swapaxes(dg, -1, -2).reshape(lead + (m * m, m))
          @ v[..., None]).reshape(lead + (m, m))
-    return -0.5 * (g_inv @ (d_v_g + np.swapaxes(C, -1, -2) - C))
+    return -0.5 * spd_solve(g, d_v_g + np.swapaxes(C, -1, -2) - C)
+
+
+def spd_solve(g: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """g^-1 S for each symmetric positive definite g of a stack, shapes
+    (..., m, m) and (..., m, k), by the Cholesky factorization g = L L^T
+    and the sweeps L Y = S and L^T X = Y.
+
+    The loops run over m: each operation is one elementwise ufunc over the
+    whole stack, held on the last axis, (m, m, N).  Without pivoting this is
+    backward stable for SPD g (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 10).  A g with a pivot that is not positive
+    and finite, as a singular, indefinite or NaN one has, gives NaN for all
+    of its g^-1 S, and no warning.
+    """
+    lead, (m, k) = g.shape[:-2], S.shape[-2:]
+    L = g.reshape(-1, m * m).T.copy().reshape(m, m, -1)
+    X = S.reshape(-1, m * k).T.copy().reshape(m, k, -1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(m):      # L overwrites the lower triangle, by columns
+            L[j, j] = np.sqrt(L[j, j])
+            L[j + 1:, j] /= L[j, j]
+            L[j + 1:, j + 1:] -= L[j + 1:, None, j] * L[None, j + 1:, j]
+        for j in range(m):
+            X[j] /= L[j, j]
+            X[j + 1:] -= L[j + 1:, j, None] * X[j]
+        for j in reversed(range(m)):
+            X[j] /= L[j, j]
+            X[:j] -= L[j, :j, None] * X[j]
+        pivots = np.diagonal(L)
+        X[..., ~np.all((pivots > 0.0) & (pivots < np.inf), axis=-1)] = np.nan
+    return np.moveaxis(X, (0, 1), (-2, -1)).reshape(lead + (m, k))
 
 
 def riemann(chart: Chart, p) -> FrameTensor:

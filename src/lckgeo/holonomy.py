@@ -136,16 +136,16 @@ def _assemble(L: np.ndarray, base, hat_generators, n: int,
     The skew defect is the raw generators'; the span is closed over their
     skew parts, so that non-skew noise, lifted to unit length by the span
     basis, does not spread under commutators."""
-    scale = max((float(np.max(np.abs(G))) for G in hat_generators), default=0.0)
+    scale = float(np.max(np.abs(hat_generators), initial=0.0))
     if scale < GENERATOR_FLOOR:
         return HolonomyEstimate(algebra_dim=0, generators=[],
                                 classification="reducible/other",
                                 rank_gap=np.inf, base_point=base)
 
-    skew_defect = max(float(np.max(np.abs(G + G.T)))
-                      for G in hat_generators) / scale
+    transposed = np.swapaxes(hat_generators, -1, -2)
+    skew_defect = float(np.max(np.abs(hat_generators + transposed))) / scale
     basis, dim, gap = _close_under_commutators(
-        [0.5 * (G - G.T) / scale for G in hat_generators], len(L))
+        0.5 * (hat_generators - transposed) / scale, len(L))
     hat_J = None if J_fn is None else _to_frame(L, np.asarray(J_fn(base)))
     label = classify_algebra(basis, dim, gap, n, hat_J)
     coord_generators = list(_from_frame(L, np.reshape(basis,
@@ -245,14 +245,14 @@ def curvature_span(chart: Chart, base, probes, n: int = None,
     def one_probe(probe):
         q, x, y = probe
         _curvature(chart, q, x, y)
-        _segment_transports(chart, [q], base)
+        _segment_transports(chart, q[None], base)
 
-    Rs, Ps = in_item_order(lambda: (_curvature(chart, qs, xs, ys),
-                                    _segment_transports(chart, qs, base)),
-                           one_probe, zip(qs, xs, ys))
-    hats = _to_frame(L, np.array([_conjugate(P, R)
-                                  for P, R in zip(Ps, Rs)]))
-    return _assemble(L, base, hats, n, J_fn)
+    Rs, (moved, P) = in_item_order(
+        lambda: (_curvature(chart, qs, xs, ys),
+                 _segment_transports(chart, qs, base)),
+        one_probe, zip(qs, xs, ys))
+    Rs[moved] = P @ Rs[moved] @ np.linalg.inv(P)
+    return _assemble(L, base, _to_frame(L, Rs), n, J_fn)
 
 
 def _curvature(chart: Chart, q: np.ndarray, x: np.ndarray,
@@ -262,29 +262,22 @@ def _curvature(chart: Chart, q: np.ndarray, x: np.ndarray,
                      x, y)
 
 
-def _conjugate(P, G: np.ndarray) -> np.ndarray:
-    """P G P^-1, or G where P is None."""
-    return G if P is None else P @ G @ np.linalg.inv(P)
-
-
-def _segment_transports(chart: Chart, starts, base):
-    """Transport from each start to base along a coordinate segment of
-    ``TRANSPORT_STEPS`` steps: None for a start at the base, the others
-    transported as one bundle.  At 50 steps the probe transports of the
-    holonomy suite differ from those at 200 by at most 8.4e-13 on hopf{n=2},
-    warped and calabi, fd and analytic; 25 steps differ from 100 by
-    1.3e-11."""
-    moved = [k for k, q in enumerate(starts)
-             if np.max(np.abs(q - base)) > 1e-14]
-    Ps = [None] * len(starts)
-    if moved:
-        m = chart.dim
-        bundle = transport_segment(
-            chart, np.array([starts[k] for k in moved]), base,
-            np.broadcast_to(np.eye(m), (len(moved), m, m)), TRANSPORT_STEPS)
-        for k, P in zip(moved, bundle):
-            Ps[k] = P
-    return Ps
+def _segment_transports(chart: Chart, starts: np.ndarray, base):
+    """Transport from each of the starts, shape (K, m), to base along a
+    coordinate segment of ``TRANSPORT_STEPS`` steps: the indices of the
+    starts off the base, and their transports P as one bundle.  A caller
+    moves the endomorphisms G at those starts to the base as P G P^-1, by
+    one stacked inverse and product.  At 50 steps the probe transports of
+    the holonomy suite differ from those at 200 by at most 8.4e-13 on
+    hopf{n=2}, warped and calabi, fd and analytic; 25 steps differ from 100
+    by 1.3e-11."""
+    moved = np.flatnonzero(np.max(np.abs(starts - base), axis=-1) > 1e-14)
+    m = chart.dim
+    if len(moved) == 0:
+        return moved, np.empty((0, m, m))
+    return moved, transport_segment(
+        chart, starts[moved], base,
+        np.broadcast_to(np.eye(m), (len(moved), m, m)), TRANSPORT_STEPS)
 
 
 def default_holonomy_loops(chart: Chart, base, steps_per_edge: int = 40):
@@ -336,23 +329,22 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
             if float(np.max(np.abs(loop.shift))) > 0.0 and not allow_shifted:
                 raise PreconditionError(f"loop '{loop.label}' is a deck "
                                         "generator, not contractible")
-        return _loop_log(L, batch,
-                         np.array(_loop_transports(chart, batch, base)))
+        return _loop_log(L, batch, _loop_transports(chart, batch, base))
 
     hats = in_item_order(lambda: logs(loops), lambda loop: logs([loop]), loops)
     return _assemble(L, base, hats, n, J_fn)
 
 
-def _loop_transports(chart: Chart, loops, base):
-    """Transport around each loop, conjugated to the base along a segment
-    where the loop starts off the base.  The loops that share a schedule
-    (steps and breakpoints) are transported as one bundle, and the segments
-    as another."""
+def _loop_transports(chart: Chart, loops, base) -> np.ndarray:
+    """Transport around each loop, a stack (K, m, m), conjugated to the
+    base along a segment where the loop starts off the base.  The loops
+    that share a schedule (steps and breakpoints) are transported as one
+    bundle, and the segments as another."""
     m = chart.dim
     groups = {}
     for k, loop in enumerate(loops):
         groups.setdefault((loop.steps, loop.breakpoints), []).append(k)
-    Hs = [None] * len(loops)
+    Hs = np.empty((len(loops), m, m))
     for (loop_steps, breakpoints), ks in groups.items():
         bundle = [loops[k] for k in ks]
         transported = transport_along(
@@ -360,10 +352,11 @@ def _loop_transports(chart: Chart, loops, base):
             lambda t: np.stack([lp.velocity(t) for lp in bundle], -2),
             np.broadcast_to(np.eye(m), (len(ks), m, m)), steps=loop_steps,
             breakpoints=breakpoints)
-        for k, H in zip(ks, transported):
-            Hs[k] = H
-    Ps = _segment_transports(chart, [loop.point(0.0) for loop in loops], base)
-    return [_conjugate(P, H) for P, H in zip(Ps, Hs)]
+        Hs[ks] = transported
+    moved, P = _segment_transports(
+        chart, np.array([loop.point(0.0) for loop in loops]), base)
+    Hs[moved] = P @ Hs[moved] @ np.linalg.inv(P)
+    return Hs
 
 
 def _loop_log(L: np.ndarray, loops, H: np.ndarray) -> np.ndarray:

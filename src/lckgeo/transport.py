@@ -14,18 +14,21 @@ B = -Gamma(x(t))(x'(t), .).  RK4 samples B at t, t + h/2 and t + h, the next
 step's t, so a smooth piece of s steps needs it at 2s + 1 node times, all
 known before integration starts, and each step is a matrix, V -> V + D V.
 Each piece finds its node times by the float recurrence of the integrator,
-the curve points and velocities at all of them with one call each, and the
-domain check of every node at once.  B is evaluated in blocks of about
-``NODE_BLOCK`` points, straight from the metric partials and inverse of
+and a transport takes the curve points and velocities at the nodes of all
+its pieces with one call each; each piece runs the domain check of every
+node at once.  B is evaluated in blocks of about ``NODE_BLOCK`` points,
+straight from the metric partials and metric of
 :func:`~lckgeo.calculus.metric_partials`, the reads of
 :func:`~lckgeo.calculus.christoffel_components`, by
 :func:`~lckgeo.calculus.connection_matrix`: m^2 work per node, where Gamma
-takes m^3.  No table the size of a piece is held, and each block's
-increments D come from batched matmuls and are applied one step at a time.
-The result agrees with stage-by-stage RK4 to rounding, and the errors are
-its errors: a state that turns non-finite raises with the end time of its
-step, and a node that fails a domain check raises after the steps before
-it.
+takes m^3, and g^-1 by a Cholesky solve over the block.  No table the size
+of a piece is held, and each block's increments D come from batched
+matmuls and are applied one step at a time.  The result agrees with
+stage-by-stage RK4 to rounding, and the errors are its errors: a state
+that turns non-finite raises with the end time of its step, and a node
+that fails a domain check raises after the steps before it.  A metric off
+the SPD cone gives a NaN connection, so a node where it is singular or
+indefinite ends its step non-finite.
 
 A bundle is several curves on one schedule (steps and breakpoints), their
 points stacked on an axis before the coordinate axis, with one frame per
@@ -142,14 +145,26 @@ def transport_along(chart: Chart, point_fn: Callable, velocity_fn: Callable,
     is (K, m, k), one frame per curve.  Each curve's result is bit for bit
     its transport alone.  ``breakpoints`` are interior parameters where the
     velocity may jump (polygon corners); each smooth piece is integrated
-    separately so no RK4 stage samples the velocity across a corner.
+    separately so no RK4 stage samples the velocity across a corner.  The
+    curve functions are called once, on the nodes of every piece; where
+    that call raises, the error is the first piece's, by
+    :func:`~lckgeo.errors.in_item_order`, before any piece is integrated.
     """
     y = np.asarray(frame, dtype=float)
     knots = _knots(breakpoints)
-    for t0, t1 in zip(knots[:-1], knots[1:]):
-        piece_steps = max(int(round(steps * (t1 - t0))), 1)
-        y = _transport_piece(chart, point_fn, velocity_fn, y, t0, t1,
-                             piece_steps)
+    pieces = [_node_times(t0, t1, max(int(round(steps * (t1 - t0))), 1))
+              for t0, t1 in zip(knots[:-1], knots[1:])]
+    xs, vels = in_item_order(
+        lambda: _curve_nodes(chart, point_fn, velocity_fn, np.concatenate(
+            [params for _, _, params in pieces])),
+        lambda piece: _curve_nodes(chart, point_fn, velocity_fn, piece[2]),
+        pieces)
+    start = 0
+    for h, times, params in pieces:
+        end = start + len(params)
+        y = _transport_piece(chart, xs[start:end], vels[start:end], y, h,
+                             times)
+        start = end
     return y
 
 
@@ -159,27 +174,42 @@ def _knots(breakpoints: tuple) -> list:
     return [0.0] + sorted(t for t in breakpoints if 0.0 < t < 1.0) + [1.0]
 
 
-def _transport_piece(chart: Chart, point_fn: Callable, velocity_fn: Callable,
-                     y: np.ndarray, t0: float, t1: float,
-                     steps: int) -> np.ndarray:
-    """The frames y carried over one smooth piece by RK4 step propagators,
-    applied one step at a time as in :func:`_rk4`: a state that turns
-    non-finite raises with the end time of its step, and the first node
-    that fails a domain check raises after the steps before it.  Curves of
-    a bundle that coincide on the piece share their increments D."""
+def _node_times(t0: float, t1: float, steps: int):
+    """The step h of a smooth piece over [t0, t1] in the given RK4 steps,
+    its node times by the float recurrence of :func:`_rk4`, and the curve
+    parameters at which they sample it: clipped into the piece, so that no
+    stage samples the velocity at a corner."""
     h = (t1 - t0) / steps
     times, t = [], t0
-    for _ in range(steps):      # the float recurrence of _rk4
+    for _ in range(steps):
         times += (t, t + 0.5 * h)
         t += h
     times.append(t)
     eps = 1e-9 * (t1 - t0)
-    # no stage samples the velocity at a corner
-    params = np.clip(times, t0 + eps, t1 - eps)
-    # nodes x curves x coordinates; one curve is a bundle of one
+    return h, times, np.clip(times, t0 + eps, t1 - eps)
+
+
+def _curve_nodes(chart: Chart, point_fn: Callable, velocity_fn: Callable,
+                 params: np.ndarray):
+    """Points and velocities of the curve at the parameters, shape
+    (nodes, curves, coordinates); one curve is a bundle of one."""
     xs = np.asarray(point_fn(params), dtype=float).reshape(
-        len(times), -1, chart.dim)
-    vels = np.asarray(velocity_fn(params), dtype=float).reshape(xs.shape)
+        len(params), -1, chart.dim)
+    return xs, np.asarray(velocity_fn(params), dtype=float).reshape(xs.shape)
+
+
+def _transport_piece(chart: Chart, xs: np.ndarray, vels: np.ndarray,
+                     y: np.ndarray, h: float, times: list) -> np.ndarray:
+    """The frames y carried over one smooth piece, with curve points xs and
+    velocities vels at its node times, by RK4 step propagators applied one
+    step at a time as in :func:`_rk4`: a state that turns non-finite raises
+    with the end time of its step, and the first node that fails a domain
+    check raises after the steps before it.  Curves of a bundle that
+    coincide on the piece share their increments D.
+
+    The state is checked once per block of steps: a non-finite entry stays
+    non-finite under y + D y, so only a block that ends non-finite is
+    replayed step by step, with numpy's warnings, to find its step."""
     # the fd stencil of metric_jacobian needs its step inside the box
     margin = chart.stencil_margin()
     ok = chart.inside(xs, margin)
@@ -191,15 +221,28 @@ def _transport_piece(chart: Chart, point_fn: Callable, velocity_fn: Callable,
     step = 0
     for D in _step_blocks(chart, xs[:n_ok], vels[:n_ok], distinct, h,
                           max(NODE_BLOCK // len(distinct), 1)):
-        for D_j in D[:, curve_of]:
-            y = y + D_j @ y
-            step += 1
-            if not np.all(np.isfinite(y)):
-                raise IntegrationError(
-                    f"non-finite state at t={times[2 * step]}")
+        D = D[:, curve_of]
+        y_block = y
+        with np.errstate(all="ignore"):
+            for D_j in D:
+                y = y + D_j @ y
+        if not np.all(np.isfinite(y)):
+            _raise_non_finite(D, y_block, times, step)
+        step += len(D)
     if n_ok < len(times):
         _raise_domain_error(chart, xs[n_ok], times[n_ok], margin)
     return y.reshape(shape)
+
+
+def _raise_non_finite(D: np.ndarray, y: np.ndarray, times: list, step: int):
+    """Replay the steps y -> y + D_j y from y, the state after ``step``
+    steps, and raise at the first that turns it non-finite, with the end
+    time of that step."""
+    for D_j in D:
+        y = y + D_j @ y
+        step += 1
+        if not np.all(np.isfinite(y)):
+            raise IntegrationError(f"non-finite state at t={times[2 * step]}")
 
 
 def _coinciding_curves(xs: np.ndarray, vels: np.ndarray):

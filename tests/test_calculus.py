@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +14,7 @@ from lckgeo.calculus import (christoffel, christoffel_components, codifferential
                              connection_matrix, covariant_derivative,
                              covariant_derivative_full, exterior_derivative,
                              lowered_riemann, metric_compatibility_defect,
-                             ricci_scalar, riemann)
+                             ricci_scalar, riemann, spd_solve)
 from lckgeo.charts import Chart, form_norm
 from lckgeo.errors import ChartDomainError
 from lckgeo.hermitian import lee_field, lee_form_components
@@ -121,7 +122,7 @@ class TestConnectionMatrix:
                                       "calabi_sin", "euclid4"])
     def test_matches_contracted_christoffel(self, request, name, mode):
         """Every drift-grid selector, 200 random (x, v) per chart: the worst
-        measured difference is 3.2e-16 of 1 + max|B| (calabi g+, fd)."""
+        measured difference is 4.4e-16 of 1 + max|B| (calabi g-, fd)."""
         rng = np.random.default_rng(1)
         for chart in request.getfixturevalue(name).charts.values():
             if mode == "fd":
@@ -131,10 +132,56 @@ class TestConnectionMatrix:
             ref = -np.einsum("...kij,...i->...kj",
                              christoffel_components(chart, x), v)
             B = connection_matrix(chart.metric_jacobian(x),
-                                  np.linalg.inv(chart.metric_fn(x)), v)
+                                  chart.metric_fn(x), v)
             assert B.shape == ref.shape == (200, chart.dim, chart.dim)
             assert np.max(np.abs(B - ref)) <= 4e-15 * (
                 1.0 + np.max(np.abs(ref))), chart.label
+
+
+class TestSpdSolve:
+    """g^-1 S by the stack-last Cholesky kernel."""
+
+    @staticmethod
+    def _spd(rng, lead, m):
+        M = rng.standard_normal(lead + (m, m))
+        return M @ np.swapaxes(M, -1, -2) + m * np.eye(m)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_matches_linalg_solve(self, m):
+        """Stacks of 0, 1 and 500 matrices, a (2, 3) stack and one matrix:
+        the worst measured difference is 4.4e-16 of max|X| (m = 4)."""
+        rng = np.random.default_rng(1)
+        for lead in [(0,), (1,), (500,), (2, 3), ()]:
+            g = self._spd(rng, lead, m)
+            S = rng.standard_normal(lead + (m, m + 1))
+            g_in, S_in = g.copy(), S.copy()
+            X = spd_solve(g, S)
+            ref = np.linalg.solve(g, S)
+            assert X.shape == ref.shape
+            assert np.array_equal(g, g_in) and np.array_equal(S, S_in)
+            if X.size:
+                assert np.max(np.abs(X - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_non_spd_gives_nan_without_warning(self, m):
+        """A singular, an indefinite, a NaN and an infinite g, each between
+        SPD ones: only its own g^-1 S is NaN, all of it."""
+        rng = np.random.default_rng(1)
+        eye = np.eye(m)
+        bad = [np.zeros((m, m)), np.diag(np.resize([1.0, -1.0], m)),
+               eye * np.nan, eye + np.diag(np.resize([0.0, np.inf], m))]
+        singular = eye.copy()
+        singular[-1, -1] = 0.0
+        bad.append(singular)
+        g = self._spd(rng, (2 * len(bad) + 1,), m)
+        g[1::2] = bad
+        S = rng.standard_normal((len(g), m, m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = spd_solve(g, S)
+        assert np.all(np.isnan(X[1::2]))
+        assert np.array_equal(X[::2], spd_solve(g[::2], S[::2]))
+        assert np.all(np.isfinite(X[::2]))
 
 
 def _per_axis_partial(f, p, axis, step, order):

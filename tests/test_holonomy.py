@@ -11,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lckgeo import zoo
+from lckgeo import holonomy, zoo
 from lckgeo.calculus import riemann
 from lckgeo.charts import (Chart, coordinate_rectangle, polygon_loop,
                            segment_loop)
@@ -373,6 +373,48 @@ class TestBundles:
         assert str(bundle) == str(refs[1]) != str(refs[0]) == str(ref)
         assert str(err) == str(ref)
 
+    @pytest.mark.parametrize("mode", ["fd", "analytic"])
+    def test_conjugation_is_each_matrix_alone(self, hopf2, rng, monkeypatch,
+                                              mode):
+        """The probes' curvatures and the loops' transports are moved to the
+        base by one stacked inverse and product: each is bit for bit
+        P G P^-1 for its matrix alone, and a probe or loop at the base keeps
+        its G."""
+        entry = zoo.stencil_only(hopf2) if mode == "fd" else hopf2
+        chart = entry.holonomy_structure.chart
+        base = chart.center()
+        probes = default_probes(chart, base, rng)
+        probes.insert(2, (base, probes[2][1]))
+        seen = []
+        to_frame = holonomy._to_frame
+
+        def recorded(L, G):
+            seen.append(G.copy())
+            return to_frame(L, G)
+
+        monkeypatch.setattr(holonomy, "_to_frame", recorded)
+        curvature_span(chart, base, probes, n=2)
+        loops = (default_holonomy_loops(chart, base)[:6]
+                 + default_holonomy_loops(chart, base + 0.05)[:6])
+        Hs = _loop_transports(chart, loops, base)
+
+        def alone(q, G):
+            if np.array_equal(q, base):
+                return G
+            P = transport_segment(chart, q, base, np.eye(4),
+                                  steps=TRANSPORT_STEPS)
+            return P @ G @ np.linalg.inv(P)
+
+        assert len(seen) == 1
+        for k, (q, (x, y)) in enumerate(probes):
+            assert np.array_equal(seen[0][k],
+                                  alone(q, _curvature(chart, q, x, y))), k
+        assert [np.array_equal(lp.point(0.0), base) for lp in loops] == [
+            True] * 6 + [False] * 6
+        for k, loop in enumerate(loops):
+            assert np.array_equal(Hs[k], alone(loop.point(0.0), (
+                parallel_transport(chart, loop, np.eye(4))))), k
+
     def test_too_large_loop_wins_over_later_deck_generator(self):
         """A rectangle enclosing area 0.57 of the unit sphere turns by that
         angle, 0.57 from the identity; the latitude after it is never
@@ -519,10 +561,10 @@ class TestSchedule:
 
         rng = np.random.default_rng((1, zlib.crc32(b"holonomy")))
         qs = np.array([q for q, _ in default_probes(chart, base, rng)])
-        coarse = np.array(_segment_transports(chart, qs, base))
+        coarse = _segment_transports(chart, qs, base)[1]
         monkeypatch.setattr("lckgeo.holonomy.TRANSPORT_STEPS",
                             4 * TRANSPORT_STEPS)
-        fine = np.array(_segment_transports(chart, qs, base))
+        fine = _segment_transports(chart, qs, base)[1]
         assert np.max(np.abs(coarse - fine)) <= 2e-12 * np.max(np.abs(fine))
 
 

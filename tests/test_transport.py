@@ -242,9 +242,10 @@ def _raised(fn):
 class TestNodeTable:
     """Transport from one table of connection values per RK4 node."""
 
-    # the step propagators and B = -Gamma(v, .) from the metric partials
-    # round differently from the stage-by-stage integration; 2.2e-16 was
-    # the largest difference measured (hopf{n=2}, fd segment)
+    # the step propagators and B = -Gamma(v, .) from the metric partials,
+    # solved by Cholesky, round differently from the stage-by-stage
+    # integration; 2.2e-16 was the largest difference measured (hopf{n=2},
+    # fd segment)
     STAGEWISE_ATOL = 1e-13
 
     def test_rectangle_with_corners_matches_stagewise(self, hopf2):
@@ -318,15 +319,15 @@ class TestNodeTable:
         assert str(err) == str(ref)
 
     @staticmethod
-    def _nan_beyond(cut):
-        """A curved conformal metric on [-1, 1]^2 that is nan from x0 = cut
-        on."""
+    def _beyond(cut, diagonal):
+        """A curved conformal metric f Id on [-1, 1]^2, f diag(diagonal)
+        from x0 = cut on."""
         def metric_fn(p):
-            f = (2.0 + np.sin(3.0 * p[..., 0]) + 0.5 * p[..., 1]
-                 + np.where(p[..., 0] < cut, 0.0, np.nan))
-            return np.eye(2) * f[..., None, None]
+            f = 2.0 + np.sin(3.0 * p[..., 0]) + 0.5 * p[..., 1]
+            d = np.where((p[..., 0] < cut)[..., None], 1.0, diagonal)
+            return f[..., None, None] * (d[..., None] * np.eye(2))
         return Chart(domain=((-1, 1), (-1, 1)), metric_fn=metric_fn,
-                     label="nan_beyond")
+                     label=f"{diagonal}_beyond")
 
     @pytest.mark.parametrize("after", [0, 1, 36])
     def test_non_finite_step_matches_stagewise(self, after):
@@ -337,7 +338,7 @@ class TestNodeTable:
         steps = transport.NODE_BLOCK + transport.NODE_BLOCK // 6
         step = transport.NODE_BLOCK // 2 + after
         end = 0.9
-        chart = self._nan_beyond(end * (step - 0.25) / steps)
+        chart = self._beyond(end * (step - 0.25) / steps, [np.nan, np.nan])
         curve = _segment([0.0, 0.2], [end, 0.2])
         err = _raised(lambda: transport_along(chart, *curve, np.eye(2),
                                               steps=steps))
@@ -346,6 +347,59 @@ class TestNodeTable:
         assert type(err) is type(ref) is IntegrationError
         assert str(err) == str(ref)
         assert math.isclose(float(str(err).split("=")[1]), step / steps)
+
+    @pytest.mark.parametrize("after", [0, 36])
+    @pytest.mark.parametrize("kind", ["singular", "indefinite"])
+    def test_metric_off_the_spd_cone_raises_at_its_step(self, kind, after):
+        """The metric turns singular, or indefinite, from x0 = cut on: the
+        connection there is NaN, and the error names the end of the first
+        step with a node beyond the cut, in the second block of nodes or at
+        its start, as for a NaN metric."""
+        steps = transport.NODE_BLOCK + transport.NODE_BLOCK // 6
+        step = transport.NODE_BLOCK // 2 + after
+        end = 0.9
+        chart = self._beyond(end * (step - 0.25) / steps, {
+            "singular": [1.0, 0.0], "indefinite": [1.0, -1.0]}[kind])
+        curve = _segment([0.0, 0.2], [end, 0.2])
+        err = _raised(lambda: transport_along(chart, *curve, np.eye(2),
+                                              steps=steps))
+        assert type(err) is IntegrationError
+        assert math.isclose(float(str(err).split("=")[1]), step / steps)
+
+    def test_curve_evaluated_once(self, hopf2):
+        """A four-edge loop calls its point and velocity functions once
+        each, on the nodes of all four pieces.  A curve that raises on the
+        second and the fourth edge raises the second's error, as piece by
+        piece evaluation does."""
+        chart = hopf2.main_structure.chart
+        loop = coordinate_rectangle(chart.center(), 1, 2, 0.15, 0.1,
+                                    steps_per_edge=10)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(t):
+                calls.append(name)
+                return fn(t)
+            return wrapper
+
+        M = transport_along(chart, counted("point", loop.point),
+                            counted("velocity", loop.velocity), np.eye(4),
+                            steps=loop.steps, breakpoints=loop.breakpoints)
+        assert calls == ["point", "velocity"]
+        assert np.array_equal(M, parallel_transport(chart, loop, np.eye(4)))
+
+        def failing(t):
+            t = np.asarray(t)
+            bad = t[((0.3 < t) & (t < 0.4)) | (0.8 < t)]
+            if bad.size:
+                raise ValueError(f"no point on edge {int(4 * bad.max())}")
+            return loop.point(t)
+
+        err = _raised(lambda: transport_along(
+            chart, failing, loop.velocity, np.eye(4), steps=loop.steps,
+            breakpoints=loop.breakpoints))
+        assert type(err) is ValueError
+        assert str(err) == "no point on edge 1"
 
     @pytest.mark.parametrize("mode", ["fd", "analytic"])
     def test_domain_exit_after_two_node_blocks_matches_stagewise(
