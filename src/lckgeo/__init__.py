@@ -16,12 +16,12 @@ Layers, bottom up:
 
 from .charts import (Chart, FrameTensor, Loop, coordinate_rectangle,
                      polygon_loop, segment_loop, wedge)
-from .calculus import (christoffel, codifferential, covariant_derivative,
-                       exterior_derivative, ricci_scalar, riemann)
+from .calculus import (christoffel, codifferential, exterior_derivative,
+                       ricci_scalar, riemann)
 from .transport import (geodesic, loop_integral, orthogonality_defect,
                         parallel_transport)
 from .hermitian import (HermitianStructure, LeeData, conformal_rescale,
-                        fundamental_form, lee_form, nijenhuis_residual)
+                        lee_form, nijenhuis_residual)
 from .identities import (StructureClass, classify_structure,
                          einstein_chain_residuals, commuting_pair_residuals,
                          hamiltonian_form_residual, average_metric_residuals,
@@ -39,10 +39,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Chart", "FrameTensor", "Loop", "coordinate_rectangle", "polygon_loop",
     "segment_loop", "wedge", "christoffel", "codifferential",
-    "covariant_derivative", "exterior_derivative", "ricci_scalar", "riemann",
-    "geodesic", "loop_integral", "orthogonality_defect", "parallel_transport",
-    "HermitianStructure", "LeeData", "conformal_rescale", "fundamental_form",
-    "lee_form", "nijenhuis_residual", "StructureClass", "classify_structure",
+    "exterior_derivative", "ricci_scalar", "riemann", "geodesic",
+    "loop_integral", "orthogonality_defect", "parallel_transport",
+    "HermitianStructure", "LeeData", "conformal_rescale", "lee_form",
+    "nijenhuis_residual", "StructureClass", "classify_structure",
     "einstein_chain_residuals", "commuting_pair_residuals",
     "hamiltonian_form_residual", "average_metric_residuals",
     "parallel_field_residuals", "nabla_j_residual", "curvature_j_residuals",

@@ -203,14 +203,6 @@ def _tensordot(a: np.ndarray, a_axis: int, b: np.ndarray, b_axis: int,
     return prod.reshape(points + free_a + free_b)
 
 
-def covariant_derivative(chart: Chart, field: Callable, p, x,
-                         valence: tuple) -> FrameTensor:
-    """Directional covariant derivative nabla_X T at p (same valence as T)."""
-    full = covariant_derivative_full(chart, field, p, valence)
-    comp = np.tensordot(np.asarray(x, dtype=float), full, axes=(0, 0))
-    return FrameTensor(comp, valence=valence, point=np.asarray(p, dtype=float))
-
-
 def exterior_derivative(chart: Chart, form_field: Callable, p, k: int,
                         stencil: fd.Stencil = fd.DIRECT) -> FrameTensor:
     """Exterior derivative of a k-form field: a (k+1)-form at each of the

@@ -215,26 +215,6 @@ class FrameTensor:
         c = self.components
         return float(np.sqrt(np.sum(c * c)))
 
-    def lower_index(self, g: np.ndarray, axis: int = 0) -> "FrameTensor":
-        """Lower the contravariant index living on `axis` with the metric g."""
-        cov, con = self.valence
-        if axis >= con:
-            raise ValueError("axis is not contravariant")
-        comp = _contract(g, self.components, axis)
-        # lowered axis moves to the front of the covariant block
-        comp = _move_axis(comp, axis, con - 1)
-        return FrameTensor(comp, (cov + 1, con - 1), self.point)
-
-    def raise_index(self, g: np.ndarray, axis: int = 0) -> "FrameTensor":
-        """Raise the covariant index at `axis` (within the covariant block)."""
-        cov, con = self.valence
-        if axis >= cov:
-            raise ValueError("axis is not covariant")
-        full_axis = con + axis
-        comp = _contract(np.linalg.inv(g), self.components, full_axis)
-        comp = _move_axis(comp, full_axis, con)
-        return FrameTensor(comp, (cov - 1, con + 1), self.point)
-
 
 @dataclass(frozen=True)
 class Loop:
@@ -384,18 +364,15 @@ def form_of_endomorphism(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2) @ g
 
 
-def endomorphism_of_form(omega: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`form_of_endomorphism` for antisymmetric omega."""
-    return np.linalg.solve(g, omega.T)
-
-
-def wedge_endo(x: np.ndarray, tau: np.ndarray, g: np.ndarray) -> np.ndarray:
+def wedge_endo(x: np.ndarray, tau: np.ndarray, g: np.ndarray,
+               g_inv: np.ndarray) -> np.ndarray:
     """Endomorphism (X ^ tau)(Y) = g(X, Y) tau_sharp - tau(Y) X.
 
-    ``x`` is a vector, ``tau`` a 1-form; returns the matrix acting on vectors,
-    at each point of a stack when x, tau and g carry the point axes in front.
+    ``x`` is a vector, ``tau`` a 1-form raised by ``g_inv``, the caller's
+    g^-1; returns the matrix acting on vectors, at each point of a stack
+    when x, tau, g and g_inv carry the point axes in front.
     """
-    tau_sharp = np.linalg.solve(g, tau[..., None])[..., 0]
+    tau_sharp = (g_inv @ tau[..., None])[..., 0]
     gx = (g @ x[..., None])[..., 0]
     return (tau_sharp[..., :, None] * gx[..., None, :]
             - x[..., :, None] * tau[..., None, :])
@@ -420,7 +397,7 @@ def raised_norm(a: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
 
 
 def _contract(g: np.ndarray, t: np.ndarray, axis: int,
-              lead: int = 0) -> np.ndarray:
+              lead: int) -> np.ndarray:
     """g_ij t^...j... on the given axis of t, the result's index i in its
     place: ``np.moveaxis(np.tensordot(g, t, axes=(1, axis)), 0, axis)`` at
     each point of a stack when g and t carry ``lead`` point axes in front.

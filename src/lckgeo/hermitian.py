@@ -65,14 +65,6 @@ class HermitianStructure:
         the points p, shape (..., dim)."""
         return form_of_endomorphism(self.J(p), self.chart.metric(p))
 
-    def j_form(self, p, tau: np.ndarray) -> np.ndarray:
-        """(J tau)_i = -tau(J d_i) for a 1-form tau at each of the points p."""
-        return j_on_forms(self.J(p), tau)
-
-    def compatibility_defects(self, p):
-        """(|J^2 + Id|, |J^T G J - G|) max-norms at p."""
-        return _compatibility_defects(self.J(p), self.chart.metric(p))
-
     def require_compatible(self, p):
         """J and the validated metric at p, each evaluated once, or
         :class:`CompatibilityError` where |J^2 + Id| exceeds 1e-8 or
@@ -105,13 +97,6 @@ class LeeData:
     J_theta: FrameTensor     # 1-form, (J theta)(X) = -theta(JX)
     norm_sq: float           # |theta|^2_g
     S: FrameTensor           # (0,2) tensor S = nabla theta + theta (x) theta
-
-
-def fundamental_form(H: HermitianStructure, p) -> FrameTensor:
-    """Omega = g(J., .) at p, checked antisymmetric and J-compatible."""
-    p = np.asarray(p, dtype=float)
-    return FrameTensor(form_of_endomorphism(*H.require_compatible(p)),
-                       valence=(2, 0), point=p)
 
 
 def nijenhuis_tensor(H: HermitianStructure, p) -> np.ndarray:
@@ -158,7 +143,7 @@ def lee_form(H: HermitianStructure, p) -> LeeData:
     require_lck(H, p, parts)
     theta = parts.theta
     j_theta = j_on_forms(parts.J, theta)
-    norm_sq = float(theta @ np.linalg.solve(parts.g, theta))
+    norm_sq = float(theta @ parts.g_inv @ theta)
     S = nested_lee(H, p, parts).ntheta + np.outer(theta, theta)
     return LeeData(theta=FrameTensor(theta, (1, 0), p),
                    J_theta=FrameTensor(j_theta, (1, 0), p),
@@ -190,8 +175,9 @@ def lee_form_parts(H: HermitianStructure, p) -> LeeParts:
     J and the validated metric are evaluated once on the DIRECT stencil
     points and once at p.  Their stencil values give the partials of Omega
     and (on a chart without a derivative function) of g, and one g^-1 serves
-    both the Christoffel symbols and the contraction of delta Omega; the
-    values are kept as ``J_around`` and ``g_around``.  Each part is bitwise
+    the Christoffel symbols, the contraction of delta Omega and every index
+    the checks of :mod:`lckgeo.identities` raise; the values are kept as
+    ``J_around`` and ``g_around``.  Each part is bitwise
     what the generic route gives: ``codifferential(chart, H.omega, p, k=2)``
     and :func:`lckgeo.calculus.christoffel_components`, and ``fd.difference(
     J_around, fd.DIRECT)`` is ``fd.gradient(H.J_fn, p, fd.DIRECT)``.  Errors
@@ -322,12 +308,3 @@ def conformal_rescale(chart: Chart, log_factor: Callable,
         return factor * chart.metric_fn(p)
 
     return chart.with_metric(metric, label or f"conformal({chart.label})")
-
-
-def constant_rescale(chart: Chart, factor: float, label: str = "") -> Chart:
-    """Homothety c^2 g (used by the scale-invariance property tests)."""
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-
-    return chart.with_metric(lambda p: factor * np.asarray(chart.metric_fn(p)),
-                             label or f"scaled({chart.label})")

@@ -316,12 +316,15 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
     identity in the orthonormal operator norm raise
     :class:`LoopTooLargeError` (subdivide or shrink the loop).  ``n`` is
     half the chart's dimension; a different one raises
-    :class:`ParameterError`.  The logarithms of all the loops are one
-    stack, in one frame change; the error raised is the first loop's, by
+    :class:`ParameterError`, and no loops raise :class:`PreconditionError`.
+    The logarithms of all the loops are one stack, in one frame change; the
+    error raised is the first loop's, by
     :func:`~lckgeo.errors.in_item_order`.
     """
     base = np.asarray(base, dtype=float)
     n = _complex_dimension(chart, n)
+    if len(loops) == 0:
+        raise PreconditionError("need at least one loop, got 0")
     L = _orthonormal_frame(chart.metric(base))
 
     def logs(batch):
@@ -364,12 +367,10 @@ def _loop_log(L: np.ndarray, loops, H: np.ndarray) -> np.ndarray:
 
     H is a stack (K, m, m) and ``loops`` one loop per matrix, as
     :func:`loop_holonomy` passes them; a stack is one call of each step,
-    and each logarithm is bit for bit the matrix's alone.  The 2-D form, one
-    matrix and its loop, only serves single-matrix callers such as the
-    tests.  Raises :class:`LoopTooLargeError` for the first H that is 0.5 or
-    more from Id."""
-    if H.ndim == 2:
-        return _loop_log(L, [loops], H[None])[0]
+    and each logarithm is bit for bit that of the matrix alone, a stack of
+    one.  The Cayley factor C = (H + Id)^-1 (H - Id) is one solve; it is not
+    by a metric, so no g^-1 serves it.  Raises :class:`LoopTooLargeError`
+    for the first H that is 0.5 or more from Id."""
     hat_H = _to_frame(L, H)
     eye = np.eye(H.shape[-1])
     for loop, dist in zip(loops, np.linalg.norm(hat_H - eye, 2, axis=(1, 2))):

@@ -64,11 +64,6 @@ def _normalized(diff_norm, term_norms) -> np.ndarray:
     return diff_norm / (1.0 + largest)
 
 
-def _solve(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """g^-1 v at each point of a stack of matrices g and vectors v."""
-    return np.linalg.solve(g, v[..., None])[..., 0]
-
-
 # The products of vectors and matrices at each point of a stack, each one
 # matrix product per point, shaped as the single-point ``@`` shapes it.  Two
 # vectors are contracted by ``np.vecdot``, the one dot product of ``u @ v``.
@@ -123,8 +118,8 @@ def nabla_j_residual(parts: LeeParts, x) -> np.ndarray:
     j_theta = j_on_forms(J, theta)
     nJ = _covariant(parts.J_around, J, parts.gamma, (1, 1), fd.DIRECT)
     lhs = _along(x, nJ)
-    t1 = wedge_endo(x, j_theta, g)
-    t2 = wedge_endo(_mv(J, x), theta, g)
+    t1 = wedge_endo(x, j_theta, g, g_inv)
+    t2 = wedge_endo(_mv(J, x), theta, g, g_inv)
     rhs = t1 + t2
     terms = [_endo_norm(t, g, g_inv) for t in (lhs, t1, t2)]
     return _normalized(_endo_norm(lhs - rhs, g, g_inv), terms)
@@ -151,16 +146,16 @@ def curvature_j_residuals(H: HermitianStructure, parts: LeeParts,
     jx, jy = _mv(J, x), _mv(J, y)
     theta_x, theta_y = np.vecdot(theta, x), np.vecdot(theta, y)
     terms = [
-        _scaled(theta_x, wedge_endo(y, j_theta, g)),
-        _scaled(-theta_y, wedge_endo(x, j_theta, g)),
-        _scaled(-theta_y, wedge_endo(jx, theta, g)),
-        _scaled(theta_x, wedge_endo(jy, theta, g)),
-        _scaled(-norm_sq, wedge_endo(y, _mv(g, jx), g)),
-        _scaled(norm_sq, wedge_endo(x, _mv(g, jy), g)),
-        wedge_endo(y, j_on_forms(J, nx_theta), g),
-        wedge_endo(jy, nx_theta, g),
-        -wedge_endo(x, j_on_forms(J, ny_theta), g),
-        -wedge_endo(jx, ny_theta, g),
+        _scaled(theta_x, wedge_endo(y, j_theta, g, g_inv)),
+        _scaled(-theta_y, wedge_endo(x, j_theta, g, g_inv)),
+        _scaled(-theta_y, wedge_endo(jx, theta, g, g_inv)),
+        _scaled(theta_x, wedge_endo(jy, theta, g, g_inv)),
+        _scaled(-norm_sq, wedge_endo(y, _mv(g, jx), g, g_inv)),
+        _scaled(norm_sq, wedge_endo(x, _mv(g, jy), g, g_inv)),
+        wedge_endo(y, j_on_forms(J, nx_theta), g, g_inv),
+        wedge_endo(jy, nx_theta, g, g_inv),
+        -wedge_endo(x, j_on_forms(J, ny_theta), g, g_inv),
+        -wedge_endo(jx, ny_theta, g, g_inv),
     ]
     rhs = sum(terms)
     norms = ([_endo_norm(t, g, g_inv) for t in terms]
@@ -230,7 +225,7 @@ def s_commutator_residual(H: HermitianStructure, p) -> float:
     parts = lee_form_parts(H, p)
     g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
     s_cov = nested_lee(H, p, parts).ntheta + np.outer(theta, theta)
-    s_endo = np.linalg.solve(g, s_cov)
+    s_endo = g_inv @ s_cov
     comm = s_endo @ J - J @ s_endo
     return _normalized(_endo_norm(comm, g, g_inv),
                        [_endo_norm(s_endo @ J, g, g_inv),
@@ -287,13 +282,13 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
         return j_on_forms(at.J, at.theta)
 
     def norm_sq_of(at):
-        return np.vecdot(at.theta, _solve(at.g, at.theta))
+        return np.vecdot(at.theta, _mv(at.g_inv, at.theta))
 
     def s_of(at, ntheta):
         return ntheta + at.theta[..., :, None] * at.theta[..., None, :]
 
     def js_form_of(at, ntheta):
-        endo = at.J @ np.linalg.solve(at.g, s_of(at, ntheta))
+        endo = at.J @ (at.g_inv @ s_of(at, ntheta))
         return form_of_endomorphism(endo, at.g)
 
     def wedge_jtheta_of(at):
@@ -354,11 +349,11 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
 
     # (lieJth)  [theta, J theta] = -|theta|^2 J theta     (as vector fields)
     #            by the coordinate bracket v^j d_j w^k - w^j d_j v^k
-    d_sharp = fd.difference(_solve(around.g, around.theta), fd.NESTED, lead)
-    d_jsharp = fd.difference(_solve(around.g, jtheta_of(around)), fd.NESTED,
+    d_sharp = fd.difference(_mv(around.g_inv, around.theta), fd.NESTED, lead)
+    d_jsharp = fd.difference(_mv(around.g_inv, jtheta_of(around)), fd.NESTED,
                              lead)
-    br = (_along(_solve(g, theta), d_jsharp)
-          - _along(_solve(g, jtheta_of(parts)), d_sharp))
+    br = (_along(_mv(g_inv, theta), d_jsharp)
+          - _along(_mv(g_inv, jtheta_of(parts)), d_sharp))
     rhs_br = _scaled(-norm_sq, _mv(g_inv, j_theta))
     res["lieJth"] = _normalized(vector_norm(br - rhs_br, g),
                                 [vector_norm(br, g), vector_norm(rhs_br, g)])
@@ -640,11 +635,6 @@ class PotentialField:
         (short-segment refinement); p is one point or one per segment."""
         return line_integral_segment(self._field, p, q, nodes=nodes)
 
-    def path_defect(self, p, waypoint) -> float:
-        """Difference between the direct path and a detour via ``waypoint``."""
-        detour = self(waypoint) + self.increment(waypoint, p, nodes=32)
-        return abs(self(p) - detour)
-
 
 def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
                               p, x, potential: PotentialField,
@@ -725,7 +715,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
                   abs(f_val) * raised_norm(basis, g_inv)])}
 
     def xi_of(at):
-        return _solve(at.g, j_on_forms(at.J, at.theta))
+        return _mv(at.g_inv, j_on_forms(at.J, at.theta))
 
     def i_xi_of(at):
         return np.matvec(at.J, xi_of(at))

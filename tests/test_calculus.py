@@ -11,13 +11,13 @@ import sympy as sp
 
 from lckgeo import fd, zoo
 from lckgeo.calculus import (christoffel, christoffel_components, codifferential,
-                             connection_matrix, covariant_derivative,
-                             covariant_derivative_full, exterior_derivative,
-                             lowered_riemann, metric_compatibility_defect,
-                             ricci_scalar, riemann, spd_solve)
+                             connection_matrix, covariant_derivative_full,
+                             exterior_derivative, lowered_riemann,
+                             metric_compatibility_defect, ricci_scalar,
+                             riemann, spd_solve)
 from lckgeo.charts import Chart, form_norm
 from lckgeo.errors import ChartDomainError
-from lckgeo.hermitian import lee_field, lee_form_components
+from lckgeo.hermitian import j_on_forms, lee_field, lee_form_components
 
 
 def _sphere_chart(radius=1.0, dim=2):
@@ -386,21 +386,26 @@ class TestRicci:
             assert abs(ric.components[1, 1] - expected) < 1e-5 * (1 + abs(expected))
 
 
+def _directional(chart, field, p, x, valence):
+    """nabla_X T at p: X contracted with the derivative axis of nabla T."""
+    full = covariant_derivative_full(chart, field, p, valence)
+    return np.tensordot(np.asarray(x, dtype=float), full, axes=(0, 0))
+
+
 class TestCovariantDerivative:
     def test_constant_field_flat(self, euclid4):
         chart = euclid4.charts["flat"]
-        out = covariant_derivative(chart, fd.constant(np.ones(4)), np.zeros(4),
-                                   x=np.ones(4), valence=(0, 1))
-        npt.assert_allclose(out.components, 0.0, atol=1e-12)
+        out = _directional(chart, fd.constant(np.ones(4)), np.zeros(4),
+                           np.ones(4), (0, 1))
+        npt.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_hopf_lee_form_is_parallel(self, hopf2, rng):
         """nabla_X theta = 0 for the circle length element."""
         H = zoo.stencil_only(hopf2).main_structure
         for p in H.chart.sample_points(rng, 5):
             x = rng.standard_normal(4)
-            out = covariant_derivative(H.chart, lee_field(H), p, x,
-                                       valence=(1, 0))
-            assert out.norm() < 1e-6
+            out = _directional(H.chart, lee_field(H), p, x, (1, 0))
+            assert np.linalg.norm(out) < 1e-6
 
     def test_calabi_radial_derivative_of_vertical_field(self, calabi_sin, rng):
         """nabla_{d_r} xi = (l'/l) xi on the bundle chart."""
@@ -409,8 +414,7 @@ class TestCovariantDerivative:
         xi = np.array([0.0, 0.0, 1.0 / c_w, 0.0])
         e_r = np.array([0.0, 0.0, 0.0, 1.0])
         for p in chart.sample_points(rng, 5):
-            out = covariant_derivative(chart, fd.constant(xi), p, e_r,
-                                       valence=(0, 1)).components
+            out = _directional(chart, fd.constant(xi), p, e_r, (0, 1))
             expected = (math.cos(p[3]) / math.sin(p[3])) * xi
             npt.assert_allclose(out, expected, atol=1e-7)
 
@@ -486,7 +490,7 @@ class TestFormCalculus:
         for p in H.chart.sample_points(rng, 5):
             delta_om = codifferential(H.chart, H.omega, p, k=2).components
             theta = lee_form_components(H, p)
-            rhs = (2.0 - 2.0 * H.n) * H.j_form(p, theta)
+            rhs = (2.0 - 2.0 * H.n) * j_on_forms(H.J(p), theta)
             assert np.max(np.abs(delta_om - rhs)) < 1e-8
 
     def test_flat_inversion_delta_theta(self, flat_inv2):

@@ -12,12 +12,13 @@ from lckgeo import fd, report, zoo
 from lckgeo.calculus import (christoffel_components, codifferential,
                               covariant_derivative_full,
                               exterior_of_partials, riemann)
-from lckgeo.charts import coordinate_rectangle, form_norm
+from lckgeo.charts import (coordinate_rectangle, form_norm,
+                           form_of_endomorphism)
 from lckgeo.errors import (ChartDomainError, CompatibilityError, MetricError,
                            NotLcKError)
 from lckgeo.hermitian import (HermitianStructure, conformal_rescale,
-                              fundamental_form, lck_residual, lee_field,
-                              lee_form, lee_form_components, lee_form_parts,
+                              j_on_forms, lck_residual, lee_field, lee_form,
+                              lee_form_components, lee_form_parts,
                               nabla_theta, nested_lee,
                               nijenhuis_residual, nijenhuis_tensor)
 from lckgeo.transport import loop_integral
@@ -60,11 +61,17 @@ def twisted_structure(m=4, angle_scale=1.0):
     return HermitianStructure(chart=chart, J_fn=J_fn, label="twisted")
 
 
+def _fundamental_form(H, p):
+    """Omega = g(J., .) at p, from the J and metric that pass the
+    compatibility check."""
+    return form_of_endomorphism(*H.require_compatible(p))
+
+
 class TestFundamentalForm:
     def test_flat_standard_form(self, euclid4):
         """Omega = dx1 ^ dy1 + dx2 ^ dy2 for the standard flat structure."""
         H = euclid4.structures["flat"]
-        om = fundamental_form(H, np.zeros(4)).components
+        om = _fundamental_form(H, np.zeros(4))
         expected = np.zeros((4, 4))
         expected[0, 1] = expected[2, 3] = 1.0
         expected[1, 0] = expected[3, 2] = -1.0
@@ -73,7 +80,7 @@ class TestFundamentalForm:
     def test_antisymmetry_and_unit_vectors(self, hopf2, rng):
         H = hopf2.main_structure
         for p in H.chart.sample_points(rng, 5):
-            om = fundamental_form(H, p).components
+            om = _fundamental_form(H, p)
             npt.assert_allclose(om, -om.T, atol=1e-12)
             g = H.chart.metric(p)
             x = rng.standard_normal(4)
@@ -88,14 +95,14 @@ class TestFundamentalForm:
         xi = np.array([0.0, 0.0, 1.0 / c_w, 0.0])
         e_r = np.array([0.0, 0.0, 0.0, 1.0])
         for p in H.chart.sample_points(rng, 5):
-            om = fundamental_form(H, p).components
+            om = _fundamental_form(H, p)
             assert abs(float(xi @ om @ e_r) - math.sin(p[3])) < 1e-12
 
     def test_warped_form_blocks(self, warped_sin, rng):
         """Omega = ds ^ dt + e^(2c) Omega_N."""
         H = warped_sin.main_structure
         for p in H.chart.sample_points(rng, 3):
-            om = fundamental_form(H, p).components
+            om = _fundamental_form(H, p)
             assert abs(om[0, 1] - 1.0) < 1e-12
             f = math.exp(2.0 * math.sin(p[1]))
             omega_n = warped_sin.base.structure.omega(p[2:])
@@ -118,7 +125,7 @@ class TestFundamentalForm:
         H_counted = dataclasses.replace(H, chart=chart,
                                         J_fn=counted("J", H.J_fn))
         p = H.chart.center()
-        om = fundamental_form(H_counted, p).components
+        om = _fundamental_form(H_counted, p)
         assert points == {"J": 1, "g": 1}
         assert np.array_equal(om, H.omega(p))
 
@@ -136,7 +143,7 @@ class TestFundamentalForm:
                                  J_fn=lambda p: np.array([[0.0, -1.0], [1.0, 0.0]]),
                                  label="bad")
         with pytest.raises(CompatibilityError):
-            fundamental_form(bad, np.array([0.9, 1.0]))
+            _fundamental_form(bad, np.array([0.9, 1.0]))
 
 
 class TestNijenhuis:
@@ -310,7 +317,7 @@ class TestOnePassLeeForm:
     @staticmethod
     def generic_lee(H, p):
         delta = codifferential(H.chart, H.omega, p, k=2).components
-        return H.j_form(p, delta) / (2.0 * H.n - 2.0)
+        return j_on_forms(H.J(p), delta) / (2.0 * H.n - 2.0)
 
     def test_matches_generic_route(self, hopf2, hopf3, flat_inv2, warped_sin,
                                    calabi_sin, rng):

@@ -163,6 +163,13 @@ class TestLoopHolonomy:
             loop_holonomy(H.chart, [hopf2.loops["s1_generator"]],
                           H.chart.center(), n=2)
 
+    def test_no_loops_rejected(self, hopf2):
+        """No loops raise the typed error that too few probes raise in
+        curvature_span, not numpy's broadcast error."""
+        chart = hopf2.holonomy_structure.chart
+        with pytest.raises(PreconditionError, match="at least one loop"):
+            loop_holonomy(chart, [], chart.center())
+
 
 def _block_rotation(angles):
     """Block-diagonal rotation by the given angles and its exact logarithm."""
@@ -189,13 +196,14 @@ class TestLoopLog:
     def test_block_rotations(self, angles):
         R, X = _block_rotation(angles)
         assert np.linalg.norm(R - np.eye(len(R)), 2) < 0.5
-        assert np.max(np.abs(_loop_log(np.eye(len(R)), None, R) - X)) <= 1e-15
+        log = _loop_log(np.eye(len(R)), [None], R[None])[0]
+        assert np.max(np.abs(log - X)) <= 1e-15
 
     def test_worst_case_of_the_gate(self):
         """H = h Id with h just above 1/2 is inside the gate, and |C|_2 =
         (1 - h) / (1 + h) tends to 1/3, the bound the term count rests on."""
         h = 0.5 + 1e-9
-        log = _loop_log(np.eye(4), None, h * np.eye(4))
+        log = _loop_log(np.eye(4), [None], h * np.eye(4)[None])[0]
         assert np.max(np.abs(log - math.log(h) * np.eye(4))) <= 1e-15
 
     def test_orthogonal_gives_real_skew(self, rng):
@@ -203,7 +211,7 @@ class TestLoopLog:
         Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         R, X = _block_rotation((0.45, -0.2, 0.05))
         H = Q @ R @ Q.T
-        log = _loop_log(np.eye(6), None, H)
+        log = _loop_log(np.eye(6), [None], H[None])[0]
         assert log.dtype == np.float64
         defect = np.max(np.abs(H.T @ H - np.eye(6)))
         assert np.max(np.abs(log + log.T)) <= 2.0 * defect + 2.3e-16
@@ -217,8 +225,8 @@ class TestLoopLog:
         lam, V = np.linalg.eig(H)
         ref = (V * np.log(lam)) @ np.linalg.inv(V)
         assert np.max(np.abs(ref.imag)) < 1e-14
-        npt.assert_allclose(_loop_log(np.eye(4), None, H), ref.real,
-                            rtol=0, atol=1e-13)
+        npt.assert_allclose(_loop_log(np.eye(4), [None], H[None])[0],
+                            ref.real, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("mode", ["fd", "analytic"])
     def test_stack_is_each_matrix_alone(self, hopf2, rng, mode):
@@ -239,12 +247,13 @@ class TestLoopLog:
         stacked = _loop_log(L, labels, Hs)
         assert stacked.shape == Hs.shape
         for k, (loop, H) in enumerate(zip(labels, Hs)):
-            assert np.array_equal(stacked[k], _loop_log(L, loop, H)), k
+            assert np.array_equal(stacked[k],
+                                  _loop_log(L, [loop], H[None])[0]), k
 
         large = Hs.copy()
         large[[1, 3]] = 1.6 * np.eye(4)
         err = _raised(lambda: _loop_log(L, labels, large))
-        ref = _raised(lambda: _loop_log(L, labels[1], large[1]))
+        ref = _raised(lambda: _loop_log(L, labels[1:2], large[1:2]))
         assert type(err) is type(ref) is LoopTooLargeError
         assert str(err) == str(ref)
         assert f"'{labels[1].label}'" in str(err)
@@ -554,7 +563,7 @@ class TestSchedule:
         for steps in (edge, 4 * edge):
             loops = default_holonomy_loops(chart, base, steps_per_edge=steps)
             logs.append(np.array([
-                _loop_log(L, loop, H) for loop, H in
+                _loop_log(L, [loop], H[None])[0] for loop, H in
                 zip(loops, _loop_transports(chart, loops, base))]))
         coarse, fine = logs
         assert np.max(np.abs(coarse - fine)) <= 3e-11 * np.max(np.abs(fine))

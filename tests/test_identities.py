@@ -17,8 +17,7 @@ from lckgeo.charts import (form_of_endomorphism, raised_norm, segment_loop,
 from lckgeo.cli import main as cli_main
 from lckgeo.errors import (ChartDomainError, InconsistencyError, MetricError,
                            NotLcKError, PreconditionError, SingularPointError)
-from lckgeo.hermitian import (HermitianStructure, constant_rescale,
-                              lee_form_parts, nested_lee)
+from lckgeo.hermitian import HermitianStructure, lee_form_parts, nested_lee
 from lckgeo.identities import (PotentialField, _lee_form_of_d_omega,
                                average_metric_residuals,
                                classify_structure, commuting_pair_residuals,
@@ -306,8 +305,8 @@ class TestCommutingPair:
         """I on a chart of the same label but the metric 4 g: both pair
         checks read one metric for I and J, so they refuse the two."""
         I, J = calabi_sin.pair.I, calabi_sin.pair.J
-        scaled = dataclasses.replace(I, chart=constant_rescale(
-            I.chart, 4.0, label=I.chart.label))
+        scaled = dataclasses.replace(I, chart=I.chart.with_metric(
+            lambda q: 4.0 * I.chart.metric_fn(q), I.chart.label))
         p = I.chart.center()
         with pytest.raises(PreconditionError, match="share one chart metric"):
             commuting_pair_residuals(scaled, J, p)
@@ -461,7 +460,8 @@ class TestHamiltonianForm:
         pot = PotentialField(J)
         p = J.chart.sample_points(rng, 1)[0]
         waypoint = J.chart.sample_points(rng, 1)[0]
-        assert pot.path_defect(p, waypoint) < 1e-6
+        detour = pot(waypoint) + pot.increment(waypoint, p, nodes=32)
+        assert abs(pot(p) - detour) < 1e-6
         q = p + np.array([0.01, 0.0, -0.01, 0.02])
         assert abs(pot(q) - (pot(p) + pot.increment(p, q, nodes=16))) < 1e-9
 
@@ -516,8 +516,9 @@ class TestClassify:
     def test_scale_invariance(self, calabi_sin, rng):
         """A constant homothety leaves the classification unchanged."""
         H = calabi_sin.main_structure
-        scaled = HermitianStructure(constant_rescale(H.chart, 100.0), H.J_fn,
-                                    label="scaled")
+        scaled = HermitianStructure(H.chart.with_metric(
+            lambda q: 100.0 * H.chart.metric_fn(q), "scaled"), H.J_fn,
+            label="scaled")
         pts = H.chart.sample_points(rng, 6)
         k1 = classify_structure(H, pts, {}).kind
         k2 = classify_structure(scaled, pts, {}).kind

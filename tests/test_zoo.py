@@ -14,9 +14,9 @@ from lckgeo import fd, zoo
 from lckgeo.calculus import ricci_scalar, riemann
 from lckgeo.charts import Chart, form_norm
 from lckgeo.errors import BundleError, ParameterError
-from lckgeo.hermitian import (HermitianStructure, lck_residual, lee_field,
-                              lee_form_components, lee_form_parts,
-                              nijenhuis_residual)
+from lckgeo.hermitian import (HermitianStructure, _compatibility_defects,
+                              lck_residual, lee_field, lee_form_components,
+                              lee_form_parts, nijenhuis_residual)
 from lckgeo.identities import parallel_field_residuals
 from lckgeo.report import SuiteConfig, resolve_manifold, run
 
@@ -206,7 +206,8 @@ class TestZooGates:
         for entry in _entries(hopf2, flat_inv2, warped_sin, calabi_sin):
             for key, H in entry.structures.items():
                 for p in H.chart.sample_points(rng, 6):
-                    d2, dm = H.compatibility_defects(p)
+                    d2, dm = _compatibility_defects(H.J(p),
+                                                    H.chart.metric(p))
                     scale = 1 + np.max(np.abs(H.chart.metric(p)))
                     assert d2 < 1e-10 and dm < 1e-10 * scale, (entry.label, key)
                     assert nijenhuis_residual(H, p) < 1e-4, (entry.label, key)
@@ -549,7 +550,7 @@ class TestKahlerBases:
             H = e.structures["kahler"]
             p = H.chart.sample_points(rng, 1)[0]
             assert nijenhuis_residual(H, p) < 1e-8
-            d2, dm = H.compatibility_defects(p)
+            d2, dm = _compatibility_defects(H.J(p), H.chart.metric(p))
             assert d2 < 1e-12 and dm < 1e-12
 
     def test_cp1_normalized_area(self):
