@@ -44,7 +44,7 @@ p = chart.sample_points(rng, 1)[0]
 for key in ("g_ell,J+", "g_ell,J-", "g+,J+", "g+,J-", "g-,J-"):
     H = entry.structures[key]
     theta = lee_form_components(H, p)
-    d_om = exterior_derivative(H.chart, H.omega, p, k=2).components
+    d_om = exterior_derivative(H.chart, H.omega, p, k=2)
     print(f"  ({key:<9}) theta_r = {theta[3]:+.6f}   |dOmega| = "
           f"{form_norm(d_om, H.chart.metric(p)):.2e}")
 print(f"  [l(r)/2 = {0.5 * math.sin(p[3]):.6f}; (g+,J+) and (g-,J-) are "

@@ -14,8 +14,8 @@ Layers, bottom up:
   and the ``lck`` command.
 """
 
-from .charts import (Chart, FrameTensor, Loop, coordinate_rectangle,
-                     polygon_loop, segment_loop, wedge)
+from .charts import (Chart, Loop, coordinate_rectangle, polygon_loop,
+                     segment_loop, wedge)
 from .calculus import (christoffel, codifferential, exterior_derivative,
                        ricci_scalar, riemann)
 from .transport import (geodesic, loop_integral, orthogonality_defect,
@@ -37,7 +37,7 @@ from .report import Report, SuiteConfig, emit, resolve_manifold, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chart", "FrameTensor", "Loop", "coordinate_rectangle", "polygon_loop",
+    "Chart", "Loop", "coordinate_rectangle", "polygon_loop",
     "segment_loop", "wedge", "christoffel", "codifferential",
     "exterior_derivative", "ricci_scalar", "riemann", "geodesic",
     "loop_integral", "orthogonality_defect", "parallel_transport",

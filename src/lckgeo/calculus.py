@@ -37,16 +37,16 @@ from typing import Callable
 import numpy as np
 
 from . import fd
-from .charts import Chart, FrameTensor, _move_axis, alt
+from .charts import Chart, _move_axis, alt
 
 
-def christoffel(chart: Chart, p, step: float = fd.DIRECT.step) -> FrameTensor:
-    """Levi-Civita symbols Gamma^k_{ij} at p, as a valence (2,1) tensor."""
+def christoffel(chart: Chart, p, step: float = fd.DIRECT.step) -> np.ndarray:
+    """Levi-Civita symbols Gamma^k_{ij} at p, in ``G[k, i, j]``, with p
+    checked inside the chart and g checked on the SPD cone."""
     p = np.asarray(p, dtype=float)
     chart.require_inside(p, margin=chart.stencil_margin(step))
     chart.metric(p)     # raises MetricError off the SPD cone
-    comp = christoffel_components(chart, p, step)
-    return FrameTensor(comp, valence=(2, 1), point=p)
+    return christoffel_components(chart, p, step)
 
 
 def christoffel_components(chart: Chart, p,
@@ -120,14 +120,14 @@ def spd_solve(g: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.moveaxis(X, (0, 1), (-2, -1)).reshape(lead + (m, k))
 
 
-def riemann(chart: Chart, p) -> FrameTensor:
-    """Curvature tensor R^a_{bcd} at p (valence (3,1))."""
+def riemann(chart: Chart, p) -> np.ndarray:
+    """Curvature tensor R^a_{bcd} in ``R[..., a, b, c, d]`` at each of the
+    points p, shape (..., m)."""
     p = np.asarray(p, dtype=float)
     gamma_field = lambda q: christoffel_components(chart, q)
     chart.require_inside(p, margin=fd.NESTED.extent)
     dG = fd.gradient(gamma_field, p, fd.NESTED)
-    comp = riemann_components(dG, gamma_field(p))
-    return FrameTensor(comp, valence=(3, 1), point=p)
+    return riemann_components(dG, gamma_field(p))
 
 
 def riemann_components(dG: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -140,12 +140,12 @@ def riemann_components(dG: np.ndarray, G: np.ndarray) -> np.ndarray:
             - np.einsum("...ade,...ecb->...abcd", G, G))
 
 
-def ricci_scalar(chart: Chart, p):
-    """Ricci tensor (valence (2,0)) and scalar curvature at p."""
-    R = riemann(chart, p)
-    ric = np.einsum("abad->bd", R.components)
+def ricci_scalar(chart: Chart, p) -> tuple:
+    """(ric, scal): the Ricci tensor Ric_bd in ``ric[b, d]`` and the scalar
+    curvature at p."""
+    ric = np.einsum("abad->bd", riemann(chart, p))
     scal = float(np.einsum("bd,bd->", np.linalg.inv(chart.metric(p)), ric))
-    return FrameTensor(ric, valence=(2, 0), point=np.asarray(p, dtype=float)), scal
+    return ric, scal
 
 
 def covariant_derivative_full(chart: Chart, field: Callable, p,
@@ -204,17 +204,16 @@ def _tensordot(a: np.ndarray, a_axis: int, b: np.ndarray, b_axis: int,
 
 
 def exterior_derivative(chart: Chart, form_field: Callable, p, k: int,
-                        stencil: fd.Stencil = fd.DIRECT) -> FrameTensor:
-    """Exterior derivative of a k-form field: a (k+1)-form at each of the
-    points p, shape (..., m).
+                        stencil: fd.Stencil = fd.DIRECT) -> np.ndarray:
+    """Exterior derivative of a k-form field: the components of a
+    (k+1)-form at each of the points p, shape (..., m).
 
     Uses plain partial derivatives (no connection): d = (k+1) Alt(d alpha).
     """
     p = np.asarray(p, dtype=float)
     chart.require_inside(p, margin=stencil.extent)
     da = fd.gradient(form_field, p, stencil)
-    return FrameTensor(exterior_of_partials(da, k, p.ndim - 1),
-                       valence=(k + 1, 0), point=p)
+    return exterior_of_partials(da, k, p.ndim - 1)
 
 
 def exterior_of_partials(da: np.ndarray, k: int, lead: int = 0) -> np.ndarray:
@@ -225,16 +224,15 @@ def exterior_of_partials(da: np.ndarray, k: int, lead: int = 0) -> np.ndarray:
 
 def codifferential(chart: Chart, form_field: Callable, p, k: int,
                    stencil: fd.Stencil = fd.DIRECT,
-                   gamma: np.ndarray = None) -> FrameTensor:
-    """Codifferential delta alpha = -g^{ab} (nabla_a alpha)_{b...} at each of
-    the points p, shape (..., m); ``gamma`` as for
-    :func:`covariant_derivative_full`."""
+                   gamma: np.ndarray = None) -> np.ndarray:
+    """Codifferential delta alpha = -g^{ab} (nabla_a alpha)_{b...}, the
+    components of a (k-1)-form at each of the points p, shape (..., m);
+    ``gamma`` as for :func:`covariant_derivative_full`."""
     p = np.asarray(p, dtype=float)
     nabla = covariant_derivative_full(chart, form_field, p, (k, 0),
                                       stencil=stencil, gamma=gamma)
-    comp = codifferential_of(nabla, np.linalg.inv(chart.metric(p)),
+    return codifferential_of(nabla, np.linalg.inv(chart.metric(p)),
                              p.ndim - 1)
-    return FrameTensor(comp, valence=(k - 1, 0), point=p)
 
 
 def codifferential_of(nabla: np.ndarray, g_inv: np.ndarray,
@@ -262,5 +260,4 @@ def metric_compatibility_defect(chart: Chart, p) -> float:
 
 def lowered_riemann(chart: Chart, p) -> np.ndarray:
     """Fully covariant R_abcd = g_ae R^e_{bcd}."""
-    R = riemann(chart, p).components
-    return np.einsum("ae,ebcd->abcd", chart.metric(p), R)
+    return np.einsum("ae,ebcd->abcd", chart.metric(p), riemann(chart, p))

@@ -1,4 +1,4 @@
-"""Coordinate charts, pointwise tensors, loops, and exterior algebra.
+"""Coordinate charts, loops, and exterior algebra on component arrays.
 
 A :class:`Chart` is an axis-aligned coordinate box together with a smooth
 metric field (and optionally its analytic first derivatives).  Every
@@ -7,9 +7,11 @@ or transition maps, only boxes with smooth fields on them.
 
 Conventions used throughout:
 
-* component arrays store contravariant axes first, then covariant axes,
-  so Christoffel symbols Gamma^k_{ij} live in ``G[k, i, j]`` and the
-  Riemann tensor R^a_{bcd} in ``R[a, b, c, d]``;
+* a tensor at a point is the array of its components in the coordinate
+  frame, contravariant axes first, then covariant axes, so Christoffel
+  symbols Gamma^k_{ij} live in ``G[k, i, j]`` and the Riemann tensor
+  R^a_{bcd} in ``R[a, b, c, d]``; at each of a stack of points, shape
+  (..., m), the point axes come in front;
 * the wedge product carries no 1/k! factor:
   (alpha ^ beta)(X, Y) = alpha(X) beta(Y) - alpha(Y) beta(X);
 * an endomorphism A corresponds to the bilinear form g(A., .), i.e. the
@@ -27,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fd
-from .errors import ChartDomainError, MetricError
+from .errors import ChartDomainError, MetricError, in_item_order
 
 DEFAULT_MARGIN = 0.05
 
@@ -77,10 +79,6 @@ class Chart:
         lows.flags.writeable = highs.flags.writeable = False
         return lows, highs
 
-    def contains(self, p, margin: float = 0.0) -> bool:
-        """Whether the point p lies in the box shrunk by ``margin``."""
-        return bool(self.inside(p, margin))
-
     def inside(self, points, margin: float = 0.0) -> np.ndarray:
         """Whether each of the points, shape (..., dim), lies in the box
         shrunk by ``margin``."""
@@ -108,12 +106,16 @@ class Chart:
         """
         q = np.asarray(p, dtype=float)
         g = np.asarray(self.metric_fn(q), dtype=float)
-        failure = _spd_failure(g)
-        if failure is not None:
-            k, check = failure
-            at = p if q.ndim == 1 else q.reshape(-1, self.dim)[k]
-            raise MetricError(f"metric not {check} at {at} on '{self.label}'")
+        points = [p] if q.ndim == 1 else q.reshape(-1, self.dim)
+        in_item_order(lambda: self._require_spd(g, p),
+                      lambda item: self._require_spd(*item),
+                      zip(g.reshape((-1,) + g.shape[-2:]), points))
         return g
+
+    def _require_spd(self, g: np.ndarray, at):
+        check = _spd_failure(g)
+        if check is not None:
+            raise MetricError(f"metric not {check} at {at} on '{self.label}'")
 
     def stencil_margin(self, step: float = fd.DIRECT.step) -> float:
         """Distance from the faces that :meth:`metric_jacobian` needs: its
@@ -159,61 +161,25 @@ def first_flagged(flags) -> tuple:
 
 
 def _spd_failure(g: np.ndarray):
-    """The first matrix of the stack g, shape (..., m, m), in C order that is
-    not finite, symmetric and positive definite, as (flat index, name of its
-    first failed check); None if every matrix passes."""
-    g = g.reshape((-1,) + g.shape[-2:])
-    # the common case, every entry finite and every matrix exactly symmetric
-    # and Cholesky-factorable, is seen on the whole stack at once
-    if (g.size and math.isfinite(np.abs(g).max())
-            and (g == np.swapaxes(g, 1, 2)).all()):
-        try:
-            np.linalg.cholesky(g)
-            return None
-        except np.linalg.LinAlgError:
-            pass
-    for k, gk in enumerate(g):
-        scale = np.abs(gk).max()    # inf or nan unless every entry is finite
-        if not math.isfinite(scale):
-            return k, "finite"
-        # np.allclose(gk, gk.T, atol=1e-10 * (1 + scale)) written out, which
-        # gives the same verdict on finite gk without allclose's overhead
-        if not (np.abs(gk - gk.T) <= 1e-10 * (1.0 + scale)
-                + 1e-5 * np.abs(gk.T)).all():
-            return k, "symmetric"
-        try:
-            np.linalg.cholesky(gk)
-        except np.linalg.LinAlgError:
-            return k, "positive definite"
+    """The first of the checks finite, symmetric and positive definite that
+    the matrix g, or a matrix of the stack g, shape (..., m, m), fails; None
+    if every matrix passes, as an empty stack does."""
+    if not math.isfinite(np.abs(g).max(initial=0.0)):
+        return "finite"
+    gT = np.swapaxes(g, -1, -2)
+    # An exactly symmetric stack, the common case, needs no tolerance.  Else
+    # np.allclose(gk, gk.T, atol=1e-10 * (1 + max |gk|)) per matrix, written
+    # out, which gives the same verdict on finite gk without its overhead.
+    if not (g == gT).all():
+        scale = np.abs(g).max(axis=(-2, -1), keepdims=True)
+        if not (np.abs(g - gT) <= 1e-10 * (1.0 + scale)
+                + 1e-5 * np.abs(gT)).all():
+            return "symmetric"
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return "positive definite"
     return None
-
-
-@dataclass(frozen=True)
-class FrameTensor:
-    """Components of a tensor at a point, in the coordinate frame.
-
-    ``valence`` is (covariant rank, contravariant rank); the component array
-    stores contravariant axes first.  A tensor field at each of a stack of
-    points (``point`` of shape (..., m)) carries the point axes in front.
-    """
-
-    components: np.ndarray
-    valence: tuple
-    point: np.ndarray
-
-    def __post_init__(self):
-        cov, con = self.valence
-        if self.components.ndim != cov + con + max(np.ndim(self.point) - 1, 0):
-            raise ValueError(f"array rank {self.components.ndim} does not match "
-                             f"valence {self.valence}")
-
-    @property
-    def rank(self) -> int:
-        return sum(self.valence)
-
-    def norm(self) -> float:
-        c = self.components
-        return float(np.sqrt(np.sum(c * c)))
 
 
 @dataclass(frozen=True)
@@ -244,7 +210,7 @@ class Loop:
             object.__setattr__(self, "shift", np.zeros_like(p0))
         p1 = np.asarray(self.curve_fn(1.0), dtype=float)
         defect = np.max(np.abs(p1 - p0 - self.shift))
-        if defect > 1e-12 * (1.0 + np.max(np.abs(p0))):
+        if not (defect <= 1e-12 * (1.0 + np.max(np.abs(p0)))):
             raise ValueError(f"loop endpoints differ by {defect} after shift")
 
     def point(self, t) -> np.ndarray:

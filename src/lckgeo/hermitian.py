@@ -34,8 +34,8 @@ import numpy as np
 from . import fd
 from .calculus import (codifferential_of, covariant_partials,
                        exterior_of_partials, levi_civita, riemann_components)
-from .charts import (Chart, FrameTensor, first_flagged, form_norm,
-                     form_of_endomorphism, raised_norm, wedge)
+from .charts import (Chart, first_flagged, form_norm, form_of_endomorphism,
+                     raised_norm, wedge)
 from .errors import CompatibilityError, NotLcKError
 
 # Largest scale-normalized |dOmega - 2 theta ^ Omega| at which a structure
@@ -68,10 +68,11 @@ class HermitianStructure:
     def require_compatible(self, p):
         """J and the validated metric at p, each evaluated once, or
         :class:`CompatibilityError` where |J^2 + Id| exceeds 1e-8 or
-        |J^T G J - G| exceeds 1e-8 (1 + max |G|)."""
+        |J^T G J - G| exceeds 1e-8 (1 + max |G|), or either is NaN."""
         J, G = self.J(p), self.chart.metric(p)
         d_square, d_metric = _compatibility_defects(J, G)
-        if d_square > 1e-8 or d_metric > 1e-8 * (1.0 + float(np.max(np.abs(G)))):
+        if not (d_square <= 1e-8
+                and d_metric <= 1e-8 * (1.0 + float(np.max(np.abs(G))))):
             raise CompatibilityError(
                 f"J incompatible at {np.asarray(p)} on '{self.label}': "
                 f"|J^2+Id|={d_square:.2e}, |J^T G J - G|={d_metric:.2e}")
@@ -91,12 +92,13 @@ def j_on_forms(J: np.ndarray, tau) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LeeData:
-    """Lee form and derived quantities of an lcK structure at a point."""
+    """Lee form and derived quantities of an lcK structure at a point, as
+    coordinate-frame component arrays."""
 
-    theta: FrameTensor       # 1-form
-    J_theta: FrameTensor     # 1-form, (J theta)(X) = -theta(JX)
+    theta: np.ndarray        # theta_i, the Lee 1-form
+    J_theta: np.ndarray      # (J theta)_i = -theta(J d_i)
     norm_sq: float           # |theta|^2_g
-    S: FrameTensor           # (0,2) tensor S = nabla theta + theta (x) theta
+    S: np.ndarray            # S_ij = (nabla theta)_ij + theta_i theta_j
 
 
 def nijenhuis_tensor(H: HermitianStructure, p) -> np.ndarray:
@@ -145,10 +147,7 @@ def lee_form(H: HermitianStructure, p) -> LeeData:
     j_theta = j_on_forms(parts.J, theta)
     norm_sq = float(theta @ parts.g_inv @ theta)
     S = nested_lee(H, p, parts).ntheta + np.outer(theta, theta)
-    return LeeData(theta=FrameTensor(theta, (1, 0), p),
-                   J_theta=FrameTensor(j_theta, (1, 0), p),
-                   norm_sq=norm_sq,
-                   S=FrameTensor(S, (2, 0), p))
+    return LeeData(theta=theta, J_theta=j_theta, norm_sq=norm_sq, S=S)
 
 
 class LeeParts(NamedTuple):

@@ -32,8 +32,7 @@ import numpy as np
 
 from .calculus import riemann
 from .charts import Chart, coordinate_rectangle
-from .errors import (LoopTooLargeError, ParameterError, PreconditionError,
-                     in_item_order)
+from .errors import LoopTooLargeError, PreconditionError, in_item_order
 from .transport import transport_along, transport_segment
 
 RANK_CUT = 1e-6           # relative singular-value cut for the span rank
@@ -69,15 +68,6 @@ def _orthonormal_frame(g: np.ndarray) -> np.ndarray:
     skew Ghat, g-orthogonal H <-> orthogonal Hhat).
     """
     return np.linalg.cholesky(g)
-
-
-def _complex_dimension(chart: Chart, n) -> int:
-    """Half the chart's dimension; an ``n`` given beside it must equal it."""
-    if n is not None and n != chart.dim // 2:
-        raise ParameterError(
-            f"n = {n} does not match chart '{chart.label}' of dimension "
-            f"{chart.dim}, whose n is {chart.dim // 2}")
-    return chart.dim // 2
 
 
 def _to_frame(L: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -129,9 +119,10 @@ def _close_under_commutators(mats, m: int):
     return basis, rank, gap
 
 
-def _assemble(L: np.ndarray, base, hat_generators, n: int,
+def _assemble(L: np.ndarray, base, hat_generators,
               J_fn=None) -> HolonomyEstimate:
-    """Common path in the base frame L: scale gate, closure, rank, labels.
+    """Common path in the base frame L of a 2n-manifold: scale gate,
+    closure, rank, labels.
 
     The skew defect is the raw generators'; the span is closed over their
     skew parts, so that non-skew noise, lifted to unit length by the span
@@ -147,7 +138,7 @@ def _assemble(L: np.ndarray, base, hat_generators, n: int,
     basis, dim, gap = _close_under_commutators(
         0.5 * (hat_generators - transposed) / scale, len(L))
     hat_J = None if J_fn is None else _to_frame(L, np.asarray(J_fn(base)))
-    label = classify_algebra(basis, dim, gap, n, hat_J)
+    label = classify_algebra(basis, dim, gap, len(L) // 2, hat_J)
     coord_generators = list(_from_frame(L, np.reshape(basis,
                                                       (-1,) + L.shape)))
     return HolonomyEstimate(algebra_dim=dim, generators=coord_generators,
@@ -221,22 +212,20 @@ def default_probes(chart: Chart, base, rng: np.random.Generator):
     return probes
 
 
-def curvature_span(chart: Chart, base, probes, n: int = None,
-                   J_fn=None) -> HolonomyEstimate:
+def curvature_span(chart: Chart, base, probes, J_fn=None) -> HolonomyEstimate:
     """Holonomy-algebra estimate from transported curvature endomorphisms.
 
     Each probe contributes R(X, Y) at its point, parallel-transported to the
-    base point along the straight coordinate segment.  ``n`` is half the
-    chart's dimension; a different one raises :class:`ParameterError`.  The
-    curvature at all the probes is one stacked evaluation and their
-    transports one bundle; the error raised is the first probe's, its
-    curvature before its transport, by :func:`~lckgeo.errors.in_item_order`.
+    base point along the straight coordinate segment.  The curvature at all
+    the probes is one stacked evaluation and their transports one bundle;
+    the error raised is the first probe's, its curvature before its
+    transport, by :func:`~lckgeo.errors.in_item_order`.
     """
     base = np.asarray(base, dtype=float)
-    n = _complex_dimension(chart, n)
-    if len(probes) < _probe_minimum(n):
+    least = _probe_minimum(chart.dim // 2)
+    if len(probes) < least:
         raise PreconditionError(
-            f"need at least {_probe_minimum(n)} probes, got {len(probes)}")
+            f"need at least {least} probes, got {len(probes)}")
     L = _orthonormal_frame(chart.metric(base))
     qs = np.array([q for q, _ in probes], dtype=float)
     xs = np.array([x for _, (x, _) in probes], dtype=float)
@@ -252,14 +241,13 @@ def curvature_span(chart: Chart, base, probes, n: int = None,
                  _segment_transports(chart, qs, base)),
         one_probe, zip(qs, xs, ys))
     Rs[moved] = P @ Rs[moved] @ np.linalg.inv(P)
-    return _assemble(L, base, _to_frame(L, Rs), n, J_fn)
+    return _assemble(L, base, _to_frame(L, Rs), J_fn)
 
 
 def _curvature(chart: Chart, q: np.ndarray, x: np.ndarray,
                y: np.ndarray) -> np.ndarray:
     """The curvature endomorphism R(x, y) at each of the points q."""
-    return np.einsum("...abcd,...c,...d->...ab", riemann(chart, q).components,
-                     x, y)
+    return np.einsum("...abcd,...c,...d->...ab", riemann(chart, q), x, y)
 
 
 def _segment_transports(chart: Chart, starts: np.ndarray, base):
@@ -305,8 +293,8 @@ def default_holonomy_loops(chart: Chart, base, steps_per_edge: int = 40):
     return loops
 
 
-def loop_holonomy(chart: Chart, loops, base, n: int = None,
-                  J_fn=None, allow_shifted: bool = False) -> HolonomyEstimate:
+def loop_holonomy(chart: Chart, loops, base, J_fn=None,
+                  allow_shifted: bool = False) -> HolonomyEstimate:
     """Holonomy-algebra estimate from transport logarithms around loops.
 
     Loops must be contractible; a coordinate shift normally marks a deck
@@ -314,15 +302,12 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
     shift is a periodic-coordinate wrap of a contractible curve (latitude
     circles in polar charts).  Transports farther than 0.5 from the
     identity in the orthonormal operator norm raise
-    :class:`LoopTooLargeError` (subdivide or shrink the loop).  ``n`` is
-    half the chart's dimension; a different one raises
-    :class:`ParameterError`, and no loops raise :class:`PreconditionError`.
-    The logarithms of all the loops are one stack, in one frame change; the
-    error raised is the first loop's, by
-    :func:`~lckgeo.errors.in_item_order`.
+    :class:`LoopTooLargeError` (subdivide or shrink the loop), and no loops
+    raise :class:`PreconditionError`.  The logarithms of all the loops are
+    one stack, in one frame change; the error raised is the first loop's,
+    by :func:`~lckgeo.errors.in_item_order`.
     """
     base = np.asarray(base, dtype=float)
-    n = _complex_dimension(chart, n)
     if len(loops) == 0:
         raise PreconditionError("need at least one loop, got 0")
     L = _orthonormal_frame(chart.metric(base))
@@ -335,7 +320,7 @@ def loop_holonomy(chart: Chart, loops, base, n: int = None,
         return _loop_log(L, batch, _loop_transports(chart, batch, base))
 
     hats = in_item_order(lambda: logs(loops), lambda loop: logs([loop]), loops)
-    return _assemble(L, base, hats, n, J_fn)
+    return _assemble(L, base, hats, J_fn)
 
 
 def _loop_transports(chart: Chart, loops, base) -> np.ndarray:

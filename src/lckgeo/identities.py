@@ -240,7 +240,7 @@ def einstein_deviation(H: HermitianStructure, p, lam: float) -> float:
     """Term-normalized |Ric - lambda g| at p."""
     ric, _ = ricci_scalar(H.chart, p)
     g = H.chart.metric(p)
-    return _ricci_deviation(ric.components, lam, g, np.linalg.inv(g))
+    return _ricci_deviation(ric, lam, g, np.linalg.inv(g))
 
 
 def _ricci_deviation(ric: np.ndarray, lam: float, g: np.ndarray,

@@ -39,6 +39,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, fields
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -72,10 +73,13 @@ class SuiteConfig:
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             raise ParameterError(f"unknown suites {unknown}; known: {SUITE_NAMES}")
-        if self.samples < 1:
-            raise ParameterError("samples must be >= 1")
-        if self.seed < 0:
-            raise ParameterError("seed must be >= 0")
+        for name, least in (("samples", 1), ("seed", 0)):
+            value = getattr(self, name)
+            # a bool is an Integral too, but never a count or a seed
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ParameterError(f"{name} must be an integer")
+            if value < least:
+                raise ParameterError(f"{name} must be >= {least}")
         if self.mode not in ("fd", "analytic"):
             raise ParameterError("mode must be 'fd' or 'analytic'")
         if self.tol_id is None:

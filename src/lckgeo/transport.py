@@ -109,7 +109,7 @@ def geodesic_with_velocity(chart: Chart, p, v, time: float,
 
     def rhs(t, y):
         x, vel = y[:m], y[m:]
-        if not chart.contains(x):
+        if not chart.inside(x):
             raise DomainExitError(f"geodesic left chart '{chart.label}'",
                                   exit_time=t, point=x)
         gamma = christoffel_components(chart, x)
@@ -297,7 +297,7 @@ def _raise_domain_error(chart: Chart, x: np.ndarray, exit_time: float,
     """Raise the domain error of the first of the curve points x, shape
     (..., m), that fails the domain check with the given margin."""
     x = x.reshape(-1, chart.dim)[~chart.inside(x, margin).reshape(-1)][0]
-    if not chart.contains(x):
+    if not chart.inside(x):
         raise DomainExitError(f"transport curve left chart '{chart.label}'",
                               exit_time=exit_time, point=x)
     chart.require_inside(x, margin)

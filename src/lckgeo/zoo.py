@@ -512,7 +512,7 @@ def calabi_ansatz(ell: ProfileFn, b: float,
             f"base '{N.label}' is not Hodge-normalized: Omega_N-area "
             f"{base.area} is not an integer multiple of 2 pi")
     rs = np.linspace(r_margin / 2.0, b - r_margin / 2.0, 33)
-    if np.any(ell.value_fn(rs) <= 0.0):
+    if not np.all(ell.value_fn(rs) > 0.0):
         raise ParameterError(f"profile '{ell.label}' is not positive on (0, {b})")
 
     # connection normalization: d(c_w (dpsi + cos dphi)) = -c_w sin dth ^ dphi
@@ -521,7 +521,8 @@ def calabi_ansatz(ell: ProfileFn, b: float,
     omega_n = N.omega(np.array([[th, 1.0] for th in thetas]))[:, 0, 1]
     ratios = [w / (-math.sin(th)) for w, th in zip(omega_n, thetas)]
     c_w = float(np.mean(ratios))
-    if np.max(np.abs(np.asarray(ratios) - c_w)) > 1e-10 * (1.0 + abs(c_w)):
+    spread = np.max(np.abs(np.asarray(ratios) - c_w))
+    if not spread <= 1e-10 * (1.0 + abs(c_w)):
         raise BundleError(
             f"no constant scaling of the contact form matches Omega_N on "
             f"'{N.label}': ratios {ratios}")

@@ -46,14 +46,14 @@ def _stencil(chart):
 
 class TestChristoffel:
     def test_euclidean_zero(self, euclid4):
-        G = christoffel(euclid4.charts["flat"], np.zeros(4)).components
+        G = christoffel(euclid4.charts["flat"], np.zeros(4))
         npt.assert_allclose(G, 0.0, atol=1e-12)
 
     def test_sphere_closed_form(self):
         """Gamma^theta_{phi phi} = -sin(t)cos(t), Gamma^phi_{t phi} = cot(t)."""
         chart = _stencil(_sphere_chart())
         p = np.array([math.pi / 4, 1.0])
-        G = christoffel(chart, p).components
+        G = christoffel(chart, p)
         assert abs(G[0, 1, 1] - (-0.5)) < 1e-8
         assert abs(G[1, 0, 1] - 1.0 / math.tan(p[0])) < 1e-7
         npt.assert_allclose(G, np.transpose(G, (0, 2, 1)), atol=1e-12)
@@ -73,7 +73,7 @@ class TestChristoffel:
             for k in range(4)]
         gamma_fn = sp.lambdify(xs, gamma_sym, "numpy")
         for p in chart.sample_points(rng, 5):
-            G_num = christoffel(chart, p).components
+            G_num = christoffel(chart, p)
             G_orc = np.asarray(gamma_fn(*p), dtype=float)
             assert np.max(np.abs(G_num - G_orc)) < 1e-5
 
@@ -81,9 +81,9 @@ class TestChristoffel:
         """2nd-order stencil: halving the step shrinks the defect ~4x."""
         chart = _sphere_chart()
         p = np.array([0.9, 2.0])
-        exact = christoffel(chart, p).components
+        exact = christoffel(chart, p)
         err = lambda h: np.max(np.abs(
-            christoffel(_stencil(chart), p, step=h).components - exact))
+            christoffel(_stencil(chart), p, step=h) - exact))
         assert err(5e-4) < err(1e-3) / 3.0
 
     def test_domain_error(self, flat_inv2):
@@ -294,7 +294,7 @@ def test_gradient_evaluates_the_stencil_in_one_call(rng):
 
 class TestCurvature:
     def test_euclidean_riemann_zero(self, euclid4):
-        R = riemann(euclid4.charts["flat"], np.zeros(4)).components
+        R = riemann(euclid4.charts["flat"], np.zeros(4))
         npt.assert_allclose(R, 0.0, atol=1e-12)
 
     def test_round_s3_sectional_curvature_one(self, rng):
@@ -302,7 +302,7 @@ class TestCurvature:
         chart = _sphere_chart(1.0, dim=3)
         for p in chart.sample_points(rng, 5):
             g = chart.metric(p)
-            R = riemann(chart, p).components
+            R = riemann(chart, p)
             x, y = rng.standard_normal(3), rng.standard_normal(3)
             lhs = np.einsum("abcd,b,c,d->a", R, y, x, y)
             rhs = float(y @ g @ y) * x - float(x @ g @ y) * y
@@ -344,7 +344,7 @@ class TestCurvature:
 class TestRicci:
     def test_euclidean(self, euclid4):
         ric, scal = ricci_scalar(euclid4.charts["flat"], np.zeros(4))
-        npt.assert_allclose(ric.components, 0.0, atol=1e-12)
+        npt.assert_allclose(ric, 0.0, atol=1e-12)
         assert abs(scal) < 1e-12
 
     @pytest.mark.parametrize("radius,dim", [(1.0, 2), (2.0, 2), (1.0, 3)])
@@ -355,7 +355,7 @@ class TestRicci:
         ric, scal = ricci_scalar(chart, p)
         expected = dim * (dim - 1) / radius ** 2
         assert abs(scal - expected) < 1e-5 * (1 + expected)
-        npt.assert_allclose(ric.components, ric.components.T, atol=1e-7)
+        npt.assert_allclose(ric, ric.T, atol=1e-7)
 
     def test_warped_fiber_curvature_rows(self, warped_sin, rng):
         """R(X, d_t) d_t = -(f''/f) X for fiber directions X."""
@@ -363,7 +363,7 @@ class TestRicci:
         for p in chart.sample_points(rng, 4):
             t = p[1]
             ratio = -math.sin(t) + math.cos(t) ** 2   # f''/f, f = e^(sin t)
-            R = riemann(chart, p).components
+            R = riemann(chart, p)
             for k in (2, 3):
                 x = np.zeros(4)
                 x[k] = 1.0
@@ -383,7 +383,7 @@ class TestRicci:
             t = p[1]
             ric, _ = ricci_scalar(chart, p)
             expected = -2.0 * (-math.sin(t) + math.cos(t) ** 2)
-            assert abs(ric.components[1, 1] - expected) < 1e-5 * (1 + abs(expected))
+            assert abs(ric[1, 1] - expected) < 1e-5 * (1 + abs(expected))
 
 
 def _directional(chart, field, p, x, valence):
@@ -439,15 +439,15 @@ class TestFormCalculus:
         chart = euclid4.charts["flat"]
         out = exterior_derivative(chart, fd.constant(np.ones(4)), np.zeros(4),
                                   k=1)
-        npt.assert_allclose(out.components, 0.0, atol=1e-12)
+        npt.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_d_squared_zero(self):
         chart = _sphere_chart()
         field = lambda q: np.stack([np.sin(q[..., 0]) * q[..., 1],
                                     np.cos(q[..., 0])], -1)
         p = np.array([1.2, 2.0])
-        d1 = lambda q: exterior_derivative(chart, field, q, k=1).components
-        d2 = exterior_derivative(chart, d1, p, k=2).components
+        d1 = lambda q: exterior_derivative(chart, field, q, k=1)
+        d2 = exterior_derivative(chart, d1, p, k=2)
         assert np.max(np.abs(d2)) < 1e-5
 
     def test_hopf_domega(self, hopf2, rng):
@@ -455,7 +455,7 @@ class TestFormCalculus:
         from lckgeo.charts import wedge
         H = zoo.stencil_only(hopf2).main_structure
         for p in H.chart.sample_points(rng, 5):
-            d_om = exterior_derivative(H.chart, H.omega, p, k=2).components
+            d_om = exterior_derivative(H.chart, H.omega, p, k=2)
             theta = lee_form_components(H, p)
             rhs = 2.0 * wedge(theta, H.omega(p))
             assert form_norm(d_om - rhs, H.chart.metric(p)) < 1e-6
@@ -473,7 +473,7 @@ class TestFormCalculus:
             return out
 
         for p in chart.sample_points(rng, 5):
-            d_om = exterior_derivative(chart, omega_form, p, k=1).components
+            d_om = exterior_derivative(chart, omega_form, p, k=1)
             omega_n = base.structure.omega(np.array([p[0], 0.0]))
             pullback = np.zeros((4, 4))
             pullback[:2, :2] = omega_n
@@ -482,13 +482,13 @@ class TestFormCalculus:
     def test_codifferential_constant_euclidean(self, euclid4):
         chart = euclid4.charts["flat"]
         out = codifferential(chart, fd.constant(np.ones(4)), np.zeros(4), k=1)
-        assert abs(float(out.components)) < 1e-12
+        assert abs(float(out)) < 1e-12
 
     def test_hopf_delta_omega(self, hopf2, rng):
         """delta Omega = (2 - 2n) J theta: the codifferential sign anchor."""
         H = zoo.stencil_only(hopf2).main_structure
         for p in H.chart.sample_points(rng, 5):
-            delta_om = codifferential(H.chart, H.omega, p, k=2).components
+            delta_om = codifferential(H.chart, H.omega, p, k=2)
             theta = lee_form_components(H, p)
             rhs = (2.0 - 2.0 * H.n) * j_on_forms(H.J(p), theta)
             assert np.max(np.abs(delta_om - rhs)) < 1e-8
@@ -501,7 +501,7 @@ class TestFormCalculus:
         g_inv = np.linalg.inv(H.chart.metric(p))
         norm_sq = float(theta @ g_inv @ theta)
         assert abs(norm_sq - 4.0) < 1e-8
-        delta_theta = codifferential(H.chart, lee_field(H), p, k=1).components
+        delta_theta = codifferential(H.chart, lee_field(H), p, k=1)
         assert abs(float(delta_theta) - (-4.0)) < 1e-4
 
 

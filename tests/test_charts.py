@@ -1,4 +1,4 @@
-"""Chart, FrameTensor, Loop, and exterior-algebra unit tests."""
+"""Chart, Loop, and exterior-algebra unit tests."""
 
 import dataclasses
 import itertools
@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from lckgeo import fd, zoo
-from lckgeo.charts import (Chart, FrameTensor, Loop, _move_axis, alt,
+from lckgeo.charts import (Chart, Loop, _move_axis, alt,
                            coordinate_rectangle, form_norm, polygon_loop,
                            raised_norm, segment_loop, wedge, wedge_endo)
 from lckgeo.errors import ChartDomainError, MetricError
@@ -86,7 +86,7 @@ class TestChartInvariants:
             assert expected.any() != math.isnan(margin)
             assert not expected.all()
             assert np.array_equal(chart.inside(points, margin), expected)
-            assert [chart.contains(p, margin) for p in points] == \
+            assert [bool(chart.inside(p, margin)) for p in points] == \
                 expected.tolist()
 
     def test_metric_validation_errors(self):
@@ -126,6 +126,14 @@ class TestChartInvariants:
                 symmetric = "not symmetric" not in str(exc)
             assert symmetric == expected, g
 
+    def test_stacked_symmetry_tolerance_is_per_matrix(self):
+        """A large matrix does not widen the tolerance of a small one beside
+        it in a stack; an empty stack passes."""
+        stack = np.array([1e6 * np.eye(2), [[1.0, 1e-9], [0.0, 1.0]]])
+        chart = Chart(domain=((-1, 1),), metric_fn=lambda p: stack[:len(p)])
+        with pytest.raises(MetricError, match=r"not symmetric at \[0.5\]"):
+            chart.metric(np.array([[0.0], [0.5]]))
+        assert chart.metric(np.empty((0, 1))).shape == (0, 2, 2)
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_stacked_metric_error_names_first_bad_point(self, stacked, hopf2):
@@ -171,18 +179,6 @@ class TestChartInvariants:
                                         for row in stack]))
 
 
-class TestFrameTensor:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            FrameTensor(np.zeros((2, 2)), valence=(1, 0), point=np.zeros(2))
-
-    def test_norm_matches_metric_contraction(self):
-        g = np.diag([4.0, 9.0])
-        alpha = np.array([1.0, 0.0])
-        # |dx|_g = 1/2 with g = diag(4, 9)
-        assert abs(form_norm(alpha, g) - 0.5) < 1e-14
-
-
 class TestLoops:
     def test_polygon_closure_and_velocity(self, rng):
         verts = [np.zeros(3), np.array([1.0, 0, 0]), np.array([1.0, 1.0, 0])]
@@ -198,10 +194,17 @@ class TestLoops:
         loop = segment_loop([0.0, 0.0], [2.0, 0.0], steps=10)
         npt.assert_allclose(loop.point(1.0) - loop.point(0.0), loop.shift)
 
-    def test_open_curve_rejected(self):
+    @pytest.mark.parametrize("end", [1.0, math.nan])
+    def test_open_curve_rejected(self, end):
+        """An endpoint off the start, NaN included, is no loop."""
         with pytest.raises(ValueError):
-            Loop(curve_fn=lambda t: np.array([t, 0.0]),
-                 velocity_fn=lambda t: np.array([1.0, 0.0]), steps=10)
+            Loop(curve_fn=lambda t: np.array([0.0 if t == 0 else end, 0.0]),
+                 velocity_fn=lambda t: np.array([end, 0.0]), steps=10)
+
+    def test_infinite_shift_rejected(self):
+        """0 * inf makes the start NaN, which no closure defect passes."""
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            segment_loop([0.0, 0.0], [math.inf, 0.0])
 
     def test_rectangle_breakpoints(self):
         loop = coordinate_rectangle(np.zeros(2), 0, 1, 0.2, 0.2)
@@ -247,6 +250,12 @@ def _polygon_velocity(verts, t):
 
 
 class TestExteriorAlgebra:
+    def test_norm_matches_metric_contraction(self):
+        g = np.diag([4.0, 9.0])
+        alpha = np.array([1.0, 0.0])
+        # |dx|_g = 1/2 with g = diag(4, 9)
+        assert abs(form_norm(alpha, g) - 0.5) < 1e-14
+
     def test_one_form_wedge(self, rng):
         a, b = rng.standard_normal(4), rng.standard_normal(4)
         w = wedge(a, b)

@@ -39,7 +39,7 @@ def test_readme_library_quick_start():
     namespace = {}
     with contextlib.redirect_stdout(io.StringIO()):
         exec(compile(block, "README.md", "exec"), namespace)
-    assert np.max(np.abs(namespace["data"].theta.components
+    assert np.max(np.abs(namespace["data"].theta
                          - [1.0, 0.0, 0.0, 0.0])) < 1e-8
     assert namespace["out"].kind == "Vaisman"
 

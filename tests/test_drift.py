@@ -152,15 +152,16 @@ def test_lines_are_counted_per_changed_module(tmp_path):
 
 
 def test_changed_evaluation_counts_are_listed():
-    """A cell whose metric_fn or J_fn count moved gets a row, base ->
-    change; equal counts print one line.  Neither is a verdict."""
-    def counted(metric_fn, J_fn):
-        return dict(_record(), counts={"metric_fn": metric_fn, "J_fn": J_fn})
+    """A cell whose metric_fn, metric_derivative_fn or J_fn count moved gets
+    a row, base -> change; equal counts print one line.  Neither is a
+    verdict."""
+    def counted(*values):
+        return dict(_record(), counts=dict(zip(drift.COUNTED, values)))
 
-    base, change = {CELL: counted(34, 50)}, {CELL: counted(18, 18)}
+    base, change = {CELL: counted(34, 7, 50)}, {CELL: counted(18, 7, 18)}
     assert drift.compare(base, change)[0] == []
     assert drift.count_changes(base, change).splitlines()[-1] == (
-        "| hopf{n=2} | holonomy | fd | 1 | 34 -> 18 | 50 -> 18 |")
+        "| hopf{n=2} | holonomy | fd | 1 | 34 -> 18 | 7 -> 7 | 50 -> 18 |")
     assert drift.count_changes(base, base) == (
         "\nno evaluation count differs")
 
@@ -169,9 +170,12 @@ def test_a_nested_field_call_counts_once():
     """A field evaluated inside another counted field's call, as the calabi
     g+ metric rescales the g_ell one, is part of the outer evaluation: each
     point counts once, for the outer field.  A call that raises leaves the
-    next call counted."""
-    g_ell = SimpleNamespace(metric_fn=lambda q: np.ones(np.shape(q)[:-1]))
-    g_plus = SimpleNamespace(metric_fn=lambda q: 2.0 * g_ell.metric_fn(q))
+    next call counted, and a chart without a derivative function has none
+    wrapped."""
+    g_ell = SimpleNamespace(metric_fn=lambda q: np.ones(np.shape(q)[:-1]),
+                            metric_derivative_fn=None)
+    g_plus = SimpleNamespace(metric_fn=lambda q: 2.0 * g_ell.metric_fn(q),
+                             metric_derivative_fn=lambda q: g_plus.metric_fn(q))
 
     def failing(q):
         g_ell.metric_fn(q)
@@ -190,11 +194,32 @@ def test_a_nested_field_call_counts_once():
     points = np.zeros((5, 4))
     g_plus.metric_fn(points)
     structures["plus"].J_fn(points)
-    assert counts == {"metric_fn": 5, "J_fn": 5}
+    g_plus.metric_derivative_fn(points[:3])
+    assert counts == {"metric_fn": 5, "metric_derivative_fn": 3, "J_fn": 5}
     with pytest.raises(ValueError):
         structures["ell"].J_fn(points[:2])
     g_ell.metric_fn(points[0])
-    assert counts == {"metric_fn": 6, "J_fn": 7}
+    assert counts == {"metric_fn": 6, "metric_derivative_fn": 3, "J_fn": 7}
+    assert g_ell.metric_derivative_fn is None
+
+
+def test_complex_step_calls_are_counted():
+    """An exact chart's derivative function closes over the raw metric
+    field, which the metric_fn wrapper never sees: its points are counted
+    as metric_derivative_fn points, once per point."""
+    from lckgeo.charts import Chart
+
+    chart = Chart.exact(((-1.0, 1.0), (-1.0, 1.0)),
+                        lambda q: (2.0 + q[..., :1, None]) * np.eye(2), "exact")
+    module = SimpleNamespace(resolve_manifold=lambda selector: SimpleNamespace(
+        structures={"main": SimpleNamespace(chart=chart,
+                                            J_fn=lambda q: None)}))
+    counts = dict.fromkeys(drift.COUNTED, 0)
+    drift._count_points(module, counts)
+    module.resolve_manifold("euclidean{m=2}")
+    dg = chart.metric_jacobian(np.zeros((4, 2)))
+    assert dg[0, :, 0, 0].tolist() == [1.0, 0.0]
+    assert counts == {"metric_fn": 0, "metric_derivative_fn": 4, "J_fn": 0}
 
 
 def test_settable_values_in_one_tree_are_listed(tmp_path):

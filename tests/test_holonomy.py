@@ -16,8 +16,7 @@ from lckgeo.calculus import riemann
 from lckgeo.charts import (Chart, coordinate_rectangle, polygon_loop,
                            segment_loop)
 from lckgeo.errors import (DomainExitError, IntegrationError,
-                           LoopTooLargeError, ParameterError,
-                           PreconditionError)
+                           LoopTooLargeError, PreconditionError)
 from lckgeo.hermitian import conformal_rescale
 from lckgeo.holonomy import (TRANSPORT_STEPS, _close_under_commutators,
                              _curvature, _loop_log, _loop_transports,
@@ -35,8 +34,7 @@ def _span(entry, rng, key=None):
     chart = H.chart
     base = chart.center()
     probes = default_probes(chart, base, rng)
-    return H, curvature_span(chart, base, probes, n=entry.n,
-                             J_fn=H.J_fn)
+    return H, curvature_span(chart, base, probes, J_fn=H.J_fn)
 
 
 class TestCurvatureSpan:
@@ -88,33 +86,14 @@ class TestCurvatureSpan:
         base = H.chart.center()
         probes = default_probes(H.chart, base, rng)[:5]
         with pytest.raises(PreconditionError):
-            curvature_span(H.chart, base, probes, n=2)
-
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_mismatched_n_rejected(self, hopf2, rng, n):
-        """n is half the chart's dimension.  Both estimators reject another
-        n before they evaluate a field."""
-        def unreachable(q):
-            raise AssertionError("a field was evaluated")
-
-        chart = dataclasses.replace(hopf2.main_structure.chart,
-                                    metric_fn=unreachable)
-        base = chart.center()
-        message = (f"n = {n} does not match chart .* of dimension 4, "
-                   "whose n is 2")
-        with pytest.raises(ParameterError, match=message):
-            curvature_span(chart, base, default_probes(chart, base, rng), n=n)
-        with pytest.raises(ParameterError, match=message):
-            loop_holonomy(chart, default_holonomy_loops(chart, base), base,
-                          n=n)
+            curvature_span(H.chart, base, probes)
 
 
 class TestLoopHolonomy:
     def test_euclidean_trivial(self, euclid4):
         chart = euclid4.charts["flat"]
         base = chart.center()
-        est = loop_holonomy(chart, default_holonomy_loops(chart, base), base,
-                            n=2)
+        est = loop_holonomy(chart, default_holonomy_loops(chart, base), base)
         assert est.algebra_dim == 0
 
     def test_sphere_latitude_so2(self):
@@ -130,7 +109,7 @@ class TestLoopHolonomy:
                               np.array([0.0, 2.0 * math.pi]),
                               steps=300, label=f"lat_{theta0}")
                  for theta0 in (1.52, 1.57, 1.62, 0.32)]
-        est = loop_holonomy(chart, loops, base, n=1, allow_shifted=True)
+        est = loop_holonomy(chart, loops, base, allow_shifted=True)
         assert est.algebra_dim == 1
         assert est.rank_gap >= 10
 
@@ -141,9 +120,9 @@ class TestLoopHolonomy:
             base = chart.center()
             est_s = curvature_span(chart, base,
                                    default_probes(chart, base, rng),
-                                   n=entry.n, J_fn=H.J_fn)
+                                   J_fn=H.J_fn)
             est_l = loop_holonomy(chart, default_holonomy_loops(chart, base),
-                                  base, n=entry.n, J_fn=H.J_fn)
+                                  base, J_fn=H.J_fn)
             assert est_s.classification == est_l.classification, entry.label
             assert est_s.algebra_dim == est_l.algebra_dim, entry.label
 
@@ -154,14 +133,14 @@ class TestLoopHolonomy:
         lat = segment_loop(np.array([theta0, 0.0]),
                            np.array([0.0, 2.0 * math.pi]), steps=300)
         with pytest.raises(LoopTooLargeError):
-            loop_holonomy(chart, [lat], np.array([theta0, 0.1]), n=1,
+            loop_holonomy(chart, [lat], np.array([theta0, 0.1]),
                           allow_shifted=True)
 
     def test_shifted_loop_rejected(self, hopf2):
         H = hopf2.main_structure
         with pytest.raises(PreconditionError):
             loop_holonomy(H.chart, [hopf2.loops["s1_generator"]],
-                          H.chart.center(), n=2)
+                          H.chart.center())
 
     def test_no_loops_rejected(self, hopf2):
         """No loops raise the typed error that too few probes raise in
@@ -298,7 +277,7 @@ class TestBundles:
             breakpoints=leaves.breakpoints))
         assert type(bundle) is IntegrationError
         err = _raised(lambda: loop_holonomy(chart, [leaves, diverges, deck],
-                                            base, n=1))
+                                            base))
         ref = _raised(lambda: parallel_transport(chart, leaves, np.eye(2)))
         assert type(err) is type(ref) is DomainExitError
         assert err.exit_time == ref.exit_time
@@ -329,7 +308,7 @@ class TestBundles:
             lambda t: np.stack([lp.velocity(t) for lp in loops], -2),
             np.broadcast_to(np.eye(4), (12, 4, 4)), steps=loops[0].steps,
             breakpoints=loops[0].breakpoints))
-        err = _raised(lambda: loop_holonomy(chart, loops, base, n=2))
+        err = _raised(lambda: loop_holonomy(chart, loops, base))
         refs = [_raised(lambda: parallel_transport(chart, loop, np.eye(4)))
                 for loop in loops[2:6:3]]
         assert type(bundle) is type(err) is IntegrationError
@@ -376,7 +355,7 @@ class TestBundles:
                 transport_segment(chart, q, base, np.eye(4),
                                   steps=TRANSPORT_STEPS)
 
-        err = _raised(lambda: curvature_span(chart, base, probes, n=2))
+        err = _raised(lambda: curvature_span(chart, base, probes))
         ref = _raised(probe_by_probe)
         assert type(bundle) is type(err) is type(ref) is IntegrationError
         assert str(bundle) == str(refs[1]) != str(refs[0]) == str(ref)
@@ -402,7 +381,7 @@ class TestBundles:
             return to_frame(L, G)
 
         monkeypatch.setattr(holonomy, "_to_frame", recorded)
-        curvature_span(chart, base, probes, n=2)
+        curvature_span(chart, base, probes)
         loops = (default_holonomy_loops(chart, base)[:6]
                  + default_holonomy_loops(chart, base + 0.05)[:6])
         Hs = _loop_transports(chart, loops, base)
@@ -434,9 +413,9 @@ class TestBundles:
         lat = segment_loop(np.array([1.5, 0.0]),
                            np.array([0.0, 2.0 * math.pi]), steps=300)
         with pytest.raises(LoopTooLargeError):
-            loop_holonomy(chart, [rect, lat], base, n=1)
+            loop_holonomy(chart, [rect, lat], base)
         with pytest.raises(PreconditionError):
-            loop_holonomy(chart, [lat, rect], base, n=1)
+            loop_holonomy(chart, [lat, rect], base)
 
     @pytest.mark.parametrize("mode", ["fd", "analytic"])
     @pytest.mark.parametrize("name", ["hopf2", "hopf3", "warped_sin",
@@ -455,7 +434,7 @@ class TestBundles:
         ys = np.array([y for _, (_, y) in probes])
         for R, q, x, y in zip(_curvature(chart, qs, xs, ys), qs, xs, ys):
             assert np.array_equal(R, np.einsum(
-                "abcd,c,d->ab", riemann(chart, q).components, x, y))
+                "abcd,c,d->ab", riemann(chart, q), x, y))
 
     def test_curvature_span_evaluates_per_probe_points(self, hopf2, rng):
         """The metric is evaluated at exactly the points of the per-probe
@@ -471,7 +450,7 @@ class TestBundles:
             return chart.metric_fn(q)
 
         counted_chart = dataclasses.replace(chart, metric_fn=counted)
-        curvature_span(counted_chart, base, probes, n=2)
+        curvature_span(counted_chart, base, probes)
         bundled, seen[:] = list(seen), [base[None]]
         for q, _ in probes:
             riemann(counted_chart, q)
@@ -487,7 +466,7 @@ class TestBundles:
         gc.collect()
         gc.disable()
         try:
-            loop_holonomy(H.chart, loops, base, n=2, J_fn=H.J_fn)
+            loop_holonomy(H.chart, loops, base, J_fn=H.J_fn)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -501,7 +480,7 @@ class TestBundles:
         loops = default_holonomy_loops(H.chart, base)
         tracemalloc.start()
         try:
-            loop_holonomy(H.chart, loops, base, n=2, J_fn=H.J_fn)
+            loop_holonomy(H.chart, loops, base, J_fn=H.J_fn)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -534,10 +513,10 @@ class TestSchedule:
         chart = conformal_rescale(H.chart, lambda p: eps * _conformal_bump(p))
         base = chart.center()
         for est in (curvature_span(chart, base,
-                                   default_probes(chart, base, rng), n=2,
+                                   default_probes(chart, base, rng),
                                    J_fn=H.J_fn),
                     loop_holonomy(chart, default_holonomy_loops(chart, base),
-                                  base, n=2, J_fn=H.J_fn)):
+                                  base, J_fn=H.J_fn)):
             assert (est.classification, est.algebra_dim) == ("SO(2n)", 6)
 
     @pytest.mark.parametrize("mode", ["fd", "analytic"])
@@ -642,7 +621,7 @@ class TestOrthonormalFrame:
         base = chart.center()
         base[0] = 1.0            # away from theta = pi/2: g_(phi,psi) != 0
         est = curvature_span(chart, base, default_probes(chart, base, rng),
-                             n=2, J_fn=H.J_fn)
+                             J_fn=H.J_fn)
         assert est.skew_defect < 1e-6
         M = chart.metric(base)
         assert np.max(np.abs(M - np.diag(np.diag(M)))) > 1e-3  # really non-diagonal

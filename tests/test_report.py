@@ -63,6 +63,16 @@ class TestSuiteConfig:
         with pytest.raises(ParameterError):
             SuiteConfig(manifold="hopf{n=2}", suites=("nonsense",))
 
+    @pytest.mark.parametrize("key, value", [
+        ("samples", 2.5), ("seed", 1.5), ("samples", True), ("seed", False),
+        ("samples", "3")])
+    def test_non_integer_count_or_seed_rejected(self, key, value):
+        """Each would fail deep inside the run as a bare numpy error."""
+        with pytest.raises(ParameterError, match=f"{key} must be an integer"):
+            SuiteConfig(manifold="hopf{n=2}", suites=(), **{key: value})
+        assert SuiteConfig(manifold="x", suites=(),
+                           **{key: np.int64(3)}).as_dict()[key] == 3
+
     def test_mode_dependent_tol_id(self):
         c_fd = SuiteConfig(manifold="x", suites=(), mode="fd")
         c_an = SuiteConfig(manifold="x", suites=(), mode="analytic")

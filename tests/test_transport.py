@@ -210,7 +210,7 @@ def _stagewise_transport(chart, point_fn, velocity_fn, frame, steps,
         def rhs(t, y, lo=t0 + eps, hi=t1 - eps):
             tc = min(max(t, lo), hi)
             x = point_fn(tc)
-            if not chart.contains(x):
+            if not chart.inside(x):
                 raise DomainExitError(
                     f"transport curve left chart '{chart.label}'",
                     exit_time=t, point=np.asarray(x))

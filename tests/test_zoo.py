@@ -245,7 +245,7 @@ class TestHopf:
             g = H.chart.metric(p)
             theta = lee_form_components(H, p)
             xi = H.J(p) @ np.linalg.solve(g, theta)
-            R = riemann(H.chart, p).components
+            R = riemann(H.chart, p)
             # sphere-factor directions: no d_s component
             x = np.concatenate([[0.0], rng.standard_normal(3)])
             y = np.concatenate([[0.0], rng.standard_normal(3)])
@@ -385,7 +385,7 @@ class TestFlatInversion:
         chart = zoo.stencil_only(flat_inv2).charts["inverted"]
         for p in chart.sample_points(rng, 8):
             g = chart.metric(p)
-            R = riemann(chart, p).components
+            R = riemann(chart, p)
             assert form_norm(np.einsum("ae,ebcd->abcd", g, R), g) < 1e-4
         ric, scal = ricci_scalar(chart, chart.center())
         assert abs(scal) < 1e-4
@@ -411,7 +411,7 @@ class TestFlatInversion:
             theta = lee_form_components(H, p)
             norm_sq = float(theta @ np.linalg.solve(H.chart.metric(p), theta))
             delta = float(codifferential(H.chart, lee_field(H), p,
-                                         k=1).components)
+                                         k=1))
             assert abs(delta - (1 - 3) * norm_sq) < 1e-4 * (1 + norm_sq)
 
 
@@ -523,11 +523,23 @@ class TestCalabi:
             assert abs(np.trace(A @ B) - 0.0) < 1e-12
 
     def test_parameter_and_bundle_errors(self):
-        with pytest.raises(ParameterError):
-            zoo.calabi_ansatz(zoo.named_profile("cos", (0, math.pi)), math.pi)
+        """A profile not positive on (0, b), NaN on part of it included, and
+        a base whose Omega_N fixes no constant c_w, NaN included."""
+        for value_fn in (np.cos, lambda r: np.where(r > 1.0, r, np.nan)):
+            with pytest.raises(ParameterError, match="is not positive"):
+                zoo.calabi_ansatz(zoo.ProfileFn(value_fn, (0, math.pi)),
+                                  math.pi)
+        sin = zoo.named_profile("sin", (0, math.pi))
         with pytest.raises(BundleError):
-            zoo.calabi_ansatz(zoo.named_profile("sin", (0, math.pi)), math.pi,
-                              base=zoo.round_s2_base(0.9))
+            zoo.calabi_ansatz(sin, math.pi, base=zoo.round_s2_base(0.9))
+        cp1 = zoo.cp1_base()
+        J = cp1.structure.J_fn
+        nan_near_pole = dataclasses.replace(
+            cp1.structure,
+            J_fn=lambda y: np.where(y[..., :1, None] < 0.8, np.nan, J(y)))
+        with pytest.raises(BundleError, match="no constant scaling"):
+            zoo.calabi_ansatz(sin, math.pi, base=dataclasses.replace(
+                cp1, structure=nan_near_pole))
 
     def test_hodge_but_larger_base_accepted(self):
         """Area 4 pi (radius 1) is still an integer class: c_w = 1 bundle."""

@@ -30,8 +30,9 @@ for each module whose bytes differ (a module missing from a tree counts 0
 lines there), the settable values that one tree has and the other lacks
 (dataclass fields, and defaulted parameters of public functions and
 methods, under ``src/lckgeo``, read by ``ast``), and last the runs whose
-numbers of ``metric_fn`` and ``J_fn`` points differ.  Those counts do not
-depend on the machine; a change in them is not a verdict.
+numbers of ``metric_fn``, ``metric_derivative_fn`` and ``J_fn`` points
+differ.  Those counts do not depend on the machine; a change in them is not
+a verdict.
 """
 
 from __future__ import annotations
@@ -63,15 +64,16 @@ def _grid(suite_names):
                     yield selector, suite, mode, seed
 
 
-COUNTED = ("metric_fn", "J_fn")
+COUNTED = ("metric_fn", "metric_derivative_fn", "J_fn")
 
 
 def _count_points(report_module, counts: dict) -> None:
     """Make each run add to ``counts`` the points at which it evaluates the
-    ``metric_fn`` of each chart and the ``J_fn`` of each structure, by
-    wrapping the fields of the entries ``resolve_manifold`` builds.  A call
-    made inside another counted call (the calabi g+ and g- metrics rescale
-    the g_ell one) is part of the outer evaluation and is not counted."""
+    ``metric_fn`` and the ``metric_derivative_fn`` of each chart and the
+    ``J_fn`` of each structure, by wrapping the fields of the entries
+    ``resolve_manifold`` builds.  A call made inside another counted call
+    (the calabi g+ and g- metrics rescale the g_ell one) is part of the
+    outer evaluation and is not counted."""
     import numpy as np
 
     resolve = report_module.resolve_manifold
@@ -94,8 +96,10 @@ def _count_points(report_module, counts: dict) -> None:
         for H in structures:
             object.__setattr__(H, "J_fn", counted("J_fn", H.J_fn))
         for chart in {id(H.chart): H.chart for H in structures}.values():
-            object.__setattr__(chart, "metric_fn",
-                               counted("metric_fn", chart.metric_fn))
+            for kind in ("metric_fn", "metric_derivative_fn"):
+                fn = getattr(chart, kind)
+                if fn is not None:      # a chart differentiated on a stencil
+                    object.__setattr__(chart, kind, counted(kind, fn))
         return entry
 
     report_module.resolve_manifold = resolve_counted
