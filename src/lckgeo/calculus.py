@@ -223,14 +223,12 @@ def exterior_of_partials(da: np.ndarray, k: int, lead: int = 0) -> np.ndarray:
 
 
 def codifferential(chart: Chart, form_field: Callable, p, k: int,
-                   stencil: fd.Stencil = fd.DIRECT,
-                   gamma: np.ndarray = None) -> np.ndarray:
+                   stencil: fd.Stencil = fd.DIRECT) -> np.ndarray:
     """Codifferential delta alpha = -g^{ab} (nabla_a alpha)_{b...}, the
-    components of a (k-1)-form at each of the points p, shape (..., m);
-    ``gamma`` as for :func:`covariant_derivative_full`."""
+    components of a (k-1)-form at each of the points p, shape (..., m)."""
     p = np.asarray(p, dtype=float)
     nabla = covariant_derivative_full(chart, form_field, p, (k, 0),
-                                      stencil=stencil, gamma=gamma)
+                                      stencil=stencil)
     return codifferential_of(nabla, np.linalg.inv(chart.metric(p)),
                              p.ndim - 1)
 

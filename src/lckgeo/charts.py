@@ -338,8 +338,8 @@ def wedge_endo(x: np.ndarray, tau: np.ndarray, g: np.ndarray,
     g^-1; returns the matrix acting on vectors, at each point of a stack
     when x, tau, g and g_inv carry the point axes in front.
     """
-    tau_sharp = (g_inv @ tau[..., None])[..., 0]
-    gx = (g @ x[..., None])[..., 0]
+    tau_sharp = np.matvec(g_inv, tau)
+    gx = np.matvec(g, x)
     return (tau_sharp[..., :, None] * gx[..., None, :]
             - x[..., :, None] * tau[..., None, :])
 
@@ -405,5 +405,4 @@ def vector_norm(v: np.ndarray, metric: np.ndarray) -> np.ndarray:
     """sqrt|v . metric . v|: the length of a vector (metric g) or of a 1-form
     (metric g^-1), at each point of a stack when v and metric carry the point
     axes in front."""
-    square = (v[..., None, :] @ metric @ v[..., :, None])[..., 0, 0]
-    return np.sqrt(abs(square))
+    return np.sqrt(abs(np.vecdot(np.vecmat(v, metric), v)))

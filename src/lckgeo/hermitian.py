@@ -14,14 +14,18 @@ theta = J(delta Omega) / (2n - 2).  On 1-forms J acts by
 metric are evaluated once on the DIRECT stencil around each point and once
 at it, and the Omega partials, the metric partials, one g^-1, the
 Christoffel symbols and delta Omega all come from those arrays; the parts
-keep them, for the checks that difference other fields of J and g.
+keep them, for the checks that difference other fields of J and g.  The
+same pass forms J theta, theta_sharp = g^-1 theta, |theta|^2 and xi =
+g^-1 J theta, the quantities of theta every check reads.
 :func:`nested_lee` takes these parts and evaluates them again on one NESTED
 stencil around each point, whose differences give the partials of theta,
-nabla theta and the curvature; it is the one route to nabla theta.  Both
+nabla theta and the curvature; it is the one route to nabla theta, and it
+forms delta theta and S = nabla theta + theta (x) theta from it.  Both
 take a stack of points, shape (..., m), and every part keeps the point axes
 in front.  The checks of :mod:`lckgeo.identities` take the evaluated parts
 and NESTED pass as arguments, so a caller evaluates each once for its whole
-stack of samples and passes it to every check that reads it.
+stack of samples and passes it to every check that reads it, and no check
+forms a quantity of theta again.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ def _compatibility_defects(J: np.ndarray, G: np.ndarray):
 def j_on_forms(J: np.ndarray, tau) -> np.ndarray:
     """(J tau)_i = -tau(J d_i) from the values J of the structure at each
     point."""
-    return (-np.swapaxes(J, -1, -2) @ np.asarray(tau)[..., None])[..., 0]
+    return -np.vecmat(tau, J)
 
 
 @dataclass(frozen=True)
@@ -143,25 +147,28 @@ def lee_form(H: HermitianStructure, p) -> LeeData:
     p = np.asarray(p, dtype=float)
     parts = lee_form_parts(H, p)
     require_lck(H, p, parts)
-    theta = parts.theta
-    j_theta = j_on_forms(parts.J, theta)
-    norm_sq = float(theta @ parts.g_inv @ theta)
-    S = nested_lee(H, p, parts).ntheta + np.outer(theta, theta)
-    return LeeData(theta=theta, J_theta=j_theta, norm_sq=norm_sq, S=S)
+    return LeeData(theta=parts.theta, J_theta=parts.j_theta,
+                   norm_sq=float(parts.norm_sq), S=nested_lee(H, p, parts).S)
 
 
 class LeeParts(NamedTuple):
     """The Lee form at each of the points p with what it is made of, its
-    DIRECT stencil values included, each array with the point axes in front."""
+    DIRECT stencil values included, each array with the point axes in front;
+    every field is formed by the one pass of :func:`lee_form_parts`."""
 
     theta: np.ndarray           # the Lee form, (J delta Omega) / (2n - 2)
+    j_theta: np.ndarray         # (J theta)_i = -theta(J d_i)
+    theta_sharp: np.ndarray     # theta^i = g^ij theta_j
+    norm_sq: np.ndarray         # |theta|^2 = theta . theta_sharp
+    xi: np.ndarray              # xi = (J theta)^sharp = g^-1 J theta
     J: np.ndarray               # J^i_j
     g: np.ndarray               # the validated metric g_ij
     g_inv: np.ndarray           # g^-1
     dg: np.ndarray              # d_k g_ij (see Chart.metric_jacobian)
     gamma: np.ndarray           # Christoffel symbols Gamma^k_{ij}
     omega: np.ndarray           # Omega_ij
-    omega_partials: np.ndarray  # d_k Omega_ij, on the DIRECT stencil
+    omega_around: np.ndarray    # Omega_ij at the DIRECT stencil points
+    omega_partials: np.ndarray  # d_k Omega_ij, differenced from omega_around
     delta_omega: np.ndarray     # (delta Omega)_j
     J_around: np.ndarray        # J^i_j at fd.stencil_points(p, fd.DIRECT)
     g_around: np.ndarray        # the validated g_ij there
@@ -176,7 +183,9 @@ def lee_form_parts(H: HermitianStructure, p) -> LeeParts:
     and (on a chart without a derivative function) of g, and one g^-1 serves
     the Christoffel symbols, the contraction of delta Omega and every index
     the checks of :mod:`lckgeo.identities` raise; the values are kept as
-    ``J_around`` and ``g_around``.  Each part is bitwise
+    ``J_around`` and ``g_around``, and Omega there as ``omega_around``.  J
+    theta, theta_sharp, |theta|^2 and xi are formed here, once, for every
+    check that reads them.  Each part is bitwise
     what the generic route gives: ``codifferential(chart, H.omega, p, k=2)``
     and :func:`lckgeo.calculus.christoffel_components`, and ``fd.difference(
     J_around, fd.DIRECT)`` is ``fd.gradient(H.J_fn, p, fd.DIRECT)``.  Errors
@@ -197,8 +206,8 @@ def lee_form_parts(H: HermitianStructure, p) -> LeeParts:
     J = H.J(p)
     g = chart.metric(p)
     omega = form_of_endomorphism(J, g)
-    omega_partials = fd.difference(form_of_endomorphism(J_around, g_around),
-                                   fd.DIRECT, lead)
+    omega_around = form_of_endomorphism(J_around, g_around)
+    omega_partials = fd.difference(omega_around, fd.DIRECT, lead)
     dg = chart.metric_jacobian(p, values=g_around)
     g_inv = np.linalg.inv(g)
     gamma = levi_civita(dg, g_inv)
@@ -206,8 +215,12 @@ def lee_form_parts(H: HermitianStructure, p) -> LeeParts:
                                      lead)
     delta_omega = codifferential_of(nabla_omega, g_inv, lead)
     theta = j_on_forms(J, delta_omega) / (2.0 * H.n - 2.0)
-    return LeeParts(theta, J, g, g_inv, dg, gamma, omega, omega_partials,
-                    delta_omega, J_around, g_around)
+    j_theta = j_on_forms(J, theta)
+    theta_sharp = np.matvec(g_inv, theta)
+    return LeeParts(theta, j_theta, theta_sharp,
+                    np.vecdot(theta, theta_sharp), np.matvec(g_inv, j_theta),
+                    J, g, g_inv, dg, gamma, omega, omega_around,
+                    omega_partials, delta_omega, J_around, g_around)
 
 
 def lee_form_components(H: HermitianStructure, p) -> np.ndarray:
@@ -224,10 +237,13 @@ def lee_field(H: HermitianStructure) -> Callable:
 
 class NestedLee(NamedTuple):
     """The Lee-form parts differenced on the NESTED stencil around each of
-    the points p, each array with the point axes in front."""
+    the points p, each array with the point axes in front; every field is
+    formed by the one pass of :func:`nested_lee`."""
 
     theta_partials: np.ndarray  # d_c theta_j
     ntheta: np.ndarray          # (nabla_{d_c} theta)_j
+    delta_theta: np.ndarray     # delta theta = -g^ij (nabla theta)_ij
+    S: np.ndarray               # S_ij = (nabla theta)_ij + theta_i theta_j
     gamma: np.ndarray           # Gamma^k_{ij} at p
     gamma_partials: np.ndarray  # d_c Gamma^k_{ij}
     around: LeeParts            # the parts at the NESTED stencil points
@@ -240,8 +256,9 @@ class NestedLee(NamedTuple):
 
 
 def nested_lee(H: HermitianStructure, p, parts: LeeParts) -> NestedLee:
-    """theta's partials, nabla theta and the curvature at each of the points
-    p, shape (..., dim), from the Lee-form parts on one NESTED stencil.
+    """theta's partials, nabla theta, delta theta, S and the curvature at
+    each of the points p, shape (..., dim), from the Lee-form parts on one
+    NESTED stencil.
 
     ``parts`` are the :func:`lee_form_parts` at p; the parts at the stencil
     points are evaluated here and returned as ``around``.  The Lee form
@@ -255,10 +272,13 @@ def nested_lee(H: HermitianStructure, p, parts: LeeParts) -> NestedLee:
     H.chart.require_inside(p, margin=fd.NESTED.extent)
     around = lee_form_parts(H, fd.stencil_points(p, fd.NESTED))
     d_theta = fd.difference(around.theta, fd.NESTED, lead)
-    ntheta = covariant_partials(d_theta, parts.theta, parts.gamma, (1, 0),
-                                lead)
-    return NestedLee(d_theta, ntheta, parts.gamma,
-                     fd.difference(around.gamma, fd.NESTED, lead), around)
+    theta = parts.theta
+    ntheta = covariant_partials(d_theta, theta, parts.gamma, (1, 0), lead)
+    return NestedLee(d_theta, ntheta,
+                     -np.einsum("...ij,...ij->...", parts.g_inv, ntheta),
+                     ntheta + theta[..., :, None] * theta[..., None, :],
+                     parts.gamma, fd.difference(around.gamma, fd.NESTED, lead),
+                     around)
 
 
 def nabla_theta(H: HermitianStructure, p) -> np.ndarray:

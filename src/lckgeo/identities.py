@@ -64,14 +64,9 @@ def _normalized(diff_norm, term_norms) -> np.ndarray:
     return diff_norm / (1.0 + largest)
 
 
-# The products of vectors and matrices at each point of a stack, each one
-# matrix product per point, shaped as the single-point ``@`` shapes it.  Two
-# vectors are contracted by ``np.vecdot``, the one dot product of ``u @ v``.
-
-def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The matrix a times the vector v."""
-    return (a @ v[..., None])[..., 0]
-
+# The products of vectors and matrices at each point of a stack: a matrix
+# times a vector by ``np.matvec``, two vectors by ``np.vecdot``, the one dot
+# product of ``u @ v``.
 
 def _along(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The direction x contracted with the first axis of the tensor t after
@@ -115,11 +110,10 @@ def nabla_j_residual(parts: LeeParts, x) -> np.ndarray:
     normalized, from the :func:`lckgeo.hermitian.lee_form_parts` there."""
     x = np.asarray(x, dtype=float)
     g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
-    j_theta = j_on_forms(J, theta)
     nJ = _covariant(parts.J_around, J, parts.gamma, (1, 1), fd.DIRECT)
     lhs = _along(x, nJ)
-    t1 = wedge_endo(x, j_theta, g, g_inv)
-    t2 = wedge_endo(_mv(J, x), theta, g, g_inv)
+    t1 = wedge_endo(x, parts.j_theta, g, g_inv)
+    t2 = wedge_endo(np.matvec(J, x), theta, g, g_inv)
     rhs = t1 + t2
     terms = [_endo_norm(t, g, g_inv) for t in (lhs, t1, t2)]
     return _normalized(_endo_norm(lhs - rhs, g, g_inv), terms)
@@ -133,9 +127,8 @@ def curvature_j_residuals(H: HermitianStructure, parts: LeeParts,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
-    j_theta = j_on_forms(J, theta)
+    j_theta, norm_sq = parts.j_theta, parts.norm_sq
     ntheta = nested.ntheta                          # ntheta[c, j]
-    norm_sq = np.vecdot(_along(theta, g_inv), theta)
     R = nested.riemann                              # R[a, b, c, d]
 
     # --- full formula -------------------------------------------------------
@@ -143,15 +136,15 @@ def curvature_j_residuals(H: HermitianStructure, parts: LeeParts,
     lhs = RXY @ J - J @ RXY
     nx_theta = _along(x, ntheta)                     # (nabla_X theta)_j
     ny_theta = _along(y, ntheta)
-    jx, jy = _mv(J, x), _mv(J, y)
+    jx, jy = np.matvec(J, x), np.matvec(J, y)
     theta_x, theta_y = np.vecdot(theta, x), np.vecdot(theta, y)
     terms = [
         _scaled(theta_x, wedge_endo(y, j_theta, g, g_inv)),
         _scaled(-theta_y, wedge_endo(x, j_theta, g, g_inv)),
         _scaled(-theta_y, wedge_endo(jx, theta, g, g_inv)),
         _scaled(theta_x, wedge_endo(jy, theta, g, g_inv)),
-        _scaled(-norm_sq, wedge_endo(y, _mv(g, jx), g, g_inv)),
-        _scaled(norm_sq, wedge_endo(x, _mv(g, jy), g, g_inv)),
+        _scaled(-norm_sq, wedge_endo(y, np.matvec(g, jx), g, g_inv)),
+        _scaled(norm_sq, wedge_endo(x, np.matvec(g, jy), g, g_inv)),
         wedge_endo(y, j_on_forms(J, nx_theta), g, g_inv),
         wedge_endo(jy, nx_theta, g, g_inv),
         -wedge_endo(x, j_on_forms(J, ny_theta), g, g_inv),
@@ -166,15 +159,13 @@ def curvature_j_residuals(H: HermitianStructure, parts: LeeParts,
     # sum_j (R_{X,e_j} J)(e_j) = g^{jl} [R(X, e_j)(J e_l) - J R(X, e_j) e_l]
     lhs_c = (np.einsum("...abcj,...c,...bl,...jl->...a", R, x, J, g_inv)
              - np.einsum("...ae,...elcj,...c,...jl->...a", J, R, x, g_inv))
-    delta_theta = -np.einsum("...ij,...ij->...", g_inv, ntheta)
-    sharp = lambda tau: _mv(g_inv, tau)
     c_terms = [
-        _scaled((2.0 * H.n - 3.0) * theta_x, sharp(j_theta)),
+        _scaled((2.0 * H.n - 3.0) * theta_x, parts.xi),
         _scaled(-(2.0 * H.n - 3.0) * norm_sq, jx),
-        (2.0 * H.n - 3.0) * _mv(J, sharp(nx_theta)),
-        _scaled(-np.vecdot(theta, jx), sharp(theta)),
-        -sharp(_along(jx, ntheta)),
-        _scaled(-delta_theta, jx),
+        (2.0 * H.n - 3.0) * np.matvec(J, np.matvec(g_inv, nx_theta)),
+        _scaled(-np.vecdot(theta, jx), parts.theta_sharp),
+        -np.matvec(g_inv, _along(jx, ntheta)),
+        _scaled(-nested.delta_theta, jx),
     ]
     rhs_c = sum(c_terms)
     c_norms = [vector_norm(t, g) for t in c_terms] + [vector_norm(lhs_c, g)]
@@ -223,9 +214,8 @@ def s_commutator_residual(H: HermitianStructure, p) -> float:
     """|SJ - JS| for S = nabla theta + theta (x) theta (Einstein assumption)."""
     p = np.asarray(p, dtype=float)
     parts = lee_form_parts(H, p)
-    g, g_inv, J, theta = parts.g, parts.g_inv, parts.J, parts.theta
-    s_cov = nested_lee(H, p, parts).ntheta + np.outer(theta, theta)
-    s_endo = g_inv @ s_cov
+    g, g_inv, J = parts.g, parts.g_inv, parts.J
+    s_endo = g_inv @ nested_lee(H, p, parts).S
     comm = s_endo @ J - J @ s_endo
     return _normalized(_endo_norm(comm, g, g_inv),
                        [_endo_norm(s_endo @ J, g, g_inv),
@@ -275,48 +265,34 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
             f"structure '{H.label}' is not Einstein with lambda={lam} at "
             f"{p[first_flagged(deviation > 1e-3)]}")
 
-    # derived fields as functions of the parts (and of nabla theta for S),
-    # differenced on the stencil whose parts they read: evaluation noise one
-    # stencil deep -> NESTED steps; two deep (S, delta theta, f) -> DEEP steps
-    def jtheta_of(at):
-        return j_on_forms(at.J, at.theta)
-
-    def norm_sq_of(at):
-        return np.vecdot(at.theta, _mv(at.g_inv, at.theta))
-
-    def s_of(at, ntheta):
-        return ntheta + at.theta[..., :, None] * at.theta[..., None, :]
-
-    def js_form_of(at, ntheta):
-        endo = at.J @ (at.g_inv @ s_of(at, ntheta))
-        return form_of_endomorphism(endo, at.g)
+    # derived fields as functions of the parts (and of S), differenced on
+    # the stencil whose parts they read: evaluation noise one stencil deep
+    # -> NESTED steps; two deep (S, delta theta, f) -> DEEP steps
+    def js_form_of(at, s_cov):
+        return form_of_endomorphism(at.J @ (at.g_inv @ s_cov), at.g)
 
     def wedge_jtheta_of(at):
-        return wedge(at.theta, jtheta_of(at), lead=at.theta.ndim - 1)
+        return wedge(at.theta, at.j_theta, lead=at.theta.ndim - 1)
 
     def norm_sq_omega_of(at):
-        return norm_sq_of(at)[..., None, None] * at.omega
+        return at.norm_sq[..., None, None] * at.omega
 
     n = H.n
     n2 = 2 * n
-    theta = parts.theta
-    j_theta = j_on_forms(J, theta)
-    theta_sharp = _mv(g_inv, theta)
-    norm_sq = np.vecdot(theta, theta_sharp)
+    theta, j_theta, norm_sq = parts.theta, parts.j_theta, parts.norm_sq
 
-    ntheta = nested.ntheta
-    s_cov = s_of(parts, ntheta)
+    s_cov = nested.S
     s_endo = g_inv @ s_cov
-    delta_theta = -np.einsum("...ij,...ij->...", g_inv, ntheta)
+    delta_theta = nested.delta_theta
     js_endo = J @ s_endo
     js_form = form_of_endomorphism(js_endo, g)
 
-    d_norm_sq = fd.difference(norm_sq_of(around), fd.NESTED, lead)
-    d_jtheta = fd.difference(jtheta_of(around), fd.NESTED, lead)
+    d_norm_sq = fd.difference(around.norm_sq, fd.NESTED, lead)
+    d_jtheta = fd.difference(around.j_theta, fd.NESTED, lead)
     res = {}
 
     # (Sth)  S theta = 1/2 d|theta|^2 + |theta|^2 theta
-    lhs = _mv(s_cov, theta_sharp)
+    lhs = np.matvec(s_cov, parts.theta_sharp)
     t1, t2 = 0.5 * d_norm_sq, _scaled(norm_sq, theta)
     res["Sth"] = _normalized(vector_norm(lhs - t1 - t2, g_inv),
                              [vector_norm(t, g_inv) for t in (lhs, t1, t2)])
@@ -328,8 +304,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
 
     # (nablaJth)  nabla_X (J theta) = (J S X)^flat - J theta(X) theta
     #             - |theta|^2 (JX)^flat, checked on coordinate directions
-    njtheta = covariant_partials(d_jtheta, jtheta_of(parts), parts.gamma,
-                                 (1, 0), lead)
+    njtheta = covariant_partials(d_jtheta, j_theta, parts.gamma, (1, 0), lead)
     # row c: (JS e_c)^flat - (J theta)(e_c) theta - |theta|^2 (J e_c)^flat
     rhs_njt = (np.swapaxes(g @ js_endo, -1, -2)
                - j_theta[..., :, None] * theta[..., None, :]
@@ -349,12 +324,10 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
 
     # (lieJth)  [theta, J theta] = -|theta|^2 J theta     (as vector fields)
     #            by the coordinate bracket v^j d_j w^k - w^j d_j v^k
-    d_sharp = fd.difference(_mv(around.g_inv, around.theta), fd.NESTED, lead)
-    d_jsharp = fd.difference(_mv(around.g_inv, jtheta_of(around)), fd.NESTED,
-                             lead)
-    br = (_along(_mv(g_inv, theta), d_jsharp)
-          - _along(_mv(g_inv, jtheta_of(parts)), d_sharp))
-    rhs_br = _scaled(-norm_sq, _mv(g_inv, j_theta))
+    d_sharp = fd.difference(around.theta_sharp, fd.NESTED, lead)
+    d_jsharp = fd.difference(around.xi, fd.NESTED, lead)
+    br = (_along(parts.theta_sharp, d_jsharp) - _along(parts.xi, d_sharp))
+    rhs_br = _scaled(-norm_sq, parts.xi)
     res["lieJth"] = _normalized(vector_norm(br - rhs_br, g),
                                 [vector_norm(br, g), vector_norm(rhs_br, g)])
 
@@ -372,7 +345,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
         norm_sq_omega_of(around), norm_sq_omega_of(parts), parts.gamma,
         (2, 0), fd.NESTED), g_inv, lead)
     # -J(d|theta|^2) = +J^T d|theta|^2
-    t1 = _mv(np.swapaxes(J, -1, -2), d_norm_sq)
+    t1 = np.matvec(np.swapaxes(J, -1, -2), d_norm_sq)
     t2 = _scaled((2.0 - n2) * norm_sq, j_theta)
     res["codiffom"] = _normalized(vector_norm(d_no - t1 - t2, g_inv),
                                   [vector_norm(t, g_inv)
@@ -384,11 +357,10 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
     chart.require_inside(p, margin=fd.DEEP.extent)
     deep_points = fd.stencil_points(p, fd.DEEP)
     deep = lee_form_parts(H, deep_points)
-    deep_ntheta = nested_lee(H, deep_points, deep).ntheta
-    deep_delta_theta = -np.einsum("...ij,...ij->...", deep.g_inv, deep_ntheta)
+    deep_nested = nested_lee(H, deep_points, deep)
     delta_s = -np.einsum("...ab,...abj->...j", g_inv, _covariant(
-        s_of(deep, deep_ntheta), s_cov, parts.gamma, (2, 0), fd.DEEP))
-    d_delta_theta = fd.difference(deep_delta_theta, fd.DEEP, lead)
+        deep_nested.S, s_cov, parts.gamma, (2, 0), fd.DEEP))
+    d_delta_theta = fd.difference(deep_nested.delta_theta, fd.DEEP, lead)
     terms = [_scaled(delta_theta, theta), -0.5 * d_norm_sq, -lam * theta,
              d_delta_theta]
     res["eqJdel2"] = _normalized(vector_norm(delta_s - sum(terms), g_inv),
@@ -398,8 +370,8 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
     # (eqJdel3)  J delta(JS) + delta S = -(delta theta) theta - d|theta|^2
     #            - |theta|^2 theta
     delta_js = codifferential_of(_covariant(
-        js_form_of(deep, deep_ntheta), js_form_of(parts, ntheta), parts.gamma,
-        (2, 0), fd.DEEP), g_inv, lead)
+        js_form_of(deep, deep_nested.S), js_form, parts.gamma, (2, 0),
+        fd.DEEP), g_inv, lead)
     lhs3 = j_on_forms(J, delta_js) + delta_s
     terms3 = [_scaled(-delta_theta, theta), -d_norm_sq,
               _scaled(-norm_sq, theta)]
@@ -417,7 +389,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
     # (eqf)  d f = (2 lambda - 3 f + (4-2n)|theta|^2) theta,
     #        f = delta theta + |theta|^2
     f_val = delta_theta + norm_sq
-    df = fd.difference(deep_delta_theta + norm_sq_of(deep), fd.DEEP, lead)
+    df = fd.difference(deep_nested.delta_theta + deep.norm_sq, fd.DEEP, lead)
     rhs_f = _scaled(2.0 * lam - 3.0 * f_val + (4.0 - n2) * norm_sq, theta)
     res["eqf"] = _normalized(vector_norm(df - rhs_f, g_inv),
                              [vector_norm(df, g_inv),
@@ -457,11 +429,11 @@ def parallel_field_residuals(H: HermitianStructure, p, v) -> dict:
 
     theta = parts.theta
     a = np.vecdot(theta, v)
-    jv = _mv(J, v)
+    jv = np.matvec(J, v)
     b = np.vecdot(theta, jv)
     omega = parts.omega
 
-    jv_around = _mv(parts.J_around, v[..., None, None, :])
+    jv_around = np.matvec(parts.J_around, v[..., None, None, :])
     njv = _covariant(jv_around, jv, parts.gamma, (0, 1), fd.DIRECT)
     res = {}
     rows = []       # row c: the formula for nabla_{e_c} (JV)
@@ -472,7 +444,7 @@ def parallel_field_residuals(H: HermitianStructure, p, v) -> dict:
                     + _scaled(b, x)
                     - _scaled(np.vecdot(g[..., c, :], jv),
                               _scaled(a, v) + _scaled(b, jv))
-                    - _scaled(a, _mv(J, x)))
+                    - _scaled(a, np.matvec(J, x)))
     rhs = np.stack(rows, axis=-2)
     res["nablaJV"] = _normalized(
         raised_norm(g @ np.swapaxes(njv - rhs, -1, -2), g_inv),
@@ -481,7 +453,8 @@ def parallel_field_residuals(H: HermitianStructure, p, v) -> dict:
 
     d_jv = exterior_of_partials(fd.difference(
         np.matvec(parts.g_around, jv_around), fd.DIRECT, lead), 1, lead)
-    rhs_d = _scaled(2.0 * a, wedge(_mv(g, v), _mv(g, jv), lead) - omega)
+    rhs_d = _scaled(2.0 * a, wedge(np.matvec(g, v), np.matvec(g, jv), lead)
+                    - omega)
     res["ddJV"] = _normalized(raised_norm(d_jv - rhs_d, g_inv),
                               [raised_norm(d_jv, g_inv),
                                raised_norm(rhs_d, g_inv),
@@ -509,8 +482,7 @@ def _pair_parts(I: HermitianStructure, J: HermitianStructure, p) -> tuple:
     omega_i_around = form_of_endomorphism(
         I.J(fd.stencil_points(p, fd.DIRECT)), parts.g_around)
     sigma = 0.5 * (form_of_endomorphism(Im, parts.g) + parts.omega)
-    sigma_around = 0.5 * (omega_i_around + form_of_endomorphism(
-        parts.J_around, parts.g_around))
+    sigma_around = 0.5 * (omega_i_around + parts.omega_around)
     return parts, Im, omega_i_around, sigma, sigma_around
 
 
@@ -532,14 +504,13 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
     n = I.n
     x = _directions(x, p)
 
-    norm_sq = np.vecdot(_along(theta, g_inv), theta)
+    norm_sq = parts.norm_sq
     if (norm_sq < 1e-10).any():
         k = first_flagged(norm_sq < 1e-10)
         raise SingularPointError(
             f"|theta|^2 = {norm_sq[k]:.2e} at {p[k]}: the sigma- and "
             "J-reconstruction identities divide by |theta|^2")
-    i_theta = j_on_forms(Im, theta)
-    j_theta = j_on_forms(Jm, theta)
+    i_theta, j_theta = j_on_forms(Im, theta), parts.j_theta
     theta_x, i_theta_x = np.vecdot(theta, x), np.vecdot(i_theta, x)
     res = {}
 
@@ -554,11 +525,11 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
                                  vector_norm(j_theta, g_inv)])
 
     # (J)  JX = -IX + 2/|theta|^2 (<X,theta> I theta - <X,I theta> theta)
-    lhs_j = _mv(Jm, x)
-    rhs_j = (_mv(-Im, x)
+    lhs_j = np.matvec(Jm, x)
+    rhs_j = (np.matvec(-Im, x)
              + _scaled(2.0 / norm_sq,
-                       _scaled(theta_x, _mv(g_inv, i_theta))
-                       - _scaled(i_theta_x, _mv(g_inv, theta))))
+                       _scaled(theta_x, np.matvec(g_inv, i_theta))
+                       - _scaled(i_theta_x, parts.theta_sharp)))
     res["eqJ"] = _normalized(vector_norm(lhs_j - rhs_j, g),
                              [vector_norm(lhs_j, g), vector_norm(rhs_j, g)])
 
@@ -577,16 +548,16 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
     # (deromega)  nabla_X sigma = 1/2 (X ^ I theta - IX ^ theta) - <X,theta> sigma
     nsigma = _covariant(sigma_around, sigma, parts.gamma, (2, 0), fd.DIRECT)
     lhs_d = _along(x, nsigma)
-    rhs_d = (0.5 * (wedge(_mv(g, x), i_theta, lead)
-                    - wedge(_mv(g, _mv(Im, x)), theta, lead))
+    rhs_d = (0.5 * (wedge(np.matvec(g, x), i_theta, lead)
+                    - wedge(np.matvec(g, np.matvec(Im, x)), theta, lead))
              - _scaled(theta_x, sigma))
     res["deromega"] = _normalized(raised_norm(lhs_d - rhs_d, g_inv),
                                   [raised_norm(lhs_d, g_inv),
                                    raised_norm(rhs_d, g_inv)])
 
     # (nablath)  sum_i <IJ nabla_{e_i} theta, e_i> = 2(n-1)|theta|^2 + delta theta
-    ntheta = nested_lee(J, p, parts).ntheta
-    delta_theta = -np.einsum("...ij,...ij->...", g_inv, ntheta)
+    nested = nested_lee(J, p, parts)
+    ntheta, delta_theta = nested.ntheta, nested.delta_theta
     lhs_t = np.trace(Im @ Jm @ g_inv @ np.swapaxes(ntheta, -1, -2),
                      axis1=-2, axis2=-1)
     rhs_t = 2.0 * (n - 1.0) * norm_sq + delta_theta
@@ -596,7 +567,7 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
     #       <X,theta> theta - 1/2 (delta theta/|theta|^2 + n-1) <X,I theta> I theta
     lhs_e = _along(x, ntheta)
     q = delta_theta / norm_sq
-    rhs_e = (_scaled(0.5 * norm_sq, _mv(g, x))
+    rhs_e = (_scaled(0.5 * norm_sq, np.matvec(g, x))
              - _scaled(0.5 * (q + n + 1.0) * theta_x, theta)
              - _scaled(0.5 * (q + n - 1.0) * i_theta_x, i_theta))
     res["et"] = _normalized(vector_norm(lhs_e - rhs_e, g_inv),
@@ -666,8 +637,8 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
                                parts.gamma, (2, 0), fd.DIRECT))
     d_tr = fd.difference(trace, fd.DIRECT, lead)
     dc_tr = j_on_forms(Im, d_tr)
-    rhs = 0.5 * (wedge(d_tr, _mv(g, _mv(Im, x)), lead)
-                 - wedge(dc_tr, _mv(g, x), lead))
+    rhs = 0.5 * (wedge(d_tr, np.matvec(g, np.matvec(Im, x)), lead)
+                 - wedge(dc_tr, np.matvec(g, x), lead))
     if not normalized:
         return raised_norm(lhs - rhs, g_inv)
     return _normalized(raised_norm(lhs - rhs, g_inv),
@@ -696,8 +667,7 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
     g, g_inv, Im = parts.g, parts.g_inv, parts.J
     x = _directions(x, p)
 
-    theta0 = parts.theta
-    i_theta0 = j_on_forms(Im, theta0)
+    theta0, i_theta0 = parts.theta, parts.j_theta
     # the NESTED pass of theta0 gives the parts that the NESTED stencils of
     # xi, I xi, zeta, I zeta and d xi read
     nested = nested_lee(avg, p, parts)
@@ -714,36 +684,31 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
         fit_res, [raised_norm(ntheta0, g_inv),
                   abs(f_val) * raised_norm(basis, g_inv)])}
 
-    def xi_of(at):
-        return _mv(at.g_inv, j_on_forms(at.J, at.theta))
-
-    def i_xi_of(at):
-        return np.matvec(at.J, xi_of(at))
-
-    def zeta_of(at):
-        w = i_xi_of(at)
-        return w / np.sqrt(abs(np.vecdot(np.vecmat(w, at.g), w)))[..., None]
-
-    def i_zeta_of(at):
-        return np.matvec(at.J, zeta_of(at))
-
-    def nabla0(of):
-        """nabla0 of the vector field ``of`` of the parts, at p."""
-        return _covariant(of(around), of(parts), parts.gamma, (0, 1),
-                          fd.NESTED)
-
-    xi = xi_of(parts)
+    xi = parts.xi
     xi_norm = vector_norm(xi, g)
     if (xi_norm < 1e-5).any():
         k = first_flagged(xi_norm < 1e-5)
         raise SingularPointError(
             f"|xi| = {xi_norm[k]:.2e} at {p[k]}: zeta is undefined")
-    i_xi = i_xi_of(parts)
+
+    def fields_of(at):
+        """I xi, zeta = I xi / |I xi| and I zeta of the parts ``at``."""
+        i_xi = np.matvec(at.J, at.xi)
+        zeta = i_xi / vector_norm(i_xi, at.g)[..., None]
+        return i_xi, zeta, np.matvec(at.J, zeta)
+
+    i_xi, zeta, i_zeta = fields_of(parts)
+    i_xi_around, zeta_around, i_zeta_around = fields_of(around)
+
+    def nabla0(values, value):
+        """nabla0 at p of the vector field with these values around p and
+        at it."""
+        return _covariant(values, value, parts.gamma, (0, 1), fd.NESTED)
 
     gdot = lambda u, w: np.vecdot(_along(u, g), w)
 
     # (der0Jxi)  nabla0_X (I xi) = -f (<X, I xi> I xi + <X, xi> xi)
-    n_ixi = nabla0(i_xi_of)
+    n_ixi = nabla0(i_xi_around, i_xi)
     lhs = _along(x, n_ixi)
     rhs = _scaled(-f_val, _scaled(gdot(x, i_xi), i_xi)
                   + _scaled(gdot(x, xi), xi))
@@ -751,16 +716,16 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
                                  [vector_norm(lhs, g), vector_norm(rhs, g)])
 
     # (der0xi)  nabla0_X xi = (1+f)(<X,xi> I xi - <X,I xi> xi) - |xi|^2 I X
-    n_xi = nabla0(xi_of)
+    n_xi = nabla0(around.xi, xi)
     lhs = _along(x, n_xi)
     rhs = (_scaled(1.0 + f_val, _scaled(gdot(x, xi), i_xi)
                    - _scaled(gdot(x, i_xi), xi))
-           - _scaled(xi_norm * xi_norm, _mv(Im, x)))
+           - _scaled(xi_norm * xi_norm, np.matvec(Im, x)))
     res["der0xi"] = _normalized(vector_norm(lhs - rhs, g),
                                 [vector_norm(lhs, g), vector_norm(rhs, g)])
 
     # (derIxi)  nabla0_X zeta = -(f/|xi|) <X, xi> xi, zeta = I xi / |I xi|
-    n_zeta = nabla0(zeta_of)
+    n_zeta = nabla0(zeta_around, zeta)
     lhs = _along(x, n_zeta)
     rhs = _scaled(-(f_val / xi_norm) * gdot(x, xi), xi)
     res["derIxi"] = _normalized(vector_norm(lhs - rhs, g),
@@ -768,13 +733,12 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
                                  abs(f_val) * xi_norm * vector_norm(x, g)])
 
     # (derzeta)  nabla0_zeta (I zeta) = 0
-    n_izeta = nabla0(i_zeta_of)
-    zeta = zeta_of(parts)
+    n_izeta = nabla0(i_zeta_around, i_zeta)
     res["derzeta"] = _normalized(vector_norm(_along(zeta, n_izeta), g), [1.0])
 
     # Killing:  (L_xi g)_ij = xi^k d_k g_ij + g_kj d_i xi^k + g_ik d_j xi^k
     dg = parts.dg
-    dxi = fd.difference(xi_of(around), fd.NESTED, lead)
+    dxi = fd.difference(around.xi, fd.NESTED, lead)
     lie_g = (np.einsum("...k,...kij->...ij", xi, dg)
              + np.einsum("...ik,...kj->...ij", dxi, g)
              + np.einsum("...jk,...ik->...ij", dxi, g))

@@ -164,8 +164,15 @@ class ResidualTable:
             }
         return out
 
-    def all_pass(self) -> bool:
-        return all(v["pass"] for v in self.summarize().values())
+
+def _suite_result(suite: str, table: ResidualTable, passed: bool = True,
+                  **extra) -> SuiteResult:
+    """The suite's result from one summary of its table: it passes where
+    ``passed`` holds and every residual passes."""
+    summary = table.summarize()
+    return SuiteResult(suite, summary,
+                       passed and all(v["pass"] for v in summary.values()),
+                       **extra)
 
 
 def _sample_points(config: SuiteConfig, rng, chart):
@@ -255,7 +262,7 @@ def _suite_lck_identities(entry, config: SuiteConfig, rng) -> SuiteResult:
         config, rng, H.chart,
         lambda p, x, y: idn.lck_identity_residuals(H, p, x, y),
         directions=2)
-    return SuiteResult("lck-identities", table.summarize(), table.all_pass())
+    return _suite_result("lck-identities", table)
 
 
 def _suite_einstein_chain(entry, config: SuiteConfig, rng) -> SuiteResult:
@@ -266,7 +273,7 @@ def _suite_einstein_chain(entry, config: SuiteConfig, rng) -> SuiteResult:
     lam = float(entry.einstein_lambda)
     table, *_ = _sampled(config, rng, H.chart,
                          lambda p: idn.einstein_chain_residuals(H, p, lam))
-    return SuiteResult("einstein-chain", table.summarize(), table.all_pass())
+    return _suite_result("einstein-chain", table)
 
 
 def _suite_parallel_field(entry, config: SuiteConfig, rng) -> SuiteResult:
@@ -279,7 +286,7 @@ def _suite_parallel_field(entry, config: SuiteConfig, rng) -> SuiteResult:
     a = res["a"]
     table.add_each("a_const", abs(a - float(np.mean(a))), pts,
                    _tolerance("a_const", config))
-    return SuiteResult("parallel-field", table.summarize(), table.all_pass())
+    return _suite_result("parallel-field", table)
 
 
 def _suite_commuting_pair(entry, config: SuiteConfig, rng) -> SuiteResult:
@@ -289,7 +296,7 @@ def _suite_commuting_pair(entry, config: SuiteConfig, rng) -> SuiteResult:
     table, *_ = _sampled(config, rng, I.chart,
                          lambda p, x: idn.commuting_pair_residuals(I, J, p, x),
                          directions=1)
-    return SuiteResult("commuting-pair", table.summarize(), table.all_pass())
+    return _suite_result("commuting-pair", table)
 
 
 def _suite_hamiltonian_form(entry, config: SuiteConfig, rng) -> SuiteResult:
@@ -301,7 +308,7 @@ def _suite_hamiltonian_form(entry, config: SuiteConfig, rng) -> SuiteResult:
         config, rng, I.chart,
         lambda p, x: {"tilom": idn.hamiltonian_form_residual(I, J, p, x, pot)},
         directions=1)
-    return SuiteResult("hamiltonian-form", table.summarize(), table.all_pass())
+    return _suite_result("hamiltonian-form", table)
 
 
 def _suite_average_metric(entry, config: SuiteConfig, rng) -> SuiteResult:
@@ -313,7 +320,7 @@ def _suite_average_metric(entry, config: SuiteConfig, rng) -> SuiteResult:
         config, rng, avg.chart,
         lambda p, x: idn.average_metric_residuals(avg, p, x, pair_J=pair_J),
         directions=1)
-    return SuiteResult("average-metric", table.summarize(), table.all_pass())
+    return _suite_result("average-metric", table)
 
 
 _EXPECTED_LABELS = {"SO(2n-1)": "SO(2n-1)", "U(n)": "U(n)",
@@ -351,10 +358,10 @@ def _suite_holonomy(entry, config: SuiteConfig, rng) -> SuiteResult:
         "agree": agree,
         "expected": expected,
     }
-    passed = (not inconclusive) and agree and matches and table.all_pass()
-    return SuiteResult("holonomy", table.summarize(), passed,
-                       classification=classification,
-                       inconclusive=inconclusive)
+    return _suite_result("holonomy", table,
+                         (not inconclusive) and agree and matches,
+                         classification=classification,
+                         inconclusive=inconclusive)
 
 
 def _suite_classify(entry, config: SuiteConfig, rng) -> SuiteResult:
@@ -381,9 +388,8 @@ def _suite_classify(entry, config: SuiteConfig, rng) -> SuiteResult:
         "periods": {name: float(v) for name, v in result.periods},
     }
     matches = (not entry.expected_kind) or result.kind == entry.expected_kind
-    return SuiteResult("classify", table.summarize(),
-                       table.all_pass() and matches,
-                       classification=classification)
+    return _suite_result("classify", table, matches,
+                         classification=classification)
 
 
 def _finite(x: float):

@@ -302,8 +302,8 @@ def hopf(n: int, circumference: float = 2.0 * math.pi) -> ZooEntry:
     """
     if n < 2:
         raise ParameterError("hopf needs complex dimension n >= 2")
-    if circumference <= 0:
-        raise ParameterError("circumference must be positive")
+    if not (0.0 < circumference < math.inf):
+        raise ParameterError("circumference must be a finite positive number")
     m = 2 * n
     d = m - 1
     L = float(circumference)
@@ -506,8 +506,8 @@ def calabi_ansatz(ell: ProfileFn, b: float,
         raise ParameterError(
             f"b = {b:g} leaves the chart's r-interval ({r_margin:g}, "
             f"{b - r_margin:g}) empty: b must exceed {2.0 * r_margin:g}")
-    if base.area is None or abs(base.area / (2.0 * math.pi)
-                                - round(base.area / (2.0 * math.pi))) > 1e-8:
+    classes = math.nan if base.area is None else base.area / (2.0 * math.pi)
+    if not (math.isfinite(classes) and abs(classes - round(classes)) <= 1e-8):
         raise BundleError(
             f"base '{N.label}' is not Hodge-normalized: Omega_N-area "
             f"{base.area} is not an integer multiple of 2 pi")

@@ -353,6 +353,51 @@ class TestOnePassLeeForm:
                     assert np.array_equal(lee_form_components(V, p),
                                           parts.theta)
 
+    def test_derived_fields_match_their_expressions(self, hopf2, hopf3,
+                                                    flat_inv2, calabi_sin,
+                                                    rng):
+        """J theta, theta_sharp, |theta|^2, xi and Omega around p of the
+        parts, and delta theta and S of the NESTED pass, are bitwise the
+        expressions the checks formed from the parts before the passes kept
+        them; for stacked and single points, with the metric differenced on
+        a stencil and with its derivative where the chart has one."""
+        def mv(a, v):
+            return (a @ v[..., None])[..., 0]
+
+        for entry in (hopf2, hopf3, flat_inv2, calabi_sin):
+            H = entry.main_structure
+            stack = H.chart.sample_points(rng, 4).reshape(2, 2, -1)
+            for V, p in itertools.product(_variants(H), (stack, stack[0, 1])):
+                parts = lee_form_parts(V, p)
+                nested = nested_lee(V, p, parts)
+                theta, g_inv = parts.theta, parts.g_inv
+                j_theta = (-np.swapaxes(parts.J, -1, -2)
+                           @ theta[..., None])[..., 0]
+                theta_sharp = mv(g_inv, theta)
+                around = fd.stencil_points(p, fd.DIRECT)
+                s_cov = (nested.ntheta
+                         + theta[..., :, None] * theta[..., None, :])
+                expected = [
+                    (parts.j_theta, j_theta),
+                    (parts.theta_sharp, theta_sharp),
+                    (parts.norm_sq, np.vecdot(theta, theta_sharp)),
+                    # |theta|^2 was also formed with theta g^-1 first
+                    (parts.norm_sq, np.vecdot(
+                        (theta[..., None, :] @ g_inv)[..., 0, :], theta)),
+                    (parts.xi, mv(g_inv, j_theta)),
+                    (parts.omega_around, form_of_endomorphism(
+                        V.J(around), V.chart.metric(around))),
+                    (nested.delta_theta,
+                     -np.einsum("...ij,...ij->...", g_inv, nested.ntheta)),
+                    (nested.S, s_cov),
+                ]
+                if p.ndim == 1:
+                    expected += [
+                        (parts.norm_sq, theta @ g_inv @ theta),
+                        (nested.S, nested.ntheta + np.outer(theta, theta))]
+                for k, (got, value) in enumerate(expected):
+                    assert np.array_equal(got, value), (V.label, k, p.shape)
+
     def test_metric_error_names_the_one_bad_stencil_point(self, hopf2):
         """A metric that fails SPD at exactly one DIRECT stencil point raises
         MetricError naming that point, as the generic route does."""

@@ -153,10 +153,11 @@ class TestRun:
         table.add("r", math.nan, [3.0], 1e-4)
         rec = table.summarize()["r"]
         assert math.isnan(rec["max"]) and rec["worst_point"] == [1.0]
-        assert rec["pass"] is False and not table.all_pass()
+        assert rec["pass"] is False
+        assert report._suite_result("s", table).passed is False
         only_nan = ResidualTable()
         only_nan.add("r", math.nan, [0.0], 1e-4)
-        assert not only_nan.all_pass()
+        assert report._suite_result("s", only_nan).passed is False
 
     def test_an_unknown_residual_raises(self, monkeypatch):
         """Every residual a check returns has a tolerance tier; a name with

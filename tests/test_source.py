@@ -9,6 +9,8 @@ byte-identical for a given (config, seed) only where their squares are.
 ``np.linalg.solve`` is called only in ``holonomy._loop_log``, whose solve
 is not by a metric: every index a check raises uses the g^-1 of its
 Lee-form pass, so a solve by g would be a second route to the same numbers.
+A matrix times a vector is ``np.matvec``, not the hand-rolled
+``(A @ v[..., None])[..., 0]``, so each product has one route.
 """
 
 import ast
@@ -24,9 +26,23 @@ BANNED_NAMES = {"pow", "float_power", "power", "lstsq", "solve"}
 SOLVE_SITE = ("holonomy.py", "_loop_log")
 
 
+def _is_hand_matvec(node) -> bool:
+    """``(A @ v[..., None])[..., 0]``: a matrix product with a trailing
+    axis added to its right operand, whose trailing axis is then dropped."""
+    def slice_is(sub, last):
+        return (isinstance(sub, ast.Subscript)
+                and isinstance(sub.slice, ast.Tuple)
+                and [type(e) for e in sub.slice.elts] == [ast.Constant] * 2
+                and [e.value for e in sub.slice.elts] == [Ellipsis, last])
+    return (slice_is(node, 0) and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, ast.MatMult)
+            and slice_is(node.value.right, None))
+
+
 def _violations(source: str, solve_in: str = None) -> list:
-    """(line, what) of each square by ``**`` and each banned name, but a
-    ``solve`` inside the function named ``solve_in``."""
+    """(line, what) of each square by ``**``, each banned name, but a
+    ``solve`` inside the function named ``solve_in``, and each hand-rolled
+    matrix-vector product."""
     tree = ast.parse(source)
     allowed = {id(node) for f in ast.walk(tree)
                if isinstance(f, ast.FunctionDef) and f.name == solve_in
@@ -44,6 +60,8 @@ def _violations(source: str, solve_in: str = None) -> list:
         if name in BANNED_NAMES and not (name == "solve"
                                          and id(node) in allowed):
             found.append((node.lineno, name))
+        if _is_hand_matvec(node):
+            found.append((node.lineno, "(A @ v[..., None])[..., 0]"))
     return found
 
 
@@ -60,6 +78,16 @@ def test_no_square_by_pow_and_no_per_point_least_squares():
     "y = pow(x, 2)", "y = math.pow(x, 2)", "y = np.power(x, 2)",
     "t = np.linalg.lstsq(a, b, rcond=None)[0]",
     "v = np.linalg.solve(g, w)",
-    "def _loop_log():\n    pass\ndef f():\n    return solve(g, w)"])
+    "def _loop_log():\n    pass\ndef f():\n    return solve(g, w)",
+    "v = (a @ v[..., None])[..., 0]",
+    "t = (-np.swapaxes(J, -1, -2) @ np.asarray(tau)[..., None])[..., 0]"])
 def test_each_form_is_seen(line):
     assert len(_violations(line, solve_in=SOLVE_SITE[1])) == 1
+
+
+@pytest.mark.parametrize("line", [
+    "d = partials(np.asarray(r, dtype=float)[..., None])[..., 0]",
+    "s = (v[..., None, :] @ m @ v[..., :, None])[..., 0, 0]",
+    "w = np.matvec(a, v)"])
+def test_other_forms_are_not_seen(line):
+    assert _violations(line) == []

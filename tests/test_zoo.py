@@ -378,6 +378,9 @@ class TestHopf:
             zoo.hopf(1)
         with pytest.raises(ParameterError):
             zoo.hopf(2, circumference=-1.0)
+        for circumference in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="finite positive"):
+                zoo.hopf(2, circumference)
 
 
 class TestFlatInversion:
@@ -523,8 +526,9 @@ class TestCalabi:
             assert abs(np.trace(A @ B) - 0.0) < 1e-12
 
     def test_parameter_and_bundle_errors(self):
-        """A profile not positive on (0, b), NaN on part of it included, and
-        a base whose Omega_N fixes no constant c_w, NaN included."""
+        """A profile not positive on (0, b), NaN on part of it included, a
+        base whose Omega_N fixes no constant c_w, NaN included, and a base
+        whose area is NaN or infinite."""
         for value_fn in (np.cos, lambda r: np.where(r > 1.0, r, np.nan)):
             with pytest.raises(ParameterError, match="is not positive"):
                 zoo.calabi_ansatz(zoo.ProfileFn(value_fn, (0, math.pi)),
@@ -540,6 +544,10 @@ class TestCalabi:
         with pytest.raises(BundleError, match="no constant scaling"):
             zoo.calabi_ansatz(sin, math.pi, base=dataclasses.replace(
                 cp1, structure=nan_near_pole))
+        for area in (math.nan, math.inf):
+            with pytest.raises(BundleError, match="not Hodge-normalized"):
+                zoo.calabi_ansatz(sin, math.pi,
+                                  base=dataclasses.replace(cp1, area=area))
 
     def test_hodge_but_larger_base_accepted(self):
         """Area 4 pi (radius 1) is still an integer class: c_w = 1 bundle."""
