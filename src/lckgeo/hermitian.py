@@ -17,15 +17,19 @@ Christoffel symbols and delta Omega all come from those arrays; the parts
 keep them, for the checks that difference other fields of J and g.  The
 same pass forms J theta, theta_sharp = g^-1 theta, |theta|^2 and xi =
 g^-1 J theta, the quantities of theta every check reads.
-:func:`nested_lee` takes these parts and evaluates them again on one NESTED
+:func:`nested_lee` takes these parts and the same parts on one NESTED
 stencil around each point, whose differences give the partials of theta,
 nabla theta and the curvature; it is the one route to nabla theta, and it
-forms delta theta and S = nabla theta + theta (x) theta from it.  Both
-take a stack of points, shape (..., m), and every part keeps the point axes
-in front.  The checks of :mod:`lckgeo.identities` take the evaluated parts
-and NESTED pass as arguments, so a caller evaluates each once for its whole
-stack of samples and passes it to every check that reads it, and no check
-forms a quantity of theta again.
+forms delta theta and S = nabla theta + theta (x) theta from them.
+:func:`lee_form_passes` evaluates both with one :func:`lee_form_parts`
+call on the points and their NESTED stencil points together, and splits
+the parts back to each stack; where that call raises, the two passes are
+replayed one after the other, so the error is theirs.  Every function
+takes a stack of points, shape (..., m), and every part keeps the point
+axes in front.  The checks of :mod:`lckgeo.identities` take the evaluated
+parts and NESTED pass as arguments, so a caller evaluates each once for its
+whole stack of samples and passes it to every check that reads it, and no
+check forms a quantity of theta again.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .calculus import (codifferential_of, covariant_partials,
                        exterior_of_partials, levi_civita, riemann_components)
 from .charts import (Chart, first_flagged, form_norm, form_of_endomorphism,
                      raised_norm, wedge)
-from .errors import CompatibilityError, NotLcKError
+from .errors import CompatibilityError, NotLcKError, in_item_order
 
 # Largest scale-normalized |dOmega - 2 theta ^ Omega| at which a structure
 # still counts as lcK (100 * the default tol_id).
@@ -101,7 +105,7 @@ class LeeData:
 
     theta: np.ndarray        # theta_i, the Lee 1-form
     J_theta: np.ndarray      # (J theta)_i = -theta(J d_i)
-    norm_sq: float           # |theta|^2_g
+    norm_sq: np.ndarray      # |theta|^2_g
     S: np.ndarray            # S_ij = (nabla theta)_ij + theta_i theta_j
 
 
@@ -138,17 +142,18 @@ def nijenhuis_residual(H: HermitianStructure, p) -> float:
 
 
 def lee_form(H: HermitianStructure, p) -> LeeData:
-    """Extract the Lee form via theta = J(delta Omega) / (2n - 2).
+    """Extract the Lee form via theta = J(delta Omega) / (2n - 2) at each of
+    the points p, shape (..., m).
 
     The cross-identity d(Omega) - 2 theta ^ Omega is verified
-    (scale-normalized) and a :class:`NotLcKError` raised above ``LCK_GATE``
-    or where it is NaN.
+    (scale-normalized) between the two passes of :func:`lee_form_passes`,
+    and a :class:`NotLcKError` raised above ``LCK_GATE`` or where it is NaN.
     """
     p = np.asarray(p, dtype=float)
-    parts = lee_form_parts(H, p)
-    require_lck(H, p, parts)
+    parts, _, nested = lee_form_passes(
+        H, p, lambda parts: require_lck(H, p, parts))
     return LeeData(theta=parts.theta, J_theta=parts.j_theta,
-                   norm_sq=float(parts.norm_sq), S=nested_lee(H, p, parts).S)
+                   norm_sq=parts.norm_sq[()], S=nested.S)
 
 
 class LeeParts(NamedTuple):
@@ -238,7 +243,7 @@ def lee_field(H: HermitianStructure) -> Callable:
 class NestedLee(NamedTuple):
     """The Lee-form parts differenced on the NESTED stencil around each of
     the points p, each array with the point axes in front; every field is
-    formed by the one pass of :func:`nested_lee`."""
+    formed by :func:`nested_lee`."""
 
     theta_partials: np.ndarray  # d_c theta_j
     ntheta: np.ndarray          # (nabla_{d_c} theta)_j
@@ -255,22 +260,17 @@ class NestedLee(NamedTuple):
         return riemann_components(self.gamma_partials, self.gamma)
 
 
-def nested_lee(H: HermitianStructure, p, parts: LeeParts) -> NestedLee:
+def nested_lee(parts: LeeParts, around: LeeParts) -> NestedLee:
     """theta's partials, nabla theta, delta theta, S and the curvature at
-    each of the points p, shape (..., dim), from the Lee-form parts on one
-    NESTED stencil.
+    each of the points of the :func:`lee_form_parts` ``parts``, from the
+    parts ``around`` at the NESTED stencil points of those points.
 
-    ``parts`` are the :func:`lee_form_parts` at p; the parts at the stencil
-    points are evaluated here and returned as ``around``.  The Lee form
-    carries one stencil level of noise, so it is differenced at NESTED
-    steps; the Christoffel symbols of the same parts give R.  nabla theta is
-    bitwise ``covariant_derivative_full(chart, lee_field(H), p, (1, 0),
-    stencil=fd.NESTED)`` and R is :func:`lckgeo.calculus.riemann`.
+    The Lee form carries one stencil level of noise, so it is differenced
+    at NESTED steps; the Christoffel symbols of the same parts give R.
+    nabla theta is bitwise ``covariant_derivative_full(chart, lee_field(H),
+    p, (1, 0), stencil=fd.NESTED)`` and R is :func:`lckgeo.calculus.riemann`.
     """
-    p = np.asarray(p, dtype=float)
-    lead = p.ndim - 1
-    H.chart.require_inside(p, margin=fd.NESTED.extent)
-    around = lee_form_parts(H, fd.stencil_points(p, fd.NESTED))
+    lead = parts.theta.ndim - 1
     d_theta = fd.difference(around.theta, fd.NESTED, lead)
     theta = parts.theta
     ntheta = covariant_partials(d_theta, theta, parts.gamma, (1, 0), lead)
@@ -281,10 +281,49 @@ def nested_lee(H: HermitianStructure, p, parts: LeeParts) -> NestedLee:
                      around)
 
 
+def lee_form_passes(H: HermitianStructure, p, between) -> tuple:
+    """The Lee-form parts at each of the points p, shape (..., m), what
+    ``between(parts)`` gives, and the :func:`nested_lee` pass around p.
+
+    The parts at p and at the NESTED stencil points around it come from one
+    :func:`lee_form_parts` call on both stacks together, split back to each
+    stack; each is bitwise its own call.  ``between`` is the caller's work
+    between the two passes, a gate say, or None for none.  The errors are
+    those of the passes one after the other: the parts at p, ``between``,
+    then :class:`ChartDomainError` for p within the NESTED extent of a face,
+    and the parts around p.  The one call checks that extent first and
+    works stage by stage across both stacks, so where it raises, the passes
+    are replayed in that order by :func:`~lckgeo.errors.in_item_order`.
+    """
+    p = np.asarray(p, dtype=float)
+    chart = H.chart
+    gate = between or (lambda parts: None)
+
+    def both():
+        chart.require_inside(p, margin=fd.NESTED.extent)
+        around = fd.stencil_points(p, fd.NESTED)
+        m = p.shape[-1]
+        flat = lee_form_parts(H, np.concatenate([p.reshape(-1, m),
+                                                 around.reshape(-1, m)]))
+        k = p.size // m
+        return [LeeParts(*(a[at].reshape(q.shape[:-1] + a.shape[1:])
+                           for a in flat))
+                for q, at in ((p, slice(k)), (around, slice(k, None)))]
+
+    def around_alone():
+        chart.require_inside(p, margin=fd.NESTED.extent)
+        lee_form_parts(H, fd.stencil_points(p, fd.NESTED))
+
+    parts, around = in_item_order(
+        both, lambda one_pass: one_pass(),
+        (lambda: gate(lee_form_parts(H, p)), around_alone))
+    return parts, gate(parts), nested_lee(parts, around)
+
+
 def nabla_theta(H: HermitianStructure, p) -> np.ndarray:
     """(nabla theta)_ij = (nabla_{d_i} theta)_j at each of the points p; see
-    :func:`nested_lee`."""
-    return nested_lee(H, p, lee_form_parts(H, p)).ntheta
+    :func:`lee_form_passes`."""
+    return lee_form_passes(H, p, None)[2].ntheta
 
 
 def lck_residual(parts: LeeParts) -> np.ndarray:

@@ -49,8 +49,8 @@ from .errors import (InconsistencyError, NotLcKError, PreconditionError,
                      SingularPointError, in_item_order)
 from .hermitian import (HermitianStructure, LeeParts, NestedLee, j_on_forms,
                         lck_residual, lee_field, lee_form_components,
-                        lee_form_parts, nested_lee, require_lck)
-from .transport import line_integral_segment, loop_integral
+                        lee_form_parts, lee_form_passes, require_lck)
+from .transport import line_integral_segment, loop_integrals
 
 
 def _endo_norm(a: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
@@ -189,18 +189,16 @@ def lck_identity_residuals(H: HermitianStructure, p, x, y) -> dict:
     of shape (...,).
 
     Every check reads the Lee-form parts at p, and the curvature checks the
-    NESTED pass around it.  deltaOmega takes theta from d Omega by
-    :func:`_lee_form_of_d_omega`, so it crosses the d Omega road with the
-    delta Omega road that gives parts.theta.
+    NESTED pass around it, both from :func:`lee_form_passes`.  deltaOmega
+    takes theta from d Omega by :func:`_lee_form_of_d_omega`, so it crosses
+    the d Omega road with the delta Omega road that gives parts.theta.
     """
-    p = np.asarray(p, dtype=float)
-    parts = lee_form_parts(H, p)
+    parts, _, nested = lee_form_passes(H, p, None)
     g_inv = parts.g_inv
     j_theta_d = j_on_forms(parts.J, _lee_form_of_d_omega(parts, H.n))
     delta_om = parts.delta_omega
     coef = 2.0 - 2.0 * H.n
-    r_rj, r_rjc = curvature_j_residuals(H, parts, nested_lee(H, p, parts),
-                                        x, y)
+    r_rj, r_rjc = curvature_j_residuals(H, parts, nested, x, y)
     return {"nablaJ": nabla_j_residual(parts, x),
             "dOmega": lck_residual(parts),
             "deltaOmega": _normalized(
@@ -212,10 +210,9 @@ def lck_identity_residuals(H: HermitianStructure, p, x, y) -> dict:
 
 def s_commutator_residual(H: HermitianStructure, p) -> float:
     """|SJ - JS| for S = nabla theta + theta (x) theta (Einstein assumption)."""
-    p = np.asarray(p, dtype=float)
-    parts = lee_form_parts(H, p)
+    parts, _, nested = lee_form_passes(H, p, None)
     g, g_inv, J = parts.g, parts.g_inv, parts.J
-    s_endo = g_inv @ nested_lee(H, p, parts).S
+    s_endo = g_inv @ nested.S
     comm = s_endo @ J - J @ s_endo
     return _normalized(_endo_norm(comm, g, g_inv),
                        [_endo_norm(s_endo @ J, g, g_inv),
@@ -254,8 +251,7 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
 
     # The Lee-form parts at p and on the NESTED stencil around it; Ric comes
     # from the curvature of the NESTED pass at p.
-    parts = lee_form_parts(H, p)
-    nested = nested_lee(H, p, parts)
+    parts, _, nested = lee_form_passes(H, p, None)
     around = nested.around
     R = nested.riemann
     g, g_inv, J, omega = parts.g, parts.g_inv, parts.J, parts.omega
@@ -353,11 +349,11 @@ def einstein_chain_residuals(H: HermitianStructure, p, lam: float) -> dict:
 
     # (eqJdel2)  delta S = (delta theta) theta - 1/2 d|theta|^2 - lambda theta
     #            + d(delta theta)
-    # the parts and the NESTED pass on the DEEP stencil
+    # the parts and the NESTED pass on the DEEP stencil, evaluated after the
+    # Einstein gate
     chart.require_inside(p, margin=fd.DEEP.extent)
-    deep_points = fd.stencil_points(p, fd.DEEP)
-    deep = lee_form_parts(H, deep_points)
-    deep_nested = nested_lee(H, deep_points, deep)
+    deep, _, deep_nested = lee_form_passes(
+        H, fd.stencil_points(p, fd.DEEP), None)
     delta_s = -np.einsum("...ab,...abj->...j", g_inv, _covariant(
         deep_nested.S, s_cov, parts.gamma, (2, 0), fd.DEEP))
     d_delta_theta = fd.difference(deep_nested.delta_theta, fd.DEEP, lead)
@@ -469,21 +465,23 @@ def parallel_field_residuals(H: HermitianStructure, p, v) -> dict:
 # commuting Kahler/lcK pair and the Hamiltonian 2-form
 # ---------------------------------------------------------------------------
 
-def _pair_parts(I: HermitianStructure, J: HermitianStructure, p) -> tuple:
-    """The one pass of both pair checks at each of the points p: J's
-    Lee-form parts, I, Omega^I on the DIRECT stencil around p, and sigma =
-    1/2 (Omega^I + Omega^J) at p and on that stencil.  J's Lee-form pass
-    gives the validated values of the metric I and J must share, and I is
-    evaluated at the same points."""
+def _require_one_metric(I: HermitianStructure, J: HermitianStructure):
     if I.chart.metric_fn is not J.chart.metric_fn:
         raise PreconditionError("I and J must share one chart metric")
-    parts = lee_form_parts(J, p)
+
+
+def _pair_parts(I: HermitianStructure, parts: LeeParts, p) -> tuple:
+    """What both pair checks read of I at each of the points p, from the
+    Lee-form parts of J there: I, Omega^I on the DIRECT stencil around p,
+    and sigma = 1/2 (Omega^I + Omega^J) at p and on that stencil.  J's
+    Lee-form pass gives the validated values of the metric I and J must
+    share, and I is evaluated at the same points."""
     Im = I.J(p)
     omega_i_around = form_of_endomorphism(
         I.J(fd.stencil_points(p, fd.DIRECT)), parts.g_around)
     sigma = 0.5 * (form_of_endomorphism(Im, parts.g) + parts.omega)
     sigma_around = 0.5 * (omega_i_around + parts.omega_around)
-    return parts, Im, omega_i_around, sigma, sigma_around
+    return Im, omega_i_around, sigma, sigma_around
 
 
 def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
@@ -499,17 +497,24 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
     """
     p = np.asarray(p, dtype=float)
     lead = p.ndim - 1
-    parts, Im, _, sigma, sigma_around = _pair_parts(I, J, p)
+    _require_one_metric(I, J)
+
+    def between(parts):
+        """I from J's parts, the directions, and the |theta|^2 gate."""
+        pair = _pair_parts(I, parts, p)
+        directions = _directions(x, p)
+        if (parts.norm_sq < 1e-10).any():
+            k = first_flagged(parts.norm_sq < 1e-10)
+            raise SingularPointError(
+                f"|theta|^2 = {parts.norm_sq[k]:.2e} at {p[k]}: the sigma- "
+                "and J-reconstruction identities divide by |theta|^2")
+        return pair, directions
+
+    parts, ((Im, _, sigma, sigma_around), x), nested = lee_form_passes(
+        J, p, between)
     g, g_inv, Jm, theta = parts.g, parts.g_inv, parts.J, parts.theta
     n = I.n
-    x = _directions(x, p)
-
     norm_sq = parts.norm_sq
-    if (norm_sq < 1e-10).any():
-        k = first_flagged(norm_sq < 1e-10)
-        raise SingularPointError(
-            f"|theta|^2 = {norm_sq[k]:.2e} at {p[k]}: the sigma- and "
-            "J-reconstruction identities divide by |theta|^2")
     i_theta, j_theta = j_on_forms(Im, theta), parts.j_theta
     theta_x, i_theta_x = np.vecdot(theta, x), np.vecdot(i_theta, x)
     res = {}
@@ -556,7 +561,6 @@ def commuting_pair_residuals(I: HermitianStructure, J: HermitianStructure,
                                    raised_norm(rhs_d, g_inv)])
 
     # (nablath)  sum_i <IJ nabla_{e_i} theta, e_i> = 2(n-1)|theta|^2 + delta theta
-    nested = nested_lee(J, p, parts)
     ntheta, delta_theta = nested.ntheta, nested.delta_theta
     lhs_t = np.trace(Im @ Jm @ g_inv @ np.swapaxes(ntheta, -1, -2),
                      axis1=-2, axis2=-1)
@@ -620,7 +624,9 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
     lead = p.ndim - 1
-    parts, Im, omega_i_around, sigma, sigma_around = _pair_parts(I, J, p)
+    _require_one_metric(I, J)
+    parts = lee_form_parts(J, p)
+    Im, omega_i_around, sigma, sigma_around = _pair_parts(I, parts, p)
     g, g_inv = parts.g, parts.g_inv
     phi_p = potential(p)
 
@@ -663,14 +669,12 @@ def average_metric_residuals(avg: HermitianStructure, p, x=None,
     """
     p = np.asarray(p, dtype=float)
     lead = p.ndim - 1
-    parts = lee_form_parts(avg, p)
-    g, g_inv, Im = parts.g, parts.g_inv, parts.J
-    x = _directions(x, p)
-
-    theta0, i_theta0 = parts.theta, parts.j_theta
     # the NESTED pass of theta0 gives the parts that the NESTED stencils of
     # xi, I xi, zeta, I zeta and d xi read
-    nested = nested_lee(avg, p, parts)
+    parts, x, nested = lee_form_passes(avg, p,
+                                       lambda parts: _directions(x, p))
+    g, g_inv, Im = parts.g, parts.g_inv, parts.J
+    theta0, i_theta0 = parts.theta, parts.j_theta
     ntheta0, around = nested.ntheta, nested.around
 
     # least-squares fit of f over the 2n coordinate directions
@@ -775,12 +779,12 @@ def _lee_evidence(H: HermitianStructure, p) -> tuple:
     where the lcK gate fails, or else where the evidence is NaN."""
     p = np.asarray(p, dtype=float)
     lead = p.ndim - 1
-    parts = lee_form_parts(H, p)
+    # the lcK gate runs between the two passes; nabla theta and d theta come
+    # from one NESTED stencil of theta
+    parts, _, nested = lee_form_passes(
+        H, p, lambda parts: require_lck(H, p, parts))
     g, g_inv, theta = parts.g, parts.g_inv, parts.theta
     scale = np.sqrt(np.trace(g, axis1=-2, axis2=-1) / H.chart.dim)
-    require_lck(H, p, parts)
-    # nabla theta and d theta come from one NESTED stencil of theta
-    nested = nested_lee(H, p, parts)
     dtheta = exterior_of_partials(nested.theta_partials, 1, lead)
     scale_sq = scale * scale
     at_p = (vector_norm(theta, g_inv) * scale,
@@ -817,9 +821,8 @@ def classify_structure(H: HermitianStructure, samples, loops=None,
     max_theta, max_nabla, max_dtheta = (max([0.0, *map(float, values)])
                                         for values in evidence)
 
-    periods = []
-    for name, loop in loops.items():
-        periods.append((name, loop_integral(chart, lee_field(H), loop)))
+    periods = list(zip(loops, loop_integrals(chart, lee_field(H),
+                                             list(loops.values()))))
     if any(math.isnan(v) for _, v in periods):
         raise NotLcKError(f"'{H.label}' has a NaN Lee-form period: {periods}")
     max_period = max((abs(v) for _, v in periods), default=0.0)

@@ -39,7 +39,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -91,6 +91,9 @@ class SuiteConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ParameterError(
                     f"{name} must be a finite positive number")
+        if self.at is not None and not all(
+                isinstance(x, Real) and math.isfinite(x) for x in self.at):
+            raise ParameterError("at must be finite numbers")
 
     def as_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -3,11 +3,12 @@
 Geodesics and transport use the classical 4-stage Runge-Kutta scheme with a
 fixed number of steps; line integrals use Gauss-Legendre quadrature, and a
 loop integral compares a 16- and a 32-node rule on each smooth piece,
-halving the piece until they agree.  Transport around a
-:class:`~lckgeo.charts.Loop` with a deck-translation shift is well defined
-because the chart fields are invariant under the shift.  Curves, like
-fields, take stacks: parameters of shape (...) give points and velocities
-of shape (..., m).
+halving the piece until they agree.  :func:`loop_integrals` takes the first
+two rules of up to ``PIECE_BLOCK`` pieces, of one loop or of several, from
+one field call.  Transport around a :class:`~lckgeo.charts.Loop` with a
+deck-translation shift is well defined because the chart fields are
+invariant under the shift.  Curves, like fields, take stacks: parameters
+of shape (...) give points and velocities of shape (..., m).
 
 Parallel transport solves the linear ODE V' = B(t) V with
 B = -Gamma(x(t))(x'(t), .).  RK4 samples B at t, t + h/2 and t + h, the next
@@ -71,6 +72,12 @@ NODE_BLOCK = 512
 # error (a piece of the unit parameter interval then spans about 1e-6).
 GUARD_NODES = (16, 32)
 MAX_BISECTIONS = 20
+
+# Smooth pieces whose first rule pair loop_integrals takes from one field
+# call: 144 Gauss nodes.  The Lee-form field holds about 7 KB a node at
+# m = 4 (J and the metric on the DIRECT stencil, and their partials), so a
+# call peaks near a megabyte, as a block of NODE_BLOCK transport points does.
+PIECE_BLOCK = 3
 
 
 def _rk4(f: Callable, y0: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
@@ -326,14 +333,27 @@ def orthogonality_defect(chart: Chart, loop: Loop, transported: np.ndarray) -> f
 
 
 def loop_integral(chart: Chart, oneform_field: Callable, loop: Loop) -> float:
-    """Line integral of a 1-form field around the loop.
+    """Line integral of a 1-form field around the loop; see
+    :func:`loop_integrals`."""
+    return loop_integrals(chart, oneform_field, [loop])[0]
 
-    The loop is split at its breakpoints, and each smooth piece is
-    integrated by :func:`_piece_integral`, the pieces in parameter order.
-    Exact-form integrals over shift-free loops vanish to quadrature
-    accuracy, and the integral is additive under loop concatenation.  The
-    first node in parameter order that fails, the domain check or the field
-    call, raises first.
+
+def loop_integrals(chart: Chart, oneform_field: Callable, loops) -> list:
+    """Line integrals of a 1-form field around each of the loops.
+
+    Each loop is split at its breakpoints, and each smooth piece is
+    integrated by :func:`_piece_integral`.  The pieces of all the loops, in
+    order, are taken in blocks of at most ``PIECE_BLOCK``: the first rule
+    pair of every piece of a block comes from one field call on all their
+    nodes, and a piece whose two rules disagree is then halved, piece by
+    piece in order, before the next block is evaluated.  Exact-form
+    integrals over shift-free loops vanish to quadrature accuracy, and the
+    integral is additive under loop concatenation.  The errors are those of
+    the pieces integrated one after the other, loop by loop and in
+    parameter order: the first node that fails, the domain check or the
+    field call, raises first, and a piece's halving raises before a later
+    piece's nodes.  Where a block's call raises, its pieces are integrated
+    in that order by :func:`~lckgeo.errors.in_item_order`.
 
     A kink of the curve or a jump of the integrand must be declared as a
     breakpoint.  The guard compares two rules that are both symmetric about
@@ -341,25 +361,60 @@ def loop_integral(chart: Chart, oneform_field: Callable, loop: Loop) -> float:
     a jump inside roughly the middle 5% of a piece they agree on a wrong
     value, and it is kept.
     """
-    knots = _knots(loop.breakpoints)
-    total = 0.0
-    for t0, t1 in zip(knots[:-1], knots[1:]):
-        total += _piece_integral(chart, oneform_field, loop, t0, t1)
-    return total
+    knots = [_knots(loop.breakpoints) for loop in loops]
+    pieces = [(loop, t0, t1) for loop, ts in zip(loops, knots)
+              for t0, t1 in zip(ts[:-1], ts[1:])]
+    # blocks of near-equal size, the later ones the larger
+    blocks = -(-len(pieces) // PIECE_BLOCK)
+    values = []
+    for k in range(blocks):
+        values += _block_integrals(chart, oneform_field, pieces[
+            k * len(pieces) // blocks:(k + 1) * len(pieces) // blocks])
+    values = iter(values)
+    totals = []
+    for ts in knots:
+        total = 0.0
+        for _ in ts[1:]:
+            total += next(values)
+        totals.append(total)
+    return totals
+
+
+def _block_integrals(chart: Chart, oneform_field: Callable,
+                     pieces: list) -> list:
+    """The integrals of the pieces, in order, from one field call on the
+    :func:`_guard_nodes` of them all."""
+    def stacked():
+        nodes = [_guard_nodes(*piece) for piece in pieces]
+        return nodes, _field_inside(chart, oneform_field, np.concatenate(
+            [xs for _, xs, _ in nodes]))
+
+    nodes, alphas = in_item_order(
+        stacked,
+        lambda piece: _piece_integral(
+            chart, oneform_field, *piece, 0,
+            _rule_pair(chart, oneform_field, *piece)),
+        pieces)
+    # every piece has the nodes of both rules, so the same number
+    return [_piece_integral(chart, oneform_field, loop, t0, t1, 0,
+                            _rule_sums(t1 - t0, order, vels, piece_alphas))
+            for (loop, t0, t1), (order, _, vels), piece_alphas
+            in zip(pieces, nodes, np.split(alphas, len(pieces)))]
 
 
 def _piece_integral(chart: Chart, oneform_field: Callable, loop: Loop,
-                    t0: float, t1: float, depth: int = 0) -> float:
-    """The integral over [t0, t1] of a smooth piece by guarded Gauss-Legendre.
+                    t0: float, t1: float, depth: int, pair: tuple) -> float:
+    """The integral over [t0, t1] of a smooth piece by guarded Gauss-Legendre,
+    from the :func:`_rule_pair` of the piece.
 
-    The 16- and the 32-node rule are computed together; the 32-node value is
-    kept when the two agree to ``1e-12 (1 + sum |w_i alpha . v|)`` over the
-    32 nodes, and otherwise each half of [t0, t1] is refined the same way,
-    the first half first.  A value that is not finite is returned as it is,
-    for the caller to judge, and a piece still split ``MAX_BISECTIONS`` deep
-    raises :class:`IntegrationError`.
+    The 32-node value is kept when the 16- and the 32-node rule agree to
+    ``1e-12 (1 + sum |w_i alpha . v|)`` over the 32 nodes, and otherwise
+    each half of [t0, t1] is refined the same way, the first half first.  A
+    value that is not finite is returned as it is, for the caller to judge,
+    and a piece still split ``MAX_BISECTIONS`` deep raises
+    :class:`IntegrationError`.
     """
-    coarse, fine, scale = _rule_pair(chart, oneform_field, loop, t0, t1)
+    coarse, fine, scale = pair
     if not (math.isfinite(coarse) and math.isfinite(fine)):
         return coarse if math.isfinite(fine) else fine
     if abs(fine - coarse) <= 1e-12 * (1.0 + scale):
@@ -369,37 +424,49 @@ def _piece_integral(chart: Chart, oneform_field: Callable, loop: Loop,
             f"loop integral does not converge on [{t0!r}, {t1!r}]: its two "
             f"rules differ by {abs(fine - coarse):.2e}")
     mid = 0.5 * (t0 + t1)
-    return (_piece_integral(chart, oneform_field, loop, t0, mid, depth + 1)
-            + _piece_integral(chart, oneform_field, loop, mid, t1, depth + 1))
+    return (_piece_integral(chart, oneform_field, loop, t0, mid, depth + 1,
+                            _rule_pair(chart, oneform_field, loop, t0, mid))
+            + _piece_integral(chart, oneform_field, loop, mid, t1, depth + 1,
+                              _rule_pair(chart, oneform_field, loop, mid, t1)))
+
+
+def _guard_nodes(loop: Loop, t0: float, t1: float) -> tuple:
+    """The nodes of the 16- and the 32-node Gauss-Legendre rule over
+    [t0, t1]: the order that sorts them by parameter, and the loop's points
+    and velocities at them in that order, from one loop call each."""
+    ts = np.concatenate([t0 + fd.gauss_legendre_01(n)[0] * (t1 - t0)
+                         for n in GUARD_NODES])
+    order = np.argsort(ts, kind="stable")
+    return order, loop.point(ts[order]), loop.velocity(ts[order])
+
+
+def _field_inside(chart: Chart, oneform_field: Callable, x) -> np.ndarray:
+    chart.require_inside(x)
+    return np.asarray(oneform_field(x), dtype=float)
 
 
 def _rule_pair(chart: Chart, oneform_field: Callable, loop: Loop,
-               t0: float, t1: float):
-    """The 16- and 32-node Gauss-Legendre values over [t0, t1], and the sum
-    of |w_i alpha . v| over the 32 nodes.
+               t0: float, t1: float) -> tuple:
+    """The :func:`_rule_sums` over [t0, t1].  The domain check and the field
+    are one call each on all the :func:`_guard_nodes`, and the error raised
+    is the first node's, by :func:`~lckgeo.errors.in_item_order`."""
+    order, xs, vels = _guard_nodes(loop, t0, t1)
+    alphas = in_item_order(
+        lambda: _field_inside(chart, oneform_field, xs),
+        lambda x: _field_inside(chart, oneform_field, x), xs)
+    return _rule_sums(t1 - t0, order, vels, alphas)
 
-    The nodes of both rules, sorted by parameter, take their points and
-    velocities from one loop call each; the domain check and the field are
-    one call each on all the nodes, and the error raised is the first
-    node's, by :func:`~lckgeo.errors.in_item_order`.
-    """
-    h = t1 - t0
-    (coarse_nodes, coarse_weights), (fine_nodes, fine_weights) = (
+
+def _rule_sums(h: float, order: np.ndarray, vels: np.ndarray,
+               alphas: np.ndarray) -> tuple:
+    """The 16- and 32-node Gauss-Legendre values over a piece of length h,
+    and the sum of |w_i alpha . v| over the 32 nodes, from the field values
+    alphas and the velocities vels at the :func:`_guard_nodes`."""
+    (_, coarse_weights), (_, fine_weights) = (
         fd.gauss_legendre_01(n) for n in GUARD_NODES)
-    ts = np.concatenate([t0 + coarse_nodes * h, t0 + fine_nodes * h])
-    order = np.argsort(ts, kind="stable")
-    xs = loop.point(ts[order])
-    vels = loop.velocity(ts[order])
-
-    def field_inside(x):
-        chart.require_inside(x)
-        return oneform_field(x)
-
-    alphas = np.asarray(in_item_order(lambda: field_inside(xs), field_inside,
-                                      xs), dtype=float)
-    terms = np.empty(len(ts))
+    terms = np.empty(len(order))
     terms[order] = np.vecdot(alphas, vels)
-    coarse_terms, fine_terms = np.split(terms, [len(coarse_nodes)])
+    coarse_terms, fine_terms = np.split(terms, [len(coarse_weights)])
     fine_parts = fine_weights * h * fine_terms
     return (float(np.sum(coarse_weights * h * coarse_terms)),
             float(np.sum(fine_parts)), float(np.sum(np.abs(fine_parts))))

@@ -166,6 +166,47 @@ def test_changed_evaluation_counts_are_listed():
         "\nno evaluation count differs")
 
 
+def test_changed_call_counts_are_listed():
+    """A cell whose number of field calls moved gets a row of its own
+    table, base -> change, beside its unchanged points; equal calls print
+    one line.  Neither is a verdict."""
+    def counted(points, *calls):
+        return dict(_record(), counts=dict(zip(drift.COUNTED, points)),
+                    calls=dict(zip(drift.COUNTED, calls)))
+
+    points = (34, 7, 50)
+    base, change = {CELL: counted(points, 7, 2, 14)}, {
+        CELL: counted(points, 3, 2, 6)}
+    assert drift.compare(base, change)[0] == []
+    assert drift.count_changes(base, change) == (
+        "\nno evaluation count differs")
+    table = drift.call_changes(base, change).splitlines()
+    assert table[1] == "top-level field calls that differ, base -> change"
+    assert table[-1] == (
+        "| hopf{n=2} | holonomy | fd | 1 | 7 -> 3 | 2 -> 2 | 14 -> 6 |")
+    assert drift.call_changes(base, base) == "\nno field call count differs"
+
+
+def test_each_top_level_call_counts_once():
+    """Every call of a wrapped field counts one call of its kind, however
+    many points it takes; a call made inside another counted call counts
+    for the outer one only."""
+    g = SimpleNamespace(metric_fn=lambda q: np.ones(np.shape(q)[:-1]),
+                        metric_derivative_fn=None)
+    structures = {"main": SimpleNamespace(
+        chart=g, J_fn=lambda q: g.metric_fn(q))}
+    module = SimpleNamespace(resolve_manifold=lambda selector: SimpleNamespace(
+        structures=structures))
+    counts, calls = (dict.fromkeys(drift.COUNTED, 0) for _ in range(2))
+    drift._count_points(module, counts, calls)
+    module.resolve_manifold("hopf{n=2}")
+    g.metric_fn(np.zeros((5, 4)))
+    g.metric_fn(np.zeros(4))
+    structures["main"].J_fn(np.zeros((3, 2, 4)))
+    assert counts == {"metric_fn": 6, "metric_derivative_fn": 0, "J_fn": 6}
+    assert calls == {"metric_fn": 2, "metric_derivative_fn": 0, "J_fn": 1}
+
+
 def test_a_nested_field_call_counts_once():
     """A field evaluated inside another counted field's call, as the calabi
     g+ metric rescales the g_ell one, is part of the outer evaluation: each
@@ -188,8 +229,8 @@ def test_a_nested_field_call_counts_once():
     module = SimpleNamespace(
         resolve_manifold=lambda selector: SimpleNamespace(
             structures=structures))
-    counts = dict.fromkeys(drift.COUNTED, 0)
-    drift._count_points(module, counts)
+    counts, calls = (dict.fromkeys(drift.COUNTED, 0) for _ in range(2))
+    drift._count_points(module, counts, calls)
     module.resolve_manifold("calabi{ell=sin,b=pi}")
     points = np.zeros((5, 4))
     g_plus.metric_fn(points)
@@ -214,8 +255,8 @@ def test_complex_step_calls_are_counted():
     module = SimpleNamespace(resolve_manifold=lambda selector: SimpleNamespace(
         structures={"main": SimpleNamespace(chart=chart,
                                             J_fn=lambda q: None)}))
-    counts = dict.fromkeys(drift.COUNTED, 0)
-    drift._count_points(module, counts)
+    counts, calls = (dict.fromkeys(drift.COUNTED, 0) for _ in range(2))
+    drift._count_points(module, counts, calls)
     module.resolve_manifold("euclidean{m=2}")
     dg = chart.metric_jacobian(np.zeros((4, 2)))
     assert dg[0, :, 0, 0].tolist() == [1.0, 0.0]

@@ -19,7 +19,7 @@ from lckgeo.errors import (ChartDomainError, CompatibilityError, MetricError,
 from lckgeo.hermitian import (HermitianStructure, conformal_rescale,
                               j_on_forms, lck_residual, lee_field, lee_form,
                               lee_form_components, lee_form_parts,
-                              nabla_theta, nested_lee,
+                              lee_form_passes, nabla_theta, nested_lee,
                               nijenhuis_residual, nijenhuis_tensor)
 from lckgeo.transport import loop_integral
 
@@ -240,6 +240,21 @@ class TestLeeForm:
             S = lee_form(H, p).S
             assert np.max(np.abs(S - S.T)) < 1e-5
 
+    def test_stacked_lee_data(self, hopf2, rng):
+        """lee_form takes a stack of points as every Lee-form function
+        does: each entry at points of shape (3, 4) is the single-point
+        call's, bit for bit."""
+        H = _stencil(hopf2.main_structure)
+        pts = H.chart.sample_points(rng, 3)
+        stacked = lee_form(H, pts)
+        assert np.shape(stacked.norm_sq) == (3,)
+        for k, p in enumerate(pts):
+            single = lee_form(H, p)
+            assert np.shape(single.norm_sq) == ()
+            for name in ("theta", "J_theta", "norm_sq", "S"):
+                assert np.array_equal(getattr(stacked, name)[k],
+                                      getattr(single, name)), name
+
     def test_closedness(self, hopf2, calabi_sin, rng):
         from lckgeo.calculus import exterior_derivative
         from lckgeo.hermitian import lee_field
@@ -368,8 +383,7 @@ class TestOnePassLeeForm:
             H = entry.main_structure
             stack = H.chart.sample_points(rng, 4).reshape(2, 2, -1)
             for V, p in itertools.product(_variants(H), (stack, stack[0, 1])):
-                parts = lee_form_parts(V, p)
-                nested = nested_lee(V, p, parts)
+                parts, _, nested = lee_form_passes(V, p, None)
                 theta, g_inv = parts.theta, parts.g_inv
                 j_theta = (-np.swapaxes(parts.J, -1, -2)
                            @ theta[..., None])[..., 0]
@@ -454,7 +468,7 @@ class TestNestedLee:
             for H in _variants(entry.main_structure):
                 chart = H.chart
                 p = chart.sample_points(rng, 1)[0]
-                nested = nested_lee(H, p, lee_form_parts(H, p))
+                nested = lee_form_passes(H, p, None)[2]
                 where = (H.label, chart.metric_derivative_fn)
                 generic = covariant_derivative_full(
                     chart, lee_field(H), p, (1, 0), stencil=fd.NESTED)
@@ -474,10 +488,9 @@ class TestNestedLee:
         assert np.array_equal(stacked, np.array(single))
 
     def test_one_pass_evaluates_two_stacks_each(self, hopf2):
-        """lee_form_parts evaluates J on its DIRECT stencil and at p, and
-        nested_lee, given those parts, does the same on the NESTED stencil
-        points only; the parts it returns are those of lee_form_parts
-        there."""
+        """lee_form_passes evaluates J once on the DIRECT stencil and once
+        at the points, of p and its NESTED stencil points together; the
+        parts it splits back around p are those of lee_form_parts there."""
         H = _stencil(hopf2.main_structure)
         calls = []
 
@@ -487,14 +500,37 @@ class TestNestedLee:
 
         H_counted = dataclasses.replace(H, J_fn=J_fn)
         p = H.chart.center()
-        parts = lee_form_parts(H_counted, p)
-        assert calls == [(4, 2, 4), (4,)]
-        nested = nested_lee(H_counted, p, parts)
-        assert calls[2:] == [(4, 4, 4, 2, 4), (4, 4, 4)]
+        parts, _, nested = lee_form_passes(H_counted, p, None)
+        # 1 + 4 * 4 points: p and the 4-point NESTED stencil on each axis
+        assert calls == [(17, 4, 2, 4), (17, 4)]
         around = lee_form_parts(H, fd.stencil_points(p, fd.NESTED))
         for name in type(parts)._fields:
             assert np.array_equal(getattr(nested.around, name),
                                   getattr(around, name)), name
+
+    def test_passes_are_each_call_alone(self, hopf2, flat_inv2, warped_sin,
+                                        calabi_sin, rng):
+        """Every part of both passes, and the NESTED pass, is bitwise what
+        lee_form_parts at p and on its NESTED stencil give one after the
+        other, for a stack and a single point."""
+        for entry in (hopf2, flat_inv2, warped_sin, calabi_sin):
+            for H in _variants(entry.main_structure):
+                stack = H.chart.sample_points(rng, 4).reshape(2, 2, -1)
+                for p in (stack, stack[1, 0]):
+                    parts, gated, nested = lee_form_passes(
+                        H, p, lambda parts: parts.theta.shape)
+                    assert gated == p.shape
+                    alone = lee_form_parts(H, p)
+                    around = lee_form_parts(H, fd.stencil_points(p, fd.NESTED))
+                    reference = nested_lee(alone, around)
+                    for name in type(parts)._fields:
+                        assert np.array_equal(getattr(parts, name),
+                                              getattr(alone, name)), name
+                        assert np.array_equal(getattr(nested.around, name),
+                                              getattr(around, name)), name
+                    for name in type(nested)._fields[:-1]:
+                        assert np.array_equal(getattr(nested, name),
+                                              getattr(reference, name)), name
 
     def test_near_a_face(self, hopf2):
         """A base point within the NESTED extent of a face raises
@@ -523,7 +559,7 @@ def _dtheta_two_ways(H, p):
     """d theta at p from the NESTED stencil of theta, and by Stokes: the
     period of theta around the coordinate square of side STOKES_SIDE
     centred at p in each plane (i, j), over the square's area."""
-    nested = nested_lee(H, p, lee_form_parts(H, p))
+    nested = lee_form_passes(H, p, None)[2]
     stencil = exterior_of_partials(nested.theta_partials, 1)
     m = H.chart.dim
     stokes = np.zeros((m, m))

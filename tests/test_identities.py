@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import zlib
 
@@ -17,7 +18,8 @@ from lckgeo.charts import (form_of_endomorphism, raised_norm, segment_loop,
 from lckgeo.cli import main as cli_main
 from lckgeo.errors import (ChartDomainError, InconsistencyError, MetricError,
                            NotLcKError, PreconditionError, SingularPointError)
-from lckgeo.hermitian import HermitianStructure, lee_form_parts, nested_lee
+from lckgeo.hermitian import (HermitianStructure, lee_form,
+                              lee_form_parts, lee_form_passes)
 from lckgeo.identities import (PotentialField, _lee_form_of_d_omega,
                                average_metric_residuals,
                                classify_structure, commuting_pair_residuals,
@@ -66,8 +68,8 @@ def euclid4(euclid4):
 
 
 def _curvature_j(H, p, x, y):
-    parts = lee_form_parts(H, p)
-    return curvature_j_residuals(H, parts, nested_lee(H, p, parts), x, y)
+    parts, _, nested = lee_form_passes(H, p, None)
+    return curvature_j_residuals(H, parts, nested, x, y)
 
 
 class TestNablaJ:
@@ -756,3 +758,110 @@ def test_per_sample_path_avoids_numpy_axis_wrappers(monkeypatch, manifold,
         monkeypatch.setattr(np, name, counted)
     run(SuiteConfig(manifold=manifold, suites=(suite,), samples=2, seed=1))
     assert calls == {"tensordot": 0, "moveaxis": 0}
+
+
+def _near_face(chart, reach):
+    """The chart centre moved to ``reach`` inside the lower face of its
+    second coordinate."""
+    p = chart.center().copy()
+    p[1] = chart.domain[1][0] + reach
+    return p
+
+
+class TestFusedPassErrors:
+    """Each check evaluates its Lee-form passes in one call; an input that
+    fails a gate between two passes and also a later pass raises the gate's
+    error, as the passes one after the other do."""
+
+    def _nan_j(self, H):
+        return dataclasses.replace(
+            H, J_fn=lambda q: np.full(np.shape(q)[:-1] + (4, 4), np.nan))
+
+    def test_lck_gate_before_the_nested_margin(self, hopf2):
+        """J is NaN, so the lcK gate fails at p, and p lies inside the
+        NESTED extent of a face, so the NESTED pass fails too."""
+        H = self._nan_j(hopf2.main_structure)
+        p = _near_face(H.chart, 0.5 * fd.NESTED.extent)
+        with pytest.raises(ChartDomainError):
+            H.chart.require_inside(p, margin=fd.NESTED.extent)
+        message = (f"structure '{H.label}' fails the lcK gate at {p}: "
+                   "|dOmega - 2 theta ^ Omega| = nan")
+        for check in (lambda: classify_structure(H, [p], {}),
+                      lambda: lee_form(H, p)):
+            with pytest.raises(NotLcKError) as err:
+                check()
+            assert str(err.value) == message
+
+    def test_einstein_gate_before_the_deep_passes(self, flat_inv2):
+        """lambda = 1 fails the Einstein gate of flat_inversion, and p lies
+        inside the DEEP extent of a face; with lambda = 0 the gate passes
+        and the DEEP margin raises."""
+        H = flat_inv2.main_structure
+        p = _near_face(H.chart, 0.5 * fd.DEEP.extent)
+        with pytest.raises(PreconditionError) as err:
+            einstein_chain_residuals(H, p, 1.0)
+        assert str(err.value) == (f"structure '{H.label}' is not Einstein "
+                                  f"with lambda=1.0 at {p}")
+        with pytest.raises(ChartDomainError):
+            einstein_chain_residuals(H, p, 0.0)
+
+    def test_singular_gate_before_the_nested_margin(self, calabi_sin):
+        """theta = 0 for the Kahler I as the lcK partner fails the |theta|^2
+        gate, and p lies inside the NESTED extent of a face."""
+        I = calabi_sin.pair.I
+        p = _near_face(I.chart, 0.5 * fd.NESTED.extent)
+        with pytest.raises(SingularPointError, match=r"^\|theta\|\^2 = .* at "
+                           + re.escape(f"{p}: the sigma- and J-reconstruction")):
+            commuting_pair_residuals(I, I, p, np.ones(4))
+
+    def test_direction_error_before_the_nested_margin(self, calabi_sin):
+        """A direction of the wrong shape is broadcast between the passes of
+        average-metric and of commuting-pair, before the NESTED margin."""
+        p = _near_face(calabi_sin.average.chart, 0.5 * fd.NESTED.extent)
+        for check in (
+                lambda: average_metric_residuals(calabi_sin.average, p,
+                                                 np.ones(3)),
+                lambda: commuting_pair_residuals(calabi_sin.pair.I,
+                                                 calabi_sin.pair.J, p,
+                                                 np.ones(3))):
+            with pytest.raises(ValueError, match="broadcast"):
+                check()
+
+
+class TestOneLeeCallPerStack:
+    """The Lee-form passes of a check are one lee_form_parts call on all the
+    points of its stack, and the first rule pairs of classify's periods are
+    one more per block of pieces."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from lckgeo import hermitian
+        shapes = []
+        parts = hermitian.lee_form_parts
+
+        def counted(H, p):
+            shapes.append(np.shape(p))
+            return parts(H, p)
+
+        monkeypatch.setattr(hermitian, "lee_form_parts", counted)
+        return shapes
+
+    def test_pointwise_checks(self, calls, hopf2, calabi_sin, rng):
+        H = hopf2.main_structure
+        pts = H.chart.sample_points(rng, 5)
+        lck_identity_residuals(H, pts, np.ones((5, 4)), np.ones((5, 4)))
+        assert calls == [(5 + 5 * 16, 4)]
+        avg = calabi_sin.average
+        calls.clear()
+        average_metric_residuals(avg, avg.chart.sample_points(rng, 5))
+        assert calls == [(5 + 5 * 16, 4)]
+
+    def test_classify(self, calls, hopf2, rng):
+        """Two samples and their NESTED stencils, then the 48 nodes of each
+        of the 5 smooth pieces of the two hopf{n=2} loops, in a block of 2
+        pieces and one of 3."""
+        H = hopf2.main_structure
+        assert sum(len(loop.breakpoints) + 1
+                   for loop in hopf2.loops.values()) == 5
+        classify_structure(H, H.chart.sample_points(rng, 2), hopf2.loops)
+        assert calls == [(2 + 2 * 16, 4), (2 * 48, 4), (3 * 48, 4)]

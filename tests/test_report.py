@@ -79,6 +79,21 @@ class TestSuiteConfig:
         assert c_fd.tol_id == 1e-4
         assert c_an.tol_id == 1e-8
 
+    @pytest.mark.parametrize("at", [
+        (float("nan"), 1.0, 1.0, 1.0), (1.0, float("inf"), 1.0, 1.0),
+        (1.0, 1.0, -float("inf"), 1.0), ("1", 1.0, 1.0, 1.0)],
+        ids=["nan", "inf", "-inf", "text"])
+    def test_non_finite_point_rejected(self, at):
+        """Each would pass the config and fail at run time, outside the
+        chart or as a bare numpy error."""
+        with pytest.raises(ParameterError, match="at must be finite numbers"):
+            SuiteConfig(manifold="hopf{n=2}", suites=("classify",), at=at)
+
+    def test_non_finite_point_exits_2(self, capsys):
+        assert cli_main(["run", "--manifold", "hopf{n=2}", "--suite",
+                         "classify", "--at=nan,1,1,1"]) == 2
+        assert "at must be finite numbers" in capsys.readouterr().err
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             SuiteConfig(manifold="x", suites=(), samples=0)

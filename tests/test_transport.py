@@ -19,7 +19,8 @@ from lckgeo.hermitian import lee_field
 from lckgeo.holonomy import default_holonomy_loops
 from lckgeo.transport import (_rk4, geodesic,
                               geodesic_with_velocity, line_integral_segment,
-                              loop_integral, orthogonality_defect,
+                              loop_integral, loop_integrals,
+                              orthogonality_defect,
                               parallel_transport, transport_along,
                               transport_segment)
 
@@ -827,9 +828,10 @@ class TestBlockedLoopIntegral:
         assert str(err) == str(ref)
 
     def test_peak_memory_is_bounded(self, hopf2):
-        """The 4 pieces of 48 nodes, evaluated a piece at a time, peak near
-        0.3 MB of Python allocations; all 192 nodes in one call would take
-        about 1.1 MB."""
+        """The 4 pieces of 48 nodes, in two calls of two pieces, peak near
+        0.7 MB of Python allocations, and a first call adds about 0.7 MB
+        importing numpy.polynomial for the Gauss-Legendre nodes; all 192
+        nodes in one call would take about 1.35 MB."""
         H = zoo.stencil_only(hopf2).main_structure
         field = lee_field(H)
         loop = hopf2.loops["contractible"]
@@ -843,7 +845,8 @@ class TestBlockedLoopIntegral:
 
     def test_points_unchanged_calls_fewer(self, hopf2):
         """Every node costs nine J and nine metric evaluations (the 8-point
-        DIRECT stencil and the node), in two calls of each per piece."""
+        DIRECT stencil and the node), in two calls of each per block of
+        pieces: the 4 pieces are two blocks of two."""
         H = zoo.stencil_only(hopf2).main_structure
         counts = {"J": [0, 0], "g": [0, 0]}     # points, calls
 
@@ -863,8 +866,94 @@ class TestBlockedLoopIntegral:
         loop_integral(chart, lee_field(H_counted), loop)
         pieces = len(loop.breakpoints) + 1
         nodes = 48 * pieces
-        assert counts["J"] == [9 * nodes, 2 * pieces]
-        assert counts["g"] == [9 * nodes, 2 * pieces]
+        assert counts["J"] == [9 * nodes, 4]
+        assert counts["g"] == [9 * nodes, 4]
+
+
+class TestLoopIntegrals:
+    """loop_integrals takes the first rule pair of the pieces of all its
+    loops from one field call per block of pieces, and gives each loop its
+    loop_integral."""
+
+    def test_each_loop_is_its_integral_alone(self, hopf2, calabi_sin):
+        for entry in (zoo.stencil_only(hopf2), calabi_sin):
+            H = entry.main_structure
+            field = lee_field(H)
+            loops = list(entry.loops.values())
+            assert loop_integrals(H.chart, field, loops) == [
+                loop_integral(H.chart, field, loop) for loop in loops]
+        assert loop_integrals(H.chart, field, []) == []
+
+    def test_refined_pieces_match_nodewise(self, euclid4):
+        """The peaked form of the circle is halved after its block's call,
+        piece by piece; the loop before it and after it keep their values.
+        The 9 pieces are three blocks, the circle in the middle one."""
+        b = 1.01
+
+        def form(q):
+            q = np.asarray(q, dtype=float)
+            zero = np.zeros_like(q[..., 0])
+            scale = 0.25 * (b + 2.0 * q[..., 0])
+            return np.stack([-q[..., 1], q[..., 0], zero, zero],
+                            axis=-1) / scale[..., None]
+
+        chart = euclid4.charts["flat"]
+        square = polygon_loop([[0.1, 0.1, 0, 0], [0.3, 0.1, 0, 0],
+                               [0.3, 0.3, 0, 0], [0.1, 0.3, 0, 0]])
+        loops = [square, _circle(0.5), square]
+        assert loop_integrals(chart, form, loops) == [
+            _nodewise_loop_integral(chart, form, loop) for loop in loops]
+
+    def _jump_and_exit(self):
+        """A segment whose form jumps at t = 1/3, which halving never
+        resolves, and a segment leaving the chart part way along."""
+        def step(q):
+            q = np.asarray(q, dtype=float)
+            return np.where(q[..., :1] > -0.5 + 1.0 / 3.0, 1.0, 0.0) + 0.0 * q
+
+        jump = segment_loop(np.full(4, -0.5), np.array([1.0, 0.0, 0.0, 0.0]))
+        exit_ = segment_loop(np.full(4, 0.5), np.array([0.0, 1.0, 0.0, 0.0]))
+        return step, jump, exit_
+
+    def test_blocks_are_bounded(self, euclid4):
+        """A polygon of 10 edges is 10 pieces: four field calls of two or
+        three pieces' 48 nodes, whatever the number of pieces."""
+        sizes = []
+
+        def form(q):
+            sizes.append(len(q))
+            return np.ones(np.shape(q))
+
+        angles = np.linspace(0.0, 2.0 * np.pi, 10, endpoint=False)
+        polygon = polygon_loop([[0.3 * np.cos(a), 0.3 * np.sin(a), 0, 0]
+                                for a in angles])
+        loop_integral(euclid4.charts["flat"], form, polygon)
+        assert sizes == [2 * 48, 3 * 48, 2 * 48, 3 * 48]
+        assert max(sizes) <= transport.PIECE_BLOCK * 48
+
+    @pytest.mark.parametrize("block", [1, transport.PIECE_BLOCK])
+    def test_earlier_halving_error_wins(self, euclid4, monkeypatch, block):
+        """The first loop's halving fails at the depth cap after the call of
+        its block, where the second loop's domain error is raised in the
+        same block or in the next; the loops integrated one after the other
+        raise the first loop's error, and in the other order the domain
+        error."""
+        monkeypatch.setattr(transport, "PIECE_BLOCK", block)
+        chart = euclid4.charts["flat"]
+        step, jump, exit_ = self._jump_and_exit()
+        with pytest.raises(ChartDomainError):
+            chart.require_inside(exit_.point(
+                np.sort(fd.gauss_legendre_01(32)[0])))
+        for loops, kind in (([jump, exit_], IntegrationError),
+                            ([exit_, jump], ChartDomainError)):
+            err = _raised(lambda: loop_integrals(chart, step, loops))
+            ref = _raised(lambda: [loop_integral(chart, step, loop)
+                                   for loop in loops])
+            assert type(err) is type(ref) is kind
+            assert str(err) == str(ref)
+        assert str(_raised(lambda: loop_integrals(
+            chart, step, [jump, exit_]))).startswith(
+                "loop integral does not converge on [")
 
 
 class TestSegmentIntegral:

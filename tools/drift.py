@@ -31,8 +31,10 @@ lines there), the settable values that one tree has and the other lacks
 (dataclass fields, and defaulted parameters of public functions and
 methods, under ``src/lckgeo``, read by ``ast``), and last the runs whose
 numbers of ``metric_fn``, ``metric_derivative_fn`` and ``J_fn`` points
-differ.  Those counts do not depend on the machine; a change in them is not
-a verdict.
+differ, and the runs whose numbers of top-level calls of those fields
+differ: the same points in fewer calls is a change in how the points are
+stacked.  Those counts do not depend on the machine; a change in them is
+not a verdict.
 """
 
 from __future__ import annotations
@@ -67,13 +69,13 @@ def _grid(suite_names):
 COUNTED = ("metric_fn", "metric_derivative_fn", "J_fn")
 
 
-def _count_points(report_module, counts: dict) -> None:
+def _count_points(report_module, counts: dict, calls: dict) -> None:
     """Make each run add to ``counts`` the points at which it evaluates the
     ``metric_fn`` and the ``metric_derivative_fn`` of each chart and the
-    ``J_fn`` of each structure, by wrapping the fields of the entries
-    ``resolve_manifold`` builds.  A call made inside another counted call
-    (the calabi g+ and g- metrics rescale the g_ell one) is part of the
-    outer evaluation and is not counted."""
+    ``J_fn`` of each structure, and to ``calls`` its calls of each, by
+    wrapping the fields of the entries ``resolve_manifold`` builds.  A call
+    made inside another counted call (the calabi g+ and g- metrics rescale
+    the g_ell one) is part of the outer evaluation and is not counted."""
     import numpy as np
 
     resolve = report_module.resolve_manifold
@@ -83,6 +85,7 @@ def _count_points(report_module, counts: dict) -> None:
         def wrapper(q):
             if not depth[0]:
                 counts[kind] += np.asarray(q)[..., 0].size
+                calls[kind] += 1
             depth[0] += 1
             try:
                 return fn(q)
@@ -112,10 +115,11 @@ def work(samples: int) -> None:
     from lckgeo.errors import LckError
     from lckgeo.report import SUITE_NAMES, SuiteConfig, emit, exit_code, run
 
-    counts = dict.fromkeys(COUNTED, 0)
-    _count_points(report_module, counts)
+    counts, calls = dict.fromkeys(COUNTED, 0), dict.fromkeys(COUNTED, 0)
+    _count_points(report_module, counts, calls)
     for selector, suite, mode, seed in _grid(SUITE_NAMES):
         counts.update(dict.fromkeys(COUNTED, 0))
+        calls.update(dict.fromkeys(COUNTED, 0))
         record = {"cell": [selector, suite, mode, seed], "error": None,
                   "report": None}
         try:
@@ -131,6 +135,7 @@ def work(samples: int) -> None:
             record["report"] = json.loads(payload)
         record["sha256"] = hashlib.sha256(payload).hexdigest()
         record["counts"] = dict(counts)
+        record["calls"] = dict(calls)
         print(json.dumps(record), flush=True)
 
 
@@ -375,17 +380,30 @@ def settable_changes(base: Path, change: Path) -> str:
 
 
 def count_changes(base: dict, change: dict) -> str:
-    """The table of the runs whose field-evaluation counts differ."""
+    """The table of the runs whose field-evaluation points differ."""
+    return _changed(base, change, "counts", "field-evaluation points",
+                    "no evaluation count differs")
+
+
+def call_changes(base: dict, change: dict) -> str:
+    """The table of the runs whose numbers of top-level field calls
+    differ."""
+    return _changed(base, change, "calls", "top-level field calls",
+                    "no field call count differs")
+
+
+def _changed(base: dict, change: dict, key: str, what: str,
+             none: str) -> str:
     rows = []
     for cell in sorted(set(base) & set(change), key=str):
-        b, c = base[cell]["counts"], change[cell]["counts"]
+        b, c = base[cell][key], change[cell][key]
         if b != c:
             rows.append("| " + " | ".join(
                 [str(v) for v in cell] + [f"{b[k]} -> {c[k]}" for k in COUNTED])
                 + " |")
     if not rows:
-        return "\nno evaluation count differs"
-    return "\n".join(["", "field-evaluation points that differ, base -> change",
+        return "\n" + none
+    return "\n".join(["", f"{what} that differ, base -> change",
                       "", "| selector | suite | mode | seed | "
                       + " | ".join(COUNTED) + " |",
                       "|---|---|---|---|" + "---|" * len(COUNTED)] + rows)
@@ -426,6 +444,7 @@ def main(argv=None) -> int:
     print(line_counts(args.base, args.change))
     print(settable_changes(args.base, args.change))
     print(count_changes(base, change))
+    print(call_changes(base, change))
     if verdicts:
         print("\nverdicts that differ:")
         print("\n".join(verdicts))
