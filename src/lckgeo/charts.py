@@ -205,6 +205,8 @@ class Loop:
     breakpoints: tuple = ()   # interior parameters where velocity may jump
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError(f"loop needs at least 1 step, got {self.steps}")
         p0 = np.asarray(self.curve_fn(0.0), dtype=float)
         if self.shift is None:
             object.__setattr__(self, "shift", np.zeros_like(p0))

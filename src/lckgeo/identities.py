@@ -612,14 +612,12 @@ class PotentialField:
 
 
 def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
-                              p, x, potential: PotentialField,
-                              normalized: bool = True) -> np.ndarray:
+                              p, x, potential: PotentialField) -> np.ndarray:
     """Residual of nabla_X sigma~ = 1/2 (d(tr sigma~) ^ IX - d^c(tr sigma~) ^ X),
     at each of the points p, shape (..., m), in the direction x there.
 
     sigma~ = e^phi sigma with phi line-integrated from theta = d phi;
-    tr sigma~ is the trace against the Kahler form of (g, I).  With
-    ``normalized=False`` the raw |lhs - rhs| is returned (1-homogeneous in X).
+    tr sigma~ is the trace against the Kahler form of (g, I).
     """
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -645,8 +643,6 @@ def hamiltonian_form_residual(I: HermitianStructure, J: HermitianStructure,
     dc_tr = j_on_forms(Im, d_tr)
     rhs = 0.5 * (wedge(d_tr, np.matvec(g, np.matvec(Im, x)), lead)
                  - wedge(dc_tr, np.matvec(g, x), lead))
-    if not normalized:
-        return raised_norm(lhs - rhs, g_inv)
     return _normalized(raised_norm(lhs - rhs, g_inv),
                        [raised_norm(lhs, g_inv), raised_norm(rhs, g_inv)])
 
@@ -810,11 +806,14 @@ def classify_structure(H: HermitianStructure, samples, loops=None,
     strictly-lcK-candidate (some period clearly nonzero; "candidate" because
     only the supplied loops are tested).  The Lee-form evidence of all the
     samples is one stacked pass, whose error is chosen by
-    :func:`~lckgeo.errors.in_item_order`.
+    :func:`~lckgeo.errors.in_item_order`; no samples raise
+    :class:`PreconditionError`.
     """
     loops = loops or {}
     chart = H.chart
     pts = np.asarray(samples, dtype=float).reshape(-1, chart.dim)
+    if len(pts) == 0:
+        raise PreconditionError("need at least one sample, got 0")
     evidence = in_item_order(lambda: _lee_evidence(H, pts),
                              lambda p: _lee_evidence(H, p), pts)
     # each maximum taken in sample order

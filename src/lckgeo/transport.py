@@ -5,7 +5,8 @@ fixed number of steps; line integrals use Gauss-Legendre quadrature, and a
 loop integral compares a 16- and a 32-node rule on each smooth piece,
 halving the piece until they agree.  :func:`loop_integrals` takes the first
 two rules of up to ``PIECE_BLOCK`` pieces, of one loop or of several, from
-one field call.  Transport around a :class:`~lckgeo.charts.Loop` with a
+one field call, and both halves of a piece whose rules disagree from one
+more.  Transport around a :class:`~lckgeo.charts.Loop` with a
 deck-translation shift is well defined because the chart fields are
 invariant under the shift.  Curves, like fields, take stacks: parameters
 of shape (...) give points and velocities of shape (..., m).
@@ -57,7 +58,8 @@ from . import fd
 from .calculus import (christoffel_components, connection_matrix,
                        metric_partials)
 from .charts import Chart, Loop
-from .errors import DomainExitError, IntegrationError, in_item_order
+from .errors import (DomainExitError, IntegrationError, ParameterError,
+                     in_item_order)
 
 DEFAULT_STEPS = 2000
 
@@ -82,6 +84,7 @@ PIECE_BLOCK = 3
 
 def _rk4(f: Callable, y0: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
     """Fixed-step RK4 for y' = f(t, y)."""
+    _require_steps(steps)
     y = np.asarray(y0, dtype=float).copy()
     h = (t1 - t0) / steps
     t = t0
@@ -136,7 +139,7 @@ def parallel_transport(chart: Chart, loop: Loop, frame: np.ndarray,
     the base point.
     """
     return transport_along(chart, loop.point, loop.velocity, frame,
-                           steps=steps or loop.steps,
+                           steps=loop.steps if steps is None else steps,
                            breakpoints=loop.breakpoints)
 
 
@@ -157,6 +160,7 @@ def transport_along(chart: Chart, point_fn: Callable, velocity_fn: Callable,
     that call raises, the error is the first piece's, by
     :func:`~lckgeo.errors.in_item_order`, before any piece is integrated.
     """
+    _require_steps(steps)
     y = np.asarray(frame, dtype=float)
     knots = _knots(breakpoints)
     pieces = [_node_times(t0, t1, max(int(round(steps * (t1 - t0))), 1))
@@ -173,6 +177,11 @@ def transport_along(chart: Chart, point_fn: Callable, velocity_fn: Callable,
                              times)
         start = end
     return y
+
+
+def _require_steps(steps: int):
+    if steps < 1:
+        raise ParameterError(f"need at least 1 step, got {steps}")
 
 
 def _knots(breakpoints: tuple) -> list:
@@ -341,12 +350,12 @@ def loop_integral(chart: Chart, oneform_field: Callable, loop: Loop) -> float:
 def loop_integrals(chart: Chart, oneform_field: Callable, loops) -> list:
     """Line integrals of a 1-form field around each of the loops.
 
-    Each loop is split at its breakpoints, and each smooth piece is
-    integrated by :func:`_piece_integral`.  The pieces of all the loops, in
-    order, are taken in blocks of at most ``PIECE_BLOCK``: the first rule
-    pair of every piece of a block comes from one field call on all their
-    nodes, and a piece whose two rules disagree is then halved, piece by
-    piece in order, before the next block is evaluated.  Exact-form
+    Each loop is split at its breakpoints, and the smooth pieces of all the
+    loops, in order, are integrated by :func:`_block_integrals` in blocks
+    of at most ``PIECE_BLOCK``: the first rule pair of every piece of a
+    block comes from one field call on all their nodes, and a piece whose
+    two rules disagree is then refined, its two halves one call, before the
+    next piece and the next block are evaluated.  Exact-form
     integrals over shift-free loops vanish to quadrature accuracy, and the
     integral is additive under loop concatenation.  The errors are those of
     the pieces integrated one after the other, loop by loop and in
@@ -380,54 +389,58 @@ def loop_integrals(chart: Chart, oneform_field: Callable, loops) -> list:
     return totals
 
 
-def _block_integrals(chart: Chart, oneform_field: Callable,
-                     pieces: list) -> list:
-    """The integrals of the pieces, in order, from one field call on the
-    :func:`_guard_nodes` of them all."""
-    def stacked():
-        nodes = [_guard_nodes(*piece) for piece in pieces]
-        return nodes, _field_inside(chart, oneform_field, np.concatenate(
-            [xs for _, xs, _ in nodes]))
+def _block_integrals(chart: Chart, oneform_field: Callable, pieces: list,
+                     depth: int = 0) -> list:
+    """The integrals of the pieces, in order, by guarded Gauss-Legendre,
+    from one field call on the :func:`_guard_nodes` of them all; each piece
+    is ``depth`` halvings of a smooth piece of its loop.
 
-    nodes, alphas = in_item_order(
-        stacked,
-        lambda piece: _piece_integral(
-            chart, oneform_field, *piece, 0,
-            _rule_pair(chart, oneform_field, *piece)),
-        pieces)
-    # every piece has the nodes of both rules, so the same number
-    return [_piece_integral(chart, oneform_field, loop, t0, t1, 0,
-                            _rule_sums(t1 - t0, order, vels, piece_alphas))
-            for (loop, t0, t1), (order, _, vels), piece_alphas
-            in zip(pieces, nodes, np.split(alphas, len(pieces)))]
-
-
-def _piece_integral(chart: Chart, oneform_field: Callable, loop: Loop,
-                    t0: float, t1: float, depth: int, pair: tuple) -> float:
-    """The integral over [t0, t1] of a smooth piece by guarded Gauss-Legendre,
-    from the :func:`_rule_pair` of the piece.
-
-    The 32-node value is kept when the 16- and the 32-node rule agree to
-    ``1e-12 (1 + sum |w_i alpha . v|)`` over the 32 nodes, and otherwise
-    each half of [t0, t1] is refined the same way, the first half first.  A
-    value that is not finite is returned as it is, for the caller to judge,
-    and a piece still split ``MAX_BISECTIONS`` deep raises
-    :class:`IntegrationError`.
+    A piece keeps its 32-node value when the 16- and the 32-node rule agree
+    to ``1e-12 (1 + sum |w_i alpha . v|)`` over the 32 nodes, and otherwise
+    its two halves are one block a level deeper, refined before the next
+    piece.  A value that is not finite is returned as it is, for the caller
+    to judge, and a piece still split ``MAX_BISECTIONS`` deep raises
+    :class:`IntegrationError`.  Where the call raises, the pieces are
+    integrated alone, in order, by :func:`~lckgeo.errors.in_item_order`,
+    and the nodes of a lone piece are checked one at a time in parameter
+    order.
     """
-    coarse, fine, scale = pair
-    if not (math.isfinite(coarse) and math.isfinite(fine)):
-        return coarse if math.isfinite(fine) else fine
-    if abs(fine - coarse) <= 1e-12 * (1.0 + scale):
-        return fine
-    if depth == MAX_BISECTIONS:
-        raise IntegrationError(
-            f"loop integral does not converge on [{t0!r}, {t1!r}]: its two "
-            f"rules differ by {abs(fine - coarse):.2e}")
-    mid = 0.5 * (t0 + t1)
-    return (_piece_integral(chart, oneform_field, loop, t0, mid, depth + 1,
-                            _rule_pair(chart, oneform_field, loop, t0, mid))
-            + _piece_integral(chart, oneform_field, loop, mid, t1, depth + 1,
-                              _rule_pair(chart, oneform_field, loop, mid, t1)))
+    def field(x):
+        chart.require_inside(x)
+        return np.asarray(oneform_field(x), dtype=float)
+
+    if len(pieces) == 1:
+        nodes = [_guard_nodes(*pieces[0])]
+        xs = nodes[0][1]
+        alphas = in_item_order(lambda: field(xs), field, xs)
+    else:
+        def stacked():
+            nodes = [_guard_nodes(*piece) for piece in pieces]
+            return nodes, field(np.concatenate([xs for _, xs, _ in nodes]))
+
+        nodes, alphas = in_item_order(
+            stacked, lambda piece: _block_integrals(
+                chart, oneform_field, [piece], depth), pieces)
+    values = []
+    # every piece has the nodes of both rules, so the same number
+    for (loop, t0, t1), (order, _, vels), piece_alphas in zip(
+            pieces, nodes, np.split(alphas, len(pieces))):
+        coarse, fine, scale = _rule_sums(t1 - t0, order, vels, piece_alphas)
+        if not (math.isfinite(coarse) and math.isfinite(fine)):
+            values.append(coarse if math.isfinite(fine) else fine)
+        elif abs(fine - coarse) <= 1e-12 * (1.0 + scale):
+            values.append(fine)
+        elif depth == MAX_BISECTIONS:
+            raise IntegrationError(
+                f"loop integral does not converge on [{t0!r}, {t1!r}]: its "
+                f"two rules differ by {abs(fine - coarse):.2e}")
+        else:
+            mid = 0.5 * (t0 + t1)
+            first, second = _block_integrals(
+                chart, oneform_field, [(loop, t0, mid), (loop, mid, t1)],
+                depth + 1)
+            values.append(first + second)
+    return values
 
 
 def _guard_nodes(loop: Loop, t0: float, t1: float) -> tuple:
@@ -438,23 +451,6 @@ def _guard_nodes(loop: Loop, t0: float, t1: float) -> tuple:
                          for n in GUARD_NODES])
     order = np.argsort(ts, kind="stable")
     return order, loop.point(ts[order]), loop.velocity(ts[order])
-
-
-def _field_inside(chart: Chart, oneform_field: Callable, x) -> np.ndarray:
-    chart.require_inside(x)
-    return np.asarray(oneform_field(x), dtype=float)
-
-
-def _rule_pair(chart: Chart, oneform_field: Callable, loop: Loop,
-               t0: float, t1: float) -> tuple:
-    """The :func:`_rule_sums` over [t0, t1].  The domain check and the field
-    are one call each on all the :func:`_guard_nodes`, and the error raised
-    is the first node's, by :func:`~lckgeo.errors.in_item_order`."""
-    order, xs, vels = _guard_nodes(loop, t0, t1)
-    alphas = in_item_order(
-        lambda: _field_inside(chart, oneform_field, xs),
-        lambda x: _field_inside(chart, oneform_field, x), xs)
-    return _rule_sums(t1 - t0, order, vels, alphas)
 
 
 def _rule_sums(h: float, order: np.ndarray, vels: np.ndarray,

@@ -445,18 +445,6 @@ class TestHamiltonianForm:
                                         pot)
         assert res == 0.0
 
-    def test_one_homogeneous_in_direction(self, calabi_sin, rng):
-        """Doubling X doubles both sides (raw, unnormalized residual)."""
-        I, J = calabi_sin.pair.I, calabi_sin.pair.J
-        pot = PotentialField(J)
-        p = I.chart.sample_points(rng, 1)[0]
-        x = rng.standard_normal(4)
-        r1 = hamiltonian_form_residual(I, J, p, x, pot,
-                                       normalized=False)
-        r2 = hamiltonian_form_residual(I, J, p, 2.0 * x, pot,
-                                       normalized=False)
-        assert abs(r2 - 2.0 * r1) < 1e-9 + 0.05 * r1
-
     def test_potential_path_independence(self, calabi_sin, rng):
         J = calabi_sin.pair.J
         pot = PotentialField(J)
@@ -507,13 +495,25 @@ class TestClassify:
         pts = H.chart.sample_points(rng, 5)
         assert classify_structure(H, pts, {}).kind == "Kahler"
 
-    def test_no_samples_give_no_evidence(self, hopf2):
-        """An empty stack of samples evaluates to no evidence: every
-        maximum stays 0, as over an empty loop of samples."""
-        out = classify_structure(hopf2.main_structure, [], {})
-        assert out.kind == "Kahler"
-        assert out.evidence == {"max_theta": 0.0, "max_nabla_theta": 0.0,
-                                "max_dtheta": 0.0, "max_period": 0.0}
+    @pytest.mark.parametrize("name, loops", [
+        ("flat_inv2", False), ("hopf2", False), ("hopf2", True)])
+    def test_no_samples_raise_before_any_evaluation(self, request, name,
+                                                    loops):
+        """No samples give no Lee-form evidence, so there is no kind to
+        answer: gcK flat inversion and Vaisman Hopf would both read
+        Kahler, and Hopf with its loops an inconsistency.  The error comes
+        before the Lee form or a loop period is evaluated."""
+        entry = request.getfixturevalue(name)
+        H = entry.main_structure
+
+        def unreachable(q):
+            raise AssertionError("a field was evaluated")
+
+        silent = dataclasses.replace(H, J_fn=unreachable)
+        with pytest.raises(PreconditionError,
+                           match="need at least one sample, got 0"):
+            classify_structure(silent, np.empty((0, 4)),
+                               entry.loops if loops else {})
 
     def test_scale_invariance(self, calabi_sin, rng):
         """A constant homothety leaves the classification unchanged."""

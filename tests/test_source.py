@@ -10,15 +10,21 @@ byte-identical for a given (config, seed) only where their squares are.
 is not by a metric: every index a check raises uses the g^-1 of its
 Lee-form pass, so a solve by g would be a second route to the same numbers.
 A matrix times a vector is ``np.matvec``, not the hand-rolled
-``(A @ v[..., None])[..., 0]``, so each product has one route.
+``(A @ v[..., None])[..., 0]``, so each product has one route.  The numpy
+floor of ``pyproject.toml`` covers the release of every newer numpy name
+the source calls.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lckgeo"
+
+# the numpy release that introduced each of these names
+NUMPY_SINCE = {"vecdot": (2, 0), "matvec": (2, 2), "vecmat": (2, 2)}
 
 BANNED_NAMES = {"pow", "float_power", "power", "lstsq", "solve"}
 
@@ -91,3 +97,15 @@ def test_each_form_is_seen(line):
     "w = np.matvec(a, v)"])
 def test_other_forms_are_not_seen(line):
     assert _violations(line) == []
+
+
+def test_numpy_floor_covers_the_names_called():
+    text = (SRC.parent.parent / "pyproject.toml").read_text()
+    floor = tuple(int(part) for part in re.search(
+        r'"numpy>=([0-9.]+)"', text).group(1).split("."))
+    called = {node.attr for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute) and node.attr in NUMPY_SINCE}
+    assert called
+    assert {name: NUMPY_SINCE[name] for name in called
+            if floor < NUMPY_SINCE[name]} == {}

@@ -14,7 +14,8 @@ from lckgeo import fd, transport, zoo
 from lckgeo.calculus import christoffel_components
 from lckgeo.charts import (Chart, Loop, coordinate_rectangle, polygon_loop,
                            segment_loop)
-from lckgeo.errors import ChartDomainError, DomainExitError, IntegrationError
+from lckgeo.errors import (ChartDomainError, DomainExitError, IntegrationError,
+                           ParameterError)
 from lckgeo.hermitian import lee_field
 from lckgeo.holonomy import default_holonomy_loops
 from lckgeo.transport import (_rk4, geodesic,
@@ -146,6 +147,35 @@ class TestParallelTransport:
         assert orthogonality_defect(H.chart, loop, M) < 1e-8
         # the circle factor is flat: d_s returns to itself
         npt.assert_allclose(M[:, 0], [1, 0, 0, 0], atol=1e-8)
+
+
+class TestStepCounts:
+    """A count of RK4 steps below 1 is refused, not read as one step or as
+    the default."""
+
+    def test_geodesic(self, euclid4):
+        with pytest.raises(ParameterError, match="at least 1 step, got 0"):
+            geodesic(euclid4.charts["flat"], np.zeros(4), np.ones(4), 1.0,
+                     steps=0)
+
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_loop(self, steps):
+        with pytest.raises(ValueError, match=f"at least 1 step, got {steps}"):
+            segment_loop(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]),
+                         steps=steps)
+
+    def test_transport_along(self, euclid4):
+        loop = segment_loop(np.zeros(4), np.array([0.1, 0.0, 0.0, 0.0]))
+        with pytest.raises(ParameterError, match="at least 1 step, got 0"):
+            transport_along(euclid4.charts["flat"], loop.point,
+                            loop.velocity, np.eye(4), steps=0)
+
+    def test_parallel_transport(self, euclid4):
+        """steps=0 is not the loop's own count."""
+        loop = coordinate_rectangle(np.zeros(4), 0, 1, 0.1, 0.1)
+        with pytest.raises(ParameterError, match="at least 1 step, got 0"):
+            parallel_transport(euclid4.charts["flat"], loop, np.eye(4),
+                               steps=0)
 
 
 class TestLoopIntegral:
@@ -693,7 +723,10 @@ class TestGuardedLoopIntegral:
         """On the circle of radius 1/2, alpha = (-x1, x0) / (b/4 + x0/2)
         gives alpha . v = 2 pi / (b + cos 2 pi t), with period
         2 pi / sqrt(b^2 - 1); for b = 1.01 it peaks sharply at t = 1/2,
-        where the two rules disagree, and the piece is halved."""
+        where the two rules disagree, and the piece is halved.  Each
+        refinement is one field call on both halves: after the first call's
+        48 nodes, 7 calls of 96, where the halves one at a time take 14
+        calls of 48."""
         b = 1.01
 
         def form(q):
@@ -703,11 +736,17 @@ class TestGuardedLoopIntegral:
             return np.stack([-q[..., 1], q[..., 0], zero, zero],
                             axis=-1) / scale[..., None]
 
-        counts = [0]
+        sizes = []
+
+        def recorded(q):
+            sizes.append(len(q))
+            return form(q)
+
         chart = euclid4.charts["flat"]
-        value = loop_integral(chart, _counted(form, counts), _circle(0.5))
+        value = loop_integral(chart, recorded, _circle(0.5))
         exact = 2.0 * math.pi / math.sqrt(b * b - 1.0)
-        assert counts[0] > 48
+        assert sizes == [48] + [96] * 7
+        assert sum(sizes) == 720
         assert abs(value - exact) <= 1e-12 * (1.0 + exact)
         assert value == _nodewise_loop_integral(chart, form, _circle(0.5))
 
@@ -955,6 +994,63 @@ class TestLoopIntegrals:
             chart, step, [jump, exit_]))).startswith(
                 "loop integral does not converge on [")
 
+    @pytest.mark.parametrize("jump", [1.0 / 3.0, 2.0 / 3.0],
+                             ids=["third", "two_thirds"])
+    def test_halving_error_of_a_half_is_its_own(self, euclid4, jump):
+        """On the segment x0 from -0.5 to 0.5, alpha = [x0 > -0.5 + jump]
+        dx0 jumps at t = jump, which halving never resolves, and x1 makes a
+        narrow excursion out of the chart, in the other half, at a node of
+        that half's rules between the nodes of the whole segment.  With the
+        jump at 1/3, the first half's refinement raises at the depth cap
+        before the second half's nodes are checked on their own, though the
+        one call on both halves finds the excursion: the error is that of
+        the segment without it.  With the jump at 2/3, the domain error of
+        the first half's nodes wins, as node by node."""
+        nodes = np.sort(np.concatenate([fd.gauss_legendre_01(n)[0]
+                                        for n in transport.GUARD_NODES]))
+        half = 0.5 * nodes
+        middle = half[np.abs(half - 0.25) < 0.125]
+        gap = np.min(np.abs(middle[:, None] - nodes), axis=1)
+        second = jump < 0.5
+        centre = middle[np.argmax(gap)]
+        centre, half = (1.0 - centre, 0.5 + half) if second else (centre, half)
+        width = 0.25 * gap.max()
+
+        def bump(t):
+            u = (np.asarray(t, dtype=float) - centre) / width
+            return 2.0 * np.exp(-u * u), -4.0 * u / width * np.exp(-u * u)
+
+        def curve(t):
+            t = np.asarray(t, dtype=float)
+            zero = np.zeros_like(t)
+            return np.stack([-0.5 + t, bump(t)[0], zero, zero], axis=-1)
+
+        def velocity(t):
+            t = np.asarray(t, dtype=float)
+            zero = np.zeros_like(t)
+            return np.stack([zero + 1.0, bump(t)[1], zero, zero], axis=-1)
+
+        def step(q):
+            q = np.asarray(q, dtype=float)
+            zero = np.zeros_like(q[..., 0])
+            return np.stack([np.where(q[..., 0] > -0.5 + jump, 1.0, 0.0),
+                             zero, zero, zero], axis=-1)
+
+        chart = euclid4.charts["flat"]
+        shift = np.array([1.0, 0.0, 0.0, 0.0])
+        loop = Loop(curve_fn=curve, velocity_fn=velocity, shift=shift)
+        assert chart.inside(loop.point(nodes)).all()
+        assert not chart.inside(loop.point(half)).all()
+        err = _raised(lambda: loop_integral(chart, step, loop))
+        if second:
+            plain = segment_loop(np.array([-0.5, 0.0, 0.0, 0.0]), shift)
+            ref = _raised(lambda: loop_integral(chart, step, plain))
+            assert type(err) is type(ref) is IntegrationError
+            assert str(err).startswith("loop integral does not converge on [")
+        else:
+            ref = _raised(lambda: _nodewise_loop_integral(chart, step, loop))
+            assert type(err) is type(ref) is ChartDomainError
+        assert str(err) == str(ref)
 
 class TestSegmentIntegral:
     """line_integral_segment on a stack of segments, as the potential of
