@@ -48,6 +48,67 @@ def gauss_legendre_01(nodes: int):
     return (xs + 1.0) / 2.0, ws / 2.0
 
 
+@lru_cache(maxsize=32)
+def gauss_kronrod_01(nodes: int):
+    """Cached Gauss-Kronrod pair on [0, 1]: the Gauss-Legendre rule of the
+    given number of nodes n and its Kronrod extension.  Its 2n + 1 nodes in
+    increasing order, with the n Gauss nodes of :func:`gauss_legendre_01`
+    bitwise at the odd positions between the n + 1 Kronrod nodes; the
+    Kronrod weights at all of them, exact through degree 3n + 1; and the
+    Gauss weights of :func:`gauss_legendre_01` at the odd positions.
+
+    Laurie's algorithm extends the Legendre recurrence to the Jacobi-Kronrod
+    matrix (D. P. Laurie, Math. Comp. 66, 1997); its eigenvalues are the
+    nodes and the squared first components of its eigenvectors the weights
+    (Golub and Welsch, Math. Comp. 23, 1969).
+    """
+    n = nodes
+    # the recurrence coefficients on [-1, 1]: a_k = 0, b_0 = 2 the mass and
+    # b_k = k^2 / (4k^2 - 1); Laurie's algorithm fills in a_k and b_k above
+    # 3n/2
+    a = np.zeros(2 * n + 1)
+    b = np.zeros(2 * n + 1)
+    k = np.arange(1.0, (3 * n + 1) // 2 + 1)
+    b[0] = 2.0
+    b[1:len(k) + 1] = k * k / (4.0 * k * k - 1.0)
+    # s[j + 1] and t[j + 1] hold Laurie's s_j and t_j, j = -1 .. n // 2
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            l = m - k
+            u += ((a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k]
+                  - b[l] * s[k + 1])
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            l = m - k
+            j = n - 1 - l
+            u += (-(a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1]
+                  + b[l] * s[j + 2])
+            s[j + 1] = u
+        k = (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = (a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2])
+                            / t[j + 2])
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    off = np.sqrt(b[1:])
+    xs, vs = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    xs = (xs + 1.0) / 2.0
+    gauss_xs, gauss_ws = gauss_legendre_01(n)
+    xs[1::2] = gauss_xs
+    # the weights of [-1, 1], b_0 v_0^2, halved
+    return xs, vs[0] * vs[0], gauss_ws
+
+
 class Stencil(NamedTuple):
     """A central stencil: its step and its order (2 or 4)."""
 

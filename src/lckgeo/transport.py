@@ -2,14 +2,15 @@
 
 Geodesics and transport use the classical 4-stage Runge-Kutta scheme with a
 fixed number of steps; line integrals use Gauss-Legendre quadrature, and a
-loop integral compares a 16- and a 32-node rule on each smooth piece,
-halving the piece until they agree.  :func:`loop_integrals` takes the first
-two rules of up to ``PIECE_BLOCK`` pieces, of one loop or of several, from
-one field call, and both halves of a piece whose rules disagree from one
-more.  Transport around a :class:`~lckgeo.charts.Loop` with a
-deck-translation shift is well defined because the chart fields are
-invariant under the shift.  Curves, like fields, take stacks: parameters
-of shape (...) give points and velocities of shape (..., m).
+loop integral compares the 16-node Gauss rule with its 33-node Kronrod
+extension, which shares its nodes, on each smooth piece, halving the piece
+until they agree.  :func:`loop_integrals` takes the first rule pair of up
+to ``PIECE_BLOCK`` pieces, of one loop or of several, from one field call,
+and both halves of a piece whose rules disagree from one more.  Transport
+around a :class:`~lckgeo.charts.Loop` with a deck-translation shift is well
+defined because the chart fields are invariant under the shift.  Curves,
+like fields, take stacks: parameters of shape (...) give points and
+velocities of shape (..., m).
 
 Parallel transport solves the linear ODE V' = B(t) V with
 B = -Gamma(x(t))(x'(t), .).  RK4 samples B at t, t + h/2 and t + h, the next
@@ -69,16 +70,19 @@ DEFAULT_STEPS = 2000
 # at m = 6.  A loop-holonomy estimate on hopf{n=2} peaks at 1.3 MB.
 NODE_BLOCK = 512
 
-# The two Gauss-Legendre rules loop_integral compares on each smooth piece,
-# and how many times a piece may be halved before their disagreement is an
+# The nodes of the Gauss-Legendre rule loop_integral checks each smooth
+# piece with: the piece keeps the value of the rule's Kronrod extension, on
+# 2 GUARD_NODES + 1 nodes that include them.  MAX_BISECTIONS is how many
+# times a piece may be halved before the two rules' disagreement is an
 # error (a piece of the unit parameter interval then spans about 1e-6).
-GUARD_NODES = (16, 32)
+GUARD_NODES = 16
 MAX_BISECTIONS = 20
 
 # Smooth pieces whose first rule pair loop_integrals takes from one field
-# call: 144 Gauss nodes.  The Lee-form field holds about 7 KB a node at
-# m = 4 (J and the metric on the DIRECT stencil, and their partials), so a
-# call peaks near a megabyte, as a block of NODE_BLOCK transport points does.
+# call: 99 Gauss-Kronrod nodes.  The Lee-form field holds about 7 KB a node
+# at m = 4 (J and the metric on the DIRECT stencil, and their partials), so
+# a call peaks below a megabyte, as a block of NODE_BLOCK transport points
+# does.
 PIECE_BLOCK = 3
 
 
@@ -365,10 +369,10 @@ def loop_integrals(chart: Chart, oneform_field: Callable, loops) -> list:
     in that order by :func:`~lckgeo.errors.in_item_order`.
 
     A kink of the curve or a jump of the integrand must be declared as a
-    breakpoint.  The guard compares two rules that are both symmetric about
-    the centre of a piece and give each half of it the same weight, so for
-    a jump inside roughly the middle 5% of a piece they agree on a wrong
-    value, and it is kept.
+    breakpoint.  The Kronrod rule has a node at the centre of a piece, where
+    the Gauss rule has none, so the guard sees a jump near the centre too:
+    an undeclared jump raises at the depth cap, unless a halving lands on
+    it.
     """
     knots = [_knots(loop.breakpoints) for loop in loops]
     pieces = [(loop, t0, t1) for loop, ts in zip(loops, knots)
@@ -391,19 +395,19 @@ def loop_integrals(chart: Chart, oneform_field: Callable, loops) -> list:
 
 def _block_integrals(chart: Chart, oneform_field: Callable, pieces: list,
                      depth: int = 0) -> list:
-    """The integrals of the pieces, in order, by guarded Gauss-Legendre,
+    """The integrals of the pieces, in order, by guarded Gauss-Kronrod,
     from one field call on the :func:`_guard_nodes` of them all; each piece
     is ``depth`` halvings of a smooth piece of its loop.
 
-    A piece keeps its 32-node value when the 16- and the 32-node rule agree
-    to ``1e-12 (1 + sum |w_i alpha . v|)`` over the 32 nodes, and otherwise
-    its two halves are one block a level deeper, refined before the next
-    piece.  A value that is not finite is returned as it is, for the caller
-    to judge, and a piece still split ``MAX_BISECTIONS`` deep raises
-    :class:`IntegrationError`.  Where the call raises, the pieces are
-    integrated alone, in order, by :func:`~lckgeo.errors.in_item_order`,
-    and the nodes of a lone piece are checked one at a time in parameter
-    order.
+    A piece keeps its 33-node Kronrod value when the 16-node Gauss rule
+    agrees with it to ``1e-12 (1 + sum |w_i alpha . v|)`` over the 33
+    nodes, and otherwise its two halves are one block a level deeper,
+    refined before the next piece.  A value that is not finite is returned
+    as it is, for the caller to judge, and a piece still split
+    ``MAX_BISECTIONS`` deep raises :class:`IntegrationError`.  Where the
+    call raises, the pieces are integrated alone, in order, by
+    :func:`~lckgeo.errors.in_item_order`, and the nodes of a lone piece are
+    checked one at a time in parameter order.
     """
     def field(x):
         chart.require_inside(x)
@@ -411,29 +415,29 @@ def _block_integrals(chart: Chart, oneform_field: Callable, pieces: list,
 
     if len(pieces) == 1:
         nodes = [_guard_nodes(*pieces[0])]
-        xs = nodes[0][1]
+        xs = nodes[0][0]
         alphas = in_item_order(lambda: field(xs), field, xs)
     else:
         def stacked():
             nodes = [_guard_nodes(*piece) for piece in pieces]
-            return nodes, field(np.concatenate([xs for _, xs, _ in nodes]))
+            return nodes, field(np.concatenate([xs for xs, _ in nodes]))
 
         nodes, alphas = in_item_order(
             stacked, lambda piece: _block_integrals(
                 chart, oneform_field, [piece], depth), pieces)
     values = []
-    # every piece has the nodes of both rules, so the same number
-    for (loop, t0, t1), (order, _, vels), piece_alphas in zip(
+    # every piece has the same number of nodes
+    for (loop, t0, t1), (_, vels), piece_alphas in zip(
             pieces, nodes, np.split(alphas, len(pieces))):
-        coarse, fine, scale = _rule_sums(t1 - t0, order, vels, piece_alphas)
-        if not (math.isfinite(coarse) and math.isfinite(fine)):
-            values.append(coarse if math.isfinite(fine) else fine)
-        elif abs(fine - coarse) <= 1e-12 * (1.0 + scale):
-            values.append(fine)
+        gauss, kronrod, scale = _rule_sums(t1 - t0, vels, piece_alphas)
+        if not (math.isfinite(gauss) and math.isfinite(kronrod)):
+            values.append(gauss if math.isfinite(kronrod) else kronrod)
+        elif abs(kronrod - gauss) <= 1e-12 * (1.0 + scale):
+            values.append(kronrod)
         elif depth == MAX_BISECTIONS:
             raise IntegrationError(
                 f"loop integral does not converge on [{t0!r}, {t1!r}]: its "
-                f"two rules differ by {abs(fine - coarse):.2e}")
+                f"two rules differ by {abs(kronrod - gauss):.2e}")
         else:
             mid = 0.5 * (t0 + t1)
             first, second = _block_integrals(
@@ -444,28 +448,23 @@ def _block_integrals(chart: Chart, oneform_field: Callable, pieces: list,
 
 
 def _guard_nodes(loop: Loop, t0: float, t1: float) -> tuple:
-    """The nodes of the 16- and the 32-node Gauss-Legendre rule over
-    [t0, t1]: the order that sorts them by parameter, and the loop's points
-    and velocities at them in that order, from one loop call each."""
-    ts = np.concatenate([t0 + fd.gauss_legendre_01(n)[0] * (t1 - t0)
-                         for n in GUARD_NODES])
-    order = np.argsort(ts, kind="stable")
-    return order, loop.point(ts[order]), loop.velocity(ts[order])
+    """The loop's points and velocities at the nodes of the
+    Gauss-Kronrod pair over [t0, t1], in parameter order, from one loop
+    call each."""
+    ts = t0 + fd.gauss_kronrod_01(GUARD_NODES)[0] * (t1 - t0)
+    return loop.point(ts), loop.velocity(ts)
 
 
-def _rule_sums(h: float, order: np.ndarray, vels: np.ndarray,
-               alphas: np.ndarray) -> tuple:
-    """The 16- and 32-node Gauss-Legendre values over a piece of length h,
-    and the sum of |w_i alpha . v| over the 32 nodes, from the field values
-    alphas and the velocities vels at the :func:`_guard_nodes`."""
-    (_, coarse_weights), (_, fine_weights) = (
-        fd.gauss_legendre_01(n) for n in GUARD_NODES)
-    terms = np.empty(len(order))
-    terms[order] = np.vecdot(alphas, vels)
-    coarse_terms, fine_terms = np.split(terms, [len(coarse_weights)])
-    fine_parts = fine_weights * h * fine_terms
-    return (float(np.sum(coarse_weights * h * coarse_terms)),
-            float(np.sum(fine_parts)), float(np.sum(np.abs(fine_parts))))
+def _rule_sums(h: float, vels: np.ndarray, alphas: np.ndarray) -> tuple:
+    """The 16-node Gauss and the 33-node Kronrod value over a piece of
+    length h, and the sum of |w_i alpha . v| over the Kronrod nodes, from
+    the field values alphas and the velocities vels at the
+    :func:`_guard_nodes`; the Gauss nodes are every second one."""
+    _, kronrod_weights, gauss_weights = fd.gauss_kronrod_01(GUARD_NODES)
+    terms = np.vecdot(alphas, vels)
+    parts = kronrod_weights * h * terms
+    return (float(np.sum(gauss_weights * h * terms[1::2])),
+            float(np.sum(parts)), float(np.sum(np.abs(parts))))
 
 
 def line_integral_segment(oneform_field: Callable, p_from, p_to,

@@ -857,11 +857,11 @@ class TestOneLeeCallPerStack:
         assert calls == [(5 + 5 * 16, 4)]
 
     def test_classify(self, calls, hopf2, rng):
-        """Two samples and their NESTED stencils, then the 48 nodes of each
+        """Two samples and their NESTED stencils, then the 33 nodes of each
         of the 5 smooth pieces of the two hopf{n=2} loops, in a block of 2
         pieces and one of 3."""
         H = hopf2.main_structure
         assert sum(len(loop.breakpoints) + 1
                    for loop in hopf2.loops.values()) == 5
         classify_structure(H, H.chart.sample_points(rng, 2), hopf2.loops)
-        assert calls == [(2 + 2 * 16, 4), (2 * 48, 4), (3 * 48, 4)]
+        assert calls == [(2 + 2 * 16, 4), (2 * 33, 4), (3 * 33, 4)]

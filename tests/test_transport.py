@@ -608,9 +608,10 @@ class TestBundle:
 
 
 def _nodewise_loop_integral(chart, oneform_field, loop):
-    """Reference loop integral: on each smooth piece the 16- and the 32-node
-    rule, halved until they agree, with the domain check and the field call
-    node by node in parameter order, and one sum per rule."""
+    """Reference loop integral: on each smooth piece the 16-node Gauss and
+    the 33-node Kronrod rule, halved until they agree, with the domain
+    check and the field call node by node in parameter order, and one sum
+    per rule."""
     knots = [0.0] + sorted(loop.breakpoints) + [1.0]
     return sum(_nodewise_piece(chart, oneform_field, loop, t0, t1)
                for t0, t1 in zip(knots[:-1], knots[1:]))
@@ -618,23 +619,22 @@ def _nodewise_loop_integral(chart, oneform_field, loop):
 
 def _nodewise_piece(chart, oneform_field, loop, t0, t1, depth=0):
     h = t1 - t0
-    rules = [fd.gauss_legendre_01(n) for n in (16, 32)]
-    terms = {}
-    for t in sorted(np.concatenate([t0 + x * h for x, _ in rules])):
+    nodes, kronrod_weights, _ = fd.gauss_kronrod_01(16)
+    _, gauss_weights = fd.gauss_legendre_01(16)
+    terms = []
+    for t in t0 + nodes * h:
         x = loop.point(t)
         chart.require_inside(x)
         alpha = np.asarray(oneform_field(x), dtype=float)
-        terms[t] = float(alpha @ loop.velocity(t))
-    coarse, fine = (np.sum([w * h * terms[t]
-                            for t, w in zip(t0 + nodes * h, weights)])
-                    for nodes, weights in rules)
-    fine_nodes, fine_weights = rules[1]
-    scale = np.sum([abs(w * h * terms[t])
-                    for t, w in zip(t0 + fine_nodes * h, fine_weights)])
-    if not (math.isfinite(coarse) and math.isfinite(fine)):
-        return coarse if math.isfinite(fine) else fine
-    if abs(fine - coarse) <= 1e-12 * (1.0 + scale):
-        return fine
+        terms.append(float(alpha @ loop.velocity(t)))
+    gauss = np.sum([w * h * term
+                    for w, term in zip(gauss_weights, terms[1::2])])
+    parts = [w * h * term for w, term in zip(kronrod_weights, terms)]
+    kronrod, scale = np.sum(parts), np.sum(np.abs(parts))
+    if not (math.isfinite(gauss) and math.isfinite(kronrod)):
+        return gauss if math.isfinite(kronrod) else kronrod
+    if abs(kronrod - gauss) <= 1e-12 * (1.0 + scale):
+        return kronrod
     assert depth < transport.MAX_BISECTIONS
     mid = 0.5 * (t0 + t1)
     return (_nodewise_piece(chart, oneform_field, loop, t0, mid, depth + 1)
@@ -679,9 +679,37 @@ def _circle(radius):
     return Loop(curve_fn=curve, velocity_fn=velocity, label="circle")
 
 
+class TestGaussKronrodPair:
+    """The rule table of the loop-period guard: the 16-node Gauss rule and
+    its 33-node Kronrod extension on [0, 1]."""
+
+    def test_gauss_rule_is_the_gauss_legendre_rule(self):
+        nodes, _, gauss_weights = fd.gauss_kronrod_01(16)
+        gauss_nodes, weights = fd.gauss_legendre_01(16)
+        assert nodes.shape == (33,)
+        assert nodes[1::2].tobytes() == gauss_nodes.tobytes()
+        assert gauss_weights.tobytes() == weights.tobytes()
+
+    def test_nodes_interlace_inside_the_interval(self):
+        nodes = fd.gauss_kronrod_01(16)[0]
+        assert 0.0 < nodes[0] and nodes[-1] < 1.0
+        assert np.all(np.diff(nodes) > 0.0)
+
+    def test_weights_are_positive(self):
+        assert np.all(fd.gauss_kronrod_01(16)[1] > 0.0)
+
+    def test_exact_through_degree_49(self):
+        """The integrals of the Legendre polynomials P_0 ... P_49, mapped
+        to [0, 1], are 1 and then 0."""
+        nodes, weights, _ = fd.gauss_kronrod_01(16)
+        integrals = weights @ np.polynomial.legendre.legvander(
+            2.0 * nodes - 1.0, 49)
+        assert np.max(np.abs(integrals - np.eye(50)[0])) <= 1e-14
+
+
 class TestGuardedLoopIntegral:
-    """Each smooth piece takes the 32-node value where the 16-node rule
-    agrees with it, and is halved where they do not."""
+    """Each smooth piece takes the 33-node Kronrod value where the 16-node
+    Gauss rule agrees with it, and is halved where they do not."""
 
     @pytest.mark.parametrize("mode", ["fd", "analytic"])
     @pytest.mark.parametrize("name, loop", [
@@ -704,7 +732,7 @@ class TestGuardedLoopIntegral:
     def test_nan_field_returns_after_one_piece(self, hopf2):
         """A NaN estimate is returned, not halved: J is NaN away from the
         chart centre, and the s1_generator period comes back NaN after the
-        48 nodes of its one piece."""
+        33 nodes of its one piece."""
         H = hopf2.main_structure
         p0 = H.chart.center()
 
@@ -717,7 +745,7 @@ class TestGuardedLoopIntegral:
         field = _counted(lee_field(dataclasses.replace(H, J_fn=J_fn)), counts)
         value = loop_integral(H.chart, field, hopf2.loops["s1_generator"])
         assert math.isnan(value)
-        assert counts[0] <= 48
+        assert counts[0] <= 33
 
     def test_peaked_form_on_a_circle_is_refined(self, euclid4):
         """On the circle of radius 1/2, alpha = (-x1, x0) / (b/4 + x0/2)
@@ -725,8 +753,8 @@ class TestGuardedLoopIntegral:
         2 pi / sqrt(b^2 - 1); for b = 1.01 it peaks sharply at t = 1/2,
         where the two rules disagree, and the piece is halved.  Each
         refinement is one field call on both halves: after the first call's
-        48 nodes, 7 calls of 96, where the halves one at a time take 14
-        calls of 48."""
+        33 nodes, 7 calls of 66, where the halves one at a time take 14
+        calls of 33."""
         b = 1.01
 
         def form(q):
@@ -745,8 +773,8 @@ class TestGuardedLoopIntegral:
         chart = euclid4.charts["flat"]
         value = loop_integral(chart, recorded, _circle(0.5))
         exact = 2.0 * math.pi / math.sqrt(b * b - 1.0)
-        assert sizes == [48] + [96] * 7
-        assert sum(sizes) == 720
+        assert sizes == [33] + [66] * 7
+        assert sum(sizes) == 495
         assert abs(value - exact) <= 1e-12 * (1.0 + exact)
         assert value == _nodewise_loop_integral(chart, form, _circle(0.5))
 
@@ -757,36 +785,57 @@ class TestGuardedLoopIntegral:
         p0 = np.full(4, -0.5)
         loop = segment_loop(p0, np.array([1.0, 0.0, 0.0, 0.0]))
         counts = [0]
-
-        def step(q):
-            q = np.asarray(q, dtype=float)
-            return np.where(q[..., :1] > -0.5 + 1.0 / 3.0, 1.0, 0.0) + 0.0 * q
-
+        step = _step_form(-0.5 + 1.0 / 3.0)
         with pytest.raises(IntegrationError, match=r"does not converge on \["):
             loop_integral(euclid4.charts["flat"], _counted(step, counts), loop)
-        assert counts[0] <= 2 * 48 * (transport.MAX_BISECTIONS + 1)
+        assert counts[0] <= 2 * 33 * (transport.MAX_BISECTIONS + 1)
 
 
     def test_jump_must_be_declared_as_a_breakpoint(self, euclid4):
-        """Both rules are symmetric about a piece's centre, so a jump near
-        the centre of a piece passes the guard: on the flat segment x0 from
-        -0.5 to 0.5 with alpha = [x0 > 0.1234567] dx0, the jump sits near the
-        centre of the piece [0.5, 0.75] and the period comes back 0.375.
-        Declared as a breakpoint, the jump splits the loop into two smooth
-        pieces, and the period is the exact 0.3765433."""
+        """On the flat segment x0 from -0.5 to 0.5 with
+        alpha = [x0 > 0.1234567] dx0, the undeclared jump sits near the
+        centre of the piece [0.5, 0.75], where the Kronrod rule has a node
+        and the Gauss rule none: the rules disagree at every depth, and the
+        period raises at the depth cap.  Declared as a breakpoint, the jump
+        splits the loop into two smooth pieces, and the period is the exact
+        0.3765433."""
         jump = 0.1234567
-
-        def step(q):
-            q = np.asarray(q, dtype=float)
-            return np.where(q[..., :1] > jump, 1.0, 0.0) + 0.0 * q
-
         chart = euclid4.charts["flat"]
         loop = segment_loop(np.array([-0.5, 0.0, 0.0, 0.0]),
                             np.array([1.0, 0.0, 0.0, 0.0]))
-        assert abs(loop_integral(chart, step, loop) - 0.375) <= 1e-15
+        with pytest.raises(IntegrationError, match=r"does not converge on \["):
+            loop_integral(chart, _step_form(jump), loop)
         declared = dataclasses.replace(loop, breakpoints=(0.5 + jump,))
-        assert abs(loop_integral(chart, step, declared)
+        assert abs(loop_integral(chart, _step_form(jump), declared)
                    - (0.5 - jump)) <= 1e-15
+
+    def test_undeclared_jump_never_gives_a_wrong_period(self, euclid4):
+        """The same segment with its jump undeclared at 91 evenly spaced
+        x0 in [-0.45, 0.45]: where a halving lands on the jump, at x0 =
+        -0.25, 0 and 0.25, the pieces are smooth and the period is exact,
+        and everywhere else it raises.  Two rules both symmetric about a
+        piece's centre agreed on a wrong period at 72 of these jumps."""
+        chart = euclid4.charts["flat"]
+        loop = segment_loop(np.array([-0.5, 0.0, 0.0, 0.0]),
+                            np.array([1.0, 0.0, 0.0, 0.0]))
+        exact = []
+        for jump in np.linspace(-0.45, 0.45, 91):
+            try:
+                value = loop_integral(chart, _step_form(jump), loop)
+            except IntegrationError:
+                continue
+            assert abs(value - (0.5 - jump)) <= 1e-15, jump
+            exact.append(jump)
+        assert exact == pytest.approx([-0.25, 0.0, 0.25], abs=1e-15)
+
+
+def _step_form(jump):
+    """alpha = [x0 > jump] dx0."""
+    def step(q):
+        q = np.asarray(q, dtype=float)
+        return np.where(q[..., :1] > jump, 1.0, 0.0) + 0.0 * q
+    return step
+
 
 class TestBlockedLoopIntegral:
     """The Lee field is evaluated on blocks of Gauss-Legendre nodes."""
@@ -851,8 +900,7 @@ class TestBlockedLoopIntegral:
 
         field = lee_field(dataclasses.replace(H, J_fn=J_fn))
         start = hopf2.loops["s1_generator"].point(0.0)
-        nodes = np.sort(np.concatenate([fd.gauss_legendre_01(n)[0]
-                                        for n in transport.GUARD_NODES]))
+        nodes = fd.gauss_kronrod_01(transport.GUARD_NODES)[0]
         # the last node lies inside the chart, closer to its face than the
         # 1e-5 step of the Lee-form stencil
         shift = np.array([0.0, (top - 5e-6 - start[1]) / nodes[-1], 0.0, 0.0])
@@ -867,10 +915,10 @@ class TestBlockedLoopIntegral:
         assert str(err) == str(ref)
 
     def test_peak_memory_is_bounded(self, hopf2):
-        """The 4 pieces of 48 nodes, in two calls of two pieces, peak near
-        0.7 MB of Python allocations, and a first call adds about 0.7 MB
-        importing numpy.polynomial for the Gauss-Legendre nodes; all 192
-        nodes in one call would take about 1.35 MB."""
+        """The 4 pieces of 33 nodes, in two calls of two pieces, peak near
+        0.47 MB of Python allocations, and a first call adds about 0.7 MB
+        importing numpy.polynomial for the Gauss-Legendre nodes; all 132
+        nodes in one call would take about 0.93 MB."""
         H = zoo.stencil_only(hopf2).main_structure
         field = lee_field(H)
         loop = hopf2.loops["contractible"]
@@ -904,7 +952,7 @@ class TestBlockedLoopIntegral:
         loop = hopf2.loops["contractible"]
         loop_integral(chart, lee_field(H_counted), loop)
         pieces = len(loop.breakpoints) + 1
-        nodes = 48 * pieces
+        nodes = 33 * pieces
         assert counts["J"] == [9 * nodes, 4]
         assert counts["g"] == [9 * nodes, 4]
 
@@ -946,17 +994,14 @@ class TestLoopIntegrals:
     def _jump_and_exit(self):
         """A segment whose form jumps at t = 1/3, which halving never
         resolves, and a segment leaving the chart part way along."""
-        def step(q):
-            q = np.asarray(q, dtype=float)
-            return np.where(q[..., :1] > -0.5 + 1.0 / 3.0, 1.0, 0.0) + 0.0 * q
-
+        step = _step_form(-0.5 + 1.0 / 3.0)
         jump = segment_loop(np.full(4, -0.5), np.array([1.0, 0.0, 0.0, 0.0]))
         exit_ = segment_loop(np.full(4, 0.5), np.array([0.0, 1.0, 0.0, 0.0]))
         return step, jump, exit_
 
     def test_blocks_are_bounded(self, euclid4):
         """A polygon of 10 edges is 10 pieces: four field calls of two or
-        three pieces' 48 nodes, whatever the number of pieces."""
+        three pieces' 33 nodes, whatever the number of pieces."""
         sizes = []
 
         def form(q):
@@ -967,8 +1012,8 @@ class TestLoopIntegrals:
         polygon = polygon_loop([[0.3 * np.cos(a), 0.3 * np.sin(a), 0, 0]
                                 for a in angles])
         loop_integral(euclid4.charts["flat"], form, polygon)
-        assert sizes == [2 * 48, 3 * 48, 2 * 48, 3 * 48]
-        assert max(sizes) <= transport.PIECE_BLOCK * 48
+        assert sizes == [2 * 33, 3 * 33, 2 * 33, 3 * 33]
+        assert max(sizes) <= transport.PIECE_BLOCK * 33
 
     @pytest.mark.parametrize("block", [1, transport.PIECE_BLOCK])
     def test_earlier_halving_error_wins(self, euclid4, monkeypatch, block):
@@ -982,7 +1027,7 @@ class TestLoopIntegrals:
         step, jump, exit_ = self._jump_and_exit()
         with pytest.raises(ChartDomainError):
             chart.require_inside(exit_.point(
-                np.sort(fd.gauss_legendre_01(32)[0])))
+                fd.gauss_kronrod_01(transport.GUARD_NODES)[0]))
         for loops, kind in (([jump, exit_], IntegrationError),
                             ([exit_, jump], ChartDomainError)):
             err = _raised(lambda: loop_integrals(chart, step, loops))
@@ -1006,8 +1051,7 @@ class TestLoopIntegrals:
         one call on both halves finds the excursion: the error is that of
         the segment without it.  With the jump at 2/3, the domain error of
         the first half's nodes wins, as node by node."""
-        nodes = np.sort(np.concatenate([fd.gauss_legendre_01(n)[0]
-                                        for n in transport.GUARD_NODES]))
+        nodes = fd.gauss_kronrod_01(transport.GUARD_NODES)[0]
         half = 0.5 * nodes
         middle = half[np.abs(half - 0.25) < 0.125]
         gap = np.min(np.abs(middle[:, None] - nodes), axis=1)
