@@ -6,10 +6,12 @@ Stencil differentiation funnels through :func:`gradient`, which is
 needs several fields on one stencil (the one-pass Lee form of
 :mod:`lckgeo.hermitian` reads J and the metric there) calls the two itself:
 it evaluates each field once and differences what it derives from the
-values.  The one exact first derivative is :func:`complex_step`, which a
-chart with a complex-safe metric uses for its metric partials.  A
-:class:`Stencil` is one (step, order) pair, and there is one per tier,
-tiered by how much stencil noise the differentiated field already carries:
+values.  :func:`joined` stacks the stencil points with the points
+themselves, so one call of a field serves both.  The one exact first
+derivative is :func:`complex_step`, which a chart with a complex-safe
+metric uses for its metric partials.  A :class:`Stencil` is one (step,
+order) pair, and there is one per tier, tiered by how much stencil noise
+the differentiated field already carries:
 
 * ``DIRECT`` -- fields evaluated in closed form (metric, J, fundamental
   form), and sigma~ and its trace in the Hamiltonian-form check:
@@ -35,7 +37,9 @@ drops the imaginary part of a complex input, so it has no
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -182,6 +186,26 @@ def stencil_points(p, stencil: Stencil) -> np.ndarray:
     # offsets[k, s] = scales[s] * e_k; p + (-h e_k) rounds like p - h e_k
     offsets = np.eye(p.shape[-1])[:, None, :] * scales[:, None]
     return p[..., None, None, :] + offsets
+
+
+def joined(*stacks):
+    """The points of the stacks, each of shape (..., m), as one stack of
+    shape (N, m), stack after stack in C order, and the function that
+    splits the values of a field on it, shape (N,) + the value shape, back
+    to one array per stack, shape (...) + the value shape.
+
+    By the field protocol each value is bitwise what the call on its own
+    stack gives, so one call serves every stack.
+    """
+    m = stacks[0].shape[-1]
+    shapes = [s.shape[:-1] for s in stacks]
+    starts = [0, *accumulate(math.prod(shape) for shape in shapes)]
+
+    def split(values):
+        return tuple(values[a:b].reshape(shape + values.shape[1:])
+                     for a, b, shape in zip(starts, starts[1:], shapes))
+
+    return np.concatenate([s.reshape(-1, m) for s in stacks]), split
 
 
 def difference(values: np.ndarray, stencil: Stencil,

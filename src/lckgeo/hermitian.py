@@ -11,12 +11,13 @@ theta = J(delta Omega) / (2n - 2).  On 1-forms J acts by
 (J tau)(X) := -tau(JX).
 
 :func:`lee_form_parts` computes theta in one pass: J and the validated
-metric are evaluated once on the DIRECT stencil around each point and once
-at it, and the Omega partials, the metric partials, one g^-1, the
-Christoffel symbols and delta Omega all come from those arrays; the parts
-keep them, for the checks that difference other fields of J and g.  The
-same pass forms J theta, theta_sharp = g^-1 theta, |theta|^2 and xi =
-g^-1 J theta, the quantities of theta every check reads.
+metric are evaluated in one call each, on the DIRECT stencil points around
+each point followed by the points, behind one SPD gate, and the Omega
+partials, the metric partials, one g^-1, the Christoffel symbols and delta
+Omega all come from those arrays; the parts keep them, for the checks that
+difference other fields of J and g.  The same pass forms J theta,
+theta_sharp = g^-1 theta, |theta|^2 and xi = g^-1 J theta, the quantities
+of theta every check reads.
 :func:`nested_lee` takes these parts and the same parts on one NESTED
 stencil around each point, whose differences give the partials of theta,
 nabla theta and the curvature; it is the one route to nabla theta, and it
@@ -183,21 +184,25 @@ def lee_form_parts(H: HermitianStructure, p) -> LeeParts:
     """The Lee form theta = J(delta Omega) / (2n - 2) at each of the points p,
     shape (..., dim), in one pass.
 
-    J and the validated metric are evaluated once on the DIRECT stencil
-    points and once at p.  Their stencil values give the partials of Omega
-    and (on a chart without a derivative function) of g, and one g^-1 serves
-    the Christoffel symbols, the contraction of delta Omega and every index
-    the checks of :mod:`lckgeo.identities` raise; the values are kept as
-    ``J_around`` and ``g_around``, and Omega there as ``omega_around``.  J
-    theta, theta_sharp, |theta|^2 and xi are formed here, once, for every
-    check that reads them.  Each part is bitwise
+    J and the validated metric are evaluated in one call each, on the
+    DIRECT stencil points followed by p (see :func:`lckgeo.fd.joined`), and
+    Omega is formed once on that stack.  Their stencil values give the
+    partials of Omega and (on a chart without a derivative function) of g,
+    and one g^-1 serves the Christoffel symbols, the contraction of delta
+    Omega and every index the checks of :mod:`lckgeo.identities` raise; the
+    values are kept as ``J_around`` and ``g_around``, and Omega there as
+    ``omega_around``.  J theta, theta_sharp, |theta|^2 and xi are formed
+    here, once, for every check that reads them.  Each part is bitwise
     what the generic route gives: ``codifferential(chart, H.omega, p, k=2)``
     and :func:`lckgeo.calculus.christoffel_components`, and ``fd.difference(
     J_around, fd.DIRECT)`` is ``fd.gradient(H.J_fn, p, fd.DIRECT)``.  Errors
     are those of that route: :class:`ChartDomainError` for p within the
-    stencil extent of a face, :class:`MetricError` naming the first bad
-    stencil point, and :class:`NotLcKError` for complex dimension n < 2,
-    where the formula divides by 2n - 2 = 0.
+    stencil extent of a face, :class:`NotLcKError` for complex dimension
+    n < 2, where the formula divides by 2n - 2 = 0, and otherwise those of
+    four calls one after the other: J on the stencil, the metric there (a
+    :class:`MetricError` names the first bad stencil point), J at p and the
+    metric at p.  Where the joint calls raise, the four are replayed in
+    that order by :func:`~lckgeo.errors.in_item_order`.
     """
     if H.n < 2:
         raise NotLcKError("Lee-form extraction needs complex dimension n >= 2")
@@ -206,12 +211,14 @@ def lee_form_parts(H: HermitianStructure, p) -> LeeParts:
     lead = p.ndim - 1
     chart.require_inside(p, margin=fd.DIRECT.extent)
     around = fd.stencil_points(p, fd.DIRECT)
-    J_around = H.J(around)
-    g_around = chart.metric(around)
-    J = H.J(p)
-    g = chart.metric(p)
-    omega = form_of_endomorphism(J, g)
-    omega_around = form_of_endomorphism(J_around, g_around)
+    points, split = fd.joined(around, p)
+    J_both, g_both = in_item_order(
+        lambda: (H.J(points), chart.metric(points)),
+        lambda evaluate: evaluate(),
+        (lambda: H.J(around), lambda: chart.metric(around),
+         lambda: H.J(p), lambda: chart.metric(p)))
+    (J_around, J), (g_around, g), (omega_around, omega) = map(
+        split, (J_both, g_both, form_of_endomorphism(J_both, g_both)))
     omega_partials = fd.difference(omega_around, fd.DIRECT, lead)
     dg = chart.metric_jacobian(p, values=g_around)
     g_inv = np.linalg.inv(g)
@@ -301,14 +308,9 @@ def lee_form_passes(H: HermitianStructure, p, between) -> tuple:
 
     def both():
         chart.require_inside(p, margin=fd.NESTED.extent)
-        around = fd.stencil_points(p, fd.NESTED)
-        m = p.shape[-1]
-        flat = lee_form_parts(H, np.concatenate([p.reshape(-1, m),
-                                                 around.reshape(-1, m)]))
-        k = p.size // m
-        return [LeeParts(*(a[at].reshape(q.shape[:-1] + a.shape[1:])
-                           for a in flat))
-                for q, at in ((p, slice(k)), (around, slice(k, None)))]
+        points, split = fd.joined(p, fd.stencil_points(p, fd.NESTED))
+        return [LeeParts(*stack)
+                for stack in zip(*map(split, lee_form_parts(H, points)))]
 
     def around_alone():
         chart.require_inside(p, margin=fd.NESTED.extent)

@@ -475,10 +475,13 @@ def _pair_parts(I: HermitianStructure, parts: LeeParts, p) -> tuple:
     Lee-form parts of J there: I, Omega^I on the DIRECT stencil around p,
     and sigma = 1/2 (Omega^I + Omega^J) at p and on that stencil.  J's
     Lee-form pass gives the validated values of the metric I and J must
-    share, and I is evaluated at the same points."""
-    Im = I.J(p)
-    omega_i_around = form_of_endomorphism(
-        I.J(fd.stencil_points(p, fd.DIRECT)), parts.g_around)
+    share, and I is evaluated at the same points, in one call on the
+    stencil points followed by p.  Where that call raises, I is evaluated
+    at p and then on the stencil, and the first error raises."""
+    around = fd.stencil_points(p, fd.DIRECT)
+    points, split = fd.joined(around, p)
+    I_around, Im = split(in_item_order(lambda: I.J(points), I.J, (p, around)))
+    omega_i_around = form_of_endomorphism(I_around, parts.g_around)
     sigma = 0.5 * (form_of_endomorphism(Im, parts.g) + parts.omega)
     sigma_around = 0.5 * (omega_i_around + parts.omega_around)
     return Im, omega_i_around, sigma, sigma_around

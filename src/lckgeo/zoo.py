@@ -155,7 +155,7 @@ def round_s2_base(radius: float, polar_margin: float = POLAR_MARGIN,
 
     def J_fn(y):
         s = np.sin(y[..., 0])
-        J = np.zeros(np.shape(y)[:-1] + (2, 2))
+        J = np.zeros(np.shape(y)[:-1] + (2, 2), dtype=s.dtype)
         J[..., 0, 1] = s
         J[..., 1, 0] = -1.0 / s
         return J
@@ -448,10 +448,11 @@ def warped_vaisman_gck(c: ProfileFn, base: KahlerBase) -> ZooEntry:
         return g
 
     def J_fn(p):
-        J = np.zeros(np.shape(p)[:-1] + (m, m))
+        JN = np.asarray(N.J_fn(np.asarray(p)[..., 2:]))
+        J = np.zeros(np.shape(p)[:-1] + (m, m), dtype=JN.dtype)
         J[..., 1, 0] = 1.0
         J[..., 0, 1] = -1.0
-        J[..., 2:, 2:] = np.asarray(N.J_fn(np.asarray(p)[..., 2:]))
+        J[..., 2:, 2:] = JN
         return J
 
     domain = ((-math.pi, math.pi), (t_lo, t_hi)) + N.chart.domain
@@ -551,7 +552,7 @@ def calabi_ansatz(ell: ProfileFn, b: float,
     def make_J(eps: float):
         def J_fn(p):
             th, lv, ct, s, _ = unpack(p)
-            J = np.zeros(th.shape + (4, 4))
+            J = np.zeros(th.shape + (4, 4), dtype=ct.dtype)
             # columns: images of d_theta, d_phi, d_psi, d_r
             J[..., 1, 0] = -eps / s
             J[..., 2, 0] = eps * ct / s

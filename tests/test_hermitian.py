@@ -37,6 +37,48 @@ def _variants(H):
     return [_stencil(H)] + [H] * (H.chart.metric_derivative_fn is not None)
 
 
+def _logged(H, log):
+    """H with its J_fn and its metric_fn logging each call's points, as
+    ("J", points) or ("g", points)."""
+    def logged(name, fn):
+        def field(q):
+            log.append((name, np.array(q)))
+            return fn(q)
+        return field
+
+    chart = dataclasses.replace(H.chart,
+                                metric_fn=logged("g", H.chart.metric_fn))
+    return dataclasses.replace(H, chart=chart, J_fn=logged("J", H.J_fn))
+
+
+def _hits(q, points):
+    """Whether each of the points q, shape (..., m), is one of ``points``."""
+    q = np.asarray(q)
+    hit = np.zeros(q.shape[:-1], dtype=bool)
+    for point in points:
+        hit |= (q == point).all(axis=-1)
+    return hit
+
+
+def _faulty(H, bad_g=(), bad_J=()):
+    """H with a metric that is not positive definite at the points bad_g,
+    and a J that raises ValueError naming the first of its points in bad_J,
+    in C order."""
+    def metric_fn(q):
+        g = np.array(H.chart.metric_fn(q))
+        g[_hits(q, bad_g)] *= -1.0
+        return g
+
+    def J_fn(q):
+        hit = _hits(q, bad_J)
+        if hit.any():
+            raise ValueError(f"J undefined at {np.asarray(q)[hit][0]}")
+        return H.J_fn(q)
+
+    chart = dataclasses.replace(H.chart, metric_fn=metric_fn)
+    return dataclasses.replace(H, chart=chart, J_fn=J_fn)
+
+
 def twisted_structure(m=4, angle_scale=1.0):
     """Position-dependent rotation of J_0 on a flat chart: not integrable.
 
@@ -435,6 +477,60 @@ class TestOnePassLeeForm:
             self.generic_lee(H_bad, p)
         assert str(err.value) == str(ref.value)
 
+    def test_one_call_per_field(self, hopf2, rng):
+        """lee_form_parts calls J_fn once and metric_fn once, each on the
+        DIRECT stencil points of the stack and then on its points."""
+        H = _stencil(hopf2.main_structure)
+        log = []
+        p = H.chart.sample_points(rng, 4).reshape(2, 2, 4)
+        lee_form_parts(_logged(H, log), p)
+        points = np.concatenate([
+            fd.stencil_points(p, fd.DIRECT).reshape(-1, 4), p.reshape(-1, 4)])
+        assert [name for name, _ in log] == ["J", "g"]
+        for _, q in log:
+            assert np.array_equal(q, points)
+
+    @staticmethod
+    def four_calls(H, p):
+        """J and the validated metric on the DIRECT stencil around p, then
+        at p: four calls, one per field and stack."""
+        around = fd.stencil_points(p, fd.DIRECT)
+        H.J(around)
+        H.chart.metric(around)
+        H.J(p)
+        H.chart.metric(p)
+
+    def test_errors_are_those_of_four_calls(self, hopf2, rng):
+        """Faults injected at points and stencil points: lee_form_parts
+        raises the error of the four calls, one per field and stack, with
+        the point it names."""
+        H = _stencil(hopf2.main_structure)
+        p = H.chart.sample_points(rng, 2)
+        around = fd.stencil_points(p, fd.DIRECT)
+        cases = [
+            # the metric is bad at the second point only
+            (p, {"bad_g": [p[1]]}, MetricError, p[1]),
+            (p[0], {"bad_g": [p[0]]}, MetricError, p[0]),
+            # at a stencil point of the second point and at the first
+            # point: the stencil is evaluated first
+            (p, {"bad_g": [around[1, 2, 1], p[0]]}, MetricError,
+             around[1, 2, 1]),
+            # J raises at the first point, and the metric is bad on the
+            # stencil of the second, which is evaluated before
+            (p, {"bad_J": [p[0]], "bad_g": [around[1, 0, 0]]}, MetricError,
+             around[1, 0, 0]),
+            (p, {"bad_J": [p[1], around[0, 3, 1]]}, ValueError,
+             around[0, 3, 1]),
+        ]
+        for q, faults, kind, named in cases:
+            H_bad = _faulty(H, **faults)
+            with pytest.raises(kind) as err:
+                lee_form_parts(H_bad, q)
+            with pytest.raises(kind) as ref:
+                self.four_calls(H_bad, q)
+            assert str(err.value) == str(ref.value)
+            assert str(named) in str(err.value)
+
     def test_base_point_near_a_face(self, hopf2):
         """A base point inside the chart but within the DIRECT stencil extent
         of a face raises ChartDomainError, as the generic route does."""
@@ -488,9 +584,10 @@ class TestNestedLee:
         assert np.array_equal(stacked, np.array(single))
 
     def test_one_pass_evaluates_two_stacks_each(self, hopf2):
-        """lee_form_passes evaluates J once on the DIRECT stencil and once
-        at the points, of p and its NESTED stencil points together; the
-        parts it splits back around p are those of lee_form_parts there."""
+        """lee_form_passes evaluates J once, on the DIRECT stencil points
+        and then the points, of p and its NESTED stencil points together;
+        the parts it splits back around p are those of lee_form_parts
+        there."""
         H = _stencil(hopf2.main_structure)
         calls = []
 
@@ -501,8 +598,9 @@ class TestNestedLee:
         H_counted = dataclasses.replace(H, J_fn=J_fn)
         p = H.chart.center()
         parts, _, nested = lee_form_passes(H_counted, p, None)
-        # 1 + 4 * 4 points: p and the 4-point NESTED stencil on each axis
-        assert calls == [(17, 4, 2, 4), (17, 4)]
+        # 1 + 4 * 4 points: p and the 4-point NESTED stencil on each axis,
+        # each with its 2-point DIRECT stencil on each axis: 17 * 8 + 17
+        assert calls == [(153, 4)]
         around = lee_form_parts(H, fd.stencil_points(p, fd.NESTED))
         for name in type(parts)._fields:
             assert np.array_equal(getattr(nested.around, name),

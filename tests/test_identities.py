@@ -21,6 +21,7 @@ from lckgeo.errors import (ChartDomainError, InconsistencyError, MetricError,
 from lckgeo.hermitian import (HermitianStructure, lee_form,
                               lee_form_parts, lee_form_passes)
 from lckgeo.identities import (PotentialField, _lee_form_of_d_omega,
+                               _pair_parts,
                                average_metric_residuals,
                                classify_structure, commuting_pair_residuals,
                                curvature_j_residuals, einstein_chain_residuals,
@@ -427,6 +428,60 @@ class TestLeePassStencilValues:
             x = rng.standard_normal(4)
             assert (commuting_pair_residuals(I, J, p, x)["deromega"]
                     == self.generic_deromega(I, J, p, x))
+
+
+class TestPairParts:
+    """_pair_parts evaluates I once, on the DIRECT stencil points and then
+    the points."""
+
+    @staticmethod
+    def logged(I, log, bad=()):
+        """I with a J_fn that logs each call's points and raises ValueError
+        naming the first of its points in ``bad``, in C order."""
+        def J_fn(q):
+            q = np.asarray(q)
+            log.append(np.array(q))
+            hit = np.zeros(q.shape[:-1], dtype=bool)
+            for point in bad:
+                hit |= (q == point).all(axis=-1)
+            if hit.any():
+                raise ValueError(f"I undefined at {q[hit][0]}")
+            return I.J_fn(q)
+        return dataclasses.replace(I, J_fn=J_fn)
+
+    def test_one_call_of_I(self, calabi_sin, rng):
+        """One call, and I and Omega^I around p are those of two calls."""
+        I, J = calabi_sin.pair.I, calabi_sin.pair.J
+        p = I.chart.sample_points(rng, 4).reshape(2, 2, 4)
+        around = fd.stencil_points(p, fd.DIRECT)
+        parts = lee_form_parts(J, p)
+        log = []
+        Im, omega_i_around, _, _ = _pair_parts(self.logged(I, log), parts, p)
+        assert len(log) == 1
+        assert np.array_equal(log[0], np.concatenate(
+            [around.reshape(-1, 4), p.reshape(-1, 4)]))
+        assert np.array_equal(Im, I.J(p))
+        assert np.array_equal(omega_i_around, form_of_endomorphism(
+            I.J(around), parts.g_around))
+
+    def test_errors_are_those_of_two_calls(self, calabi_sin, rng):
+        """I at p, then on the DIRECT stencil around it: where I raises at
+        a stencil point of the first point and at the second point, the
+        second point is named; where only at a stencil point, that one."""
+        I, J = calabi_sin.pair.I, calabi_sin.pair.J
+        p = I.chart.sample_points(rng, 2)
+        around = fd.stencil_points(p, fd.DIRECT)
+        parts = lee_form_parts(J, p)
+        for bad, named in (([around[0, 1, 0], p[1]], p[1]),
+                           ([around[1, 3, 1]], around[1, 3, 1])):
+            I_bad = self.logged(I, [], bad)
+            with pytest.raises(ValueError) as err:
+                _pair_parts(I_bad, parts, p)
+            with pytest.raises(ValueError) as ref:
+                I_bad.J(p)
+                I_bad.J(around)
+            assert str(err.value) == str(ref.value)
+            assert str(named) in str(err.value)
 
 
 class TestHamiltonianForm:

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -127,6 +128,29 @@ def test_metric_fields_are_complex_safe(name, request, rng):
         assert np.iscomplexobj(values) or not along.any(), chart.label
         assert np.max(np.abs(values.imag / 1e-20 - along)) < 1e-8 * (
             1 + np.max(np.abs(along))), chart.label
+
+
+def _drift_selectors():
+    """The selectors of the drift grid in tools/drift.py."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "drift.py"
+    spec = importlib.util.spec_from_file_location("drift", path)
+    drift = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(drift)
+    return drift.SELECTORS
+
+
+@pytest.mark.parametrize("selector", _drift_selectors())
+def test_j_fields_are_complex_safe(selector, rng):
+    """Every structure a drift-grid selector reaches, the Kahler base's
+    included, carries a complex stack through its J without a warning, and
+    the complex step of J matches its DIRECT stencil."""
+    for key, H in _reached_structures(resolve_manifold(selector)).items():
+        pts = H.chart.sample_points(rng, 6).reshape(2, 3, H.chart.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = fd.complex_step(H.J_fn)(pts)
+        stencil = fd.gradient(H.J_fn, pts, fd.DIRECT)
+        assert np.max(np.abs(exact - stencil)) < 1e-7, key
 
 
 class TestStencilOnly:
